@@ -12,10 +12,20 @@ The per-batch gradient decomposes into
 Both terms are exactly the sigmoid-embedding FusedMM pattern (Table III
 row 2): the attractive term on the batch rows of the adjacency matrix, the
 repulsive term on a small synthetic adjacency whose rows hold the sampled
-negatives.  The trainer therefore spends essentially all its time inside
-the kernel under study, which is what makes the end-to-end comparison of
-Table VIII a kernel comparison in disguise — the paper's 25–45× speedups
-over DGL/PyTorch come from swapping this kernel.
+negatives.  The end-to-end comparison of Table VIII is therefore largely
+a kernel comparison — the paper's 25–45× speedups over DGL/PyTorch come
+from swapping this kernel — but only as far as the trainer's own glue
+stays small.  Measured on the flickr twin (d=128, batch 256, one kernel
+thread, 2-vCPU x86 host, traced ``perfbench`` run), an epoch spends
+~225 ms in kernel calls and ~47 ms in glue (row slicing 6 ms, negative
+sampling 14 ms, the trainer's own array work 27 ms): ~83% in the kernel.
+Converting the whole embedding matrix to float32 for every minibatch,
+slicing rows in a Python loop and re-validating the sampling distribution
+on every draw used to cost ~177 ms of glue (~55% in the kernel).  The
+float32 mirror kept by :meth:`Force2Vec.train_epoch`, the vectorised
+:meth:`~repro.sparse.CSRMatrix.select_rows` and the precomputed CDF of
+:class:`~repro.apps.sampling.NegativeSampler` removed it with
+bitwise-identical results.
 
 The ``backend`` knob selects which kernel implementation performs the work:
 
@@ -184,22 +194,22 @@ class Force2Vec:
     # ------------------------------------------------------------------ #
     # Training
     # ------------------------------------------------------------------ #
-    def _batch_gradient(self, batch: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Gradient of the Force2Vec objective for one vertex minibatch."""
+    def _batch_gradient(self, batch: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Gradient of the Force2Vec objective for one vertex minibatch;
+        ``Y`` is the float32 mirror of :attr:`embeddings`."""
         cfg = self.config
-        X = self.embeddings
-        Xb = X[batch].astype(np.float32)
-        Y = X.astype(np.float32)
+        Xb = Y[batch]
 
         # Attractive term over real edges: (σ(s) - 1) x_v summed over N(u).
         A_batch = self.adjacency.select_rows(batch)
         sig_sum = self._sigmoid_aggregate(A_batch, Xb, Y).astype(np.float64)
         # Unweighted neighbour sum (σ(s) - 1 = σ(s) minus one per edge).
+        # ``A_batch`` is private to this call, so its structure is shared.
         ones_batch = CSRMatrix(
             A_batch.nrows,
             A_batch.ncols,
-            A_batch.indptr.copy(),
-            A_batch.indices.copy(),
+            A_batch.indptr,
+            A_batch.indices,
             np.ones(A_batch.nnz, dtype=np.float32),
             check=False,
         )
@@ -234,17 +244,22 @@ class Force2Vec:
     def train_epoch(self, epoch: int = 0) -> EpochStats:
         """Run one epoch (one pass over all vertices in minibatches)."""
         cfg = self.config
-        rng = np.random.default_rng(cfg.seed + epoch)
         t_epoch = time.perf_counter()
         kernel_time = 0.0
         num_batches = 0
+        # The kernels read float32 embeddings.  Convert the whole matrix
+        # once per epoch (so ``load_state`` or a reassigned ``embeddings``
+        # is picked up) and then refresh only the rows each step updates:
+        # casting a row gives the same bits as casting the whole matrix.
+        Y = self.embeddings.astype(np.float32)
         for batch in minibatch_indices(
             self.graph.num_vertices, cfg.batch_size, seed=cfg.seed + epoch
         ):
             t0 = time.perf_counter()
-            grad = self._batch_gradient(batch, rng)
+            grad = self._batch_gradient(batch, Y)
             kernel_time += time.perf_counter() - t0
             self.embeddings[batch] -= cfg.learning_rate * grad
+            Y[batch] = self.embeddings[batch]
             num_batches += 1
         stats = EpochStats(
             epoch=epoch,

@@ -86,7 +86,7 @@ class NegativeSampler:
         self.num_vertices = int(num_vertices)
         self._rng = np.random.default_rng(seed)
         if degrees is None:
-            self._probs = None
+            self._cdf = None
         else:
             degrees = np.asarray(degrees, dtype=np.float64)
             if degrees.shape != (num_vertices,):
@@ -94,7 +94,13 @@ class NegativeSampler:
                     f"degrees must have shape ({num_vertices},), got {degrees.shape}"
                 )
             weights = np.power(np.maximum(degrees, 1e-12), power)
-            self._probs = weights / weights.sum()
+            probs = weights / weights.sum()
+            # ``Generator.choice(p=probs)`` re-validates ``probs`` and
+            # rebuilds this inverse-CDF table on every call.  Built once
+            # and searched the way ``choice`` does, it draws the same
+            # stream and leaves the same generator state.
+            self._cdf = probs.cumsum()
+            self._cdf /= self._cdf[-1]
 
     def get_state(self) -> dict:
         """The internal generator's state — JSON-able, so checkpointing a
@@ -112,7 +118,8 @@ class NegativeSampler:
         ``shape`` may be an int or a tuple, e.g. ``(batch, k)`` for ``k``
         negatives per batch vertex.
         """
-        if self._probs is None:
+        if self._cdf is None:
             return self._rng.integers(0, self.num_vertices, size=shape, dtype=np.int64)
-        flat = self._rng.choice(self.num_vertices, size=int(np.prod(shape)), p=self._probs)
-        return flat.reshape(shape).astype(np.int64)
+        uniform = self._rng.random(int(np.prod(shape)))
+        flat = self._cdf.searchsorted(uniform, side="right")
+        return flat.reshape(shape).astype(np.int64, copy=False)

@@ -100,11 +100,10 @@ class Verse:
         )
         self.history: List[EpochStats] = []
 
-    def _batch_gradient(self, batch: np.ndarray) -> np.ndarray:
+    def _batch_gradient(self, batch: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """``Y`` is the float32 mirror of :attr:`embeddings`."""
         cfg = self.config
-        X = self.embeddings
-        Xb = X[batch].astype(np.float32)
-        Y = X.astype(np.float32)
+        Xb = Y[batch]
 
         # Positive part: pull towards similarity-weighted neighbours.
         S_batch = self.similarity.select_rows(batch)
@@ -138,13 +137,17 @@ class Verse:
         t0 = time.perf_counter()
         kernel_time = 0.0
         num_batches = 0
+        # Float32 mirror of the embeddings, converted once per epoch and
+        # refreshed row-wise after each step (see ``Force2Vec.train_epoch``).
+        Y = self.embeddings.astype(np.float32)
         for batch in minibatch_indices(
             self.graph.num_vertices, cfg.batch_size, seed=cfg.seed + epoch
         ):
             t_k = time.perf_counter()
-            grad = self._batch_gradient(batch)
+            grad = self._batch_gradient(batch, Y)
             kernel_time += time.perf_counter() - t_k
             self.embeddings[batch] -= cfg.learning_rate * grad
+            Y[batch] = self.embeddings[batch]
             num_batches += 1
         stats = EpochStats(
             epoch=epoch,

@@ -9,7 +9,7 @@ four applications share.  See the "Training jobs" section of the README
 for the lifecycle and durability contract.
 """
 
-from .checkpoint import CHECKPOINT_MAGIC, Checkpoint, CheckpointStore
+from .checkpoint import CHECKPOINT_MAGIC, Checkpoint, CheckpointStore, atomic_write
 from .manager import (
     JOB_APPS,
     JOB_STATES,
@@ -31,6 +31,7 @@ __all__ = [
     "JobManager",
     "JobSpec",
     "TrainingResult",
+    "atomic_write",
     "build_app",
     "run_training",
 ]

@@ -24,6 +24,9 @@ The ``crash_hook`` attribute is the torn-write test surface: the store
 calls it (when set) at each named point of the write sequence so tests
 can simulate a crash *between* the fsync and the rename, after the
 rename but before the manifest update, and so on.
+
+:func:`atomic_write` is the one write-temp-then-rename helper of the
+package; the job manager's records and results use it too.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import uuid
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,7 +45,7 @@ import numpy as np
 from ..errors import CheckpointError
 from ..framing import ProtocolError, decode_payload, encode_payload
 
-__all__ = ["Checkpoint", "CheckpointStore", "CHECKPOINT_MAGIC"]
+__all__ = ["Checkpoint", "CheckpointStore", "CHECKPOINT_MAGIC", "atomic_write"]
 
 #: File magic of one checkpoint: magic | crc32(payload) | payload length.
 CHECKPOINT_MAGIC = b"RCK1"
@@ -56,6 +60,60 @@ CRASH_POINTS = (
     "renamed",           # checkpoint in place, manifest still stale
     "manifest-written",  # manifest updated, pruning not yet done
 )
+
+
+def _fsync_dir(directory: Path) -> None:
+    # Persist a rename itself, not just the file contents; best effort —
+    # not every platform lets you open a directory.
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:  # pragma: no cover - platform dependent
+        return
+    try:
+        os.fsync(fd)
+    except OSError:  # pragma: no cover - platform dependent
+        pass
+    finally:
+        os.close(fd)
+
+
+def atomic_write(
+    path,
+    data: bytes,
+    *,
+    fsync: bool = True,
+    before_replace: Optional[Callable[[], None]] = None,
+) -> Path:
+    """Replace ``path`` with ``data`` so readers see the old or the new
+    bytes, never a mix.
+
+    The bytes go to a temp file with a unique name in the same directory
+    (so concurrent writers of one path never share a temp file), which is
+    flushed and fsync-ed, ``os.replace``-d over ``path``, and then the
+    directory is fsync-ed so the rename is durable too.  ``fsync=False``
+    keeps the atomic rename but skips both fsyncs (for files that are only
+    a hint).  ``before_replace`` runs between the fsync and the rename; if
+    it raises, the temp file stays behind exactly as a crash there would
+    leave it.
+    """
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{uuid.uuid4().hex[:12]}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            if fsync:
+                os.fsync(fh.fileno())
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+    if before_replace is not None:
+        before_replace()
+    os.replace(temp, path)
+    if fsync:
+        _fsync_dir(path.parent)
+    return path
 
 
 @dataclass
@@ -111,30 +169,6 @@ class CheckpointStore:
                 scalars[key] = value
         return arrays, scalars
 
-    def _fsync_dir(self) -> None:
-        # Persist the rename itself, not just the file contents; best
-        # effort — not every platform lets you open a directory.
-        try:
-            fd = os.open(self.directory, os.O_RDONLY)
-        except OSError:  # pragma: no cover - platform dependent
-            return
-        try:
-            os.fsync(fd)
-        except OSError:  # pragma: no cover - platform dependent
-            pass
-        finally:
-            os.close(fd)
-
-    def _write_atomic(self, name: str, blob: bytes) -> Path:
-        """temp → flush → fsync → rename; returns the final path."""
-        final = self.directory / name
-        temp = self.directory / f".{name}.tmp"
-        with open(temp, "wb") as fh:
-            fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
-        return final, temp
-
     def save(
         self,
         epoch: int,
@@ -169,10 +203,11 @@ class CheckpointStore:
         blob = header + payload
 
         name = f"ckpt-{epoch:08d}{_SUFFIX}"
-        final, temp = self._write_atomic(name, blob)
-        self._hook("temp-written")
-        os.replace(temp, final)
-        self._fsync_dir()
+        final = atomic_write(
+            self.directory / name,
+            blob,
+            before_replace=lambda: self._hook("temp-written"),
+        )
         self._hook("renamed")
 
         manifest = json.dumps(
@@ -182,9 +217,7 @@ class CheckpointStore:
         # recovery hint with a scan fallback, so losing it in a crash
         # costs a directory listing — not worth doubling the per-save
         # fsync count.
-        m_temp = self.directory / f".{_MANIFEST}.tmp"
-        m_temp.write_bytes(manifest)
-        os.replace(m_temp, self.directory / _MANIFEST)
+        atomic_write(self.directory / _MANIFEST, manifest, fsync=False)
         self._hook("manifest-written")
 
         self.checkpoints_written += 1
@@ -199,9 +232,9 @@ class CheckpointStore:
         for stale in files[self.keep_last :]:
             if stale.name != keep:
                 stale.unlink(missing_ok=True)
-        for temp in self.directory.glob(f".ckpt-*{_SUFFIX}.tmp"):
-            temp.unlink(missing_ok=True)
-        (self.directory / f".{_MANIFEST}.tmp").unlink(missing_ok=True)
+        for pattern in (f".ckpt-*{_SUFFIX}*.tmp", f".{_MANIFEST}*.tmp"):
+            for temp in self.directory.glob(pattern):
+                temp.unlink(missing_ok=True)
 
     # ------------------------------------------------------------------ #
     # Loading

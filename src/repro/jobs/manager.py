@@ -48,7 +48,7 @@ from ..errors import (
 )
 from ..resilience import FaultInjector, FaultPlan, RetryPolicy
 from ..runtime import matrix_fingerprint
-from .checkpoint import CheckpointStore
+from .checkpoint import CheckpointStore, atomic_write
 
 __all__ = [
     "JOB_APPS",
@@ -360,6 +360,11 @@ class Job:
         self.output: Optional[np.ndarray] = None
         self.cancel_event = threading.Event()
         self.store: Optional[CheckpointStore] = None
+        #: bumped for every record snapshot (under the manager lock)
+        self.revision = 0
+        #: newest revision written to ``job.json`` (under ``record_lock``)
+        self.revision_on_disk = 0
+        self.record_lock = threading.Lock()
 
     def describe(self, *, with_progress: bool = True) -> Dict[str, object]:
         doc: Dict[str, object] = {
@@ -458,22 +463,37 @@ class JobManager:
 
     def _persist(self, job: Job) -> None:
         """Atomically rewrite the job's supervision record."""
-        path = self._job_path(job.id)
-        path.mkdir(parents=True, exist_ok=True)
-        blob = json.dumps(job.describe(), indent=2).encode("utf-8")
-        temp = path / ".job.json.tmp"
-        temp.write_bytes(blob)
-        os.replace(temp, path / "job.json")
+        self._write_record(job, *self._snapshot(job))
+
+    def _snapshot(self, job: Job) -> Tuple[int, bytes]:
+        """The job's record as of now, stamped with the next revision.
+        Taken under the manager lock, so revision order is state order."""
+        with self._lock:
+            job.revision += 1
+            revision = job.revision
+            doc = job.describe()
+        doc["revision"] = revision
+        return revision, json.dumps(doc, indent=2).encode("utf-8")
+
+    def _write_record(self, job: Job, revision: int, blob: bytes) -> None:
+        """Write one snapshot unless a newer one has landed already.  The
+        job thread and ``cancel()`` both persist; serialising their writes
+        and dropping stale snapshots means the record on disk only moves
+        forward (a late ``running`` never overwrites ``cancelled``)."""
+        with job.record_lock:
+            if revision <= job.revision_on_disk:
+                return
+            path = self._job_path(job.id)
+            path.mkdir(parents=True, exist_ok=True)
+            atomic_write(path / "job.json", blob)
+            job.revision_on_disk = revision
 
     def _persist_result(self, job: Job) -> None:
         if job.output is None:
             return
-        path = self._job_path(job.id)
         buffer = io.BytesIO()
         np.save(buffer, job.output)
-        temp = path / ".result.npy.tmp"
-        temp.write_bytes(buffer.getvalue())
-        os.replace(temp, path / "result.npy")
+        atomic_write(self._job_path(job.id) / "result.npy", buffer.getvalue())
 
     # ------------------------------------------------------------------ #
     # Submission + admission

@@ -330,16 +330,22 @@ class CSRMatrix:
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size and (rows.min() < 0 or rows.max() >= self.nrows):
             raise IndexError("row index out of range in select_rows")
-        degs = self.row_degrees()[rows]
+        starts = self.indptr[rows]
+        degs = self.indptr[rows + 1] - starts
         indptr = np.zeros(rows.shape[0] + 1, dtype=np.int64)
         np.cumsum(degs, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        data = np.empty(int(indptr[-1]), dtype=self.data.dtype)
-        for i, u in enumerate(rows):
-            lo, hi = self.indptr[u], self.indptr[u + 1]
-            indices[indptr[i] : indptr[i + 1]] = self.indices[lo:hi]
-            data[indptr[i] : indptr[i + 1]] = self.data[lo:hi]
-        return CSRMatrix(rows.shape[0], self.ncols, indptr, indices, data, check=False)
+        # One gather: output slot k of selected row i reads source entry
+        # starts[i] + (k - indptr[i]).
+        nnz = int(indptr[-1])
+        gather = np.repeat(starts - indptr[:-1], degs) + np.arange(nnz, dtype=np.int64)
+        return CSRMatrix(
+            rows.shape[0],
+            self.ncols,
+            indptr,
+            self.indices[gather],
+            self.data[gather],
+            check=False,
+        )
 
     # ------------------------------------------------------------------ #
     # Reference multiplications (used by baselines and tests)

@@ -10,10 +10,12 @@ claims the module name).  Test modules import helpers from here;
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.graphs import random_features
 from repro.sparse import CSRMatrix
 
-__all__ = ["make_xy"]
+__all__ = ["make_xy", "select_rows_by_loop"]
 
 
 def make_xy(A: CSRMatrix, d: int, seed: int = 0):
@@ -21,3 +23,13 @@ def make_xy(A: CSRMatrix, d: int, seed: int = 0):
     X = random_features(A.nrows, d, seed=seed)
     Y = X if A.nrows == A.ncols else random_features(A.ncols, d, seed=seed + 1)
     return X, Y
+
+
+def select_rows_by_loop(A: CSRMatrix, rows) -> CSRMatrix:
+    """Row-by-row reference for :meth:`CSRMatrix.select_rows`."""
+    spans = [slice(A.indptr[u], A.indptr[u + 1]) for u in rows]
+    indptr = np.zeros(len(spans) + 1, dtype=np.int64)
+    np.cumsum([s.stop - s.start for s in spans], out=indptr[1:])
+    indices = np.concatenate([np.empty(0, np.int64)] + [A.indices[s] for s in spans])
+    data = np.concatenate([np.empty(0, A.data.dtype)] + [A.data[s] for s in spans])
+    return CSRMatrix(len(spans), A.ncols, indptr, indices, data, check=False)

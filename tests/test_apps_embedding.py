@@ -4,6 +4,7 @@ classification)."""
 import numpy as np
 import pytest
 
+from _helpers import select_rows_by_loop
 from repro.apps import (
     EMBEDDING_BACKENDS,
     Force2Vec,
@@ -20,9 +21,9 @@ from repro.apps import (
     train_test_split_indices,
 )
 from repro.errors import BackendError, ShapeError
-from repro.graphs import Graph
+from repro.graphs import Graph, load_dataset
 from repro.graphs.generators import stochastic_block_model
-from repro.sparse import random_csr
+from repro.sparse import CSRMatrix, random_csr
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +71,21 @@ def test_negative_sampler_uniform_and_biased():
     biased = NegativeSampler(50, degrees=degrees, seed=0)
     samples = biased.sample(500)
     assert (samples == 7).mean() > 0.5
+
+
+@pytest.mark.parametrize("shape", [(64, 5), 7, (0, 3)])
+def test_negative_sampler_matches_generator_choice(shape):
+    degrees = np.random.default_rng(5).integers(0, 40, size=300)
+    weights = np.power(np.maximum(degrees.astype(np.float64), 1e-12), 0.75)
+    probs = weights / weights.sum()
+    sampler = NegativeSampler(300, degrees=degrees, seed=11)
+    reference = np.random.default_rng(11)
+    for _ in range(3):
+        drawn = sampler.sample(shape)
+        expected = reference.choice(300, size=int(np.prod(shape)), p=probs)
+        assert drawn.dtype == np.int64
+        assert np.array_equal(drawn, expected.reshape(shape))
+    assert sampler.get_state() == reference.bit_generator.state
 
 
 def test_negative_sampler_validation():
@@ -181,6 +197,60 @@ def test_force2vec_backends_agree_from_same_seed(community_graph):
     assert np.allclose(embeddings["fused"], embeddings["unfused"], atol=1e-3)
 
 
+@pytest.fixture(scope="module")
+def registry_graph():
+    return load_dataset("cora", scale=0.1)
+
+
+def _ones_csr(ncols: int, indptr: np.ndarray, indices: np.ndarray) -> CSRMatrix:
+    ones = np.ones(indices.size, dtype=np.float32)
+    return CSRMatrix(indptr.size - 1, ncols, indptr, indices, ones, check=False)
+
+
+def _rows_of(k: int, nrows: int) -> np.ndarray:
+    """indptr of ``nrows`` rows with ``k`` entries each."""
+    return np.arange(0, (nrows + 1) * k, k, dtype=np.int64)
+
+
+def _force2vec_reference(graph, cfg, epochs):
+    """The Force2Vec loop written the plain way: the whole embedding
+    matrix converted to float32 for every minibatch, rows sliced one by
+    one and negatives drawn with ``Generator.choice(p=...)``."""
+    model = Force2Vec(graph, cfg)  # initial embeddings + kernel dispatch
+    X, A = model.embeddings, model.adjacency
+    weights = np.power(np.maximum(A.row_degrees().astype(np.float64), 1e-12), 0.75)
+    probs = weights / weights.sum()
+    rng = np.random.default_rng(cfg.seed + 7)
+    for epoch in range(epochs):
+        for batch in minibatch_indices(
+            graph.num_vertices, cfg.batch_size, seed=cfg.seed + epoch
+        ):
+            Xb = X[batch].astype(np.float32)
+            Y = X.astype(np.float32)
+            A_batch = select_rows_by_loop(A, batch)
+            grad = model._sigmoid_aggregate(A_batch, Xb, Y).astype(np.float64)
+            ones = _ones_csr(A.ncols, A_batch.indptr, A_batch.indices)
+            grad -= model._plain_aggregate(ones, Y).astype(np.float64)
+            negs = rng.choice(A.ncols, size=batch.size * cfg.negative_samples, p=probs)
+            A_neg = _ones_csr(A.ncols, _rows_of(cfg.negative_samples, batch.size), negs)
+            grad += model._sigmoid_aggregate(A_neg, Xb, Y).astype(np.float64)
+            norms = np.linalg.norm(grad, axis=1, keepdims=True)
+            grad *= np.minimum(1.0, cfg.max_grad_norm / np.maximum(norms, 1e-12))
+            X[batch] -= cfg.learning_rate * grad
+    model._runtime.close()
+    return X
+
+
+@pytest.mark.parametrize("backend", EMBEDDING_BACKENDS)
+def test_force2vec_is_bitwise_equal_to_the_plain_loop(registry_graph, backend):
+    cfg = Force2VecConfig(dim=16, batch_size=32, seed=4, backend=backend, num_threads=1)
+    model = Force2Vec(registry_graph, cfg)
+    model.train(2)
+    model._runtime.close()
+    expected = _force2vec_reference(registry_graph, cfg, 2)
+    assert np.array_equal(model.embeddings, expected)
+
+
 def test_force2vec_zero_negative_samples(community_graph):
     cfg = Force2VecConfig(dim=8, epochs=1, seed=0, negative_samples=0, batch_size=64)
     emb = Force2Vec(community_graph, cfg).train()
@@ -211,6 +281,35 @@ def test_verse_training_runs_and_is_finite(community_graph):
     assert emb.shape == (community_graph.num_vertices, 16)
     assert np.isfinite(emb).all()
     assert len(model.history) == 2
+
+
+def test_verse_is_bitwise_equal_to_the_plain_loop(registry_graph):
+    """VERSE against its loop written the plain way (whole-matrix float32
+    conversion every minibatch, rows sliced one by one)."""
+    cfg = VerseConfig(dim=16, batch_size=32, seed=4, num_threads=1)
+    model = Verse(registry_graph, cfg)
+    model.train(2)
+    model._runtime.close()
+
+    ref = Verse(registry_graph, cfg)
+    X, S = ref.embeddings, ref.similarity
+    rng = np.random.default_rng(cfg.seed + 13)
+    for epoch in range(2):
+        for batch in minibatch_indices(
+            registry_graph.num_vertices, cfg.batch_size, seed=cfg.seed + epoch
+        ):
+            Xb = X[batch].astype(np.float32)
+            Y = X.astype(np.float32)
+            S_batch = select_rows_by_loop(S, batch)
+            grad = ref._sig_stream.run_on(S_batch, Xb, Y).astype(np.float64)
+            grad -= ref._agg_stream.run_on(S_batch, None, Y).astype(np.float64)
+            negs = rng.integers(0, S.ncols, size=(batch.size, cfg.noise_samples))
+            neg_indptr = _rows_of(cfg.noise_samples, batch.size)
+            A_neg = _ones_csr(S.ncols, neg_indptr, negs.ravel())
+            grad += ref._sig_stream.run_on(A_neg, Xb, Y).astype(np.float64)
+            X[batch] -= cfg.learning_rate * grad
+    ref._runtime.close()
+    assert np.array_equal(model.embeddings, X)
 
 
 def test_verse_requires_square_adjacency():

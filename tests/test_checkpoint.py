@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.errors import CheckpointError
-from repro.jobs import CHECKPOINT_MAGIC, CheckpointStore
+from repro.jobs import CHECKPOINT_MAGIC, CheckpointStore, atomic_write
 from repro.jobs.checkpoint import CRASH_POINTS
 
 
@@ -210,3 +210,33 @@ def test_stray_tmp_files_are_ignored_by_recovery(tmp_path):
     store.save(1, _state(1))
     (tmp_path / ".ckpt-00000009.ckpt.tmp").write_bytes(b"partial write")
     assert CheckpointStore(tmp_path).latest().epoch == 1
+
+
+# ---------------------------------------------------------------------- #
+# The shared atomic-write helper
+# ---------------------------------------------------------------------- #
+def test_atomic_write_interleaved_writers_of_one_path(tmp_path):
+    # A second writer runs to completion inside the first one's
+    # fsync-to-rename window.  With a shared temp name the first rename
+    # would lose its source (FileNotFoundError); unique temps keep both.
+    target = tmp_path / "job.json"
+    atomic_write(
+        target,
+        b"first",
+        before_replace=lambda: atomic_write(target, b"second"),
+    )
+    assert target.read_bytes() == b"first"  # the last rename wins
+    assert not list(tmp_path.glob(".*.tmp"))
+
+
+def test_atomic_write_crash_before_rename_keeps_the_old_bytes(tmp_path):
+    target = tmp_path / "result.npy"
+    atomic_write(target, b"old")
+
+    def crash():
+        raise RuntimeError("simulated crash")
+
+    with pytest.raises(RuntimeError):
+        atomic_write(target, b"new", before_replace=crash)
+    assert target.read_bytes() == b"old"
+    assert len(list(tmp_path.glob(".result.npy.*.tmp"))) == 1  # as a kill leaves it

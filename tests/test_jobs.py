@@ -15,6 +15,8 @@ Three layers under test:
 
 from __future__ import annotations
 
+import json
+import sys
 import threading
 import time
 from types import SimpleNamespace
@@ -254,6 +256,122 @@ def test_manager_cancel_running_job_checkpoints_and_accounts(tmp_path):
         with pytest.raises(JobError):
             manager.result(job_id)
         _assert_accounting(manager.stats())
+    finally:
+        manager.close()
+
+
+class _PausingManager(JobManager):
+    """Holds one thread's record write between its snapshot and the
+    write itself — the window where a stale record used to land last."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.paused_thread = None
+        self.paused = threading.Event()
+        self.release = threading.Event()
+
+    def _write_record(self, job, revision, blob):
+        if threading.current_thread() is self.paused_thread:
+            self.paused.set()
+            assert self.release.wait(timeout=30.0)
+        super()._write_record(job, revision, blob)
+
+
+def _record_on_disk(tmp_path, job_id):
+    return json.loads((tmp_path / job_id / "job.json").read_text())
+
+
+def test_stale_cancel_snapshot_never_overwrites_the_cancelled_record(tmp_path):
+    gate, in_epoch = threading.Event(), threading.Event()
+
+    def factory(spec):
+        app = _FakeApp(spec, gate)
+        train_epoch = app.train_epoch
+
+        def gated(epoch):
+            in_epoch.set()
+            return train_epoch(epoch)
+
+        app.train_epoch = gated
+        return None, app
+
+    manager = _PausingManager(tmp_path, max_active=1, app_factory=factory)
+    try:
+        job_id = manager.submit(_spec(epochs=50))
+        assert in_epoch.wait(timeout=30.0)
+        deadline = time.monotonic() + 30.0
+        # cancel() snapshots the record ("running") and stalls before writing.
+        canceller = threading.Thread(target=manager.cancel, args=(job_id,))
+        manager.paused_thread = canceller
+        canceller.start()
+        assert manager.paused.wait(timeout=30.0)
+        # Meanwhile the job finishes its epoch, writes its progress record,
+        # sees the cancel at the boundary and writes "cancelled".
+        gate.set()
+        while _record_on_disk(tmp_path, job_id)["state"] != "cancelled":
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        newest = _record_on_disk(tmp_path, job_id)
+        assert newest["epochs_done"] >= 1  # a progress write landed too
+        # Now the stale snapshot reaches the disk: it must be dropped.
+        manager.release.set()
+        canceller.join(timeout=30.0)
+        assert not canceller.is_alive()
+        assert _record_on_disk(tmp_path, job_id) == newest
+        assert manager.wait(job_id, timeout=30.0)["state"] == "cancelled"
+        _assert_accounting(manager.stats())
+    finally:
+        manager.release.set()
+        manager.close()
+    restarted = JobManager(tmp_path, max_active=1)
+    try:
+        assert restarted.recover() == []  # not resurrected as "running"
+        assert restarted.status(job_id)["state"] == "cancelled"
+    finally:
+        restarted.close()
+
+
+def test_concurrent_record_writers_leave_the_newest_snapshot(tmp_path):
+    gate = threading.Event()
+    manager = JobManager(tmp_path, max_active=1, app_factory=_fake_factory(gate))
+    errors = []
+
+    def writer(job):
+        try:
+            for _ in range(40):
+                manager._persist(job)
+        except Exception as exc:  # noqa: BLE001 - surfaced by the assert below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        job_id = manager.submit(_spec(epochs=2))
+        job = manager._get(job_id)
+        threads = [threading.Thread(target=writer, args=(job,)) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert _record_on_disk(tmp_path, job_id)["revision"] == job.revision
+    finally:
+        sys.setswitchinterval(interval)
+        gate.set()
+        manager.close()
+
+
+def test_record_revisions_increase_with_every_write(tmp_path):
+    manager = JobManager(tmp_path, max_active=1, app_factory=_fake_factory())
+    try:
+        job_id = manager.submit(_spec(epochs=3))
+        manager.wait(job_id, timeout=60.0)
+        first = _record_on_disk(tmp_path, job_id)["revision"]
+        manager.cancel(job_id)  # idempotent on a terminal job, still persists
+        record = _record_on_disk(tmp_path, job_id)
+        assert record["state"] == "completed"
+        assert record["revision"] == first + 1
     finally:
         manager.close()
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _helpers import select_rows_by_loop
 from repro.core.partition import part1d, partition_balance
 from repro.sparse import COOMatrix, CSRMatrix
 
@@ -81,6 +82,25 @@ def test_row_slice_concatenation_recovers_matrix(coo):
     bottom = csr.row_slice(mid, csr.nrows)
     stacked = np.vstack([top.to_dense(), bottom.to_dense()]) if csr.nrows else csr.to_dense()
     assert np.allclose(stacked, csr.to_dense(), atol=1e-5)
+
+
+@given(coo_matrices(), st.data(), st.sampled_from([np.float32, np.float64]))
+def test_select_rows_matches_row_by_row_reference(coo, data, dtype):
+    base = CSRMatrix.from_coo(coo)
+    csr = CSRMatrix(
+        base.nrows, base.ncols, base.indptr, base.indices, base.data.astype(dtype)
+    )
+    # Repeated rows, zero-degree rows and the empty selection all occur.
+    row_ids = st.integers(min_value=0, max_value=csr.nrows - 1)
+    rows = data.draw(st.lists(row_ids, max_size=2 * csr.nrows))
+    sub = csr.select_rows(rows)
+    ref = select_rows_by_loop(csr, rows)
+    assert sub.shape == (len(rows), csr.ncols)
+    assert sub.indptr.dtype == np.int64 and sub.indices.dtype == np.int64
+    assert sub.data.dtype == dtype
+    assert np.array_equal(sub.indptr, ref.indptr)
+    assert np.array_equal(sub.indices, ref.indices)
+    assert np.array_equal(sub.data, ref.data)
 
 
 @given(coo_matrices())

@@ -117,6 +117,26 @@ def test_select_rows_reorders(tiny_csr):
     assert np.allclose(sub.to_dense(), dense[[3, 0]])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_select_rows_repeats_zero_degree_rows_and_empty(dtype):
+    # row 1 is empty; rows are picked twice and out of order
+    A = CSRMatrix(
+        3,
+        4,
+        np.array([0, 2, 2, 5]),
+        np.array([0, 3, 1, 2, 3]),
+        np.arange(1, 6, dtype=dtype),
+    )
+    sub = A.select_rows([2, 1, 0, 2, 1])
+    assert np.array_equal(sub.indptr, [0, 3, 3, 5, 8, 8])
+    assert np.array_equal(sub.indices, [1, 2, 3, 0, 3, 1, 2, 3])
+    assert np.array_equal(sub.data, np.array([3, 4, 5, 1, 2, 3, 4, 5], dtype=dtype))
+    assert sub.data.dtype == dtype and sub.indices.dtype == np.int64
+    empty = A.select_rows([])
+    assert empty.shape == (0, 4) and empty.nnz == 0
+    assert np.array_equal(empty.indptr, [0]) and empty.data.dtype == dtype
+
+
 def test_select_rows_out_of_range(tiny_csr):
     with pytest.raises(IndexError):
         tiny_csr.select_rows([0, 9])
