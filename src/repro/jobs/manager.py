@@ -505,6 +505,9 @@ class JobManager:
         and :class:`~repro.errors.QueueFullError` past the admission
         bound — the same typed 503/429 outcomes the request path uses.
         """
+        return self._admit(Job(job_id or f"job-{uuid.uuid4().hex[:12]}", spec))
+
+    def _admit(self, job: Job) -> str:
         with self._lock:
             if self._draining:
                 raise DrainingError("job manager is draining; not accepting jobs")
@@ -516,24 +519,23 @@ class JobManager:
                     f"job queue full ({live} live jobs >= "
                     f"{self.max_active + self.max_queue})"
                 )
-            jid = job_id or f"job-{uuid.uuid4().hex[:12]}"
-            existing = self._jobs.get(jid)
+            existing = self._jobs.get(job.id)
             if existing is not None and existing.state not in TERMINAL_STATES:
-                raise JobError(f"job id {jid!r} is already live")
-            job = Job(jid, spec)
-            self._jobs[jid] = job
+                raise JobError(f"job id {job.id!r} is already live")
+            self._jobs[job.id] = job
             self.submitted += 1
         self._persist(job)
         self._executor.submit(self._execute, job)
-        return jid
+        return job.id
 
     def recover(self) -> List[str]:
         """Requeue unfinished jobs found on disk (after a restart).
 
         Terminal jobs are loaded read-only so ``status``/``result`` keep
         answering for them; non-terminal ones are resubmitted under their
-        original id and resume from their newest checkpoint.  Returns the
-        requeued ids.
+        original id and resume from their newest checkpoint.  Both carry
+        on from the record's ``revision``, so the next write moves
+        ``job.json`` forward.  Returns the requeued ids.
         """
         requeued: List[str] = []
         for record in sorted(self.job_dir.glob("*/job.json")):
@@ -542,13 +544,15 @@ class JobManager:
                 spec = JobSpec.from_dict(doc["spec"])
                 jid = str(doc["id"])
                 state = str(doc.get("state", "pending"))
-            except (OSError, ValueError, KeyError, JobError):
+                revision = int(doc.get("revision", 0))
+            except (OSError, TypeError, ValueError, KeyError, JobError):
                 continue  # unreadable record: skip, never block startup
             with self._lock:
                 if jid in self._jobs:
                     continue
+            job = Job(jid, spec)
+            job.revision = job.revision_on_disk = revision
             if state in TERMINAL_STATES:
-                job = Job(jid, spec)
                 job.state = state
                 job.attempts = int(doc.get("attempts", 0))
                 job.epochs_done = int(doc.get("epochs_done", 0))
@@ -557,7 +561,7 @@ class JobManager:
                 with self._lock:
                     self._jobs[jid] = job
             else:
-                self.submit(spec, job_id=jid)
+                self._admit(job)
                 requeued.append(jid)
         return requeued
 

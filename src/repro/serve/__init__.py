@@ -14,21 +14,25 @@ service (the ROADMAP's "async serving beyond futures" tier):
                with plans/reorderings/worker pools warm before the first
                request
 ``server``     :class:`KernelServer` — handcrafted asyncio HTTP/1.1
-               front-end (``/v1/kernel``, ``/v1/embed/<model>``,
+               front-end, a route codec onto the op table
+               (``/v1/kernel``, ``/v1/embed/<model>``,
                ``/v1/graph/<name>/edges``, ``/v1/train``,
                ``/v1/jobs/<id>``, ``/healthz``,
                ``/statz``) with JSON and binary npy payloads; owns the
                :class:`~repro.jobs.JobManager` behind the training-job
                endpoints
-``client``     :class:`ServeClient` — stdlib blocking client (benchmarks,
-               smoke tests)
-``connect``    :func:`connect` — URL-schemed factory (``http://`` /
-               ``wire://``) returning the transport-independent
-               :class:`Client` protocol
+``ops``        :class:`~repro.serve.ops.OpTable` — the transport-neutral
+               op table both front-ends decode into: ``(op, meta,
+               arrays)`` → ``(status, meta, arrays)``, one error mapper
+``client``     :class:`ServeClient` — stdlib blocking HTTP client
+``connect``    :class:`Client` — the method layer and retry loop both
+               clients share over a per-transport ``call``;
+               :func:`connect` picks the transport from a URL
+               (``http://`` / ``wire://``)
 ``wire``       :class:`WireServer` / :class:`WireClient` — length-prefixed
                binary framing over raw sockets with pipelining and
-               credit-based flow control; shares the coalescer/registry
-               with the HTTP front-end
+               credit-based flow control; a frame codec onto the same
+               op table as the HTTP front-end
 ``runner``     :class:`BackgroundServer` — an in-process server on its own
                loop thread (benchmarks, tests)
 ``protocol``   wire parsing and array payload codecs

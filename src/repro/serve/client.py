@@ -13,13 +13,21 @@ import http.client
 import json
 import socket
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
+from urllib.parse import urlencode
 
 import numpy as np
 
-from ..errors import DeadlineError, DrainingError, QueueFullError, ServeError
-from ..resilience import RetryPolicy
-from .protocol import array_from_npy, encode_array, npy_bytes
+from ..errors import SERVE_STATUS_ERRORS, ServeError
+from .connect import DEFAULT_HTTP_PORT, Client
+from .protocol import (
+    HTTP_ROUTES,
+    JSON_ARRAY_KEYS,
+    array_from_npy,
+    decode_array,
+    encode_array,
+    npy_bytes,
+)
 
 __all__ = [
     "ServeClient",
@@ -51,22 +59,9 @@ class ServeHTTPError(ServeError):
 # wire client reconstructs from error frames — catchable either way: as the
 # transport's ServeHTTPError or as the typed QueueFullError/DeadlineError/
 # DrainingError the server actually raised.
-class QueueFullHTTPError(ServeHTTPError, QueueFullError):
-    pass
-
-
-class DrainingHTTPError(ServeHTTPError, DrainingError):
-    pass
-
-
-class DeadlineHTTPError(ServeHTTPError, DeadlineError):
-    pass
-
-
 _TYPED_HTTP_ERRORS = {
-    429: QueueFullHTTPError,
-    503: DrainingHTTPError,
-    504: DeadlineHTTPError,
+    status: type(f"{cls.__name__[:-5]}HTTPError", (ServeHTTPError, cls), {})
+    for status, cls in SERVE_STATUS_ERRORS.items()
 }
 
 
@@ -75,52 +70,58 @@ def http_error_for_status(status: int, message: str) -> ServeHTTPError:
     return _TYPED_HTTP_ERRORS.get(status, ServeHTTPError)(status, message)
 
 
-class ServeClient:
+def _error_message(payload: bytes) -> str:
+    try:
+        return str(json.loads(payload).get("error", payload.decode("utf-8", "replace")))
+    except Exception:
+        return payload.decode("utf-8", "replace")
+
+
+def _json_request(meta: dict, arrays: Dict[str, np.ndarray], binary: bool) -> dict:
+    """A POST body: the meta fields plus the arrays — operands as
+    :func:`encode_array` envelopes (an inline graph as one CSR object),
+    ids and edge batches as plain JSON lists."""
+    doc = dict(meta)
+    if "indptr" in arrays:
+        doc["graph"] = {"shape": doc.pop("graph_shape", None)}
+    for name, array in arrays.items():
+        if name in ("x", "y"):
+            doc[name] = encode_array(array, binary=binary)
+        elif name in ("indptr", "indices", "data"):
+            doc["graph"][name] = encode_array(array, binary=binary)
+        else:
+            doc[name] = array.tolist()
+    return doc
+
+
+class ServeClient(Client):
     """One keep-alive connection to a ``repro serve`` instance.
 
-    ``retry=`` arms opt-in policy-driven retries: connection-level
-    failures and the transient admission statuses (429 queue-full, 503
-    draining) are retried under the given
-    :class:`~repro.resilience.RetryPolicy` before the error propagates.
-    Safe to enable for kernel/embed traffic because those calls are pure
-    — re-sending a request can never double-apply anything.  The default
-    (``None``) keeps the legacy behaviour: one stale-connection retry,
-    no status retries.
+    The shared :class:`~repro.serve.connect.Client` methods map onto the
+    HTTP routes of :data:`~repro.serve.protocol.HTTP_ROUTES`; ``retry=``
+    arms the shared retry loop.  Without a policy a stale keep-alive
+    socket still gets one resend on a fresh connection (never for
+    ``train``/``mutate``).
     """
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 8571,
-        *,
-        timeout: float = 30.0,
-        retry: Optional[RetryPolicy] = None,
-    ) -> None:
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.retry = retry
-        self.retries_attempted = 0
-        self._conn: Optional[http.client.HTTPConnection] = None
+    transport_errors = (http.client.HTTPException, OSError)
+    default_port = DEFAULT_HTTP_PORT
+    _conn: Optional[http.client.HTTPConnection] = None
 
     # ------------------------------------------------------------------ #
-    def _connection(self) -> http.client.HTTPConnection:
-        if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
-        return self._conn
-
     def close(self) -> None:
         if self._conn is not None:
             self._conn.close()
             self._conn = None
 
-    def __enter__(self) -> "ServeClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def _exchange(self, method: str, path: str, body=None, headers=None):
+        if self._conn is None:
+            self._conn = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout
+            )
+        self._conn.request(method, path, body=body, headers=headers or {})
+        response = self._conn.getresponse()
+        return response, response.read()
 
     def _request(
         self,
@@ -129,133 +130,46 @@ class ServeClient:
         body: Optional[bytes] = None,
         headers: Optional[Dict[str, str]] = None,
     ):
-        conn = self._connection()
+        """One exchange; ``(response, payload)`` whatever the status."""
         try:
-            conn.request(method, path, body=body, headers=headers or {})
-            response = conn.getresponse()
-            payload = response.read()
+            return self._exchange(method, path, body, headers)
         except (http.client.HTTPException, OSError):
             # Keep-alive connection went stale (server restarted, drain
             # closed it): retry once on a fresh socket.
             self.close()
-            conn = self._connection()
-            conn.request(method, path, body=body, headers=headers or {})
-            response = conn.getresponse()
-            payload = response.read()
-        return response, payload
+            return self._exchange(method, path, body, headers)
 
-    #: Transient admission statuses worth retrying under a policy — the
-    #: request was *not* executed (shed at the door), so a retry can
-    #: never duplicate work.
-    _RETRYABLE_STATUSES = frozenset({429, 503})
+    def call(self, op, meta, arrays, *, binary: bool = True, raw: bool = False):
+        """One request on its route.  ``binary`` asks for npy result
+        arrays and ships operands as base64 npy (else nested lists);
+        ``raw`` sends ``x`` as the raw ``.npy`` body with the rest of
+        ``meta`` in the query string — the zero-copy kernel fast path."""
+        methods, template = HTTP_ROUTES[op]
+        method = "GET" if methods is None else methods[0]
+        path = template.format(**meta)
+        headers = {"Accept": _NPY} if binary else {}
+        body = None
+        if raw:
+            path += "?" + urlencode(meta)
+            body = npy_bytes(arrays["x"])
+            headers["Content-Type"] = _NPY
+        elif method == "POST":
+            body = json.dumps(_json_request(meta, arrays, binary)).encode("utf-8")
+            headers["Content-Type"] = _JSON
+        # A stale-socket resend could apply train/mutate twice.
+        send = self._exchange if op in self.NEVER_RETRIED else self._request
+        response, payload = send(method, path, body, headers)
+        if response.status >= 300:
+            raise http_error_for_status(response.status, _error_message(payload))
+        if (response.getheader("Content-Type") or "").startswith(_NPY):
+            return array_from_npy(payload)
+        doc = json.loads(payload)
+        key = JSON_ARRAY_KEYS.get(op)
+        return decode_array(doc[key]) if key else doc
 
-    def _checked(self, method: str, path: str, body=None, headers=None):
-        state = self.retry.start() if self.retry is not None else None
-        while True:
-            try:
-                response, payload = self._request(
-                    method, path, body=body, headers=headers
-                )
-            except (http.client.HTTPException, OSError):
-                # _request already burned its single stale-socket retry;
-                # from here only an armed policy keeps trying.
-                if state is None:
-                    raise
-                delay = state.next_delay()
-                if delay is None:
-                    raise
-                self.retries_attempted += 1
-                self.close()
-                time.sleep(delay)
-                continue
-            if response.status >= 300:
-                try:
-                    message = json.loads(payload).get(
-                        "error", payload.decode("utf-8", "replace")
-                    )
-                except Exception:
-                    message = payload.decode("utf-8", "replace")
-                if (
-                    state is not None
-                    and response.status in self._RETRYABLE_STATUSES
-                ):
-                    delay = state.next_delay()
-                    if delay is not None:
-                        self.retries_attempted += 1
-                        time.sleep(delay)
-                        continue
-                raise http_error_for_status(response.status, str(message))
-            return response, payload
-
-    # ------------------------------------------------------------------ #
-    # Endpoints
     # ------------------------------------------------------------------ #
     def healthz(self) -> Dict[str, object]:
-        _, payload = self._checked("GET", "/healthz")
-        return json.loads(payload)
-
-    def statz(self) -> Dict[str, object]:
-        _, payload = self._checked("GET", "/statz")
-        return json.loads(payload)
-
-    def kernel(
-        self,
-        *,
-        model: Optional[str] = None,
-        graph=None,
-        X: Optional[np.ndarray] = None,
-        Y: Optional[np.ndarray] = None,
-        x: Optional[np.ndarray] = None,
-        y: Optional[np.ndarray] = None,
-        pattern: str = "sigmoid_embedding",
-        backend: str = "auto",
-        deadline_ms: Optional[float] = None,
-        binary: bool = True,
-    ) -> np.ndarray:
-        """``Z = FusedMM(A, X, Y)`` over the wire.
-
-        ``binary=True`` ships operands base64-npy inside the JSON envelope
-        and asks for a raw ``.npy`` response (bitwise-faithful round
-        trip); ``binary=False`` uses nested-list JSON end to end.  The
-        operands accept both spellings (``X=``/``x=``, ``Y=``/``y=``) so
-        call sites are portable across this client and
-        :class:`~repro.serve.wire.WireClient`.
-        """
-        if X is None:
-            X = x
-        if Y is None:
-            Y = y
-        payload: Dict[str, object] = {"pattern": pattern, "backend": backend}
-        if model is not None:
-            payload["model"] = model
-        if graph is not None:
-            payload["graph"] = (
-                graph
-                if isinstance(graph, dict)
-                else {
-                    "shape": [graph.nrows, graph.ncols],
-                    "indptr": encode_array(graph.indptr, binary=binary),
-                    "indices": encode_array(graph.indices, binary=binary),
-                    "data": encode_array(graph.data, binary=binary),
-                }
-            )
-        if X is not None:
-            payload["x"] = encode_array(np.asarray(X), binary=binary)
-        if Y is not None:
-            payload["y"] = encode_array(np.asarray(Y), binary=binary)
-        if deadline_ms is not None:
-            payload["deadline_ms"] = deadline_ms
-        if binary:
-            payload["response"] = "npy"
-        body = json.dumps(payload).encode("utf-8")
-        _, raw = self._checked(
-            "POST", "/v1/kernel", body=body, headers={"Content-Type": _JSON}
-        )
-        if binary:
-            return array_from_npy(raw)
-        doc = json.loads(raw)
-        z = doc["z"]
-        return np.asarray(z["data"], dtype=z.get("dtype", "float32"))
+        return self._call("healthz", {})
 
     def kernel_npy(
         self,
@@ -266,138 +180,8 @@ class ServeClient:
         backend: str = "auto",
     ) -> np.ndarray:
         """The raw-npy fast path: ``X`` as the body, the rest in the query."""
-        path = (
-            f"/v1/kernel?model={model}&pattern={pattern}"
-            f"&backend={backend}&response=npy"
-        )
-        _, raw = self._checked(
-            "POST", path, body=npy_bytes(np.asarray(X)), headers={"Content-Type": _NPY}
-        )
-        return array_from_npy(raw)
-
-    def embed(
-        self,
-        model: str,
-        ids: Optional[Sequence[int]] = None,
-        *,
-        binary: bool = True,
-    ) -> np.ndarray:
-        """Rows of a registered model's servable output matrix."""
-        payload: Dict[str, object] = {}
-        if ids is not None:
-            payload["ids"] = [int(i) for i in ids]
-        if binary:
-            payload["response"] = "npy"
-        body = json.dumps(payload).encode("utf-8")
-        _, raw = self._checked(
-            "POST",
-            f"/v1/embed/{model}",
-            body=body,
-            headers={"Content-Type": _JSON},
-        )
-        if binary:
-            return array_from_npy(raw)
-        doc = json.loads(raw)
-        e = doc["embeddings"]
-        return np.asarray(e["data"], dtype=e.get("dtype", "float32"))
-
-    def models(self) -> List[str]:
-        return [m["name"] for m in self.statz().get("models", [])]
-
-    # ------------------------------------------------------------------ #
-    # Dynamic graphs
-    # ------------------------------------------------------------------ #
-    def mutate(
-        self,
-        model: str,
-        insert: Optional[object] = None,
-        delete: Optional[object] = None,
-    ) -> Dict[str, object]:
-        """``POST /v1/graph/<model>/edges``: apply one edge batch.
-
-        ``insert`` rows are ``(u, v, weight)`` triples (weight optional,
-        defaults to 1.0); ``delete`` rows are ``(u, v)`` pairs, applied
-        before the inserts.  Returns the mutation document (new version,
-        fingerprint, per-batch counters).  Like :meth:`train`, mutations
-        bypass the retry policy: a resend after an ambiguous transport
-        failure would apply the batch — and advance the version — twice.
-        """
-        doc: Dict[str, object] = {}
-        if insert is not None:
-            doc["insert"] = np.asarray(insert, dtype=np.float64).tolist()
-        if delete is not None:
-            doc["delete"] = np.asarray(delete, dtype=np.float64).tolist()
-        body = json.dumps(doc).encode("utf-8")
-        conn = self._connection()
-        conn.request(
-            "POST",
-            f"/v1/graph/{model}/edges",
-            body=body,
-            headers={"Content-Type": _JSON},
-        )
-        response = conn.getresponse()
-        payload = response.read()
-        if response.status >= 300:
-            try:
-                message = json.loads(payload).get(
-                    "error", payload.decode("utf-8", "replace")
-                )
-            except Exception:
-                message = payload.decode("utf-8", "replace")
-            raise http_error_for_status(response.status, str(message))
-        return json.loads(payload)
-
-    # ------------------------------------------------------------------ #
-    # Training jobs
-    # ------------------------------------------------------------------ #
-    def train(self, **spec) -> Dict[str, object]:
-        """``POST /v1/train``; returns ``{"job_id": ..., "state": ...}``.
-
-        ``spec`` is the :class:`~repro.jobs.JobSpec` document (app,
-        dataset, epochs, ...).  Submissions bypass the retry policy: a
-        resend after an ambiguous transport failure could start the job
-        twice.
-        """
-        body = json.dumps(spec).encode("utf-8")
-        conn = self._connection()
-        conn.request(
-            "POST", "/v1/train", body=body, headers={"Content-Type": _JSON}
-        )
-        response = conn.getresponse()
-        payload = response.read()
-        if response.status >= 300:
-            try:
-                message = json.loads(payload).get(
-                    "error", payload.decode("utf-8", "replace")
-                )
-            except Exception:
-                message = payload.decode("utf-8", "replace")
-            raise http_error_for_status(response.status, str(message))
-        return json.loads(payload)
-
-    def job(self, job_id: str) -> Dict[str, object]:
-        """``GET /v1/jobs/<id>``: status + per-epoch progress."""
-        _, payload = self._checked("GET", f"/v1/jobs/{job_id}")
-        return json.loads(payload)
-
-    def jobs(self) -> List[Dict[str, object]]:
-        """``GET /v1/jobs``: summaries of every known job."""
-        _, payload = self._checked("GET", "/v1/jobs")
-        return list(json.loads(payload).get("jobs", []))
-
-    def cancel_job(self, job_id: str) -> Dict[str, object]:
-        """``DELETE /v1/jobs/<id>``; returns the job document."""
-        _, payload = self._checked("DELETE", f"/v1/jobs/{job_id}")
-        return json.loads(payload)
-
-    def job_result(self, job_id: str) -> np.ndarray:
-        """``GET /v1/jobs/<id>/result`` as a bitwise-faithful array."""
-        _, raw = self._checked(
-            "GET",
-            f"/v1/jobs/{job_id}/result?response=npy",
-            headers={"Accept": _NPY},
-        )
-        return array_from_npy(raw)
+        meta = {"model": model, "pattern": pattern, "backend": backend}
+        return self._call("kernel", meta, {"x": np.asarray(X)}, raw=True)
 
 
 def wait_until_healthy(

@@ -25,8 +25,9 @@ from __future__ import annotations
 import asyncio
 import base64
 import json
+import re
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 import numpy as np
@@ -42,6 +43,9 @@ __all__ = [
     "array_from_npy",
     "encode_array",
     "decode_array",
+    "route",
+    "HTTP_ROUTES",
+    "JSON_ARRAY_KEYS",
     "STATUS_REASONS",
 ]
 
@@ -58,6 +62,46 @@ STATUS_REASONS = {
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
+
+
+#: op -> (methods, path template) of the HTTP route carrying it; ``None``
+#: accepts any method, and clients send the first one listed.
+HTTP_ROUTES: Dict[str, Tuple[Optional[Tuple[str, ...]], str]] = {
+    "healthz": (None, "/healthz"),
+    "statz": (None, "/statz"),
+    "kernel": (("POST",), "/v1/kernel"),
+    "embed": (("POST", "GET"), "/v1/embed/{model}"),
+    "mutate": (("POST",), "/v1/graph/{model}/edges"),
+    "train": (("POST",), "/v1/train"),
+    "jobs": (("GET",), "/v1/jobs"),
+    "job": (("GET",), "/v1/jobs/{job_id}"),
+    "cancel_job": (("DELETE",), "/v1/jobs/{job_id}"),
+    "job_result": (("GET",), "/v1/jobs/{job_id}/result"),
+}
+
+#: The JSON field an op's ``z`` result array travels in.
+JSON_ARRAY_KEYS = {"kernel": "z", "embed": "embeddings", "job_result": "result"}
+
+_ROUTE_PATTERNS = [
+    (op, methods, re.compile(re.sub(r"\{(\w+)\}", r"(?P<\1>[^/]+)", path) + r"\Z"))
+    for op, (methods, path) in HTTP_ROUTES.items()
+]
+
+
+def route(method: str, path: str) -> Tuple[str, Dict[str, str]]:
+    """``(op, path parameters)`` of one request; 404 for an unknown path,
+    405 for a known path with the wrong method."""
+    allowed: List[str] = []
+    for op, methods, pattern in _ROUTE_PATTERNS:
+        match = pattern.match(path)
+        if match is None:
+            continue
+        if methods is None or method in methods:
+            return op, match.groupdict()
+        allowed += methods
+    if allowed:
+        raise ProtocolError(f"{' or '.join(allowed)} required", status=405)
+    raise ProtocolError(f"no route for {path}", status=404)
 
 
 @dataclass
@@ -203,7 +247,7 @@ def decode_array(obj, *, dtype=None) -> np.ndarray:
 
     Accepts a bare nested list, ``{"data": ..., "dtype": ...}``, or
     ``{"npy_b64": "..."}``.  ``dtype`` is the default when the payload
-    does not carry one.
+    does not carry one.  Anything undecodable is a 400 ProtocolError.
     """
     if isinstance(obj, dict):
         if "npy_b64" in obj:
@@ -212,11 +256,14 @@ def decode_array(obj, *, dtype=None) -> np.ndarray:
             except Exception as exc:
                 raise ProtocolError(f"invalid base64 npy field: {exc}") from exc
             return array_from_npy(blob)
-        if "data" in obj:
-            return np.asarray(obj["data"], dtype=obj.get("dtype", dtype))
-        raise ProtocolError(
-            "array object must carry 'data' (+optional 'dtype') or 'npy_b64'"
-        )
-    if isinstance(obj, list):
+        if "data" not in obj:
+            raise ProtocolError(
+                "array object must carry 'data' (+optional 'dtype') or 'npy_b64'"
+            )
+        obj, dtype = obj["data"], obj.get("dtype", dtype)
+    elif not isinstance(obj, list):
+        raise ProtocolError(f"cannot decode array from {type(obj).__name__}")
+    try:
         return np.asarray(obj, dtype=dtype)
-    raise ProtocolError(f"cannot decode array from {type(obj).__name__}")
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"malformed array: {exc}") from exc

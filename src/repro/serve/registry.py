@@ -143,11 +143,8 @@ class ModelRegistry:
     def drop_graph(self, name: str) -> Dict[str, int]:
         """Unregister a graph and evict its whole cache footprint (plans,
         reorder memo, worker shared memory, remote host LRUs)."""
-        graph = self._graphs.pop(name, None)
-        if graph is None:
-            raise DatasetError(
-                f"unknown graph {name!r}; registered: {sorted(self._graphs)}"
-            )
+        graph = self.dynamic_graph(name)
+        del self._graphs[name]
         return graph.close()
 
     def mutate_graph(self, name: str, insert=None, delete=None) -> MutationResult:

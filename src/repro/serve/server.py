@@ -3,8 +3,11 @@
 :class:`KernelServer` glues the pieces of :mod:`repro.serve` together:
 the :class:`~repro.serve.registry.ModelRegistry` (warm graphs, models and
 plans), the :class:`~repro.serve.coalescer.Coalescer` (micro-batching +
-admission control) and the handcrafted HTTP/1.1 layer of
-:mod:`repro.serve.protocol`.
+admission control), the handcrafted HTTP/1.1 layer of
+:mod:`repro.serve.protocol` and the :class:`~repro.serve.ops.OpTable`
+both front-ends share.  The HTTP side is a route codec: each route of
+:data:`~repro.serve.protocol.HTTP_ROUTES` names an op, whose meta and
+arrays decode from the path, query string and body.
 
 Endpoints
 ---------
@@ -42,9 +45,9 @@ Endpoints
     delta-CSR overlay advances atomically: requests admitted before the
     swap keep computing on the version they resolved.
 
-Status mapping: admission queue full → 429, draining → 503, deadline
-expired → 504, malformed payloads/unknown names → 400/404, oversized
-bodies → 413.
+Status mapping (:func:`~repro.serve.ops.error_result`): admission queue
+full → 429, draining → 503, deadline expired → 504, malformed
+payloads/unknown names → 400/404, oversized bodies → 413.
 """
 
 from __future__ import annotations
@@ -56,13 +59,12 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..errors import DatasetError, JobNotFoundError, ReproError, ServeError
-from ..jobs import JobManager, JobSpec
-from ..runtime import KernelRequest
-from ..sparse import CSRMatrix
+from ..jobs import JobManager
 from .coalescer import Coalescer
-from .config import ServeConfig, resolve_deadline_ms
+from .config import ServeConfig
+from .ops import Listener, OpTable, Result, error_result
 from .protocol import (
+    JSON_ARRAY_KEYS,
     HTTPRequest,
     ProtocolError,
     array_from_npy,
@@ -70,6 +72,7 @@ from .protocol import (
     encode_array,
     npy_bytes,
     read_http_request,
+    route,
     write_http_response,
 )
 from .registry import ModelRegistry
@@ -78,17 +81,50 @@ __all__ = ["KernelServer"]
 
 _JSON = "application/json"
 _NPY = "application/x-npy"
+_CSR_FIELDS = (("indptr", np.int64), ("indices", np.int64), ("data", np.float32))
 
 
 def _json_body(payload: Dict[str, object]) -> bytes:
     return json.dumps(payload).encode("utf-8")
 
 
-def _error_body(status: int, message: str) -> bytes:
-    return _json_body({"error": message, "status": status})
+def _decode(request: HTTPRequest) -> Tuple[str, dict, Dict[str, np.ndarray]]:
+    """``(op, meta, arrays)`` of one request.  The route names the op and
+    its path parameters; meta is the query string overlaid by the JSON
+    body's fields, and operands decode into arrays."""
+    op, params = route(request.method, request.path)
+    arrays: Dict[str, np.ndarray] = {}
+    ctype = request.headers.get("content-type", _JSON).split(";")[0].strip()
+    if op == "kernel" and ctype == _NPY:  # raw npy X, the rest in the query
+        arrays["x"] = array_from_npy(request.body)
+        body: dict = {}
+    else:
+        body = request.json() if request.method == "POST" else {}
+    if op == "train":
+        return op, body, arrays  # the body *is* the job spec
+    query: Dict[str, object] = dict(request.query)
+    if "ids" in query:
+        query["ids"] = [tok for tok in request.query["ids"].split(",") if tok]
+    meta = {**query, **{k: v for k, v in body.items() if v is not None}, **params}
+    # Absent and 0 differ (an explicit 0 disables the server default), so
+    # the header is a fallback only when no other source set a value.
+    if meta.get("deadline_ms") is None and "x-deadline-ms" in request.headers:
+        meta["deadline_ms"] = request.headers["x-deadline-ms"]
+    for name in ("x", "y"):
+        if name in meta:
+            arrays[name] = decode_array(meta.pop(name), dtype=np.float32)
+    graph = meta.pop("graph", None)
+    if graph is not None:
+        if not isinstance(graph, dict):
+            raise ProtocolError("'graph' must be an object with CSR fields")
+        meta["graph_shape"] = graph.get("shape")
+        for name, dtype in _CSR_FIELDS:
+            if name in graph:
+                arrays[name] = decode_array(graph[name], dtype=dtype)
+    return op, meta, arrays
 
 
-class KernelServer:
+class KernelServer(Listener):
     """Asyncio HTTP server coalescing kernel traffic onto one runtime.
 
     Typical lifecycle::
@@ -107,16 +143,16 @@ class KernelServer:
     """
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
+        super().__init__()
         self.config = config or ServeConfig()
         self.registry = ModelRegistry(self.config)
         self.coalescer: Optional[Coalescer] = None
         self.wire: Optional["WireServer"] = None
         #: training-job supervisor (``/v1/train``); built on :meth:`start`
         self.jobs: Optional[JobManager] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: "set[asyncio.Task]" = set()
         self._started = time.monotonic()
-        self.requests_served = 0
+        #: the request handlers both front-ends share
+        self.ops = OpTable(self)
         #: Shared fault-injection counter for HTTP and wire requests
         #: (``ServeConfig.fault_spec``) — ``None`` in normal operation.
         self.fault_injector = None
@@ -128,13 +164,6 @@ class KernelServer:
             )
 
     # ------------------------------------------------------------------ #
-    @property
-    def port(self) -> int:
-        """The bound port (meaningful after :meth:`start`)."""
-        if self._server is None or not self._server.sockets:
-            return self.config.port
-        return self._server.sockets[0].getsockname()[1]
-
     @property
     def wire_port(self) -> Optional[int]:
         """The bound wire port, or ``None`` when wire serving is off."""
@@ -180,11 +209,7 @@ class KernelServer:
             # resumes from its newest durable checkpoint.
             self.jobs.recover()
             self.registry.runtime.attach_stats_section("jobs", self.jobs.stats)
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            host=self.config.host,
-            port=self.config.port,
-        )
+        await self._listen()
         if self.config.wire_port is not None:
             from .wire import WireServer
 
@@ -195,10 +220,7 @@ class KernelServer:
 
     async def shutdown(self) -> None:
         """Graceful drain: stop accepting, finish in-flight, close."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await self.stop_accepting()
         if self.wire is not None:
             await self.wire.stop_accepting()
         if self.jobs is not None:
@@ -213,26 +235,19 @@ class KernelServer:
             # during it get 503 error frames instead of a dead socket.
             await self.coalescer.drain(timeout=self.config.drain_timeout_s)
         if self.wire is not None:
-            await self.wire.close(timeout=self.config.drain_timeout_s)
+            # Cutting wire read loops outright would drop request frames a
+            # client pipelined that still sit unread on the socket, and every
+            # received frame is answered (503 once draining): connections get
+            # the drain grace to finish, then the rest is cut.
+            await self.wire.close_connections(timeout=self.config.drain_timeout_s)
             self.wire = None
         if self.coalescer is not None:
             self.coalescer.close()
             self.coalescer = None
         # Idle keep-alive connections are parked in read(); in-flight work
         # is already drained, so cutting them now loses nothing.
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
+        await self.close_connections()
         self.registry.close()
-
-    async def serve_forever(self) -> None:
-        """Serve until cancelled (the CLI wraps this with signal handling)."""
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
 
     def run(self) -> None:
         """Blocking entry point: start, serve, drain on SIGINT/SIGTERM."""
@@ -272,301 +287,55 @@ class KernelServer:
     # Connection handling
     # ------------------------------------------------------------------ #
     async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
-        try:
-            while True:
-                try:
-                    request = await read_http_request(
-                        reader, max_body_bytes=self.config.max_body_bytes
-                    )
-                except ProtocolError as exc:
-                    write_http_response(
-                        writer,
-                        exc.status,
-                        _error_body(exc.status, str(exc)),
-                        keep_alive=False,
-                    )
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                if self.fault_injector is not None:
-                    fault = self.fault_injector.step()
-                    if fault is not None:
-                        if fault.kind == "delay":
-                            await asyncio.sleep(fault.arg)
-                        elif fault.kind == "drop_frame":
-                            # A sever mid-status-line: the client sees a
-                            # BadStatusLine, never a parseable response.
-                            writer.write(b"HTTP/1.1 2")
-                            await writer.drain()
-                            break
-                        else:  # crash / disconnect: sever unanswered
-                            break
-                status, body, ctype = await self._dispatch(request)
-                self.requests_served += 1
-                write_http_response(
-                    writer,
-                    status,
-                    body,
-                    content_type=ctype,
-                    keep_alive=request.keep_alive,
-                )
-                await writer.drain()
-                if not request.keep_alive:
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            # Shutdown cut an idle keep-alive connection; close quietly.
-            pass
-        finally:
-            writer.close()
+        while True:
             try:
-                await writer.wait_closed()
-            except (
-                ConnectionResetError,
-                BrokenPipeError,
-                asyncio.CancelledError,
-            ):  # pragma: no cover - teardown races
-                pass
+                request = await read_http_request(
+                    reader, max_body_bytes=self.config.max_body_bytes
+                )
+            except ProtocolError as exc:
+                status, meta, _ = error_result(exc)
+                write_http_response(writer, status, _json_body(meta), keep_alive=False)
+                await writer.drain()
+                break
+            if request is None:
+                break
+            fault = await self.ops.fault()
+            if fault == "drop_frame":
+                # A sever mid-status-line: the client sees a BadStatusLine,
+                # never a parseable response.
+                writer.write(b"HTTP/1.1 2")
+                await writer.drain()
+            if fault is not None:  # crash / disconnect: sever unanswered
+                break
+            status, body, ctype = await self._dispatch(request)
+            write_http_response(
+                writer,
+                status,
+                body,
+                content_type=ctype,
+                keep_alive=request.keep_alive,
+            )
+            await writer.drain()
+            if not request.keep_alive:
+                break
 
     async def _dispatch(self, request: HTTPRequest) -> Tuple[int, bytes, str]:
-        """Route one request; returns ``(status, body, content_type)``."""
-        try:
-            if request.path == "/healthz":
-                if self.draining:
-                    return 503, _json_body({"status": "draining"}), _JSON
-                return 200, _json_body({"status": "ok"}), _JSON
-            if request.path == "/statz":
-                return 200, _json_body(self.statz()), _JSON
-            if request.path == "/v1/kernel":
-                if request.method != "POST":
-                    return 405, _error_body(405, "POST required"), _JSON
-                return await self._handle_kernel(request)
-            if request.path.startswith("/v1/embed/"):
-                if request.method not in ("GET", "POST"):
-                    return 405, _error_body(405, "GET or POST required"), _JSON
-                return self._handle_embed(request)
-            if request.path == "/v1/train":
-                if request.method != "POST":
-                    return 405, _error_body(405, "POST required"), _JSON
-                return self._handle_train(request)
-            if request.path == "/v1/jobs" or request.path.startswith("/v1/jobs/"):
-                return self._handle_jobs(request)
-            if request.path.startswith("/v1/graph/"):
-                return await self._handle_graph(request)
-            return 404, _error_body(404, f"no route for {request.path}"), _JSON
-        except ProtocolError as exc:
-            return exc.status, _error_body(exc.status, str(exc)), _JSON
-        except ServeError as exc:
-            return exc.http_status, _error_body(exc.http_status, str(exc)), _JSON
-        except (DatasetError, JobNotFoundError) as exc:
-            # KeyError reprs its message; unwrap for a clean wire error.
-            message = exc.args[0] if exc.args else str(exc)
-            return 404, _error_body(404, str(message)), _JSON
-        except ReproError as exc:
-            return 400, _error_body(400, str(exc)), _JSON
-        except Exception as exc:  # pragma: no cover - defensive
-            return 500, _error_body(500, f"internal error: {exc}"), _JSON
+        """The route codec: one request through the op table; returns
+        ``(status, body, content_type)``."""
+        status, meta, arrays = await self.ops.answer("http", self._call(request))
+        if arrays:
+            return status, npy_bytes(arrays["z"]), _NPY
+        return status, _json_body(meta), _JSON
 
-    # ------------------------------------------------------------------ #
-    # Endpoint handlers
-    # ------------------------------------------------------------------ #
-    def _resolve_adjacency(self, payload: dict, query: Dict[str, str]) -> CSRMatrix:
-        model = payload.get("model") or query.get("model")
-        if model is not None:
-            return self.registry.graph(str(model))
-        graph = payload.get("graph")
-        if graph is None:
-            raise ProtocolError(
-                "request needs 'model' (a registered graph) or an inline 'graph'"
-            )
-        if not isinstance(graph, dict):
-            raise ProtocolError("'graph' must be an object with CSR fields")
-        try:
-            shape = graph.get("shape")
-            indptr = decode_array(graph["indptr"], dtype=np.int64).astype(
-                np.int64, copy=False
-            )
-            indices = decode_array(graph["indices"], dtype=np.int64).astype(
-                np.int64, copy=False
-            )
-            data = decode_array(
-                graph.get("data", []), dtype=np.float32
-            ).astype(np.float32, copy=False)
-            if data.size == 0 and indices.size:
-                data = np.ones(indices.shape[0], dtype=np.float32)
-            nrows = int(shape[0]) if shape else indptr.shape[0] - 1
-            ncols = int(shape[1]) if shape else nrows
-            return CSRMatrix(nrows, ncols, indptr, indices, data)
-        except ReproError:
-            raise
-        except ProtocolError:
-            raise
-        except Exception as exc:
-            raise ProtocolError(f"malformed inline graph: {exc}") from exc
-
-    async def _handle_kernel(self, request: HTTPRequest) -> Tuple[int, bytes, str]:
-        assert self.coalescer is not None, "server not started"
-        ctype = request.headers.get("content-type", _JSON).split(";")[0].strip()
-        if ctype == _NPY:
-            payload: dict = {}
-            X: Optional[np.ndarray] = array_from_npy(request.body)
-        else:
-            payload = request.json()
-            X = None
-            if "x" in payload:
-                X = decode_array(payload["x"], dtype=np.float32)
-        Y = None
-        if "y" in payload:
-            Y = decode_array(payload["y"], dtype=np.float32)
-        A = self._resolve_adjacency(payload, request.query)
-        pattern = str(
-            payload.get("pattern")
-            or request.query.get("pattern")
-            or "sigmoid_embedding"
-        )
-        backend = str(payload.get("backend") or request.query.get("backend") or "auto")
-        # Absent and 0 are different: an explicit 0 *disables* the server
-        # default, so the sources must be probed for presence (``is None``),
-        # never chained with ``or`` (which collapses 0 into "absent").
-        raw_deadline: Optional[object] = payload.get("deadline_ms")
-        if raw_deadline is None:
-            raw_deadline = request.query.get("deadline_ms")
-        if raw_deadline is None:
-            raw_deadline = request.headers.get("x-deadline-ms")
-        try:
-            deadline_ms = resolve_deadline_ms(
-                raw_deadline, self.config.default_deadline_ms
-            )
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"invalid deadline_ms: {raw_deadline!r}") from exc
-        kernel_request = KernelRequest(
-            A=A, X=X, Y=Y, pattern=pattern, backend=backend
-        )
-        Z = await self.coalescer.submit(kernel_request, deadline_ms=deadline_ms)
-        wants_npy = (
-            payload.get("response") == "npy"
-            or request.query.get("response") == "npy"
-            or request.headers.get("accept", "").startswith(_NPY)
-        )
-        if wants_npy:
-            return 200, npy_bytes(Z), _NPY
-        body = _json_body(
-            {"shape": list(Z.shape), "pattern": pattern, "z": encode_array(Z)}
-        )
-        return 200, body, _JSON
-
-    def _handle_embed(self, request: HTTPRequest) -> Tuple[int, bytes, str]:
-        name = request.path[len("/v1/embed/") :]
-        payload = request.json() if request.method == "POST" else {}
-        ids = payload.get("ids")
-        try:
-            if ids is None and "ids" in request.query:
-                raw = request.query["ids"]
-                ids = [int(tok) for tok in raw.split(",") if tok] if raw else []
-            id_array = None if ids is None else np.asarray(ids, dtype=np.int64)
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"invalid ids: {exc}") from exc
-        rows = self.registry.embeddings(name, id_array)
-        wants_npy = (
-            payload.get("response") == "npy"
-            or request.query.get("response") == "npy"
-            or request.headers.get("accept", "").startswith(_NPY)
-        )
-        if wants_npy:
-            return 200, npy_bytes(rows), _NPY
-        body = _json_body(
-            {
-                "model": name,
-                "shape": list(rows.shape),
-                "embeddings": encode_array(rows),
-            }
-        )
-        return 200, body, _JSON
-
-    # ------------------------------------------------------------------ #
-    # Dynamic graphs
-    # ------------------------------------------------------------------ #
-    async def _handle_graph(self, request: HTTPRequest) -> Tuple[int, bytes, str]:
-        """``POST /v1/graph/<name>/edges``: apply one edge batch.
-
-        The splice + plan refresh runs on a worker thread (serialised by
-        the graph's write lock) so concurrent reads — which resolved
-        their version at admission — keep flowing on the event loop.
-        """
-        rest = request.path[len("/v1/graph/") :]
-        name, _, tail = rest.rpartition("/")
-        if tail != "edges" or not name:
-            return 404, _error_body(404, f"no route for {request.path}"), _JSON
-        if request.method != "POST":
-            return 405, _error_body(405, "POST required"), _JSON
-        payload = request.json()
-        if not isinstance(payload, dict):
-            raise ProtocolError("mutation body must be a JSON object")
-        insert = payload.get("insert")
-        delete = payload.get("delete")
-        if insert is None and delete is None:
-            raise ProtocolError(
-                "mutation needs 'insert' ([[u, v, w], ...]) and/or "
-                "'delete' ([[u, v], ...])"
-            )
-        result = await asyncio.to_thread(
-            self.registry.mutate_graph, name, insert, delete
-        )
-        return 200, _json_body({"graph": name, **result.as_dict()}), _JSON
-
-    # ------------------------------------------------------------------ #
-    # Training jobs
-    # ------------------------------------------------------------------ #
-    def _handle_train(self, request: HTTPRequest) -> Tuple[int, bytes, str]:
-        assert self.jobs is not None, "server not started"
-        doc = request.json()
-        if isinstance(doc, dict) and "checkpoint_every" not in doc:
-            doc = {**doc, "checkpoint_every": self.config.job_checkpoint_every}
-        spec = JobSpec.from_dict(doc)
-        job_id = self.jobs.submit(spec)
-        return 202, _json_body({"job_id": job_id, "state": "pending"}), _JSON
-
-    def _handle_jobs(self, request: HTTPRequest) -> Tuple[int, bytes, str]:
-        assert self.jobs is not None, "server not started"
-        rest = request.path[len("/v1/jobs") :].strip("/")
-        if not rest:
-            if request.method != "GET":
-                return 405, _error_body(405, "GET required"), _JSON
-            return 200, _json_body({"jobs": self.jobs.list_jobs()}), _JSON
-        job_id, _, tail = rest.partition("/")
-        if tail == "result":
-            if request.method != "GET":
-                return 405, _error_body(405, "GET required"), _JSON
-            rows = self.jobs.result(job_id)
-            if (
-                request.query.get("response") == "npy"
-                or request.headers.get("accept", "").startswith(_NPY)
-            ):
-                return 200, npy_bytes(rows), _NPY
-            return (
-                200,
-                _json_body(
-                    {
-                        "job_id": job_id,
-                        "shape": list(rows.shape),
-                        "result": encode_array(rows),
-                    }
-                ),
-                _JSON,
-            )
-        if tail:
-            return 404, _error_body(404, f"no route for {request.path}"), _JSON
-        if request.method == "GET":
-            return 200, _json_body(self.jobs.status(job_id)), _JSON
-        if request.method == "DELETE":
-            return 200, _json_body(self.jobs.cancel(job_id)), _JSON
-        return 405, _error_body(405, "GET or DELETE required"), _JSON
+    async def _call(self, request: HTTPRequest) -> Result:
+        op, fields, arrays = _decode(request)
+        accept = request.headers.get("accept", "")
+        wants_npy = fields.get("response") == "npy" or accept.startswith(_NPY)
+        status, meta, arrays = await self.ops.run(op, fields, arrays)
+        if arrays and not wants_npy:
+            meta = {**meta, JSON_ARRAY_KEYS[op]: encode_array(arrays["z"])}
+            arrays = {}
+        return status, meta, arrays
 
     # ------------------------------------------------------------------ #
     def statz(self) -> Dict[str, object]:
@@ -580,7 +349,7 @@ class KernelServer:
         misses = cache.get("misses", 0)
         return {
             "uptime_s": round(time.monotonic() - self._started, 3),
-            "requests_served": self.requests_served,
+            "requests_served": self.ops.answered["http"],
             "draining": self.draining,
             "queued": 0 if self.coalescer is None else self.coalescer.queued,
             "plan_cache_hit_rate": (

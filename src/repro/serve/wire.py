@@ -43,12 +43,10 @@ from __future__ import annotations
 
 import asyncio
 import socket
-import time
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..errors import DatasetError, JobNotFoundError, ReproError, ServeError
 from ..framing import (
     FRAME_HEADER,
     FrameCodec,
@@ -56,12 +54,9 @@ from ..framing import (
     decode_payload,
     encode_payload,
     error_from_meta,
-    error_payload as _error_payload,
 )
-from ..resilience import RetryPolicy
-from ..runtime import KernelRequest
-from ..sparse import CSRMatrix
-from .config import resolve_deadline_ms
+from .connect import Client, kernel_request
+from .ops import Listener, Result, error_result
 
 __all__ = [
     "WIRE_MAGIC",
@@ -98,8 +93,6 @@ OP_MUTATE = 0x15
 OP_RESULT = 0x20
 OP_ERROR = 0x21
 
-_REQUEST_OPS = (OP_KERNEL, OP_EMBED, OP_STATZ, OP_TRAIN, OP_JOB, OP_MUTATE)
-
 #: The frame codec of this protocol.  Mechanics (header layout, payload
 #: container, blocking/async readers) live in :mod:`repro.framing` and are
 #: shared with the distributed worker transport; only the magic/version
@@ -110,92 +103,71 @@ WIRE_CODEC = FrameCodec(WIRE_MAGIC, WIRE_VERSION)
 # ---------------------------------------------------------------------- #
 # Frame codec (module-level aliases kept for compatibility)
 # ---------------------------------------------------------------------- #
-def pack_frame(opcode: int, request_id: int, payload: bytes) -> bytes:
-    """One serialised frame: fixed header + payload."""
-    return WIRE_CODEC.pack_frame(opcode, request_id, payload)
+pack_frame = WIRE_CODEC.pack_frame
+unpack_header = WIRE_CODEC.unpack_header
+_read_frame = WIRE_CODEC.read_frame_async
 
 
-def unpack_header(blob: bytes) -> Tuple[int, int, int]:
-    """Parse a header → ``(opcode, request_id, payload_length)``."""
-    return WIRE_CODEC.unpack_header(blob)
+#: request opcode -> op; ``OP_JOB`` frames name theirs in ``meta["action"]``
+_FRAME_OPS = {
+    OP_KERNEL: "kernel",
+    OP_EMBED: "embed",
+    OP_STATZ: "statz",
+    OP_TRAIN: "train",
+    OP_MUTATE: "mutate",
+}
+_JOB_ACTIONS = {
+    "status": "job",
+    "list": "jobs",
+    "cancel": "cancel_job",
+    "result": "job_result",
+}
+_REQUEST_OPS = (*_FRAME_OPS, OP_JOB)
+#: op -> (opcode, job action): how a client frames each op
+_OP_FRAMES = {
+    **{op: (opcode, None) for opcode, op in _FRAME_OPS.items()},
+    **{op: (OP_JOB, action) for action, op in _JOB_ACTIONS.items()},
+}
+#: ops whose result document the wire nests under one meta key
+_NESTED = {"statz": "statz", "job": "job", "cancel_job": "job"}
 
 
-async def _read_frame(
-    reader: asyncio.StreamReader, *, max_payload: int
-) -> Optional[Tuple[int, int, bytes]]:
-    """One frame off an asyncio reader; ``None`` on clean EOF."""
-    return await WIRE_CODEC.read_frame_async(reader, max_payload=max_payload)
+def _frame_op(opcode: int, meta: dict) -> str:
+    if opcode != OP_JOB:
+        return _FRAME_OPS[opcode]
+    action = str(meta.get("action", "status"))
+    if action not in _JOB_ACTIONS:
+        raise ProtocolError(f"unknown job action {action!r}")
+    return _JOB_ACTIONS[action]
 
 
 # ---------------------------------------------------------------------- #
 # Server
 # ---------------------------------------------------------------------- #
-class WireServer:
+class WireServer(Listener):
     """The binary-protocol listener beside a ``KernelServer``.
 
-    Owns no kernel state: requests decode into the *same*
-    :class:`~repro.runtime.KernelRequest` objects and flow through the
-    same coalescer as HTTP traffic, so the bitwise-identity contract
-    holds across transports.  The owning server starts/stops it and is
-    consulted for its registry, coalescer and config.
+    Owns no kernel state: it is a frame codec onto the owner's
+    :class:`~repro.serve.ops.OpTable`, the same op table HTTP requests
+    reach, so both transports answer identical requests with identical
+    statuses and bitwise-identical results.  The owning server
+    starts/stops it.
     """
 
+    port_field = "wire_port"
+
     def __init__(self, owner) -> None:
+        super().__init__()
         self._owner = owner
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: "set[asyncio.Task]" = set()
-        self._started = time.monotonic()
-        self.frames_served = 0
-        self.errors_sent = 0
+        self.config = owner.config
         self.protocol_errors = 0
         self.connections_accepted = 0
 
     # ------------------------------------------------------------------ #
-    @property
-    def config(self):
-        return self._owner.config
-
-    @property
-    def port(self) -> int:
-        """The bound wire port (meaningful after :meth:`start`)."""
-        if self._server is None or not self._server.sockets:
-            return self.config.wire_port or 0
-        return self._server.sockets[0].getsockname()[1]
-
     async def start(self) -> "WireServer":
         assert self.config.wire_port is not None, "wire_port not configured"
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            host=self.config.host,
-            port=self.config.wire_port,
-        )
-        self._started = time.monotonic()
+        await self._listen()
         return self
-
-    async def stop_accepting(self) -> None:
-        """Close the listener; existing connections keep draining."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    async def close(self, timeout: Optional[float] = None) -> None:
-        """Wind down connections after the coalescer drained.
-
-        Cancelling read loops outright would silently drop any request
-        frames a client pipelined that are still buffered unread on the
-        socket — the contract is that every received frame is answered
-        (with a 503 error frame once draining).  So connections first get
-        ``timeout`` seconds to finish naturally: readers keep serving
-        (drain answers), clients collect their outstanding responses and
-        hang up.  Whatever is still connected after the grace is cut.
-        """
-        if self._connections and timeout:
-            await asyncio.wait(set(self._connections), timeout=timeout)
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
 
     def describe(self) -> Dict[str, object]:
         """The ``wire`` block of ``/statz``."""
@@ -203,17 +175,13 @@ class WireServer:
             "port": self.port,
             "credits": self.config.wire_credits,
             "connections_accepted": self.connections_accepted,
-            "frames_served": self.frames_served,
-            "errors_sent": self.errors_sent,
+            "frames_served": self._owner.ops.answered["wire"],
+            "errors_sent": self._owner.ops.errors["wire"],
             "protocol_errors": self.protocol_errors,
         }
 
     # ------------------------------------------------------------------ #
     async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
         self.connections_accepted += 1
         write_lock = asyncio.Lock()
         outstanding: "set[asyncio.Task]" = set()
@@ -255,25 +223,17 @@ class WireServer:
                         f"credit limit exceeded ({self.config.wire_credits} "
                         "outstanding requests allowed)"
                     )
-                injector = getattr(self._owner, "fault_injector", None)
-                if injector is not None and injector:
-                    fault = injector.step()
-                    if fault is not None:
-                        if fault.kind == "delay":
-                            await asyncio.sleep(fault.arg)
-                        elif fault.kind == "drop_frame":
-                            # Mid-frame cut: half a response, then sever.
-                            blob = pack_frame(
-                                OP_RESULT,
-                                request_id,
-                                encode_payload({"status": 200}),
-                            )
-                            async with write_lock:
-                                writer.write(blob[: max(1, len(blob) // 2)])
-                                await writer.drain()
-                            break
-                        else:  # crash / disconnect: sever unanswered
-                            break
+                fault = await self._owner.ops.fault()
+                if fault == "drop_frame":
+                    # Mid-frame cut: half a response, then sever.
+                    blob = pack_frame(
+                        OP_RESULT, request_id, encode_payload({"status": 200})
+                    )
+                    async with write_lock:
+                        writer.write(blob[: max(1, len(blob) // 2)])
+                        await writer.drain()
+                if fault is not None:  # crash / disconnect: sever unanswered
+                    break
                 job = asyncio.ensure_future(
                     self._serve_frame(send, opcode, request_id, payload)
                 )
@@ -282,227 +242,56 @@ class WireServer:
         except ProtocolError as exc:
             self.protocol_errors += 1
             try:
-                await send(OP_ERROR, 0, _error_payload(exc.status, str(exc)))
+                await send(OP_ERROR, 0, encode_payload(error_result(exc)[1]))
             except (ConnectionError, RuntimeError, OSError):
                 pass
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            pass
         finally:
             # Clean EOF: let pipelined requests already admitted finish
             # and flush their responses before tearing the socket down.
             if outstanding:
                 await asyncio.gather(*outstanding, return_exceptions=True)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (
-                ConnectionResetError,
-                BrokenPipeError,
-                asyncio.CancelledError,
-            ):  # pragma: no cover - teardown races
-                pass
 
     async def _serve_frame(
         self, send, opcode: int, request_id: int, payload: bytes
     ) -> None:
-        """Decode → execute → respond for one request frame.
-
-        Mirrors ``KernelServer._dispatch``'s error mapping so both
-        transports answer identical statuses for identical failures.
-        """
+        """Decode → op table → respond for one request frame."""
+        status, meta, arrays = await self._owner.ops.answer(
+            "wire", self._call(opcode, payload)
+        )
+        reply = OP_ERROR if status >= 400 else OP_RESULT
+        if reply == OP_RESULT:
+            meta = {"status": 200, **meta}
         try:
-            meta, arrays = decode_payload(payload)
-            if opcode == OP_STATZ:
-                self.frames_served += 1
-                body = encode_payload(
-                    {"status": 200, "statz": self._owner.statz()}
-                )
-            elif opcode == OP_TRAIN:
-                self.frames_served += 1
-                body = self._handle_train(meta)
-            elif opcode == OP_JOB:
-                self.frames_served += 1
-                body = self._handle_job(meta)
-            elif opcode == OP_MUTATE:
-                body = await self._handle_mutate(meta, arrays)
-                self.frames_served += 1
-            else:
-                if opcode == OP_KERNEL:
-                    result = await self._handle_kernel(meta, arrays)
-                else:
-                    result = self._handle_embed(meta, arrays)
-                self.frames_served += 1
-                body = encode_payload(
-                    {"status": 200, "shape": list(result.shape)}, {"z": result}
-                )
-            response = (OP_RESULT, body)
-        except ProtocolError as exc:
-            response = (OP_ERROR, _error_payload(exc.status, str(exc)))
-        except ServeError as exc:
-            response = (OP_ERROR, _error_payload(exc.http_status, str(exc)))
-        except (DatasetError, JobNotFoundError) as exc:
-            message = exc.args[0] if exc.args else str(exc)
-            response = (OP_ERROR, _error_payload(404, str(message)))
-        except ReproError as exc:
-            response = (OP_ERROR, _error_payload(400, str(exc)))
-        except Exception as exc:  # pragma: no cover - defensive
-            response = (OP_ERROR, _error_payload(500, f"internal error: {exc}"))
-        if response[0] == OP_ERROR:
-            self.errors_sent += 1
-        try:
-            await send(response[0], request_id, response[1])
+            await send(reply, request_id, encode_payload(meta, arrays))
         except (ConnectionError, RuntimeError, OSError):
             # The client hung up before its response; nothing to tell it.
             pass
 
-    # ------------------------------------------------------------------ #
-    def _job_manager(self):
-        jobs = self._owner.jobs
-        if jobs is None:
-            raise ProtocolError("server not started", status=503)
-        return jobs
-
-    def _handle_train(self, meta: dict) -> bytes:
-        """``OP_TRAIN``: the meta block *is* the job spec."""
-        from ..jobs import JobSpec
-
-        doc = dict(meta)
-        doc.pop("arrays", None)  # payload-container bookkeeping, not spec
-        if "checkpoint_every" not in doc:
-            doc["checkpoint_every"] = self.config.job_checkpoint_every
-        job_id = self._job_manager().submit(JobSpec.from_dict(doc))
-        return encode_payload(
-            {"status": 200, "job_id": job_id, "state": "pending"}
-        )
-
-    def _handle_job(self, meta: dict) -> bytes:
-        """``OP_JOB``: ``meta["action"]`` is status/list/cancel/result."""
-        jobs = self._job_manager()
-        action = str(meta.get("action", "status"))
-        if action == "list":
-            return encode_payload({"status": 200, "jobs": jobs.list_jobs()})
-        job_id = meta.get("job_id")
-        if not job_id:
-            raise ProtocolError(f"job action {action!r} needs 'job_id'")
-        job_id = str(job_id)
-        if action == "status":
-            return encode_payload({"status": 200, "job": jobs.status(job_id)})
-        if action == "cancel":
-            return encode_payload({"status": 200, "job": jobs.cancel(job_id)})
-        if action == "result":
-            rows = jobs.result(job_id)
-            return encode_payload(
-                {"status": 200, "shape": list(rows.shape)}, {"z": rows}
-            )
-        raise ProtocolError(f"unknown job action {action!r}")
-
-    async def _handle_mutate(
-        self, meta: dict, arrays: Dict[str, np.ndarray]
-    ) -> bytes:
-        """``OP_MUTATE``: apply one edge batch to a registered graph.
-
-        The mutation itself is CPU work behind the graph's write lock, so
-        it runs on a worker thread — the event loop keeps serving reads
-        pinned to the pre-mutation version while the new one builds.
-        """
-        model = meta.get("model")
-        if not model:
-            raise ProtocolError("mutate frame needs 'model'")
-        insert = arrays.get("insert")
-        delete = arrays.get("delete")
-        if insert is None and delete is None:
-            raise ProtocolError(
-                "mutate frame needs an 'insert' (n,3) and/or 'delete' (n,2) "
-                "array"
-            )
-        result = await asyncio.to_thread(
-            self._owner.registry.mutate_graph, str(model), insert, delete
-        )
-        return encode_payload(
-            {"status": 200, "graph": str(model), **result.as_dict()}
-        )
-
-    # ------------------------------------------------------------------ #
-    def _resolve_adjacency(
-        self, meta: dict, arrays: Dict[str, np.ndarray]
-    ) -> CSRMatrix:
-        model = meta.get("model")
-        if model is not None:
-            return self._owner.registry.graph(str(model))
-        if "indptr" not in arrays or "indices" not in arrays:
-            raise ProtocolError(
-                "kernel frame needs 'model' (a registered graph) or inline "
-                "'indptr'/'indices' arrays"
-            )
-        try:
-            indptr = arrays["indptr"].astype(np.int64, copy=False)
-            indices = arrays["indices"].astype(np.int64, copy=False)
-            data = arrays.get(
-                "data", np.ones(indices.shape[0], dtype=np.float32)
-            ).astype(np.float32, copy=False)
-            shape = meta.get("graph_shape")
-            nrows = int(shape[0]) if shape else indptr.shape[0] - 1
-            ncols = int(shape[1]) if shape else nrows
-            return CSRMatrix(nrows, ncols, indptr, indices, data)
-        except ReproError:
-            raise
-        except Exception as exc:
-            raise ProtocolError(f"malformed inline graph: {exc}") from exc
-
-    async def _handle_kernel(
-        self, meta: dict, arrays: Dict[str, np.ndarray]
-    ) -> np.ndarray:
-        coalescer = self._owner.coalescer
-        if coalescer is None:
-            raise ProtocolError("server not started", status=503)
-        A = self._resolve_adjacency(meta, arrays)
-        try:
-            deadline_ms = resolve_deadline_ms(
-                meta.get("deadline_ms"), self.config.default_deadline_ms
-            )
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(
-                f"invalid deadline_ms: {meta.get('deadline_ms')!r}"
-            ) from exc
-        request = KernelRequest(
-            A=A,
-            X=arrays.get("x"),
-            Y=arrays.get("y"),
-            pattern=str(meta.get("pattern", "sigmoid_embedding")),
-            backend=str(meta.get("backend", "auto")),
-        )
-        return await coalescer.submit(request, deadline_ms=deadline_ms)
-
-    def _handle_embed(
-        self, meta: dict, arrays: Dict[str, np.ndarray]
-    ) -> np.ndarray:
-        model = meta.get("model")
-        if not model:
-            raise ProtocolError("embed frame needs 'model'")
-        ids = meta.get("ids")
-        if "ids" in arrays:
-            id_array: Optional[np.ndarray] = arrays["ids"].astype(
-                np.int64, copy=False
-            )
-        elif ids is not None:
-            try:
-                id_array = np.asarray(ids, dtype=np.int64)
-            except (TypeError, ValueError) as exc:
-                raise ProtocolError(f"invalid ids: {exc}") from exc
+    async def _call(self, opcode: int, payload: bytes) -> Result:
+        meta, arrays = decode_payload(payload)
+        meta.pop("arrays", None)  # payload-container bookkeeping
+        op = _frame_op(opcode, meta)
+        if op == "kernel":
+            status, meta, arrays = await self._handle_kernel(meta, arrays)
         else:
-            id_array = None
-        return self._owner.registry.embeddings(str(model), id_array)
+            status, meta, arrays = await self._owner.ops.run(op, meta, arrays)
+        nest = _NESTED.get(op)
+        return status, ({nest: meta} if nest else meta), arrays
+
+    async def _handle_kernel(self, meta: dict, arrays: Dict[str, np.ndarray]) -> Result:
+        """Kernel frames, the hot path, reach the op table here; the
+        per-layer benchmark (``perfbench/layers.py``) times this method."""
+        return await self._owner.ops.run("kernel", meta, arrays)
 
 
 # ---------------------------------------------------------------------- #
 # Client
 # ---------------------------------------------------------------------- #
-class WireClient:
+class WireClient(Client):
     """Blocking wire-protocol client with explicit pipelining.
 
-    One-shot use mirrors :class:`~repro.serve.client.ServeClient`::
+    One-shot use goes through the shared
+    :class:`~repro.serve.connect.Client` methods::
 
         with WireClient(port=wire_port) as client:
             Z = client.kernel(model="cora-f2v", x=X)
@@ -518,30 +307,17 @@ class WireClient:
     ``(request_id, ServeError)`` for error frames — pipelined callers
     need per-request failures, not an exception that aborts the batch.
 
-    ``retry=`` arms opt-in policy-driven retries on the *convenience*
-    calls (:meth:`kernel`, :meth:`embed`, :meth:`statz`): connection
-    failures reconnect and re-send under the
-    :class:`~repro.resilience.RetryPolicy`, and transient admission
-    errors (429 queue-full, 503 draining) are re-sent after backoff.
-    Safe because those calls are pure.  Explicit pipelining
-    (``send_*``/``recv``) is never retried implicitly — a reconnect
-    would silently drop the other outstanding responses — and a
-    convenience call with other requests still pending raises instead
-    of retrying for the same reason.
+    ``retry=`` arms the shared retry loop on the one-shot methods.
+    Explicit pipelining (``send_kernel``/``recv``) is never retried
+    implicitly, and a one-shot call with other requests still pending
+    raises instead of reconnecting: a reconnect would silently drop the
+    other outstanding responses.
     """
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        timeout: float = 30.0,
-        retry: Optional[RetryPolicy] = None,
-    ) -> None:
-        self._address = (host, port)
-        self._timeout = timeout
-        self.retry = retry
-        self.retries_attempted = 0
+    transport_errors = (ProtocolError, OSError)
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self._next_id = 1
         self._pending: "set[int]" = set()
         self._ready: Dict[int, object] = {}
@@ -551,9 +327,9 @@ class WireClient:
 
     def _dial(self) -> None:
         self._sock = socket.create_connection(
-            self._address, timeout=self._timeout
+            (self.host, self.port), timeout=self.timeout
         )
-        self._sock.settimeout(self._timeout)
+        self._sock.settimeout(self.timeout)
         self._rfile = self._sock.makefile("rb")
         opcode, _, payload = self._read_frame()
         if opcode != OP_HELLO:
@@ -565,30 +341,22 @@ class WireClient:
         self.credits = int(meta.get("credits", 1))
         self.max_payload = int(meta.get("max_payload", 64 * 1024 * 1024))
 
-    def _reconnect(self) -> None:
-        """Fresh socket + HELLO; outstanding ids of the dead connection
-        are forgotten (their responses can never arrive)."""
-        try:
-            self.close()
-        except OSError:  # pragma: no cover - teardown race
-            pass
+    def _reset(self) -> bool:
+        if len(self._pending) > 1:
+            return False
+        # The dead connection's outstanding id can never be answered.
         self._pending.clear()
-        self._dial()
+        return super()._reset()
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
+        rfile, sock, self._rfile, self._sock = self._rfile, self._sock, None, None
         try:
-            if self._rfile is not None:
-                self._rfile.close()
+            if rfile is not None:
+                rfile.close()
         finally:
-            if self._sock is not None:
-                self._sock.close()
-
-    def __enter__(self) -> "WireClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+            if sock is not None:
+                sock.close()
 
     @property
     def outstanding(self) -> int:
@@ -605,12 +373,17 @@ class WireClient:
             )
         return frame
 
-    def _send(self, opcode: int, meta: dict, arrays: Dict[str, np.ndarray]) -> int:
+    def _send(self, op: str, meta: dict, arrays: Dict[str, np.ndarray]) -> int:
+        if self._sock is None:
+            self._dial()
         if len(self._pending) >= self.credits:
             raise RuntimeError(
                 f"out of credits: {self.credits} requests already "
                 "outstanding; recv() before sending more"
             )
+        opcode, action = _OP_FRAMES[op]
+        if action is not None:
+            meta = {**meta, "action": action}
         request_id = self._next_id
         self._next_id += 1
         self._sock.sendall(
@@ -619,90 +392,10 @@ class WireClient:
         self._pending.add(request_id)
         return request_id
 
-    # ------------------------------------------------------------------ #
-    def send_kernel(
-        self,
-        *,
-        model: Optional[str] = None,
-        graph=None,
-        x: Optional[np.ndarray] = None,
-        y: Optional[np.ndarray] = None,
-        X: Optional[np.ndarray] = None,
-        Y: Optional[np.ndarray] = None,
-        pattern: str = "sigmoid_embedding",
-        backend: str = "auto",
-        deadline_ms: Optional[float] = None,
-    ) -> int:
-        """Pipeline one kernel request; returns its request-id.
-
-        Operands are accepted under either spelling (``x``/``X``,
-        ``y``/``Y``) so :func:`repro.serve.connect` callers can use one
-        spelling against both transports.
-        """
-        if X is not None:
-            x = X
-        if Y is not None:
-            y = Y
-        meta: Dict[str, object] = {"pattern": pattern, "backend": backend}
-        if deadline_ms is not None:
-            meta["deadline_ms"] = deadline_ms
-        arrays: Dict[str, np.ndarray] = {}
-        if model is not None:
-            meta["model"] = model
-        elif graph is not None:
-            meta["graph_shape"] = list(graph.shape)
-            arrays["indptr"] = np.asarray(graph.indptr)
-            arrays["indices"] = np.asarray(graph.indices)
-            arrays["data"] = np.asarray(graph.data)
-        if x is not None:
-            arrays["x"] = np.asarray(x)
-        if y is not None:
-            arrays["y"] = np.asarray(y)
-        return self._send(OP_KERNEL, meta, arrays)
-
-    def send_embed(
-        self, model: str, ids: Optional[object] = None
-    ) -> int:
-        """Pipeline one embedding lookup; returns its request-id."""
-        meta: Dict[str, object] = {"model": model}
-        arrays: Dict[str, np.ndarray] = {}
-        if ids is not None:
-            arrays["ids"] = np.asarray(ids, dtype=np.int64)
-        return self._send(OP_EMBED, meta, arrays)
-
-    def send_statz(self) -> int:
-        """Pipeline one stats snapshot request; returns its request-id."""
-        return self._send(OP_STATZ, {}, {})
-
-    def send_train(self, **spec) -> int:
-        """Pipeline one training-job submission; returns its request-id.
-        ``spec`` is the :class:`~repro.jobs.JobSpec` document."""
-        return self._send(OP_TRAIN, dict(spec), {})
-
-    def send_job(self, action: str, job_id: Optional[str] = None) -> int:
-        """Pipeline one job query (status/list/cancel/result)."""
-        meta: Dict[str, object] = {"action": action}
-        if job_id is not None:
-            meta["job_id"] = job_id
-        return self._send(OP_JOB, meta, {})
-
-    def send_mutate(
-        self,
-        model: str,
-        insert: Optional[object] = None,
-        delete: Optional[object] = None,
-    ) -> int:
-        """Pipeline one edge-batch mutation; returns its request-id.
-
-        ``insert`` rows are ``(u, v, weight)`` triples; ``delete`` rows
-        are ``(u, v)`` pairs.  Endpoints must be integer-valued.
-        """
-        arrays: Dict[str, np.ndarray] = {}
-        if insert is not None:
-            arrays["insert"] = np.asarray(insert, dtype=np.float64).reshape(-1, 3)
-        if delete is not None:
-            arrays["delete"] = np.asarray(delete, dtype=np.float64).reshape(-1, 2)
-        return self._send(OP_MUTATE, {"model": model}, arrays)
+    def send_kernel(self, **request) -> int:
+        """Pipeline one kernel request (the keywords of
+        :func:`~repro.serve.connect.kernel_request`); returns its id."""
+        return self._send("kernel", *kernel_request(**request))
 
     def recv(self) -> Tuple[int, object]:
         """The next response in completion order.
@@ -737,109 +430,15 @@ class WireClient:
                 return value
             self._ready[rid] = value
 
-    # ------------------------------------------------------------------ #
-    #: Transient admission statuses worth re-sending under a policy —
-    #: the request was shed at the door, never executed.
-    _RETRYABLE_STATUSES = frozenset({429, 503})
-
-    def _call(self, send_fn) -> object:
-        """Submit-and-wait with the optional retry policy applied."""
-        state = self.retry.start() if self.retry is not None else None
-        need_reconnect = False
-        while True:
-            try:
-                if need_reconnect:
-                    self._reconnect()
-                    need_reconnect = False
-                value = self._wait_for(send_fn())
-            except (ProtocolError, ConnectionError, OSError):
-                if state is None or len(self._pending) > 1:
-                    # No policy, or other pipelined requests would lose
-                    # their responses in a reconnect: propagate.
-                    raise
-                delay = state.next_delay()
-                if delay is None:
-                    raise
-                self.retries_attempted += 1
-                need_reconnect = True
-                time.sleep(delay)
-                continue
-            if isinstance(value, Exception):
-                status = getattr(value, "http_status", None)
-                if (
-                    state is not None
-                    and status in self._RETRYABLE_STATUSES
-                ):
-                    delay = state.next_delay()
-                    if delay is not None:
-                        self.retries_attempted += 1
-                        time.sleep(delay)
-                        continue
-                raise value
-            return value
-
-    def kernel(self, **kwargs) -> np.ndarray:
-        """Submit one kernel request and wait for its result."""
-        return self._call(lambda: self.send_kernel(**kwargs))
-
-    def embed(self, model: str, ids: Optional[object] = None) -> np.ndarray:
-        """Fetch rows of a model's servable output matrix."""
-        return self._call(lambda: self.send_embed(model, ids))
-
-    def statz(self) -> dict:
-        """Fetch the server's stats snapshot (mirrors ``GET /statz``)."""
-        value = self._call(self.send_statz)
-        return dict(value.get("statz", {}))
-
-    # ------------------------------------------------------------------ #
-    # Training jobs (mirror POST /v1/train and /v1/jobs/*)
-    # ------------------------------------------------------------------ #
-    def train(self, **spec) -> dict:
-        """Submit a training job; returns ``{"job_id": ..., "state": ...}``.
-
-        Deliberately *not* retried on transport failure even with a
-        policy armed: a submission is not idempotent — a resend after an
-        ambiguous failure could start the job twice.
-        """
-        value = self._wait_for(self.send_train(**spec))
+    def call(self, op, meta, arrays, *, binary: bool = True):
+        """One request and its response (frames always carry npy, so
+        ``binary`` changes nothing here)."""
+        value = self._wait_for(self._send(op, meta, arrays))
         if isinstance(value, Exception):
             raise value
-        return dict(value)
-
-    def mutate(
-        self,
-        model: str,
-        insert: Optional[object] = None,
-        delete: Optional[object] = None,
-    ) -> dict:
-        """Apply one edge batch to a registered graph; returns the
-        mutation document (new version, fingerprint, edge counts).
-
-        Like :meth:`train`, deliberately *not* retried on transport
-        failure: a resend after an ambiguous failure would apply the
-        batch twice (inserts upsert, but deletes-then-reinserts and the
-        version counter are not idempotent).
-        """
-        value = self._wait_for(self.send_mutate(model, insert, delete))
-        if isinstance(value, Exception):
-            raise value
-        return dict(value)
-
-    def job(self, job_id: str) -> dict:
-        """Status + per-epoch progress of one job."""
-        value = self._call(lambda: self.send_job("status", job_id))
-        return dict(value["job"])
-
-    def jobs(self) -> list:
-        """Summaries of every known job."""
-        value = self._call(lambda: self.send_job("list"))
-        return list(value["jobs"])
-
-    def cancel_job(self, job_id: str) -> dict:
-        """Request cancellation; returns the job document."""
-        value = self._call(lambda: self.send_job("cancel", job_id))
-        return dict(value["job"])
-
-    def job_result(self, job_id: str) -> np.ndarray:
-        """The completed job's output matrix."""
-        return self._call(lambda: self.send_job("result", job_id))
+        if isinstance(value, dict):
+            nest = _NESTED.get(op)
+            if nest is not None:
+                return value[nest]
+            return {k: v for k, v in value.items() if k != "status"}
+        return value

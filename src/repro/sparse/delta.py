@@ -443,48 +443,49 @@ def _as_edge_array(
     """``(rows, cols, weights)`` int64/int64/value-dtype arrays.
 
     Accepts ``None``, an ``(n, 2)``/``(n, 3)`` array, or an iterable of
-    tuples; insert tuples may omit the weight (defaults to 1).
+    tuples; insert tuples may omit the weight (defaults to 1).  Tuples are
+    packed into the array form first, so both spellings pass the same
+    checks: integral endpoints and finite weights.
     """
-    if edges is None:
+    if edges is not None and not isinstance(edges, np.ndarray):
+        width = 3 if with_weight else 2
+        try:
+            tuples = [tuple(edge) for edge in edges]
+        except TypeError as exc:
+            raise ShapeError(f"edges must be (u, v[, weight]) tuples: {exc}") from exc
+        for edge in tuples:
+            if not 2 <= len(edge) <= width:
+                raise ShapeError(f"bad edge tuple {edge!r}")
+        try:
+            edges = np.array(
+                [edge + (1.0,) * (width - len(edge)) for edge in tuples],
+                dtype=np.float64,
+            ).reshape(-1, width)
+        except (TypeError, ValueError) as exc:
+            raise ShapeError(f"edge values must be numbers: {exc}") from exc
+    if edges is None or edges.size == 0:
         return (
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=dtype),
         )
-    if isinstance(edges, np.ndarray):
-        arr = np.asarray(edges, dtype=np.float64)
-        if arr.size == 0:
-            return _as_edge_array(None, with_weight=with_weight, dtype=dtype)
-        if arr.ndim != 2 or arr.shape[1] not in (2, 3):
-            raise ShapeError(
-                f"edge array must have shape (n, 2) or (n, 3), got {arr.shape}"
-            )
-        rows = arr[:, 0].astype(np.int64)
-        cols = arr[:, 1].astype(np.int64)
-        if not np.array_equal(arr[:, 0], rows) or not np.array_equal(
-            arr[:, 1], cols
-        ):
-            raise ShapeError("edge endpoints must be integers")
-        if with_weight and arr.shape[1] == 3:
-            weights = arr[:, 2].astype(dtype)
-        else:
-            weights = np.ones(rows.shape[0], dtype=dtype)
-        return rows, cols, weights
-    rows_list = []
-    cols_list = []
-    weight_list = []
-    for edge in edges:
-        edge = tuple(edge)
-        if len(edge) not in (2, 3) or (len(edge) == 3 and not with_weight):
-            raise ShapeError(f"bad edge tuple {edge!r}")
-        rows_list.append(int(edge[0]))
-        cols_list.append(int(edge[1]))
-        weight_list.append(float(edge[2]) if len(edge) == 3 else 1.0)
-    return (
-        np.array(rows_list, dtype=np.int64),
-        np.array(cols_list, dtype=np.int64),
-        np.array(weight_list, dtype=dtype),
-    )
+    arr = np.asarray(edges, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] not in (2, 3):
+        raise ShapeError(
+            f"edge array must have shape (n, 2) or (n, 3), got {arr.shape}"
+        )
+    ends = arr[:, :2]
+    if not np.isfinite(ends).all() or not np.array_equal(ends, np.trunc(ends)):
+        raise ShapeError("edge endpoints must be integers")
+    rows = ends[:, 0].astype(np.int64)
+    cols = ends[:, 1].astype(np.int64)
+    if with_weight and arr.shape[1] == 3:
+        weights = arr[:, 2].astype(dtype)
+        if not np.isfinite(weights).all():
+            raise ShapeError(f"edge weights must be finite in {np.dtype(dtype).name}")
+    else:
+        weights = np.ones(rows.shape[0], dtype=dtype)
+    return rows, cols, weights
 
 
 def _check_bounds(ins, dels, nrows: int, ncols: int) -> None:

@@ -376,6 +376,38 @@ def test_record_revisions_increase_with_every_write(tmp_path):
         manager.close()
 
 
+@pytest.mark.parametrize("state", ["completed", "pending"])
+def test_recover_continues_the_record_revision(tmp_path, state):
+    """A restarted manager carries on from ``job.json``'s revision: its
+    first write after ``recover()`` is revision + 1, for terminal and for
+    requeued jobs alike, so the record never moves backwards."""
+    first = JobManager(tmp_path, max_active=1, app_factory=_fake_factory())
+    job_id = first.submit(_spec(epochs=1))
+    first.wait(job_id, timeout=60.0)
+    first.close()
+    record = {**_record_on_disk(tmp_path, job_id), "state": state, "revision": 7}
+    (tmp_path / job_id / "job.json").write_text(json.dumps(record))
+
+    second = JobManager(tmp_path, max_active=1, app_factory=_fake_factory())
+    written = []
+    write_record = second._write_record
+
+    def spy(job, revision, blob):
+        written.append(revision)
+        write_record(job, revision, blob)
+
+    second._write_record = spy
+    try:
+        second.recover()
+        if state == "completed":
+            second.cancel(job_id)  # a no-op on a terminal job that persists
+        second.wait(job_id, timeout=60.0)
+        assert written[0] == 8
+        assert _record_on_disk(tmp_path, job_id)["revision"] == written[-1]
+    finally:
+        second.close()
+
+
 def test_manager_requeues_crashed_job_and_result_stays_bitwise(tmp_path):
     spec = _spec(epochs=4)
     reference = run_training(spec).output
