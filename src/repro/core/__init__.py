@@ -13,7 +13,7 @@ Layout
 ``autotune``     strategy / block-size autotuner
 ``partition``    PART1D nnz-balanced 1-D partitioning
 ``parallel``     thread-parallel partition driver
-``fused``        public ``fusedmm()`` / ``FusedMM`` dispatcher
+``fused``        public ``fusedmm()`` / ``FusedMM`` and the one backend resolver
 """
 
 from .autotune import TuningResult, autotune

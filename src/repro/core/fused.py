@@ -1,15 +1,16 @@
-"""Public FusedMM entry points.
+"""Public FusedMM entry points and the one backend resolver.
 
-Two levels of API are provided:
+The paper's FusedMM takes the five operators of a pattern and picks a
+kernel for them: a hand-tuned kernel for the known Table III rows, a
+code-generated kernel (Section IV.B), or the general one.  That choice is
+made once, by :func:`resolve_backend`:
 
-* :func:`fusedmm` — one-shot functional call ``Z = fusedmm(A, X, Y,
-  pattern=...)`` with backend selection, matching the paper's
-  ``Z = FusedMM(A, X, Y)`` formulation (Fig. 2).
-* :class:`FusedMM` — a planned/reusable kernel object: the pattern is
-  resolved once, the partitioning and (optionally) the autotuned block
-  size are computed once, and every subsequent ``__call__`` reuses them.
-  This is the shape of API an embedding training loop wants: the adjacency
-  matrix is fixed across epochs, only the feature matrices change.
+* :func:`fusedmm` — one-shot ``Z = fusedmm(A, X, Y, pattern=...)``
+  (Fig. 2): resolve, then call.
+* :class:`FusedMM` and the runtime's cached plans
+  (:mod:`repro.runtime.plan`) — planned once per adjacency matrix by
+  :func:`plan_kernel` (resolution, optional autotuning, blocking), then
+  called every epoch with new feature matrices.
 
 Backends
 --------
@@ -20,38 +21,222 @@ Backends
 ``"jit"``          Numba-compiled row-fused kernels (:mod:`repro.core.jit`);
                    runs interpreted when the optional numba extra is absent
 ``"auto"``         jit (only when numba is importable) → specialized →
-                   generated → optimized → generic, first backend that
-                   supports the requested pattern wins
+                   generated → optimized, first backend that supports the
+                   pattern wins; an optimized call that raises falls back
+                   to generic
 
-All backends share the ``out=``/``row_offset=`` output surface: pass a
-preallocated ``(k, d)`` slab and row ``u`` of the result lands in
-``out[u - row_offset]`` — the shard workers use this to write straight
-into shared memory.
+Every resolved kernel is called as ``kernel(A, X, Y, *, block_size,
+num_threads, strategy, parts, pool, out, row_offset)``; knobs a kind has
+no use for are ignored.  ``X=None`` is accepted for spmm-like patterns,
+which never read it.  ``out=``/``row_offset=`` is a preallocated slab: row
+``u`` of the result lands in ``out[u - row_offset]`` (the shard workers
+write straight into shared memory this way).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..errors import BackendError
-from ..sparse import CSRMatrix
+from ..sparse import CSRMatrix, as_csr
 from . import jit as jit_backend
-from .autotune import TuningResult, autotune
+from .autotune import TuningResult
+from .autotune import autotune as autotune_sweep
 from .codegen import compile_kernel, supports_pattern
 from .generic import fusedmm_generic
-from .optimized import DEFAULT_BLOCK_SIZE, fusedmm_optimized
+from .optimized import DEFAULT_BLOCK_SIZE, auto_strategy, fusedmm_optimized
 from .partition import part1d
-from .patterns import OpPattern, get_pattern
+from .patterns import OpPattern, ResolvedPattern, get_pattern
 from .specialized import get_specialized_kernel
+from .validation import ensure_float_matrix
 
-__all__ = ["fusedmm", "FusedMM", "BACKENDS"]
+__all__ = [
+    "fusedmm",
+    "FusedMM",
+    "BACKENDS",
+    "resolve_backend",
+    "plan_kernel",
+    "KernelChoice",
+]
 
 BACKENDS = ("auto", "jit", "generic", "optimized", "specialized", "generated")
 
 
+# ---------------------------------------------------------------------- #
+# The resolver
+# ---------------------------------------------------------------------- #
+def _zero_sources(A, Y, resolved: ResolvedPattern) -> np.ndarray:
+    """Source features for a call made without ``X``.
+
+    Spmm-like patterns never read ``X``, so zeros of ``Y``'s dtype give
+    bitwise the result of passing any ``X`` of that dtype; every other
+    pattern needs real source features.
+    """
+    if not resolved.is_spmm_like:
+        raise BackendError(f"pattern {resolved.name!r} needs source features X")
+    Y = ensure_float_matrix(Y, "Y")
+    return np.zeros((as_csr(A).nrows, Y.shape[1]), dtype=Y.dtype)
+
+
+def resolve_backend(
+    pattern: OpPattern | str,
+    backend: str = "auto",
+    tuning: Optional[TuningResult] = None,
+) -> Tuple[str, Callable]:
+    """Pick the kernel for ``pattern`` on ``backend``; returns ``(kind, kernel)``.
+
+    ``kind`` is one of ``"jit"``, ``"specialized"``, ``"generated"``,
+    ``"optimized"`` or ``"generic"``; ``kernel`` has the calling convention
+    of the module docstring with the pattern bound.  ``tuning`` is the
+    autotune sweep for this problem, if one ran: ``auto`` then takes the
+    jit tier only when the sweep measured it fastest.  An explicit backend
+    that cannot run the pattern raises :class:`~repro.errors.BackendError`.
+    """
+    if backend not in BACKENDS:
+        raise BackendError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    op_pattern = get_pattern(pattern)
+    resolved = op_pattern.resolved()
+    # ``auto`` prefers the jit tier when numba is importable (and the sweep,
+    # if one ran, measured it fastest); an explicit backend="jit" also runs
+    # interpreted (slow but exact) so the compiled semantics stay testable.
+    jit_wins = tuning.strategy == "jit" if tuning else jit_backend.jit_available()
+    pattern_kernel = None
+    if backend in ("generic", "optimized"):
+        kind = backend
+    elif backend == "jit" or (
+        backend == "auto" and jit_wins and jit_backend.jit_supports_pattern(resolved)
+    ):
+        kind, pattern_kernel = "jit", jit_backend.get_jit_kernel(resolved)
+    elif backend != "generated" and (
+        pattern_kernel := get_specialized_kernel(resolved)
+    ):
+        kind = "specialized"
+    elif backend == "specialized":
+        raise BackendError(
+            f"no specialized kernel exists for pattern {resolved.name!r}; "
+            "use backend='optimized' or 'auto'"
+        )
+    elif supports_pattern(resolved):
+        kind, pattern_kernel = "generated", compile_kernel(resolved)
+    elif backend == "generated":
+        raise BackendError(
+            f"the code generator has no templates for pattern {resolved.name!r} "
+            f"(ops {resolved.op_names()}); use backend='optimized' or 'auto'"
+        )
+    else:
+        kind = "optimized"
+
+    def kernel(
+        A,
+        X,
+        Y=None,
+        *,
+        block_size: Optional[int] = None,
+        num_threads: int = 1,
+        strategy: str = "auto",
+        parts=None,
+        pool=None,
+        out: Optional[np.ndarray] = None,
+        row_offset: int = 0,
+    ) -> np.ndarray:
+        if X is None:
+            X = _zero_sources(A, Y, resolved)
+        if kind == "generic":
+            return fusedmm_generic(
+                A, X, Y, pattern=op_pattern, out=out, row_offset=row_offset
+            )
+        blocking = dict(
+            block_size=block_size or DEFAULT_BLOCK_SIZE,
+            num_threads=num_threads,
+            parts=parts,
+            pool=pool,
+            out=out,
+            row_offset=row_offset,
+        )
+        if pattern_kernel is not None:
+            return pattern_kernel(A, X, Y, **blocking)
+        try:
+            return fusedmm_optimized(
+                A, X, Y, pattern=op_pattern, strategy=strategy, **blocking
+            )
+        except Exception:
+            if backend != "auto":
+                raise
+            # Last resort for exotic user operators whose batched form
+            # misbehaves: the reference kernel always works.
+            return fusedmm_generic(
+                A, X, Y, pattern=op_pattern, out=out, row_offset=row_offset
+            )
+
+    return kind, kernel
+
+
+class KernelChoice(NamedTuple):
+    """A resolved kernel plus the blocking it runs with on one matrix."""
+
+    kind: str
+    kernel: Callable
+    strategy: str
+    block_size: int
+    tuning: Optional[TuningResult]
+
+
+def plan_kernel(
+    A: CSRMatrix,
+    pattern: OpPattern | str,
+    backend: str = "auto",
+    *,
+    strategy: str = "auto",
+    block_size: Optional[int] = None,
+    num_threads: int = 1,
+    autotune: bool = False,
+    autotune_dim: int = 128,
+) -> KernelChoice:
+    """Resolve (and optionally autotune) the kernel for ``A``.
+
+    The sweep runs on synthetic features of ``autotune_dim`` columns (the
+    adjacency is what shapes the access pattern) and decides the jit tier,
+    the row/edge strategy and, unless ``block_size`` is explicit, the
+    edge-block size.  An optimized ``strategy="auto"`` is resolved against
+    ``A`` here, so every later call replays the kernel a standalone call
+    would pick.
+    """
+    kind, kernel = resolve_backend(pattern, backend)
+    tuning = None
+    if autotune and kind != "generic":
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((A.nrows, autotune_dim)).astype(np.float32)
+        Y = (
+            X
+            if A.nrows == A.ncols
+            else rng.standard_normal((A.ncols, autotune_dim)).astype(np.float32)
+        )
+        tuning = autotune_sweep(
+            A,
+            X,
+            Y,
+            pattern=pattern,
+            num_threads=num_threads,
+            # The jit candidate only competes when the requested backend
+            # allows the tier; a forced backend keeps the row/edge sweep.
+            strategies=None if backend in ("auto", "jit") else ("row", "edge"),
+        )
+        kind, kernel = resolve_backend(pattern, backend, tuning)
+        # The jit kernels have no row/edge knob.
+        strategy = "auto" if tuning.strategy == "jit" else tuning.strategy
+        block_size = block_size or tuning.block_size
+    if kind == "optimized" and strategy == "auto":
+        strategy = auto_strategy(A)
+    return KernelChoice(
+        kind, kernel, strategy, block_size or DEFAULT_BLOCK_SIZE, tuning
+    )
+
+
+# ---------------------------------------------------------------------- #
+# Entry points
+# ---------------------------------------------------------------------- #
 def fusedmm(
     A,
     X,
@@ -74,7 +259,8 @@ def fusedmm(
         Sparse adjacency slice (anything :func:`repro.sparse.as_csr`
         accepts): ``m × n``.
     X:
-        ``m × d`` source-vertex features.
+        ``m × d`` source-vertex features; ``None`` for spmm-like patterns,
+        which never read them.
     Y:
         ``n × d`` destination-vertex features; defaults to ``X`` when ``A``
         is square.
@@ -101,107 +287,24 @@ def fusedmm(
     numpy.ndarray
         The ``m × d`` updated feature matrix ``Z``.
     """
-    if backend not in BACKENDS:
-        raise BackendError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    op_pattern = get_pattern(pattern, **pattern_overrides)
-    resolved = op_pattern.resolved()
-
-    if backend == "generic":
-        return fusedmm_generic(
-            A, X, Y, pattern=op_pattern, out=out, row_offset=row_offset
-        )
-
-    if backend == "jit" or (
-        backend == "auto"
-        and jit_backend.jit_available()
-        and jit_backend.jit_supports_pattern(resolved)
-    ):
-        # ``auto`` only prefers the tier when numba is actually importable;
-        # an explicit backend="jit" also runs interpreted (slow but exact)
-        # so the compiled semantics stay testable everywhere.
-        return jit_backend.fusedmm_jit(
-            A,
-            X,
-            Y,
-            pattern=op_pattern,
-            block_size=block_size or DEFAULT_BLOCK_SIZE,
-            num_threads=num_threads,
-            out=out,
-            row_offset=row_offset,
-        )
-
-    if backend in ("specialized", "auto"):
-        kernel = get_specialized_kernel(resolved)
-        if kernel is not None:
-            return kernel(
-                A,
-                X,
-                Y,
-                block_size=block_size or DEFAULT_BLOCK_SIZE,
-                num_threads=num_threads,
-                out=out,
-                row_offset=row_offset,
-            )
-        if backend == "specialized":
-            raise BackendError(
-                f"no specialized kernel exists for pattern {resolved.name!r}; "
-                "use backend='optimized' or 'auto'"
-            )
-
-    if backend in ("generated", "auto"):
-        if supports_pattern(resolved):
-            kernel = compile_kernel(resolved)
-            return kernel(
-                A,
-                X,
-                Y,
-                block_size=block_size or DEFAULT_BLOCK_SIZE,
-                num_threads=num_threads,
-                out=out,
-                row_offset=row_offset,
-            )
-        if backend == "generated":
-            raise BackendError(
-                f"the code generator has no templates for pattern {resolved.name!r} "
-                f"(ops {resolved.op_names()}); use backend='optimized' or 'auto'"
-            )
-
-    # optimized / auto fallback
-    try:
-        return fusedmm_optimized(
-            A,
-            X,
-            Y,
-            pattern=op_pattern,
-            strategy=strategy,
-            block_size=block_size,
-            num_threads=num_threads,
-            out=out,
-            row_offset=row_offset,
-        )
-    except Exception:
-        if backend == "optimized":
-            raise
-        # Last-resort fallback for exotic user operators whose batched form
-        # misbehaves: the reference kernel always works.
-        return fusedmm_generic(
-            A, X, Y, pattern=op_pattern, out=out, row_offset=row_offset
-        )
-
-
-@dataclass
-class _Plan:
-    """Execution plan cached by :class:`FusedMM`."""
-
-    backend: str
-    strategy: str
-    block_size: int
-    num_threads: int
-    tuning: Optional[TuningResult] = None
+    _, kernel = resolve_backend(get_pattern(pattern, **pattern_overrides), backend)
+    return kernel(
+        A,
+        X,
+        Y,
+        block_size=block_size,
+        num_threads=num_threads,
+        strategy=strategy,
+        out=out,
+        row_offset=row_offset,
+    )
 
 
 class FusedMM:
     """A planned, reusable FusedMM kernel bound to one adjacency matrix.
+
+    The kernel, its blocking and (with ``autotune=True``) the sweep behind
+    them are chosen once by :func:`plan_kernel` and kept in :attr:`plan`.
 
     Example
     -------
@@ -228,68 +331,32 @@ class FusedMM:
         autotune_dim: int = 128,
         **pattern_overrides,
     ) -> None:
-        if backend not in BACKENDS:
-            raise BackendError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-        from ..sparse import as_csr
-
         self.A: CSRMatrix = as_csr(A)
         self.pattern: OpPattern = get_pattern(pattern, **pattern_overrides)
         self.resolved = self.pattern.resolved()
-        self.partitions = part1d(self.A, max(1, num_threads))
-        self._autotune_requested = autotune
-        self._autotune_dim = autotune_dim
-        self.plan = _Plan(
-            backend=backend,
-            strategy=strategy,
-            block_size=block_size or DEFAULT_BLOCK_SIZE,
-            num_threads=max(1, num_threads),
-        )
-        if autotune:
-            self._run_autotune()
-
-    # ------------------------------------------------------------------ #
-    def _run_autotune(self) -> None:
-        """Tune strategy/block size on synthetic features of the configured
-        dimension (the adjacency is what matters for the access pattern)."""
-        rng = np.random.default_rng(0)
-        d = self._autotune_dim
-        X = rng.standard_normal((self.A.nrows, d)).astype(np.float32)
-        Y = (
-            X
-            if self.A.nrows == self.A.ncols
-            else rng.standard_normal((self.A.ncols, d)).astype(np.float32)
-        )
-        result = autotune(
+        self.backend = backend
+        self.num_threads = max(1, num_threads)
+        self.plan: KernelChoice = plan_kernel(
             self.A,
-            X,
-            Y,
-            pattern=self.pattern,
-            num_threads=self.plan.num_threads,
-            strategies=(
-                None if self.plan.backend in ("auto", "jit") else ("row", "edge")
-            ),
+            self.pattern,
+            backend,
+            strategy=strategy,
+            block_size=block_size,
+            num_threads=self.num_threads,
+            autotune=autotune,
+            autotune_dim=autotune_dim,
         )
-        self.plan.tuning = result
-        if result.strategy == "jit":
-            # The JIT tier beat both NumPy blocking strategies: pin the
-            # backend (the jit kernels have no row/edge strategy knob).
-            self.plan.backend = "jit"
-            self.plan.strategy = "auto"
-        else:
-            self.plan.strategy = result.strategy
-        self.plan.block_size = result.block_size
+        self.partitions = part1d(self.A, self.num_threads)
 
     # ------------------------------------------------------------------ #
     def __call__(self, X, Y=None, *, out=None, row_offset: int = 0) -> np.ndarray:
         """Execute the planned kernel on new feature matrices."""
-        return fusedmm(
+        return self.plan.kernel(
             self.A,
             X,
             Y,
-            pattern=self.pattern,
-            backend=self.plan.backend,
-            num_threads=self.plan.num_threads,
             block_size=self.plan.block_size,
+            num_threads=self.num_threads,
             strategy=self.plan.strategy,
             out=out,
             row_offset=row_offset,
@@ -301,10 +368,11 @@ class FusedMM:
         info = {
             "pattern": self.resolved.name,
             "ops": self.resolved.op_names(),
-            "backend": self.plan.backend,
+            "backend": self.backend,
+            "kind": self.plan.kind,
             "strategy": self.plan.strategy,
             "block_size": self.plan.block_size,
-            "num_threads": self.plan.num_threads,
+            "num_threads": self.num_threads,
             "partitions": len(self.partitions),
             "nnz": self.A.nnz,
             "shape": self.A.shape,
@@ -315,6 +383,6 @@ class FusedMM:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"FusedMM(pattern={self.resolved.name!r}, backend={self.plan.backend!r}, "
+            f"FusedMM(pattern={self.resolved.name!r}, kind={self.plan.kind!r}, "
             f"A={self.A.shape}, nnz={self.A.nnz})"
         )

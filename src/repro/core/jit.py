@@ -41,11 +41,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..errors import BackendError
-from ..sparse import as_csr
 from .mathops import SIGMOID_CLAMP, sigmoid_scalar
 from .optimized import DEFAULT_BLOCK_SIZE
 from .patterns import OpPattern, ResolvedPattern, get_pattern
-from .validation import ensure_float_matrix, resolve_out_window, validate_operands
+from .validation import resolve_out_window, validate_operands
 
 __all__ = [
     "NUMBA_AVAILABLE",
@@ -471,26 +470,10 @@ def fusedmm_jit(
     """
     del block_size, num_threads, pool  # signature compatibility only
     resolved = get_pattern(pattern, **pattern_overrides).resolved()
-    if X is None:
-        if not resolved.is_spmm_like:
-            raise BackendError(
-                f"pattern {resolved.name!r} needs source features X"
-            )
-        A = as_csr(A)
-        Y = ensure_float_matrix(Y, "Y")
-        X_arr = Y  # unused by the spmm path; keeps shapes consistent below
-    else:
-        A, X_arr, Y = validate_operands(A, X, Y)
-    m, d = A.nrows, Y.shape[1]
+    A, X, Y = validate_operands(A, X, Y)
+    m, d = X.shape
     w0, w1 = resolve_out_window(out, row_offset, m, d)
-
-    if out is None:
-        result_dtype = (
-            X_arr.dtype if np.issubdtype(X_arr.dtype, np.floating) else np.float32
-        )
-        Z = np.zeros((m, d), dtype=result_dtype)
-    else:
-        Z = out
+    Z = np.zeros((m, d), dtype=X.dtype) if out is None else out
 
     if parts is None:
         ranges = [(w0, w1)]
@@ -509,24 +492,22 @@ def fusedmm_jit(
             _spmm_rows(indptr, indices, data, Y, Z, start, stop, w0)
     elif resolved.is_sigmoid_embedding:
         for start, stop in ranges:
-            _sigmoid_embedding_rows(indptr, indices, X_arr, Y, Z, start, stop, w0)
+            _sigmoid_embedding_rows(indptr, indices, X, Y, Z, start, stop, w0)
     elif _is_tdist_fr(resolved):
         for start, stop in ranges:
-            _fr_layout_rows(indptr, indices, X_arr, Y, Z, start, stop, w0)
+            _fr_layout_rows(indptr, indices, X, Y, Z, start, stop, w0)
     else:
         codes = _pattern_codes(resolved)
         for start, stop in ranges:
-            _pipeline_rows(
-                indptr, indices, data, X_arr, Y, Z, start, stop, w0, *codes
-            )
+            _pipeline_rows(indptr, indices, data, X, Y, Z, start, stop, w0, *codes)
     return Z
 
 
 def get_jit_kernel(pattern: ResolvedPattern | OpPattern | str) -> Callable:
     """A plan-cacheable kernel callable bound to one resolved pattern.
 
-    Matches the specialized-kernel calling convention used by
-    :class:`repro.runtime.plan.KernelPlan`; raises
+    Matches the specialized-kernel calling convention that
+    :func:`repro.core.fused.resolve_backend` adapts; raises
     :class:`~repro.errors.BackendError` for unsupported patterns.
     """
     if isinstance(pattern, ResolvedPattern):

@@ -49,6 +49,7 @@ __all__ = [
     "fusedmm_rowblocked",
     "fusedmm_edgeblocked",
     "fusedmm_optimized",
+    "auto_strategy",
 ]
 
 
@@ -305,6 +306,13 @@ def fusedmm_edgeblocked(
 # ---------------------------------------------------------------------- #
 # Strategy dispatcher
 # ---------------------------------------------------------------------- #
+def auto_strategy(A) -> str:
+    """The data-dependent row/edge choice of ``strategy="auto"``: edge
+    blocking below an average degree of 32, where per-row vectorization is
+    too short to pay off."""
+    return "row" if A.avg_degree() >= 32 else "edge"
+
+
 def fusedmm_optimized(
     A,
     X,
@@ -327,10 +335,10 @@ def fusedmm_optimized(
     Parameters
     ----------
     strategy:
-        ``"row"``, ``"edge"`` or ``"auto"`` (pick edge-blocking when the
-        average degree is below 32 — short rows make per-row vectorization
-        ineffective, mirroring the paper's observation that dense graphs
-        amortise memory latency better).
+        ``"row"``, ``"edge"`` or ``"auto"`` (:func:`auto_strategy`: pick
+        edge-blocking when the average degree is below 32 — short rows make
+        per-row vectorization ineffective, mirroring the paper's
+        observation that dense graphs amortise memory latency better).
     block_size:
         Edge-block size for the edge-blocked kernel; ``None`` uses
         :data:`DEFAULT_BLOCK_SIZE` (the autotuner may override it).
@@ -339,7 +347,7 @@ def fusedmm_optimized(
     if strategy not in {"auto", "row", "edge"}:
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == "auto":
-        strategy = "row" if A_csr.avg_degree() >= 32 else "edge"
+        strategy = auto_strategy(A_csr)
     if strategy == "row":
         return fusedmm_rowblocked(
             A_csr,

@@ -4,11 +4,10 @@ A :class:`KernelPlan` is everything about a FusedMM call that does *not*
 depend on the feature matrices:
 
 * the resolved operator pattern (Table III row or user overrides),
-* the chosen backend kind and concrete kernel callable (the same
-  specialized → generated → optimized → generic resolution order as
-  :func:`repro.core.fused.fusedmm`),
-* the effective blocking strategy and edge-block size (autotuned once when
-  requested),
+* the backend kind and kernel callable, chosen by the one resolver
+  (:func:`repro.core.fused.plan_kernel`, the same call :func:`fusedmm`
+  and :class:`FusedMM` make), together with the blocking strategy and
+  edge-block size (autotuned once when requested),
 * the nnz-balanced row partitioning of the bound adjacency,
 * the **locality tier** (``reorder=``): a vertex permutation of the bound
   adjacency (:mod:`repro.sparse.reorder`) plus pre-compacted cache-blocked
@@ -42,22 +41,16 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import jit as jit_backend
 from ..core.autotune import (
     ReorderTuning,
     TuningResult,
-    autotune,
     autotune_reorder,
     cached_reorder_tuning,
 )
-from ..core.codegen import compile_kernel, supports_pattern
-from ..core.fused import BACKENDS
-from ..core.generic import fusedmm_generic
-from ..core.optimized import DEFAULT_BLOCK_SIZE, fusedmm_optimized
+from ..core.fused import plan_kernel, resolve_backend
+from ..core.optimized import DEFAULT_BLOCK_SIZE, auto_strategy
 from ..core.partition import RowPartition, part1d
 from ..core.patterns import OpPattern, ResolvedPattern
-from ..core.specialized import get_specialized_kernel, spmm_kernel
-from ..errors import BackendError
 from ..sparse import CSRMatrix, as_csr
 from ..sparse.reorder import (
     REORDER_STRATEGIES,
@@ -112,7 +105,7 @@ class KernelPlan:
     resolved: ResolvedPattern
     #: "jit" | "specialized" | "generated" | "optimized" | "generic"
     kind: str
-    #: requested backend ("auto" keeps the generic fallback of fusedmm())
+    #: requested backend (one of :data:`repro.core.fused.BACKENDS`)
     backend: str
     block_size: int
     strategy: str
@@ -125,7 +118,7 @@ class KernelPlan:
     #: number of split tasks the runtime schedules for this job
     nsplit: int = 1
     tuning: Optional[TuningResult] = None
-    #: concrete kernel callable for specialized/generated kinds
+    #: the resolved kernel (:func:`repro.core.fused.resolve_backend`)
     kernel: Optional[Callable] = None
     #: resolved locality strategy ("none" keeps the legacy bitwise path)
     reorder: str = "none"
@@ -152,11 +145,6 @@ class KernelPlan:
         """Whether the plan's kernel accepts an explicit partition list
         (everything except the pure-Python reference backend does)."""
         return self.kind != "generic"
-
-    @property
-    def is_spmm_like(self) -> bool:
-        """Whether the pattern ignores X (pure A·Y aggregation)."""
-        return self.resolved.is_spmm_like
 
     def retained_bytes(self) -> int:
         """Bytes this plan pins beyond bookkeeping.
@@ -349,81 +337,24 @@ class KernelPlan:
         out: Optional[np.ndarray] = None,
         row_offset: int = 0,
     ) -> np.ndarray:
-        """Direct dispatch of the resolved kernel (no reorder handling).
+        """The resolved kernel with the plan's blocking (no reorder handling).
 
         Does not touch the ``calls`` counter — :meth:`execute` counts one
         per planned execution, while this method also runs once per panel
         on the reordered path and for build-time sweep trials.
         """
-        nt = self.num_threads if num_threads is None else num_threads
-        bs = self.block_size if block_size is None else block_size
-
-        if self.kind == "generic":
-            return fusedmm_generic(
-                A, X, Y, pattern=self.op_pattern, out=out, row_offset=row_offset
-            )
-
-        if self.kind in ("jit", "specialized", "generated"):
-            if X is None:
-                if not self.is_spmm_like:
-                    raise BackendError(
-                        f"pattern {self.resolved.name!r} needs source features X"
-                    )
-                if self.kind == "jit":
-                    return self.kernel(
-                        A,
-                        None,
-                        Y,
-                        block_size=bs,
-                        num_threads=nt,
-                        parts=parts,
-                        pool=pool,
-                        out=out,
-                        row_offset=row_offset,
-                    )
-                return spmm_kernel(
-                    A,
-                    Y,
-                    block_size=bs,
-                    num_threads=nt,
-                    parts=parts,
-                    pool=pool,
-                    out=out,
-                    row_offset=row_offset,
-                )
-            return self.kernel(
-                A,
-                X,
-                Y,
-                block_size=bs,
-                num_threads=nt,
-                parts=parts,
-                pool=pool,
-                out=out,
-                row_offset=row_offset,
-            )
-
-        # optimized (with the same last-resort fallback as fusedmm())
-        try:
-            return fusedmm_optimized(
-                A,
-                X,
-                Y,
-                pattern=self.op_pattern,
-                strategy=self.strategy if strategy is None else strategy,
-                block_size=bs,
-                num_threads=nt,
-                parts=parts,
-                pool=pool,
-                out=out,
-                row_offset=row_offset,
-            )
-        except Exception:
-            if self.backend == "optimized":
-                raise
-            return fusedmm_generic(
-                A, X, Y, pattern=self.op_pattern, out=out, row_offset=row_offset
-            )
+        return self.kernel(
+            A,
+            X,
+            Y,
+            block_size=self.block_size if block_size is None else block_size,
+            num_threads=self.num_threads if num_threads is None else num_threads,
+            strategy=self.strategy if strategy is None else strategy,
+            parts=parts,
+            pool=pool,
+            out=out,
+            row_offset=row_offset,
+        )
 
     # ------------------------------------------------------------------ #
     def describe(self) -> Dict[str, object]:
@@ -473,11 +404,7 @@ def make_config(
     cached per pattern/backend/blocking tuple), but no fingerprint is
     computed and the plan LRU is not churned by throwaway matrices.
     """
-    if backend not in BACKENDS:
-        raise BackendError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    kind, kernel = _resolve_kind(resolved, backend)
+    kind, kernel = resolve_backend(op_pattern, backend)
     key = PlanKey(
         fingerprint="",
         pattern=pattern_key(resolved),
@@ -504,53 +431,11 @@ def make_config(
     )
 
 
-def _auto_strategy(A) -> str:
-    """The data-dependent row/edge choice of ``fusedmm_optimized('auto')``."""
-    return "row" if A.avg_degree() >= 32 else "edge"
-
-
 def effective_strategy(plan: KernelPlan, A) -> str:
     """The blocking strategy a standalone call on ``A`` would pick."""
     if plan.kind == "optimized" and plan.strategy == "auto":
-        return _auto_strategy(A)
+        return auto_strategy(A)
     return plan.strategy
-
-
-def _resolve_kind(resolved: ResolvedPattern, backend: str, *, allow_jit: bool = True):
-    """Mirror the fusedmm() backend resolution order; returns (kind, kernel).
-
-    ``allow_jit=False`` skips the JIT tier for ``auto`` — used when the
-    autotuner measured the NumPy kernels as faster for this problem.
-    """
-    if backend == "generic":
-        return "generic", None
-    if backend == "jit" or (
-        backend == "auto"
-        and allow_jit
-        and jit_backend.jit_available()
-        and jit_backend.jit_supports_pattern(resolved)
-    ):
-        # get_jit_kernel raises BackendError for unsupported explicit "jit";
-        # auto only lands here when the pattern is supported.
-        return "jit", jit_backend.get_jit_kernel(resolved)
-    if backend in ("specialized", "auto"):
-        kernel = get_specialized_kernel(resolved)
-        if kernel is not None:
-            return "specialized", kernel
-        if backend == "specialized":
-            raise BackendError(
-                f"no specialized kernel exists for pattern {resolved.name!r}; "
-                "use backend='optimized' or 'auto'"
-            )
-    if backend in ("generated", "auto"):
-        if supports_pattern(resolved):
-            return "generated", compile_kernel(resolved)
-        if backend == "generated":
-            raise BackendError(
-                f"the code generator has no templates for pattern {resolved.name!r} "
-                f"(ops {resolved.op_names()}); use backend='optimized' or 'auto'"
-            )
-    return "optimized", None
 
 
 def build_plan(
@@ -570,53 +455,16 @@ def build_plan(
     worker threads happen to be available, so results are bitwise identical
     across thread counts.
     """
-    if key.backend not in BACKENDS:
-        raise BackendError(
-            f"unknown backend {key.backend!r}; expected one of {BACKENDS}"
-        )
-    kind, kernel = _resolve_kind(resolved, key.backend)
-
-    block_size = key.block_size or DEFAULT_BLOCK_SIZE
-    strategy = key.strategy
-    if kind == "optimized" and strategy == "auto":
-        # Resolve the data-dependent choice once so packed/split executions
-        # replay the exact same kernel as a standalone call would.
-        strategy = _auto_strategy(A)
-
-    tuning: Optional[TuningResult] = None
-    if key.autotune and kind != "generic":
-        rng = np.random.default_rng(0)
-        d = autotune_dim
-        X = rng.standard_normal((A.nrows, d)).astype(np.float32)
-        Y = (
-            X
-            if A.nrows == A.ncols
-            else rng.standard_normal((A.ncols, d)).astype(np.float32)
-        )
-        tuning = autotune(
-            A,
-            X,
-            Y,
-            pattern=op_pattern,
-            num_threads=key.num_threads,
-            # The jit candidate only competes when the requested backend
-            # allows the tier; a forced optimized/specialized/generated
-            # backend keeps the classic row/edge sweep.
-            strategies=None if key.backend in ("auto", "jit") else ("row", "edge"),
-        )
-        if tuning.strategy == "jit":
-            kind, kernel = "jit", jit_backend.get_jit_kernel(resolved)
-            strategy = "auto"
-        else:
-            if kind == "jit" and key.backend == "auto":
-                # The NumPy kernels measured faster: demote auto's jit
-                # preference for this plan (explicit backend="jit" is
-                # honoured regardless of the sweep).
-                kind, kernel = _resolve_kind(resolved, "auto", allow_jit=False)
-            strategy = tuning.strategy
-        if key.block_size == 0:
-            block_size = tuning.block_size
-
+    choice = plan_kernel(
+        A,
+        op_pattern,
+        key.backend,
+        strategy=key.strategy,
+        block_size=key.block_size,
+        num_threads=key.num_threads,
+        autotune=key.autotune,
+        autotune_dim=autotune_dim,
+    )
     nsplit = max(1, min(max_split, math.ceil(A.nnz / max(split_nnz, 1))))
     partitions = part1d(A, nsplit)
 
@@ -624,17 +472,17 @@ def build_plan(
         key=key,
         op_pattern=op_pattern,
         resolved=resolved,
-        kind=kind,
+        kind=choice.kind,
         backend=key.backend,
-        block_size=block_size,
-        strategy=strategy,
+        block_size=choice.block_size,
+        strategy=choice.strategy,
         num_threads=key.num_threads,
         nnz=A.nnz,
         shape=A.shape,
         partitions=partitions,
         nsplit=nsplit,
-        tuning=tuning,
-        kernel=kernel,
+        tuning=choice.tuning,
+        kernel=choice.kernel,
     )
     _apply_reorder(plan, A, key, autotune_dim=autotune_dim, nsplit=nsplit)
     return plan

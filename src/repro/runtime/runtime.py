@@ -911,22 +911,14 @@ class KernelRuntime:
         anything else is resolved inline.
         """
         overrides = dict(req.overrides)
-        if not isinstance(req.pattern, str) or overrides:
-            op_pattern = get_pattern(req.pattern, **overrides)
-            return make_config(
-                op_pattern,
-                op_pattern.resolved(),
-                backend=req.backend,
-                block_size=req.block_size,
-                strategy=req.strategy,
-                num_threads=self.num_threads,
-            )
+        cacheable = isinstance(req.pattern, str) and not overrides
         key = (req.pattern, req.backend, req.block_size or 0, req.strategy)
-        with self._configs_lock:
-            cfg = self._configs.get(key)
-        if cfg is not None:
-            return cfg
-        op_pattern = get_pattern(req.pattern)
+        if cacheable:
+            with self._configs_lock:
+                cfg = self._configs.get(key)
+            if cfg is not None:
+                return cfg
+        op_pattern = get_pattern(req.pattern, **overrides)
         cfg = make_config(
             op_pattern,
             op_pattern.resolved(),
@@ -935,6 +927,8 @@ class KernelRuntime:
             strategy=req.strategy,
             num_threads=self.num_threads,
         )
+        if not cacheable:
+            return cfg
         with self._configs_lock:
             self._configs[key] = cfg
         return cfg

@@ -316,3 +316,16 @@ def test_verse_requires_square_adjacency():
     A = random_csr(10, 20, density=0.2, seed=0)
     with pytest.raises(ShapeError):
         Verse(Graph(A))
+
+
+@pytest.mark.parametrize("kernel_backend", ["optimized", "generic"])
+@pytest.mark.parametrize("app", [Force2Vec, Verse])
+def test_embedding_epoch_runs_on_numpy_backends(community_graph, app, kernel_backend):
+    """Both apps aggregate with ``X=None`` (plain SpMM); every kernel
+    backend must accept that, not only jit/specialized/generated."""
+    config_cls = Force2VecConfig if app is Force2Vec else VerseConfig
+    cfg = config_cls(dim=8, batch_size=64, seed=0, kernel_backend=kernel_backend)
+    model = app(community_graph, cfg)
+    model.train_epoch()
+    model._runtime.close()
+    assert np.isfinite(model.embeddings).all()

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import FusedMM, fusedmm
+from repro import FusedMM, KernelRuntime, fusedmm
 from repro.core import BACKENDS
-from repro.core.fused import _Plan  # noqa: F401 - ensure private import works
 from repro.errors import BackendError
 from repro.sparse import random_csr
 from _helpers import make_xy
@@ -140,3 +139,48 @@ def test_fusedmm_class_unknown_backend(problem):
 def test_fusedmm_class_repr(problem):
     A, _, _ = problem
     assert "FusedMM" in repr(FusedMM(A))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_missing_x_on_every_backend(problem, backend):
+    """Spmm-like patterns never read X: ``X=None`` is bitwise the same call
+    with an explicit X; any other pattern needs X on every backend."""
+    A, X, Y = problem
+    with KernelRuntime(num_threads=1) as rt:
+        for pattern in ("gcn", "spmm"):
+            ref = fusedmm(A, X, Y, pattern=pattern, backend=backend)
+            Z = fusedmm(A, None, Y, pattern=pattern, backend=backend)
+            assert np.array_equal(Z, ref)
+            Z = rt.run(A, None, Y, pattern=pattern, backend=backend)
+            assert np.array_equal(Z, ref)
+        for pattern in ("sigmoid_embedding", "fr_layout"):
+            with pytest.raises(BackendError):
+                fusedmm(A, None, Y, pattern=pattern, backend=backend)
+            with pytest.raises(BackendError):
+                rt.run(A, None, Y, pattern=pattern, backend=backend)
+
+
+def test_autotune_demotes_jit_like_the_runtime(problem, monkeypatch):
+    """With numba reported importable, a sweep that measures a NumPy
+    strategy fastest demotes auto's jit preference for FusedMM exactly as
+    for a runtime plan (the jit kernels run interpreted here)."""
+    import repro.core.jit as jitmod
+    from repro.core.autotune import clear_tuning_cache
+
+    A, X, Y = problem
+    monkeypatch.setattr(jitmod, "jit_available", lambda: True)
+    clear_tuning_cache()
+    try:
+        kernel = FusedMM(A, pattern="sigmoid_embedding", autotune=True, autotune_dim=8)
+        with KernelRuntime(num_threads=1, autotune_dim=8) as rt:
+            plan = rt.plan(A, pattern="sigmoid_embedding", autotune=True)
+        assert "jit" in {s for s, _ in kernel.plan.tuning.trials}
+        assert kernel.plan.kind == plan.kind
+        assert kernel.plan.strategy == plan.strategy
+        assert kernel.plan.block_size == plan.block_size
+        if kernel.plan.tuning.strategy != "jit":
+            assert kernel.plan.kind == "specialized"
+            assert kernel.plan.strategy == kernel.plan.tuning.strategy
+        assert np.array_equal(kernel(X, Y), plan.execute(A, X, Y, num_threads=1))
+    finally:
+        clear_tuning_cache()

@@ -266,13 +266,13 @@ def test_warmup_without_numba_is_a_noop():
 # ---------------------------------------------------------------------- #
 def test_auto_falls_back_when_numba_unavailable(problem, monkeypatch):
     import repro.core.jit as jitmod
-    from repro.runtime.plan import _resolve_kind
+    from repro.core.fused import resolve_backend
 
     A, X, Y = problem
     monkeypatch.setattr(jitmod, "NUMBA_AVAILABLE", False)
     assert jitmod.jit_available() is False
     resolved = get_pattern("sigmoid_embedding").resolved()
-    kind, kernel = _resolve_kind(resolved, "auto")
+    kind, kernel = resolve_backend(resolved.name, "auto")
     assert kind == "specialized"
     # auto fusedmm works and matches the reference
     ref = fusedmm_generic(A, X, Y, pattern="sigmoid_embedding")
@@ -280,7 +280,7 @@ def test_auto_falls_back_when_numba_unavailable(problem, monkeypatch):
     # explicit jit still computes (interpreted) — the surface never vanishes
     assert np.allclose(fusedmm(A, X, Y, backend="jit"), ref, atol=ATOL)
     # and explicit jit plans still resolve
-    kind, kernel = _resolve_kind(resolved, "jit")
+    kind, kernel = resolve_backend(resolved.name, "jit")
     assert kind == "jit"
 
 

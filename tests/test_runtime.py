@@ -14,7 +14,8 @@ Covers the contracts the runtime advertises:
 import numpy as np
 import pytest
 
-from repro.core.fused import fusedmm
+from repro.core.fused import FusedMM, fusedmm
+from repro.core.patterns import list_patterns
 from repro.errors import BackendError, ShapeError
 from repro.graphs import random_features
 from repro.runtime import (
@@ -152,13 +153,25 @@ def test_run_bitwise_equals_fusedmm(pattern, small_problem):
     assert np.array_equal(rt.run(A, X, Y, pattern=pattern), ref)
 
 
-@pytest.mark.parametrize("backend", ["generic", "optimized", "specialized", "generated"])
+@pytest.mark.parametrize(
+    "backend", ["generic", "optimized", "specialized", "generated", "auto", "jit"]
+)
 def test_run_honours_backend(backend, small_problem):
+    """fusedmm ≡ FusedMM ≡ KernelRuntime.run, bitwise, for every registered
+    pattern the backend supports (and the same BackendError otherwise)."""
     A, X, Y = small_problem
     rt = KernelRuntime(num_threads=1)
-    ref = fusedmm(A, X, Y, pattern="sigmoid_embedding", backend=backend, num_threads=1)
-    Z = rt.run(A, X, Y, pattern="sigmoid_embedding", backend=backend)
-    assert np.allclose(Z, ref, atol=1e-6)
+    for pattern in list_patterns():
+        try:
+            ref = fusedmm(A, X, Y, pattern=pattern, backend=backend, num_threads=1)
+        except BackendError:
+            with pytest.raises(BackendError):
+                rt.run(A, X, Y, pattern=pattern, backend=backend)
+            continue
+        Z = rt.run(A, X, Y, pattern=pattern, backend=backend)
+        assert np.array_equal(Z, ref), pattern
+        Z = FusedMM(A, pattern=pattern, backend=backend)(X, Y)
+        assert np.array_equal(Z, ref), pattern
 
 
 def test_unknown_backend_rejected(small_problem):
