@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import InspectorExecutorSpMM, scipy_available
+from repro.baselines import InspectorExecutorSpMM
 from repro.core import spmm_kernel
 from repro.graphs import random_features
 
@@ -28,8 +28,6 @@ def bench_table7_fusedmm_spmm_youtube(benchmark, youtube_graph, d):
 @pytest.mark.parametrize("d", DIMS)
 def bench_table7_vendor_spmm_youtube(benchmark, youtube_graph, d):
     """Vendor (SciPy-compiled) SpMM on the Youtube twin."""
-    if not scipy_available():  # pragma: no cover - scipy present in CI
-        pytest.skip("SciPy unavailable")
     A = youtube_graph.adjacency
     Y = random_features(A.ncols, d, seed=1)
     handle = InspectorExecutorSpMM(A)
@@ -49,8 +47,6 @@ def bench_table7_fusedmm_spmm_ogbprot(benchmark, ogbprot_graph, d):
 @pytest.mark.parametrize("d", [128])
 def bench_table7_vendor_spmm_ogbprot(benchmark, ogbprot_graph, d):
     """Vendor (SciPy-compiled) SpMM on the dense Ogbprot twin."""
-    if not scipy_available():  # pragma: no cover
-        pytest.skip("SciPy unavailable")
     A = ogbprot_graph.adjacency
     Y = random_features(A.ncols, d, seed=1)
     handle = InspectorExecutorSpMM(A)

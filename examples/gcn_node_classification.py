@@ -21,7 +21,6 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.apps import GCN, GCNConfig
-from repro.baselines import scipy_available
 from repro.bench import format_table
 from repro.graphs import load_dataset, one_hot_labels
 
@@ -48,7 +47,7 @@ def main() -> None:
     features = features + 0.05 * rng.standard_normal(features.shape).astype(np.float32)
     graph = graph.with_features(features.astype(np.float32))
 
-    backends = ["fused", "unfused"] + (["vendor"] if scipy_available() else [])
+    backends = ["fused", "unfused", "vendor"]
     rows = []
     for backend in backends:
         gcn = GCN(

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..baselines.mkl_like import scipy_available, vendor_spmm
+from ..baselines.mkl_like import vendor_spmm
 from ..baselines.unfused import unfused_fusedmm
 from ..errors import BackendError, ShapeError
 from ..runtime import KernelRuntime, RuntimeOptions
@@ -152,8 +152,6 @@ class GCN:
             X_dummy = np.zeros((self.A_hat.nrows, M32.shape[1]), dtype=np.float32)
             out = unfused_fusedmm(self.A_hat, X_dummy, M32, pattern="gcn")
         elif backend == "vendor":
-            if not scipy_available():  # pragma: no cover - scipy present in CI
-                raise BackendError("vendor backend requires SciPy")
             out = vendor_spmm(self.A_hat, M32)
         else:  # pragma: no cover
             raise BackendError(f"unknown backend {backend!r}")

@@ -10,7 +10,7 @@
 """
 
 from .dense import dense_fusedmm, dense_sigmoid_embedding, dense_spmm
-from .mkl_like import InspectorExecutorSpMM, scipy_available, vendor_spmm
+from .mkl_like import InspectorExecutorSpMM, vendor_spmm
 from .sddmm import SDDMMResult, sddmm
 from .spmm import gspmm
 from .unfused import (
@@ -33,5 +33,4 @@ __all__ = [
     "dense_spmm",
     "vendor_spmm",
     "InspectorExecutorSpMM",
-    "scipy_available",
 ]

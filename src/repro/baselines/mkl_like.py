@@ -18,30 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import BackendError
 from ..sparse import CSRMatrix, as_csr
 
-__all__ = ["scipy_available", "vendor_spmm", "InspectorExecutorSpMM"]
-
-
-def scipy_available() -> bool:
-    """Whether SciPy (the vendor-SpMM stand-in) can be imported."""
-    try:
-        import scipy.sparse  # noqa: F401
-
-        return True
-    except ImportError:  # pragma: no cover - scipy is present in CI
-        return False
+__all__ = ["vendor_spmm", "InspectorExecutorSpMM"]
 
 
 def vendor_spmm(A, Y: np.ndarray) -> np.ndarray:
-    """One-shot vendor SpMM: ``Z = A @ Y`` through SciPy's compiled kernel.
-
-    Raises :class:`~repro.errors.BackendError` when SciPy is unavailable so
-    callers can skip the comparison rather than crash.
-    """
-    if not scipy_available():
-        raise BackendError("SciPy is not available; the vendor SpMM baseline cannot run")
+    """One-shot vendor SpMM: ``Z = A @ Y`` through SciPy's compiled kernel."""
     A = as_csr(A)
     Y = np.ascontiguousarray(Y)
     if Y.ndim != 2 or Y.shape[0] != A.ncols:
@@ -66,10 +49,6 @@ class InspectorExecutorSpMM:
     """
 
     def __init__(self, A) -> None:
-        if not scipy_available():
-            raise BackendError(
-                "SciPy is not available; the vendor SpMM baseline cannot run"
-            )
         self.A: CSRMatrix = as_csr(A)
         # Inspection: build the compiled-library representation once and
         # pre-sort indices (what mkl_sparse_optimize would do).

@@ -9,12 +9,16 @@ aggregate the messages on the target vertices,
 with user-defined multiply (``MOP``) and accumulate (``AOP``) operators.
 The messages are *read back* from H — this second pass over an
 ``O(d · nnz)`` array is the memory-traffic cost the fused kernel removes.
+The aggregation itself is the fused kernels' edge-block driver and segment
+sum (:func:`~repro.core.optimized.run_edge_blocks`), so a fused/unfused
+comparison measures fusion, not two different summation routines.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..core.optimized import run_edge_blocks
 from ..core.patterns import OpPattern, ResolvedPattern, get_pattern
 from .sddmm import SDDMMResult
 
@@ -45,42 +49,11 @@ def gspmm(
         are used here.
     """
     resolved: ResolvedPattern = get_pattern(pattern, **pattern_overrides).resolved()
-    mop, aop = resolved.mop, resolved.aop
-    A = H.A
-    Y = np.ascontiguousarray(Y)
-    if Y.shape[0] != A.ncols:
-        raise ValueError(f"Y must have {A.ncols} rows, got {Y.shape[0]}")
-    d = Y.shape[1]
-    m = A.nrows
-    use_sum = aop.name == "ASUM"
-    identity = aop.accumulator_identity
-    Z = np.zeros((m, d), dtype=np.float64) if use_sum else np.full((m, d), identity, np.float64)
-    edge_rows = np.repeat(np.arange(m, dtype=np.int64), A.row_degrees())
+    mop = resolved.mop
     messages = H.messages
 
-    for e0 in range(0, A.nnz, block_size):
-        e1 = min(e0 + block_size, A.nnz)
-        src = edge_rows[e0:e1]
-        dst = A.indices[e0:e1]
-        vals = A.data[e0:e1]
-        Yd = Y[dst]
-        Hb = messages[e0:e1]
-        M = Hb if mop.is_noop else mop.batch_fn(Hb, Yd, vals, None)
-        M = np.atleast_1d(M)
-        if M.ndim == 1:
-            M = M[:, None]
-        change = np.flatnonzero(np.diff(src)) + 1
-        starts = np.concatenate(([0], change))
-        seg_rows = src[starts]
-        if use_sum:
-            Z[seg_rows] += np.add.reduceat(M, starts, axis=0)
-        else:
-            ufunc = aop.accumulate_ufunc
-            seg = ufunc.reduceat(M, starts, axis=0)
-            Z[seg_rows] = ufunc(Z[seg_rows], seg)
+    def body(X, Y, src, dst, vals, edges):
+        Hb = messages[edges]
+        return Hb if mop.is_noop else mop.batch_fn(Hb, np.take(Y, dst, axis=0), vals, None)
 
-    if not use_sum:
-        empty = A.row_degrees() == 0
-        if np.any(empty):
-            Z[empty] = 0.0
-    return Z.astype(Y.dtype if np.issubdtype(Y.dtype, np.floating) else np.float32)
+    return run_edge_blocks(H.A, None, Y, body, aop=resolved.aop, block_size=block_size)

@@ -7,13 +7,17 @@ unrolling is produced, compiled, and selected by the autotuner.
 
 The Python analogue generates *NumPy source code* specialized for one
 operator pattern: the five steps are inlined as concrete array expressions
-(with the VOP+ROP dot-product fusion applied when possible), the blocking
-strategy (row- vs edge-blocked) is fixed at generation time, and the
-resulting source is compiled with :func:`compile`/``exec`` and cached.
-Generated kernels remove all per-step operator dispatch — the same benefit
-the paper gets from pattern-specialized C kernels — and the generated
-source can be inspected (:func:`generate_kernel_source`) for debugging or
-curiosity, exactly like the generated ``.c`` files of the original library.
+(with the VOP+ROP dot-product fusion applied when possible) into the body
+of one edge block, and the source is compiled with :func:`compile`/``exec``
+and cached.  The emitted source is that block body alone: the edge-block
+loop, the output window and the left-to-right segment sum come from
+:func:`~repro.core.optimized.run_edge_blocks`, as for every other
+edge-blocked backend.  Generated kernels remove all per-step operator
+dispatch — the same benefit the paper gets from pattern-specialized C
+kernels — and the generated source can be inspected
+(:func:`generate_kernel_source`, or ``.source`` on a compiled kernel) for
+debugging or curiosity, exactly like the generated ``.c`` files of the
+original library.
 
 Only *registered standard* operators can be inlined; patterns containing
 user-defined operators fall back to the general optimized kernel (the
@@ -29,13 +33,7 @@ import numpy as np
 
 from ..errors import CodegenError
 from .mathops import sigmoid
-from .optimized import (
-    DEFAULT_BLOCK_SIZE,
-    _alloc_accumulator,
-    _finalize_output,
-    _window_parts,
-)
-from .parallel import ParallelConfig, run_partitioned
+from .optimized import run_edge_blocks
 from .patterns import ResolvedPattern
 
 __all__ = [
@@ -118,9 +116,6 @@ _MOP_EXPR: Dict[Tuple[str, bool], str] = {
 
 _AOP_SUPPORTED = {"ASUM", "AMAX", "AMIN"}
 
-_AOP_UFUNC = {"ASUM": "np.add", "AMAX": "np.maximum", "AMIN": "np.minimum"}
-_AOP_IDENTITY = {"ASUM": "0.0", "AMAX": "-np.inf", "AMIN": "np.inf"}
-
 
 def supports_pattern(pattern: ResolvedPattern) -> bool:
     """Whether the generator can emit source for this pattern (all five
@@ -139,38 +134,25 @@ def supports_pattern(pattern: ResolvedPattern) -> bool:
 # ---------------------------------------------------------------------- #
 # Source generation
 # ---------------------------------------------------------------------- #
-_KERNEL_TEMPLATE = '''\
-def _generated_block_kernel(indptr, indices, data, edge_rows, X, Y, z_slice,
-                            part_start, edge_lo, edge_hi, block_size):
-    """Auto-generated FusedMM block kernel for pattern {pattern_name!r}.
+_BODY_TEMPLATE = '''\
+def _generated_block_kernel(X, Y, src, dst, vals, edges):
+    """Auto-generated FusedMM block body for pattern {pattern_name!r}.
 
     Steps inlined:
       VOP = {vop}, ROP = {rop}, SOP = {sop}, MOP = {mop}, AOP = {aop}
     """
-    e0 = edge_lo
-    while e0 < edge_hi:
-        # Blocks align to the absolute edge grid so any row partitioning
-        # chunks a row's edges identically (thread-count determinism).
-        e1 = min((e0 // block_size + 1) * block_size, edge_hi)
-        src = edge_rows[e0:e1]
-        dst = indices[e0:e1]
-        vals = data[e0:e1]
-        Xs = X[src]
-        Yd = Y[dst]
 {body}
-        change = np.flatnonzero(np.diff(src)) + 1
-        starts = np.concatenate(([0], change))
-        seg_rows = src[starts] - part_start
-{accumulate}
-        e0 = e1
+    return M
 '''
 
 
 def generate_kernel_source(pattern: ResolvedPattern) -> str:
-    """Emit the Python source of a block kernel specialized for ``pattern``.
+    """Emit the Python source of the block body specialized for ``pattern``.
 
-    Raises :class:`~repro.errors.CodegenError` when the pattern contains an
-    operator without an expression template.
+    The body maps one edge block to its messages ``M``;
+    :func:`~repro.core.optimized.run_edge_blocks` supplies the block loop
+    and the aggregation.  Raises :class:`~repro.errors.CodegenError` when
+    the pattern contains an operator without an expression template.
     """
     if not supports_pattern(pattern):
         raise CodegenError(
@@ -193,30 +175,13 @@ def generate_kernel_source(pattern: ResolvedPattern) -> str:
     sop_expr = _SOP_EXPR[names["sop"]]
     lines.append(f"H = {sop_expr}")
     lines.append(f"M = {mop_expr}")
-    body = textwrap.indent("\n".join(lines), " " * 8)
+    gathers = ["Xs = np.take(X, src, axis=0)", "Yd = np.take(Y, dst, axis=0)"]
+    body = textwrap.indent("\n".join(gathers + lines), " " * 4)
 
-    aop = names["aop"]
-    if aop == "ASUM":
-        accumulate = textwrap.indent(
-            "z_slice[seg_rows] += np.add.reduceat(M, starts, axis=0)", " " * 8
-        )
-    else:
-        ufunc = _AOP_UFUNC[aop]
-        accumulate = textwrap.indent(
-            f"seg = {ufunc}.reduceat(M, starts, axis=0)\n"
-            f"z_slice[seg_rows] = {ufunc}(z_slice[seg_rows], seg)",
-            " " * 8,
-        )
-
-    return _KERNEL_TEMPLATE.format(
+    return _BODY_TEMPLATE.format(
         pattern_name=pattern.name,
-        vop=names["vop"],
-        rop=names["rop"],
-        sop=names["sop"],
-        mop=names["mop"],
-        aop=names["aop"],
         body=body,
-        accumulate=accumulate,
+        **names,
     )
 
 
@@ -244,9 +209,9 @@ def kernel_cache_info() -> Dict[str, int]:
 def compile_kernel(pattern: ResolvedPattern) -> Callable:
     """Compile (or fetch from cache) the generated kernel for ``pattern``.
 
-    Returns a function with the signature
-
-    ``kernel(A, X, Y, *, block_size=..., num_threads=..., parts_per_thread=...) -> Z``
+    Returns ``kernel(A, X, Y, **blocking) -> Z``: the generated block body
+    run by :func:`~repro.core.optimized.run_edge_blocks`, whose keywords
+    (``block_size``, ``num_threads``, ``parts``, ``out``, …) it takes.
     """
     key = _cache_key(pattern)
     if key in _KERNEL_CACHE:
@@ -259,66 +224,10 @@ def compile_kernel(pattern: ResolvedPattern) -> Callable:
         exec(code, namespace)  # noqa: S102 - deliberate, this is the code generator
     except SyntaxError as exc:  # pragma: no cover - template bug guard
         raise CodegenError(f"generated source failed to compile: {exc}\n{source}") from exc
-    block_kernel = namespace["_generated_block_kernel"]
+    body = namespace["_generated_block_kernel"]
 
-    aop_name = pattern.op_names()["aop"]
-    identity = {"ASUM": 0.0, "AMAX": -np.inf, "AMIN": np.inf}[aop_name]
-
-    def generated_fusedmm(
-        A,
-        X,
-        Y=None,
-        *,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        num_threads: int = 1,
-        parts_per_thread: int = 1,
-        parts=None,
-        pool=None,
-        out=None,
-        row_offset: int = 0,
-    ) -> np.ndarray:
-        from .validation import resolve_out_window, validate_operands
-
-        A_csr, X_arr, Y_arr = validate_operands(A, X, Y)
-        m, d = X_arr.shape
-        w0, w1 = resolve_out_window(out, row_offset, m, d)
-        parts = _window_parts(
-            A_csr,
-            w0,
-            w1,
-            parts,
-            ParallelConfig(num_threads, parts_per_thread).num_parts,
-        )
-        Z = _alloc_accumulator(
-            out, w0, w1, d, 0.0 if aop_name == "ASUM" else identity
-        )
-        indptr, indices, data = A_csr.indptr, A_csr.indices, A_csr.data
-        edge_rows = np.repeat(np.arange(m, dtype=np.int64), A_csr.row_degrees())
-
-        def run(part, z_slice):
-            block_kernel(
-                indptr,
-                indices,
-                data,
-                edge_rows,
-                X_arr,
-                Y_arr,
-                z_slice,
-                part.start,
-                int(indptr[part.start]),
-                int(indptr[part.stop]),
-                block_size,
-            )
-
-        run_partitioned(
-            A_csr, Z, run, config=ParallelConfig(num_threads, parts_per_thread),
-            parts=parts, pool=pool, row_offset=w0,
-        )
-        if aop_name != "ASUM":
-            empty = A_csr.row_degrees()[w0:w1] == 0
-            if np.any(empty):
-                Z[empty] = 0.0
-        return _finalize_output(Z, out, X_arr.dtype)
+    def generated_fusedmm(A, X, Y=None, **blocking) -> np.ndarray:
+        return run_edge_blocks(A, X, Y, body, aop=pattern.aop, **blocking)
 
     generated_fusedmm.__name__ = f"fusedmm_generated_{pattern.name}"
     generated_fusedmm.source = source  # type: ignore[attr-defined]

@@ -32,6 +32,7 @@ import numpy as np
 
 from ..errors import ShapeError
 from ..sparse import CSRMatrix, as_csr
+from .optimized import segment_sum
 from .specialized import spmm_kernel
 
 __all__ = ["edge_softmax", "attention_scores", "attention_aggregate", "sage_mean_aggregate"]
@@ -79,13 +80,13 @@ def edge_softmax(A, scores: np.ndarray) -> np.ndarray:
     indptr = A.indptr
     degrees = A.row_degrees()
     # Row-wise numerically-stable softmax over the CSR segments: the edges
-    # of one row are contiguous, so reduceat on the segment starts gives the
-    # per-row max and sum directly.
+    # of one row are contiguous, so the non-empty rows' starts delimit the
+    # segments of the per-row max and (left-to-right) sum.
     starts = indptr[:-1][degrees > 0]
     seg_id = np.cumsum(np.isin(np.arange(A.nnz), starts)) - 1
     row_max = np.maximum.reduceat(scores, starts)
     exp = np.exp(scores - row_max[seg_id])
-    row_sum = np.add.reduceat(exp, starts)
+    row_sum = segment_sum(np.append(starts, A.nnz), exp[:, None])[:, 0]
     out = exp / row_sum[seg_id]
     return out.astype(np.float32)
 

@@ -141,6 +141,10 @@ def resolve_backend(
         out: Optional[np.ndarray] = None,
         row_offset: int = 0,
     ) -> np.ndarray:
+        # Checked here, ahead of every kind, so a bad size fails the same
+        # way on all backends (None and 0 mean the default).
+        if block_size is not None and block_size < 0:
+            raise ValueError(f"block_size must be positive, got {block_size}")
         if X is None:
             X = _zero_sources(A, Y, resolved)
         if kind == "generic":

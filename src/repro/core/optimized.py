@@ -16,15 +16,28 @@ three ideas is *blocking*:
 * **Edge-blocked kernel** (:func:`fusedmm_edgeblocked`): edges are processed
   in fixed-size blocks; for each block the source and destination features
   are gathered, the five steps run vectorized over the block, and the block
-  results are segment-reduced into ``Z`` using the CSR ordering (edges of
-  the same row are contiguous, so ``np.ufunc.reduceat`` on the row-change
-  boundaries does the aggregation without materialising anything larger
-  than the block).  The intermediate footprint is ``O(block_size × d)``
-  **independent of nnz** — this is what preserves the paper's memory-
+  results are segment-summed into ``Z``.  The intermediate footprint is
+  ``O(block_size × d)`` **independent of nnz** — this is what preserves the
+  paper's memory-advantage claim (Fig. 10b) relative to the unfused
+  baselines, which hold the full ``nnz × d`` message matrix H.  Best for
+  low-degree graphs (Youtube, Amazon, Pubmed) where per-row vectorization
+  is too short.
 
-  advantage claim (Fig. 10b) relative to the unfused baselines, which hold
-  the full ``nnz × d`` message matrix H.  Best for low-degree graphs
-  (Youtube, Amazon, Pubmed) where per-row vectorization is too short.
+Every edge-blocked backend (this module, :mod:`repro.core.specialized`,
+:mod:`repro.core.codegen` and the unfused baseline's
+:func:`~repro.baselines.spmm.gspmm`) runs through one driver,
+:func:`run_edge_blocks`.  It owns validation, the output window, the
+absolute edge grid and the reduction; a backend supplies only the block
+body, which maps a block's edges to their messages.
+
+**Summation order.**  Within each edge block, a row's partial sum
+accumulates left to right in CSR edge order, in the message dtype, and is
+then added into the float64 ``Z`` (:func:`segment_order`,
+:func:`segment_sum`).  The driver hands the body a block's edges already
+in the order the sum reads them, so the messages are never gathered a
+second time.  ``max``/``min`` aggregations use ``ufunc.reduceat``, which
+is exact in any order.  The row-blocked kernel (``strategy="row"``) is
+outside this contract: its per-row ``M.sum(axis=0)`` is left to NumPy.
 
 Both kernels accept any operator pattern via the registry's batched
 callables, run over 1-D nnz-balanced partitions, and are property-tested
@@ -34,15 +47,17 @@ against the reference kernel of :mod:`repro.core.generic`.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..errors import ShapeError
+from ..sparse import as_csr
 from .operators import Operator
 from .parallel import ParallelConfig, run_partitioned
 from .partition import RowPartition
 from .patterns import OpPattern, ResolvedPattern, get_pattern
-from .validation import resolve_out_window, validate_operands
+from .validation import ensure_float_matrix, resolve_out_window, validate_operands
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
@@ -50,6 +65,9 @@ __all__ = [
     "fusedmm_edgeblocked",
     "fusedmm_optimized",
     "auto_strategy",
+    "run_edge_blocks",
+    "segment_order",
+    "segment_sum",
 ]
 
 
@@ -229,6 +247,151 @@ def _edge_block_ranges(lo: int, hi: int, block_size: int):
         start = stop
 
 
+#: Segments up to this long are summed together, one edge position at a
+#: time; each longer one is summed by one NumPy reduction.
+_SHORT_SEGMENT = 32
+
+
+def segment_order(seg_ptr: np.ndarray) -> Tuple[np.ndarray, Callable]:
+    """Plan the left-to-right sums of one edge block's row segments.
+
+    Segment ``i`` covers the block's edges ``[seg_ptr[i], seg_ptr[i+1])``.
+    Returns ``(perm, fold)``: ``perm`` lists the block's edges in the order
+    ``fold`` reads them, and ``fold(M)`` maps those edges' messages (the
+    rows of ``M``, in ``perm`` order) to one sum per segment.  Each sum adds
+    its segment's messages left to right in edge order, in the message
+    dtype: a long segment in one reduction along the slow axis of its
+    ``(edges, d)`` messages, which NumPy adds element by element (the
+    notes of ``np.sum``); the short ones together, one edge position at a
+    time.
+    """
+    lengths = np.diff(seg_ptr)
+    order = np.argsort(-lengths, kind="stable")  # longest first
+    n_long = int(np.count_nonzero(lengths > _SHORT_SEGMENT))
+    long, short = order[:n_long], order[n_long:]
+    # Short segments in position-major order: position 0 of every one, then
+    # position 1 of those still running (a prefix, longest first), ...
+    pos = np.arange(lengths[short[0]] if len(short) else 0)[:, None]
+    running = pos < lengths[short]
+    active = np.count_nonzero(running, axis=1)
+    perm = (seg_ptr[short] + pos)[running]
+    if n_long:  # long segments go first, whole and in edge order
+        long_lengths = lengths[long]
+        offsets = np.repeat(seg_ptr[long] - (np.cumsum(long_lengths) - long_lengths), long_lengths)
+        perm = np.concatenate((np.arange(len(offsets)) + offsets, perm))
+
+    def fold(M: np.ndarray) -> np.ndarray:
+        M = np.ascontiguousarray(M)  # so a segment's slow axis is its edges
+        d = M.shape[1]
+        out = np.empty((len(lengths), d), M.dtype)
+        lo = 0
+        for s in long:
+            seg = M[lo:lo + lengths[s]]
+            lo += lengths[s]
+            # A single column is the fast axis, which np.sum sums pairwise.
+            out[s] = np.add.reduce(seg, axis=0) if d > 1 else np.add.accumulate(seg)[-1]
+        acc = np.zeros((len(short), d), M.dtype)
+        for n in active:
+            acc[:n] += M[lo:lo + n]
+            lo += n
+        out[short] = acc
+        return out
+
+    return perm, fold
+
+
+def segment_sum(seg_ptr: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Left-to-right sums of the row segments of ``M`` (edges in block
+    order; see :func:`segment_order`)."""
+    perm, fold = segment_order(seg_ptr)
+    return fold(M[perm])
+
+
+def run_edge_blocks(
+    A,
+    X,
+    Y,
+    body: Callable,
+    *,
+    aop: Optional[Operator] = None,
+    block_size: int = DEFAULT_BLOCK_SIZE,
+    num_threads: int = 1,
+    parts_per_thread: int = 1,
+    parts: Optional[Sequence[RowPartition]] = None,
+    pool: Optional[ThreadPoolExecutor] = None,
+    out: Optional[np.ndarray] = None,
+    row_offset: int = 0,
+) -> np.ndarray:
+    """The one edge-blocked FusedMM driver.
+
+    ``body(X, Y, src, dst, vals, edges)`` returns the messages of one block
+    of edges — ``(k, d)``, or ``(k,)`` scalars broadcast over the features:
+    ``edges`` indexes the CSR edge arrays, ``src``/``dst`` are the edges'
+    row and column ids and ``vals`` their values.  The edges come in
+    summation order (:func:`segment_order`), not CSR order, so a body must
+    compute each edge's message on its own.  ``aop`` is the aggregation
+    operator (``None`` sums).  ``X=None`` is the SpMM form, ``Z = A · Y``,
+    whose body never reads source features.
+
+    Blocks align to the absolute edge grid, so any row partitioning chunks
+    a row's edges identically and results are bitwise identical across
+    thread counts.  The intermediates never exceed a few ``block_size × d``
+    arrays, so the footprint stays flat in nnz — the fused-kernel property
+    the paper exploits (Section II).
+    """
+    if X is None:
+        A, Y = as_csr(A), ensure_float_matrix(Y, "Y")
+        if Y.shape[0] != A.ncols:
+            raise ShapeError(
+                f"Y must have shape ({A.ncols}, d) for A of shape {A.shape}, "
+                f"got {Y.shape}"
+            )
+    else:
+        A, X, Y = validate_operands(A, X, Y)
+    if block_size <= 0:
+        raise ValueError(f"block_size must be positive, got {block_size}")
+    m, d = A.nrows, Y.shape[1]
+    w0, w1 = resolve_out_window(out, row_offset, m, d)
+    config = ParallelConfig(num_threads, parts_per_thread)
+    parts = _window_parts(A, w0, w1, parts, config.num_parts)
+    ufunc = np.add if aop is None else aop.accumulate_ufunc
+    use_sum = ufunc is np.add
+    Z = _alloc_accumulator(out, w0, w1, d, 0.0 if use_sum else aop.accumulator_identity)
+    indptr, indices, data = A.indptr, A.indices, A.data
+    # Row id of every edge, computed once: CSR guarantees these are sorted.
+    edge_rows = np.repeat(np.arange(m, dtype=np.int64), A.row_degrees())
+
+    def kernel(part: RowPartition, z_slice: np.ndarray) -> None:
+        lo, hi = int(indptr[part.start]), int(indptr[part.stop])
+        for e0, e1 in _edge_block_ranges(lo, hi, block_size):
+            src = edge_rows[e0:e1]
+            # Row segments of the block: a row's edges are contiguous.
+            seg_ptr = np.concatenate(([0], np.flatnonzero(np.diff(src)) + 1, [e1 - e0]))
+            rows = src[seg_ptr[:-1]] - part.start
+            if use_sum:
+                perm, fold = segment_order(seg_ptr)
+                edges = e0 + perm
+            else:
+                edges = slice(e0, e1)  # max/min are exact in any order
+            M = np.atleast_1d(body(X, Y, edge_rows[edges], indices[edges], data[edges], edges))
+            if M.ndim == 1:
+                M = M[:, None]
+            if use_sum:
+                z_slice[rows] += fold(M)
+            else:
+                seg = ufunc.reduceat(M, seg_ptr[:-1], axis=0)
+                z_slice[rows] = ufunc(z_slice[rows], seg)
+
+    run_partitioned(A, Z, kernel, config=config, parts=parts, pool=pool, row_offset=w0)
+    if not use_sum:
+        # Rows that never received a message hold the accumulator identity
+        # (±inf); normalise them to zero like every other backend.
+        empty = A.row_degrees()[w0:w1] == 0
+        if np.any(empty):
+            Z[empty] = 0.0
+    return _finalize_output(Z, out, (Y if X is None else X).dtype)
+
+
 def fusedmm_edgeblocked(
     A,
     X,
@@ -244,63 +407,19 @@ def fusedmm_edgeblocked(
     row_offset: int = 0,
     **pattern_overrides,
 ) -> np.ndarray:
-    """FusedMM processing edges in fixed-size blocks with segment reduction.
-
-    The intermediate arrays never exceed ``block_size × d`` elements, so the
-    memory footprint stays flat in nnz and in d per block — the fused-kernel
-    property the paper exploits (Section II, "The need for a fused kernel").
-    """
-    A, X, Y = validate_operands(A, X, Y)
-    if block_size <= 0:
-        raise ValueError(f"block_size must be positive, got {block_size}")
+    """FusedMM processing edges in fixed-size blocks (:func:`run_edge_blocks`)
+    with the registry's batched operators as the block body."""
     resolved = get_pattern(pattern, **pattern_overrides).resolved()
-    m, d = X.shape
-    w0, w1 = resolve_out_window(out, row_offset, m, d)
-    parts = _window_parts(
-        A, w0, w1, parts, ParallelConfig(num_threads, parts_per_thread).num_parts
-    )
-    identity = resolved.aop.accumulator_identity
-    aop_ufunc = resolved.aop.accumulate_ufunc
-    use_sum = resolved.aop.name == "ASUM"
-    Z = _alloc_accumulator(out, w0, w1, d, 0.0 if use_sum else identity)
-    indptr, indices, data = A.indptr, A.indices, A.data
-    # Row id of every edge, computed once: CSR guarantees these are sorted.
-    edge_rows = np.repeat(np.arange(m, dtype=np.int64), A.row_degrees())
 
-    def kernel(part: RowPartition, z_slice: np.ndarray) -> None:
-        lo, hi = int(indptr[part.start]), int(indptr[part.stop])
-        for e0, e1 in _edge_block_ranges(lo, hi, block_size):
-            src = edge_rows[e0:e1]
-            dst = indices[e0:e1]
-            vals = data[e0:e1]
-            Xs = X[src]
-            Yd = Y[dst]
-            M = _run_steps_batch(resolved, Xs, Yd, vals)
-            M = np.atleast_1d(M)
-            if M.ndim == 1:
-                M = M[:, None]
-            # Segment-reduce the block: edges of the same row are contiguous.
-            change = np.flatnonzero(np.diff(src)) + 1
-            starts = np.concatenate(([0], change))
-            seg_rows = src[starts] - part.start
-            if use_sum:
-                seg = np.add.reduceat(M, starts, axis=0)
-                z_slice[seg_rows] += seg
-            else:
-                seg = aop_ufunc.reduceat(M, starts, axis=0)
-                z_slice[seg_rows] = aop_ufunc(z_slice[seg_rows], seg)
+    def body(X, Y, src, dst, vals, edges):
+        Xs, Yd = np.take(X, src, axis=0), np.take(Y, dst, axis=0)
+        return _run_steps_batch(resolved, Xs, Yd, vals)
 
-    run_partitioned(
-        A, Z, kernel, config=ParallelConfig(num_threads, parts_per_thread),
-        parts=parts, pool=pool, row_offset=w0,
+    return run_edge_blocks(
+        A, X, Y, body, aop=resolved.aop, block_size=block_size,
+        num_threads=num_threads, parts_per_thread=parts_per_thread,
+        parts=parts, pool=pool, out=out, row_offset=row_offset,
     )
-    if not use_sum:
-        # Rows that never received a message hold the accumulator identity
-        # (±inf); normalise them to zero like every other backend.
-        empty = A.row_degrees()[w0:w1] == 0
-        if np.any(empty):
-            Z[empty] = 0.0
-    return _finalize_output(Z, out, X.dtype)
 
 
 # ---------------------------------------------------------------------- #

@@ -4,10 +4,15 @@ Section IV of the paper explains that when the five operators match a known
 pattern — e.g. (MUL, RSUM, SIGMOID, MUL, ASUM) for sigmoid graph embedding —
 the library dispatches a kernel in which the steps are fused into a single
 pass with no per-step temporaries and architecture-tuned intrinsics.  The
-Python analogue below fuses the steps into single NumPy expressions
-(``einsum`` for the dot products, fused multiply-accumulate via in-place
-updates) per edge block or row, eliminating the operator-dispatch overhead
-of the general :mod:`repro.core.optimized` kernels.
+Python analogue fuses the steps into single NumPy expressions (``einsum``
+for the dot products) and eliminates the operator-dispatch overhead of the
+general :mod:`repro.core.optimized` kernels.
+
+Each kernel is only its block math: the edge-block loop, the output window
+and the left-to-right segment sum belong to
+:func:`~repro.core.optimized.run_edge_blocks`, whose keywords
+(``block_size``, ``num_threads``, ``parts``, ``pool``, ``out``,
+``row_offset``, …) every kernel here accepts.
 
 Available specializations (mirroring the first three rows of Table III plus
 the SpMM specialisation used in the MKL comparison):
@@ -15,32 +20,23 @@ the SpMM specialisation used in the MKL comparison):
 * :func:`sigmoid_embedding_kernel` — ``z_u = Σ_v σ(x_u·y_v) · y_v``
 * :func:`fr_layout_kernel`        — ``z_u = Σ_v f(‖x_u−y_v‖) · (x_u−y_v)``
 * :func:`spmm_kernel`             — ``Z = A · Y`` (also the GCN aggregation)
-* :func:`gcn_kernel`              — alias of :func:`spmm_kernel`
+* :func:`gcn_kernel`              — :func:`spmm_kernel` with the ``(A, X, Y)``
+  signature
 
 :func:`get_specialized_kernel` maps a resolved pattern to its specialization
-(or ``None`` when there is none), which is how the top-level dispatcher in
+(or ``None`` when there is none), which is how the backend resolver in
 :mod:`repro.core.fused` selects them automatically.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .mathops import sigmoid as _sigmoid
-from .optimized import (
-    DEFAULT_BLOCK_SIZE,
-    _alloc_accumulator,
-    _edge_block_ranges,
-    _finalize_output,
-    _window_parts,
-)
-from .parallel import ParallelConfig, run_partitioned
-from .partition import RowPartition
+from .optimized import run_edge_blocks
 from .patterns import ResolvedPattern
-from .validation import resolve_out_window, validate_operands
 
 __all__ = [
     "sigmoid_embedding_kernel",
@@ -51,72 +47,36 @@ __all__ = [
 ]
 
 
-def sigmoid_embedding_kernel(
-    A,
-    X,
-    Y=None,
-    *,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    num_threads: int = 1,
-    parts_per_thread: int = 1,
-    parts: Optional[Sequence[RowPartition]] = None,
-    pool: Optional[ThreadPoolExecutor] = None,
-    out: Optional[np.ndarray] = None,
-    row_offset: int = 0,
-) -> np.ndarray:
+# Row gathers use np.take: for narrow rows it is several times faster
+# than fancy indexing, with the same result.
+def _sigmoid_messages(X, Y, src, dst, vals, edges):
+    Yd = np.take(Y, dst, axis=0)
+    # VOP + ROP fused into one einsum (the "dot1/dot2" of Fig. 5), then
+    # SOP and MOP: each neighbour row scaled by its sigmoid score.
+    return _sigmoid(np.einsum("ij,ij->i", np.take(X, src, axis=0), Yd))[:, None] * Yd
+
+
+def _fr_forces(X, Y, src, dst, vals, edges):
+    diff = np.take(X, src, axis=0) - np.take(Y, dst, axis=0)
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return (1.0 / (1.0 + np.square(dist)))[:, None] * diff
+
+
+def _scaled_rows(X, Y, src, dst, vals, edges):
+    return vals[:, None] * np.take(Y, dst, axis=0)
+
+
+def sigmoid_embedding_kernel(A, X, Y=None, **blocking) -> np.ndarray:
     """Fused sigmoid-embedding kernel: ``z_u = Σ_v σ(x_uᵀ y_v) y_v``.
 
     This is the kernel of Fig. 5: the dot product (VOP+ROP), the sigmoid
-    (SOP) and the scaled accumulation (MOP+AOP) happen in one pass over each
-    edge block, so the only intermediates are the ``(k,)`` scores of the
-    current block.
+    (SOP) and the scaling (MOP) are one expression per edge block, and the
+    driver's segment sum is the accumulation (AOP).
     """
-    A, X, Y = validate_operands(A, X, Y)
-    m, d = X.shape
-    w0, w1 = resolve_out_window(out, row_offset, m, d)
-    parts = _window_parts(
-        A, w0, w1, parts, ParallelConfig(num_threads, parts_per_thread).num_parts
-    )
-    Z = _alloc_accumulator(out, w0, w1, d, 0.0)
-    indptr, indices, data = A.indptr, A.indices, A.data
-    edge_rows = np.repeat(np.arange(m, dtype=np.int64), A.row_degrees())
-
-    def kernel(part: RowPartition, z_slice: np.ndarray) -> None:
-        lo, hi = int(indptr[part.start]), int(indptr[part.stop])
-        for e0, e1 in _edge_block_ranges(lo, hi, block_size):
-            src = edge_rows[e0:e1]
-            dst = indices[e0:e1]
-            Yd = Y[dst]
-            # VOP + ROP fused into one einsum (the "dot1/dot2" of Fig. 5).
-            scores = np.einsum("ij,ij->i", X[src], Yd)
-            h = _sigmoid(scores)
-            # MOP + AOP fused: scale rows of Yd and segment-sum into Z.
-            contrib = h[:, None] * Yd
-            change = np.flatnonzero(np.diff(src)) + 1
-            starts = np.concatenate(([0], change))
-            seg_rows = src[starts] - part.start
-            z_slice[seg_rows] += np.add.reduceat(contrib, starts, axis=0)
-
-    run_partitioned(
-        A, Z, kernel, config=ParallelConfig(num_threads, parts_per_thread),
-        parts=parts, pool=pool, row_offset=w0,
-    )
-    return _finalize_output(Z, out, X.dtype)
+    return run_edge_blocks(A, X, Y, _sigmoid_messages, **blocking)
 
 
-def fr_layout_kernel(
-    A,
-    X,
-    Y=None,
-    *,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    num_threads: int = 1,
-    parts_per_thread: int = 1,
-    parts: Optional[Sequence[RowPartition]] = None,
-    pool: Optional[ThreadPoolExecutor] = None,
-    out: Optional[np.ndarray] = None,
-    row_offset: int = 0,
-) -> np.ndarray:
+def fr_layout_kernel(A, X, Y=None, **blocking) -> np.ndarray:
     """Fused force-directed-layout kernel (attractive forces):
     ``z_u = Σ_v 1/(1+‖x_u−y_v‖²) · (x_u−y_v)``.
 
@@ -125,122 +85,24 @@ def fr_layout_kernel(
     floats (the out-of-memory column of Table VI and Fig. 10b); the fused
     kernel keeps only one block of differences alive at a time.
     """
-    A, X, Y = validate_operands(A, X, Y)
-    m, d = X.shape
-    w0, w1 = resolve_out_window(out, row_offset, m, d)
-    parts = _window_parts(
-        A, w0, w1, parts, ParallelConfig(num_threads, parts_per_thread).num_parts
-    )
-    Z = _alloc_accumulator(out, w0, w1, d, 0.0)
-    indptr, indices, data = A.indptr, A.indices, A.data
-    edge_rows = np.repeat(np.arange(m, dtype=np.int64), A.row_degrees())
-
-    def kernel(part: RowPartition, z_slice: np.ndarray) -> None:
-        lo, hi = int(indptr[part.start]), int(indptr[part.stop])
-        for e0, e1 in _edge_block_ranges(lo, hi, block_size):
-            src = edge_rows[e0:e1]
-            dst = indices[e0:e1]
-            diff = X[src] - Y[dst]
-            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            force = 1.0 / (1.0 + np.square(dist))
-            contrib = force[:, None] * diff
-            change = np.flatnonzero(np.diff(src)) + 1
-            starts = np.concatenate(([0], change))
-            seg_rows = src[starts] - part.start
-            z_slice[seg_rows] += np.add.reduceat(contrib, starts, axis=0)
-
-    run_partitioned(
-        A, Z, kernel, config=ParallelConfig(num_threads, parts_per_thread),
-        parts=parts, pool=pool, row_offset=w0,
-    )
-    return _finalize_output(Z, out, X.dtype)
+    return run_edge_blocks(A, X, Y, _fr_forces, **blocking)
 
 
-def spmm_kernel(
-    A,
-    Y,
-    *,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    num_threads: int = 1,
-    parts_per_thread: int = 1,
-    parts: Optional[Sequence[RowPartition]] = None,
-    pool: Optional[ThreadPoolExecutor] = None,
-    out: Optional[np.ndarray] = None,
-    row_offset: int = 0,
-) -> np.ndarray:
+def spmm_kernel(A, Y, **blocking) -> np.ndarray:
     """SpMM specialisation of FusedMM: ``Z = A · Y``.
 
     This is the kernel compared against MKL in Table VII and the
     aggregation used by GCN (Table III row 3).  Note it takes only ``A``
     and ``Y`` — the GCN pattern ignores the source features entirely.
     """
-    from ..sparse import as_csr
-
-    A = as_csr(A)
-    Y = np.ascontiguousarray(Y)
-    if Y.ndim != 2 or Y.shape[0] != A.ncols:
-        raise ValueError(
-            f"Y must have shape ({A.ncols}, d) for A of shape {A.shape}, got {Y.shape}"
-        )
-    m = A.nrows
-    w0, w1 = resolve_out_window(out, row_offset, m, Y.shape[1])
-    parts = _window_parts(
-        A, w0, w1, parts, ParallelConfig(num_threads, parts_per_thread).num_parts
-    )
-    Z = _alloc_accumulator(out, w0, w1, Y.shape[1], 0.0)
-    indptr, indices, data = A.indptr, A.indices, A.data
-    edge_rows = np.repeat(np.arange(m, dtype=np.int64), A.row_degrees())
-
-    def kernel(part: RowPartition, z_slice: np.ndarray) -> None:
-        lo, hi = int(indptr[part.start]), int(indptr[part.stop])
-        for e0, e1 in _edge_block_ranges(lo, hi, block_size):
-            src = edge_rows[e0:e1]
-            dst = indices[e0:e1]
-            vals = data[e0:e1]
-            contrib = vals[:, None] * Y[dst]
-            change = np.flatnonzero(np.diff(src)) + 1
-            starts = np.concatenate(([0], change))
-            seg_rows = src[starts] - part.start
-            z_slice[seg_rows] += np.add.reduceat(contrib, starts, axis=0)
-
-    run_partitioned(
-        A, Z, kernel, config=ParallelConfig(num_threads, parts_per_thread),
-        parts=parts, pool=pool, row_offset=w0,
-    )
-    return _finalize_output(
-        Z, out, Y.dtype if np.issubdtype(Y.dtype, np.floating) else np.float32
-    )
+    return run_edge_blocks(A, None, Y, _scaled_rows, **blocking)
 
 
-def gcn_kernel(
-    A,
-    X,
-    Y=None,
-    *,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    num_threads: int = 1,
-    parts_per_thread: int = 1,
-    parts: Optional[Sequence[RowPartition]] = None,
-    pool: Optional[ThreadPoolExecutor] = None,
-    out: Optional[np.ndarray] = None,
-    row_offset: int = 0,
-) -> np.ndarray:
+def gcn_kernel(A, X, Y=None, **blocking) -> np.ndarray:
     """GCN aggregation specialisation — identical math to :func:`spmm_kernel`
     but with the standard (A, X, Y) FusedMM signature so the dispatcher can
     call it interchangeably with the other specializations."""
-    A_csr, X_arr, Y_arr = validate_operands(A, X, Y)
-    Z = spmm_kernel(
-        A_csr,
-        Y_arr,
-        block_size=block_size,
-        num_threads=num_threads,
-        parts_per_thread=parts_per_thread,
-        parts=parts,
-        pool=pool,
-        out=out,
-        row_offset=row_offset,
-    )
-    return Z.astype(X_arr.dtype) if out is None else Z
+    return run_edge_blocks(A, X, Y, _scaled_rows, **blocking)
 
 
 def get_specialized_kernel(pattern: ResolvedPattern) -> Optional[Callable]:

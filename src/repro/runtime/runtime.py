@@ -1018,7 +1018,7 @@ class KernelRuntime:
             # the largest part): rows never straddle a block boundary —
             # every row is one segment reduction, exactly as in a
             # standalone single-threaded call — so results are bitwise
-            # identical, while the gathers/einsum/reduceat vectorise over
+            # identical, while the gathers/einsum/segment sums vectorise over
             # whole multi-request blocks instead of per-request calls.
             # Part boundaries depend only on the requests, never on the
             # pool width, so thread-count determinism is preserved.

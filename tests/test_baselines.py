@@ -11,7 +11,6 @@ from repro.baselines import (
     dense_spmm,
     gspmm,
     needs_vector_messages,
-    scipy_available,
     sddmm,
     unfused_fusedmm,
     unfused_memory_bytes,
@@ -172,15 +171,11 @@ def test_dense_size_guard():
 # Vendor (MKL-like) SpMM
 # ------------------------------------------------------------------ #
 def test_vendor_spmm_matches_fused_spmm(problem):
-    if not scipy_available():
-        pytest.skip("SciPy unavailable")
     A, X, Y = problem
     assert np.allclose(vendor_spmm(A, Y), spmm_kernel(A, Y), atol=1e-4)
 
 
 def test_inspector_executor(problem):
-    if not scipy_available():
-        pytest.skip("SciPy unavailable")
     A, X, Y = problem
     handle = InspectorExecutorSpMM(A)
     assert handle.inspection_bytes > 0
@@ -190,8 +185,6 @@ def test_inspector_executor(problem):
 
 
 def test_vendor_spmm_shape_check(problem):
-    if not scipy_available():
-        pytest.skip("SciPy unavailable")
     A, X, Y = problem
     with pytest.raises(ValueError):
         vendor_spmm(A, Y[: A.ncols - 1])

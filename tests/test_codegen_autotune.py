@@ -45,7 +45,9 @@ def test_generated_source_mentions_ops():
     source = generate_kernel_source(get_pattern("sigmoid_embedding").resolved())
     assert "einsum" in source  # fused dot product
     assert "sigmoid(" in source  # shared clipped sigmoid from core.mathops
-    assert "reduceat" in source  # aggregation
+    # The emitted source is the block body: the inlined SOP and MOP steps.
+    assert "H = sigmoid(S)" in source
+    assert "M = H[:, None] * Yd" in source
     assert "def _generated_block_kernel" in source
 
 

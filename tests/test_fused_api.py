@@ -36,6 +36,16 @@ def test_every_backend_runs_embedding(problem, backend):
     assert np.isfinite(Z).all()
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_negative_block_size_raises_on_every_backend(problem, backend):
+    A, X, Y = problem
+    with pytest.raises(ValueError, match="block_size"):
+        fusedmm(A, X, Y, pattern="sigmoid_embedding", backend=backend, block_size=-4)
+    kernel = FusedMM(A, pattern="sigmoid_embedding", backend=backend, block_size=-4)
+    with pytest.raises(ValueError, match="block_size"):
+        kernel(X, Y)
+
+
 def test_unknown_backend_rejected(problem):
     A, X, Y = problem
     with pytest.raises(BackendError):
