@@ -64,8 +64,10 @@ class WorkerError(ReproError, RuntimeError):
 
 
 class WorkerCrashError(WorkerError):
-    """Raised when a worker process dies unexpectedly (killed, segfault,
-    OOM).  The pool respawns the worker; the in-flight call is lost."""
+    """Raised inside the worker pool when a worker process dies
+    unexpectedly (killed, segfault, OOM).  The pool respawns the worker
+    and hands its in-flight assignments back, so a sharded call finishes
+    them in-parent instead of failing."""
 
 
 class CheckpointError(ReproError, RuntimeError):

@@ -9,6 +9,7 @@ This package is the serving/scheduling layer above :mod:`repro.core`:
 ``shard``        nnz-balanced assignment of plan partitions to worker shards
 ``workers``      persistent multiprocessing pool with shared-memory CSR
 ``codec``        transport-neutral worker protocol (specs, CSR payloads)
+                 and the one shard executor every tier runs
 ``remote``       distributed tier: TCP worker hosts + in-runtime controller
 ``dynamic``      dynamic graphs: versioned delta overlays with incremental
                  plan/panel/shard invalidation

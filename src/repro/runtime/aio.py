@@ -3,7 +3,7 @@
 The :class:`~repro.runtime.runtime.KernelRuntime` is a synchronous,
 thread-and-process engine: ``submit``/``submit_sharded`` hand back
 :class:`concurrent.futures.Future` objects resolved by the shared thread
-pool or the worker pool's background dispatcher, and ``run_batch`` blocks
+pool or the runtime's sharded dispatcher thread, and ``run_batch`` blocks
 the calling thread for the duration of the batch.  The serving subsystem
 (:mod:`repro.serve`) lives in an asyncio event loop, where blocking either
 kind of call would stall every connection.  This module is the one place
@@ -42,8 +42,8 @@ def wrap_runtime_future(
     """An awaitable view of a runtime ``concurrent.futures.Future``.
 
     Works for both flavours the runtime produces: futures backed by the
-    shared thread pool (``submit``) and futures resolved by the worker
-    pool's dispatcher thread (``submit_sharded``), including the
+    shared thread pool (``submit``) and futures resolved by the runtime's
+    sharded dispatcher thread (``submit_sharded``), including the
     already-completed futures the fallback paths return.
     """
     return asyncio.wrap_future(future, loop=loop)

@@ -10,24 +10,30 @@ must agree on so the transports can never drift:
 * the TCP opcodes and the ``b"RK"`` :class:`~repro.framing.FrameCodec`;
 * CSR and run-spec serialisation (JSON meta + named arrays — no pickles
   cross the network);
-* the worker-side config rebuild (:func:`build_worker_config`) and its
-  cache key (:func:`config_cache_key`), shared by the shm worker loop and
-  the remote agent so a row executes through the *same* dispatch config
-  whichever host it lands on.
+* the one shard executor, :func:`execute_parts`: it rebuilds the dispatch
+  config from a run spec (:func:`build_worker_config`) and runs a shard's
+  row ranges into an ``out=`` window.  The shm worker loop, the remote
+  agent, the controller's straggler hedge and the runtime's in-parent
+  fallback all call it, so a row executes through the *same* config and
+  call shape wherever it lands;
+* the one output-dtype rule (:func:`output_dtype`) and the one
+  covered-rows write-back (:func:`scatter_rows`).
 
 Determinism note: a run spec carries everything data-dependent the parent
-resolved (autotuned block size, the row/edge strategy choice), so rebuilt
-configs execute exactly the kernel a single-process call would — the
-bitwise-identity contract across shard counts extends across hosts.
+resolved (the kernel kind, autotuned block size, the row/edge strategy
+choice), so rebuilt configs execute exactly the kernel a single-process
+call would — the bitwise-identity contract across shard counts extends
+across hosts.
 """
 
 from __future__ import annotations
 
 import pickle
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.partition import RowPartition
 from ..core.patterns import OpPattern
 from ..framing import FrameCodec
 from ..sparse import CSRMatrix
@@ -56,6 +62,9 @@ __all__ = [
     "spec_from_meta",
     "build_worker_config",
     "config_cache_key",
+    "output_dtype",
+    "execute_parts",
+    "scatter_rows",
 ]
 
 WORKER_MAGIC = b"RK"
@@ -172,15 +181,18 @@ def plan_spec_from_plan(plan) -> Optional[Dict[str, object]]:
     """The picklable execution spec of a :class:`~repro.runtime.plan.KernelPlan`.
 
     Workers rebuild the dispatch config from this spec; the parent resolves
-    everything data-dependent (autotuned block size, the row/edge strategy
-    choice) *before* shipping, so every worker executes exactly the kernel a
-    single-process call would.  Returns ``None`` when the pattern cannot be
-    pickled (user-supplied lambda operators) — callers fall back to
-    in-process execution.
+    everything data-dependent (the kernel kind, autotuned block size, the
+    row/edge strategy choice) *before* shipping, so every worker executes
+    exactly the kernel a single-process call would.  The spec carries the
+    resolved ``plan.kind``, not the requested backend: every kind is a
+    :data:`~repro.core.fused.BACKENDS` entry that resolves to itself, so a
+    worker never re-runs ``auto``'s ladder on different local facts.
+    Returns ``None`` when the pattern cannot be pickled (user-supplied
+    lambda operators) — callers fall back to in-process execution.
     """
     spec = {
         "op_pattern": plan.op_pattern,
-        "backend": plan.backend,
+        "backend": plan.kind,
         "block_size": plan.block_size,
         "strategy": plan.strategy,
     }
@@ -233,7 +245,7 @@ def spec_from_meta(meta: dict) -> Dict[str, object]:
 
 
 # ---------------------------------------------------------------------- #
-# Worker-side config rebuild (shared by shm workers and remote agents)
+# Shard execution (shm workers, remote agents, hedges, in-parent fallback)
 # ---------------------------------------------------------------------- #
 def build_worker_config(spec: Dict[str, object], *, num_threads: int = 1):
     """Rebuild the dispatch config a run spec describes (worker side)."""
@@ -260,3 +272,80 @@ def config_cache_key(spec: Dict[str, object]) -> tuple:
         spec["block_size"],
         spec["strategy"],
     )
+
+
+def output_dtype(X: Optional[np.ndarray], Y: Optional[np.ndarray]) -> np.dtype:
+    """The dtype of ``Z`` for operands ``X``/``Y`` (every tier allocates
+    its output with this rule): ``X``'s dtype, else a floating ``Y``'s."""
+    if X is not None:
+        return X.dtype
+    if np.issubdtype(Y.dtype, np.floating):
+        return Y.dtype
+    return np.dtype(np.float32)  # pragma: no cover - integer Y normalised by kernels
+
+
+def execute_parts(
+    spec: Dict[str, object],
+    A: CSRMatrix,
+    X: Optional[np.ndarray],
+    Y: Optional[np.ndarray],
+    parts: Iterable,
+    out: Optional[np.ndarray] = None,
+    *,
+    configs: Optional[dict] = None,
+    num_threads: int = 1,
+) -> Tuple[np.ndarray, int]:
+    """Execute one shard's row ranges; returns ``(window, w0)``.
+
+    ``parts`` are :class:`~repro.core.partition.RowPartition` objects or
+    ``(start, stop, nnz)`` triples.  The rows land in the window
+    ``[w0, w1)`` the parts span: ``out[w0:w1]`` of a full-height ``out``,
+    or a fresh zeroed ``(w1 - w0, d)`` block when ``out`` is ``None``.
+    The plan's own partitions run against the full CSR through
+    ``out=``/``row_offset=``, so the arithmetic — and therefore the bytes —
+    match an in-process call.  ``configs`` caches rebuilt configs across
+    calls.
+    """
+    parts = [
+        p if isinstance(p, RowPartition) else RowPartition(*map(int, p))
+        for p in parts
+    ]
+    key = (config_cache_key(spec), num_threads)
+    cfg = None if configs is None else configs.get(key)
+    if cfg is None:
+        cfg = build_worker_config(spec, num_threads=num_threads)
+        if configs is not None:
+            configs[key] = cfg
+    w0 = min(p.start for p in parts)
+    w1 = max(p.stop for p in parts)
+    if out is None:
+        d = (X if X is not None else Y).shape[1]
+        window = np.zeros((w1 - w0, d), dtype=output_dtype(X, Y))
+    else:
+        window = out[w0:w1]
+    cfg.execute(
+        A,
+        X,
+        Y,
+        parts=parts,
+        num_threads=num_threads,
+        block_size=spec["block_size"],
+        strategy=spec["strategy"],
+        out=window,
+        row_offset=w0,
+    )
+    return window, w0
+
+
+def scatter_rows(
+    Z: np.ndarray, window: np.ndarray, w0: int, spans: Sequence
+) -> None:
+    """Copy the rows ``spans`` (``(start, stop, ...)`` triples) cover from
+    ``window`` (whose row 0 is ``Z``'s row ``w0``) into ``Z``.
+
+    Only covered ranges are written: a window spanning a row gap carries
+    zeros there, and a full-span write would clobber rows another shard
+    already completed.
+    """
+    for start, stop, *_ in spans:
+        Z[start:stop] = window[start - w0 : stop - w0]

@@ -12,15 +12,15 @@ planned kernel call span *machines* instead of processes.  Three pieces:
   :class:`~repro.runtime.runtime.KernelRuntime`.  It accepts agent
   registrations, routes contiguous shard groups to hosts by nnz/slot
   balance (:func:`~repro.runtime.shard.route_shards`), ships matrices
-  lazily and re-ships them after reconnects, and extends
-  :class:`~repro.errors.WorkerCrashError` semantics to network partitions:
-  heartbeat/timeout detection, lost groups retried on surviving hosts,
-  in-parent fallback when none survive — a dropped worker never hangs or
-  corrupts a batch.
-* The determinism contract: agents rebuild dispatch configs through the
-  same :func:`~repro.runtime.codec.build_worker_config` the shm workers
-  use and execute the plan's own partitions against the full CSR with
-  ``out=``/``row_offset=``, so remote results are **bitwise identical** to
+  lazily and re-ships them after reconnects, and detects lost hosts
+  (heartbeat/timeout, EOF, mid-frame cuts).  Lost groups are retried on
+  surviving hosts; when none survive they are returned to the runtime,
+  which finishes them in-parent — the same rule the shm pool follows for
+  a crashed worker, so a dropped worker never hangs or corrupts a batch.
+* The determinism contract: agents execute through the same
+  :func:`~repro.runtime.codec.execute_parts` call the shm workers make —
+  the plan's own partitions against the full CSR with
+  ``out=``/``row_offset=`` — so remote results are **bitwise identical** to
   local sharded and to sequential in-process execution for any shard
   count and any host layout (asserted at 1/2/4 shards in the tests and
   the CI distributed-smoke job).
@@ -87,11 +87,11 @@ from .codec import (
     OP_WELCOME,
     WORKER_CODEC,
     WORKER_MAX_PAYLOAD,
-    build_worker_config,
-    config_cache_key,
     decode_csr,
     encode_csr,
     encode_csr_delta,
+    execute_parts,
+    scatter_rows,
     spec_from_meta,
     splice_csr_delta,
 )
@@ -521,45 +521,18 @@ class WorkerAgent:
         self, A: CSRMatrix, meta: dict, arrays: Dict[str, np.ndarray]
     ) -> Tuple[np.ndarray, int, int]:
         """Execute one RUN frame's row-ranges; returns the output block."""
-        from ..core.partition import RowPartition
-
-        spec = spec_from_meta(meta["spec"])
-        cfg_key = config_cache_key(spec)
-        cfg = self._configs.get(cfg_key)
-        if cfg is None:
-            cfg = build_worker_config(spec, num_threads=self.threads)
-            self._configs[cfg_key] = cfg
         X = arrays.get("x")
-        if meta.get("y_same_as_x"):
-            Y = X
-        else:
-            Y = arrays.get("y")
-        parts = [RowPartition(int(s), int(e), int(n)) for s, e, n in meta["parts"]]
-        w0 = min(p.start for p in parts)
-        w1 = max(p.stop for p in parts)
-        d = X.shape[1] if X is not None else Y.shape[1]
-        if X is not None:
-            out_dtype = X.dtype
-        elif np.issubdtype(Y.dtype, np.floating):
-            out_dtype = Y.dtype
-        else:  # pragma: no cover - integer Y normalised by kernels
-            out_dtype = np.dtype(np.float32)
-        Z_block = np.zeros((w1 - w0, d), dtype=out_dtype)
-        # Same call shape as the shm worker loop: the plan's own
-        # partitions against the full CSR through out=/row_offset=, so
-        # the arithmetic (and therefore the bytes) cannot differ.
-        cfg.execute(
+        Y = X if meta.get("y_same_as_x") else arrays.get("y")
+        block, w0 = execute_parts(
+            spec_from_meta(meta["spec"]),
             A,
             X,
             Y,
-            parts=parts,
+            meta["parts"],
+            configs=self._configs,
             num_threads=self.threads,
-            block_size=spec["block_size"],
-            strategy=spec["strategy"],
-            out=Z_block,
-            row_offset=w0,
         )
-        return Z_block, w0, w1
+        return block, w0, w0 + block.shape[0]
 
 
 # ---------------------------------------------------------------------- #
@@ -670,17 +643,20 @@ class RemoteController:
     """Admits remote worker hosts and routes shard groups across them.
 
     Owned by :class:`~repro.runtime.runtime.KernelRuntime` (created when
-    ``remote_port=`` is set).  Failure semantics extend the shm pool's:
+    ``remote_port=`` is set).  :meth:`run_assignments` has the contract of
+    :meth:`~repro.runtime.workers.WorkerPool.run_assignments`, so one
+    dispatch and one failure rule cover both tiers:
 
     * a host that drops mid-exchange (EOF, reset, mid-frame cut) or times
       out is declared **lost** — its shard group is re-routed across the
       surviving hosts and the matrix is re-shipped where needed;
     * when no hosts survive, the unfinished assignments are *returned* to
-      the caller, which executes them in-parent — the batch completes
-      either way, it never hangs and never returns a partial ``Z``;
+      the caller, which executes them in-parent (as it does a crashed
+      local worker's) — the batch completes either way, it never hangs
+      and never returns a partial ``Z``;
     * an agent-side kernel *exception* (as opposed to a death) is
       deterministic and propagates as :class:`~repro.errors.WorkerError`
-      without retry, matching :class:`~repro.runtime.workers.WorkerPool`.
+      without retry, in both tiers.
     """
 
     def __init__(
@@ -1218,18 +1194,15 @@ class RemoteController:
                 f"remote worker {record.name!r} returned a "
                 f"{block.shape} block for rows [{w0}, {w1})"
             )
-        # Scatter only the row ranges this group actually covers.  A
-        # group with a row gap (possible on retry re-routing) comes back
-        # as a block zero-filled over [w0, w1); a full-span write would
-        # overwrite rows other hosts already completed with those zeros.
-        # The chunk lock makes "first completion wins" exact when a
-        # hedge raced us — both sides compute identical bytes, but only
-        # the winner writes and claims the chunk.
+        # A retry-routed group may span a row gap (zero-filled in the
+        # block), so only covered rows are written.  The chunk lock makes
+        # "first completion wins" exact when a hedge raced us — both sides
+        # compute identical bytes, but only the winner writes and claims
+        # the chunk.
         with job.lock:
             if job.done:
                 return
-            for start, stop, _nnz in parts:
-                Z[start:stop] = block[start - w0 : stop - w0]
+            scatter_rows(Z, block, w0, parts)
             job.done = True
             job.winner = record.name
 
@@ -1244,48 +1217,26 @@ class RemoteController:
     ) -> None:
         """Speculatively execute ``job`` in-parent (tail-at-scale hedging).
 
-        Runs through the same :func:`build_worker_config` dispatch the
-        agents use, so the hedge's bytes are identical to the straggler's
-        eventual reply — whichever completes first wins the chunk.
+        Runs through the same :func:`~repro.runtime.codec.execute_parts`
+        call the agents make, so the hedge's bytes are identical to the
+        straggler's eventual reply — whichever completes first wins the
+        chunk.
         Best-effort: a hedge failure leaves the chunk to the primary
         path and the retry rounds.
         """
         try:
-            from ..core.partition import RowPartition
-
-            spec = spec_from_meta(spec_meta)
-            cfg_key = config_cache_key(spec)
-            cfg = self._hedge_configs.get(cfg_key)
-            if cfg is None:
-                cfg = build_worker_config(spec, num_threads=1)
-                self._hedge_configs[cfg_key] = cfg
-            parts = [RowPartition(s, e, n) for s, e, n in job.parts]
-            w0 = min(p.start for p in parts)
-            w1 = max(p.stop for p in parts)
-            d = X.shape[1] if X is not None else Y.shape[1]
-            if X is not None:
-                out_dtype = X.dtype
-            elif np.issubdtype(Y.dtype, np.floating):
-                out_dtype = Y.dtype
-            else:  # pragma: no cover - integer Y normalised by kernels
-                out_dtype = np.dtype(np.float32)
-            block = np.zeros((w1 - w0, d), dtype=out_dtype)
-            cfg.execute(
+            block, w0 = execute_parts(
+                spec_from_meta(spec_meta),
                 A,
                 X,
                 Y,
-                parts=parts,
-                num_threads=1,
-                block_size=spec["block_size"],
-                strategy=spec["strategy"],
-                out=block,
-                row_offset=w0,
+                job.parts,
+                configs=self._hedge_configs,
             )
             with job.lock:
                 if job.done:
                     return
-                for start, stop, _nnz in job.parts:
-                    Z[start:stop] = block[start - w0 : stop - w0]
+                scatter_rows(Z, block, w0, job.parts)
                 job.done = True
                 job.winner = "parent-hedge"
             self.hedge_wins += 1

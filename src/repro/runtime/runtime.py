@@ -48,7 +48,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,7 +58,7 @@ from ..core.patterns import OpPattern, get_pattern
 from ..sparse import as_csr, drop_reorder_memo, validate_reorder
 from .batch import KernelRequest, pack_group_key, pack_requests
 from .cache import CacheStats, PlanCache
-from .codec import build_worker_config, remote_spec_meta
+from .codec import execute_parts, output_dtype, plan_spec_from_plan, remote_spec_meta
 from .fingerprint import derived_fingerprint, matrix_fingerprint
 from .plan import (
     KernelPlan,
@@ -70,7 +70,7 @@ from .plan import (
 )
 from .remote import RemoteController
 from .shard import ShardPlan, assign_shards, route_shards
-from .workers import WorkerPool, plan_spec_from_plan
+from .workers import WorkerPool
 
 __all__ = ["KernelRuntime", "EpochStream"]
 
@@ -209,15 +209,14 @@ class KernelRuntime:
         shared-memory CSR shards; see :mod:`repro.runtime.workers`.
     shards:
         Default shard count for sharded calls (defaults to ``processes``;
-        clamped to the pool size per call).
+        ``0`` means the whole sharded capacity; clamped to it per call).
     shard_min_nnz:
         Streaming calls (``epochs().step``/``run_on``) only use the worker
         pool for matrices at or above this nnz; explicit sharded calls
         ignore it.
-    worker_start_method, worker_timeout, worker_matrix_cache:
-        Passed through to :class:`~repro.runtime.workers.WorkerPool`
-        (start method, per-call reply ceiling, bound on matrices kept
-        registered in shared memory).
+    worker_matrix_cache:
+        Bound on matrices the :class:`~repro.runtime.workers.WorkerPool`
+        keeps registered in shared memory.
     remote_port, remote_host:
         Enable the distributed tier: listen on this address for
         ``repro worker`` host registrations (``remote_port=0`` binds an
@@ -276,8 +275,6 @@ class KernelRuntime:
         processes: Optional[int] = None,
         shards: Optional[int] = None,
         shard_min_nnz: int = DEFAULT_SHARD_MIN_NNZ,
-        worker_start_method: Optional[str] = None,
-        worker_timeout: Optional[float] = None,
         worker_matrix_cache: int = 16,
         remote_port: Optional[int] = None,
         remote_host: str = "127.0.0.1",
@@ -302,8 +299,6 @@ class KernelRuntime:
             self.processes = int(shards)
         self.shards = int(shards or self.processes)
         self.shard_min_nnz = shard_min_nnz
-        self.worker_start_method = worker_start_method
-        self.worker_timeout = worker_timeout
         self.worker_matrix_cache = worker_matrix_cache
         self.remote_port = remote_port
         self.remote_host = remote_host
@@ -316,7 +311,8 @@ class KernelRuntime:
         self._workers_lock = threading.Lock()
         self._controller: Optional[RemoteController] = None
         self._controller_lock = threading.Lock()
-        self._remote_dispatcher: Optional[ThreadPoolExecutor] = None
+        # The one dispatcher thread behind submit_sharded.
+        self._dispatcher: Optional[ThreadPoolExecutor] = None
         self._cache = PlanCache(cache_size)
         # Matrix-independent dispatch configs for one-shot batch requests
         # (unbounded is fine: one entry per pattern/backend/blocking tuple).
@@ -341,7 +337,7 @@ class KernelRuntime:
             "sharded_jobs": 0,
             "sharded_submitted": 0,
             "remote_jobs": 0,
-            "remote_fallbacks": 0,
+            "parent_fallbacks": 0,
         }
         self._closed = False
 
@@ -370,10 +366,7 @@ class KernelRuntime:
         with self._workers_lock:
             if self._workers is None and not self._closed:
                 self._workers = WorkerPool(
-                    self.processes,
-                    start_method=self.worker_start_method,
-                    timeout=self.worker_timeout,
-                    matrix_cache=self.worker_matrix_cache,
+                    self.processes, matrix_cache=self.worker_matrix_cache
                 )
             return self._workers
 
@@ -406,6 +399,10 @@ class KernelRuntime:
         controller; the runtime stays usable sequentially (in-process)."""
         with self._pool_lock:
             self._closed = True
+            # Drain queued sharded calls while their workers still exist.
+            if self._dispatcher is not None:
+                self._dispatcher.shutdown(wait=True)
+                self._dispatcher = None
             if self._pool is not None:
                 self._pool.shutdown(wait=True)
                 self._pool = None
@@ -417,9 +414,6 @@ class KernelRuntime:
             if self._controller is not None:
                 self._controller.close()
                 self._controller = None
-            if self._remote_dispatcher is not None:
-                self._remote_dispatcher.shutdown(wait=True)
-                self._remote_dispatcher = None
 
     def __enter__(self) -> "KernelRuntime":
         return self
@@ -430,9 +424,10 @@ class KernelRuntime:
     def __del__(self) -> None:  # pragma: no cover - GC timing dependent
         # Reclaim pool threads and worker processes when a runtime owner
         # (e.g. an app instance) is garbage collected without close().
-        pool = getattr(self, "_pool", None)
-        if pool is not None:
-            pool.shutdown(wait=False)
+        for name in ("_dispatcher", "_pool"):
+            executor = getattr(self, name, None)
+            if executor is not None:
+                executor.shutdown(wait=False)
         workers = getattr(self, "_workers", None)
         if workers is not None:
             try:
@@ -581,6 +576,30 @@ class KernelRuntime:
                 return Z
         return self._execute_plan(plan, A, X, Y)
 
+    def _tier_slots(self, spec: Dict[str, object]) -> Tuple[int, int, Optional[dict]]:
+        """``(local, remote, remote spec meta)`` for a sharded call on ``spec``.
+
+        Local slots are the worker processes (none once closed).  Remote
+        slots count only when the pattern can cross the network
+        (non-string operator slots stay host-local).  Side-effect free:
+        does not lazily spawn the worker pool.
+        """
+        local = 0 if self._closed else self.processes
+        controller = self.controller
+        spec_meta = None if controller is None else remote_spec_meta(spec)
+        remote = 0 if spec_meta is None else controller.total_slots()
+        return local, remote, spec_meta
+
+    def _shard_count(self, shards: Optional[int], capacity: int) -> int:
+        """The shard count of a sharded call: ``shards`` (default: the
+        runtime's), ``<= 0`` meaning the whole capacity, clamped to it."""
+        n = self.shards if shards is None else int(shards)
+        if n <= 0:
+            n = capacity
+        if capacity > 0:
+            n = min(n, capacity)
+        return max(1, n)
+
     def _prepare_sharded(
         self,
         plan: KernelPlan,
@@ -599,30 +618,24 @@ class KernelRuntime:
         exactly once into shared memory.
 
         Capacity is the local worker-process count plus the slot count of
-        live remote hosts; shard counts clamp to it.  Patterns that cannot
-        cross the network (non-string operator slots) keep remote capacity
-        out of the count, so they still shard locally.
+        live remote hosts (:meth:`_tier_slots`); the shard count comes from
+        :meth:`_shard_count`, the same sizing :meth:`shard_plan` reports.
 
         For a reordered plan the tier ships the *permuted* matrix (under a
         strategy-derived key) and builds the shards from the permuted
         cache-panel partitions — reordered matrices nnz-balance better, so
-        shard skew drops.  The caller permutes the operands and maps the
-        gathered output back via the returned plan handle.
+        shard skew drops.  The operands are permuted and the gathered
+        output mapped back via the returned plan handle.
         """
         if not plan.supports_parts:
             return None
         spec = plan_spec_from_plan(plan)
         if spec is None:
             return None
-        workers = self.workers
-        controller = self.controller
-        spec_meta = None
-        remote_slots = 0
-        if controller is not None:
-            spec_meta = remote_spec_meta(spec)
-            if spec_meta is not None:
-                remote_slots = controller.total_slots()
-        local_slots = workers.processes if workers is not None else 0
+        local_slots, remote_slots, spec_meta = self._tier_slots(spec)
+        workers = self.workers if local_slots else None
+        if workers is None:
+            local_slots = 0
         capacity = local_slots + remote_slots
         if capacity == 0:
             return None
@@ -641,14 +654,10 @@ class KernelRuntime:
         else:
             key = plan.key.fingerprint if parts is None else matrix_fingerprint(A)
         partitions = plan.partitions if parts is None else parts
-        nshards = self.shards if shards is None else int(shards)
-        if nshards <= 0:
-            nshards = capacity
-        nshards = max(1, min(nshards, capacity))
-        shard_plan = assign_shards(partitions, nshards)
+        shard_plan = assign_shards(partitions, self._shard_count(shards, capacity))
         return _ShardPrep(
             workers=workers,
-            controller=controller if remote_slots > 0 else None,
+            controller=self.controller if remote_slots > 0 else None,
             key=key,
             A=A,
             spec=spec,
@@ -659,94 +668,73 @@ class KernelRuntime:
             remote_slots=remote_slots,
         )
 
-    def _run_prepared(self, prep: "_ShardPrep", X, Y, *, keep: bool) -> np.ndarray:
-        """Execute a prepared shard dispatch (local pool, remote hosts, or
-        a hybrid of both), without the reorder pre/post mapping."""
-        if prep.controller is None:
-            return prep.workers.run_sharded(
-                prep.key, prep.A, prep.spec, prep.shard_plan, X, Y, keep=keep
-            )
-        return self._run_hybrid(prep, X, Y, keep=keep)
+    def _execute_prepared(self, prep: "_ShardPrep", X, Y, *, keep: bool) -> np.ndarray:
+        """Run a prepared sharded call, with the reorder pre/post mapping.
 
-    def _run_hybrid(self, prep: "_ShardPrep", X, Y, *, keep: bool) -> np.ndarray:
-        """Split one shard plan between the local pool and remote hosts.
+        ``keep=False`` tears the matrix's shared segments down afterwards
+        (one-shot matrices, e.g. sampled negatives).
+        """
+        rplan = prep.rplan
+        if rplan is not None:
+            X, Y = rplan.permute_operands(X, Y)
+        try:
+            Z = self._dispatch(prep, X, Y)
+        finally:
+            if not keep and prep.workers is not None:
+                prep.workers.release_matrix(prep.key)
+        return Z if rplan is None else Z[rplan.inv_perm]
 
-        Contiguous shard groups are routed by slot weight; the local group
-        runs on the worker pool concurrently with the remote dispatch.
-        Assignments no surviving host could execute come back from the
-        controller and run in-parent through the *same* rebuilt worker
-        config, so results stay bitwise identical to a purely local
-        sharded call and the batch always completes.
+    def _dispatch(self, prep: "_ShardPrep", X, Y) -> np.ndarray:
+        """The one sharded dispatch, whichever tiers are live.
+
+        Shard groups are routed by slot weight over ``[local, remote]``
+        (a zero-slot tier gets nothing).  Both tiers share one contract:
+        ``run_assignments`` writes the rows it completed into ``Z`` and
+        returns the assignments it lost — a crashed local worker's, or the
+        groups no surviving remote host could take.  The two legs run
+        concurrently; a single leg runs on the calling thread.  Whatever
+        comes back unfinished runs in-parent through the same
+        :func:`~repro.runtime.codec.execute_parts` call the workers make,
+        so the call always completes with the same bytes.
         """
         A = prep.A
-        d = X.shape[1] if X is not None else Y.shape[1]
-        if X is not None:
-            out_dtype = X.dtype
-        elif np.issubdtype(Y.dtype, np.floating):
-            out_dtype = Y.dtype
-        else:  # pragma: no cover - integer Y normalised by kernels
-            out_dtype = np.dtype(np.float32)
-        Z = np.zeros((A.nrows, d), dtype=out_dtype)
-        local_group, remote_group = route_shards(
+        d = (X if X is not None else Y).shape[1]
+        Z = np.zeros((A.nrows, d), dtype=output_dtype(X, Y))
+        local, remote = route_shards(
             prep.shard_plan, [prep.local_slots, prep.remote_slots]
         )
-        local_future: Optional["Future[np.ndarray]"] = None
-        if local_group and prep.workers is not None:
-            local_parts = [p for a in local_group for p in a.parts]
-            local_plan = assign_shards(
-                local_parts, min(len(local_group), prep.workers.processes)
+        if len(local) > prep.local_slots:
+            # One assignment per worker; regrouping keeps every partition.
+            local_parts = [p for a in local for p in a.parts]
+            local = list(assign_shards(local_parts, prep.local_slots).assignments)
+
+        def run_local():
+            return prep.workers.run_assignments(prep.key, A, prep.spec, local, X, Y, Z)
+
+        def run_remote():
+            self._bump("remote_jobs")
+            return prep.controller.run_assignments(
+                prep.key, A, prep.spec_meta, remote, X, Y, Z
             )
-            local_future = prep.workers.submit_sharded(
-                prep.key, A, prep.spec, local_plan, X, Y, keep=keep
-            )
-        try:
-            if remote_group:
-                self._bump("remote_jobs")
-                leftovers = prep.controller.run_assignments(
-                    prep.key, A, prep.spec_meta, remote_group, X, Y, Z
-                )
-                if leftovers:
-                    # Every remote host is gone: finish the lost row
-                    # ranges in-parent through the same rebuilt config
-                    # the workers use — complete, correct, never hung.
-                    self._bump("remote_fallbacks")
-                    self._execute_assignments_inline(
-                        prep.spec, A, X, Y, Z, leftovers
-                    )
-        finally:
-            if local_future is not None:
-                Z_local = local_future.result()
-                lo = min(p.start for a in local_group for p in a.parts)
-                hi = max(p.stop for a in local_group for p in a.parts)
-                Z[lo:hi] = Z_local[lo:hi]
+
+        if local and remote:
+            # Leaving the block joins the remote leg, so no thread writes
+            # into Z after this call returns or raises.
+            with ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-remote-leg"
+            ) as leg:
+                remote_leg = leg.submit(run_remote)
+                leftovers = run_local() + remote_leg.result()
+        elif local:
+            leftovers = run_local()
+        else:
+            leftovers = run_remote() if remote else []
+        if leftovers:
+            self._bump("parent_fallbacks")
+            configs: dict = {}
+            for a in leftovers:
+                execute_parts(prep.spec, A, X, Y, a.parts, Z, configs=configs)
         return Z
-
-    @staticmethod
-    def _execute_assignments_inline(spec, A, X, Y, Z, assignments) -> None:
-        """Run shard assignments in-parent, writing into ``Z``.
-
-        Executes through :func:`build_worker_config` — the exact config a
-        worker would rebuild — so fallback rows are byte-for-byte what the
-        lost host would have produced.
-        """
-        cfg = build_worker_config(spec)
-        for a in assignments:
-            if not a.parts:
-                continue
-            parts = list(a.parts)
-            w0 = min(p.start for p in parts)
-            w1 = max(p.stop for p in parts)
-            cfg.execute(
-                A,
-                X,
-                Y,
-                parts=parts,
-                num_threads=1,
-                block_size=spec["block_size"],
-                strategy=spec["strategy"],
-                out=Z[w0:w1],
-                row_offset=w0,
-            )
 
     def _execute_plan_sharded(
         self,
@@ -771,21 +759,15 @@ class KernelRuntime:
         prep = self._prepare_sharded(plan, A, shards=shards, parts=parts)
         if prep is None:
             return None
-        rplan = prep.rplan
-        if rplan is not None:
-            X, Y = rplan.permute_operands(X, Y)
         self._bump("sharded_jobs")
-        Z = self._run_prepared(prep, X, Y, keep=keep)
-        if rplan is not None:
-            Z = Z[rplan.inv_perm]
-        return Z
+        return self._execute_prepared(prep, X, Y, keep=keep)
 
     def shard_plan(self, A, *, shards: Optional[int] = None, **plan_opts) -> ShardPlan:
         """The shard assignment a sharded call on ``A`` would use."""
         plan = self.plan(A, **plan_opts)
-        nshards = self.shards if shards is None else int(shards)
-        nshards = max(1, min(nshards, self.processes or nshards))
-        return assign_shards(plan.partitions, nshards)
+        spec = plan_spec_from_plan(plan) if plan.supports_parts else None
+        capacity = 0 if spec is None else sum(self._tier_slots(spec)[:2])
+        return assign_shards(plan.partitions, self._shard_count(shards, capacity))
 
     def run_sharded(
         self, A, X=None, Y=None, *, shards: Optional[int] = None, **plan_opts
@@ -797,8 +779,9 @@ class KernelRuntime:
         reordered plans are allclose to :meth:`run` — the workers execute
         natural-order kernels on the permuted matrix, deterministically
         for any shard count.  Falls back to the in-process path when the
-        runtime has no worker pool (``processes=0``) or the pattern
-        cannot cross a process boundary.
+        runtime has no sharded capacity or the pattern cannot cross a
+        process boundary.  A worker or host lost mid-call costs time, not
+        the call: its rows finish in-parent.
         """
         self._bump("requests")
         plan = self.plan(A, **plan_opts)
@@ -813,55 +796,29 @@ class KernelRuntime:
         """Asynchronous :meth:`run_sharded`; returns a future.
 
         Planning happens on the caller thread (cache accounting stays
-        ordered); dispatch and gather run on the worker pool's background
-        dispatcher.  Without a worker pool the request executes
+        ordered); the dispatch runs on the runtime's one dispatcher
+        thread.  Without sharded capacity the request executes
         synchronously and a completed future is returned.
         """
         self._bump("requests")
         self._bump("sharded_submitted")
         plan = self.plan(A, **plan_opts)
         prep = self._prepare_sharded(plan, A, shards=shards)
-        if prep is None:
+        with self._pool_lock:
+            if prep is not None and self._dispatcher is None and not self._closed:
+                self._dispatcher = ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix="repro-shard-dispatch"
+                )
+            dispatcher = self._dispatcher if prep is not None else None
+        if dispatcher is None:
             fut: "Future[np.ndarray]" = Future()
             try:
                 fut.set_result(self._execute_plan(plan, A, X, Y))
             except BaseException as exc:  # pragma: no cover - propagated
                 fut.set_exception(exc)
             return fut
-        rplan = prep.rplan
-        if rplan is not None:
-            X, Y = rplan.permute_operands(X, Y)
         self._bump("sharded_jobs")
-        if prep.controller is not None:
-            # Hybrid dispatches coordinate local and remote legs, so they
-            # run on their own background thread instead of the pool's
-            # single dispatcher.
-            with self._pool_lock:
-                if self._remote_dispatcher is None:
-                    self._remote_dispatcher = ThreadPoolExecutor(
-                        max_workers=1,
-                        thread_name_prefix="repro-remote-submit",
-                    )
-                dispatcher = self._remote_dispatcher
-            raw = dispatcher.submit(self._run_hybrid, prep, X, Y, keep=True)
-        else:
-            raw = prep.workers.submit_sharded(
-                prep.key, prep.A, prep.spec, prep.shard_plan, X, Y, keep=True
-            )
-        if rplan is None:
-            return raw
-        # Map the gathered permuted output back to original vertex order
-        # when the worker-side future resolves.
-        mapped: "Future[np.ndarray]" = Future()
-
-        def _finish(fut: "Future[np.ndarray]") -> None:
-            try:
-                mapped.set_result(fut.result()[rplan.inv_perm])
-            except BaseException as exc:
-                mapped.set_exception(exc)
-
-        raw.add_done_callback(_finish)
-        return mapped
+        return dispatcher.submit(self._execute_prepared, prep, X, Y, keep=True)
 
     def run(self, A, X=None, Y=None, **plan_opts) -> np.ndarray:
         """One-shot planned execution: ``Z = FusedMM(A, X, Y)``.

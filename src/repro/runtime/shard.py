@@ -73,8 +73,8 @@ class ShardPlan:
     """A complete assignment of a plan's partitions to worker shards.
 
     Built by :func:`assign_shards`; consumed by
-    :meth:`repro.runtime.workers.WorkerPool.run_sharded` and by
-    :meth:`KernelRuntime.run_sharded`.  The assignment is a *partition* of
+    :meth:`KernelRuntime.run_sharded`, which routes its assignments to the
+    worker pool and remote hosts.  The assignment is a *partition* of
     the input list: every input :class:`RowPartition` appears in exactly one
     shard, in its original order (asserted by a hypothesis property test).
     """

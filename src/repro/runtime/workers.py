@@ -6,38 +6,44 @@ and the shared-memory segments they read.  The design goals, in order:
 * **Ship the matrix once.**  A CSR matrix is placed in
   :mod:`multiprocessing.shared_memory` segments (``indptr``, ``indices``,
   ``data``) the first time it is used and workers attach zero-copy; every
-  subsequent ``run``/``submit`` on the same matrix sends only segment
-  names and row ranges — the adjacency is never re-pickled.
-* **Plan once per worker.**  Workers cache their resolved dispatch configs
-  keyed by (pattern, backend, block size, strategy), so repeated calls skip
-  pattern resolution and backend dispatch exactly as the parent's plan
-  cache does.
-* **Fail loudly, never hang.**  The parent polls worker liveness while
-  waiting for replies: a crashed worker (OOM kill, segfault, ``kill -9``)
-  raises :class:`~repro.errors.WorkerCrashError` promptly and the pool
-  respawns the dead worker so later calls still work.
+  subsequent call on the same matrix sends only segment names and row
+  ranges — the adjacency is never re-pickled.
+* **Plan once per worker.**  Workers cache their rebuilt dispatch configs
+  keyed by (pattern, kernel kind, block size, strategy), so repeated calls
+  skip pattern resolution and backend dispatch exactly as the parent's
+  plan cache does.
+* **Never hang, never fail a call for a lost worker.**  The parent polls
+  worker liveness while waiting for replies.  A crashed worker (OOM kill,
+  segfault, ``kill -9``) is respawned, and the assignments it held are
+  *returned* to the caller unfinished — the same contract as
+  :meth:`~repro.runtime.remote.RemoteController.run_assignments` — so the
+  runtime finishes them in-parent and the call completes.  A kernel
+  exception inside a live worker is deterministic and raises
+  :class:`~repro.errors.WorkerError` without a restart.
 
 Operands ``X``/``Y`` change per call and are passed through per-call
 shared-memory segments as well (one bulk copy each, no pickling); every
 worker writes its shard's rows *directly* into its row range of the shared
-output segment through the kernels' ``out=``/``row_offset=`` surface —
-no worker ever allocates a full ``(nrows, d)`` output and there is no
-post-hoc copy.  (Kernels still accumulate each row in float64 before the
-single cast into the segment, so sharded results stay bitwise identical
-to the in-process path; executing on a row-sliced matrix instead would
-shift the edge-block grid and break that identity.)
+output segment through :func:`~repro.runtime.codec.execute_parts` — no
+worker ever allocates a full ``(nrows, d)`` output.  (Kernels still
+accumulate each row in float64 before the single cast into the segment,
+so sharded results stay bitwise identical to the in-process path;
+executing on a row-sliced matrix instead would shift the edge-block grid
+and break that identity.)  The parent then copies the covered rows into
+the caller's ``Z``.
 
 Workers that can use the Numba JIT tier warm its kernel cache once at
 spawn (:func:`repro.core.jit.warmup`), so the first real request never
 pays compilation latency; with ``cache=True`` the machine code persists
 on disk across worker generations.
 
-The protocol is deliberately tiny — four message types over one duplex
+The protocol is deliberately tiny — five message types over one duplex
 pipe per worker::
 
     ("load", key, csr_meta)                    attach + cache a shared CSR
     ("drop", key)                              release a cached CSR
     ("run",  key, spec, x, y, z, parts)        execute assigned partitions
+    ("ping",)                                  liveness round-trip
     ("exit",)                                  leave the loop
 
 with replies ``("ok", payload)`` or ``("err", traceback_text)``.
@@ -49,17 +55,15 @@ import multiprocessing
 import threading
 import traceback
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..core.partition import RowPartition
 from ..errors import WorkerCrashError, WorkerError
 from ..sparse import CSRMatrix
-from .codec import build_worker_config, config_cache_key, plan_spec_from_plan
-from .shard import ShardPlan
+from .codec import execute_parts, plan_spec_from_plan, scatter_rows
+from .shard import ShardAssignment
 
 __all__ = ["WorkerPool", "default_start_method", "plan_spec_from_plan"]
 
@@ -213,11 +217,6 @@ def _worker_main(conn) -> None:  # pragma: no cover - runs in child processes
             elif cmd == "run":
                 _, key, spec, x_meta, y_meta, z_meta, raw_parts = msg
                 A, _segs = matrices[key]
-                cfg_key = config_cache_key(spec)
-                cfg = configs.get(cfg_key)
-                if cfg is None:
-                    cfg = build_worker_config(spec)
-                    configs[cfg_key] = cfg
                 ephemeral: List[shared_memory.SharedMemory] = []
                 try:
                     X = (
@@ -232,25 +231,9 @@ def _worker_main(conn) -> None:  # pragma: no cover - runs in child processes
                     else:
                         Y = _array_meta_to_ndarray(y_meta, ephemeral)
                     Z_out = _array_meta_to_ndarray(z_meta, ephemeral)
-                    parts = [RowPartition(*p) for p in raw_parts]
-                    # Write straight into this shard's row range of the
-                    # shared output segment: no full-size (nrows, d)
-                    # allocation, no post-hoc copy.  Kernels accumulate
-                    # each row in float64 and cast once, so the bytes are
-                    # identical to the in-process astype path.
-                    w0 = min(p.start for p in parts)
-                    w1 = max(p.stop for p in parts)
-                    cfg.execute(
-                        A,
-                        X,
-                        Y,
-                        parts=parts,
-                        num_threads=1,
-                        block_size=spec["block_size"],
-                        strategy=spec["strategy"],
-                        out=Z_out[w0:w1],
-                        row_offset=w0,
-                    )
+                    # Straight into this shard's rows of the shared output
+                    # segment: no full-size allocation, no post-hoc copy.
+                    execute_parts(spec, A, X, Y, raw_parts, Z_out, configs=configs)
                     del X, Y, Z_out
                 finally:
                     for shm in ephemeral:
@@ -277,43 +260,27 @@ class WorkerPool:
     Parameters
     ----------
     processes:
-        Number of worker processes (at least 1).
-    start_method:
-        ``multiprocessing`` start method; default
-        :func:`default_start_method` (``fork`` on Linux).
-    timeout:
-        Optional per-call ceiling in seconds while waiting for a worker
-        reply; ``None`` waits indefinitely (liveness is still polled, so a
-        *dead* worker raises promptly either way).  A timed-out worker is
-        restarted — its late reply must never desynchronise the pipe.
+        Number of worker processes (at least 1), started with
+        :func:`default_start_method`.
     matrix_cache:
         Maximum number of matrices kept registered in shared memory at
         once (LRU-evicted beyond that), bounding ``/dev/shm`` usage in
         long-running serving loops over many distinct adjacencies.
     """
 
-    def __init__(
-        self,
-        processes: int,
-        *,
-        start_method: Optional[str] = None,
-        timeout: Optional[float] = None,
-        matrix_cache: int = 16,
-    ) -> None:
+    def __init__(self, processes: int, *, matrix_cache: int = 16) -> None:
         if processes < 1:
             raise ValueError(f"processes must be >= 1, got {processes}")
         if matrix_cache < 1:
             raise ValueError(f"matrix_cache must be >= 1, got {matrix_cache}")
         self.processes = processes
-        self.timeout = timeout
         self.matrix_cache = matrix_cache
-        self._ctx = multiprocessing.get_context(start_method or default_start_method())
+        self._ctx = multiprocessing.get_context(default_start_method())
         self._procs: List[Optional[multiprocessing.Process]] = [None] * processes
         self._conns: List[Optional[object]] = [None] * processes
         self._loaded: List[Set[str]] = [set() for _ in range(processes)]
         self._matrices: "OrderedDict[str, _SharedCSR]" = OrderedDict()
         self._lock = threading.RLock()
-        self._dispatcher: Optional[ThreadPoolExecutor] = None
         self._closed = False
         self.restarts = 0
         # Start the shared-memory resource tracker *before* forking: workers
@@ -374,23 +341,11 @@ class WorkerPool:
         """Wait for worker ``i``'s reply, polling liveness so a crashed
         worker raises instead of hanging."""
         conn, proc = self._conns[i], self._procs[i]
-        waited = 0.0
         while not conn.poll(_POLL_INTERVAL):
-            waited += _POLL_INTERVAL
             if not proc.is_alive():
                 raise WorkerCrashError(
                     f"shard worker {i} (pid {proc.pid}) crashed with exit code "
                     f"{proc.exitcode} while executing a request"
-                )
-            if self.timeout is not None and waited >= self.timeout:
-                # The worker is alive but late.  Its eventual reply would
-                # desynchronise the request/reply framing (the next call
-                # would consume this call's stale reply), so replace the
-                # worker before raising.
-                self._restart(i)
-                raise WorkerError(
-                    f"shard worker {i} (pid {proc.pid}) did not reply within "
-                    f"{self.timeout:.1f}s; the worker was restarted"
                 )
         try:
             status, payload = conn.recv()
@@ -402,31 +357,35 @@ class WorkerPool:
             raise WorkerError(f"shard worker {i} failed:\n{payload}")
         return payload
 
-    def _broadcast(self, workers: Sequence[int], msg: tuple) -> None:
-        """Send one message to several workers and collect every reply,
-        restarting any worker that crashed before re-raising."""
+    def _exchange(self, msgs: Dict[int, tuple]) -> List[int]:
+        """Send each worker its message and collect every reply.
+
+        Returns the workers that died on the way; they are already
+        respawned.  A kernel exception in a live worker is re-raised (as
+        :class:`~repro.errors.WorkerError`) only after every reply is in,
+        so no pipe is left holding a stale reply.
+        """
         sent: List[int] = []
-        first_error: Optional[BaseException] = None
         crashed: List[int] = []
-        for i in workers:
+        first_error: Optional[WorkerError] = None
+        for i, msg in msgs.items():
             try:
                 self._send(i, msg)
                 sent.append(i)
-            except WorkerCrashError as exc:
+            except WorkerCrashError:
                 crashed.append(i)
-                first_error = first_error or exc
         for i in sent:
             try:
                 self._recv(i)
-            except WorkerCrashError as exc:
+            except WorkerCrashError:
                 crashed.append(i)
-                first_error = first_error or exc
             except WorkerError as exc:
                 first_error = first_error or exc
         for i in crashed:
             self._restart(i)
         if first_error is not None:
             raise first_error
+        return crashed
 
     # ------------------------------------------------------------------ #
     # Matrix registry
@@ -459,17 +418,20 @@ class WorkerPool:
             for i in holders:
                 self._loaded[i].discard(key)
             try:
-                self._broadcast(holders, ("drop", key))
+                self._exchange(dict.fromkeys(holders, ("drop", key)))
             finally:
                 shared.destroy()
 
-    def _ensure_loaded(self, workers: Sequence[int], key: str) -> None:
+    def _ensure_loaded(self, workers: Sequence[int], key: str) -> List[int]:
+        """Attach ``key`` on ``workers``; returns the ones that died (and
+        were respawned) on the way."""
         shared = self._matrices[key]
         missing = [i for i in workers if key not in self._loaded[i]]
-        if missing:
-            self._broadcast(missing, ("load", key, shared.meta))
-            for i in missing:
+        crashed = self._exchange(dict.fromkeys(missing, ("load", key, shared.meta)))
+        for i in missing:
+            if i not in crashed:
                 self._loaded[i].add(key)
+        return crashed
 
     def release_fingerprint(self, fingerprint: str) -> int:
         """Drop every registered matrix whose key belongs to
@@ -505,124 +467,83 @@ class WorkerPool:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def run_sharded(
+    def run_assignments(
         self,
         key: str,
         A: CSRMatrix,
         spec: Dict[str, object],
-        shard_plan: ShardPlan,
+        assignments: Sequence[ShardAssignment],
         X: Optional[np.ndarray],
         Y: Optional[np.ndarray],
-        *,
-        keep: bool = True,
-    ) -> np.ndarray:
-        """Execute one kernel call, its shards fanned out over the workers.
+        Z: np.ndarray,
+    ) -> List[ShardAssignment]:
+        """Execute ``assignments`` on the workers, writing into ``Z``.
 
-        ``shard_plan.num_shards`` must not exceed the pool size; shard ``s``
-        runs on worker ``s``.  With ``keep=False`` the matrix's shared
-        segments are torn down right after the call (one-shot matrices,
-        e.g. sampled negatives).
+        Assignment ``i`` runs on worker ``i``, so there may be at most
+        ``processes`` of them.  Only the row ranges the completed
+        assignments cover are written into ``Z``.  Returns the
+        assignments whose worker died mid-call (that worker is respawned);
+        the caller finishes those in-parent — the contract of
+        :meth:`~repro.runtime.remote.RemoteController.run_assignments`.
+        A kernel exception in a live worker raises
+        :class:`~repro.errors.WorkerError` without a restart.
         """
-        if shard_plan.num_shards > self.processes:
+        if len(assignments) > self.processes:
             raise WorkerError(
-                f"shard plan wants {shard_plan.num_shards} shards but the "
-                f"pool has only {self.processes} workers"
+                f"{len(assignments)} shard assignments but the pool has only "
+                f"{self.processes} workers"
             )
+        busy = [i for i, a in enumerate(assignments) if a.parts]
+        if not busy:
+            return []
         with self._lock:
             self._check_open()
             self.register_matrix(key, A)
-            busy = [a.shard for a in shard_plan.assignments if a.parts]
+            lost = set(self._ensure_loaded(busy, key))
+            spans = {
+                i: [(p.start, p.stop, p.nnz) for p in assignments[i].parts]
+                for i in busy
+                if i not in lost
+            }
+            ephemeral: List[_SharedArray] = []
             try:
-                self._ensure_loaded(busy, key)
-
-                d = X.shape[1] if X is not None else Y.shape[1]
+                x_meta = None
                 if X is not None:
-                    out_dtype = X.dtype
-                elif np.issubdtype(Y.dtype, np.floating):
-                    out_dtype = Y.dtype
-                else:  # pragma: no cover - integer Y normalised by kernels
-                    out_dtype = np.dtype(np.float32)
-
-                ephemeral: List[_SharedArray] = []
-                try:
-                    x_meta = None
-                    if X is not None:
-                        shared_x = _SharedArray(X)
-                        ephemeral.append(shared_x)
-                        x_meta = shared_x.meta
-                    if Y is None:
-                        y_meta = None
-                    elif X is not None and Y is X:
-                        y_meta = "same_as_x"
-                    else:
-                        shared_y = _SharedArray(Y)
-                        ephemeral.append(shared_y)
-                        y_meta = shared_y.meta
-                    shared_z = _SharedArray.empty((A.nrows, d), out_dtype)
-                    ephemeral.append(shared_z)
-
-                    sent: List[int] = []
-                    first_error: Optional[BaseException] = None
-                    crashed: List[int] = []
-                    for a in shard_plan.assignments:
-                        if not a.parts:
-                            continue
-                        raw_parts = [(p.start, p.stop, p.nnz) for p in a.parts]
-                        msg = (
-                            "run",
-                            key,
-                            spec,
-                            x_meta,
-                            y_meta,
-                            shared_z.meta,
-                            raw_parts,
-                        )
-                        try:
-                            self._send(a.shard, msg)
-                            sent.append(a.shard)
-                        except WorkerCrashError as exc:
-                            crashed.append(a.shard)
-                            first_error = first_error or exc
-                    for i in sent:
-                        try:
-                            self._recv(i)
-                        except WorkerCrashError as exc:
-                            crashed.append(i)
-                            first_error = first_error or exc
-                        except WorkerError as exc:
-                            first_error = first_error or exc
-                    for i in crashed:
-                        self._restart(i)
-                    if first_error is not None:
-                        raise first_error
-                    return np.array(shared_z.ndarray(), copy=True)
-                finally:
-                    for seg in ephemeral:
-                        seg.destroy()
-            finally:
-                if not keep:
-                    self.release_matrix(key)
-
-    def submit_sharded(self, *args, **kwargs) -> "Future[np.ndarray]":
-        """Asynchronous :meth:`run_sharded`; returns a future.
-
-        Dispatch happens on a single background thread, so async and
-        synchronous calls are serialised onto the same worker pipes.
-        """
-        with self._lock:
-            self._check_open()
-            if self._dispatcher is None:
-                self._dispatcher = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="repro-shard-dispatch"
+                    ephemeral.append(_SharedArray(X))
+                    x_meta = ephemeral[-1].meta
+                if Y is None:
+                    y_meta = None
+                elif Y is X:
+                    y_meta = "same_as_x"
+                else:
+                    ephemeral.append(_SharedArray(Y))
+                    y_meta = ephemeral[-1].meta
+                shared_z = _SharedArray.empty(Z.shape, Z.dtype)
+                ephemeral.append(shared_z)
+                lost.update(
+                    self._exchange(
+                        {
+                            i: ("run", key, spec, x_meta, y_meta, shared_z.meta, raw)
+                            for i, raw in spans.items()
+                        }
+                    )
                 )
-            return self._dispatcher.submit(self.run_sharded, *args, **kwargs)
+                window = shared_z.ndarray()
+                for i, raw in spans.items():
+                    if i not in lost:
+                        scatter_rows(Z, window, 0, raw)
+                del window
+            finally:
+                for seg in ephemeral:
+                    seg.destroy()
+            return [assignments[i] for i in busy if i in lost]
 
     def ping(self) -> int:
         """Round-trip every worker; returns the number that answered."""
         with self._lock:
             self._check_open()
-            self._broadcast(list(range(self.processes)), ("ping",))
-            return self.processes
+            crashed = self._exchange(dict.fromkeys(range(self.processes), ("ping",)))
+            return self.processes - len(crashed)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -656,9 +577,6 @@ class WorkerPool:
             if self._closed:
                 return
             self._closed = True
-            if self._dispatcher is not None:
-                self._dispatcher.shutdown(wait=True)
-                self._dispatcher = None
             for i, (proc, conn) in enumerate(zip(self._procs, self._conns)):
                 if conn is None or proc is None:
                     continue

@@ -163,6 +163,50 @@ def test_hybrid_local_plus_remote_identity(problem):
         _teardown(runtime, agents)
 
 
+def test_hybrid_local_worker_crash_finishes_in_parent(problem):
+    """A killed local worker in a hybrid runtime finishes in-parent, the
+    same rule as a lost remote host: bitwise result, respawned worker."""
+    A, X = problem
+    ref = fusedmm(A, X, X, pattern="sigmoid_embedding", num_threads=1)
+    runtime = KernelRuntime(num_threads=1, processes=2, remote_port=0)
+    agents = []
+    try:
+        agents.append(_AgentThread(runtime.controller.port, name="a0"))
+        assert runtime.controller.wait_for_hosts(1, timeout=15.0) == 1
+        assert np.array_equal(
+            runtime.run_sharded(A, X, pattern="sigmoid_embedding"), ref
+        )
+        runtime.workers.kill_worker(0)
+        assert np.array_equal(
+            runtime.run_sharded(A, X, pattern="sigmoid_embedding"), ref
+        )
+        runtime.workers.kill_worker(0)
+        future = runtime.submit_sharded(A, X, pattern="sigmoid_embedding")
+        assert np.array_equal(future.result(timeout=60), ref)
+        stats = runtime.stats()
+        assert stats["workers"]["restarts"] >= 1
+        assert stats["parent_fallbacks"] >= 1
+        assert stats["remote"]["hosts_lost"] == 0
+    finally:
+        _teardown(runtime, agents)
+
+
+def test_shard_plan_matches_remote_capacity(problem):
+    """``shard_plan()`` sizes shards as the call does: with no local
+    processes, the remote slots are the capacity."""
+    A, X = problem
+    runtime, agents = _remote_runtime(2)
+    try:
+        assert runtime.shard_plan(A).num_shards == 2
+        assert runtime.shard_plan(A, shards=8).num_shards == 2
+        ref = fusedmm(A, X, X, pattern="sigmoid_embedding", num_threads=1)
+        assert np.array_equal(
+            runtime.run_sharded(A, X, pattern="sigmoid_embedding"), ref
+        )
+    finally:
+        _teardown(runtime, agents)
+
+
 def test_remote_threads_gt_one_identity(problem):
     """Agent-side threading rides the determinism contract: same bytes."""
     A, X = problem
@@ -239,7 +283,7 @@ def test_all_hosts_dead_falls_back_to_parent(problem):
     try:
         Z = runtime.run_sharded(A, X, pattern="sigmoid_embedding")
         assert np.array_equal(Z, ref)
-        assert runtime.stats()["remote_fallbacks"] >= 1
+        assert runtime.stats()["parent_fallbacks"] >= 1
     finally:
         _teardown(runtime, agents)
 

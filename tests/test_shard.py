@@ -6,11 +6,11 @@ Covers the three contracts the tier advertises:
   streams produce results bitwise identical to sequential single-process
   ``fusedmm`` for 1, 2 and 4 shards, across patterns and the X-less SpMM
   path.
-* **Crash safety** — a hard-killed worker raises
-  :class:`~repro.errors.WorkerCrashError` promptly (never a hang), the
-  pool respawns the worker, and subsequent calls succeed; in-worker
-  exceptions surface as :class:`~repro.errors.WorkerError` with the
-  worker still alive.
+* **Crash safety** — a hard-killed worker never fails the call (or
+  hangs it): its assignment finishes in-parent bitwise, the pool respawns
+  the worker, and subsequent calls run on it; in-worker exceptions
+  surface as :class:`~repro.errors.WorkerError` with the worker still
+  alive.
 * **Shard assignment is a partition** — a hypothesis property test checks
   that :func:`~repro.runtime.shard.assign_shards` never loses, duplicates
   or reorders a plan partition.
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core.fused import fusedmm
 from repro.core.partition import RowPartition, part1d
-from repro.errors import PartitionError, WorkerCrashError, WorkerError
+from repro.errors import PartitionError, WorkerError
 from repro.graphs import random_features, rmat
 from repro.runtime import KernelRuntime, WorkerPool, assign_shards
 from repro.sparse import random_csr
@@ -214,19 +214,26 @@ def test_small_matrices_stay_in_process():
 # ---------------------------------------------------------------------- #
 # Worker pool lifecycle and failure handling
 # ---------------------------------------------------------------------- #
-def test_worker_crash_raises_cleanly_and_pool_recovers(medium_problem):
+def test_worker_crash_finishes_in_parent_and_pool_recovers(medium_problem):
+    """A lost local worker costs time, not the call: its assignment
+    finishes in-parent bitwise, as a lost remote host's does."""
     A, X = medium_problem
     ref = fusedmm(A, X, X, pattern="sigmoid_embedding", num_threads=1)
     with KernelRuntime(num_threads=1, processes=2) as rt:
         assert np.array_equal(rt.run_sharded(A, X, pattern="sigmoid_embedding"), ref)
         rt.workers.kill_worker(0)
-        with pytest.raises(WorkerCrashError):
-            rt.run_sharded(A, X, pattern="sigmoid_embedding")
-        stats = rt.stats()["workers"]
-        assert stats["restarts"] >= 1
-        assert stats["alive"] == 2
-        # The respawned worker reloads the shared matrix and serves again.
         assert np.array_equal(rt.run_sharded(A, X, pattern="sigmoid_embedding"), ref)
+        rt.workers.kill_worker(0)
+        fut = rt.submit_sharded(A, X, pattern="sigmoid_embedding")
+        assert np.array_equal(fut.result(timeout=60), ref)
+        stats = rt.stats()
+        assert stats["workers"]["restarts"] >= 1
+        assert stats["workers"]["alive"] == 2
+        assert stats["parent_fallbacks"] >= 1
+        # The respawned worker reloads the shared matrix and serves again:
+        # no assignment falls back to the parent this time.
+        assert np.array_equal(rt.run_sharded(A, X, pattern="sigmoid_embedding"), ref)
+        assert rt.stats()["parent_fallbacks"] == stats["parent_fallbacks"]
 
 
 def test_worker_exception_propagates_without_crash(medium_problem):
@@ -305,14 +312,29 @@ def test_worker_pool_rejects_oversized_shard_plan(medium_problem):
     A, X = medium_problem
     with KernelRuntime(num_threads=1, processes=2) as rt:
         plan = rt.plan(A)
-        oversized = assign_shards(plan.partitions, 5)
+        oversized = assign_shards(plan.partitions, 5).assignments
         from repro.runtime.workers import plan_spec_from_plan
 
         spec = plan_spec_from_plan(plan)
+        Z = np.zeros((A.nrows, X.shape[1]), dtype=X.dtype)
         with pytest.raises(WorkerError):
-            rt.workers.run_sharded(
-                plan.key.fingerprint, A, spec, oversized, X, X
+            rt.workers.run_assignments(
+                plan.key.fingerprint, A, spec, oversized, X, X, Z
             )
+
+
+def test_worker_spec_ships_the_resolved_kind(monkeypatch):
+    """Workers rebuild the kernel the parent resolved, not the requested
+    backend: ``auto`` must not re-resolve on different local facts."""
+    import repro.core.jit as jit
+    from repro.runtime.codec import build_worker_config, plan_spec_from_plan
+
+    A = random_csr(80, 80, density=0.05, seed=1)
+    monkeypatch.setattr(jit, "jit_available", lambda: False)
+    plan = KernelRuntime(num_threads=1).plan(A, backend="auto")
+    assert plan.kind != "jit"
+    monkeypatch.setattr(jit, "jit_available", lambda: True)
+    assert build_worker_config(plan_spec_from_plan(plan)).kind == plan.kind
 
 
 def test_runtime_close_shuts_workers_down(medium_problem):
