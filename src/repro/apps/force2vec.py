@@ -9,22 +9,25 @@ The per-batch gradient decomposes into
 * a **repulsive** term over ``k`` sampled negatives per vertex,
   ``grad_rep[u] = Σ_{j} σ(x_u·x_{n_j}) · x_{n_j}``.
 
-Both terms are exactly the sigmoid-embedding FusedMM pattern (Table III
-row 2): the attractive term on the batch rows of the adjacency matrix, the
-repulsive term on a small synthetic adjacency whose rows hold the sampled
-negatives.  The end-to-end comparison of Table VIII is therefore largely
-a kernel comparison — the paper's 25–45× speedups over DGL/PyTorch come
-from swapping this kernel — but only as far as the trainer's own glue
-stays small.  Measured on the flickr twin (d=128, batch 256, one kernel
-thread, 2-vCPU x86 host, traced ``perfbench`` run), an epoch spends
-~225 ms in kernel calls and ~47 ms in glue (row slicing 6 ms, negative
-sampling 14 ms, the trainer's own array work 27 ms): ~83% in the kernel.
-Converting the whole embedding matrix to float32 for every minibatch,
-slicing rows in a Python loop and re-validating the sampling distribution
-on every draw used to cost ~177 ms of glue (~55% in the kernel).  The
-float32 mirror kept by :meth:`Force2Vec.train_epoch`, the vectorised
+Both terms are one FusedMM pattern, ``sigmoid_residual``:
+``Σ_v (σ(x_u·x_v) − a_uv) · x_v`` with the label ``a_uv`` stored as the
+edge value — 1 on the batch rows' real edges, 0 on the negatives appended
+to the same rows (:func:`~repro.apps.sampling.with_negatives`).  The
+FusedMM backends therefore make one kernel call per minibatch and gather
+every neighbour vector once.  The baselines of Table VIII (``unfused``,
+``dense``) keep the three-call form the frameworks run: a σ-aggregate
+over the edges, a plain SpMM over the same edges (the ``− 1`` part), and
+a σ-aggregate over the negatives.  The end-to-end comparison of Table VIII
+is therefore a kernel comparison plus this gradient fusion — the paper's
+25–45× speedups over DGL/PyTorch come from swapping the kernel — as long
+as the trainer's own glue stays small.  A traced ``perfbench`` run on the
+flickr twin (d=128, batch 256, one kernel thread, 2-vCPU x86 host) puts
+an epoch at ~190 ms in 79 kernel calls (down from ~345 ms in 237 calls
+before the fusion) and ~95 ms of glue: row slicing 14 ms, negative
+sampling 25 ms and the trainer's own array work ~55 ms.  The float32
+mirror kept by :meth:`Force2Vec.train_epoch`, the vectorised
 :meth:`~repro.sparse.CSRMatrix.select_rows` and the precomputed CDF of
-:class:`~repro.apps.sampling.NegativeSampler` removed it with
+:class:`~repro.apps.sampling.NegativeSampler` keep that glue small with
 bitwise-identical results.
 
 The ``backend`` knob selects which kernel implementation performs the work:
@@ -51,7 +54,7 @@ from ..graphs.features import random_features
 from ..graphs.graph import Graph
 from ..runtime import KernelRuntime, RuntimeOptions
 from ..sparse import CSRMatrix
-from .sampling import NegativeSampler, minibatch_indices
+from .sampling import NegativeSampler, minibatch_indices, with_negatives
 
 __all__ = ["Force2VecConfig", "EpochStats", "Force2Vec", "EMBEDDING_BACKENDS"]
 
@@ -137,11 +140,10 @@ class Force2Vec:
             degrees=self.adjacency.row_degrees(),
             seed=self.config.seed + 7,
         )
-        # The adjacency is fixed across all epochs; bind the two kernel
-        # patterns of the gradient (sigmoid aggregation + plain SpMM) to
-        # cached plans once and stream every minibatch through them.  With
-        # ``processes`` set, large minibatch kernels run on the sharded
-        # multi-process tier (bitwise identical results).
+        # The adjacency is fixed across all epochs; bind the gradient
+        # pattern to a cached plan once and stream every minibatch through
+        # it.  With ``processes`` set, large minibatch kernels run on the
+        # sharded multi-process tier (bitwise identical results).
         self._runtime = KernelRuntime(
             cache_size=4,
             # Panel geometry / reorder sweeps size against the real
@@ -149,47 +151,54 @@ class Force2Vec:
             autotune_dim=self.config.dim,
             **self.config.runtime_kwargs(),
         )
-        self._sig_stream = self._runtime.epochs(
+        self._stream = self._runtime.epochs(
             self.adjacency,
-            pattern="sigmoid_embedding",
+            pattern="sigmoid_residual",
             backend=self.config.kernel_backend,
             reorder=self.config.reorder,
         )
-        self._agg_stream = self._runtime.epochs(
-            self.adjacency,
-            pattern="gcn",
-            backend=self.config.kernel_backend,
-            reorder=self.config.reorder,
-        )
+        # Seconds in kernel calls made outside the stream (the baseline
+        # backends); the stream keeps its own clock.
+        self._direct_seconds = 0.0
         self.history: List[EpochStats] = []
 
     # ------------------------------------------------------------------ #
     # Kernel dispatch
     # ------------------------------------------------------------------ #
+    def _timed(self, kernel: Callable, *args, **kwargs) -> np.ndarray:
+        t0 = time.perf_counter()
+        Z = kernel(*args, **kwargs)
+        self._direct_seconds += time.perf_counter() - t0
+        return Z
+
+    def _kernel_seconds(self) -> float:
+        """Seconds spent in kernel calls so far."""
+        return self._stream.kernel_seconds + self._direct_seconds
+
+    def _residual_aggregate(
+        self, A: CSRMatrix, X: np.ndarray, Y: np.ndarray
+    ) -> np.ndarray:
+        """``Σ_v (σ(x_u·y_v) − a_uv) y_v`` over a labelled batch matrix
+        (:func:`~repro.apps.sampling.with_negatives`): the whole gradient
+        in one FusedMM call."""
+        if self.config.backend == "fused":
+            return self._stream.run_on(A, X, Y)
+        return self._timed(
+            fusedmm, A, X, Y, pattern="sigmoid_residual", backend="generic"
+        )
+
     def _sigmoid_aggregate(self, A: CSRMatrix, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """``Σ_v σ(x_u·y_v) y_v`` with the configured backend."""
-        backend = self.config.backend
-        if backend == "fused":
-            return self._sig_stream.run_on(A, X, Y)
-        if backend == "fused_generic":
-            return fusedmm(A, X, Y, pattern="sigmoid_embedding", backend="generic")
-        if backend == "unfused":
-            return unfused_fusedmm(A, X, Y, pattern="sigmoid_embedding")
-        if backend == "dense":
-            return dense_sigmoid_embedding(A, X, Y)
-        raise BackendError(f"unknown backend {backend!r}")  # pragma: no cover
+        """``Σ_v σ(x_u·y_v) y_v`` on a baseline backend."""
+        if self.config.backend == "unfused":
+            return self._timed(unfused_fusedmm, A, X, Y, pattern="sigmoid_embedding")
+        return self._timed(dense_sigmoid_embedding, A, X, Y)
 
     def _plain_aggregate(self, A: CSRMatrix, Y: np.ndarray) -> np.ndarray:
-        """``Σ_v a_uv y_v`` (plain SpMM) with the configured backend."""
-        backend = self.config.backend
-        if backend in ("fused", "fused_generic"):
-            return self._agg_stream.run_on(A, None, Y)
-        if backend == "unfused":
+        """``Σ_v a_uv y_v`` (plain SpMM) on a baseline backend."""
+        if self.config.backend == "unfused":
             X_dummy = np.zeros((A.nrows, Y.shape[1]), dtype=Y.dtype)
-            return unfused_fusedmm(A, X_dummy, Y, pattern="gcn")
-        if backend == "dense":
-            return dense_spmm(A, Y)
-        raise BackendError(f"unknown backend {backend!r}")  # pragma: no cover
+            return self._timed(unfused_fusedmm, A, X_dummy, Y, pattern="gcn")
+        return self._timed(dense_spmm, A, Y)
 
     # ------------------------------------------------------------------ #
     # Training
@@ -198,42 +207,33 @@ class Force2Vec:
         """Gradient of the Force2Vec objective for one vertex minibatch;
         ``Y`` is the float32 mirror of :attr:`embeddings`."""
         cfg = self.config
+        n, k = batch.shape[0], cfg.negative_samples
         Xb = Y[batch]
-
-        # Attractive term over real edges: (σ(s) - 1) x_v summed over N(u).
         A_batch = self.adjacency.select_rows(batch)
-        sig_sum = self._sigmoid_aggregate(A_batch, Xb, Y).astype(np.float64)
-        # Unweighted neighbour sum (σ(s) - 1 = σ(s) minus one per edge).
-        # ``A_batch`` is private to this call, so its structure is shared.
-        ones_batch = CSRMatrix(
-            A_batch.nrows,
-            A_batch.ncols,
-            A_batch.indptr,
-            A_batch.indices,
-            np.ones(A_batch.nnz, dtype=np.float32),
-            check=False,
-        )
-        neigh_sum = self._plain_aggregate(ones_batch, Y).astype(np.float64)
-        grad = sig_sum - neigh_sum
+        negs = self._sampler.sample((n, k)) if k > 0 else np.empty((n, 0), np.int64)
 
-        # Repulsive term over sampled negatives: σ(s) x_n summed over k draws.
-        if cfg.negative_samples > 0:
-            negs = self._sampler.sample((batch.shape[0], cfg.negative_samples))
-            indptr = np.arange(
-                0,
-                (batch.shape[0] + 1) * cfg.negative_samples,
-                cfg.negative_samples,
-                dtype=np.int64,
+        if cfg.backend in ("fused", "fused_generic"):
+            # Label 1 on real edges, 0 on negatives: one kernel call.
+            grad = self._residual_aggregate(with_negatives(A_batch, negs, 1.0), Xb, Y)
+            grad = grad.astype(np.float64)
+        else:
+            # The Table VIII baselines keep the three-term form:
+            # Σ σ·y over the edges, minus Σ y over the same edges, plus
+            # Σ σ·y over the negatives.  ``A_batch`` is private to this
+            # call, so its structure is shared.
+            ones_batch = CSRMatrix(
+                n, A_batch.ncols, A_batch.indptr, A_batch.indices,
+                np.ones(A_batch.nnz, dtype=np.float32), check=False,
             )
-            A_neg = CSRMatrix(
-                batch.shape[0],
-                self.adjacency.ncols,
-                indptr,
-                negs.reshape(-1),
-                np.ones(negs.size, dtype=np.float32),
-                check=False,
-            )
-            grad += self._sigmoid_aggregate(A_neg, Xb, Y).astype(np.float64)
+            grad = self._sigmoid_aggregate(A_batch, Xb, Y).astype(np.float64)
+            grad -= self._plain_aggregate(ones_batch, Y).astype(np.float64)
+            if k > 0:
+                indptr = np.arange(0, (n + 1) * k, k, dtype=np.int64)
+                A_neg = CSRMatrix(
+                    n, A_batch.ncols, indptr, negs.reshape(-1),
+                    np.ones(negs.size, dtype=np.float32), check=False,
+                )
+                grad += self._sigmoid_aggregate(A_neg, Xb, Y).astype(np.float64)
 
         if cfg.max_grad_norm > 0:
             norms = np.linalg.norm(grad, axis=1, keepdims=True)
@@ -245,7 +245,7 @@ class Force2Vec:
         """Run one epoch (one pass over all vertices in minibatches)."""
         cfg = self.config
         t_epoch = time.perf_counter()
-        kernel_time = 0.0
+        k_epoch = self._kernel_seconds()
         num_batches = 0
         # The kernels read float32 embeddings.  Convert the whole matrix
         # once per epoch (so ``load_state`` or a reassigned ``embeddings``
@@ -255,16 +255,14 @@ class Force2Vec:
         for batch in minibatch_indices(
             self.graph.num_vertices, cfg.batch_size, seed=cfg.seed + epoch
         ):
-            t0 = time.perf_counter()
             grad = self._batch_gradient(batch, Y)
-            kernel_time += time.perf_counter() - t0
             self.embeddings[batch] -= cfg.learning_rate * grad
             Y[batch] = self.embeddings[batch]
             num_batches += 1
         stats = EpochStats(
             epoch=epoch,
             seconds=time.perf_counter() - t_epoch,
-            kernel_seconds=kernel_time,
+            kernel_seconds=self._kernel_seconds() - k_epoch,
             num_batches=num_batches,
         )
         self.history.append(stats)

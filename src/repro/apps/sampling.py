@@ -9,6 +9,9 @@ application layer" (Section III.C).  The application layer lives here:
 * :class:`NegativeSampler` — uniform or degree-biased (unigram^0.75)
   negative vertex sampling, the standard choice of word2vec-style
   embedding objectives.
+* :func:`with_negatives` — one minibatch's edges and its sampled negatives
+  as one labelled CSR matrix, the operand of the one-call gradient kernel
+  (the ``sigmoid_residual`` pattern).
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from typing import Iterator, Optional
 import numpy as np
 
 from ..errors import ShapeError
+from ..sparse import CSRMatrix
 
-__all__ = ["minibatch_indices", "NegativeSampler"]
+__all__ = ["minibatch_indices", "NegativeSampler", "with_negatives"]
 
 
 def minibatch_indices(
@@ -123,3 +127,32 @@ class NegativeSampler:
         uniform = self._rng.random(int(np.prod(shape)))
         flat = self._cdf.searchsorted(uniform, side="right")
         return flat.reshape(shape).astype(np.int64, copy=False)
+
+
+def with_negatives(A_batch: CSRMatrix, negatives: np.ndarray, labels) -> CSRMatrix:
+    """``A_batch`` with ``k`` sampled negatives appended to every row.
+
+    Row ``i`` of the result holds row ``i`` of ``A_batch`` (same columns,
+    same order, valued ``labels``: a scalar or one value per stored edge)
+    followed by the ``k`` columns ``negatives[i]`` valued 0.  The values
+    are float32, the dtype of the embedding kernels' operands.
+    """
+    negatives = np.asarray(negatives, dtype=np.int64)
+    n = A_batch.nrows
+    if negatives.ndim != 2 or negatives.shape[0] != n:
+        raise ShapeError(f"negatives must have shape ({n}, k), got {negatives.shape}")
+    k = negatives.shape[1]
+    # Row i gains k slots for each earlier row: positive edge e of row i
+    # moves to e + k*i, and the negatives fill the last k slots of row i.
+    shift = k * np.arange(n + 1, dtype=np.int64)
+    indptr = A_batch.indptr + shift
+    nnz = int(indptr[-1])
+    pos = np.arange(A_batch.nnz, dtype=np.int64)
+    pos += np.repeat(shift[:-1], A_batch.row_degrees())
+    neg = (indptr[1:, None] - k + np.arange(k, dtype=np.int64)).reshape(-1)
+    indices = np.empty(nnz, dtype=np.int64)
+    indices[pos] = A_batch.indices
+    indices[neg] = negatives.reshape(-1)
+    data = np.zeros(nnz, dtype=np.float32)
+    data[pos] = labels
+    return CSRMatrix(n, A_batch.ncols, indptr, indices, data, check=False)

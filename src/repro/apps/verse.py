@@ -8,9 +8,10 @@ uses the same message-passing shape as Force2Vec — σ(x_uᵀ y_v) multiplied
 with the neighbour vector and summed — which is exactly the FusedMM
 ``sigmoid_embedding`` pattern.  The trainer below differs from
 :class:`~repro.apps.force2vec.Force2Vec` only in its objective bookkeeping
-(positive targets are 1 for neighbours, 0 for noise samples) and in
-sampling one positive *distribution row* per vertex rather than a fixed
-minibatch of edges, matching the original algorithm's stochastic scheme.
+(positive targets are the similarity weights, 0 for noise samples) and in
+its noise distribution (uniform rather than degree-biased).  As in
+Force2Vec, the targets ride on the edge values of one labelled matrix, so
+each minibatch's whole gradient is one ``sigmoid_residual`` FusedMM call.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from ..graphs.graph import Graph
 from ..runtime import KernelRuntime, RuntimeOptions
 from ..sparse import CSRMatrix
 from .force2vec import EpochStats
-from .sampling import NegativeSampler, minibatch_indices
+from .sampling import NegativeSampler, minibatch_indices, with_negatives
 
 __all__ = ["VerseConfig", "Verse"]
 
@@ -75,9 +76,9 @@ class Verse:
             graph.num_vertices, self.config.dim, seed=self.config.seed
         ).astype(np.float64)
         self._sampler = NegativeSampler(graph.num_vertices, seed=self.config.seed + 13)
-        # Plans for the similarity distribution are resolved once and
-        # streamed: minibatch row slices and sampled noise matrices run
-        # through the cached plans via ``run_on`` (and through the sharded
+        # The gradient pattern is planned once for the similarity
+        # distribution and streamed: every minibatch's labelled rows run
+        # through the cached plan via ``run_on`` (and through the sharded
         # worker tier when ``processes`` is set).
         self._runtime = KernelRuntime(
             cache_size=4,
@@ -86,56 +87,34 @@ class Verse:
             autotune_dim=self.config.dim,
             **self.config.runtime_kwargs(),
         )
-        self._sig_stream = self._runtime.epochs(
+        self._stream = self._runtime.epochs(
             self.similarity,
-            pattern="sigmoid_embedding",
-            backend=self.config.kernel_backend,
-            reorder=self.config.reorder,
-        )
-        self._agg_stream = self._runtime.epochs(
-            self.similarity,
-            pattern="gcn",
+            pattern="sigmoid_residual",
             backend=self.config.kernel_backend,
             reorder=self.config.reorder,
         )
         self.history: List[EpochStats] = []
 
     def _batch_gradient(self, batch: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """``Y`` is the float32 mirror of :attr:`embeddings`."""
-        cfg = self.config
-        Xb = Y[batch]
+        """``Y`` is the float32 mirror of :attr:`embeddings`.
 
-        # Positive part: pull towards similarity-weighted neighbours.
+        The positive part pulls each vertex towards its similarity-weighted
+        neighbours and the noise part pushes it away from sampled noise
+        vertices: ``Σ σ·y − Σ s_uv·y + Σ_noise σ·y``, which is one
+        ``sigmoid_residual`` call with label ``s_uv`` on the similarity
+        entries and 0 on the noise samples.
+        """
+        n, k = batch.shape[0], self.config.noise_samples
         S_batch = self.similarity.select_rows(batch)
-        sig_pos = self._sig_stream.run_on(S_batch, Xb, Y)
-        target_pos = self._agg_stream.run_on(S_batch, None, Y)
-        grad = sig_pos.astype(np.float64) - target_pos.astype(np.float64)
-
-        # Noise part: push away from sampled noise vertices.
-        if cfg.noise_samples > 0:
-            negs = self._sampler.sample((batch.shape[0], cfg.noise_samples))
-            indptr = np.arange(
-                0,
-                (batch.shape[0] + 1) * cfg.noise_samples,
-                cfg.noise_samples,
-                dtype=np.int64,
-            )
-            A_neg = CSRMatrix(
-                batch.shape[0],
-                self.adjacency.ncols,
-                indptr,
-                negs.reshape(-1),
-                np.ones(negs.size, dtype=np.float32),
-                check=False,
-            )
-            grad += self._sig_stream.run_on(A_neg, Xb, Y).astype(np.float64)
-        return grad
+        negs = self._sampler.sample((n, k)) if k > 0 else np.empty((n, 0), np.int64)
+        A = with_negatives(S_batch, negs, S_batch.data)
+        return self._stream.run_on(A, Y[batch], Y).astype(np.float64)
 
     def train_epoch(self, epoch: int = 0) -> EpochStats:
         """One pass over all vertices in shuffled minibatches."""
         cfg = self.config
         t0 = time.perf_counter()
-        kernel_time = 0.0
+        k0 = self._stream.kernel_seconds
         num_batches = 0
         # Float32 mirror of the embeddings, converted once per epoch and
         # refreshed row-wise after each step (see ``Force2Vec.train_epoch``).
@@ -143,16 +122,14 @@ class Verse:
         for batch in minibatch_indices(
             self.graph.num_vertices, cfg.batch_size, seed=cfg.seed + epoch
         ):
-            t_k = time.perf_counter()
             grad = self._batch_gradient(batch, Y)
-            kernel_time += time.perf_counter() - t_k
             self.embeddings[batch] -= cfg.learning_rate * grad
             Y[batch] = self.embeddings[batch]
             num_batches += 1
         stats = EpochStats(
             epoch=epoch,
             seconds=time.perf_counter() - t0,
-            kernel_seconds=kernel_time,
+            kernel_seconds=self._stream.kernel_seconds - k0,
             num_batches=num_batches,
         )
         self.history.append(stats)

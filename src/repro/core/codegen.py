@@ -102,6 +102,8 @@ _MOP_EXPR: Dict[Tuple[str, bool], str] = {
     ("MUL", False): "H * Yd",
     ("MULDIFF", True): "H[:, None] * W",
     ("MULDIFF", False): "H * W",
+    ("RESIDUAL", True): "(H - vals)[:, None] * Yd",
+    ("RESIDUAL", False): "(H - vals[:, None]) * Yd",
     ("EDGESCALE", True): "vals[:, None] * H[:, None]",
     ("EDGESCALE", False): "vals[:, None] * H",
     ("SEL2ND", True): "Yd",

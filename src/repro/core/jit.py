@@ -110,6 +110,7 @@ _MOP_CODES = {
     "SEL2ND": 5,
     "ADD": 6,
     "SUB": 7,
+    "RESIDUAL": 8,
 }
 _AOP_CODES = {"ASUM": 0, "AMAX": 1, "AMIN": 2}
 
@@ -342,8 +343,10 @@ def _pipeline_rows(
                         m = Y[v, j]
                     elif mop == 6:
                         m = h + Y[v, j]
-                    else:
+                    elif mop == 7:
                         m = h - Y[v, j]
+                    else:
+                        m = (h - a) * Y[v, j]
                     if aop == 0:
                         acc[j] += m
                     elif aop == 1:
@@ -387,8 +390,10 @@ def _pipeline_rows(
                         m = Y[v, j]
                     elif mop == 6:
                         m = h + Y[v, j]
-                    else:
+                    elif mop == 7:
                         m = h - Y[v, j]
+                    else:
+                        m = (h - a) * Y[v, j]
                     if aop == 0:
                         acc[j] += m
                     elif aop == 1:

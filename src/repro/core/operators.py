@@ -19,7 +19,7 @@ This module defines:
   specializations (does ROP reduce?  is AOP a sum?).
 * The standard operator registry of Table II (ADD, MUL, SEL2ND, SIGMOID,
   SCAL, RSUM, RMUL, NORM, ASUM, AMAX, …) plus a few extras the applications
-  need (SUB, EDGESCALE, MLP hook, ReLU, …).
+  need (SUB, EDGESCALE, RESIDUAL, MLP hook, ReLU, …).
 * :func:`get_op` / :func:`register_op` for lookup and user extension.
 
 Batched conventions
@@ -265,6 +265,18 @@ register_op(
     )
 )
 
+register_op(
+    Operator(
+        name="RESIDUAL",
+        kinds=(OpKind.MOP,),
+        # Scale the neighbour feature by the message minus the edge value,
+        # (h - a_uv) · y_v: with a_uv as the label of an edge, the
+        # sigmoid-embedding gradient Σ (σ(x_u·y_v) - label) y_v is one pass.
+        edge_fn=lambda h, y, a, w=None: (h - a) * y,
+        batch_fn=lambda h, y, a, w=None: _residual_batch(h, y, a),
+    )
+)
+
 # --- Unary scaling operators (SOP / MOP) -------------------------------- #
 register_op(
     Operator(
@@ -476,6 +488,16 @@ def _mul_broadcast(h, y):
     if h_arr.ndim == y_arr.ndim - 1:
         return h_arr[..., None] * y_arr
     return h_arr * y_arr
+
+
+def _residual_batch(h, y, a):
+    """Batched RESIDUAL: ``(h - a) · y`` with the per-edge value ``a``
+    broadcast over a vector message."""
+    h_arr = np.asarray(h)
+    a_arr = np.asarray(a)
+    if a_arr.ndim == h_arr.ndim - 1:
+        a_arr = a_arr[..., None]
+    return _mul_broadcast(h_arr - a_arr, y)
 
 
 def _first_vector(x, y):

@@ -358,22 +358,25 @@ def run_edge_blocks(
     use_sum = ufunc is np.add
     Z = _alloc_accumulator(out, w0, w1, d, 0.0 if use_sum else aop.accumulator_identity)
     indptr, indices, data = A.indptr, A.indices, A.data
-    # Row id of every edge, computed once: CSR guarantees these are sorted.
-    edge_rows = np.repeat(np.arange(m, dtype=np.int64), A.row_degrees())
+    # Row id of every edge of the window, computed once (CSR guarantees
+    # these are sorted): a windowed call pays for its own edges, not nnz.
+    base = int(indptr[w0])
+    degrees = np.diff(indptr[w0 : w1 + 1])
+    edge_rows = np.repeat(np.arange(w0, w1, dtype=np.int64), degrees)
 
     def kernel(part: RowPartition, z_slice: np.ndarray) -> None:
         lo, hi = int(indptr[part.start]), int(indptr[part.stop])
         for e0, e1 in _edge_block_ranges(lo, hi, block_size):
-            src = edge_rows[e0:e1]
+            src = edge_rows[e0 - base : e1 - base]
             # Row segments of the block: a row's edges are contiguous.
             seg_ptr = np.concatenate(([0], np.flatnonzero(np.diff(src)) + 1, [e1 - e0]))
             rows = src[seg_ptr[:-1]] - part.start
             if use_sum:
                 perm, fold = segment_order(seg_ptr)
-                edges = e0 + perm
+                edges, src = e0 + perm, src[perm]
             else:
                 edges = slice(e0, e1)  # max/min are exact in any order
-            M = np.atleast_1d(body(X, Y, edge_rows[edges], indices[edges], data[edges], edges))
+            M = np.atleast_1d(body(X, Y, src, indices[edges], data[edges], edges))
             if M.ndim == 1:
                 M = M[:, None]
             if use_sum:
@@ -386,7 +389,7 @@ def run_edge_blocks(
     if not use_sum:
         # Rows that never received a message hold the accumulator identity
         # (±inf); normalise them to zero like every other backend.
-        empty = A.row_degrees()[w0:w1] == 0
+        empty = degrees == 0
         if np.any(empty):
             Z[empty] = 0.0
     return _finalize_output(Z, out, (Y if X is None else X).dtype)

@@ -8,6 +8,7 @@ Application            VOP       ROP     SOP       MOP        AOP
 =====================  ========  ======  ========  =========  =====
 ``fr_layout``          SUB       NORM    TDIST     MULDIFF    ASUM
 ``sigmoid_embedding``  MUL       RSUM    SIGMOID   MUL        ASUM
+``sigmoid_residual``   MUL       RSUM    SIGMOID   RESIDUAL   ASUM
 ``gcn``                SEL2ND    NOOP    NOOP      EDGESCALE  ASUM
 ``gnn_mlp``            MLP(user) NOOP    SIGMOID   MUL        AMAX
 ``spmm``               SEL2ND    NOOP    NOOP      EDGESCALE  ASUM
@@ -28,6 +29,11 @@ Differences from the paper's table, and why
   feature"; the explicit name here is ``EDGESCALE``.
 * ``spmm`` is the SpMM specialisation of FusedMM used in the MKL comparison
   (Table VII); it is the same op tuple as ``gcn``.
+* ``sigmoid_residual`` is not a Table III row: it is the Force2Vec/VERSE
+  *gradient*, ``Σ_v (σ(x_u·y_v) − a_uv) y_v``, where the edge value is the
+  edge's label (1 or a similarity weight on real edges, 0 on sampled
+  negatives).  One call replaces a sigmoid aggregation, a plain SpMM over
+  the same rows and a second sigmoid aggregation over the negatives.
 * ``sddmm_dot`` computes only the edge messages ``x_uᵀ y_v`` (a pure SDDMM);
   with ``SEL1ST``/``ASUM`` the aggregation degenerates to summing the scalar
   messages, which is occasionally useful on its own and exercises the
@@ -144,6 +150,17 @@ class ResolvedPattern:
         )
 
     @property
+    def is_sigmoid_residual(self) -> bool:
+        """True for the embedding-gradient pattern ``sigmoid_residual``."""
+        return (
+            self.vop.name == "MUL"
+            and self.rop.name == "RSUM"
+            and self.sop.name == "SIGMOID"
+            and self.mop.name == "RESIDUAL"
+            and self.aop.name == "ASUM"
+        )
+
+    @property
     def is_fr_layout(self) -> bool:
         """True for the force-directed layout row of Table III."""
         return (
@@ -216,6 +233,19 @@ register_pattern(
         aop="ASUM",
         description="VERSE / Force2Vec sigmoid graph embedding: "
         "z_u = Σ_v σ(x_u·y_v) y_v  (Table III row 2, Fig. 1b)",
+    )
+)
+
+register_pattern(
+    OpPattern(
+        name="sigmoid_residual",
+        vop="MUL",
+        rop="RSUM",
+        sop="SIGMOID",
+        mop="RESIDUAL",
+        aop="ASUM",
+        description="Force2Vec / VERSE gradient with edge labels a_uv: "
+        "z_u = Σ_v (σ(x_u·y_v) − a_uv) y_v",
     )
 )
 

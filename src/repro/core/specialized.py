@@ -18,6 +18,8 @@ Available specializations (mirroring the first three rows of Table III plus
 the SpMM specialisation used in the MKL comparison):
 
 * :func:`sigmoid_embedding_kernel` — ``z_u = Σ_v σ(x_u·y_v) · y_v``
+* :func:`sigmoid_residual_kernel`  — ``z_u = Σ_v (σ(x_u·y_v) − a_uv) · y_v``,
+  the Force2Vec/VERSE gradient in one pass
 * :func:`fr_layout_kernel`        — ``z_u = Σ_v f(‖x_u−y_v‖) · (x_u−y_v)``
 * :func:`spmm_kernel`             — ``Z = A · Y`` (also the GCN aggregation)
 * :func:`gcn_kernel`              — :func:`spmm_kernel` with the ``(A, X, Y)``
@@ -40,6 +42,7 @@ from .patterns import ResolvedPattern
 
 __all__ = [
     "sigmoid_embedding_kernel",
+    "sigmoid_residual_kernel",
     "fr_layout_kernel",
     "spmm_kernel",
     "gcn_kernel",
@@ -54,6 +57,13 @@ def _sigmoid_messages(X, Y, src, dst, vals, edges):
     # VOP + ROP fused into one einsum (the "dot1/dot2" of Fig. 5), then
     # SOP and MOP: each neighbour row scaled by its sigmoid score.
     return _sigmoid(np.einsum("ij,ij->i", np.take(X, src, axis=0), Yd))[:, None] * Yd
+
+
+def _sigmoid_residual(X, Y, src, dst, vals, edges):
+    Yd = np.take(Y, dst, axis=0)
+    # As _sigmoid_messages, with the edge's label taken off its score.
+    H = _sigmoid(np.einsum("ij,ij->i", np.take(X, src, axis=0), Yd))
+    return (H - vals)[:, None] * Yd
 
 
 def _fr_forces(X, Y, src, dst, vals, edges):
@@ -74,6 +84,17 @@ def sigmoid_embedding_kernel(A, X, Y=None, **blocking) -> np.ndarray:
     driver's segment sum is the accumulation (AOP).
     """
     return run_edge_blocks(A, X, Y, _sigmoid_messages, **blocking)
+
+
+def sigmoid_residual_kernel(A, X, Y=None, **blocking) -> np.ndarray:
+    """Fused embedding-gradient kernel: ``z_u = Σ_v (σ(x_uᵀ y_v) − a_uv) y_v``.
+
+    With label 1 on real edges and 0 on sampled negatives this is the whole
+    Force2Vec minibatch gradient with each neighbour vector gathered once;
+    a sigmoid aggregation plus a plain SpMM over the same rows gathers it
+    twice.
+    """
+    return run_edge_blocks(A, X, Y, _sigmoid_residual, **blocking)
 
 
 def fr_layout_kernel(A, X, Y=None, **blocking) -> np.ndarray:
@@ -114,6 +135,8 @@ def get_specialized_kernel(pattern: ResolvedPattern) -> Optional[Callable]:
     """
     if pattern.is_sigmoid_embedding:
         return sigmoid_embedding_kernel
+    if pattern.is_sigmoid_residual:
+        return sigmoid_residual_kernel
     if pattern.is_fr_layout:
         return fr_layout_kernel
     if pattern.is_spmm_like:

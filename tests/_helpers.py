@@ -15,7 +15,7 @@ import numpy as np
 from repro.graphs import random_features
 from repro.sparse import CSRMatrix
 
-__all__ = ["make_xy", "select_rows_by_loop"]
+__all__ = ["make_xy", "select_rows_by_loop", "with_negatives_by_loop"]
 
 
 def make_xy(A: CSRMatrix, d: int, seed: int = 0):
@@ -33,3 +33,24 @@ def select_rows_by_loop(A: CSRMatrix, rows) -> CSRMatrix:
     indices = np.concatenate([np.empty(0, np.int64)] + [A.indices[s] for s in spans])
     data = np.concatenate([np.empty(0, A.data.dtype)] + [A.data[s] for s in spans])
     return CSRMatrix(len(spans), A.ncols, indptr, indices, data, check=False)
+
+
+def with_negatives_by_loop(A: CSRMatrix, negatives, labels) -> CSRMatrix:
+    """Row-by-row reference for :func:`repro.apps.sampling.with_negatives`:
+    each row's edges valued ``labels``, then its negatives valued 0."""
+    labels = np.broadcast_to(np.asarray(labels, dtype=np.float32), (A.nnz,))
+    indices, data = [np.empty(0, np.int64)], [np.empty(0, np.float32)]
+    indptr = [0]
+    for u in range(A.nrows):
+        lo, hi = A.indptr[u], A.indptr[u + 1]
+        indices += [A.indices[lo:hi], np.asarray(negatives[u], np.int64)]
+        data += [labels[lo:hi], np.zeros(len(negatives[u]), np.float32)]
+        indptr.append(indptr[-1] + (hi - lo) + len(negatives[u]))
+    return CSRMatrix(
+        A.nrows,
+        A.ncols,
+        np.array(indptr, dtype=np.int64),
+        np.concatenate(indices),
+        np.concatenate(data),
+        check=False,
+    )

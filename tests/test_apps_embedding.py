@@ -4,7 +4,7 @@ classification)."""
 import numpy as np
 import pytest
 
-from _helpers import select_rows_by_loop
+from _helpers import select_rows_by_loop, with_negatives_by_loop
 from repro.apps import (
     EMBEDDING_BACKENDS,
     Force2Vec,
@@ -19,6 +19,7 @@ from repro.apps import (
     f1_micro,
     minibatch_indices,
     train_test_split_indices,
+    with_negatives,
 )
 from repro.errors import BackendError, ShapeError
 from repro.graphs import Graph, load_dataset
@@ -86,6 +87,25 @@ def test_negative_sampler_matches_generator_choice(shape):
         assert drawn.dtype == np.int64
         assert np.array_equal(drawn, expected.reshape(shape))
     assert sampler.get_state() == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("k", [0, 1, 5])
+@pytest.mark.parametrize("per_edge_labels", [False, True])
+def test_with_negatives_matches_a_row_loop(k, per_edge_labels):
+    rng = np.random.default_rng(k)
+    A = random_csr(40, 60, density=0.05, seed=2)
+    A = A.select_rows(np.concatenate(([5, 5], rng.permutation(40))))  # repeats
+    assert np.any(A.row_degrees() == 0)  # empty rows get only negatives
+    negs = rng.integers(0, 60, size=(A.nrows, k))
+    labels = rng.random(A.nnz).astype(np.float32) if per_edge_labels else 1.0
+    got = with_negatives(A, negs, labels)
+    expected = with_negatives_by_loop(A, negs, labels)
+    assert (got.nrows, got.ncols) == (expected.nrows, expected.ncols)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    with pytest.raises(ShapeError):
+        with_negatives(A, negs[1:], labels)
 
 
 def test_negative_sampler_validation():
@@ -215,7 +235,8 @@ def _rows_of(k: int, nrows: int) -> np.ndarray:
 def _force2vec_reference(graph, cfg, epochs):
     """The Force2Vec loop written the plain way: the whole embedding
     matrix converted to float32 for every minibatch, rows sliced one by
-    one and negatives drawn with ``Generator.choice(p=...)``."""
+    one, negatives drawn with ``Generator.choice(p=...)`` and, on the
+    FusedMM backends, the labelled batch matrix built row by row."""
     model = Force2Vec(graph, cfg)  # initial embeddings + kernel dispatch
     X, A = model.embeddings, model.adjacency
     weights = np.power(np.maximum(A.row_degrees().astype(np.float64), 1e-12), 0.75)
@@ -228,12 +249,18 @@ def _force2vec_reference(graph, cfg, epochs):
             Xb = X[batch].astype(np.float32)
             Y = X.astype(np.float32)
             A_batch = select_rows_by_loop(A, batch)
-            grad = model._sigmoid_aggregate(A_batch, Xb, Y).astype(np.float64)
-            ones = _ones_csr(A.ncols, A_batch.indptr, A_batch.indices)
-            grad -= model._plain_aggregate(ones, Y).astype(np.float64)
             negs = rng.choice(A.ncols, size=batch.size * cfg.negative_samples, p=probs)
-            A_neg = _ones_csr(A.ncols, _rows_of(cfg.negative_samples, batch.size), negs)
-            grad += model._sigmoid_aggregate(A_neg, Xb, Y).astype(np.float64)
+            if cfg.backend in ("fused", "fused_generic"):
+                negs = negs.reshape(batch.size, cfg.negative_samples)
+                A_lab = with_negatives_by_loop(A_batch, negs, 1.0)
+                grad = model._residual_aggregate(A_lab, Xb, Y).astype(np.float64)
+            else:
+                grad = model._sigmoid_aggregate(A_batch, Xb, Y).astype(np.float64)
+                ones = _ones_csr(A.ncols, A_batch.indptr, A_batch.indices)
+                grad -= model._plain_aggregate(ones, Y).astype(np.float64)
+                neg_indptr = _rows_of(cfg.negative_samples, batch.size)
+                A_neg = _ones_csr(A.ncols, neg_indptr, negs)
+                grad += model._sigmoid_aggregate(A_neg, Xb, Y).astype(np.float64)
             norms = np.linalg.norm(grad, axis=1, keepdims=True)
             grad *= np.minimum(1.0, cfg.max_grad_norm / np.maximum(norms, 1e-12))
             X[batch] -= cfg.learning_rate * grad
@@ -249,6 +276,60 @@ def test_force2vec_is_bitwise_equal_to_the_plain_loop(registry_graph, backend):
     model._runtime.close()
     expected = _force2vec_reference(registry_graph, cfg, 2)
     assert np.array_equal(model.embeddings, expected)
+
+
+def test_force2vec_fused_epoch_is_one_kernel_call_per_minibatch(community_graph):
+    cfg = Force2VecConfig(dim=8, batch_size=64, seed=0, num_threads=1)
+    model = Force2Vec(community_graph, cfg)
+    calls = []
+    run_on = model._stream.run_on
+    model._stream.run_on = lambda *a: calls.append(a[0].nnz) or run_on(*a)
+    stats = model.train_epoch()
+    model._runtime.close()
+    assert len(calls) == stats.num_batches == 4
+    # Every real edge once, plus five negatives per vertex.
+    assert sum(calls) == model.adjacency.nnz + 5 * community_graph.num_vertices
+
+
+@pytest.mark.parametrize("app", [Force2Vec, Verse])
+def test_kernel_seconds_is_the_kernel_time(community_graph, app):
+    """``EpochStats.kernel_seconds`` counts the kernel calls alone (the
+    stream's clock), not row slicing, sampling or the update."""
+    config_cls = Force2VecConfig if app is Force2Vec else VerseConfig
+    cfg = config_cls(dim=8, batch_size=32, seed=0, num_threads=1)
+    model = app(community_graph, cfg)
+    for epoch in range(2):
+        before = model._stream.kernel_seconds
+        stats = model.train_epoch(epoch)
+        assert stats.kernel_seconds == model._stream.kernel_seconds - before
+        assert 0.0 < stats.kernel_seconds < stats.seconds
+    model._runtime.close()
+
+
+@pytest.mark.parametrize("backend", ["fused_generic", "unfused", "dense"])
+def test_kernel_seconds_on_the_other_backends(community_graph, backend):
+    cfg = Force2VecConfig(dim=8, batch_size=64, seed=0, backend=backend, num_threads=1)
+    model = Force2Vec(community_graph, cfg)
+    stats = model.train_epoch()
+    model._runtime.close()
+    assert model._stream.kernel_seconds == 0.0
+    assert 0.0 < stats.kernel_seconds < stats.seconds
+
+
+def test_fused_gradient_matches_the_three_term_gradient():
+    """One ``sigmoid_residual`` call per batch against the unfused
+    baseline's σ-aggregate − neighbour sum + σ-aggregate over negatives."""
+    graph = load_dataset("cora")
+    grads = {}
+    for backend in ("fused", "unfused"):
+        cfg = Force2VecConfig(dim=32, seed=2, backend=backend, num_threads=1)
+        model = Force2Vec(graph, cfg)
+        batch = next(minibatch_indices(graph.num_vertices, cfg.batch_size, seed=2))
+        Y = model.embeddings.astype(np.float32)
+        grads[backend] = model._batch_gradient(batch, Y)
+        model._runtime.close()
+    assert np.abs(grads["fused"]).max() > 0.1
+    assert np.allclose(grads["fused"], grads["unfused"], rtol=1e-4, atol=1e-5)
 
 
 def test_force2vec_zero_negative_samples(community_graph):
@@ -301,12 +382,9 @@ def test_verse_is_bitwise_equal_to_the_plain_loop(registry_graph):
             Xb = X[batch].astype(np.float32)
             Y = X.astype(np.float32)
             S_batch = select_rows_by_loop(S, batch)
-            grad = ref._sig_stream.run_on(S_batch, Xb, Y).astype(np.float64)
-            grad -= ref._agg_stream.run_on(S_batch, None, Y).astype(np.float64)
             negs = rng.integers(0, S.ncols, size=(batch.size, cfg.noise_samples))
-            neg_indptr = _rows_of(cfg.noise_samples, batch.size)
-            A_neg = _ones_csr(S.ncols, neg_indptr, negs.ravel())
-            grad += ref._sig_stream.run_on(A_neg, Xb, Y).astype(np.float64)
+            A_lab = with_negatives_by_loop(S_batch, negs, S_batch.data)
+            grad = ref._stream.run_on(A_lab, Xb, Y).astype(np.float64)
             X[batch] -= cfg.learning_rate * grad
     ref._runtime.close()
     assert np.array_equal(model.embeddings, X)
@@ -321,8 +399,8 @@ def test_verse_requires_square_adjacency():
 @pytest.mark.parametrize("kernel_backend", ["optimized", "generic"])
 @pytest.mark.parametrize("app", [Force2Vec, Verse])
 def test_embedding_epoch_runs_on_numpy_backends(community_graph, app, kernel_backend):
-    """Both apps aggregate with ``X=None`` (plain SpMM); every kernel
-    backend must accept that, not only jit/specialized/generated."""
+    """Both apps train through the ``sigmoid_residual`` stream; every
+    kernel backend must run it, not only jit/specialized/generated."""
     config_cls = Force2VecConfig if app is Force2Vec else VerseConfig
     cfg = config_cls(dim=8, batch_size=64, seed=0, kernel_backend=kernel_backend)
     model = app(community_graph, cfg)

@@ -455,7 +455,7 @@ def test_apps_take_reorder_in_configs():
     g = Graph(rmat(300, 3_000, seed=1), name="tiny")
     model = Force2Vec(g, Force2VecConfig(dim=8, epochs=1, reorder="degree", seed=0))
     model.train()
-    assert model._sig_stream.plan.key.reorder == "degree"
+    assert model._stream.plan.key.reorder == "degree"
     stats = model.runtime_stats()
     assert stats["reorder"] == "none"  # runtime default; plans override per call
     assert "hit_rate" in stats["plan_cache"]
