@@ -11,7 +11,7 @@ freshly rebuilt from the same edge set):
     in-place plan refresh, dirty-panel rebuild — against the naive
     alternative: rebuild the CSR from the full edge set and replan both
     plans on a cold runtime.  The headline gate is the speedup of the
-    incremental path (``repro bench dynamic`` requires ≥ 5×).
+    incremental path (≥ ``MIN_SPEEDUP``).
 
 ``shard_identity``
     The mutated graph executed through :meth:`run_sharded` at several
@@ -25,12 +25,14 @@ freshly rebuilt from the same edge set):
     the dirty rows (``delta_ships >= 1``) — and still match the rebuilt
     reference bitwise.
 
-Exposed to both ``repro bench dynamic`` and
-``benchmarks/bench_dynamic_updates.py``.
+Run by ``repro bench dynamic [--quick]``.  Identity and delta-ship always
+gate.  The speedup is wall-clock and only meaningful at full size, so
+``--quick`` and ``--no-check`` report it without gating on it.
 """
 
 from __future__ import annotations
 
+import argparse
 import subprocess
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -45,7 +47,13 @@ from ..runtime.dynamic import DynamicGraph
 from ..sparse import CSRMatrix
 from ..sparse.coo import COOMatrix
 
-__all__ = ["bench_dynamic_updates", "edge_batch", "rebuild_csr"]
+__all__ = ["bench_dynamic_updates", "edge_batch", "rebuild_csr", "MIN_SPEEDUP"]
+
+TITLE = "Dynamic graphs (incremental invalidation)"
+
+#: The incremental path must beat rebuild+replan by at least this factor
+#: at <=1% nnz churn (the ROADMAP's dynamic-graph acceptance bar).
+MIN_SPEEDUP = 5.0
 
 #: How long to wait for worker hosts to register before giving up.
 _JOIN_TIMEOUT_S = 60.0
@@ -275,3 +283,68 @@ def bench_dynamic_updates(
             _reap(procs)
 
     return rows
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--nodes", type=int, default=None)
+    parser.add_argument("--avg-degree", type=int, default=16)
+    parser.add_argument("--dim", type=int, default=None)
+    parser.add_argument("--rounds", type=int, default=None)
+    parser.add_argument(
+        "--churn",
+        type=float,
+        default=0.002,
+        help="edge churn per round as a fraction of nnz (the speedup target "
+        "covers any small delta <= 1%%)",
+    )
+    parser.add_argument(
+        "--shards", type=int, nargs="+", default=[1, 2, 4], help="shard counts"
+    )
+    parser.add_argument(
+        "--no-remote",
+        action="store_true",
+        help="skip the remote leg (worker hosts + dirty-shard delta ship)",
+    )
+
+
+def run(args: argparse.Namespace) -> Tuple[List[Dict[str, object]], Dict]:
+    """The suite's rows and the ``config`` block of its record."""
+    nodes = args.nodes or (4_000 if args.quick else 20_000)
+    dim = args.dim or (32 if args.quick else 64)
+    rounds = args.rounds or (3 if args.quick else 5)
+    rows = bench_dynamic_updates(
+        num_nodes=nodes,
+        avg_degree=args.avg_degree,
+        dim=dim,
+        rounds=rounds,
+        churn=args.churn,
+        shard_counts=args.shards,
+        remote_leg=not args.no_remote,
+    )
+    config = {"nodes": nodes, "dim": dim, "rounds": rounds, "churn": args.churn}
+    return rows, config
+
+
+def gate(
+    rows: List[Dict[str, object]], *, quick: bool = False, no_check: bool = False
+) -> List[str]:
+    """The failure messages of ``rows``."""
+    failures = []
+    for r in rows:
+        if not r["identical"]:
+            failures.append(
+                f"{r['leg']} leg: result not bitwise identical to rebuilt CSR"
+            )
+        if r["leg"] == "remote_delta" and r["delta_ships"] < 1:
+            failures.append(
+                "remote leg never shipped a delta "
+                f"(delta_ships={r['delta_ships']}, "
+                f"fallbacks={r['delta_fallbacks']})"
+            )
+        speed_gate = not (quick or no_check) and r["leg"] == "update_vs_rebuild"
+        if speed_gate and r["speedup_vs_rebuild"] < MIN_SPEEDUP:
+            failures.append(
+                f"incremental update only {r['speedup_vs_rebuild']:.1f}x faster "
+                f"than rebuild+replan (target >= {MIN_SPEEDUP:.0f}x)"
+            )
+    return failures

@@ -9,15 +9,17 @@ optimized speedup — the repo's acceptance gate requires ≥3× on
 Without numba the jit rows are skipped (the interpreted fallback exists
 for correctness testing, not for timing) and the record notes
 ``jit_available: false`` so the trend tooling does not compare apples to
-oranges.
+oranges; the gate then has nothing to check.
 
-Exposed to both ``repro bench jit`` and ``benchmarks/bench_jit_speedup.py``.
+Run by ``repro bench jit [--quick]``.  The drift check always gates;
+``--no-check`` waives only the speedup target.
 """
 
 from __future__ import annotations
 
+import argparse
 import time
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,11 +28,19 @@ from ..core.fused import fusedmm
 from ..graphs import rmat
 from ..graphs.features import random_features
 
-__all__ = ["bench_jit_speedup", "DEFAULT_MIN_SPEEDUP"]
+__all__ = ["bench_jit_speedup", "MIN_SPEEDUP"]
+
+TITLE = "JIT backend speedup (vs NumPy backends)"
+
+#: The pattern the gate applies to (the paper's headline kernel).
+GATE_PATTERN = "sigmoid_embedding"
 
 #: Acceptance gate: jit must beat the optimized backend by this factor on
-#: sigmoid_embedding (d=128) when numba is installed.
-DEFAULT_MIN_SPEEDUP = 3.0
+#: the gate pattern (d=128) when numba is installed.
+MIN_SPEEDUP = 3.0
+
+#: The compiled kernel may drift from the optimized one by at most this.
+MAX_ABS_ERR = 1e-3
 
 _BACKENDS = ("optimized", "specialized", "jit")
 
@@ -96,3 +106,43 @@ def bench_jit_speedup(
                 )
             rows.append(row)
     return rows
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--nodes", type=int, default=None)
+    parser.add_argument("--avg-degree", type=int, default=16)
+    parser.add_argument("--dim", type=int, default=None)
+    parser.add_argument("--repeats", type=int, default=None)
+    parser.add_argument(
+        "--patterns", nargs="+", default=[GATE_PATTERN, "fr_layout", "gcn"]
+    )
+
+
+def run(args: argparse.Namespace) -> Tuple[List[Dict[str, object]], Optional[Dict]]:
+    """The suite's rows; its record carries no ``config`` block."""
+    rows = bench_jit_speedup(
+        num_nodes=args.nodes or (4_000 if args.quick else 20_000),
+        avg_degree=args.avg_degree,
+        dim=args.dim or (32 if args.quick else 128),
+        repeats=args.repeats or (2 if args.quick else 3),
+        patterns=args.patterns,
+    )
+    return rows, None
+
+
+def gate(
+    rows: List[Dict[str, object]], *, quick: bool = False, no_check: bool = False
+) -> List[str]:
+    """The failure messages of the jit rows on the gate pattern."""
+    failures = []
+    for r in rows:
+        if r["backend"] != "jit" or r["pattern"] != GATE_PATTERN:
+            continue
+        if r["max_abs_err"] > MAX_ABS_ERR:
+            failures.append(f"jit result drifted from optimized: {r['max_abs_err']}")
+        if not no_check and r["speedup_vs_optimized"] < MIN_SPEEDUP:
+            failures.append(
+                f"jit speedup {r['speedup_vs_optimized']:.2f}x < required "
+                f"{MIN_SPEEDUP:.1f}x on {GATE_PATTERN}"
+            )
+    return failures

@@ -6,20 +6,25 @@ artifact — ``python -m repro worker`` subprocesses, not in-process
 threads), always verifying bitwise equality against the sequential
 single-process kernel.  An optional failover leg starts two hosts, one of
 them fault-injected to crash on its first RUN request, and asserts the
-batch still completes bitwise on the survivor.
+batch still completes bitwise on the survivor.  A hedge leg stalls one
+of two hosts on a late RUN; the controller's speculative hedge must win
+(``hedge_wins >= 1``) without changing a byte.
 
-Exposed to both ``repro bench remote`` and
-``benchmarks/bench_remote_scaling.py``.
+Run by ``repro bench remote [--quick]``.  Every check is a correctness
+check — bitwise identity on every leg, and the failover and hedge legs
+actually exercising recovery and speculation — so ``--no-check`` waives
+nothing here.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +35,8 @@ from ..runtime import KernelRuntime
 from ..runtime.remote import REPRO_WORKER_CRASH_AFTER
 
 __all__ = ["bench_remote_scaling", "spawn_worker"]
+
+TITLE = "Remote scaling (distributed worker tier)"
 
 #: How long to wait for worker hosts to register before giving up.
 _JOIN_TIMEOUT_S = 60.0
@@ -273,3 +280,63 @@ def bench_remote_scaling(
             }
         )
     return rows
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--workers", type=int, nargs="+", default=[1, 2], help="worker-host counts"
+    )
+    parser.add_argument("--nodes", type=int, default=None)
+    parser.add_argument("--avg-degree", type=int, default=16)
+    parser.add_argument("--dim", type=int, default=None)
+    parser.add_argument("--repeats", type=int, default=None)
+    parser.add_argument(
+        "--no-kill",
+        action="store_true",
+        help="skip the failover leg (kill one of two hosts mid-batch)",
+    )
+    parser.add_argument(
+        "--no-hedge",
+        action="store_true",
+        help="skip the hedge leg (stall one of two hosts on a late RUN)",
+    )
+
+
+def run(args: argparse.Namespace) -> Tuple[List[Dict[str, object]], Dict]:
+    """The suite's rows and the ``config`` block of its record."""
+    nodes = args.nodes or (4_000 if args.quick else 20_000)
+    dim = args.dim or (32 if args.quick else 64)
+    repeats = args.repeats or (2 if args.quick else 3)
+    rows = bench_remote_scaling(
+        num_nodes=nodes,
+        avg_degree=args.avg_degree,
+        dim=dim,
+        repeats=repeats,
+        worker_counts=args.workers,
+        kill_one=not args.no_kill,
+        hedge_leg=not args.no_hedge,
+    )
+    return rows, {"nodes": nodes, "dim": dim, "repeats": repeats}
+
+
+def gate(
+    rows: List[Dict[str, object]], *, quick: bool = False, no_check: bool = False
+) -> List[str]:
+    """The failure messages of ``rows``; none is a wall-clock target."""
+    failures = []
+    for r in rows:
+        if not r["identical"]:
+            failures.append(
+                f"{r['leg']} leg, {r['workers']} workers: result not bitwise identical"
+            )
+        if r["leg"] == "failover" and (r["hosts_lost"] < 1 or r["retries"] < 1):
+            failures.append(
+                "failover leg did not exercise recovery "
+                f"(hosts_lost={r['hosts_lost']}, retries={r['retries']})"
+            )
+        if r["leg"] == "hedge" and r["hedge_wins"] < 1:
+            failures.append(
+                "hedge leg did not exercise speculation "
+                f"(hedges={r['hedges']}, hedge_wins={r['hedge_wins']})"
+            )
+    return failures

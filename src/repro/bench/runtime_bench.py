@@ -1,7 +1,6 @@
 """Throughput benchmarks for the batched kernel runtime.
 
-Two measurements, exposed to both ``repro bench runtime`` and the
-``benchmarks/bench_runtime_throughput.py`` script:
+Two measurements, run by ``repro bench runtime [--quick]``:
 
 * **plan-cache amortisation** — repeated calls on one fixed adjacency.
   The cold path re-plans on every call (pattern resolution, partitioning,
@@ -14,13 +13,16 @@ Two measurements, exposed to both ``repro bench runtime`` and the
   sequential :func:`~repro.core.fused.fusedmm` calls versus one
   :meth:`~repro.runtime.KernelRuntime.run_batch`, which packs them into a
   block-diagonal super-problem (results stay bitwise identical).
+
+Both are wall-clock targets, so ``--no-check`` waives them.
 """
 
 from __future__ import annotations
 
+import argparse
 import gc
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,6 +38,16 @@ __all__ = [
     "bench_batch_packing",
     "run_throughput_benchmark",
 ]
+
+TITLE = "Kernel-runtime throughput"
+
+#: Plan-cached repeated calls must beat cold re-planned calls by this
+#: factor at full size.
+PLAN_CACHE_MIN_SPEEDUP = 2.0
+#: ``--quick`` graphs are small enough that only a win is required.
+PLAN_CACHE_QUICK_MIN_SPEEDUP = 1.0
+#: One packed ``run_batch`` must beat the sequential ``fusedmm`` calls.
+BATCH_MIN_SPEEDUP = 1.0
 
 
 def _mean_seconds(fn, repeats: int) -> float:
@@ -180,3 +192,32 @@ def run_throughput_benchmark(
         )
     )
     return rows
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--threads", type=int, default=1)
+
+
+def run(args: argparse.Namespace) -> Tuple[List[Dict[str, object]], Dict]:
+    """The suite's rows and the ``config`` block of its record."""
+    rows = run_throughput_benchmark(quick=args.quick, num_threads=args.threads)
+    return rows, {"quick": args.quick, "threads": args.threads}
+
+
+def gate(
+    rows: List[Dict[str, object]], *, quick: bool = False, no_check: bool = False
+) -> List[str]:
+    """The failure messages of ``rows``; both targets are wall-clock."""
+    if no_check:
+        return []
+    plan_target = PLAN_CACHE_QUICK_MIN_SPEEDUP if quick else PLAN_CACHE_MIN_SPEEDUP
+    targets = {"plan_cache": plan_target, "batch_packing": BATCH_MIN_SPEEDUP}
+    failures = []
+    for r in rows:
+        target = targets[r["benchmark"]]
+        if r["speedup"] < target:
+            failures.append(
+                f"{r['benchmark']} speedup {r['speedup']:.2f}x < {target:.1f}x "
+                f"({r['graph']})"
+            )
+    return failures

@@ -5,23 +5,32 @@ count grows on one fixed graph, always verifying bitwise equality against
 the sequential single-process kernel — scaling numbers for results that
 differ would be meaningless.
 
-Exposed to both ``repro bench shard`` and
-``benchmarks/bench_shard_scaling.py``.
+Run by ``repro bench shard [--quick]``.  Bitwise identity always gates;
+on multi-core hosts some multi-shard row must also beat the 1-shard row,
+a wall-clock target that ``--no-check`` waives.
 """
 
 from __future__ import annotations
 
+import argparse
 import time
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..core.fused import fusedmm
+from ..core.parallel import available_threads
 from ..graphs import rmat
 from ..graphs.features import random_features
 from ..runtime import KernelRuntime
 
 __all__ = ["bench_shard_scaling"]
+
+TITLE = "Shard scaling (multi-process tier)"
+
+#: On a multi-core host the best multi-shard row must beat the 1-shard
+#: row by more than this factor; one core cannot speed anything up.
+MIN_SPEEDUP = 1.0
 
 
 def bench_shard_scaling(
@@ -82,3 +91,47 @@ def bench_shard_scaling(
     for r in rows:
         r["speedup_vs_1shard"] = r["edges_per_s"] / max(base["edges_per_s"], 1e-12)
     return rows
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--shards", type=int, nargs="+", default=[1, 2, 4], help="shard counts"
+    )
+    parser.add_argument("--nodes", type=int, default=None)
+    parser.add_argument("--avg-degree", type=int, default=16)
+    parser.add_argument("--dim", type=int, default=None)
+    parser.add_argument("--repeats", type=int, default=None)
+
+
+def run(args: argparse.Namespace) -> Tuple[List[Dict[str, object]], Dict]:
+    """The suite's rows and the ``config`` block of its record."""
+    nodes = args.nodes or (4_000 if args.quick else 20_000)
+    dim = args.dim or (32 if args.quick else 64)
+    repeats = args.repeats or (2 if args.quick else 3)
+    rows = bench_shard_scaling(
+        num_nodes=nodes,
+        avg_degree=args.avg_degree,
+        dim=dim,
+        repeats=repeats,
+        shard_counts=args.shards,
+    )
+    return rows, {"nodes": nodes, "dim": dim, "repeats": repeats}
+
+
+def gate(
+    rows: List[Dict[str, object]], *, quick: bool = False, no_check: bool = False
+) -> List[str]:
+    """The failure messages of ``rows``."""
+    failures = [
+        f"shard count {r['shards']}: result not bitwise identical"
+        for r in rows
+        if not r["identical"]
+    ]
+    multi = [r["speedup_vs_1shard"] for r in rows if r["shards"] > 1]
+    if not no_check and multi and available_threads() > 1:
+        if max(multi) <= MIN_SPEEDUP:
+            failures.append(
+                f"no multi-shard speedup (best {max(multi):.2f}x <= "
+                f"{MIN_SPEEDUP:.1f}x vs 1 shard)"
+            )
+    return failures

@@ -51,10 +51,11 @@ DEFAULT_MIN_SECONDS = 5e-3
 def _metric_direction(name: str) -> Optional[int]:
     """+1 when higher is better, -1 when lower is better, None to ignore."""
     lowered = name.lower()
-    if lowered == "seconds" or lowered.endswith("_s") or lowered.endswith("_seconds"):
-        return -1
+    # ``_per_s`` first: a rate such as ``edges_per_s`` also ends in ``_s``.
     if "speedup" in lowered or "throughput" in lowered or lowered.endswith("_per_s"):
         return +1
+    if lowered == "seconds" or lowered.endswith("_s") or lowered.endswith("_seconds"):
+        return -1
     return None
 
 
@@ -71,6 +72,18 @@ _IDENTITY_EXCLUDE = {
     "single_jobs",
     "busy_shards",
     "restarts",
+    "batches",
+    "hosts_lost",
+    "retries",
+    "hedges",
+    "hedge_wins",
+    "delta_ships",
+    "delta_fallbacks",
+    "plans_refreshed",
+    "panels_reused",
+    "panels_rebuilt",
+    "reorders_carried",
+    "checkpoints_written",
 }
 
 
@@ -267,9 +280,7 @@ def render_report(
 ) -> int:
     """Print the human-readable comparison and return the exit code.
 
-    Shared by ``repro bench compare`` and ``benchmarks/compare_trend.py``
-    so the rendering, note handling and exit-code policy cannot drift
-    between the two entry points.
+    The output and exit code of ``repro bench compare``.
     """
     from .tables import format_table
 

@@ -7,23 +7,22 @@ Sub-commands
 ``experiments``   list the registered paper experiments
 ``run``           run one experiment and print its tables
 ``kernel``        time one kernel comparison on one graph/dimension
-``bench``         system benchmarks (``bench runtime``: plan-cache and
-                  batch-packing throughput of the kernel runtime;
-                  ``bench shard``: multi-process shard scaling;
-                  ``bench jit``: JIT backend speedup vs the NumPy backends;
-                  ``bench reorder``: locality tier — vertex reordering +
-                  cache-blocked execution vs the natural ordering;
-                  ``bench serve``: serving throughput — micro-batching
-                  coalescer vs one-request-at-a-time dispatch;
-                  ``bench remote``: distributed tier — TCP worker hosts
-                  vs in-process sharding, with kill-one-host and
-                  straggler-hedging legs;
-                  ``bench dynamic``: dynamic graphs — incremental
-                  update vs full rebuild+replan, bitwise identity across
-                  shard counts and on remote hosts with dirty-shard
-                  delta shipping;
-                  ``bench compare``: diff BENCH_*.json trend records and
-                  gate on regressions)
+``bench``         system benchmarks: ``bench <suite> [--quick] [--no-check]
+                  [--json PATH]`` runs one suite, prints its table,
+                  writes its ``BENCH_<suite>.json`` record and exits 1 when
+                  a gate fails (``--no-check`` waives only the wall-clock
+                  targets).  Suites: ``runtime`` (plan cache + batch
+                  packing), ``shard`` (multi-process shard scaling),
+                  ``jit`` (JIT backend vs the NumPy backends),
+                  ``reorder`` (vertex reordering + cache blocking),
+                  ``cache_block`` (vectorized vs loop panel boundaries),
+                  ``serve`` (micro-batching vs serial dispatch), ``wire``
+                  (binary wire protocol vs HTTP), ``remote`` (TCP worker
+                  hosts, failover and hedging legs), ``dynamic``
+                  (incremental update vs rebuild, shard and remote
+                  identity) and ``jobs`` (checkpoint overhead).
+                  ``bench compare`` diffs BENCH_*.json trend records and
+                  gates on regressions
 ``runtime``       runtime observability (``runtime stats``: drive a
                   KernelRuntime through an epoch workload and print its
                   counters — plan-cache hit rate, scheduling, shard tier;
@@ -53,10 +52,12 @@ available programmatically through :mod:`repro.experiments` and
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 from typing import List, Optional
 
+from .bench.record import record_benchmark
 from .bench.tables import format_table
 from .core.patterns import PATTERNS, get_pattern
 from .graphs.datasets import list_datasets, load_dataset, paper_table5
@@ -137,93 +138,45 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_runtime(args: argparse.Namespace) -> int:
-    from .bench.runtime_bench import bench_batch_packing, bench_plan_cache
+#: ``repro bench <suite>`` runs the suite that ``repro.bench.<suite>_bench``
+#: owns: its arguments and ``--quick`` sizes (``add_arguments``), its rows
+#: and record ``config`` (``run``), its table ``TITLE`` and its ``gate``.
+_BENCH_SUITES = (
+    "runtime",
+    "shard",
+    "jit",
+    "reorder",
+    "cache_block",
+    "serve",
+    "wire",
+    "remote",
+    "dynamic",
+    "jobs",
+)
 
-    rows = [
-        bench_plan_cache(
-            num_nodes=args.nodes,
-            avg_degree=args.avg_degree,
-            dim=d,
-            repeats=args.repeats,
-            num_threads=args.threads,
+
+def _bench_suite(name: str):
+    return importlib.import_module(f".bench.{name}_bench", __package__)
+
+
+def _cmd_bench(args: argparse.Namespace) -> int:
+    """Run one suite, print its table, write its record, apply its gate."""
+    suite = _bench_suite(args.bench_command)
+    rows, config = suite.run(args)
+    print(format_table(rows, title=suite.TITLE))
+    if args.json:
+        extra = {"config": config} if config is not None else None
+        path = record_benchmark(
+            args.bench_command, rows, path=args.json, extra=extra
         )
-        for d in args.dims
-    ]
-    rows.append(
-        bench_batch_packing(
-            num_requests=args.batch,
-            repeats=args.repeats,
-            num_threads=args.threads or None,
-        )
-    )
-    print(format_table(rows, title="Kernel-runtime throughput (plan cache + batching)"))
-    if args.json:
-        from .bench.record import record_benchmark
-
-        print(f"wrote {record_benchmark('runtime', rows, path=args.json)}")
-    return 0
-
-
-def _cmd_bench_shard(args: argparse.Namespace) -> int:
-    from .bench.shard_bench import bench_shard_scaling
-
-    rows = bench_shard_scaling(
-        num_nodes=args.nodes,
-        avg_degree=args.avg_degree,
-        dim=args.dim,
-        repeats=args.repeats,
-        shard_counts=args.shards,
-        pattern=args.pattern,
-    )
-    print(format_table(rows, title="Shard scaling (multi-process tier)"))
-    if args.json:
-        from .bench.record import record_benchmark
-
-        print(f"wrote {record_benchmark('shard', rows, path=args.json)}")
-    return 0 if all(r["identical"] for r in rows) else 1
-
-
-def _cmd_bench_jit(args: argparse.Namespace) -> int:
-    from .bench.jit_bench import bench_jit_speedup
-    from .core.jit import jit_available
-
-    rows = bench_jit_speedup(
-        num_nodes=args.nodes,
-        avg_degree=args.avg_degree,
-        dim=args.dim,
-        repeats=args.repeats,
-        patterns=args.patterns,
-    )
-    print(format_table(rows, title="JIT backend speedup (vs NumPy backends)"))
-    if not jit_available():
-        print(
-            "numba is not installed: jit rows skipped "
-            "(pip install repro-fusedmm[jit])"
-        )
-    if args.json:
-        from .bench.record import record_benchmark
-
-        print(f"wrote {record_benchmark('jit', rows, path=args.json)}")
-    return 0
-
-
-def _cmd_bench_reorder(args: argparse.Namespace) -> int:
-    from .bench.reorder_bench import bench_reorder_locality
-
-    rows = bench_reorder_locality(
-        num_nodes=args.nodes,
-        avg_degree=args.avg_degree,
-        dim=args.dim,
-        repeats=args.repeats,
-        pattern=args.pattern,
-        strategies=args.strategies,
-    )
-    print(format_table(rows, title="Locality tier (reordering + cache blocking)"))
-    if args.json:
-        from .bench.record import record_benchmark
-
-        print(f"wrote {record_benchmark('reorder', rows, path=args.json)}")
+        print(f"wrote {path}")
+    failures = suite.gate(rows, quick=args.quick, no_check=args.no_check)
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    if failures:
+        return 1
+    waived = " (wall-clock targets waived by --no-check)" if args.no_check else ""
+    print(f"{args.bench_command} targets met{waived}")
     return 0
 
 
@@ -348,89 +301,6 @@ def _cmd_runtime_stats(args: argparse.Namespace) -> int:
             )
         )
     return 0
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    if args.wire:
-        from .bench.serve_bench import bench_wire_vs_http
-
-        rows = bench_wire_vs_http(
-            clients=args.clients,
-            requests_per_client=args.requests,
-            max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
-            pipeline=args.pipeline,
-        )
-        print(format_table(rows, title="Serving transport (wire vs HTTP)"))
-        if args.json:
-            from .bench.record import record_benchmark
-
-            print(f"wrote {record_benchmark('wire', rows, path=args.json)}")
-        return 0 if all(r["bitwise_identical"] for r in rows) else 1
-
-    from .bench.serve_bench import bench_serve_throughput
-
-    rows = bench_serve_throughput(
-        clients=args.clients,
-        requests_per_client=args.requests,
-        nodes=args.nodes,
-        dim=args.dim,
-        max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-    )
-    print(format_table(rows, title="Serving throughput (micro-batching vs serial)"))
-    if args.json:
-        from .bench.record import record_benchmark
-
-        print(f"wrote {record_benchmark('serve', rows, path=args.json)}")
-    return 0 if all(r["bitwise_identical"] for r in rows) else 1
-
-
-def _cmd_bench_remote(args: argparse.Namespace) -> int:
-    from .bench.remote_bench import bench_remote_scaling
-
-    rows = bench_remote_scaling(
-        num_nodes=args.nodes,
-        avg_degree=args.avg_degree,
-        dim=args.dim,
-        repeats=args.repeats,
-        worker_counts=args.workers,
-        pattern=args.pattern,
-        kill_one=not args.no_kill,
-        hedge_leg=not args.no_hedge,
-    )
-    print(format_table(rows, title="Remote scaling (distributed worker tier)"))
-    if args.json:
-        from .bench.record import record_benchmark
-
-        print(f"wrote {record_benchmark('remote', rows, path=args.json)}")
-    return 0 if all(r["identical"] for r in rows) else 1
-
-
-def _cmd_bench_dynamic(args: argparse.Namespace) -> int:
-    from .bench.dynamic_bench import bench_dynamic_updates
-
-    rows = bench_dynamic_updates(
-        num_nodes=args.nodes,
-        avg_degree=args.avg_degree,
-        dim=args.dim,
-        rounds=args.rounds,
-        churn=args.churn,
-        shard_counts=args.shards,
-        pattern=args.pattern,
-        remote_leg=not args.no_remote,
-    )
-    print(format_table(rows, title="Dynamic graphs (incremental invalidation)"))
-    if args.json:
-        from .bench.record import record_benchmark
-
-        print(f"wrote {record_benchmark('dynamic', rows, path=args.json)}")
-    ok = all(r["identical"] for r in rows) and all(
-        r["speedup_vs_rebuild"] >= 5.0
-        for r in rows
-        if r["leg"] == "update_vs_rebuild"
-    )
-    return 0 if ok else 1
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
@@ -659,28 +529,6 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
         return 0
 
 
-def _cmd_bench_jobs(args: argparse.Namespace) -> int:
-    from .bench.jobs_bench import bench_checkpoint_overhead
-
-    rows = bench_checkpoint_overhead(
-        nodes=args.nodes,
-        dim=args.dim,
-        epochs=args.epochs,
-        repeats=args.repeats,
-        apps=args.apps,
-    )
-    print(
-        format_table(
-            rows, title="Checkpoint overhead (per-epoch durable saves vs none)"
-        )
-    )
-    if args.json:
-        from .bench.record import record_benchmark
-
-        print(f"wrote {record_benchmark('jobs', rows, path=args.json)}")
-    return 0 if all(r["bitwise_identical"] for r in rows) else 1
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import DEFAULT_MODELS, KernelServer, ModelSpec, ServeConfig
 
@@ -780,149 +628,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="system benchmarks")
     bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
-    p_bench_rt = bench_sub.add_parser(
-        "runtime", help="plan-cache + batch-packing throughput of KernelRuntime"
-    )
-    p_bench_rt.add_argument("--nodes", type=int, default=10_000)
-    p_bench_rt.add_argument("--avg-degree", type=int, default=8)
-    p_bench_rt.add_argument("--dims", type=int, nargs="+", default=[64])
-    p_bench_rt.add_argument("--batch", type=int, default=32)
-    p_bench_rt.add_argument("--repeats", type=int, default=3)
-    p_bench_rt.add_argument("--threads", type=int, default=1)
-    p_bench_rt.add_argument("--json", metavar="PATH", default=None)
-    p_bench_rt.set_defaults(func=_cmd_bench_runtime)
-
-    p_bench_sh = bench_sub.add_parser(
-        "shard", help="shard scaling of the multi-process execution tier"
-    )
-    p_bench_sh.add_argument("--nodes", type=int, default=20_000)
-    p_bench_sh.add_argument("--avg-degree", type=int, default=16)
-    p_bench_sh.add_argument("--dim", type=int, default=64)
-    p_bench_sh.add_argument("--shards", type=int, nargs="+", default=[1, 2, 4])
-    p_bench_sh.add_argument("--repeats", type=int, default=3)
-    p_bench_sh.add_argument("--pattern", default="sigmoid_embedding")
-    p_bench_sh.add_argument("--json", metavar="PATH", default=None)
-    p_bench_sh.set_defaults(func=_cmd_bench_shard)
-
-    p_bench_jit = bench_sub.add_parser(
-        "jit", help="JIT backend speedup vs the NumPy backends"
-    )
-    p_bench_jit.add_argument("--nodes", type=int, default=20_000)
-    p_bench_jit.add_argument("--avg-degree", type=int, default=16)
-    p_bench_jit.add_argument("--dim", type=int, default=128)
-    p_bench_jit.add_argument("--repeats", type=int, default=3)
-    p_bench_jit.add_argument(
-        "--patterns", nargs="+", default=["sigmoid_embedding", "fr_layout", "gcn"]
-    )
-    p_bench_jit.add_argument("--json", metavar="PATH", default=None)
-    p_bench_jit.set_defaults(func=_cmd_bench_jit)
-
-    p_bench_re = bench_sub.add_parser(
-        "reorder", help="locality tier: reordering + cache blocking vs natural order"
-    )
-    p_bench_re.add_argument("--nodes", type=int, default=50_000)
-    p_bench_re.add_argument("--avg-degree", type=int, default=16)
-    p_bench_re.add_argument("--dim", type=int, default=128)
-    p_bench_re.add_argument("--repeats", type=int, default=3)
-    from .sparse import REORDER_CHOICES, REORDER_STRATEGIES
-
-    p_bench_re.add_argument("--pattern", default="sigmoid_embedding")
-    p_bench_re.add_argument(
-        "--strategies",
-        nargs="+",
-        choices=list(REORDER_STRATEGIES),
-        default=["none", "degree", "rcm", "hub"],
-    )
-    p_bench_re.add_argument("--json", metavar="PATH", default=None)
-    p_bench_re.set_defaults(func=_cmd_bench_reorder)
-
-    p_bench_sv = bench_sub.add_parser(
-        "serve", help="serving throughput: micro-batching vs serial dispatch"
-    )
-    p_bench_sv.add_argument("--clients", type=int, default=8)
-    p_bench_sv.add_argument("--requests", type=int, default=25, help="per client")
-    p_bench_sv.add_argument("--nodes", type=int, default=96)
-    p_bench_sv.add_argument("--dim", type=int, default=8)
-    p_bench_sv.add_argument("--max-batch", type=int, default=32)
-    p_bench_sv.add_argument("--max-wait-ms", type=float, default=2.0)
-    p_bench_sv.add_argument(
-        "--wire",
-        action="store_true",
-        help="compare the binary wire protocol against the HTTP front-end "
-        "(tiny + large payload legs) instead of batching vs serial",
-    )
-    p_bench_sv.add_argument(
-        "--pipeline",
-        type=int,
-        default=4,
-        help="wire-client pipeline depth (outstanding requests/connection)",
-    )
-    p_bench_sv.add_argument("--json", metavar="PATH", default=None)
-    p_bench_sv.set_defaults(func=_cmd_bench_serve)
-
-    p_bench_rm = bench_sub.add_parser(
-        "remote", help="distributed tier: TCP worker hosts vs in-process sharding"
-    )
-    p_bench_rm.add_argument("--nodes", type=int, default=20_000)
-    p_bench_rm.add_argument("--avg-degree", type=int, default=16)
-    p_bench_rm.add_argument("--dim", type=int, default=64)
-    p_bench_rm.add_argument("--workers", type=int, nargs="+", default=[1, 2])
-    p_bench_rm.add_argument("--repeats", type=int, default=3)
-    p_bench_rm.add_argument("--pattern", default="sigmoid_embedding")
-    p_bench_rm.add_argument(
-        "--no-kill",
-        action="store_true",
-        help="skip the fault-tolerance leg (kill one worker mid-batch)",
-    )
-    p_bench_rm.add_argument(
-        "--no-hedge",
-        action="store_true",
-        help="skip the straggler leg (stall one worker, hedge in-parent)",
-    )
-    p_bench_rm.add_argument("--json", metavar="PATH", default=None)
-    p_bench_rm.set_defaults(func=_cmd_bench_remote)
-
-    p_bench_dy = bench_sub.add_parser(
-        "dynamic",
-        help="dynamic graphs: incremental update vs full rebuild+replan, "
-        "bitwise identity across shard counts and remote delta shipping",
-    )
-    p_bench_dy.add_argument("--nodes", type=int, default=20_000)
-    p_bench_dy.add_argument("--avg-degree", type=int, default=16)
-    p_bench_dy.add_argument("--dim", type=int, default=64)
-    p_bench_dy.add_argument("--rounds", type=int, default=5)
-    p_bench_dy.add_argument(
-        "--churn",
-        type=float,
-        default=0.002,
-        help="edge churn per round as a fraction of nnz",
-    )
-    p_bench_dy.add_argument("--shards", type=int, nargs="+", default=[1, 2, 4])
-    p_bench_dy.add_argument("--pattern", default="sigmoid_embedding")
-    p_bench_dy.add_argument(
-        "--no-remote",
-        action="store_true",
-        help="skip the remote leg (worker hosts + dirty-shard delta ship)",
-    )
-    p_bench_dy.add_argument("--json", metavar="PATH", default=None)
-    p_bench_dy.set_defaults(func=_cmd_bench_dynamic)
-
-    p_bench_jobs = bench_sub.add_parser(
-        "jobs",
-        help="checkpoint overhead: per-epoch durable saves vs none, with "
-        "bitwise-identity gate",
-    )
-    p_bench_jobs.add_argument("--nodes", type=int, default=6_000)
-    p_bench_jobs.add_argument("--dim", type=int, default=32)
-    p_bench_jobs.add_argument("--epochs", type=int, default=4)
-    p_bench_jobs.add_argument("--repeats", type=int, default=3)
-    p_bench_jobs.add_argument(
-        "--apps", nargs="+", default=["force2vec", "gcn"],
-        choices=["force2vec", "verse", "gcn", "fr_layout"],
-    )
-    p_bench_jobs.add_argument("--json", metavar="PATH", default=None)
-    p_bench_jobs.set_defaults(func=_cmd_bench_jobs)
-
+    for name in _BENCH_SUITES:
+        suite = _bench_suite(name)
+        p_suite = bench_sub.add_parser(name, help=suite.__doc__.splitlines()[0])
+        p_suite.add_argument(
+            "--quick",
+            action="store_true",
+            help="CI smoke sizes; skips the targets that need full size",
+        )
+        p_suite.add_argument(
+            "--no-check",
+            action="store_true",
+            help="waive the wall-clock targets; correctness checks still fail "
+            "the run",
+        )
+        p_suite.add_argument(
+            "--json", metavar="PATH", default=None, help="write the record to PATH"
+        )
+        suite.add_arguments(p_suite)
+        p_suite.set_defaults(func=_cmd_bench)
     p_bench_cmp = bench_sub.add_parser(
         "compare", help="diff BENCH_*.json trend records, gate on regressions"
     )
@@ -932,6 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench_cmp.add_argument("--min-seconds", type=float, default=5e-3)
     p_bench_cmp.add_argument("--no-fail", action="store_true")
     p_bench_cmp.set_defaults(func=_cmd_bench_compare)
+
+    from .sparse import REORDER_CHOICES
 
     p_runtime = sub.add_parser("runtime", help="runtime observability")
     runtime_sub = p_runtime.add_subparsers(dest="runtime_command", required=True)

@@ -425,7 +425,7 @@ def _panel_boundaries_loop(
     Kept as the semantic ground truth (and the fallback for non-canonical
     matrices with duplicate columns inside a row): the vectorized path is
     asserted equal to this, row for row, by the test suite and by
-    ``benchmarks/bench_cache_block.py``.
+    ``repro bench cache_block``.
     """
     n = A.nrows
     indptr, indices = A.indptr, A.indices

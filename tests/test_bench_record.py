@@ -69,6 +69,7 @@ def test_cli_bench_shard_writes_json(tmp_path, capsys):
             "--dim", "8",
             "--shards", "1", "2",
             "--repeats", "1",
+            "--no-check",
             "--json", str(out),
         ]
     )

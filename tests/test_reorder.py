@@ -144,7 +144,7 @@ def test_cache_block_partitions_respect_bounds(graph):
 def test_cache_block_vectorized_matches_loop(n, density, seed, dim, budget):
     """The chunk-vectorized panel path is boundary-for-boundary identical
     to the Python row loop (also asserted at scale by
-    ``benchmarks/bench_cache_block.py``)."""
+    ``repro bench cache_block``)."""
     A = random_csr(n, n, density=density, seed=seed)
     loop = cache_block_partitions(
         A, dim=dim, budget_bytes=budget, impl="loop"

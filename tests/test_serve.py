@@ -892,7 +892,8 @@ class TestCLI:
         assert args.func.__name__ == "_cmd_serve"
         assert args.models == []
         args = parser.parse_args(["bench", "serve", "--clients", "2"])
-        assert args.func.__name__ == "_cmd_bench_serve"
+        assert args.func.__name__ == "_cmd_bench"
+        assert args.bench_command == "serve"
         args = parser.parse_args(["runtime", "stats", "--serve"])
         assert args.serve is True
 

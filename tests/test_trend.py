@@ -78,6 +78,7 @@ def test_counter_fields_do_not_break_row_matching():
                 "pattern": "sigmoid_embedding",
                 "d": 64,
                 "cache_hits": 2,
+                "batches": 16,
                 "warm_s": 0.006,
                 "speedup": 36.0,
             }
@@ -90,6 +91,7 @@ def test_counter_fields_do_not_break_row_matching():
                 "pattern": "sigmoid_embedding",
                 "d": 64,
                 "cache_hits": 0,  # plan cache broke...
+                "batches": 23,
                 "warm_s": 0.200,  # ...and the warm path got 33x slower
                 "speedup": 1.1,
             }
@@ -99,6 +101,28 @@ def test_counter_fields_do_not_break_row_matching():
     assert not report.unmatched  # the row still matches
     assert not report.ok
     assert {d.metric for d in report.regressions} == {"warm_s", "speedup"}
+
+
+@pytest.mark.parametrize(
+    "metric, direction",
+    [
+        ("edges_per_s", +1),
+        ("seconds", -1),
+        ("warm_s", -1),
+        ("speedup_vs_1shard", +1),
+        ("speedup_vs_rebuild", +1),
+    ],
+)
+def test_metric_direction(metric, direction):
+    """A rate ending in ``_per_s`` is higher-is-better even though it
+    also ends in ``_s``: a faster run must never be flagged."""
+    base = {"rows": [{"benchmark": "x", metric: 1.0}]}
+    better = {"rows": [{"benchmark": "x", metric: 1.0 + 0.5 * direction}]}
+    worse = {"rows": [{"benchmark": "x", metric: 1.0 - 0.5 * direction}]}
+    (delta,) = compare_records(base, better).deltas
+    assert delta.direction == direction
+    assert compare_records(base, better).ok
+    assert not compare_records(base, worse).ok
 
 
 def test_unmatched_rows_reported_not_failed():
