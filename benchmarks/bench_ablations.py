@@ -15,7 +15,6 @@ from repro.core import (
     fusedmm_edgeblocked,
     fusedmm_rowblocked,
     get_pattern,
-    sigmoid_embedding_kernel,
 )
 from repro.core.autotune import clear_tuning_cache
 
@@ -51,14 +50,6 @@ def bench_ablation_edge_blocked_dense(benchmark, ogbprot_graph):
     X = features_for(ogbprot_graph, 128)
     benchmark.group = "ablation-strategy-ogbprot-d128"
     benchmark(lambda: fusedmm_edgeblocked(A, X, X, pattern="sigmoid_embedding"))
-
-
-def bench_ablation_specialized_kernel(benchmark, ogbprot_graph):
-    """Hand-specialized sigmoid-embedding kernel (top of the backend ladder)."""
-    A = ogbprot_graph.adjacency
-    X = features_for(ogbprot_graph, 128)
-    benchmark.group = "ablation-strategy-ogbprot-d128"
-    benchmark(lambda: sigmoid_embedding_kernel(A, X, X))
 
 
 def bench_ablation_generated_kernel(benchmark, ogbprot_graph):

@@ -11,8 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import unfused_fusedmm
-from repro.core import sigmoid_embedding_kernel
-from repro.core.specialized import fr_layout_kernel
+from repro.core import fusedmm
 from repro.experiments import fig10_scaling_memory
 from repro.perf import measure_peak_allocation
 
@@ -27,7 +26,7 @@ def bench_fig10a_scaling_orkut(benchmark, orkut_graph, threads):
     A = orkut_graph.adjacency
     X = features_for(orkut_graph, 256)
     benchmark.group = "fig10a-orkut-embedding-d256"
-    benchmark(lambda: sigmoid_embedding_kernel(A, X, X, num_threads=threads))
+    benchmark(lambda: fusedmm(A, X, X, backend="generated", num_threads=threads))
 
 
 def bench_fig10b_memory_model_sweep(benchmark, ogbprot_graph):
@@ -49,10 +48,14 @@ def bench_fig10b_measured_allocation(benchmark, youtube_graph, kernel_name):
     the paper's Fig. 10(b) contrast on this substrate."""
     A = youtube_graph.adjacency
     X = features_for(youtube_graph, 64)
-    if kernel_name == "fused":
-        fn = lambda: fr_layout_kernel(A, X, X)  # noqa: E731
-    else:
-        fn = lambda: unfused_fusedmm(A, X, X, pattern="fr_layout")  # noqa: E731
+
+    def fused():
+        return fusedmm(A, X, X, pattern="fr_layout", backend="generated")
+
+    def unfused():
+        return unfused_fusedmm(A, X, X, pattern="fr_layout")
+
+    fn = fused if kernel_name == "fused" else unfused
     benchmark.group = "fig10b-measured-allocation"
     stats = benchmark.pedantic(
         lambda: measure_peak_allocation(fn), rounds=1, iterations=1

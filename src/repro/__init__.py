@@ -6,7 +6,7 @@ Embedding and Graph Neural Networks* (Rahman, Sujon, Azad — IPDPS 2021) as a
 pure-Python/NumPy library:
 
 * :mod:`repro.core` — the FusedMM kernel: five-step operator abstraction,
-  reference / vectorized / specialized / generated backends, 1-D
+  reference / vectorized / generated / jit backends, 1-D
   partitioning and thread parallelism, autotuning.
 * :mod:`repro.sparse` — CSR/COO sparse-matrix substrate.
 * :mod:`repro.graphs` — graph generators, the Table V dataset registry,

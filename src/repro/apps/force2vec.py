@@ -32,7 +32,8 @@ bitwise-identical results.
 
 The ``backend`` knob selects which kernel implementation performs the work:
 
-``"fused"``     FusedMM specialized kernels (this paper)
+``"fused"``     FusedMM on ``kernel_backend`` (this paper; ``auto`` runs
+                the jit or the generated kernel)
 ``"fused_generic"``  the unoptimized reference FusedMM (Alg. 1)
 ``"unfused"``   the DGL-style SDDMM → H → SpMM pipeline
 ``"dense"``     the PyTorch-style dense-tensor implementation

@@ -6,8 +6,8 @@ feature dimension:
 
 * ``dgl``        — the unfused SDDMM → H → SpMM pipeline,
 * ``fusedmm``    — the general (unoptimized) fused kernel (Alg. 1 reference),
-* ``fusedmmopt`` — the optimized fused kernel (specialized / generated /
-  vectorized backend).
+* ``fusedmmopt`` — the optimized fused kernel (generated / vectorized
+  backend).
 
 :func:`compare_kernels` runs exactly that comparison with the paper's
 timing protocol and returns a row dictionary with times and speedups;

@@ -6,10 +6,9 @@ Layout
 ``patterns``     Table III application patterns
 ``generic``      Algorithm 1 reference kernel
 ``optimized``    vectorized row-/edge-blocked kernels (FusedMMopt)
-``specialized``  hand-fused kernels for the known patterns
 ``jit``          Numba-compiled row-fused kernels (optional extra)
 ``mathops``      shared scalar math (clipped sigmoid)
-``codegen``      pattern-specialized kernel source generator
+``codegen``      the pattern-kernel generator (every Table III row)
 ``autotune``     strategy / block-size autotuner
 ``partition``    PART1D nnz-balanced 1-D partitioning
 ``parallel``     thread-parallel partition driver
@@ -32,13 +31,6 @@ from .optimized import (
 from .parallel import ParallelConfig, available_threads, run_partitioned
 from .partition import RowPartition, part1d, partition_balance
 from .patterns import OpPattern, get_pattern, list_patterns, register_pattern
-from .specialized import (
-    fr_layout_kernel,
-    gcn_kernel,
-    get_specialized_kernel,
-    sigmoid_embedding_kernel,
-    spmm_kernel,
-)
 
 __all__ = [
     "fusedmm",
@@ -66,11 +58,6 @@ __all__ = [
     "get_pattern",
     "list_patterns",
     "register_pattern",
-    "sigmoid_embedding_kernel",
-    "fr_layout_kernel",
-    "spmm_kernel",
-    "gcn_kernel",
-    "get_specialized_kernel",
     "compile_kernel",
     "generate_kernel_source",
     "supports_pattern",

@@ -12,9 +12,13 @@ of one edge block, and the source is compiled with :func:`compile`/``exec``
 and cached.  The emitted source is that block body alone: the edge-block
 loop, the output window and the left-to-right segment sum come from
 :func:`~repro.core.optimized.run_edge_blocks`, as for every other
-edge-blocked backend.  Generated kernels remove all per-step operator
-dispatch — the same benefit the paper gets from pattern-specialized C
-kernels — and the generated source can be inspected
+edge-blocked backend.  The body gathers only the feature rows its
+expressions read and frees each temporary after its last read, so it
+holds no more block arrays than one hand-written expression.  Generated
+kernels remove all per-step operator dispatch — the same benefit the
+paper gets from pattern-specialized C kernels — and they are the one
+pattern-kernel tier: every Table III row of standard operators runs on
+one.  The generated source can be inspected
 (:func:`generate_kernel_source`, or ``.source`` on a compiled kernel) for
 debugging or curiosity, exactly like the generated ``.c`` files of the
 original library.
@@ -26,6 +30,7 @@ dispatcher in :mod:`repro.core.fused` handles that automatically).
 
 from __future__ import annotations
 
+import re
 import textwrap
 from typing import Callable, Dict, Tuple
 
@@ -147,6 +152,23 @@ def _generated_block_kernel(X, Y, src, dst, vals, edges):
     return M
 '''
 
+# Row gathers use np.take: for narrow rows it is several times faster than
+# fancy indexing, with the same result.
+_GATHERS = [("Xs", "np.take(X, src, axis=0)"), ("Yd", "np.take(Y, dst, axis=0)")]
+
+
+def _uses(expr: str, name: str) -> int:
+    return len(re.findall(rf"\b{name}\b", expr))
+
+
+def _inline(steps, name):
+    """``steps`` without the assignment to ``name``, its value substituted
+    into every read."""
+    value = dict(steps)[name]
+    return [
+        (n, re.sub(rf"\b{name}\b", lambda _: value, e)) for n, e in steps if n != name
+    ]
+
 
 def generate_kernel_source(pattern: ResolvedPattern) -> str:
     """Emit the Python source of the block body specialized for ``pattern``.
@@ -164,21 +186,43 @@ def generate_kernel_source(pattern: ResolvedPattern) -> str:
     names = pattern.op_names()
     scalar = pattern.message_is_scalar
 
-    lines = []
     fused = _FUSED_VOP_ROP.get((names["vop"], names["rop"]))
     mop_expr = _MOP_EXPR[(names["mop"], scalar)]
-    needs_w = "W" in mop_expr
-    if fused is not None and not needs_w:
-        lines.append(f"S = {fused}")
+    steps = list(_GATHERS)
+    if fused is not None and "W" not in mop_expr:
+        steps.append(("S", fused))
     else:
-        lines.append(f"W = {_VOP_EXPR[names['vop']]}")
-        rop_expr = _ROP_EXPR[names["rop"]]
-        lines.append(f"S = {rop_expr}")
-    sop_expr = _SOP_EXPR[names["sop"]]
-    lines.append(f"H = {sop_expr}")
-    lines.append(f"M = {mop_expr}")
-    gathers = ["Xs = np.take(X, src, axis=0)", "Yd = np.take(Y, dst, axis=0)"]
-    body = textwrap.indent("\n".join(gathers + lines), " " * 4)
+        steps += [("W", _VOP_EXPR[names["vop"]]), ("S", _ROP_EXPR[names["rop"]])]
+    steps += [("H", _SOP_EXPR[names["sop"]]), ("M", mop_expr)]
+    # A step that only renames a value (``S = W`` for a NOOP ROP) is not
+    # emitted.
+    for name, _ in steps[:-1]:
+        if dict(steps)[name].isidentifier():
+            steps = _inline(steps, name)
+    # Keep only what the messages depend on (the SpMM body never reads X).
+    live = steps[-1:]
+    for name, expr in reversed(steps[:-1]):
+        if any(_uses(e, name) for _, e in live):
+            live.insert(0, (name, expr))
+    # A gather read once goes straight into its reader, where NumPy can
+    # reuse the gathered buffer for the result (temporary elision), as it
+    # does in a hand-written expression.
+    for name, _ in _GATHERS:
+        if name in dict(live) and sum(_uses(e, name) for _, e in live) == 1:
+            live = _inline(live, name)
+    # Free every other temporary after its last read, so a block holds no
+    # more arrays than a hand-written expression would.
+    lines = []
+    for i, (name, expr) in enumerate(live):
+        lines.append(f"{name} = {expr}")
+        dead = [
+            n
+            for n, _ in live[:i]
+            if _uses(expr, n) and not any(_uses(e, n) for _, e in live[i + 1 :])
+        ]
+        if dead and i < len(live) - 1:
+            lines.append(f"del {', '.join(dead)}")
+    body = textwrap.indent("\n".join(lines), " " * 4)
 
     return _BODY_TEMPLATE.format(
         pattern_name=pattern.name,

@@ -32,10 +32,17 @@ import numpy as np
 
 from ..errors import ShapeError
 from ..sparse import CSRMatrix, as_csr
+from .fused import fusedmm
 from .optimized import segment_sum
-from .specialized import spmm_kernel
 
 __all__ = ["edge_softmax", "attention_scores", "attention_aggregate", "sage_mean_aggregate"]
+
+
+def _spmm(A, Y, num_threads):
+    """``Z = A · Y`` on the SpMM specialisation (generated kernel)."""
+    return fusedmm(
+        A, None, Y, pattern="spmm", backend="generated", num_threads=num_threads
+    )
 
 
 def attention_scores(
@@ -113,7 +120,7 @@ def attention_aggregate(
     weighted = CSRMatrix(
         A.nrows, A.ncols, A.indptr.copy(), A.indices.copy(), alpha, check=False
     )
-    return spmm_kernel(weighted, Y_arr, num_threads=num_threads)
+    return _spmm(weighted, Y_arr, num_threads)
 
 
 def sage_mean_aggregate(
@@ -135,7 +142,7 @@ def sage_mean_aggregate(
         raise ShapeError("X must have one row per row of A")
     ones = A.copy()
     ones.data = np.ones_like(ones.data)
-    neighbour_sum = spmm_kernel(ones, Y_arr, num_threads=num_threads)
+    neighbour_sum = _spmm(ones, Y_arr, num_threads)
     degrees = np.maximum(A.row_degrees().astype(np.float32), 1.0)
     neighbour_mean = neighbour_sum / degrees[:, None]
     return np.concatenate([X, neighbour_mean.astype(np.float32)], axis=1)

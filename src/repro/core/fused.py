@@ -1,9 +1,10 @@
 """Public FusedMM entry points and the one backend resolver.
 
 The paper's FusedMM takes the five operators of a pattern and picks a
-kernel for them: a hand-tuned kernel for the known Table III rows, a
-code-generated kernel (Section IV.B), or the general one.  That choice is
-made once, by :func:`resolve_backend`:
+kernel for them: a pattern-specific kernel emitted by the code generator
+(Section IV.B) for any pattern of standard operators, the Table III rows
+among them, or the general one.  That choice is made once, by
+:func:`resolve_backend`:
 
 * :func:`fusedmm` — one-shot ``Z = fusedmm(A, X, Y, pattern=...)``
   (Fig. 2): resolve, then call.
@@ -16,21 +17,20 @@ Backends
 --------
 ``"generic"``      the faithful Algorithm 1 reference (paper's "FusedMM")
 ``"optimized"``    vectorized row-/edge-blocked kernels (paper's "FusedMMopt")
-``"specialized"``  hand-fused kernels for the known Table III patterns
 ``"generated"``    kernels emitted by the code generator (Section IV.B)
 ``"jit"``          Numba-compiled row-fused kernels (:mod:`repro.core.jit`);
                    runs interpreted when the optional numba extra is absent
-``"auto"``         jit (only when numba is importable) → specialized →
-                   generated → optimized, first backend that supports the
-                   pattern wins; an optimized call that raises falls back
-                   to generic
+``"auto"``         jit (only when numba is importable) → generated →
+                   optimized, first backend that supports the pattern wins;
+                   an optimized call that raises falls back to generic
 
 Every resolved kernel is called as ``kernel(A, X, Y, *, block_size,
 num_threads, strategy, parts, pool, out, row_offset)``; knobs a kind has
-no use for are ignored.  ``X=None`` is accepted for spmm-like patterns,
-which never read it.  ``out=``/``row_offset=`` is a preallocated slab: row
-``u`` of the result lands in ``out[u - row_offset]`` (the shard workers
-write straight into shared memory this way).
+no use for are ignored.  ``X=None`` is accepted for patterns whose VOP
+never reads it (``NOOP``/``SEL2ND``, e.g. gcn and spmm).
+``out=``/``row_offset=`` is a preallocated slab: row ``u`` of the result
+lands in ``out[u - row_offset]`` (the shard workers write straight into
+shared memory this way).
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .generic import fusedmm_generic
 from .optimized import DEFAULT_BLOCK_SIZE, auto_strategy, fusedmm_optimized
 from .partition import part1d
 from .patterns import OpPattern, ResolvedPattern, get_pattern
-from .specialized import get_specialized_kernel
 from .validation import ensure_float_matrix
 
 __all__ = [
@@ -61,7 +60,7 @@ __all__ = [
     "KernelChoice",
 ]
 
-BACKENDS = ("auto", "jit", "generic", "optimized", "specialized", "generated")
+BACKENDS = ("auto", "jit", "generic", "optimized", "generated")
 
 
 # ---------------------------------------------------------------------- #
@@ -70,11 +69,11 @@ BACKENDS = ("auto", "jit", "generic", "optimized", "specialized", "generated")
 def _zero_sources(A, Y, resolved: ResolvedPattern) -> np.ndarray:
     """Source features for a call made without ``X``.
 
-    Spmm-like patterns never read ``X``, so zeros of ``Y``'s dtype give
-    bitwise the result of passing any ``X`` of that dtype; every other
-    pattern needs real source features.
+    Only the VOP reads ``X``; a ``NOOP`` or ``SEL2ND`` VOP ignores it, so
+    zeros of ``Y``'s dtype give bitwise the result of passing any ``X`` of
+    that dtype.  Every other pattern needs real source features.
     """
-    if not resolved.is_spmm_like:
+    if resolved.vop.name not in ("NOOP", "SEL2ND"):
         raise BackendError(f"pattern {resolved.name!r} needs source features X")
     Y = ensure_float_matrix(Y, "Y")
     return np.zeros((as_csr(A).nrows, Y.shape[1]), dtype=Y.dtype)
@@ -87,8 +86,8 @@ def resolve_backend(
 ) -> Tuple[str, Callable]:
     """Pick the kernel for ``pattern`` on ``backend``; returns ``(kind, kernel)``.
 
-    ``kind`` is one of ``"jit"``, ``"specialized"``, ``"generated"``,
-    ``"optimized"`` or ``"generic"``; ``kernel`` has the calling convention
+    ``kind`` is one of ``"jit"``, ``"generated"``, ``"optimized"`` or
+    ``"generic"``; ``kernel`` has the calling convention
     of the module docstring with the pattern bound.  ``tuning`` is the
     autotune sweep for this problem, if one ran: ``auto`` then takes the
     jit tier only when the sweep measured it fastest.  An explicit backend
@@ -109,15 +108,6 @@ def resolve_backend(
         backend == "auto" and jit_wins and jit_backend.jit_supports_pattern(resolved)
     ):
         kind, pattern_kernel = "jit", jit_backend.get_jit_kernel(resolved)
-    elif backend != "generated" and (
-        pattern_kernel := get_specialized_kernel(resolved)
-    ):
-        kind = "specialized"
-    elif backend == "specialized":
-        raise BackendError(
-            f"no specialized kernel exists for pattern {resolved.name!r}; "
-            "use backend='optimized' or 'auto'"
-        )
     elif supports_pattern(resolved):
         kind, pattern_kernel = "generated", compile_kernel(resolved)
     elif backend == "generated":

@@ -18,7 +18,7 @@ This is the faithful per-row, per-nonzero translation of the pseudo-code:
 It accepts arbitrary Python callables (through the operator registry) and
 is used for three things:
 
-1. as the always-correct oracle the optimized/specialized/generated kernels
+1. as the always-correct oracle the optimized/generated/jit kernels
    are property-tested against,
 2. as the fallback backend for user-defined operators that have no batched
    implementation,

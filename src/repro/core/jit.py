@@ -434,19 +434,6 @@ def _pattern_codes(resolved: ResolvedPattern):
     )
 
 
-def _is_tdist_fr(resolved: ResolvedPattern) -> bool:
-    # ``is_fr_layout`` deliberately ignores the SOP slot; the compiled fast
-    # path hard-codes the Student-t force, so require it explicitly and let
-    # other SOPs run through the pipeline kernel.
-    return resolved.is_fr_layout and resolved.sop.name == "TDIST"
-
-
-def _is_edge_scaled_spmm(resolved: ResolvedPattern) -> bool:
-    # The spmm fast path multiplies by the edge value; spmm-like patterns
-    # with a NOOP/SEL2ND MOP (plain neighbour sums) take the pipeline.
-    return resolved.is_spmm_like and resolved.mop.name == "EDGESCALE"
-
-
 def fusedmm_jit(
     A,
     X,
@@ -492,13 +479,13 @@ def fusedmm_jit(
                 )
 
     indptr, indices, data = A.indptr, A.indices, A.data
-    if _is_edge_scaled_spmm(resolved):
+    if resolved.is_spmm_like:
         for start, stop in ranges:
             _spmm_rows(indptr, indices, data, Y, Z, start, stop, w0)
     elif resolved.is_sigmoid_embedding:
         for start, stop in ranges:
             _sigmoid_embedding_rows(indptr, indices, X, Y, Z, start, stop, w0)
-    elif _is_tdist_fr(resolved):
+    elif resolved.is_fr_layout:
         for start, stop in ranges:
             _fr_layout_rows(indptr, indices, X, Y, Z, start, stop, w0)
     else:
@@ -511,7 +498,7 @@ def fusedmm_jit(
 def get_jit_kernel(pattern: ResolvedPattern | OpPattern | str) -> Callable:
     """A plan-cacheable kernel callable bound to one resolved pattern.
 
-    Matches the specialized-kernel calling convention that
+    Matches the kernel calling convention that
     :func:`repro.core.fused.resolve_backend` adapts; raises
     :class:`~repro.errors.BackendError` for unsupported patterns.
     """

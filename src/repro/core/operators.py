@@ -169,7 +169,7 @@ def list_ops(kind: str | None = None) -> list:
 # Standard operators (Table II of the paper, plus application extras)
 # ---------------------------------------------------------------------- #
 # The numerically stable clipped sigmoid lives in repro.core.mathops so the
-# registry, the hand-fused kernels, the code generator and the JIT backend
+# registry, the code generator and the JIT backend
 # all share one clamp definition.
 
 NOOP = register_op(

@@ -23,8 +23,8 @@ three ideas is *blocking*:
   low-degree graphs (Youtube, Amazon, Pubmed) where per-row vectorization
   is too short.
 
-Every edge-blocked backend (this module, :mod:`repro.core.specialized`,
-:mod:`repro.core.codegen` and the unfused baseline's
+Every edge-blocked backend (this module, :mod:`repro.core.codegen` and
+the unfused baseline's
 :func:`~repro.baselines.spmm.gspmm`) runs through one driver,
 :func:`run_edge_blocks`.  It owns validation, the output window, the
 absolute edge grid and the reduction; a backend supplies only the block

@@ -128,13 +128,13 @@ class ResolvedPattern:
     @property
     def is_spmm_like(self) -> bool:
         """True for patterns equivalent to an SpMM (GCN row of Table III):
-        the message is just the neighbour feature scaled by the edge value
-        and the aggregation is a sum."""
+        the message is the neighbour feature scaled by the edge value
+        (``EDGESCALE``) and the aggregation is a sum."""
         return (
             self.vop.name in {"SEL2ND", "NOOP"}
             and self.rop.is_noop
             and self.sop.is_noop
-            and self.mop.name in {"EDGESCALE", "SEL2ND", "NOOP"}
+            and self.mop.name == "EDGESCALE"
             and self.aop.name == "ASUM"
         )
 
@@ -150,22 +150,13 @@ class ResolvedPattern:
         )
 
     @property
-    def is_sigmoid_residual(self) -> bool:
-        """True for the embedding-gradient pattern ``sigmoid_residual``."""
-        return (
-            self.vop.name == "MUL"
-            and self.rop.name == "RSUM"
-            and self.sop.name == "SIGMOID"
-            and self.mop.name == "RESIDUAL"
-            and self.aop.name == "ASUM"
-        )
-
-    @property
     def is_fr_layout(self) -> bool:
-        """True for the force-directed layout row of Table III."""
+        """True for the force-directed layout row of Table III, with its
+        Student-t force (``TDIST``)."""
         return (
             self.vop.name == "SUB"
             and self.rop.name == "NORM"
+            and self.sop.name == "TDIST"
             and self.mop.name == "MULDIFF"
             and self.aop.name == "ASUM"
         )

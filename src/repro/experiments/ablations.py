@@ -4,7 +4,7 @@ These experiments are not tables of the paper; they probe the design
 decisions the paper motivates qualitatively:
 
 * **backend ladder** — generic (Alg. 1) vs optimized (blocked) vs
-  specialized vs generated kernels on one problem, quantifying how much
+  generated vs jit kernels on one problem, quantifying how much
   each optimization level contributes (the paper's FusedMM vs FusedMMopt
   split, refined);
 * **block-size sweep** — sensitivity of the edge-blocked kernel to its
@@ -29,7 +29,6 @@ from ..core.fused import fusedmm
 from ..core.optimized import fusedmm_edgeblocked, fusedmm_rowblocked
 from ..core.partition import part1d, partition_balance
 from ..core.patterns import get_pattern
-from ..core.specialized import get_specialized_kernel
 from ..graphs.datasets import load_dataset
 from ..graphs.generators import rmat
 from ..graphs.features import random_features
@@ -75,11 +74,6 @@ def run_backend_ladder(
     generated = compile_kernel(resolved)
     t = time_kernel(generated, A, X, X, repeats=repeats).mean
     rows.append({"backend": "generated", "seconds": t, "extrapolated": False})
-
-    specialized = get_specialized_kernel(resolved)
-    if specialized is not None:
-        t = time_kernel(specialized, A, X, X, repeats=repeats).mean
-        rows.append({"backend": "specialized", "seconds": t, "extrapolated": False})
 
     from ..core.jit import jit_available, jit_supports_pattern
 

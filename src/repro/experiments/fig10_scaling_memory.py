@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence
 
 from ..bench.tables import format_table
 from ..core.parallel import available_threads
-from ..core.specialized import sigmoid_embedding_kernel
+from ..core.fused import fusedmm
 from ..graphs.datasets import load_dataset
 from ..graphs.features import random_features
 from ..perf.memory import memory_model_sweep
@@ -63,7 +63,7 @@ def run_scaling(
         thread_counts = sorted({1, min(2, max_threads), min(4, max_threads)})
 
     def kernel(num_threads: int = 1):
-        return sigmoid_embedding_kernel(A, X, X, num_threads=num_threads)
+        return fusedmm(A, X, X, backend="generated", num_threads=num_threads)
 
     measured = [p.as_row() for p in strong_scaling(kernel, thread_counts, repeats=repeats)]
     single = measured[0]["seconds"] if measured else 1.0

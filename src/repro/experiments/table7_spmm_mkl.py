@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Sequence
 
 from ..baselines.mkl_like import InspectorExecutorSpMM
 from ..bench.tables import format_table
-from ..core.specialized import spmm_kernel
+from ..core.fused import fusedmm
 from ..graphs.datasets import load_dataset
 from ..graphs.features import random_features
 from ..perf.timer import time_kernel
@@ -55,6 +55,12 @@ FAST_DIMS = (64, 128)
 FULL_DIMS = (64, 128, 256)
 
 
+def _fused_spmm(A, Y, num_threads=1):
+    return fusedmm(
+        A, None, Y, pattern="spmm", backend="generated", num_threads=num_threads
+    )
+
+
 def run(
     *,
     graphs: Sequence[str] = DEFAULT_GRAPHS,
@@ -77,7 +83,7 @@ def run(
         for d in dims:
             Y = random_features(A.ncols, int(d), seed=1)
             fused_t = time_kernel(
-                spmm_kernel, A, Y, num_threads=num_threads, repeats=repeats
+                _fused_spmm, A, Y, num_threads=num_threads, repeats=repeats
             ).mean
             vendor_t = time_kernel(InspectorExecutorSpMM(A), Y, repeats=repeats).mean
             rows.append({

@@ -103,7 +103,7 @@ class KernelPlan:
     key: PlanKey
     op_pattern: OpPattern
     resolved: ResolvedPattern
-    #: "jit" | "specialized" | "generated" | "optimized" | "generic"
+    #: "jit" | "generated" | "optimized" | "generic"
     kind: str
     #: requested backend (one of :data:`repro.core.fused.BACKENDS`)
     backend: str

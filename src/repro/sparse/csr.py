@@ -352,7 +352,7 @@ class CSRMatrix:
     # ------------------------------------------------------------------ #
     def spmm(self, dense: np.ndarray) -> np.ndarray:
         """Reference sparse × dense product ``self @ dense`` computed row
-        by row.  The optimized SpMM lives in :mod:`repro.core.specialized`;
+        by row.  The optimized SpMM is ``fusedmm(..., pattern="spmm")``;
         this method exists as an always-correct reference."""
         dense = np.asarray(dense)
         if dense.ndim != 2 or dense.shape[0] != self.ncols:

@@ -400,7 +400,7 @@ def test_verse_requires_square_adjacency():
 @pytest.mark.parametrize("app", [Force2Vec, Verse])
 def test_embedding_epoch_runs_on_numpy_backends(community_graph, app, kernel_backend):
     """Both apps train through the ``sigmoid_residual`` stream; every
-    kernel backend must run it, not only jit/specialized/generated."""
+    kernel backend must run it, not only jit/generated."""
     config_cls = Force2VecConfig if app is Force2Vec else VerseConfig
     cfg = config_cls(dim=8, batch_size=64, seed=0, kernel_backend=kernel_backend)
     model = app(community_graph, cfg)

@@ -16,10 +16,14 @@ from repro.baselines import (
     unfused_memory_bytes,
     vendor_spmm,
 )
-from repro.core import fusedmm, get_pattern, spmm_kernel
+from repro.core import fusedmm, get_pattern
 from repro.errors import BackendError
 from repro.sparse import random_csr
 from _helpers import make_xy
+
+
+def _fused_spmm(A, Y):
+    return fusedmm(A, None, Y, pattern="spmm", backend="generated")
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +94,7 @@ def test_gspmm_with_precomputed_edge_weights(problem):
     A, X, Y = problem
     H = SDDMMResult(A=A, messages=A.data.copy())
     Z = gspmm(H, Y, pattern=get_pattern(None, vop="NOOP", mop="MUL", aop="ASUM"))
-    assert np.allclose(Z, spmm_kernel(A, Y), atol=1e-4)
+    assert np.allclose(Z, _fused_spmm(A, Y), atol=1e-4)
 
 
 # ------------------------------------------------------------------ #
@@ -172,7 +176,7 @@ def test_dense_size_guard():
 # ------------------------------------------------------------------ #
 def test_vendor_spmm_matches_fused_spmm(problem):
     A, X, Y = problem
-    assert np.allclose(vendor_spmm(A, Y), spmm_kernel(A, Y), atol=1e-4)
+    assert np.allclose(vendor_spmm(A, Y), _fused_spmm(A, Y), atol=1e-4)
 
 
 def test_inspector_executor(problem):

@@ -53,8 +53,9 @@ def test_generated_source_mentions_ops():
 
 def test_generated_source_fr_uses_difference():
     source = generate_kernel_source(get_pattern("fr_layout").resolved())
-    assert "Xs - Yd" in source
-    assert "W" in source  # MULDIFF consumes the VOP output
+    # Each gather is read once, so it is inlined into the difference.
+    assert "W = np.take(X, src, axis=0) - np.take(Y, dst, axis=0)" in source
+    assert "H[:, None] * W" in source  # MULDIFF consumes the VOP output
 
 
 def test_compile_kernel_caches():

@@ -23,7 +23,6 @@ def test_all_backends_listed():
         "jit",
         "generic",
         "optimized",
-        "specialized",
         "generated",
     }
 
@@ -50,12 +49,6 @@ def test_unknown_backend_rejected(problem):
     A, X, Y = problem
     with pytest.raises(BackendError):
         fusedmm(A, X, Y, backend="cuda")
-
-
-def test_specialized_backend_requires_known_pattern(problem):
-    A, X, Y = problem
-    with pytest.raises(BackendError):
-        fusedmm(A, X, Y, pattern="sddmm_dot", backend="specialized")
 
 
 def test_generated_backend_requires_templates(problem):
@@ -189,7 +182,7 @@ def test_autotune_demotes_jit_like_the_runtime(problem, monkeypatch):
         assert kernel.plan.strategy == plan.strategy
         assert kernel.plan.block_size == plan.block_size
         if kernel.plan.tuning.strategy != "jit":
-            assert kernel.plan.kind == "specialized"
+            assert kernel.plan.kind == "generated"
             assert kernel.plan.strategy == kernel.plan.tuning.strategy
         assert np.array_equal(kernel(X, Y), plan.execute(A, X, Y, num_threads=1))
     finally:

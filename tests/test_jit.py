@@ -137,7 +137,7 @@ def test_out_slab_matches_plain_call_for_every_backend(problem, pattern):
         try:
             ref = fusedmm(A, X, Y, pattern=pattern, backend=backend)
         except BackendError:
-            continue  # e.g. no specialized kernel for sddmm_dot
+            continue  # a backend without this pattern
         out = np.full_like(ref, np.nan)
         result = fusedmm(A, X, Y, pattern=pattern, backend=backend, out=out)
         assert result is out
@@ -215,7 +215,7 @@ def test_plan_kind_jit_and_spmm_without_x(problem):
 def test_plan_execute_out_matches(problem):
     A, X, Y = problem
     rt = KernelRuntime(num_threads=1)
-    for backend in ("jit", "optimized", "specialized", "generated"):
+    for backend in ("jit", "optimized", "generated"):
         plan = rt.plan(A, pattern="sigmoid_embedding", backend=backend)
         ref = plan.execute(A, X, Y)
         out = np.full_like(ref, np.nan)
@@ -223,7 +223,7 @@ def test_plan_execute_out_matches(problem):
         assert np.array_equal(out, ref), backend
 
 
-@pytest.mark.parametrize("backend", ["jit", "optimized", "specialized"])
+@pytest.mark.parametrize("backend", ["jit", "optimized", "generated"])
 def test_sharded_jit_bitwise_identical(backend):
     A = random_csr(300, 300, density=0.04, seed=9)
     X, _ = make_xy(A, 8, seed=3)
@@ -273,7 +273,7 @@ def test_auto_falls_back_when_numba_unavailable(problem, monkeypatch):
     assert jitmod.jit_available() is False
     resolved = get_pattern("sigmoid_embedding").resolved()
     kind, kernel = resolve_backend(resolved.name, "auto")
-    assert kind == "specialized"
+    assert kind == "generated"
     # auto fusedmm works and matches the reference
     ref = fusedmm_generic(A, X, Y, pattern="sigmoid_embedding")
     assert np.allclose(fusedmm(A, X, Y, backend="auto"), ref, atol=ATOL)

@@ -33,16 +33,16 @@ def test_sigmoid_scalar_matches_array_form():
 
 
 def test_sigmoid_is_the_single_definition_used_by_the_backends():
-    """The registry SIGMOID, the specialized kernel and the codegen
-    templates all resolve to the one shared implementation — the clamp
-    bounds cannot drift between backends."""
-    import repro.core.specialized as specialized
+    """The registry SIGMOID and the codegen templates all resolve to the
+    one shared implementation — the clamp bounds cannot drift between
+    backends."""
+    import repro.core.codegen as codegen
     from repro.core.codegen import compile_kernel
     from repro.core.operators import get_op
 
     x = np.array([-70.0, -1.0, 0.0, 1.0, 70.0])
     assert np.allclose(get_op("SIGMOID").batch_fn(x), sigmoid(x))
-    assert specialized._sigmoid is sigmoid
+    assert codegen.sigmoid is sigmoid
     kernel = compile_kernel(
         __import__("repro.core.patterns", fromlist=["get_pattern"])
         .get_pattern("sigmoid_embedding")

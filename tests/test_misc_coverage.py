@@ -6,8 +6,13 @@ import numpy as np
 
 from repro.baselines import unfused_fusedmm
 from repro.bench.harness import GENERIC_TIMING_MAX_NNZ, compare_kernels
-from repro.core import compile_kernel, fusedmm_generic, get_pattern, supports_pattern
-from repro.core.specialized import fr_layout_kernel
+from repro.core import (
+    compile_kernel,
+    fusedmm,
+    fusedmm_generic,
+    get_pattern,
+    supports_pattern,
+)
 from repro.graphs import load_dataset, random_features, rmat
 from repro.perf import measure_peak_allocation
 from repro.sparse import random_csr
@@ -59,19 +64,24 @@ def test_measured_allocation_fused_below_unfused_for_fr():
     g = load_dataset("flickr", scale=0.2)
     A = g.adjacency
     X = random_features(A.nrows, 64, seed=0)
-    fused = measure_peak_allocation(fr_layout_kernel, A, X, X)
+    fused = measure_peak_allocation(
+        fusedmm, A, X, X, pattern="fr_layout", backend="generated"
+    )
     unfused = measure_peak_allocation(unfused_fusedmm, A, X, X, pattern="fr_layout")
     assert unfused["peak_mb"] > 1.5 * fused["peak_mb"]
 
 
 def test_specialized_spmm_multithreaded_matches_single():
-    from repro.core import spmm_kernel
-
+    """The SpMM specialisation of FusedMM (Table VII) is thread-invariant."""
     A = random_csr(500, 500, density=0.02, seed=6)
     Y = random_features(500, 16, seed=1)
-    assert np.allclose(
-        spmm_kernel(A, Y, num_threads=1), spmm_kernel(A, Y, num_threads=4), atol=1e-6
-    )
+
+    def spmm(num_threads):
+        return fusedmm(
+            A, None, Y, pattern="spmm", backend="generated", num_threads=num_threads
+        )
+
+    assert np.allclose(spmm(1), spmm(4), atol=1e-6)
 
 
 def test_attention_aggregate_thread_invariance():

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.core import sigmoid_embedding_kernel
+from repro.core import fusedmm
 from repro.graphs import random_features
 from repro.perf import (
     MACHINES,
@@ -151,7 +151,7 @@ def test_memory_model_sweep_ratio_grows(A):
 
 def test_measure_peak_allocation_tracks_result(A):
     X = random_features(A.nrows, 32, seed=0)
-    stats = measure_peak_allocation(sigmoid_embedding_kernel, A, X, X)
+    stats = measure_peak_allocation(fusedmm, A, X, X, backend="generated")
     assert stats["peak_mb"] > 0
     assert "result_mb" in stats
 
@@ -202,7 +202,7 @@ def test_strong_scaling_measures_each_thread_count(A):
     X = random_features(A.nrows, 16, seed=0)
 
     def kernel(num_threads: int = 1):
-        return sigmoid_embedding_kernel(A, X, X, num_threads=num_threads)
+        return fusedmm(A, X, X, backend="generated", num_threads=num_threads)
 
     points = strong_scaling(kernel, [1, 2], repeats=1, warmup=0)
     assert [p.threads for p in points] == [1, 2]

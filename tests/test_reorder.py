@@ -203,9 +203,7 @@ def test_reordered_run_allclose_across_patterns(graph, pattern, strategy):
     np.testing.assert_allclose(Z, ref, rtol=1e-4, atol=1e-5)
 
 
-@pytest.mark.parametrize(
-    "backend", ["optimized", "specialized", "generated", "jit"]
-)
+@pytest.mark.parametrize("backend", ["optimized", "generated", "jit"])
 def test_reordered_run_allclose_across_backends(graph, backend):
     A, X = graph
     ref = fusedmm(A, X, X, pattern="sigmoid_embedding", backend=backend)
@@ -287,7 +285,7 @@ def test_reordered_sharded_bitwise_across_shard_counts(graph):
 # ---------------------------------------------------------------------- #
 # reorder="none" keeps the bitwise guarantees
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", ["auto", "optimized", "specialized", "jit"])
+@pytest.mark.parametrize("backend", ["auto", "optimized", "generated", "jit"])
 def test_none_is_bitwise_identical_per_backend(graph, backend):
     A, X = graph
     ref = fusedmm(A, X, X, pattern="sigmoid_embedding", backend=backend)

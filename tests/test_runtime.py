@@ -154,7 +154,7 @@ def test_run_bitwise_equals_fusedmm(pattern, small_problem):
 
 
 @pytest.mark.parametrize(
-    "backend", ["generic", "optimized", "specialized", "generated", "auto", "jit"]
+    "backend", ["generic", "optimized", "generated", "auto", "jit"]
 )
 def test_run_honours_backend(backend, small_problem):
     """fusedmm ≡ FusedMM ≡ KernelRuntime.run, bitwise, for every registered

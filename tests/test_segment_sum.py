@@ -137,7 +137,6 @@ def _spmm_kernels(block_size):
     common = dict(pattern="spmm", block_size=block_size)
     return {
         "optimized": lambda A, X, Y: fusedmm(A, X, Y, backend="optimized", strategy="edge", **common),
-        "specialized": lambda A, X, Y: fusedmm(A, X, Y, backend="specialized", **common),
         "generated": lambda A, X, Y: fusedmm(A, X, Y, backend="generated", **common),
         "unfused": lambda A, X, Y: unfused_fusedmm(A, X, Y, **common),
     }
@@ -146,7 +145,7 @@ def _spmm_kernels(block_size):
 # Both sizes split rows across blocks; 96 also leaves segments longer than
 # the 32-edge short-segment limit inside one block.
 @pytest.mark.parametrize("block_size", [24, 96])
-@pytest.mark.parametrize("kernel", ["optimized", "specialized", "generated", "unfused"])
+@pytest.mark.parametrize("kernel", ["optimized", "generated", "unfused"])
 def test_spmm_kernels_sum_left_to_right(spmm_problem, kernel, block_size):
     A, X, Y = spmm_problem
     messages = A.data[:, None] * Y[A.indices]

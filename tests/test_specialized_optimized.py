@@ -1,22 +1,16 @@
-"""Unit tests for the specialized kernels and the optimized-kernel details
-(strategy selection, blocking internals)."""
+"""Unit tests for the pattern-specialized kernels (the code generator's,
+``backend="generated"``) and the optimized-kernel details (strategy
+selection, blocking internals)."""
 
 import numpy as np
 import pytest
 
+from repro.core.fused import fusedmm
 from repro.core.optimized import (
     DEFAULT_BLOCK_SIZE,
     _edge_block_ranges,
     fusedmm_edgeblocked,
     fusedmm_optimized,
-)
-from repro.core.patterns import get_pattern
-from repro.core.specialized import (
-    fr_layout_kernel,
-    gcn_kernel,
-    get_specialized_kernel,
-    sigmoid_embedding_kernel,
-    spmm_kernel,
 )
 from repro.sparse import random_bipartite, random_csr
 from _helpers import make_xy
@@ -30,11 +24,15 @@ def square():
 
 
 # ------------------------------------------------------------------ #
-# Specialized kernels
+# Pattern-specialized kernels
 # ------------------------------------------------------------------ #
+def _generated(A, X, Y, pattern, **kwargs):
+    return fusedmm(A, X, Y, pattern=pattern, backend="generated", **kwargs)
+
+
 def test_sigmoid_embedding_kernel_matches_formula(square):
     A, X, Y = square
-    Z = sigmoid_embedding_kernel(A, X, Y)
+    Z = _generated(A, X, Y, "sigmoid_embedding")
     dense = A.to_dense() != 0
     scores = X @ Y.T
     expected = ((1.0 / (1.0 + np.exp(-scores))) * dense) @ Y
@@ -43,23 +41,25 @@ def test_sigmoid_embedding_kernel_matches_formula(square):
 
 def test_spmm_kernel_matches_matmul(square):
     A, X, Y = square
-    assert np.allclose(spmm_kernel(A, Y), A.to_dense() @ Y, atol=1e-3)
+    assert np.allclose(_generated(A, None, Y, "spmm"), A.to_dense() @ Y, atol=1e-3)
 
 
 def test_spmm_kernel_rejects_bad_shape(square):
     A, _, Y = square
     with pytest.raises(ValueError):
-        spmm_kernel(A, Y[:-1])
+        _generated(A, None, Y[:-1], "spmm")
 
 
 def test_gcn_kernel_equals_spmm(square):
     A, X, Y = square
-    assert np.allclose(gcn_kernel(A, X, Y), spmm_kernel(A, Y), atol=1e-5)
+    assert np.allclose(
+        _generated(A, X, Y, "gcn"), _generated(A, None, Y, "spmm"), atol=1e-5
+    )
 
 
 def test_fr_layout_kernel_formula(square):
     A, X, Y = square
-    Z = fr_layout_kernel(A, X, Y)
+    Z = _generated(A, X, Y, "fr_layout")
     # Check one nonzero row against the direct formula.
     u = int(np.argmax(A.row_degrees()))
     cols, _ = A.row(u)
@@ -69,26 +69,19 @@ def test_fr_layout_kernel_formula(square):
     assert np.allclose(Z[u], expected, atol=1e-3)
 
 
-def test_get_specialized_kernel_mapping():
-    assert get_specialized_kernel(get_pattern("sigmoid_embedding").resolved()) is sigmoid_embedding_kernel
-    assert get_specialized_kernel(get_pattern("fr_layout").resolved()) is fr_layout_kernel
-    assert get_specialized_kernel(get_pattern("gcn").resolved()) is gcn_kernel
-    assert get_specialized_kernel(get_pattern("sddmm_dot").resolved()) is None
-
-
 def test_specialized_kernels_on_rectangular_slice():
     A = random_bipartite(25, 70, avg_degree=5, seed=3)
     X, Y = make_xy(A, 12, seed=4)
-    assert sigmoid_embedding_kernel(A, X, Y).shape == (25, 12)
-    assert spmm_kernel(A, Y).shape == (25, 12)
-    assert fr_layout_kernel(A, X, Y).shape == (25, 12)
+    assert _generated(A, X, Y, "sigmoid_embedding").shape == (25, 12)
+    assert _generated(A, None, Y, "spmm").shape == (25, 12)
+    assert _generated(A, X, Y, "fr_layout").shape == (25, 12)
 
 
 def test_specialized_kernels_thread_invariance(square):
     A, X, Y = square
     assert np.allclose(
-        sigmoid_embedding_kernel(A, X, Y, num_threads=1),
-        sigmoid_embedding_kernel(A, X, Y, num_threads=3),
+        _generated(A, X, Y, "sigmoid_embedding", num_threads=1),
+        _generated(A, X, Y, "sigmoid_embedding", num_threads=3),
         atol=1e-6,
     )
 
