@@ -9,13 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import (
-    autotune,
-    compile_kernel,
-    fusedmm_edgeblocked,
-    fusedmm_rowblocked,
-    get_pattern,
-)
+from repro.core import autotune, compile_kernel, fusedmm_optimized, get_pattern
 from repro.core.autotune import clear_tuning_cache
 
 from _bench_utils import features_for
@@ -30,26 +24,10 @@ def bench_ablation_block_size(benchmark, youtube_graph, block_size):
     X = features_for(youtube_graph, 128)
     benchmark.group = "ablation-block-size-youtube-d128"
     benchmark(
-        lambda: fusedmm_edgeblocked(
+        lambda: fusedmm_optimized(
             A, X, X, pattern="sigmoid_embedding", block_size=block_size
         )
     )
-
-
-def bench_ablation_row_blocked(benchmark, ogbprot_graph):
-    """Row-blocked kernel on the dense graph (its favourable regime)."""
-    A = ogbprot_graph.adjacency
-    X = features_for(ogbprot_graph, 128)
-    benchmark.group = "ablation-strategy-ogbprot-d128"
-    benchmark(lambda: fusedmm_rowblocked(A, X, X, pattern="sigmoid_embedding"))
-
-
-def bench_ablation_edge_blocked_dense(benchmark, ogbprot_graph):
-    """Edge-blocked kernel on the dense graph (for the strategy crossover)."""
-    A = ogbprot_graph.adjacency
-    X = features_for(ogbprot_graph, 128)
-    benchmark.group = "ablation-strategy-ogbprot-d128"
-    benchmark(lambda: fusedmm_edgeblocked(A, X, X, pattern="sigmoid_embedding"))
 
 
 def bench_ablation_generated_kernel(benchmark, ogbprot_graph):
@@ -57,12 +35,12 @@ def bench_ablation_generated_kernel(benchmark, ogbprot_graph):
     A = ogbprot_graph.adjacency
     X = features_for(ogbprot_graph, 128)
     kernel = compile_kernel(get_pattern("sigmoid_embedding").resolved())
-    benchmark.group = "ablation-strategy-ogbprot-d128"
+    benchmark.group = "ablation-generated-ogbprot-d128"
     benchmark(lambda: kernel(A, X, X))
 
 
 def bench_ablation_autotune_cost(benchmark, youtube_graph):
-    """One full autotuning sweep (strategy + block sizes) — the cost a user
+    """One full autotuning sweep (block sizes) — the cost a user
     pays once per (pattern, d, graph-size) combination."""
     A = youtube_graph.adjacency
     X = features_for(youtube_graph, 64)

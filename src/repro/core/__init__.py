@@ -5,11 +5,11 @@ Layout
 ``operators``    five-step operator abstraction + Table II registry
 ``patterns``     Table III application patterns
 ``generic``      Algorithm 1 reference kernel
-``optimized``    vectorized row-/edge-blocked kernels (FusedMMopt)
+``optimized``    vectorized edge-blocked kernel (FusedMMopt)
 ``jit``          Numba-compiled row-fused kernels (optional extra)
 ``mathops``      shared scalar math (clipped sigmoid)
 ``codegen``      the pattern-kernel generator (every Table III row)
-``autotune``     strategy / block-size autotuner
+``autotune``     block-size autotuner
 ``partition``    PART1D nnz-balanced 1-D partitioning
 ``parallel``     thread-parallel partition driver
 ``fused``        public ``fusedmm()`` / ``FusedMM`` and the one backend resolver
@@ -22,12 +22,7 @@ from .generic import fusedmm_generic
 from .jit import fusedmm_jit, jit_available, jit_supports_pattern
 from .mathops import SIGMOID_CLAMP, sigmoid, sigmoid_scalar
 from .operators import Operator, OpKind, get_op, list_ops, make_mlp_vop, make_scal, register_op
-from .optimized import (
-    DEFAULT_BLOCK_SIZE,
-    fusedmm_edgeblocked,
-    fusedmm_optimized,
-    fusedmm_rowblocked,
-)
+from .optimized import DEFAULT_BLOCK_SIZE, fusedmm_optimized
 from .parallel import ParallelConfig, available_threads, run_partitioned
 from .partition import RowPartition, part1d, partition_balance
 from .patterns import OpPattern, get_pattern, list_patterns, register_pattern
@@ -44,8 +39,6 @@ __all__ = [
     "sigmoid",
     "sigmoid_scalar",
     "fusedmm_optimized",
-    "fusedmm_rowblocked",
-    "fusedmm_edgeblocked",
     "DEFAULT_BLOCK_SIZE",
     "Operator",
     "OpKind",

@@ -2,20 +2,17 @@
 
 The paper's library tunes its generated kernels per architecture: register
 blocking factors, which vectors to prioritise for blocking, and a blocking
-threshold for large dimensions (Section IV.B).  The tunable parameters of
-the Python kernels are
-
-* the blocking **strategy** (row-blocked vs edge-blocked, see
-  :mod:`repro.core.optimized`), and
-* the **edge block size** (how many edges worth of intermediates are alive
-  at once — the register/L2-tile analogue).
+threshold for large dimensions (Section IV.B).  The tunable parameter of
+the Python kernels is the **edge block size** (how many edges worth of
+intermediates are alive at once — the register/L2-tile analogue), plus,
+where numba is importable, whether the compiled jit tier beats them.
 
 :func:`autotune` measures a small number of timed trial runs for each
-candidate configuration on (a sample of) the actual operands and returns
-the fastest.  Results are cached per ``(pattern, d, nnz-bucket, strategy
-set)`` so repeated calls (e.g. every training epoch) pay the tuning cost
-once — the same usage model as ATLAS-style install-time tuning, scaled down
-to call-time.
+candidate block size, through the kernel the plan will run, on (a sample
+of) the actual operands and returns the fastest.  Results are cached per
+``(pattern, d, nnz-bucket, kernel kind, jit candidate)`` so repeated
+calls (e.g. every training epoch) pay the tuning cost once — the same
+usage model as ATLAS-style install-time tuning, scaled down to call-time.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ import numpy as np
 
 from ..sparse import CSRMatrix
 from . import jit as jit_backend
-from .optimized import DEFAULT_BLOCK_SIZE, fusedmm_edgeblocked, fusedmm_rowblocked
+from .optimized import DEFAULT_BLOCK_SIZE
 from .patterns import OpPattern, get_pattern
 from .validation import validate_operands
 
@@ -53,16 +50,19 @@ DEFAULT_BLOCK_CANDIDATES: Tuple[int, ...] = (1024, 4096, 16384, 65536)
 class TuningResult:
     """Outcome of one autotuning sweep."""
 
-    strategy: str
+    #: whether the jit candidate measured fastest (``auto`` then takes the
+    #: jit tier, see :func:`repro.core.fused.resolve_backend`)
+    jit_won: bool
     block_size: int
     best_time: float
-    #: every (strategy, block_size) → measured seconds
+    #: every (kind, block_size) → measured seconds; the jit candidate is
+    #: ``("jit", 0)``
     trials: Dict[Tuple[str, int], float] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, object]:
         """Plain-dict view for reports."""
         return {
-            "strategy": self.strategy,
+            "jit_won": self.jit_won,
             "block_size": self.block_size,
             "best_time": self.best_time,
             "num_trials": len(self.trials),
@@ -135,7 +135,8 @@ def autotune(
     Y=None,
     *,
     pattern: OpPattern | str = "sigmoid_embedding",
-    strategies: Optional[Sequence[str]] = None,
+    kind: str = "optimized",
+    jit: Optional[bool] = None,
     block_candidates: Sequence[int] = DEFAULT_BLOCK_CANDIDATES,
     repeats: int = 2,
     max_sample_nnz: int = 200_000,
@@ -143,35 +144,42 @@ def autotune(
     use_cache: bool = True,
     **pattern_overrides,
 ) -> TuningResult:
-    """Pick the fastest (strategy, block size) for the given operands.
+    """Pick the fastest block size for the given operands.
 
     Parameters
     ----------
-    strategies:
-        Subset of ``{"row", "edge", "jit"}`` to try.  The default
-        (``None``) sweeps both NumPy blocking strategies and adds the JIT
-        backend as a candidate whenever numba is importable and the
-        pattern maps onto the compiled dispatch table — a winning ``"jit"``
-        trial makes callers pin the jit backend for the planned kernel.
+    kind:
+        The edge-blocked kernel the block sizes are swept through:
+        ``"optimized"`` or ``"generated"`` — the kind the plan runs unless
+        the jit tier wins.
+    jit:
+        Whether the jit backend competes as one more candidate.  The
+        default (``None``) adds it whenever numba is importable and the
+        pattern maps onto the compiled dispatch table; a winning jit trial
+        makes ``auto`` pin the jit backend for the planned kernel.
     block_candidates:
-        Edge block sizes to sweep (only relevant for the edge strategy).
+        Edge block sizes to sweep.
     repeats:
         Timed repetitions per configuration; the minimum is kept.
     max_sample_nnz:
         Tuning runs on a row prefix of ``A`` holding at most this many
         nonzeros, so tuning stays cheap relative to the real call.
     """
+    from .fused import resolve_backend  # the resolver imports this module
+
+    if kind not in ("optimized", "generated"):
+        raise ValueError(f"autotune sweeps an edge-blocked kind, got {kind!r}")
     A_csr, X_arr, Y_arr = validate_operands(A, X, Y)
-    resolved = get_pattern(pattern, **pattern_overrides).resolved()
-    if strategies is None:
-        strategies = ("row", "edge")
-        if jit_backend.jit_available() and jit_backend.jit_supports_pattern(resolved):
-            strategies = ("row", "edge", "jit")
+    op_pattern = get_pattern(pattern, **pattern_overrides)
+    resolved = op_pattern.resolved()
+    if jit is None:
+        jit = jit_backend.jit_available() and jit_backend.jit_supports_pattern(resolved)
     key = (
         tuple(sorted(resolved.op_names().items())),
         X_arr.shape[1],
         _nnz_bucket(A_csr.nnz),
-        tuple(strategies),
+        kind,
+        bool(jit),
         tuple(block_candidates),
         num_threads,
     )
@@ -190,50 +198,21 @@ def autotune(
             best = min(best, time.perf_counter() - t0)
         return best
 
-    for strategy in strategies:
-        if strategy == "row":
-            elapsed = _time(
-                fusedmm_rowblocked,
-                sample,
-                Xs,
-                Y_arr,
-                pattern=pattern,
-                num_threads=num_threads,
-                **pattern_overrides,
-            )
-            trials[("row", 0)] = elapsed
-        elif strategy == "edge":
-            for block in block_candidates:
-                elapsed = _time(
-                    fusedmm_edgeblocked,
-                    sample,
-                    Xs,
-                    Y_arr,
-                    pattern=pattern,
-                    block_size=int(block),
-                    num_threads=num_threads,
-                    **pattern_overrides,
-                )
-                trials[("edge", int(block))] = elapsed
-        elif strategy == "jit":
-            elapsed = _time(
-                jit_backend.fusedmm_jit,
-                sample,
-                Xs,
-                Y_arr,
-                pattern=pattern,
-                **pattern_overrides,
-            )
-            trials[("jit", 0)] = elapsed
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
+    _, kernel = resolve_backend(op_pattern, kind)
+    for block in block_candidates:
+        trials[(kind, int(block))] = _time(
+            kernel, sample, Xs, Y_arr, block_size=int(block), num_threads=num_threads
+        )
+    if jit:
+        trials[("jit", 0)] = _time(
+            jit_backend.fusedmm_jit, sample, Xs, Y_arr, pattern=op_pattern
+        )
 
-    (best_strategy, best_block), best_time = min(trials.items(), key=lambda kv: kv[1])
-    if best_strategy in ("row", "jit"):
-        best_block = DEFAULT_BLOCK_SIZE
+    (best_kind, best_block), best_time = min(trials.items(), key=lambda kv: kv[1])
+    jit_won = best_kind == "jit"
     result = TuningResult(
-        strategy=best_strategy,
-        block_size=best_block,
+        jit_won=jit_won,
+        block_size=DEFAULT_BLOCK_SIZE if jit_won else best_block,
         best_time=best_time,
         trials=trials,
     )
@@ -276,7 +255,7 @@ def autotune_reorder(
     resolved kernel and the memoised permutations); this function owns
     timing, selection and caching.
 
-    Unlike the strategy/block sweep of :func:`autotune`, reorder decisions
+    Unlike the block sweep of :func:`autotune`, reorder decisions
     are *matrix-specific* — locality is a property of this graph's
     structure — so the cache is keyed by the caller-supplied ``memo_key``
     (typically fingerprint + kernel configuration), never by an nnz

@@ -16,7 +16,7 @@ among them, or the general one.  That choice is made once, by
 Backends
 --------
 ``"generic"``      the faithful Algorithm 1 reference (paper's "FusedMM")
-``"optimized"``    vectorized row-/edge-blocked kernels (paper's "FusedMMopt")
+``"optimized"``    the vectorized edge-blocked kernel (paper's "FusedMMopt")
 ``"generated"``    kernels emitted by the code generator (Section IV.B)
 ``"jit"``          Numba-compiled row-fused kernels (:mod:`repro.core.jit`);
                    runs interpreted when the optional numba extra is absent
@@ -25,7 +25,7 @@ Backends
                    an optimized call that raises falls back to generic
 
 Every resolved kernel is called as ``kernel(A, X, Y, *, block_size,
-num_threads, strategy, parts, pool, out, row_offset)``; knobs a kind has
+num_threads, parts, pool, out, row_offset)``; knobs a kind has
 no use for are ignored.  ``X=None`` is accepted for patterns whose VOP
 never reads it (``NOOP``/``SEL2ND``, e.g. gcn and spmm).
 ``out=``/``row_offset=`` is a preallocated slab: row ``u`` of the result
@@ -46,7 +46,7 @@ from .autotune import TuningResult
 from .autotune import autotune as autotune_sweep
 from .codegen import compile_kernel, supports_pattern
 from .generic import fusedmm_generic
-from .optimized import DEFAULT_BLOCK_SIZE, auto_strategy, fusedmm_optimized
+from .optimized import DEFAULT_BLOCK_SIZE, fusedmm_optimized
 from .partition import part1d
 from .patterns import OpPattern, ResolvedPattern, get_pattern
 from .validation import ensure_float_matrix
@@ -82,16 +82,18 @@ def _zero_sources(A, Y, resolved: ResolvedPattern) -> np.ndarray:
 def resolve_backend(
     pattern: OpPattern | str,
     backend: str = "auto",
-    tuning: Optional[TuningResult] = None,
+    *,
+    jit: Optional[bool] = None,
 ) -> Tuple[str, Callable]:
     """Pick the kernel for ``pattern`` on ``backend``; returns ``(kind, kernel)``.
 
     ``kind`` is one of ``"jit"``, ``"generated"``, ``"optimized"`` or
-    ``"generic"``; ``kernel`` has the calling convention
-    of the module docstring with the pattern bound.  ``tuning`` is the
-    autotune sweep for this problem, if one ran: ``auto`` then takes the
-    jit tier only when the sweep measured it fastest.  An explicit backend
-    that cannot run the pattern raises :class:`~repro.errors.BackendError`.
+    ``"generic"``; ``kernel`` has the calling convention of the module
+    docstring with the pattern bound.  ``jit`` says whether ``auto`` takes
+    the jit tier: ``None`` takes it when numba is importable, and a plan
+    that ran the autotune sweep passes whether the sweep measured it
+    fastest.  An explicit backend that cannot run the pattern raises
+    :class:`~repro.errors.BackendError`.
     """
     if backend not in BACKENDS:
         raise BackendError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
@@ -100,7 +102,7 @@ def resolve_backend(
     # ``auto`` prefers the jit tier when numba is importable (and the sweep,
     # if one ran, measured it fastest); an explicit backend="jit" also runs
     # interpreted (slow but exact) so the compiled semantics stay testable.
-    jit_wins = tuning.strategy == "jit" if tuning else jit_backend.jit_available()
+    jit_wins = jit_backend.jit_available() if jit is None else jit
     pattern_kernel = None
     if backend in ("generic", "optimized"):
         kind = backend
@@ -125,7 +127,6 @@ def resolve_backend(
         *,
         block_size: Optional[int] = None,
         num_threads: int = 1,
-        strategy: str = "auto",
         parts=None,
         pool=None,
         out: Optional[np.ndarray] = None,
@@ -152,9 +153,7 @@ def resolve_backend(
         if pattern_kernel is not None:
             return pattern_kernel(A, X, Y, **blocking)
         try:
-            return fusedmm_optimized(
-                A, X, Y, pattern=op_pattern, strategy=strategy, **blocking
-            )
+            return fusedmm_optimized(A, X, Y, pattern=op_pattern, **blocking)
         except Exception:
             if backend != "auto":
                 raise
@@ -172,7 +171,6 @@ class KernelChoice(NamedTuple):
 
     kind: str
     kernel: Callable
-    strategy: str
     block_size: int
     tuning: Optional[TuningResult]
 
@@ -182,7 +180,6 @@ def plan_kernel(
     pattern: OpPattern | str,
     backend: str = "auto",
     *,
-    strategy: str = "auto",
     block_size: Optional[int] = None,
     num_threads: int = 1,
     autotune: bool = False,
@@ -191,11 +188,10 @@ def plan_kernel(
     """Resolve (and optionally autotune) the kernel for ``A``.
 
     The sweep runs on synthetic features of ``autotune_dim`` columns (the
-    adjacency is what shapes the access pattern) and decides the jit tier,
-    the row/edge strategy and, unless ``block_size`` is explicit, the
-    edge-block size.  An optimized ``strategy="auto"`` is resolved against
-    ``A`` here, so every later call replays the kernel a standalone call
-    would pick.
+    adjacency is what shapes the access pattern) and decides the jit tier
+    and, unless ``block_size`` is explicit, the edge-block size.  The
+    block sizes are timed through the edge-blocked kernel the plan runs
+    when the jit tier does not win.
     """
     kind, kernel = resolve_backend(pattern, backend)
     tuning = None
@@ -207,25 +203,24 @@ def plan_kernel(
             if A.nrows == A.ncols
             else rng.standard_normal((A.ncols, autotune_dim)).astype(np.float32)
         )
+        swept = kind
+        if kind == "jit":
+            # The jit tier has no block size: sweep the kernel it yields to.
+            swept, _ = resolve_backend(pattern, "auto", jit=False)
         tuning = autotune_sweep(
             A,
             X,
             Y,
             pattern=pattern,
-            num_threads=num_threads,
+            kind=swept,
             # The jit candidate only competes when the requested backend
-            # allows the tier; a forced backend keeps the row/edge sweep.
-            strategies=None if backend in ("auto", "jit") else ("row", "edge"),
+            # allows the tier.
+            jit=None if backend in ("auto", "jit") else False,
+            num_threads=num_threads,
         )
-        kind, kernel = resolve_backend(pattern, backend, tuning)
-        # The jit kernels have no row/edge knob.
-        strategy = "auto" if tuning.strategy == "jit" else tuning.strategy
+        kind, kernel = resolve_backend(pattern, backend, jit=tuning.jit_won)
         block_size = block_size or tuning.block_size
-    if kind == "optimized" and strategy == "auto":
-        strategy = auto_strategy(A)
-    return KernelChoice(
-        kind, kernel, strategy, block_size or DEFAULT_BLOCK_SIZE, tuning
-    )
+    return KernelChoice(kind, kernel, block_size or DEFAULT_BLOCK_SIZE, tuning)
 
 
 # ---------------------------------------------------------------------- #
@@ -240,7 +235,6 @@ def fusedmm(
     backend: str = "auto",
     num_threads: int = 1,
     block_size: Optional[int] = None,
-    strategy: str = "auto",
     out: Optional[np.ndarray] = None,
     row_offset: int = 0,
     **pattern_overrides,
@@ -269,8 +263,6 @@ def fusedmm(
         Worker threads for the partition-parallel backends.
     block_size:
         Edge-block size override for the blocked backends.
-    strategy:
-        ``"row"``, ``"edge"`` or ``"auto"`` for the optimized backend.
     out, row_offset:
         Optional preallocated output slab shared by every backend: row
         ``u`` of the result is written to ``out[u - row_offset]`` and only
@@ -288,7 +280,6 @@ def fusedmm(
         Y,
         block_size=block_size,
         num_threads=num_threads,
-        strategy=strategy,
         out=out,
         row_offset=row_offset,
     )
@@ -320,7 +311,6 @@ class FusedMM:
         backend: str = "auto",
         num_threads: int = 1,
         block_size: Optional[int] = None,
-        strategy: str = "auto",
         autotune: bool = False,
         autotune_dim: int = 128,
         **pattern_overrides,
@@ -334,7 +324,6 @@ class FusedMM:
             self.A,
             self.pattern,
             backend,
-            strategy=strategy,
             block_size=block_size,
             num_threads=self.num_threads,
             autotune=autotune,
@@ -351,7 +340,6 @@ class FusedMM:
             Y,
             block_size=self.plan.block_size,
             num_threads=self.num_threads,
-            strategy=self.plan.strategy,
             out=out,
             row_offset=row_offset,
         )
@@ -364,7 +352,6 @@ class FusedMM:
             "ops": self.resolved.op_names(),
             "backend": self.backend,
             "kind": self.plan.kind,
-            "strategy": self.plan.strategy,
             "block_size": self.plan.block_size,
             "num_threads": self.num_threads,
             "partitions": len(self.partitions),

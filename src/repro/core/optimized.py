@@ -1,27 +1,18 @@
-"""Vectorized FusedMM kernels (the paper's "FusedMMopt").
+"""Vectorized FusedMM kernel (the paper's "FusedMMopt").
 
 The paper obtains its optimized kernel by (a) register-blocking ``x_u`` and
 ``z_u`` in SIMD registers, (b) streaming the neighbour vectors ``y_v``
 through the registers, and (c) writing ``z_u`` once per row with
 non-temporal stores (Section IV.A, Fig. 5).  The Python analogue of those
-three ideas is *blocking*:
-
-* **Row-blocked kernel** (:func:`fusedmm_rowblocked`): for each output row,
-  all neighbour features are gathered into one ``(k, d)`` array and the
-  five steps run as single vectorized NumPy expressions over that array.
-  ``x_u``/``z_u`` stay in cache for the whole row — the direct analogue of
-  register-blocking them — and ``Z`` is written exactly once per row.
-  Best when the average degree is high (Ogbprot., Orkut, Harvard).
-
-* **Edge-blocked kernel** (:func:`fusedmm_edgeblocked`): edges are processed
-  in fixed-size blocks; for each block the source and destination features
-  are gathered, the five steps run vectorized over the block, and the block
-  results are segment-summed into ``Z``.  The intermediate footprint is
-  ``O(block_size × d)`` **independent of nnz** — this is what preserves the
-  paper's memory-advantage claim (Fig. 10b) relative to the unfused
-  baselines, which hold the full ``nnz × d`` message matrix H.  Best for
-  low-degree graphs (Youtube, Amazon, Pubmed) where per-row vectorization
-  is too short.
+three ideas is *edge blocking* (:func:`fusedmm_optimized`): edges are
+processed in fixed-size blocks; for each block the source and destination
+features are gathered, the five steps run vectorized over the block, and
+the block results are segment-summed into ``Z``.  The intermediate
+footprint is ``O(block_size × d)`` **independent of nnz** — this is what
+preserves the paper's memory-advantage claim (Fig. 10b) relative to the
+unfused baselines, which hold the full ``nnz × d`` message matrix H.  The
+block size is the one blocking parameter; the autotuner sweeps it, as the
+paper's generator tunes its blocking factors (Section IV.B).
 
 Every edge-blocked backend (this module, :mod:`repro.core.codegen` and
 the unfused baseline's
@@ -36,11 +27,10 @@ then added into the float64 ``Z`` (:func:`segment_order`,
 :func:`segment_sum`).  The driver hands the body a block's edges already
 in the order the sum reads them, so the messages are never gathered a
 second time.  ``max``/``min`` aggregations use ``ufunc.reduceat``, which
-is exact in any order.  The row-blocked kernel (``strategy="row"``) is
-outside this contract: its per-row ``M.sum(axis=0)`` is left to NumPy.
+is exact in any order.
 
-Both kernels accept any operator pattern via the registry's batched
-callables, run over 1-D nnz-balanced partitions, and are property-tested
+The kernel accepts any operator pattern via the registry's batched
+callables, runs over 1-D nnz-balanced partitions, and is property-tested
 against the reference kernel of :mod:`repro.core.generic`.
 """
 
@@ -61,10 +51,7 @@ from .validation import ensure_float_matrix, resolve_out_window, validate_operan
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
-    "fusedmm_rowblocked",
-    "fusedmm_edgeblocked",
     "fusedmm_optimized",
-    "auto_strategy",
     "run_edge_blocks",
     "segment_order",
     "segment_sum",
@@ -150,9 +137,8 @@ def _run_steps_batch(
     """Run VOP → ROP → SOP → MOP over a batch of edges.
 
     ``Xs`` and ``Yd`` are the gathered ``(k, d)`` source/destination feature
-    blocks (``Xs`` may be a single ``(d,)`` vector in the row-blocked
-    kernel, which broadcasts), ``vals`` the ``(k,)`` edge values.  Returns
-    the per-edge messages ``M`` with shape ``(k, d)`` or ``(k,)``.
+    blocks, ``vals`` the ``(k,)`` edge values.  Returns the per-edge
+    messages ``M`` with shape ``(k, d)`` or ``(k,)``.
     """
     vop, rop, sop, mop = pattern.vop, pattern.rop, pattern.sop, pattern.mop
     W = Yd if vop.is_noop else vop.batch_fn(Xs, Yd, vals)
@@ -160,71 +146,6 @@ def _run_steps_batch(
     H = S if sop.is_noop else sop.batch_fn(S)
     M = H if mop.is_noop else mop.batch_fn(H, Yd, vals, W)
     return M
-
-
-def _accumulate_rowwise(aop: Operator, out_row: np.ndarray, M: np.ndarray) -> None:
-    """Reduce the per-edge messages of one row into its output row."""
-    if M.ndim == 1:
-        # Scalar messages broadcast over the feature dimension.
-        M = M[:, None]
-    if aop.name == "ASUM":
-        out_row += M.sum(axis=0)
-    else:
-        out_row[...] = aop.batch_fn(out_row, M)
-
-
-# ---------------------------------------------------------------------- #
-# Row-blocked kernel
-# ---------------------------------------------------------------------- #
-def fusedmm_rowblocked(
-    A,
-    X,
-    Y=None,
-    *,
-    pattern: OpPattern | str = "sigmoid_embedding",
-    num_threads: int = 1,
-    parts_per_thread: int = 1,
-    parts: Optional[Sequence[RowPartition]] = None,
-    pool: Optional[ThreadPoolExecutor] = None,
-    out: Optional[np.ndarray] = None,
-    row_offset: int = 0,
-    **pattern_overrides,
-) -> np.ndarray:
-    """FusedMM with per-row vectorization (register-blocking analogue)."""
-    A, X, Y = validate_operands(A, X, Y)
-    resolved = get_pattern(pattern, **pattern_overrides).resolved()
-    m, d = X.shape
-    w0, w1 = resolve_out_window(out, row_offset, m, d)
-    parts = _window_parts(
-        A, w0, w1, parts, ParallelConfig(num_threads, parts_per_thread).num_parts
-    )
-    Z = _alloc_accumulator(out, w0, w1, d, 0.0)
-    identity = resolved.aop.accumulator_identity
-    indptr, indices, data = A.indptr, A.indices, A.data
-
-    def kernel(part: RowPartition, z_slice: np.ndarray) -> None:
-        for u in range(part.start, part.stop):
-            lo, hi = indptr[u], indptr[u + 1]
-            if lo == hi:
-                continue
-            cols = indices[lo:hi]
-            vals = data[lo:hi]
-            Yd = Y[cols]
-            # Broadcast x_u over the neighbour dimension so every step sees
-            # unambiguous (k, d) operands (a bare (d,) vector would be
-            # indistinguishable from a (k,) per-edge scalar when k == d).
-            Xs = np.broadcast_to(X[u], Yd.shape)
-            M = _run_steps_batch(resolved, Xs, Yd, vals)
-            row = z_slice[u - part.start]
-            if identity not in (0.0, None):
-                row[...] = identity
-            _accumulate_rowwise(resolved.aop, row, np.atleast_1d(M))
-
-    run_partitioned(
-        A, Z, kernel, config=ParallelConfig(num_threads, parts_per_thread),
-        parts=parts, pool=pool, row_offset=w0,
-    )
-    return _finalize_output(Z, out, X.dtype)
 
 
 # ---------------------------------------------------------------------- #
@@ -395,7 +316,7 @@ def run_edge_blocks(
     return _finalize_output(Z, out, (Y if X is None else X).dtype)
 
 
-def fusedmm_edgeblocked(
+def fusedmm_optimized(
     A,
     X,
     Y=None,
@@ -411,7 +332,11 @@ def fusedmm_edgeblocked(
     **pattern_overrides,
 ) -> np.ndarray:
     """FusedMM processing edges in fixed-size blocks (:func:`run_edge_blocks`)
-    with the registry's batched operators as the block body."""
+    with the registry's batched operators as the block body.
+
+    ``block_size`` is the number of edges per block (the autotuner may
+    pick it per problem).
+    """
     resolved = get_pattern(pattern, **pattern_overrides).resolved()
 
     def body(X, Y, src, dst, vals, edges):
@@ -422,79 +347,4 @@ def fusedmm_edgeblocked(
         A, X, Y, body, aop=resolved.aop, block_size=block_size,
         num_threads=num_threads, parts_per_thread=parts_per_thread,
         parts=parts, pool=pool, out=out, row_offset=row_offset,
-    )
-
-
-# ---------------------------------------------------------------------- #
-# Strategy dispatcher
-# ---------------------------------------------------------------------- #
-def auto_strategy(A) -> str:
-    """The data-dependent row/edge choice of ``strategy="auto"``: edge
-    blocking below an average degree of 32, where per-row vectorization is
-    too short to pay off."""
-    return "row" if A.avg_degree() >= 32 else "edge"
-
-
-def fusedmm_optimized(
-    A,
-    X,
-    Y=None,
-    *,
-    pattern: OpPattern | str = "sigmoid_embedding",
-    strategy: str = "auto",
-    block_size: Optional[int] = None,
-    num_threads: int = 1,
-    parts_per_thread: int = 1,
-    parts: Optional[Sequence[RowPartition]] = None,
-    pool: Optional[ThreadPoolExecutor] = None,
-    out: Optional[np.ndarray] = None,
-    row_offset: int = 0,
-    **pattern_overrides,
-) -> np.ndarray:
-    """Vectorized FusedMM choosing between the row-blocked and edge-blocked
-    kernels.
-
-    Parameters
-    ----------
-    strategy:
-        ``"row"``, ``"edge"`` or ``"auto"`` (:func:`auto_strategy`: pick
-        edge-blocking when the average degree is below 32 — short rows make
-        per-row vectorization ineffective, mirroring the paper's
-        observation that dense graphs amortise memory latency better).
-    block_size:
-        Edge-block size for the edge-blocked kernel; ``None`` uses
-        :data:`DEFAULT_BLOCK_SIZE` (the autotuner may override it).
-    """
-    A_csr, X_arr, Y_arr = validate_operands(A, X, Y)
-    if strategy not in {"auto", "row", "edge"}:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "auto":
-        strategy = auto_strategy(A_csr)
-    if strategy == "row":
-        return fusedmm_rowblocked(
-            A_csr,
-            X_arr,
-            Y_arr,
-            pattern=pattern,
-            num_threads=num_threads,
-            parts_per_thread=parts_per_thread,
-            parts=parts,
-            pool=pool,
-            out=out,
-            row_offset=row_offset,
-            **pattern_overrides,
-        )
-    return fusedmm_edgeblocked(
-        A_csr,
-        X_arr,
-        Y_arr,
-        pattern=pattern,
-        block_size=block_size or DEFAULT_BLOCK_SIZE,
-        num_threads=num_threads,
-        parts_per_thread=parts_per_thread,
-        parts=parts,
-        pool=pool,
-        out=out,
-        row_offset=row_offset,
-        **pattern_overrides,
     )

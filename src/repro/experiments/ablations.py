@@ -3,15 +3,12 @@
 These experiments are not tables of the paper; they probe the design
 decisions the paper motivates qualitatively:
 
-* **backend ladder** — generic (Alg. 1) vs optimized (blocked) vs
+* **backend ladder** — generic (Alg. 1) vs optimized (edge-blocked) vs
   generated vs jit kernels on one problem, quantifying how much
   each optimization level contributes (the paper's FusedMM vs FusedMMopt
   split, refined);
 * **block-size sweep** — sensitivity of the edge-blocked kernel to its
   block size (the register/tile-blocking analogue the autotuner searches);
-* **strategy crossover** — row-blocked vs edge-blocked kernels as the
-  average degree changes, validating the dispatcher's degree-based
-  heuristic;
 * **partition balance** — nnz-balanced 1-D partitioning vs naive equal-row
   partitioning on a skewed graph.
 """
@@ -26,18 +23,16 @@ from ..bench.tables import format_table
 from ..core.autotune import DEFAULT_BLOCK_CANDIDATES
 from ..core.codegen import compile_kernel
 from ..core.fused import fusedmm
-from ..core.optimized import fusedmm_edgeblocked, fusedmm_rowblocked
+from ..core.optimized import fusedmm_optimized
 from ..core.partition import part1d, partition_balance
 from ..core.patterns import get_pattern
 from ..graphs.datasets import load_dataset
-from ..graphs.generators import rmat
 from ..graphs.features import random_features
 from ..perf.timer import time_kernel
 
 __all__ = [
     "run_backend_ladder",
     "run_block_size_sweep",
-    "run_strategy_crossover",
     "run_partition_balance",
     "main",
 ]
@@ -67,9 +62,8 @@ def run_backend_ladder(
     generic_t = generic_sample_t * (A.nnz / max(A_sample.nnz, 1))
     rows.append({"backend": "generic (Alg. 1)", "seconds": generic_t, "extrapolated": True})
 
-    for strategy, fn in (("optimized-row", fusedmm_rowblocked), ("optimized-edge", fusedmm_edgeblocked)):
-        t = time_kernel(fn, A, X, X, pattern=pattern, repeats=repeats).mean
-        rows.append({"backend": strategy, "seconds": t, "extrapolated": False})
+    t = time_kernel(fusedmm_optimized, A, X, X, pattern=pattern, repeats=repeats).mean
+    rows.append({"backend": "optimized", "seconds": t, "extrapolated": False})
 
     generated = compile_kernel(resolved)
     t = time_kernel(generated, A, X, X, repeats=repeats).mean
@@ -105,44 +99,18 @@ def run_block_size_sweep(
     rows = []
     for block in block_sizes:
         t = time_kernel(
-            fusedmm_edgeblocked, A, X, X, pattern=pattern, block_size=int(block), repeats=repeats
+            fusedmm_optimized,
+            A,
+            X,
+            X,
+            pattern=pattern,
+            block_size=int(block),
+            repeats=repeats,
         ).mean
         rows.append({"block_size": int(block), "seconds": t})
     best = min(r["seconds"] for r in rows)
     for r in rows:
         r["slowdown_vs_best"] = round(r["seconds"] / max(best, 1e-12), 3)
-    return rows
-
-
-def run_strategy_crossover(
-    *,
-    num_vertices: int = 8000,
-    avg_degrees: Sequence[float] = (2, 8, 32, 128),
-    d: int = 64,
-    pattern: str = "sigmoid_embedding",
-    repeats: int = 2,
-    seed: int = 0,
-) -> List[Dict]:
-    """Row- vs edge-blocked kernel time as the average degree grows."""
-    rows = []
-    for i, degree in enumerate(avg_degrees):
-        A = rmat(num_vertices, int(num_vertices * degree / 2), seed=seed + i)
-        X = random_features(A.nrows, d, seed=0)
-        t_row = time_kernel(
-            fusedmm_rowblocked, A, X, X, pattern=pattern, repeats=repeats
-        ).mean
-        t_edge = time_kernel(
-            fusedmm_edgeblocked, A, X, X, pattern=pattern, repeats=repeats
-        ).mean
-        rows.append(
-            {
-                "target_avg_degree": degree,
-                "realised_avg_degree": round(A.avg_degree(), 2),
-                "row_blocked_s": t_row,
-                "edge_blocked_s": t_edge,
-                "edge_faster": bool(t_edge < t_row),
-            }
-        )
     return rows
 
 
@@ -195,8 +163,6 @@ def main() -> None:
     print(format_table(run_backend_ladder(), title="Ablation: backend ladder"))
     print()
     print(format_table(run_block_size_sweep(), title="Ablation: edge-block size sweep"))
-    print()
-    print(format_table(run_strategy_crossover(), title="Ablation: row- vs edge-blocking crossover"))
     print()
     print(format_table(run_partition_balance(), title="Ablation: partition balance"))
 

@@ -123,12 +123,11 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "ablations": Experiment(
         key="ablations",
         paper_reference="Sections III-IV (design choices)",
-        description="Backend ladder, block-size sweep, blocking crossover, partition balance",
+        description="Backend ladder, block-size sweep, partition balance",
         module=ablations,
         runners={
             "backend_ladder": ablations.run_backend_ladder,
             "block_size": ablations.run_block_size_sweep,
-            "crossover": ablations.run_strategy_crossover,
             "partition": ablations.run_partition_balance,
         },
     ),

@@ -167,10 +167,6 @@ def generate_report(
             "Ablation — backend ladder",
             format_markdown_table(ablations.run_backend_ladder(scale=min(scale, 0.5))),
         )
-        report.add_section(
-            "Ablation — blocking strategy crossover",
-            format_markdown_table(ablations.run_strategy_crossover()),
-        )
 
     return report.write(output)
 

@@ -33,7 +33,6 @@ import numpy as np
 from ..core.partition import RowPartition
 from ..errors import ShapeError
 from ..sparse import CSRMatrix, as_csr
-from .plan import effective_strategy
 
 __all__ = ["KernelRequest", "PackedBatch", "pack_requests", "pack_group_key"]
 
@@ -53,7 +52,6 @@ class KernelRequest:
     pattern: object = "sigmoid_embedding"
     backend: str = "auto"
     block_size: Optional[int] = None
-    strategy: str = "auto"
     overrides: Mapping[str, object] = field(default_factory=dict)
     tag: object = None
 
@@ -90,7 +88,6 @@ class KernelRequest:
             pattern=self.pattern,
             backend=self.backend,
             block_size=self.block_size,
-            strategy=self.strategy,
             overrides=self.overrides,
             tag=self.tag,
         )
@@ -100,11 +97,9 @@ def pack_group_key(plan, req: "KernelRequest") -> Tuple:
     """Grouping key under which requests may be packed together.
 
     Everything that influences the kernel's arithmetic must appear here:
-    the resolved pattern, backend kind, blocking parameters (including the
-    data-dependent row/edge choice a standalone ``strategy='auto'`` call
-    would make) and the operand dtypes (mixing dtypes in one packed call
-    would change NumPy's promotion behaviour relative to the standalone
-    calls).
+    the resolved pattern, backend kind, block size and the operand dtypes
+    (mixing dtypes in one packed call would change NumPy's promotion
+    behaviour relative to the standalone calls).
     """
     d = None if req.X is None else req.X.shape[1]
     if d is None and req.Y is not None:
@@ -112,7 +107,6 @@ def pack_group_key(plan, req: "KernelRequest") -> Tuple:
     return (
         plan.key.pattern,
         plan.kind,
-        effective_strategy(plan, as_csr(req.A)),
         plan.block_size,
         d,
         None if req.X is None else req.X.dtype.str,

@@ -1,7 +1,7 @@
 """LRU cache of FusedMM execution plans.
 
 One entry per ``(matrix fingerprint, pattern, backend, num_threads,
-block_size, strategy, autotune, reorder)`` combination — the full key
+block_size, autotune, reorder)`` combination — the full key
 under which a plan's resolution, partitioning, tuning and locality
 (vertex-reordering) decisions are valid.  Repeated calls on the same
 adjacency (the every-epoch training-loop case) hit the cache and skip

@@ -20,10 +20,9 @@ must agree on so the transports can never drift:
   covered-rows write-back (:func:`scatter_rows`).
 
 Determinism note: a run spec carries everything data-dependent the parent
-resolved (the kernel kind, autotuned block size, the row/edge strategy
-choice), so rebuilt configs execute exactly the kernel a single-process
-call would — the bitwise-identity contract across shard counts extends
-across hosts.
+resolved (the kernel kind and autotuned block size), so rebuilt configs
+execute exactly the kernel a single-process call would — the
+bitwise-identity contract across shard counts extends across hosts.
 """
 
 from __future__ import annotations
@@ -181,9 +180,9 @@ def plan_spec_from_plan(plan) -> Optional[Dict[str, object]]:
     """The picklable execution spec of a :class:`~repro.runtime.plan.KernelPlan`.
 
     Workers rebuild the dispatch config from this spec; the parent resolves
-    everything data-dependent (the kernel kind, autotuned block size, the
-    row/edge strategy choice) *before* shipping, so every worker executes
-    exactly the kernel a single-process call would.  The spec carries the
+    everything data-dependent (the kernel kind and autotuned block size)
+    *before* shipping, so every worker executes exactly the kernel a
+    single-process call would.  The spec carries the
     resolved ``plan.kind``, not the requested backend: every kind is a
     :data:`~repro.core.fused.BACKENDS` entry that resolves to itself, so a
     worker never re-runs ``auto``'s ladder on different local facts.
@@ -194,7 +193,6 @@ def plan_spec_from_plan(plan) -> Optional[Dict[str, object]]:
         "op_pattern": plan.op_pattern,
         "backend": plan.kind,
         "block_size": plan.block_size,
-        "strategy": plan.strategy,
     }
     try:
         pickle.dumps(spec["op_pattern"])
@@ -224,7 +222,6 @@ def remote_spec_meta(spec: Optional[Dict[str, object]]) -> Optional[dict]:
         "pattern": {"name": pattern.name, **slots},
         "backend": spec["backend"],
         "block_size": spec["block_size"],
-        "strategy": spec["strategy"],
     }
 
 
@@ -240,7 +237,6 @@ def spec_from_meta(meta: dict) -> Dict[str, object]:
         "op_pattern": op_pattern,
         "backend": str(meta["backend"]),
         "block_size": None if block_size is None else int(block_size),
-        "strategy": str(meta["strategy"]),
     }
 
 
@@ -257,7 +253,6 @@ def build_worker_config(spec: Dict[str, object], *, num_threads: int = 1):
         op_pattern.resolved(),
         backend=spec["backend"],
         block_size=spec["block_size"],
-        strategy=spec["strategy"],
         num_threads=num_threads,
     )
 
@@ -270,7 +265,6 @@ def config_cache_key(spec: Dict[str, object]) -> tuple:
         pattern_key(spec["op_pattern"].resolved()),
         spec["backend"],
         spec["block_size"],
-        spec["strategy"],
     )
 
 
@@ -330,7 +324,6 @@ def execute_parts(
         parts=parts,
         num_threads=num_threads,
         block_size=spec["block_size"],
-        strategy=spec["strategy"],
         out=window,
         row_offset=w0,
     )

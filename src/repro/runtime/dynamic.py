@@ -12,8 +12,8 @@ pointer atomically and can never tear an in-flight computation.
 Mutations invalidate *incrementally* instead of flushing:
 
 * **plans** — every cached plan of the old version is refreshed in place
-  (:func:`refresh_plan`): backend resolution, autotuned block size and
-  strategy carry over, only the nnz-balanced partitions are recomputed.
+  (:func:`refresh_plan`): backend resolution and the autotuned block size
+  carry over, only the nnz-balanced partitions are recomputed.
 * **reorder** — the vertex permutation is *carried* while the mutated
   matrix's mean bandwidth stays within ``carry_factor`` × the bandwidth
   measured when the permutation was attached; the permuted copy is then
@@ -160,7 +160,7 @@ def refresh_plan(
 
     Everything expensive that does not depend on the sparsity *values* is
     reused verbatim: backend resolution, the concrete kernel, autotune
-    results, the blocking strategy.  Recomputed per call: the nnz-balanced
+    results, the block size.  Recomputed per call: the nnz-balanced
     partitions (O(nrows)) and — for reordered plans — the carried permuted
     matrix (O(dirty nnz) splice) with only the dirty panels re-compacted.
 

@@ -6,8 +6,8 @@ depend on the feature matrices:
 * the resolved operator pattern (Table III row or user overrides),
 * the backend kind and kernel callable, chosen by the one resolver
   (:func:`repro.core.fused.plan_kernel`, the same call :func:`fusedmm`
-  and :class:`FusedMM` make), together with the blocking strategy and
-  edge-block size (autotuned once when requested),
+  and :class:`FusedMM` make), together with its edge-block size
+  (autotuned once when requested),
 * the nnz-balanced row partitioning of the bound adjacency,
 * the **locality tier** (``reorder=``): a vertex permutation of the bound
   adjacency (:mod:`repro.sparse.reorder`) plus pre-compacted cache-blocked
@@ -18,7 +18,7 @@ depend on the feature matrices:
   callers never see permuted data.
 
 Plans are built once per ``(matrix fingerprint, pattern, backend,
-num_threads, block_size, strategy, autotune, reorder)`` key and then
+num_threads, block_size, autotune, reorder)`` key and then
 executed many times — every epoch of a training loop, every request of a
 batch — via :meth:`KernelPlan.execute`, which accepts an explicit
 partition list and a shared thread pool so the runtime controls
@@ -48,7 +48,7 @@ from ..core.autotune import (
     cached_reorder_tuning,
 )
 from ..core.fused import plan_kernel, resolve_backend
-from ..core.optimized import DEFAULT_BLOCK_SIZE, auto_strategy
+from ..core.optimized import DEFAULT_BLOCK_SIZE
 from ..core.partition import RowPartition, part1d
 from ..core.patterns import OpPattern, ResolvedPattern
 from ..sparse import CSRMatrix, as_csr
@@ -71,7 +71,6 @@ __all__ = [
     "pattern_key",
     "build_plan",
     "make_config",
-    "effective_strategy",
 ]
 
 
@@ -89,7 +88,6 @@ class PlanKey:
     backend: str
     num_threads: int
     block_size: int  # 0 = backend default / autotuned
-    strategy: str
     autotune: bool
     #: vertex-reordering strategy of the locality tier ("none" = natural
     #: order, bitwise-exact legacy path)
@@ -108,7 +106,6 @@ class KernelPlan:
     #: requested backend (one of :data:`repro.core.fused.BACKENDS`)
     backend: str
     block_size: int
-    strategy: str
     num_threads: int
     nnz: int
     shape: Tuple[int, int]
@@ -208,7 +205,6 @@ class KernelPlan:
         pool: Optional[ThreadPoolExecutor] = None,
         num_threads: Optional[int] = None,
         block_size: Optional[int] = None,
-        strategy: Optional[str] = None,
         out: Optional[np.ndarray] = None,
         row_offset: int = 0,
     ) -> np.ndarray:
@@ -228,8 +224,8 @@ class KernelPlan:
         range of the shared output segment, so no worker ever allocates a
         full ``(nrows, d)`` result.  On the reordered path the permuted
         result is scattered back into the requested window, so callers see
-        original vertex order either way.  ``parts``/``block_size``/
-        ``strategy`` overrides only apply to the direct path: a reordered
+        original vertex order either way.  ``parts``/``block_size``
+        overrides only apply to the direct path: a reordered
         plan's blocking *is* its pre-compacted panels, so the overrides
         are ignored when the bound matrix routes through the locality
         tier (execute on a ``reorder="none"`` plan to A/B blocking
@@ -258,7 +254,6 @@ class KernelPlan:
             pool=pool,
             num_threads=num_threads,
             block_size=block_size,
-            strategy=strategy,
             out=out,
             row_offset=row_offset,
         )
@@ -333,7 +328,6 @@ class KernelPlan:
         pool: Optional[ThreadPoolExecutor] = None,
         num_threads: Optional[int] = None,
         block_size: Optional[int] = None,
-        strategy: Optional[str] = None,
         out: Optional[np.ndarray] = None,
         row_offset: int = 0,
     ) -> np.ndarray:
@@ -349,7 +343,6 @@ class KernelPlan:
             Y,
             block_size=self.block_size if block_size is None else block_size,
             num_threads=self.num_threads if num_threads is None else num_threads,
-            strategy=self.strategy if strategy is None else strategy,
             parts=parts,
             pool=pool,
             out=out,
@@ -364,7 +357,6 @@ class KernelPlan:
             "ops": self.resolved.op_names(),
             "backend": self.backend,
             "kind": self.kind,
-            "strategy": self.strategy,
             "block_size": self.block_size,
             "num_threads": self.num_threads,
             "nsplit": self.nsplit,
@@ -394,7 +386,6 @@ def make_config(
     *,
     backend: str = "auto",
     block_size: Optional[int] = None,
-    strategy: str = "auto",
     num_threads: int = 1,
 ) -> KernelPlan:
     """A matrix-independent dispatch config (a plan without a matrix).
@@ -411,7 +402,6 @@ def make_config(
         backend=backend,
         num_threads=num_threads,
         block_size=block_size or 0,
-        strategy=strategy,
         autotune=False,
     )
     return KernelPlan(
@@ -421,7 +411,6 @@ def make_config(
         kind=kind,
         backend=backend,
         block_size=block_size or DEFAULT_BLOCK_SIZE,
-        strategy=strategy,
         num_threads=num_threads,
         nnz=0,
         shape=(0, 0),
@@ -429,13 +418,6 @@ def make_config(
         nsplit=1,
         kernel=kernel,
     )
-
-
-def effective_strategy(plan: KernelPlan, A) -> str:
-    """The blocking strategy a standalone call on ``A`` would pick."""
-    if plan.kind == "optimized" and plan.strategy == "auto":
-        return auto_strategy(A)
-    return plan.strategy
 
 
 def build_plan(
@@ -459,7 +441,6 @@ def build_plan(
         A,
         op_pattern,
         key.backend,
-        strategy=key.strategy,
         block_size=key.block_size,
         num_threads=key.num_threads,
         autotune=key.autotune,
@@ -475,7 +456,6 @@ def build_plan(
         kind=choice.kind,
         backend=key.backend,
         block_size=choice.block_size,
-        strategy=choice.strategy,
         num_threads=key.num_threads,
         nnz=A.nnz,
         shape=A.shape,
@@ -567,7 +547,6 @@ def _apply_reorder(
         key.fingerprint,
         key.pattern,
         plan.kind,
-        plan.strategy,
         plan.block_size,
         autotune_dim,
     )

@@ -60,14 +60,7 @@ from .batch import KernelRequest, pack_group_key, pack_requests
 from .cache import CacheStats, PlanCache
 from .codec import execute_parts, output_dtype, plan_spec_from_plan, remote_spec_meta
 from .fingerprint import derived_fingerprint, matrix_fingerprint
-from .plan import (
-    KernelPlan,
-    PlanKey,
-    build_plan,
-    effective_strategy,
-    make_config,
-    pattern_key,
-)
+from .plan import KernelPlan, PlanKey, build_plan, make_config, pattern_key
 from .remote import RemoteController
 from .shard import ShardPlan, assign_shards, route_shards
 from .workers import WorkerPool
@@ -451,7 +444,6 @@ class KernelRuntime:
         pattern: Union[OpPattern, str] = "sigmoid_embedding",
         backend: str = "auto",
         block_size: Optional[int] = None,
-        strategy: str = "auto",
         autotune: Optional[bool] = None,
         reorder: Optional[str] = None,
         **pattern_overrides,
@@ -472,7 +464,6 @@ class KernelRuntime:
             backend=backend,
             num_threads=self.num_threads,
             block_size=block_size or 0,
-            strategy=strategy,
             autotune=self.autotune if autotune is None else bool(autotune),
             reorder=self.reorder if reorder is None else reorder,
         )
@@ -869,7 +860,7 @@ class KernelRuntime:
         """
         overrides = dict(req.overrides)
         cacheable = isinstance(req.pattern, str) and not overrides
-        key = (req.pattern, req.backend, req.block_size or 0, req.strategy)
+        key = (req.pattern, req.backend, req.block_size or 0)
         if cacheable:
             with self._configs_lock:
                 cfg = self._configs.get(key)
@@ -881,7 +872,6 @@ class KernelRuntime:
             op_pattern.resolved(),
             backend=req.backend,
             block_size=req.block_size,
-            strategy=req.strategy,
             num_threads=self.num_threads,
         )
         if not cacheable:
@@ -934,7 +924,6 @@ class KernelRuntime:
                     pattern=req.pattern,
                     backend=req.backend,
                     block_size=req.block_size,
-                    strategy=req.strategy,
                     reorder="none",
                     **dict(req.overrides),
                 )
@@ -1003,7 +992,6 @@ class KernelRuntime:
                 pool=group_pool,
                 num_threads=len(parts) if group_pool is not None else 1,
                 block_size=bs,
-                strategy=effective_strategy(plan, reqs[members[0]].A),
             )
             return packed.split_result(Z)
 
@@ -1098,8 +1086,8 @@ class KernelRuntime:
 
         For each plan keyed on ``old_fingerprint`` a successor keyed on
         the new fingerprint is built through
-        :func:`repro.runtime.dynamic.refresh_plan` — backend resolution,
-        autotune results and strategy carry over; partitions, and for
+        :func:`repro.runtime.dynamic.refresh_plan` — backend resolution
+        and autotune results carry over; partitions, and for
         reordered plans the spliced permuted matrix plus the dirty panels,
         are recomputed.  The old version's plans are evicted afterwards
         (nothing will ask for them again).  Returns the invalidation

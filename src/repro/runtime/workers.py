@@ -9,7 +9,7 @@ and the shared-memory segments they read.  The design goals, in order:
   subsequent call on the same matrix sends only segment names and row
   ranges — the adjacency is never re-pickled.
 * **Plan once per worker.**  Workers cache their rebuilt dispatch configs
-  keyed by (pattern, kernel kind, block size, strategy), so repeated calls
+  keyed by (pattern, kernel kind, block size), so repeated calls
   skip pattern resolution and backend dispatch exactly as the parent's
   plan cache does.
 * **Never hang, never fail a call for a lost worker.**  The parent polls

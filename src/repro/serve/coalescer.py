@@ -314,7 +314,6 @@ class Coalescer:
                 pattern=request.pattern,
                 backend=request.backend,
                 block_size=request.block_size,
-                strategy=request.strategy,
                 # Serving promises bitwise identity with serial execution;
                 # the locality tier trades exactly that away, so request
                 # plans pin the natural order regardless of the runtime's

@@ -179,3 +179,17 @@ def test_mlp_gnn_layer_matches_generic_backend(labelled_graph):
     fast = layer(labelled_graph.adjacency, labelled_graph.features, backend="optimized")
     slow = layer(labelled_graph.adjacency, labelled_graph.features, backend="generic")
     assert np.allclose(fast, slow, atol=1e-3)
+
+
+def test_mlp_gnn_layer_on_dense_graph_matches_generic_backend():
+    """At average degree >= 32 rows straddle the layer's edge blocks; the
+    max-pooled result still matches the reference kernel."""
+    from repro.apps.gnn_mlp import MLP_BLOCK_SIZE
+
+    A = random_csr(100, 100, density=0.4, seed=11)
+    assert A.avg_degree() >= 32 and A.nnz > 2 * MLP_BLOCK_SIZE
+    X = np.random.default_rng(4).standard_normal((100, 8)).astype(np.float32)
+    layer = MLPGNNLayer(in_dim=8, hidden_dim=8, out_dim=4, seed=3)
+    fast = layer(A, X)
+    slow = layer(A, X, backend="generic")
+    assert np.allclose(fast, slow, atol=1e-4)

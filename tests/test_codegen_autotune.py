@@ -99,10 +99,10 @@ def test_autotune_returns_valid_config(small_square_csr):
     clear_tuning_cache()
     X, Y = make_xy(small_square_csr, 8, seed=0)
     result = autotune(small_square_csr, X, Y, pattern="sigmoid_embedding", repeats=1)
-    assert result.strategy in ("row", "edge")
+    assert {kind for kind, _ in result.trials} <= {"optimized", "jit"}
     assert result.block_size > 0
     assert result.best_time > 0
-    assert len(result.trials) >= 1 + len(DEFAULT_BLOCK_CANDIDATES)
+    assert len(result.trials) >= len(DEFAULT_BLOCK_CANDIDATES)
 
 
 def test_autotune_caches_results(small_square_csr):
@@ -122,23 +122,69 @@ def test_autotune_cache_can_be_bypassed(small_square_csr):
     assert r1 is not r2
 
 
-def test_autotune_single_strategy(small_square_csr):
+def test_autotune_sweeps_the_given_block_sizes(small_square_csr):
     X, Y = make_xy(small_square_csr, 8, seed=0)
     result = autotune(
-        small_square_csr, X, Y, pattern="gcn", strategies=("edge",), block_candidates=(64, 256), repeats=1, use_cache=False
+        small_square_csr,
+        X,
+        Y,
+        pattern="gcn",
+        kind="generated",
+        jit=False,
+        block_candidates=(64, 256),
+        repeats=1,
+        use_cache=False,
     )
-    assert result.strategy == "edge"
+    assert set(result.trials) == {("generated", 64), ("generated", 256)}
+    assert not result.jit_won
     assert result.block_size in (64, 256)
 
 
-def test_autotune_unknown_strategy(small_square_csr):
+def test_autotune_rejects_unblocked_kind(small_square_csr):
     X, Y = make_xy(small_square_csr, 8, seed=0)
     with pytest.raises(ValueError):
-        autotune(small_square_csr, X, Y, strategies=("magic",), repeats=1, use_cache=False)
+        autotune(small_square_csr, X, Y, kind="generic", repeats=1, use_cache=False)
+
+
+def test_generated_plan_tunes_the_generated_kernel(small_square_csr, monkeypatch):
+    """A plan resolving to ``generated`` times its block sizes through the
+    generated kernel, and never shares a verdict with an ``optimized``
+    plan of the same pattern."""
+    import repro.core.fused as fused
+
+    calls = []
+    compile_generated = fused.compile_kernel
+
+    def spy(pattern):
+        kernel = compile_generated(pattern)
+
+        def generated(*args, **kwargs):
+            calls.append(kwargs.get("block_size"))
+            return kernel(*args, **kwargs)
+
+        return generated
+
+    monkeypatch.setattr(fused, "compile_kernel", spy)
+    clear_tuning_cache()
+    try:
+        plan = fused.plan_kernel(
+            small_square_csr, "gcn", "generated", autotune=True, autotune_dim=8
+        )
+        assert plan.kind == "generated"
+        assert {kind for kind, _ in plan.tuning.trials} == {"generated"}
+        assert sorted(set(calls)) == sorted(DEFAULT_BLOCK_CANDIDATES)
+        forced = fused.plan_kernel(
+            small_square_csr, "gcn", "optimized", autotune=True, autotune_dim=8
+        )
+        assert forced.tuning is not plan.tuning
+        assert {kind for kind, _ in forced.tuning.trials} == {"optimized"}
+        assert tuning_cache_info()["cached_results"] == 2
+    finally:
+        clear_tuning_cache()
 
 
 def test_autotune_result_as_dict(small_square_csr):
     X, Y = make_xy(small_square_csr, 8, seed=0)
     result = autotune(small_square_csr, X, Y, pattern="spmm", repeats=1, use_cache=False)
     d = result.as_dict()
-    assert set(d) == {"strategy", "block_size", "best_time", "num_trials"}
+    assert set(d) == {"jit_won", "block_size", "best_time", "num_trials"}

@@ -135,9 +135,6 @@ def test_ablation_runners_shapes():
     blocks = ablations.run_block_size_sweep(graph="youtube", d=32, scale=0.1, block_sizes=(256, 4096), repeats=1)
     assert {r["block_size"] for r in blocks} == {256, 4096}
 
-    crossover = ablations.run_strategy_crossover(num_vertices=1000, avg_degrees=(2, 32), d=16, repeats=1)
-    assert len(crossover) == 2
-
     balance = ablations.run_partition_balance(graph="youtube", num_parts=4, scale=0.1)
     schemes = {r["scheme"] for r in balance}
     assert len(schemes) == 2

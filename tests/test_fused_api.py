@@ -87,15 +87,6 @@ def test_accepts_scipy_and_dense_inputs(problem):
     assert np.allclose(Z_csr, Z_dense, atol=1e-5)
 
 
-def test_strategy_argument(problem):
-    A, X, Y = problem
-    Z_row = fusedmm(A, X, Y, pattern="gcn", backend="optimized", strategy="row")
-    Z_edge = fusedmm(A, X, Y, pattern="gcn", backend="optimized", strategy="edge")
-    assert np.allclose(Z_row, Z_edge, atol=1e-4)
-    with pytest.raises(ValueError):
-        fusedmm(A, X, Y, backend="optimized", strategy="diagonal")
-
-
 # ------------------------------------------------------------------ #
 # FusedMM planned-kernel class
 # ------------------------------------------------------------------ #
@@ -128,7 +119,6 @@ def test_fusedmm_class_autotune(problem):
     kernel = FusedMM(A, pattern="sigmoid_embedding", autotune=True, autotune_dim=8)
     info = kernel.describe()
     assert "tuning" in info
-    assert kernel.plan.strategy in ("row", "edge")
     Z = kernel(X, Y)
     assert np.allclose(Z, fusedmm(A, X, Y, pattern="sigmoid_embedding"), atol=1e-4)
 
@@ -165,7 +155,7 @@ def test_missing_x_on_every_backend(problem, backend):
 
 def test_autotune_demotes_jit_like_the_runtime(problem, monkeypatch):
     """With numba reported importable, a sweep that measures a NumPy
-    strategy fastest demotes auto's jit preference for FusedMM exactly as
+    block size fastest demotes auto's jit preference for FusedMM exactly as
     for a runtime plan (the jit kernels run interpreted here)."""
     import repro.core.jit as jitmod
     from repro.core.autotune import clear_tuning_cache
@@ -179,11 +169,9 @@ def test_autotune_demotes_jit_like_the_runtime(problem, monkeypatch):
             plan = rt.plan(A, pattern="sigmoid_embedding", autotune=True)
         assert "jit" in {s for s, _ in kernel.plan.tuning.trials}
         assert kernel.plan.kind == plan.kind
-        assert kernel.plan.strategy == plan.strategy
         assert kernel.plan.block_size == plan.block_size
-        if kernel.plan.tuning.strategy != "jit":
+        if not kernel.plan.tuning.jit_won:
             assert kernel.plan.kind == "generated"
-            assert kernel.plan.strategy == kernel.plan.tuning.strategy
         assert np.array_equal(kernel(X, Y), plan.execute(A, X, Y, num_threads=1))
     finally:
         clear_tuning_cache()

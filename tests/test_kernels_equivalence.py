@@ -1,7 +1,7 @@
 """Cross-backend equivalence tests — the core correctness property.
 
 For every application pattern of Table III and a variety of graph shapes,
-all kernel backends (reference Algorithm 1, row-blocked, edge-blocked,
+all kernel backends (reference Algorithm 1, edge-blocked optimized,
 generated) and the unfused SDDMM→SpMM pipeline must produce
 the same output up to floating-point tolerance.
 """
@@ -13,9 +13,8 @@ from repro.baselines import dense_fusedmm, unfused_fusedmm
 from repro.core import (
     compile_kernel,
     fusedmm,
-    fusedmm_edgeblocked,
     fusedmm_generic,
-    fusedmm_rowblocked,
+    fusedmm_optimized,
     generate_kernel_source,
     get_pattern,
     supports_pattern,
@@ -42,18 +41,10 @@ def rect_problem():
 
 
 @pytest.mark.parametrize("pattern", PATTERNS)
-def test_rowblocked_matches_generic(square_problem, pattern):
-    A, X, Y = square_problem
-    ref = fusedmm_generic(A, X, Y, pattern=pattern)
-    out = fusedmm_rowblocked(A, X, Y, pattern=pattern)
-    assert np.allclose(out, ref, atol=ATOL)
-
-
-@pytest.mark.parametrize("pattern", PATTERNS)
 def test_edgeblocked_matches_generic(square_problem, pattern):
     A, X, Y = square_problem
     ref = fusedmm_generic(A, X, Y, pattern=pattern)
-    out = fusedmm_edgeblocked(A, X, Y, pattern=pattern, block_size=64)
+    out = fusedmm_optimized(A, X, Y, pattern=pattern, block_size=64)
     assert np.allclose(out, ref, atol=ATOL)
 
 
@@ -117,8 +108,7 @@ def test_gnn_mlp_pattern_all_backends():
     mlp = make_mlp_vop(xavier_init(24, 12, seed=3))
     pattern = get_pattern("gnn_mlp", vop=mlp)
     ref = fusedmm_generic(A, X, Y, pattern=pattern)
-    for fn in (fusedmm_rowblocked, fusedmm_edgeblocked):
-        assert np.allclose(fn(A, X, Y, pattern=pattern), ref, atol=ATOL)
+    assert np.allclose(fusedmm_optimized(A, X, Y, pattern=pattern), ref, atol=ATOL)
     assert np.allclose(fusedmm(A, X, Y, pattern=pattern, backend="auto"), ref, atol=ATOL)
 
 
@@ -128,8 +118,8 @@ def test_amax_aggregation_equivalence():
     X, Y = make_xy(A, 10, seed=2)
     pattern = get_pattern(None, vop="MUL", rop="NOOP", sop="RELU", mop="NOOP", aop="AMAX")
     ref = fusedmm_generic(A, X, Y, pattern=pattern)
-    assert np.allclose(fusedmm_rowblocked(A, X, Y, pattern=pattern), ref, atol=ATOL)
-    assert np.allclose(fusedmm_edgeblocked(A, X, Y, pattern=pattern, block_size=32), ref, atol=ATOL)
+    out = fusedmm_optimized(A, X, Y, pattern=pattern, block_size=32)
+    assert np.allclose(out, ref, atol=ATOL)
     assert np.allclose(unfused_fusedmm(A, X, Y, pattern=pattern), ref, atol=ATOL)
 
 
@@ -186,7 +176,7 @@ def test_thread_count_does_not_change_result(medium_graph_csr):
 
 def test_block_size_does_not_change_result(square_problem):
     A, X, Y = square_problem
-    ref = fusedmm_edgeblocked(A, X, Y, pattern="sigmoid_embedding", block_size=7)
+    ref = fusedmm_optimized(A, X, Y, pattern="sigmoid_embedding", block_size=7)
     for block in (1, 16, 1024, 10**6):
-        out = fusedmm_edgeblocked(A, X, Y, pattern="sigmoid_embedding", block_size=block)
+        out = fusedmm_optimized(A, X, Y, pattern="sigmoid_embedding", block_size=block)
         assert np.allclose(out, ref, atol=1e-5)

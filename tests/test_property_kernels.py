@@ -11,9 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines import unfused_fusedmm
 from repro.core import (
-    fusedmm_edgeblocked,
     fusedmm_generic,
-    fusedmm_rowblocked,
+    fusedmm_optimized,
     compile_kernel,
     get_pattern,
     supports_pattern,
@@ -52,9 +51,8 @@ PATTERN_NAMES = st.sampled_from(["sigmoid_embedding", "fr_layout", "gcn", "spmm"
 def test_blocked_kernels_match_reference(problem, pattern):
     A, X, Y = problem
     ref = fusedmm_generic(A, X, Y, pattern=pattern)
-    assert np.allclose(fusedmm_rowblocked(A, X, Y, pattern=pattern), ref, atol=ATOL)
     assert np.allclose(
-        fusedmm_edgeblocked(A, X, Y, pattern=pattern, block_size=5), ref, atol=ATOL
+        fusedmm_optimized(A, X, Y, pattern=pattern, block_size=5), ref, atol=ATOL
     )
 
 
@@ -96,8 +94,8 @@ def test_output_rows_of_isolated_vertices_are_zero(problem):
 @given(problems(), st.integers(min_value=1, max_value=4))
 def test_thread_invariance(problem, threads):
     A, X, Y = problem
-    single = fusedmm_edgeblocked(A, X, Y, pattern="sigmoid_embedding", num_threads=1)
-    multi = fusedmm_edgeblocked(A, X, Y, pattern="sigmoid_embedding", num_threads=threads)
+    single = fusedmm_optimized(A, X, Y, pattern="sigmoid_embedding", num_threads=1)
+    multi = fusedmm_optimized(A, X, Y, pattern="sigmoid_embedding", num_threads=threads)
     assert np.allclose(single, multi, atol=1e-5)
 
 

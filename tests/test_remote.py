@@ -681,7 +681,6 @@ def test_spec_meta_roundtrip(problem):
         rebuilt = spec_from_meta(meta)
         assert rebuilt["backend"] == spec["backend"]
         assert rebuilt["block_size"] == spec["block_size"]
-        assert rebuilt["strategy"] == spec["strategy"]
         assert rebuilt["op_pattern"].resolved().op_names() == spec[
             "op_pattern"
         ].resolved().op_names()
@@ -705,7 +704,6 @@ def test_spec_meta_rejects_callable_ops():
         ),
         "backend": "numpy",
         "block_size": 0,
-        "strategy": "none",
     }
     assert remote_spec_meta(spec) is None
 

@@ -197,7 +197,6 @@ def test_autotuned_plan_cached_once(small_problem):
     p2 = rt.plan(A)
     assert p1 is p2
     assert p1.tuning is not None
-    assert p1.strategy in ("row", "edge")
 
 
 # ---------------------------------------------------------------------- #

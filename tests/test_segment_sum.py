@@ -136,7 +136,7 @@ def _spmm_kernels(block_size):
     are exact to reproduce)."""
     common = dict(pattern="spmm", block_size=block_size)
     return {
-        "optimized": lambda A, X, Y: fusedmm(A, X, Y, backend="optimized", strategy="edge", **common),
+        "optimized": lambda A, X, Y: fusedmm(A, X, Y, backend="optimized", **common),
         "generated": lambda A, X, Y: fusedmm(A, X, Y, backend="generated", **common),
         "unfused": lambda A, X, Y: unfused_fusedmm(A, X, Y, **common),
     }

@@ -8,9 +8,8 @@ from repro.baselines import unfused_fusedmm
 from repro.core import (
     compile_kernel,
     fusedmm,
-    fusedmm_edgeblocked,
     fusedmm_generic,
-    fusedmm_rowblocked,
+    fusedmm_optimized,
     get_pattern,
 )
 from repro.core.patterns import OpPattern
@@ -71,8 +70,7 @@ def test_every_backend_is_allclose_to_generic(problem):
     assert np.allclose(ref, dense, atol=1e-5)
     resolved = get_pattern("sigmoid_residual").resolved()
     outs = {
-        "optimized-row": fusedmm_rowblocked(A, X, Y, pattern="sigmoid_residual"),
-        "optimized-edge": fusedmm_edgeblocked(
+        "optimized": fusedmm_optimized(
             A, X, Y, pattern="sigmoid_residual", block_size=64
         ),
         "generated": compile_kernel(resolved)(A, X, Y, block_size=64),
@@ -93,9 +91,9 @@ def test_zero_labels_are_bitwise_sigmoid_embedding(problem, block_size):
     emb = get_pattern("sigmoid_embedding").resolved()
     res = get_pattern("sigmoid_residual").resolved()
     pairs = {
-        "optimized-edge": (
-            fusedmm_edgeblocked(A0, X, Y, pattern=emb.name, block_size=block_size),
-            fusedmm_edgeblocked(A0, X, Y, pattern=res.name, block_size=block_size),
+        "optimized": (
+            fusedmm_optimized(A0, X, Y, pattern=emb.name, block_size=block_size),
+            fusedmm_optimized(A0, X, Y, pattern=res.name, block_size=block_size),
         ),
         "generated": (
             compile_kernel(emb)(A0, X, Y, block_size=block_size),

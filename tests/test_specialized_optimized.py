@@ -1,6 +1,6 @@
 """Unit tests for the pattern-specialized kernels (the code generator's,
-``backend="generated"``) and the optimized-kernel details (strategy
-selection, blocking internals)."""
+``backend="generated"``) and the optimized-kernel details (blocking
+internals)."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.core.fused import fusedmm
 from repro.core.optimized import (
     DEFAULT_BLOCK_SIZE,
     _edge_block_ranges,
-    fusedmm_edgeblocked,
     fusedmm_optimized,
 )
 from repro.sparse import random_bipartite, random_csr
@@ -101,27 +100,7 @@ def test_edge_block_ranges_cover_exactly():
 def test_edgeblocked_rejects_bad_block_size(square):
     A, X, Y = square
     with pytest.raises(ValueError):
-        fusedmm_edgeblocked(A, X, Y, block_size=0)
-
-
-def test_optimized_strategy_auto_selection():
-    dense_graph = random_csr(40, 40, density=0.9, seed=1)  # avg degree >> 32
-    sparse_graph = random_csr(200, 200, density=0.01, seed=2)
-    Xd, Yd = make_xy(dense_graph, 8, seed=0)
-    Xs, Ys = make_xy(sparse_graph, 8, seed=0)
-    # Whatever strategy auto picks, the result must match the explicit ones.
-    za = fusedmm_optimized(dense_graph, Xd, Yd, pattern="gcn", strategy="auto")
-    zr = fusedmm_optimized(dense_graph, Xd, Yd, pattern="gcn", strategy="row")
-    assert np.allclose(za, zr, atol=1e-4)
-    za2 = fusedmm_optimized(sparse_graph, Xs, Ys, pattern="gcn", strategy="auto")
-    ze2 = fusedmm_optimized(sparse_graph, Xs, Ys, pattern="gcn", strategy="edge")
-    assert np.allclose(za2, ze2, atol=1e-4)
-
-
-def test_optimized_unknown_strategy(square):
-    A, X, Y = square
-    with pytest.raises(ValueError):
-        fusedmm_optimized(A, X, Y, strategy="banana")
+        fusedmm_optimized(A, X, Y, block_size=0)
 
 
 def test_default_block_size_reasonable():
