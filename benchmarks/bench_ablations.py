@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import autotune, compile_kernel, fusedmm_optimized, get_pattern
+from repro.core import autotune, compile_kernel, fusedmm, get_pattern
 from repro.core.autotune import clear_tuning_cache
 
 from _bench_utils import features_for
@@ -19,13 +19,14 @@ BLOCK_SIZES = [1024, 8192, 65536]
 
 @pytest.mark.parametrize("block_size", BLOCK_SIZES)
 def bench_ablation_block_size(benchmark, youtube_graph, block_size):
-    """Edge-blocked kernel across block sizes (embedding pattern, d=128)."""
+    """Generated kernel across block sizes (embedding pattern, d=128)."""
     A = youtube_graph.adjacency
     X = features_for(youtube_graph, 128)
     benchmark.group = "ablation-block-size-youtube-d128"
     benchmark(
-        lambda: fusedmm_optimized(
-            A, X, X, pattern="sigmoid_embedding", block_size=block_size
+        lambda: fusedmm(
+            A, X, X, pattern="sigmoid_embedding", backend="generated",
+            block_size=block_size,
         )
     )
 

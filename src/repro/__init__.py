@@ -6,7 +6,7 @@ Embedding and Graph Neural Networks* (Rahman, Sujon, Azad — IPDPS 2021) as a
 pure-Python/NumPy library:
 
 * :mod:`repro.core` — the FusedMM kernel: five-step operator abstraction,
-  reference / vectorized / generated / jit backends, 1-D
+  reference / generated / jit backends, 1-D
   partitioning and thread parallelism, autotuning.
 * :mod:`repro.sparse` — CSR/COO sparse-matrix substrate.
 * :mod:`repro.graphs` — graph generators, the Table V dataset registry,
@@ -38,7 +38,6 @@ from .core import (
     Operator,
     fusedmm,
     fusedmm_generic,
-    fusedmm_optimized,
     get_op,
     get_pattern,
     list_ops,
@@ -64,7 +63,6 @@ __all__ = [
     "FusedMM",
     "BACKENDS",
     "fusedmm_generic",
-    "fusedmm_optimized",
     "OpPattern",
     "Operator",
     "get_op",

@@ -9,9 +9,9 @@ aggregation is an element-wise max over the neighbourhood,
 
 The layer builds the MLP VOP operator with
 :func:`repro.core.operators.make_mlp_vop`, plugs it into the ``gnn_mlp``
-pattern, and lets the FusedMM dispatcher execute it (the optimized backend
-handles user operators; the code generator correctly refuses and the
-dispatcher falls through).  A small multi-layer wrapper with a readout is
+pattern, and lets the FusedMM dispatcher execute it: ``auto`` resolves it
+to a generated kernel whose VOP step calls the MLP (user callables never
+reach the jit tier).  A small multi-layer wrapper with a readout is
 included so the example application can do something end-to-end.
 """
 
@@ -74,7 +74,7 @@ class MLPGNNLayer:
         self._vop = make_mlp_vop(self.W1, self.W2, name=f"MLP[{self.seed}]")
         self._pattern = get_pattern("gnn_mlp", vop=self._vop)
 
-    def forward(self, A, X: np.ndarray, Y: Optional[np.ndarray] = None, *, backend: str = "optimized") -> np.ndarray:
+    def forward(self, A, X: np.ndarray, Y: Optional[np.ndarray] = None, *, backend: str = "auto") -> np.ndarray:
         """Apply the layer: MLP messages on edges, sigmoid scaling, max
         pooling over the neighbourhood, then a linear projection to the
         layer's output width followed by ReLU."""
@@ -117,7 +117,7 @@ class MLPGNN:
             xavier_init(dims[-1], num_classes, seed=seed + 100) if num_classes > 0 else None
         )
 
-    def forward(self, *, backend: str = "optimized") -> np.ndarray:
+    def forward(self, *, backend: str = "auto") -> np.ndarray:
         """Run all layers (and the readout when classes are configured)."""
         H = self.graph.features
         for layer in self.layers:

@@ -1,10 +1,12 @@
 """JIT-backend speedup benchmark (the paper's Table VI row, Python-scale).
 
-Times the same FusedMM call through the ``optimized`` (NumPy blocked),
-``generated`` (code-generated NumPy) and ``jit`` (Numba compiled) backends on
-one RMAT graph and reports per-backend throughput plus the jit-over-
-optimized speedup — the repo's acceptance gate requires ≥3× on
-``sigmoid_embedding`` at d=128 when numba is installed.
+Times the same FusedMM call through three rungs on one RMAT graph:
+``optimized`` (edge blocking without specialisation — the generator's
+all-calls form, :func:`~repro.experiments.ablations.all_calls_pattern`),
+``generated`` (the code-generated kernel) and ``jit`` (Numba compiled).
+It reports per-rung throughput plus the jit-over-optimized speedup — the
+repo's acceptance gate requires ≥3× on ``sigmoid_embedding`` at d=128
+when numba is installed.
 
 Without numba the jit rows are skipped (the interpreted fallback exists
 for correctness testing, not for timing) and the record notes
@@ -35,14 +37,12 @@ TITLE = "JIT backend speedup (vs NumPy backends)"
 #: The pattern the gate applies to (the paper's headline kernel).
 GATE_PATTERN = "sigmoid_embedding"
 
-#: Acceptance gate: jit must beat the optimized backend by this factor on
+#: Acceptance gate: jit must beat the optimized rung by this factor on
 #: the gate pattern (d=128) when numba is installed.
 MIN_SPEEDUP = 3.0
 
 #: The compiled kernel may drift from the optimized one by at most this.
 MAX_ABS_ERR = 1e-3
-
-_BACKENDS = ("optimized", "generated", "jit")
 
 
 def bench_jit_speedup(
@@ -54,13 +54,15 @@ def bench_jit_speedup(
     patterns: Sequence[str] = ("sigmoid_embedding", "fr_layout", "gcn"),
     seed: int = 11,
 ) -> List[Dict[str, object]]:
-    """Per-backend timings for each pattern on one RMAT graph.
+    """Per-rung timings for each pattern on one RMAT graph.
 
     The jit backend is warmed (compiled) before timing — compilation is a
     one-off cost the ``cache=True`` kernels amortise across processes, not
     part of steady-state throughput.  Every jit row records ``max_abs_err``
     against the optimized result as a cheap sanity check.
     """
+    from ..experiments.ablations import all_calls_pattern
+
     A = rmat(num_nodes, num_nodes * avg_degree, seed=seed)
     X = random_features(A.nrows, dim, seed=seed)
     available = jit_backend.jit_available()
@@ -71,14 +73,19 @@ def bench_jit_speedup(
     for pattern in patterns:
         timings: Dict[str, float] = {}
         results: Dict[str, np.ndarray] = {}
-        for backend in _BACKENDS:
+        rungs = {
+            "optimized": dict(pattern=all_calls_pattern(pattern), backend="generated"),
+            "generated": dict(pattern=pattern, backend="generated"),
+            "jit": dict(pattern=pattern, backend="jit"),
+        }
+        for backend, call in rungs.items():
             if backend == "jit" and not available:
                 continue
-            fusedmm(A, X, X, pattern=pattern, backend=backend)  # warm-up
+            fusedmm(A, X, X, **call)  # warm-up
             best = float("inf")
             for _ in range(max(1, repeats)):
                 t0 = time.perf_counter()
-                Z = fusedmm(A, X, X, pattern=pattern, backend=backend)
+                Z = fusedmm(A, X, X, **call)
                 best = min(best, time.perf_counter() - t0)
             timings[backend] = best
             results[backend] = Z

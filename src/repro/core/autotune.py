@@ -8,9 +8,9 @@ intermediates are alive at once — the register/L2-tile analogue), plus,
 where numba is importable, whether the compiled jit tier beats them.
 
 :func:`autotune` measures a small number of timed trial runs for each
-candidate block size, through the kernel the plan will run, on (a sample
-of) the actual operands and returns the fastest.  Results are cached per
-``(pattern, d, nnz-bucket, kernel kind, jit candidate)`` so repeated
+candidate block size, through the generated kernel the plan runs, on (a
+sample of) the actual operands and returns the fastest.  Results are
+cached per ``(pattern, d, nnz-bucket, jit candidate)`` so repeated
 calls (e.g. every training epoch) pay the tuning cost once — the same
 usage model as ATLAS-style install-time tuning, scaled down to call-time.
 """
@@ -135,7 +135,6 @@ def autotune(
     Y=None,
     *,
     pattern: OpPattern | str = "sigmoid_embedding",
-    kind: str = "optimized",
     jit: Optional[bool] = None,
     block_candidates: Sequence[int] = DEFAULT_BLOCK_CANDIDATES,
     repeats: int = 2,
@@ -144,14 +143,11 @@ def autotune(
     use_cache: bool = True,
     **pattern_overrides,
 ) -> TuningResult:
-    """Pick the fastest block size for the given operands.
+    """Pick the fastest block size for the given operands, timed through
+    the generated kernel (the kind a plan runs unless the jit tier wins).
 
     Parameters
     ----------
-    kind:
-        The edge-blocked kernel the block sizes are swept through:
-        ``"optimized"`` or ``"generated"`` — the kind the plan runs unless
-        the jit tier wins.
     jit:
         Whether the jit backend competes as one more candidate.  The
         default (``None``) adds it whenever numba is importable and the
@@ -167,8 +163,6 @@ def autotune(
     """
     from .fused import resolve_backend  # the resolver imports this module
 
-    if kind not in ("optimized", "generated"):
-        raise ValueError(f"autotune sweeps an edge-blocked kind, got {kind!r}")
     A_csr, X_arr, Y_arr = validate_operands(A, X, Y)
     op_pattern = get_pattern(pattern, **pattern_overrides)
     resolved = op_pattern.resolved()
@@ -178,7 +172,6 @@ def autotune(
         tuple(sorted(resolved.op_names().items())),
         X_arr.shape[1],
         _nnz_bucket(A_csr.nnz),
-        kind,
         bool(jit),
         tuple(block_candidates),
         num_threads,
@@ -198,9 +191,9 @@ def autotune(
             best = min(best, time.perf_counter() - t0)
         return best
 
-    _, kernel = resolve_backend(op_pattern, kind)
+    _, kernel = resolve_backend(op_pattern, "generated")
     for block in block_candidates:
-        trials[(kind, int(block))] = _time(
+        trials[("generated", int(block))] = _time(
             kernel, sample, Xs, Y_arr, block_size=int(block), num_threads=num_threads
         )
     if jit:

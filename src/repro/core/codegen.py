@@ -9,23 +9,20 @@ The Python analogue generates *NumPy source code* specialized for one
 operator pattern: the five steps are inlined as concrete array expressions
 (with the VOP+ROP dot-product fusion applied when possible) into the body
 of one edge block, and the source is compiled with :func:`compile`/``exec``
-and cached.  The emitted source is that block body alone: the edge-block
-loop, the output window and the left-to-right segment sum come from
-:func:`~repro.core.optimized.run_edge_blocks`, as for every other
-edge-blocked backend.  The body gathers only the feature rows its
-expressions read and frees each temporary after its last read, so it
-holds no more block arrays than one hand-written expression.  Generated
-kernels remove all per-step operator dispatch — the same benefit the
-paper gets from pattern-specialized C kernels — and they are the one
-pattern-kernel tier: every Table III row of standard operators runs on
-one.  The generated source can be inspected
-(:func:`generate_kernel_source`, or ``.source`` on a compiled kernel) for
-debugging or curiosity, exactly like the generated ``.c`` files of the
-original library.
-
-Only *registered standard* operators can be inlined; patterns containing
-user-defined operators fall back to the general optimized kernel (the
-dispatcher in :mod:`repro.core.fused` handles that automatically).
+and cached.  Each step's expression is the operator's own ``expr``
+(:mod:`repro.core.operators`), so an operator is defined once for every
+kernel; an operator without one (a user callable such as the MLP of the
+GNN row) becomes a call to its ``batch_fn``.  Every pattern therefore has
+a generated kernel.  The emitted source is that block body alone: the
+edge-block loop, the output window and the left-to-right segment sum come
+from :func:`~repro.core.optimized.run_edge_blocks`.  The body gathers only
+the feature rows its expressions read and frees each temporary after its
+last read, so it holds no more block arrays than one hand-written
+expression.  Generated kernels remove all per-step operator dispatch — the
+same benefit the paper gets from pattern-specialized C kernels.  The
+generated source can be inspected (:func:`generate_kernel_source`, or
+``.source`` on a compiled kernel) for debugging or curiosity, exactly like
+the generated ``.c`` files of the original library.
 """
 
 from __future__ import annotations
@@ -37,12 +34,11 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from ..errors import CodegenError
-from .mathops import sigmoid
+from .operators import EXPR_NAMESPACE, STEP_INPUT, OpKind
 from .optimized import run_edge_blocks
-from .patterns import ResolvedPattern
+from .patterns import ResolvedPattern, pattern_key
 
 __all__ = [
-    "supports_pattern",
     "generate_kernel_source",
     "compile_kernel",
     "clear_kernel_cache",
@@ -51,91 +47,48 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------- #
-# Expression templates for the standard operators
+# Step expressions
 # ---------------------------------------------------------------------- #
-# Each template is a Python expression over the block-local variables
-#   Xs   (k, d) gathered source features
-#   Yd   (k, d) gathered destination features
-#   vals (k,)   edge values
-#   W    VOP output, S ROP output, H SOP output
-_VOP_EXPR: Dict[str, str] = {
-    "NOOP": "Yd",
-    "MUL": "Xs * Yd",
-    "ADD": "Xs + Yd",
-    "SUB": "Xs - Yd",
-    "SEL1ST": "Xs",
-    "SEL2ND": "Yd",
-    # EDGESCALE scales its first (message) operand by the edge value; in the
-    # VOP slot the message operand is the source feature block.
-    "EDGESCALE": "vals[:, None] * Xs",
-}
-
-_ROP_EXPR: Dict[str, str] = {
-    "NOOP": "W",
-    "RSUM": "np.sum(W, axis=1)",
-    "RMUL": "np.prod(W, axis=1)",
-    "RMAX": "np.max(W, axis=1)",
-    "NORM": "np.sqrt(np.einsum('ij,ij->i', W, W))",
-}
-
-# Fused VOP+ROP expressions: when the pair matches, the intermediate W is
-# never formed (the "dot product in registers" of Fig. 5).
+# Fused VOP+ROP expressions: when the pair matches in a standard pattern,
+# the intermediate W is never formed (the "dot product in registers" of
+# Fig. 5).
 _FUSED_VOP_ROP: Dict[Tuple[str, str], str] = {
     ("MUL", "RSUM"): "np.einsum('ij,ij->i', Xs, Yd)",
     ("SUB", "NORM"): "np.sqrt(np.einsum('ij,ij->i', Xs - Yd, Xs - Yd))",
     ("ADD", "RSUM"): "np.sum(Xs + Yd, axis=1)",
 }
 
-_SOP_EXPR: Dict[str, str] = {
-    "NOOP": "S",
-    # ``sigmoid`` is repro.core.mathops.sigmoid, injected into the compile
-    # namespace — one clamp definition shared with every other backend.
-    "SIGMOID": "sigmoid(S)",
-    "TDIST": "1.0 / (1.0 + np.square(S))",
-    "RELU": "np.maximum(S, 0.0)",
-    "TANH": "np.tanh(S)",
-    "EXP": "np.exp(np.clip(S, -60.0, 60.0))",
-    "SCAL": "S",
+_STEPS = (OpKind.VOP, OpKind.ROP, OpKind.SOP, OpKind.MOP)
+#: The arguments of a ``batch_fn`` call, per step.
+_CALL_ARGS = {
+    OpKind.VOP: "Xs, Yd, vals",
+    OpKind.ROP: "W",
+    OpKind.SOP: "S",
+    OpKind.MOP: "H, Yd, vals, W",
 }
 
-# MOP templates keyed by (name, message_is_scalar).  Scalar messages need
-# the broadcast axis inserted.
-_MOP_EXPR: Dict[Tuple[str, bool], str] = {
-    ("NOOP", True): "H[:, None]",
-    ("NOOP", False): "H",
-    ("MUL", True): "H[:, None] * Yd",
-    ("MUL", False): "H * Yd",
-    ("MULDIFF", True): "H[:, None] * W",
-    ("MULDIFF", False): "H * W",
-    ("RESIDUAL", True): "(H - vals)[:, None] * Yd",
-    ("RESIDUAL", False): "(H - vals[:, None]) * Yd",
-    ("EDGESCALE", True): "vals[:, None] * H[:, None]",
-    ("EDGESCALE", False): "vals[:, None] * H",
-    ("SEL2ND", True): "Yd",
-    ("SEL2ND", False): "Yd",
-    ("SEL1ST", True): "H[:, None]",
-    ("SEL1ST", False): "H",
-    ("ADD", True): "H[:, None] + Yd",
-    ("ADD", False): "H + Yd",
-    ("SUB", True): "H[:, None] - Yd",
-    ("SUB", False): "H - Yd",
-}
 
-_AOP_SUPPORTED = {"ASUM", "AMAX", "AMIN"}
+def _sub(expr: str, name: str, value: str) -> str:
+    return re.sub(rf"\b{name}\b", lambda _: value, expr)
 
 
-def supports_pattern(pattern: ResolvedPattern) -> bool:
-    """Whether the generator can emit source for this pattern (all five
-    slots are standard operators with expression templates)."""
-    names = pattern.op_names()
-    scalar = pattern.message_is_scalar
-    return (
-        names["vop"] in _VOP_EXPR
-        and names["rop"] in _ROP_EXPR
-        and names["sop"] in _SOP_EXPR
-        and (names["mop"], scalar) in _MOP_EXPR
-        and names["aop"] in _AOP_SUPPORTED
-    )
+def _step_expr(op, kind: str, scalar_message: bool) -> str:
+    """The expression computing step ``kind`` of a block with ``op``."""
+    if op.is_noop:
+        expr = "Yd" if kind == OpKind.VOP else STEP_INPUT[kind]
+    elif op.expr is not None:
+        expr = _sub(op.expr, op.input_name, STEP_INPUT[kind])
+    elif op.batch_fn is not None:
+        # The callable is bound under the step's name in the namespace.
+        return f"{kind}({_CALL_ARGS[kind]})"
+    else:
+        raise CodegenError(f"operator {op.name!r} has neither an expression nor a batch_fn")
+    if kind in (OpKind.VOP, OpKind.MOP):
+        # Per-edge scalars meet (k, d) features here: lift them to columns.
+        expr = _sub(expr, "vals", "vals[:, None]")
+        if kind == OpKind.MOP and scalar_message:
+            expr = _sub(expr, "H", "H[:, None]")
+    return expr
 
 
 # ---------------------------------------------------------------------- #
@@ -165,9 +118,7 @@ def _inline(steps, name):
     """``steps`` without the assignment to ``name``, its value substituted
     into every read."""
     value = dict(steps)[name]
-    return [
-        (n, re.sub(rf"\b{name}\b", lambda _: value, e)) for n, e in steps if n != name
-    ]
+    return [(n, _sub(e, name, value)) for n, e in steps if n != name]
 
 
 def generate_kernel_source(pattern: ResolvedPattern) -> str:
@@ -176,24 +127,23 @@ def generate_kernel_source(pattern: ResolvedPattern) -> str:
     The body maps one edge block to its messages ``M``;
     :func:`~repro.core.optimized.run_edge_blocks` supplies the block loop
     and the aggregation.  Raises :class:`~repro.errors.CodegenError` when
-    the pattern contains an operator without an expression template.
+    an operator has neither an expression nor a ``batch_fn``.
     """
-    if not supports_pattern(pattern):
-        raise CodegenError(
-            f"pattern {pattern.name!r} uses operators without codegen templates: "
-            f"{pattern.op_names()}"
-        )
-    names = pattern.op_names()
-    scalar = pattern.message_is_scalar
-
-    fused = _FUSED_VOP_ROP.get((names["vop"], names["rop"]))
-    mop_expr = _MOP_EXPR[(names["mop"], scalar)]
+    ops = pattern.ops()
+    exprs = {
+        kind: _step_expr(ops[kind], kind, pattern.message_is_scalar) for kind in _STEPS
+    }
+    fused = (
+        _FUSED_VOP_ROP.get((pattern.vop.name, pattern.rop.name))
+        if pattern.is_standard
+        else None
+    )
     steps = list(_GATHERS)
-    if fused is not None and "W" not in mop_expr:
+    if fused is not None and "W" not in exprs[OpKind.MOP]:
         steps.append(("S", fused))
     else:
-        steps += [("W", _VOP_EXPR[names["vop"]]), ("S", _ROP_EXPR[names["rop"]])]
-    steps += [("H", _SOP_EXPR[names["sop"]]), ("M", mop_expr)]
+        steps += [("W", exprs[OpKind.VOP]), ("S", exprs[OpKind.ROP])]
+    steps += [("H", exprs[OpKind.SOP]), ("M", exprs[OpKind.MOP])]
     # A step that only renames a value (``S = W`` for a NOOP ROP) is not
     # emitted.
     for name, _ in steps[:-1]:
@@ -227,19 +177,18 @@ def generate_kernel_source(pattern: ResolvedPattern) -> str:
     return _BODY_TEMPLATE.format(
         pattern_name=pattern.name,
         body=body,
-        **names,
+        **pattern.op_names(),
     )
 
 
 # ---------------------------------------------------------------------- #
 # Compilation and caching
 # ---------------------------------------------------------------------- #
-_KERNEL_CACHE: Dict[Tuple[str, ...], Callable] = {}
-
-
-def _cache_key(pattern: ResolvedPattern) -> Tuple[str, ...]:
-    names = pattern.op_names()
-    return (names["vop"], names["rop"], names["sop"], names["mop"], names["aop"])
+_KERNEL_CACHE: Dict[Tuple, Callable] = {}
+#: Kernels are keyed by operator identity (:func:`pattern_key`), so a
+#: caller minting new operators per call would grow the cache without
+#: bound: beyond this many entries the oldest is dropped.
+_KERNEL_CACHE_CAPACITY = 256
 
 
 def clear_kernel_cache() -> None:
@@ -258,17 +207,20 @@ def compile_kernel(pattern: ResolvedPattern) -> Callable:
     Returns ``kernel(A, X, Y, **blocking) -> Z``: the generated block body
     run by :func:`~repro.core.optimized.run_edge_blocks`, whose keywords
     (``block_size``, ``num_threads``, ``parts``, ``out``, …) it takes.
+    The cache entry holds ``pattern``, which keeps its key's operators
+    alive.
     """
-    key = _cache_key(pattern)
+    key = pattern_key(pattern)
     if key in _KERNEL_CACHE:
         return _KERNEL_CACHE[key]
 
     source = generate_kernel_source(pattern)
-    namespace: Dict[str, object] = {"np": np, "sigmoid": sigmoid}
+    namespace: Dict[str, object] = dict(EXPR_NAMESPACE)
+    namespace.update((kind, op.batch_fn) for kind, op in pattern.ops().items())
     try:
         code = compile(source, filename=f"<generated:{pattern.name}>", mode="exec")
         exec(code, namespace)  # noqa: S102 - deliberate, this is the code generator
-    except SyntaxError as exc:  # pragma: no cover - template bug guard
+    except SyntaxError as exc:
         raise CodegenError(f"generated source failed to compile: {exc}\n{source}") from exc
     body = namespace["_generated_block_kernel"]
 
@@ -277,5 +229,7 @@ def compile_kernel(pattern: ResolvedPattern) -> Callable:
 
     generated_fusedmm.__name__ = f"fusedmm_generated_{pattern.name}"
     generated_fusedmm.source = source  # type: ignore[attr-defined]
+    while len(_KERNEL_CACHE) >= _KERNEL_CACHE_CAPACITY:
+        _KERNEL_CACHE.pop(next(iter(_KERNEL_CACHE)))
     _KERNEL_CACHE[key] = generated_fusedmm
     return generated_fusedmm

@@ -2,9 +2,8 @@
 
 The paper's FusedMM takes the five operators of a pattern and picks a
 kernel for them: a pattern-specific kernel emitted by the code generator
-(Section IV.B) for any pattern of standard operators, the Table III rows
-among them, or the general one.  That choice is made once, by
-:func:`resolve_backend`:
+(Section IV.B), for any pattern, user operators included, or the general
+one.  That choice is made once, by :func:`resolve_backend`:
 
 * :func:`fusedmm` — one-shot ``Z = fusedmm(A, X, Y, pattern=...)``
   (Fig. 2): resolve, then call.
@@ -16,13 +15,13 @@ among them, or the general one.  That choice is made once, by
 Backends
 --------
 ``"generic"``      the faithful Algorithm 1 reference (paper's "FusedMM")
-``"optimized"``    the vectorized edge-blocked kernel (paper's "FusedMMopt")
-``"generated"``    kernels emitted by the code generator (Section IV.B)
+``"generated"``    edge-blocked kernels emitted by the code generator
+                   (Section IV.B; the paper's "FusedMMopt")
 ``"jit"``          Numba-compiled row-fused kernels (:mod:`repro.core.jit`);
                    runs interpreted when the optional numba extra is absent
-``"auto"``         jit (only when numba is importable) → generated →
-                   optimized, first backend that supports the pattern wins;
-                   an optimized call that raises falls back to generic
+``"auto"``         jit (only when numba is importable and the pattern is
+                   standard) → generated → generic; a generated call that
+                   runs user code and raises falls back to generic
 
 Every resolved kernel is called as ``kernel(A, X, Y, *, block_size,
 num_threads, parts, pool, out, row_offset)``; knobs a kind has
@@ -39,14 +38,15 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..errors import BackendError
+from ..errors import BackendError, CodegenError
 from ..sparse import CSRMatrix, as_csr
 from . import jit as jit_backend
 from .autotune import TuningResult
 from .autotune import autotune as autotune_sweep
-from .codegen import compile_kernel, supports_pattern
+from .codegen import compile_kernel
 from .generic import fusedmm_generic
-from .optimized import DEFAULT_BLOCK_SIZE, fusedmm_optimized
+from .operators import is_builtin
+from .optimized import DEFAULT_BLOCK_SIZE
 from .partition import part1d
 from .patterns import OpPattern, ResolvedPattern, get_pattern
 from .validation import ensure_float_matrix
@@ -60,7 +60,7 @@ __all__ = [
     "KernelChoice",
 ]
 
-BACKENDS = ("auto", "jit", "generic", "optimized", "generated")
+BACKENDS = ("auto", "jit", "generic", "generated")
 
 
 # ---------------------------------------------------------------------- #
@@ -73,7 +73,7 @@ def _zero_sources(A, Y, resolved: ResolvedPattern) -> np.ndarray:
     zeros of ``Y``'s dtype give bitwise the result of passing any ``X`` of
     that dtype.  Every other pattern needs real source features.
     """
-    if resolved.vop.name not in ("NOOP", "SEL2ND"):
+    if not (is_builtin(resolved.vop) and resolved.vop.name in ("NOOP", "SEL2ND")):
         raise BackendError(f"pattern {resolved.name!r} needs source features X")
     Y = ensure_float_matrix(Y, "Y")
     return np.zeros((as_csr(A).nrows, Y.shape[1]), dtype=Y.dtype)
@@ -87,8 +87,8 @@ def resolve_backend(
 ) -> Tuple[str, Callable]:
     """Pick the kernel for ``pattern`` on ``backend``; returns ``(kind, kernel)``.
 
-    ``kind`` is one of ``"jit"``, ``"generated"``, ``"optimized"`` or
-    ``"generic"``; ``kernel`` has the calling convention of the module
+    ``kind`` is one of ``"jit"``, ``"generated"`` or ``"generic"``;
+    ``kernel`` has the calling convention of the module
     docstring with the pattern bound.  ``jit`` says whether ``auto`` takes
     the jit tier: ``None`` takes it when numba is importable, and a plan
     that ran the autotune sweep passes whether the sweep measured it
@@ -104,21 +104,24 @@ def resolve_backend(
     # interpreted (slow but exact) so the compiled semantics stay testable.
     jit_wins = jit_backend.jit_available() if jit is None else jit
     pattern_kernel = None
-    if backend in ("generic", "optimized"):
+    if backend == "generic":
         kind = backend
     elif backend == "jit" or (
         backend == "auto" and jit_wins and jit_backend.jit_supports_pattern(resolved)
     ):
         kind, pattern_kernel = "jit", jit_backend.get_jit_kernel(resolved)
-    elif supports_pattern(resolved):
-        kind, pattern_kernel = "generated", compile_kernel(resolved)
-    elif backend == "generated":
-        raise BackendError(
-            f"the code generator has no templates for pattern {resolved.name!r} "
-            f"(ops {resolved.op_names()}); use backend='optimized' or 'auto'"
-        )
     else:
-        kind = "optimized"
+        try:
+            kind, pattern_kernel = "generated", compile_kernel(resolved)
+        except CodegenError as exc:
+            if backend == "generated":
+                raise BackendError(
+                    f"the code generator cannot emit pattern {resolved.name!r}: {exc}; "
+                    "use backend='generic' or 'auto'"
+                ) from exc
+            kind = "generic"
+    # Only a kernel that calls user code gets the reference as a safety net.
+    falls_back = backend == "auto" and kind == "generated" and not resolved.is_standard
 
     def kernel(
         A,
@@ -138,7 +141,7 @@ def resolve_backend(
             raise ValueError(f"block_size must be positive, got {block_size}")
         if X is None:
             X = _zero_sources(A, Y, resolved)
-        if kind == "generic":
+        if pattern_kernel is None:
             return fusedmm_generic(
                 A, X, Y, pattern=op_pattern, out=out, row_offset=row_offset
             )
@@ -150,12 +153,10 @@ def resolve_backend(
             out=out,
             row_offset=row_offset,
         )
-        if pattern_kernel is not None:
-            return pattern_kernel(A, X, Y, **blocking)
         try:
-            return fusedmm_optimized(A, X, Y, pattern=op_pattern, **blocking)
+            return pattern_kernel(A, X, Y, **blocking)
         except Exception:
-            if backend != "auto":
+            if not falls_back:
                 raise
             # Last resort for exotic user operators whose batched form
             # misbehaves: the reference kernel always works.
@@ -190,8 +191,8 @@ def plan_kernel(
     The sweep runs on synthetic features of ``autotune_dim`` columns (the
     adjacency is what shapes the access pattern) and decides the jit tier
     and, unless ``block_size`` is explicit, the edge-block size.  The
-    block sizes are timed through the edge-blocked kernel the plan runs
-    when the jit tier does not win.
+    block sizes are timed through the generated kernel, which the plan
+    runs when the jit tier does not win.
     """
     kind, kernel = resolve_backend(pattern, backend)
     tuning = None
@@ -203,16 +204,11 @@ def plan_kernel(
             if A.nrows == A.ncols
             else rng.standard_normal((A.ncols, autotune_dim)).astype(np.float32)
         )
-        swept = kind
-        if kind == "jit":
-            # The jit tier has no block size: sweep the kernel it yields to.
-            swept, _ = resolve_backend(pattern, "auto", jit=False)
         tuning = autotune_sweep(
             A,
             X,
             Y,
             pattern=pattern,
-            kind=swept,
             # The jit candidate only competes when the requested backend
             # allows the tier.
             jit=None if backend in ("auto", "jit") else False,

@@ -43,6 +43,7 @@ import numpy as np
 from ..errors import BackendError
 from .mathops import SIGMOID_CLAMP, sigmoid_scalar
 from .optimized import DEFAULT_BLOCK_SIZE
+from .operators import Operator, is_builtin, scal_expr
 from .patterns import OpPattern, ResolvedPattern, get_pattern
 from .validation import resolve_out_window, validate_operands
 
@@ -115,26 +116,37 @@ _MOP_CODES = {
 _AOP_CODES = {"ASUM": 0, "AMAX": 1, "AMIN": 2}
 
 
-def _sop_code(name: str, params) -> Optional[int]:
-    if name in _SOP_CODES:
-        return _SOP_CODES[name]
-    if name.startswith("SCAL") and "alpha" in params:
+def _sop_code(op: Operator) -> Optional[int]:
+    if is_builtin(op) and op.name in _SOP_CODES:
+        return _SOP_CODES[op.name]
+    # Any operator whose expression is SCAL's for its alpha computes alpha·s.
+    if "alpha" in op.params and op.expr == scal_expr(op.params["alpha"]):
         return _SCAL_CODE
     return None
+
+
+def _codes(resolved: ResolvedPattern) -> Optional[tuple]:
+    """The opcodes of ``resolved`` (plus the SCAL alpha), or ``None`` when a
+    slot has no compiled form.  Only built-in operators (and SCALs) map: a
+    user operator is never taken for the built-in of the same name."""
+    table = (
+        (resolved.vop, _VOP_CODES),
+        (resolved.rop, _ROP_CODES),
+        (resolved.mop, _MOP_CODES),
+        (resolved.aop, _AOP_CODES),
+    )
+    sop = _sop_code(resolved.sop)
+    if sop is None or not all(is_builtin(op) and op.name in t for op, t in table):
+        return None
+    vop, rop, mop, aop = (t[op.name] for op, t in table)
+    return vop, rop, sop, mop, aop, float(resolved.sop.params.get("alpha", 1.0))
 
 
 def jit_supports_pattern(pattern: ResolvedPattern) -> bool:
     """Whether every slot of ``pattern`` maps onto the compiled dispatch
     table (standard registry operators only — user callables cannot cross
     into nopython code)."""
-    names = pattern.op_names()
-    return (
-        names["vop"] in _VOP_CODES
-        and names["rop"] in _ROP_CODES
-        and _sop_code(names["sop"], pattern.sop.params) is not None
-        and names["mop"] in _MOP_CODES
-        and names["aop"] in _AOP_CODES
-    )
+    return _codes(pattern) is not None
 
 
 # ---------------------------------------------------------------------- #
@@ -334,9 +346,7 @@ def _pipeline_rows(
                     elif mop == 1:
                         m = h * Y[v, j]
                     elif mop == 2:
-                        # EDGESCALE on a scalar message scales the neighbour
-                        # feature (the reference kernel's _first_vector).
-                        m = a * Y[v, j]
+                        m = a * h
                     elif mop == 3:
                         m = h * w[j]
                     elif mop == 5:
@@ -410,28 +420,14 @@ def _pipeline_rows(
 # Dispatch
 # ---------------------------------------------------------------------- #
 def _pattern_codes(resolved: ResolvedPattern):
-    names = resolved.op_names()
-    sop = _sop_code(names["sop"], resolved.sop.params)
-    if (
-        names["vop"] not in _VOP_CODES
-        or names["rop"] not in _ROP_CODES
-        or sop is None
-        or names["mop"] not in _MOP_CODES
-        or names["aop"] not in _AOP_CODES
-    ):
+    codes = _codes(resolved)
+    if codes is None:
         raise BackendError(
             f"the jit backend has no compiled operators for pattern "
-            f"{resolved.name!r} (ops {names}); use backend='optimized' or 'auto'"
+            f"{resolved.name!r} (ops {resolved.op_names()}); "
+            "use backend='generated' or 'auto'"
         )
-    alpha = float(resolved.sop.params.get("alpha", 1.0))
-    return (
-        _VOP_CODES[names["vop"]],
-        _ROP_CODES[names["rop"]],
-        sop,
-        _MOP_CODES[names["mop"]],
-        _AOP_CODES[names["aop"]],
-        alpha,
-    )
+    return codes
 
 
 def fusedmm_jit(
@@ -515,12 +511,7 @@ def get_jit_kernel(pattern: ResolvedPattern | OpPattern | str) -> Callable:
     else:
         op_pattern = get_pattern(pattern)
         resolved = op_pattern.resolved()
-    if not jit_supports_pattern(resolved):
-        raise BackendError(
-            f"the jit backend has no compiled operators for pattern "
-            f"{resolved.name!r} (ops {resolved.op_names()}); "
-            "use backend='optimized' or 'auto'"
-        )
+    _pattern_codes(resolved)  # raises for a pattern the tier cannot run
 
     def jit_kernel(A, X, Y=None, **kwargs):
         return fusedmm_jit(A, X, Y, pattern=op_pattern, **kwargs)

@@ -12,30 +12,40 @@ which accepts a user-defined function:
 
 This module defines:
 
-* :class:`Operator` — a named operator with both a *per-edge* callable used
-  by the faithful reference kernel (:mod:`repro.core.generic`) and a
-  *batched* callable used by the vectorized kernels
-  (:mod:`repro.core.optimized`), plus metadata the optimizer uses to pick
-  specializations (does ROP reduce?  is AOP a sum?).
+* :class:`Operator` — a named operator with a *per-edge* callable used by
+  the faithful reference kernel (:mod:`repro.core.generic`) and one NumPy
+  *expression* over an edge block, which the code generator
+  (:mod:`repro.core.codegen`) inlines into its kernels and from which the
+  batched callable is compiled; plus metadata the kernels use (does ROP
+  reduce?  what does AOP accumulate with?).
 * The standard operator registry of Table II (ADD, MUL, SEL2ND, SIGMOID,
   SCAL, RSUM, RMUL, NORM, ASUM, AMAX, …) plus a few extras the applications
-  need (SUB, EDGESCALE, RESIDUAL, MLP hook, ReLU, …).
+  need (SUB, EDGESCALE, RESIDUAL, MLP hook, ReLU, …).  These built-ins can
+  never be replaced, so their names identify them.
 * :func:`get_op` / :func:`register_op` for lookup and user extension.
 
-Batched conventions
--------------------
-For a vertex ``u`` with ``k`` neighbours, the batched callables receive
+Expressions
+-----------
+An operator's ``expr`` is a NumPy expression over the variables of one
+edge block of ``k`` edges:
 
-``xu``    the ``(d,)`` feature vector of ``u`` (broadcast over neighbours)
-``Yn``    the ``(k, d)`` matrix of neighbour features
-``av``    the ``(k,)`` edge values
-``W``     the ``(k, d)`` VOP output
-``H``     the ``(k,)`` or ``(k, d)`` message after SOP
+``Xs``    the ``(k, d)`` gathered source features
+``Yd``    the ``(k, d)`` gathered destination features
+``vals``  the ``(k,)`` edge values
+``W``     the VOP output, ``(k, d)``
+``S``     the ROP output, ``(k,)`` when the ROP reduces, else ``(k, d)``
+``H``     the SOP output, shaped like ``S``
 
-and produce arrays with the leading ``k`` dimension preserved.  The same
-callables are reused by the edge-blocked whole-matrix kernels where ``xu``
-becomes an ``(k, d)`` matrix of gathered source features — every standard
-operator below is written to broadcast correctly in both cases.
+plus ``np`` and ``sigmoid`` (:func:`repro.core.mathops.sigmoid`).  It reads
+the input of its step through the variable of its first kind (:data:`STEP_INPUT`:
+``Xs`` for a VOP, ``W`` for a ROP, ``S`` for a SOP, ``H`` for a MOP); used in
+another step, that variable names the other step's input.  Per-edge scalars
+are written as ``(k,)`` arrays: where a VOP or MOP meets ``(k, d)`` features,
+``vals`` and a scalar message are lifted to columns.  ROP and SOP
+expressions read only their input.  An operator without an expression (a
+user callable such as :func:`make_mlp_vop`) supplies ``batch_fn`` itself,
+called as ``vop(Xs, Yd, vals)``, ``rop(W)``, ``sop(S)`` and
+``mop(H, Yd, vals, W)``.
 """
 
 from __future__ import annotations
@@ -46,16 +56,19 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from ..errors import OperatorError
-from .mathops import SIGMOID_CLAMP
-from .mathops import sigmoid as _sigmoid
+from .mathops import SIGMOID_CLAMP, sigmoid
 
 __all__ = [
     "OpKind",
     "Operator",
+    "STEP_INPUT",
+    "EXPR_NAMESPACE",
     "get_op",
     "register_op",
     "list_ops",
+    "is_builtin",
     "make_scal",
+    "scal_expr",
     "make_mlp_vop",
     "NOOP",
 ]
@@ -73,6 +86,13 @@ class OpKind:
     ALL = (VOP, ROP, SOP, MOP, AOP)
 
 
+#: The block variable through which each step reads its input.
+STEP_INPUT = {OpKind.VOP: "Xs", OpKind.ROP: "W", OpKind.SOP: "S", OpKind.MOP: "H"}
+
+#: The names an expression may call besides the block variables.
+EXPR_NAMESPACE = {"np": np, "sigmoid": sigmoid}
+
+
 @dataclass(frozen=True)
 class Operator:
     """A named FusedMM step operator.
@@ -88,8 +108,11 @@ class Operator:
         on the step — see the module docstring of
         :mod:`repro.core.generic`.
     batch_fn:
-        Vectorized callable used by the optimized kernels; same semantics
-        with a leading neighbour/edge dimension.
+        Vectorized callable over an edge block (see the module docstring
+        for its arguments).  Compiled from ``expr`` when not given.
+    expr:
+        The NumPy expression of the operator over an edge block (module
+        docstring); ``None`` for an operator that only has callables.
     is_noop:
         True for the identity/pass-through operator.
     reduces:
@@ -99,8 +122,8 @@ class Operator:
         output row (0 for sums, ``-inf`` for max, ``+inf`` for min).
     accumulate_ufunc:
         For AOP operators: the NumPy ufunc implementing the accumulation,
-        used by the scatter-based whole-matrix kernels (``np.add`` /
-        ``np.maximum`` / ``np.minimum``).
+        used by the edge-blocked kernels (``np.add`` / ``np.maximum`` /
+        ``np.minimum``).
     params:
         Free-form parameter dict (e.g. the α of SCAL).
     """
@@ -108,25 +131,62 @@ class Operator:
     name: str
     kinds: tuple
     edge_fn: Callable
-    batch_fn: Callable
+    batch_fn: Optional[Callable] = None
+    expr: Optional[str] = None
     is_noop: bool = False
     reduces: bool = False
     accumulator_identity: Optional[float] = None
     accumulate_ufunc: Optional[np.ufunc] = None
     params: Dict[str, float] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if self.batch_fn is None and self.expr is not None:
+            object.__setattr__(self, "batch_fn", _compile_batch_fn(self))
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Operator({self.name})"
+
+    @property
+    def input_name(self) -> str:
+        """The block variable through which ``expr`` reads its input."""
+        return STEP_INPUT[self.kinds[0]]
 
     def allowed_in(self, kind: str) -> bool:
         """Whether this operator may occupy step ``kind``."""
         return kind in self.kinds
 
 
+def _column(v):
+    return v[:, None] if np.ndim(v) == 1 else v
+
+
+def _compile_batch_fn(op: Operator) -> Callable:
+    """The batched callable of ``op``'s expression.
+
+    A call with ``(k, d)`` destination features is a VOP or MOP call: a
+    ``(k,)`` input and the edge values are lifted to columns, as the code
+    generator lifts them.
+    """
+    code = compile(op.expr, f"<operator {op.name}>", "eval")
+    var = op.input_name
+
+    def batch_fn(x, Yd=None, vals=None, W=None):
+        if np.ndim(Yd) == 2:
+            x, vals = _column(x), _column(vals)
+        env = {"Yd": Yd, "vals": vals, "W": W, var: x}  # a ROP's input is W
+        return eval(code, EXPR_NAMESPACE, env)  # noqa: S307
+
+    batch_fn.__name__ = f"batch_{op.name}"
+    return batch_fn
+
+
 # ---------------------------------------------------------------------- #
 # Registry
 # ---------------------------------------------------------------------- #
 _REGISTRY: Dict[str, Operator] = {}
+#: The standard operators below, filled once the module has registered
+#: them; :func:`register_op` never replaces one.
+_BUILTINS: Dict[str, Operator] = {}
 
 
 def register_op(op: Operator, *, overwrite: bool = False) -> Operator:
@@ -134,11 +194,14 @@ def register_op(op: Operator, *, overwrite: bool = False) -> Operator:
 
     User-defined operators are first-class citizens: once registered, they
     can be used in :class:`repro.core.patterns.OpPattern` and executed by
-    the generic and optimized backends exactly like the built-ins.
+    every backend exactly like the built-ins.  ``overwrite`` replaces an
+    earlier user operator of the same name, never a built-in.
     """
     key = op.name.upper()
     if key in _REGISTRY and not overwrite:
         raise OperatorError(f"operator {key!r} is already registered")
+    if key in _BUILTINS and _BUILTINS[key] is not op:
+        raise OperatorError(f"operator {key!r} is built in and cannot be replaced")
     _REGISTRY[key] = op
     return op
 
@@ -165,6 +228,12 @@ def list_ops(kind: str | None = None) -> list:
     return sorted(name for name, op in _REGISTRY.items() if op.allowed_in(kind))
 
 
+def is_builtin(op: Operator) -> bool:
+    """Whether ``op`` is one of the standard operators of this module (not
+    merely an operator with a standard name)."""
+    return _BUILTINS.get(op.name.upper()) is op
+
+
 # ---------------------------------------------------------------------- #
 # Standard operators (Table II of the paper, plus application extras)
 # ---------------------------------------------------------------------- #
@@ -177,7 +246,6 @@ NOOP = register_op(
         name="NOOP",
         kinds=OpKind.ALL,
         edge_fn=lambda *args: args[0] if args else None,
-        batch_fn=lambda *args: args[0] if args else None,
         is_noop=True,
     )
 )
@@ -188,7 +256,7 @@ register_op(
         name="ADD",
         kinds=(OpKind.VOP, OpKind.MOP),
         edge_fn=lambda x, y, a=None, w=None: x + y,
-        batch_fn=lambda x, y, a=None, w=None: x + y,
+        expr="Xs + Yd",
     )
 )
 
@@ -197,7 +265,7 @@ register_op(
         name="SUB",
         kinds=(OpKind.VOP, OpKind.MOP),
         edge_fn=lambda x, y, a=None, w=None: x - y,
-        batch_fn=lambda x, y, a=None, w=None: x - y,
+        expr="Xs - Yd",
     )
 )
 
@@ -206,29 +274,16 @@ register_op(
         name="MUL",
         kinds=(OpKind.VOP, OpKind.MOP),
         edge_fn=lambda x, y, a=None, w=None: x * y,
-        batch_fn=lambda x, y, a=None, w=None: _mul_broadcast(x, y),
+        expr="Xs * Yd",
     )
 )
-
-def _sel1st_batch(x, y, a=None, w=None):
-    """Batched SEL1ST.  Used as VOP it broadcasts the (single) source
-    vector over the neighbour dimension; used as MOP on a per-edge scalar
-    message it passes the scalars through unchanged."""
-    x_arr = np.asarray(x)
-    y_arr = np.asarray(y)
-    if x_arr.ndim < y_arr.ndim:
-        if x_arr.ndim >= 1 and x_arr.shape[0] == y_arr.shape[0]:
-            return x_arr
-        return np.broadcast_to(x_arr, y_arr.shape).copy()
-    return x_arr
-
 
 register_op(
     Operator(
         name="SEL1ST",
         kinds=(OpKind.VOP, OpKind.MOP),
         edge_fn=lambda x, y, a=None, w=None: x if np.ndim(x) else np.asarray(x),
-        batch_fn=_sel1st_batch,
+        expr="Xs",
     )
 )
 
@@ -237,7 +292,7 @@ register_op(
         name="SEL2ND",
         kinds=(OpKind.VOP, OpKind.MOP),
         edge_fn=lambda x, y, a=None, w=None: y,
-        batch_fn=lambda x, y, a=None, w=None: y,
+        expr="Yd",
     )
 )
 
@@ -248,8 +303,8 @@ register_op(
         # Scale the message by the edge value a_uv.  This is what the paper
         # calls "MUL for MOP" in the GCN row of Table III: messages are
         # multiplied by edge features before pooling.
-        edge_fn=lambda x, y, a=None, w=None: (1.0 if a is None else a) * _first_vector(x, y),
-        batch_fn=lambda x, y, a=None, w=None: _edge_scale_batch(x, y, a),
+        edge_fn=lambda x, y, a, w=None: a * x,
+        expr="vals * Xs",
     )
 )
 
@@ -261,7 +316,7 @@ register_op(
         # force-directed layout pattern where the aggregated direction is
         # (x_u - x_v), i.e. the VOP output, not y_v.
         edge_fn=lambda h, y, a=None, w=None: h * (w if w is not None else y),
-        batch_fn=lambda h, y, a=None, w=None: _mul_broadcast(h, w if w is not None else y),
+        expr="H * W",
     )
 )
 
@@ -273,7 +328,7 @@ register_op(
         # (h - a_uv) · y_v: with a_uv as the label of an edge, the
         # sigmoid-embedding gradient Σ (σ(x_u·y_v) - label) y_v is one pass.
         edge_fn=lambda h, y, a, w=None: (h - a) * y,
-        batch_fn=lambda h, y, a, w=None: _residual_batch(h, y, a),
+        expr="(H - vals) * Yd",
     )
 )
 
@@ -282,8 +337,8 @@ register_op(
     Operator(
         name="SIGMOID",
         kinds=(OpKind.SOP, OpKind.MOP),
-        edge_fn=lambda x, *rest: _sigmoid(x),
-        batch_fn=lambda x, *rest: _sigmoid(x),
+        edge_fn=lambda x, *rest: sigmoid(x),
+        expr="sigmoid(S)",
     )
 )
 
@@ -292,7 +347,7 @@ register_op(
         name="RELU",
         kinds=(OpKind.SOP, OpKind.MOP),
         edge_fn=lambda x, *rest: np.maximum(x, 0.0),
-        batch_fn=lambda x, *rest: np.maximum(x, 0.0),
+        expr="np.maximum(S, 0.0)",
     )
 )
 
@@ -301,7 +356,7 @@ register_op(
         name="TANH",
         kinds=(OpKind.SOP, OpKind.MOP),
         edge_fn=lambda x, *rest: np.tanh(x),
-        batch_fn=lambda x, *rest: np.tanh(x),
+        expr="np.tanh(S)",
     )
 )
 
@@ -310,7 +365,7 @@ register_op(
         name="EXP",
         kinds=(OpKind.SOP, OpKind.MOP),
         edge_fn=lambda x, *rest: np.exp(np.clip(x, -SIGMOID_CLAMP, SIGMOID_CLAMP)),
-        batch_fn=lambda x, *rest: np.exp(np.clip(x, -SIGMOID_CLAMP, SIGMOID_CLAMP)),
+        expr=f"np.exp(np.clip(S, -{SIGMOID_CLAMP!r}, {SIGMOID_CLAMP!r}))",
     )
 )
 
@@ -320,7 +375,7 @@ register_op(
         kinds=(OpKind.SOP,),
         # Student-t kernel 1 / (1 + s^2) used by t-SNE-style layout forces.
         edge_fn=lambda x, *rest: 1.0 / (1.0 + np.square(x)),
-        batch_fn=lambda x, *rest: 1.0 / (1.0 + np.square(x)),
+        expr="1.0 / (1.0 + np.square(S))",
     )
 )
 
@@ -332,7 +387,7 @@ def make_scal(alpha: float, name: str | None = None, *, register: bool = False) 
         name=name or f"SCAL[{alpha:g}]",
         kinds=(OpKind.SOP, OpKind.MOP),
         edge_fn=lambda x, *rest, _a=alpha: _a * x,
-        batch_fn=lambda x, *rest, _a=alpha: _a * x,
+        expr=scal_expr(alpha),
         params={"alpha": float(alpha)},
     )
     if register:
@@ -340,16 +395,13 @@ def make_scal(alpha: float, name: str | None = None, *, register: bool = False) 
     return op
 
 
+def scal_expr(alpha: float) -> str:
+    """The expression of a SCAL operator with factor ``alpha``."""
+    return f"{float(alpha)!r} * S"
+
+
 # A default unit-scale SCAL so patterns can name "SCAL" directly.
-register_op(
-    Operator(
-        name="SCAL",
-        kinds=(OpKind.SOP, OpKind.MOP),
-        edge_fn=lambda x, *rest: 1.0 * x,
-        batch_fn=lambda x, *rest: 1.0 * x,
-        params={"alpha": 1.0},
-    )
-)
+register_op(make_scal(1.0, name="SCAL"))
 
 # --- Reduction operators (ROP) ------------------------------------------ #
 register_op(
@@ -357,7 +409,7 @@ register_op(
         name="RSUM",
         kinds=(OpKind.ROP,),
         edge_fn=lambda w: np.sum(w, axis=-1),
-        batch_fn=lambda w: np.sum(w, axis=-1),
+        expr="np.sum(W, axis=1)",
         reduces=True,
     )
 )
@@ -367,7 +419,7 @@ register_op(
         name="RMUL",
         kinds=(OpKind.ROP,),
         edge_fn=lambda w: np.prod(w, axis=-1),
-        batch_fn=lambda w: np.prod(w, axis=-1),
+        expr="np.prod(W, axis=1)",
         reduces=True,
     )
 )
@@ -377,7 +429,7 @@ register_op(
         name="RMAX",
         kinds=(OpKind.ROP,),
         edge_fn=lambda w: np.max(w, axis=-1),
-        batch_fn=lambda w: np.max(w, axis=-1),
+        expr="np.max(W, axis=1)",
         reduces=True,
     )
 )
@@ -389,18 +441,18 @@ register_op(
         # Note: the paper points out its ASUM/NORM differ from L1 BLAS; this
         # is the Euclidean norm of the VOP output.
         edge_fn=lambda w: np.sqrt(np.sum(np.square(w), axis=-1)),
-        batch_fn=lambda w: np.sqrt(np.sum(np.square(w), axis=-1)),
+        expr="np.sqrt(np.einsum('ij,ij->i', W, W))",
         reduces=True,
     )
 )
 
 # --- Accumulation operators (AOP) ---------------------------------------- #
+# The edge-blocked kernels aggregate a block with ``accumulate_ufunc``.
 register_op(
     Operator(
         name="ASUM",
         kinds=(OpKind.AOP,),
         edge_fn=lambda z, w: z + w,
-        batch_fn=lambda z, w_block: z + np.sum(w_block, axis=0),
         accumulator_identity=0.0,
         accumulate_ufunc=np.add,
     )
@@ -411,9 +463,6 @@ register_op(
         name="AMAX",
         kinds=(OpKind.AOP,),
         edge_fn=lambda z, w: np.maximum(z, w),
-        batch_fn=lambda z, w_block: np.maximum(z, np.max(w_block, axis=0))
-        if np.shape(w_block)[0]
-        else z,
         accumulator_identity=-np.inf,
         accumulate_ufunc=np.maximum,
     )
@@ -424,13 +473,12 @@ register_op(
         name="AMIN",
         kinds=(OpKind.AOP,),
         edge_fn=lambda z, w: np.minimum(z, w),
-        batch_fn=lambda z, w_block: np.minimum(z, np.min(w_block, axis=0))
-        if np.shape(w_block)[0]
-        else z,
         accumulator_identity=np.inf,
         accumulate_ufunc=np.minimum,
     )
 )
+
+_BUILTINS.update(_REGISTRY)
 
 
 # ---------------------------------------------------------------------- #
@@ -475,44 +523,3 @@ def make_mlp_vop(
     if register:
         register_op(op, overwrite=True)
     return op
-
-
-# ---------------------------------------------------------------------- #
-# Broadcasting helpers shared by the standard operators
-# ---------------------------------------------------------------------- #
-def _mul_broadcast(h, y):
-    """Multiply a message (scalar-per-edge or vector-per-edge) with a
-    per-edge vector, inserting the trailing axis when needed."""
-    h_arr = np.asarray(h)
-    y_arr = np.asarray(y)
-    if h_arr.ndim == y_arr.ndim - 1:
-        return h_arr[..., None] * y_arr
-    return h_arr * y_arr
-
-
-def _residual_batch(h, y, a):
-    """Batched RESIDUAL: ``(h - a) · y`` with the per-edge value ``a``
-    broadcast over a vector message."""
-    h_arr = np.asarray(h)
-    a_arr = np.asarray(a)
-    if a_arr.ndim == h_arr.ndim - 1:
-        a_arr = a_arr[..., None]
-    return _mul_broadcast(h_arr - a_arr, y)
-
-
-def _first_vector(x, y):
-    """Pick the message operand for EDGESCALE: the first argument when it is
-    vector-like, otherwise the second (neighbour features)."""
-    return x if np.ndim(x) >= 1 else y
-
-
-def _edge_scale_batch(h, y, a):
-    """Batched EDGESCALE: multiply the message by the per-edge value."""
-    if a is None:
-        return _mul_broadcast(h, y) if np.ndim(h) < np.ndim(y) else np.asarray(h)
-    a_arr = np.asarray(a)
-    msg = h if np.ndim(h) >= np.ndim(y) else y
-    msg = np.asarray(msg)
-    if a_arr.ndim == msg.ndim - 1:
-        return a_arr[..., None] * msg
-    return a_arr * msg

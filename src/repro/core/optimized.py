@@ -1,25 +1,26 @@
-"""Vectorized FusedMM kernel (the paper's "FusedMMopt").
+"""The edge-blocked FusedMM driver (the paper's "FusedMMopt" blocking).
 
 The paper obtains its optimized kernel by (a) register-blocking ``x_u`` and
 ``z_u`` in SIMD registers, (b) streaming the neighbour vectors ``y_v``
 through the registers, and (c) writing ``z_u`` once per row with
 non-temporal stores (Section IV.A, Fig. 5).  The Python analogue of those
-three ideas is *edge blocking* (:func:`fusedmm_optimized`): edges are
-processed in fixed-size blocks; for each block the source and destination
-features are gathered, the five steps run vectorized over the block, and
-the block results are segment-summed into ``Z``.  The intermediate
-footprint is ``O(block_size × d)`` **independent of nnz** — this is what
-preserves the paper's memory-advantage claim (Fig. 10b) relative to the
-unfused baselines, which hold the full ``nnz × d`` message matrix H.  The
-block size is the one blocking parameter; the autotuner sweeps it, as the
-paper's generator tunes its blocking factors (Section IV.B).
+three ideas is *edge blocking* (:func:`run_edge_blocks`): edges are
+processed in fixed-size blocks; for each block a body gathers the source
+and destination features and runs the five steps vectorized over the
+block, and the block results are segment-summed into ``Z``.  The
+intermediate footprint is ``O(block_size × d)`` **independent of nnz** —
+this is what preserves the paper's memory-advantage claim (Fig. 10b)
+relative to the unfused baselines, which hold the full ``nnz × d`` message
+matrix H.  The block size is the one blocking parameter; the autotuner
+sweeps it, as the paper's generator tunes its blocking factors (Section
+IV.B).
 
-Every edge-blocked backend (this module, :mod:`repro.core.codegen` and
-the unfused baseline's
-:func:`~repro.baselines.spmm.gspmm`) runs through one driver,
-:func:`run_edge_blocks`.  It owns validation, the output window, the
-absolute edge grid and the reduction; a backend supplies only the block
-body, which maps a block's edges to their messages.
+Every edge-blocked kernel (the generated kernels of
+:mod:`repro.core.codegen` and the unfused baseline's
+:func:`~repro.baselines.spmm.gspmm`) runs through this one driver.  It
+owns validation, the output window, the absolute edge grid and the
+reduction; a kernel supplies only the block body, which maps a block's
+edges to their messages.
 
 **Summation order.**  Within each edge block, a row's partial sum
 accumulates left to right in CSR edge order, in the message dtype, and is
@@ -28,10 +29,6 @@ then added into the float64 ``Z`` (:func:`segment_order`,
 in the order the sum reads them, so the messages are never gathered a
 second time.  ``max``/``min`` aggregations use ``ufunc.reduceat``, which
 is exact in any order.
-
-The kernel accepts any operator pattern via the registry's batched
-callables, runs over 1-D nnz-balanced partitions, and is property-tested
-against the reference kernel of :mod:`repro.core.generic`.
 """
 
 from __future__ import annotations
@@ -46,12 +43,10 @@ from ..sparse import as_csr
 from .operators import Operator
 from .parallel import ParallelConfig, run_partitioned
 from .partition import RowPartition
-from .patterns import OpPattern, ResolvedPattern, get_pattern
 from .validation import ensure_float_matrix, resolve_out_window, validate_operands
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
-    "fusedmm_optimized",
     "run_edge_blocks",
     "segment_order",
     "segment_sum",
@@ -123,29 +118,6 @@ def _finalize_output(Z: np.ndarray, out, result_dtype) -> np.ndarray:
 #: a block of d=128 single-precision messages (~4 MB) fits in the last-level
 #: cache of the machines in Table IV; the autotuner refines it per problem.
 DEFAULT_BLOCK_SIZE = 8192
-
-
-# ---------------------------------------------------------------------- #
-# Shared step executor (batched)
-# ---------------------------------------------------------------------- #
-def _run_steps_batch(
-    pattern: ResolvedPattern,
-    Xs: np.ndarray,
-    Yd: np.ndarray,
-    vals: np.ndarray,
-) -> np.ndarray:
-    """Run VOP → ROP → SOP → MOP over a batch of edges.
-
-    ``Xs`` and ``Yd`` are the gathered ``(k, d)`` source/destination feature
-    blocks, ``vals`` the ``(k,)`` edge values.  Returns the per-edge
-    messages ``M`` with shape ``(k, d)`` or ``(k,)``.
-    """
-    vop, rop, sop, mop = pattern.vop, pattern.rop, pattern.sop, pattern.mop
-    W = Yd if vop.is_noop else vop.batch_fn(Xs, Yd, vals)
-    S = W if rop.is_noop else rop.batch_fn(W)
-    H = S if sop.is_noop else sop.batch_fn(S)
-    M = H if mop.is_noop else mop.batch_fn(H, Yd, vals, W)
-    return M
 
 
 # ---------------------------------------------------------------------- #
@@ -315,36 +287,3 @@ def run_edge_blocks(
             Z[empty] = 0.0
     return _finalize_output(Z, out, (Y if X is None else X).dtype)
 
-
-def fusedmm_optimized(
-    A,
-    X,
-    Y=None,
-    *,
-    pattern: OpPattern | str = "sigmoid_embedding",
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    num_threads: int = 1,
-    parts_per_thread: int = 1,
-    parts: Optional[Sequence[RowPartition]] = None,
-    pool: Optional[ThreadPoolExecutor] = None,
-    out: Optional[np.ndarray] = None,
-    row_offset: int = 0,
-    **pattern_overrides,
-) -> np.ndarray:
-    """FusedMM processing edges in fixed-size blocks (:func:`run_edge_blocks`)
-    with the registry's batched operators as the block body.
-
-    ``block_size`` is the number of edges per block (the autotuner may
-    pick it per problem).
-    """
-    resolved = get_pattern(pattern, **pattern_overrides).resolved()
-
-    def body(X, Y, src, dst, vals, edges):
-        Xs, Yd = np.take(X, src, axis=0), np.take(Y, dst, axis=0)
-        return _run_steps_batch(resolved, Xs, Yd, vals)
-
-    return run_edge_blocks(
-        A, X, Y, body, aop=resolved.aop, block_size=block_size,
-        num_threads=num_threads, parts_per_thread=parts_per_thread,
-        parts=parts, pool=pool, out=out, row_offset=row_offset,
-    )

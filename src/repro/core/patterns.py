@@ -43,10 +43,10 @@ Differences from the paper's table, and why
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict
+from typing import Dict, Tuple
 
 from ..errors import PatternError
-from .operators import OpKind, Operator, get_op
+from .operators import OpKind, Operator, get_op, is_builtin
 
 __all__ = [
     "OpPattern",
@@ -54,6 +54,7 @@ __all__ = [
     "get_pattern",
     "register_pattern",
     "list_patterns",
+    "pattern_key",
 ]
 
 
@@ -125,13 +126,32 @@ class ResolvedPattern:
         (``nnz`` vs ``nnz × d``)."""
         return self.rop.reduces
 
+    def ops(self) -> Dict[str, Operator]:
+        """Slot → operator mapping."""
+        return {
+            "vop": self.vop,
+            "rop": self.rop,
+            "sop": self.sop,
+            "mop": self.mop,
+            "aop": self.aop,
+        }
+
+    @property
+    def is_standard(self) -> bool:
+        """True when every slot holds a built-in operator, so the operator
+        names say what the pattern computes.  Name-keyed specialisations
+        (the predicates below, the jit opcodes, the generator's fused
+        VOP+ROP forms) apply to standard patterns only."""
+        return all(is_builtin(op) for op in self.ops().values())
+
     @property
     def is_spmm_like(self) -> bool:
         """True for patterns equivalent to an SpMM (GCN row of Table III):
         the message is the neighbour feature scaled by the edge value
         (``EDGESCALE``) and the aggregation is a sum."""
         return (
-            self.vop.name in {"SEL2ND", "NOOP"}
+            self.is_standard
+            and self.vop.name in {"SEL2ND", "NOOP"}
             and self.rop.is_noop
             and self.sop.is_noop
             and self.mop.name == "EDGESCALE"
@@ -142,7 +162,8 @@ class ResolvedPattern:
     def is_sigmoid_embedding(self) -> bool:
         """True for the VERSE/Force2Vec sigmoid embedding row of Table III."""
         return (
-            self.vop.name == "MUL"
+            self.is_standard
+            and self.vop.name == "MUL"
             and self.rop.name == "RSUM"
             and self.sop.name == "SIGMOID"
             and self.mop.name == "MUL"
@@ -154,7 +175,8 @@ class ResolvedPattern:
         """True for the force-directed layout row of Table III, with its
         Student-t force (``TDIST``)."""
         return (
-            self.vop.name == "SUB"
+            self.is_standard
+            and self.vop.name == "SUB"
             and self.rop.name == "NORM"
             and self.sop.name == "TDIST"
             and self.mop.name == "MULDIFF"
@@ -162,14 +184,23 @@ class ResolvedPattern:
         )
 
     def op_names(self) -> Dict[str, str]:
-        """Slot → operator-name mapping (for reports and cache keys)."""
-        return {
-            "vop": self.vop.name,
-            "rop": self.rop.name,
-            "sop": self.sop.name,
-            "mop": self.mop.name,
-            "aop": self.aop.name,
-        }
+        """Slot → operator-name mapping (for reports)."""
+        return {slot: op.name for slot, op in self.ops().items()}
+
+
+def pattern_key(resolved: ResolvedPattern) -> Tuple[Tuple[str, object], ...]:
+    """The identity of a resolved pattern, which keys every kernel cache.
+
+    A built-in operator is keyed by its name; any other operator by its
+    name and its object identity, since two user operators may share a
+    name (or a standard one's) and compute different things.  A cache
+    keyed by this must keep the pattern alive for as long as the entry,
+    so an identity is never reused while it is a key.
+    """
+    return tuple(
+        (slot, op.name if is_builtin(op) else (op.name, id(op)))
+        for slot, op in sorted(resolved.ops().items())
+    )
 
 
 # ---------------------------------------------------------------------- #

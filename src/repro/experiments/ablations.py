@@ -3,11 +3,11 @@
 These experiments are not tables of the paper; they probe the design
 decisions the paper motivates qualitatively:
 
-* **backend ladder** — generic (Alg. 1) vs optimized (edge-blocked) vs
-  generated vs jit kernels on one problem, quantifying how much
-  each optimization level contributes (the paper's FusedMM vs FusedMMopt
-  split, refined);
-* **block-size sweep** — sensitivity of the edge-blocked kernel to its
+* **backend ladder** — generic (Alg. 1) vs optimized (edge blocking
+  without specialisation, :func:`all_calls_pattern`) vs generated vs jit
+  kernels on one problem, quantifying how much each optimization level
+  contributes (the paper's FusedMM vs FusedMMopt split, refined);
+* **block-size sweep** — sensitivity of the generated kernel to its edge
   block size (the register/tile-blocking analogue the autotuner searches);
 * **partition balance** — nnz-balanced 1-D partitioning vs naive equal-row
   partitioning on a skewed graph.
@@ -15,6 +15,7 @@ decisions the paper motivates qualitatively:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -23,19 +24,32 @@ from ..bench.tables import format_table
 from ..core.autotune import DEFAULT_BLOCK_CANDIDATES
 from ..core.codegen import compile_kernel
 from ..core.fused import fusedmm
-from ..core.optimized import fusedmm_optimized
 from ..core.partition import part1d, partition_balance
-from ..core.patterns import get_pattern
+from ..core.patterns import OpPattern, get_pattern
 from ..graphs.datasets import load_dataset
 from ..graphs.features import random_features
 from ..perf.timer import time_kernel
 
 __all__ = [
+    "all_calls_pattern",
     "run_backend_ladder",
     "run_block_size_sweep",
     "run_partition_balance",
     "main",
 ]
+
+
+def all_calls_pattern(pattern: OpPattern | str) -> OpPattern:
+    """``pattern`` rebuilt from copies of its operators without their
+    expressions: the generated kernel then calls each step's ``batch_fn``
+    and fuses nothing — edge blocking without specialisation (Section
+    IV.B), the ladder's ``optimized`` rung."""
+    resolved = get_pattern(pattern).resolved()
+    ops = {
+        slot: op if op.expr is None else replace(op, expr=None)
+        for slot, op in resolved.ops().items()
+    }
+    return OpPattern(name=resolved.name, **ops)
 
 
 def run_backend_ladder(
@@ -62,7 +76,10 @@ def run_backend_ladder(
     generic_t = generic_sample_t * (A.nnz / max(A_sample.nnz, 1))
     rows.append({"backend": "generic (Alg. 1)", "seconds": generic_t, "extrapolated": True})
 
-    t = time_kernel(fusedmm_optimized, A, X, X, pattern=pattern, repeats=repeats).mean
+    t = time_kernel(
+        fusedmm, A, X, X, pattern=all_calls_pattern(pattern), backend="generated",
+        repeats=repeats,
+    ).mean
     rows.append({"backend": "optimized", "seconds": t, "extrapolated": False})
 
     generated = compile_kernel(resolved)
@@ -92,18 +109,19 @@ def run_block_size_sweep(
     scale: float = 0.5,
     repeats: int = 3,
 ) -> List[Dict]:
-    """Sensitivity of the edge-blocked kernel to its block size."""
+    """Sensitivity of the generated kernel to its edge-block size."""
     g = load_dataset(graph, scale=scale)
     A = g.adjacency
     X = random_features(A.nrows, d, seed=0)
     rows = []
     for block in block_sizes:
         t = time_kernel(
-            fusedmm_optimized,
+            fusedmm,
             A,
             X,
             X,
             pattern=pattern,
+            backend="generated",
             block_size=int(block),
             repeats=repeats,
         ).mean

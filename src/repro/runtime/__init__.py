@@ -44,7 +44,7 @@ from .fingerprint import (
     pin_fingerprint,
 )
 from .options import RuntimeOptions
-from .plan import KernelPlan, PlanKey, build_plan, pattern_key
+from .plan import KernelPlan, PlanKey, build_plan
 from .remote import RemoteController, WorkerAgent
 from .runtime import EpochStream, KernelRuntime
 from .shard import ShardAssignment, ShardPlan, assign_shards, route_shards
@@ -69,7 +69,6 @@ __all__ = [
     "CacheStats",
     "PackedBatch",
     "pack_requests",
-    "pattern_key",
     "build_plan",
     "DynamicGraph",
     "GraphVersion",

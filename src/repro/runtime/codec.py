@@ -33,7 +33,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.partition import RowPartition
-from ..core.patterns import OpPattern
+from ..core.patterns import OpPattern, pattern_key
 from ..framing import FrameCodec
 from ..sparse import CSRMatrix
 
@@ -259,8 +259,6 @@ def build_worker_config(spec: Dict[str, object], *, num_threads: int = 1):
 
 def config_cache_key(spec: Dict[str, object]) -> tuple:
     """Hashable identity of a run spec's dispatch config."""
-    from .plan import pattern_key
-
     return (
         pattern_key(spec["op_pattern"].resolved()),
         spec["backend"],

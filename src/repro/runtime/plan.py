@@ -50,7 +50,7 @@ from ..core.autotune import (
 from ..core.fused import plan_kernel, resolve_backend
 from ..core.optimized import DEFAULT_BLOCK_SIZE
 from ..core.partition import RowPartition, part1d
-from ..core.patterns import OpPattern, ResolvedPattern
+from ..core.patterns import OpPattern, ResolvedPattern, pattern_key
 from ..sparse import CSRMatrix, as_csr
 from ..sparse.reorder import (
     REORDER_STRATEGIES,
@@ -68,15 +68,9 @@ from .fingerprint import matrix_fingerprint
 __all__ = [
     "KernelPlan",
     "PlanKey",
-    "pattern_key",
     "build_plan",
     "make_config",
 ]
-
-
-def pattern_key(resolved: ResolvedPattern) -> Tuple[Tuple[str, str], ...]:
-    """Hashable identity of a resolved pattern (its five operator names)."""
-    return tuple(sorted(resolved.op_names().items()))
 
 
 @dataclass(frozen=True)
@@ -84,7 +78,8 @@ class PlanKey:
     """Full cache key of an execution plan."""
 
     fingerprint: str
-    pattern: Tuple[Tuple[str, str], ...]
+    #: :func:`~repro.core.patterns.pattern_key` of the resolved pattern
+    pattern: Tuple[Tuple[str, object], ...]
     backend: str
     num_threads: int
     block_size: int  # 0 = backend default / autotuned
@@ -101,7 +96,7 @@ class KernelPlan:
     key: PlanKey
     op_pattern: OpPattern
     resolved: ResolvedPattern
-    #: "jit" | "generated" | "optimized" | "generic"
+    #: "jit" | "generated" | "generic"
     kind: str
     #: requested backend (one of :data:`repro.core.fused.BACKENDS`)
     backend: str

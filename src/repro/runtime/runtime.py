@@ -54,13 +54,13 @@ import numpy as np
 
 from ..core.parallel import available_threads
 from ..core.partition import RowPartition, part1d
-from ..core.patterns import OpPattern, get_pattern
+from ..core.patterns import OpPattern, get_pattern, pattern_key
 from ..sparse import as_csr, drop_reorder_memo, validate_reorder
 from .batch import KernelRequest, pack_group_key, pack_requests
 from .cache import CacheStats, PlanCache
 from .codec import execute_parts, output_dtype, plan_spec_from_plan, remote_spec_meta
 from .fingerprint import derived_fingerprint, matrix_fingerprint
-from .plan import KernelPlan, PlanKey, build_plan, make_config, pattern_key
+from .plan import KernelPlan, PlanKey, build_plan, make_config
 from .remote import RemoteController
 from .shard import ShardPlan, assign_shards, route_shards
 from .workers import WorkerPool
@@ -855,21 +855,22 @@ class KernelRuntime:
         """Cached matrix-independent dispatch config for a request.
 
         Requests with string patterns and no overrides (the overwhelmingly
-        common case) share one cached config per configuration tuple;
+        common case) share one cached config per pattern identity
+        (:func:`~repro.core.patterns.pattern_key`), backend and block size;
         anything else is resolved inline.
         """
-        overrides = dict(req.overrides)
-        cacheable = isinstance(req.pattern, str) and not overrides
-        key = (req.pattern, req.backend, req.block_size or 0)
+        op_pattern = get_pattern(req.pattern, **dict(req.overrides))
+        resolved = op_pattern.resolved()
+        cacheable = isinstance(req.pattern, str) and not req.overrides
+        key = (pattern_key(resolved), req.backend, req.block_size or 0)
         if cacheable:
             with self._configs_lock:
                 cfg = self._configs.get(key)
             if cfg is not None:
                 return cfg
-        op_pattern = get_pattern(req.pattern, **overrides)
         cfg = make_config(
             op_pattern,
-            op_pattern.resolved(),
+            resolved,
             backend=req.backend,
             block_size=req.block_size,
             num_threads=self.num_threads,

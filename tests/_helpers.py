@@ -12,10 +12,22 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.experiments.ablations import all_calls_pattern
 from repro.graphs import random_features
 from repro.sparse import CSRMatrix
 
-__all__ = ["make_xy", "select_rows_by_loop", "with_negatives_by_loop"]
+__all__ = ["kernel_rung", "make_xy", "select_rows_by_loop", "with_negatives_by_loop"]
+
+
+def kernel_rung(pattern, rung: str):
+    """``(pattern, backend)`` that runs ``pattern`` on kernel rung ``rung``:
+    a backend name, or ``"optimized"`` — edge blocking without
+    specialisation, the generated kernel of the pattern's all-calls form,
+    which calls each operator's ``batch_fn`` as a user operator's kernel
+    does."""
+    if rung == "optimized":
+        return all_calls_pattern(pattern), "generated"
+    return pattern, rung
 
 
 def make_xy(A: CSRMatrix, d: int, seed: int = 0):

@@ -396,7 +396,7 @@ def test_verse_requires_square_adjacency():
         Verse(Graph(A))
 
 
-@pytest.mark.parametrize("kernel_backend", ["optimized", "generic"])
+@pytest.mark.parametrize("kernel_backend", ["generated", "generic"])
 @pytest.mark.parametrize("app", [Force2Vec, Verse])
 def test_embedding_epoch_runs_on_numpy_backends(community_graph, app, kernel_backend):
     """Both apps train through the ``sigmoid_residual`` stream; every

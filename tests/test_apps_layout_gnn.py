@@ -176,7 +176,7 @@ def test_mlp_gnn_requires_features(labelled_graph):
 
 def test_mlp_gnn_layer_matches_generic_backend(labelled_graph):
     layer = MLPGNNLayer(in_dim=3, hidden_dim=6, out_dim=3, seed=2)
-    fast = layer(labelled_graph.adjacency, labelled_graph.features, backend="optimized")
+    fast = layer(labelled_graph.adjacency, labelled_graph.features)
     slow = layer(labelled_graph.adjacency, labelled_graph.features, backend="generic")
     assert np.allclose(fast, slow, atol=1e-3)
 

@@ -14,13 +14,12 @@ from repro.core.codegen import (
     compile_kernel,
     generate_kernel_source,
     kernel_cache_info,
-    supports_pattern,
 )
-from repro.core.operators import make_mlp_vop
-from repro.core.patterns import get_pattern
+from repro.core.fused import resolve_backend
+from repro.core.operators import OpKind, Operator
+from repro.core.patterns import get_pattern, list_patterns
 from repro.core.generic import fusedmm_generic
-from repro.errors import CodegenError
-from repro.graphs.features import xavier_init
+from repro.errors import BackendError, CodegenError
 from repro.sparse import random_csr
 from _helpers import make_xy
 
@@ -29,16 +28,19 @@ from _helpers import make_xy
 # Code generation
 # ------------------------------------------------------------------ #
 def test_supports_all_builtin_standard_patterns():
-    for name in ["sigmoid_embedding", "fr_layout", "gcn", "spmm", "sddmm_dot"]:
-        assert supports_pattern(get_pattern(name).resolved()), name
+    for name in list_patterns():
+        assert resolve_backend(name, "generated")[0] == "generated", name
 
 
 def test_does_not_support_user_operators():
-    mlp = make_mlp_vop(xavier_init(8, 4, seed=0))
-    pattern = get_pattern("gnn_mlp", vop=mlp).resolved()
-    assert not supports_pattern(pattern)
+    """A user operator with only a per-edge callable has no block form."""
+    edge_only = Operator(name="EDGE_ONLY", kinds=(OpKind.SOP,), edge_fn=lambda s, *r: s)
+    pattern = get_pattern("sigmoid_embedding", sop=edge_only)
     with pytest.raises(CodegenError):
-        generate_kernel_source(pattern)
+        generate_kernel_source(pattern.resolved())
+    with pytest.raises(BackendError):
+        resolve_backend(pattern, "generated")
+    assert resolve_backend(pattern, "auto")[0] == "generic"
 
 
 def test_generated_source_mentions_ops():
@@ -84,7 +86,6 @@ def test_generated_kernel_correct_small():
 
 def test_generated_kernel_amax_pattern():
     pattern = get_pattern(None, vop="SEL2ND", mop="EDGESCALE", aop="AMAX").resolved()
-    assert supports_pattern(pattern)
     A = random_csr(30, 30, density=0.1, seed=2)
     X, Y = make_xy(A, 6, seed=1)
     kernel = compile_kernel(pattern)
@@ -99,7 +100,7 @@ def test_autotune_returns_valid_config(small_square_csr):
     clear_tuning_cache()
     X, Y = make_xy(small_square_csr, 8, seed=0)
     result = autotune(small_square_csr, X, Y, pattern="sigmoid_embedding", repeats=1)
-    assert {kind for kind, _ in result.trials} <= {"optimized", "jit"}
+    assert {kind for kind, _ in result.trials} <= {"generated", "jit"}
     assert result.block_size > 0
     assert result.best_time > 0
     assert len(result.trials) >= len(DEFAULT_BLOCK_CANDIDATES)
@@ -129,7 +130,6 @@ def test_autotune_sweeps_the_given_block_sizes(small_square_csr):
         X,
         Y,
         pattern="gcn",
-        kind="generated",
         jit=False,
         block_candidates=(64, 256),
         repeats=1,
@@ -140,16 +140,9 @@ def test_autotune_sweeps_the_given_block_sizes(small_square_csr):
     assert result.block_size in (64, 256)
 
 
-def test_autotune_rejects_unblocked_kind(small_square_csr):
-    X, Y = make_xy(small_square_csr, 8, seed=0)
-    with pytest.raises(ValueError):
-        autotune(small_square_csr, X, Y, kind="generic", repeats=1, use_cache=False)
-
-
 def test_generated_plan_tunes_the_generated_kernel(small_square_csr, monkeypatch):
     """A plan resolving to ``generated`` times its block sizes through the
-    generated kernel, and never shares a verdict with an ``optimized``
-    plan of the same pattern."""
+    generated kernel."""
     import repro.core.fused as fused
 
     calls = []
@@ -173,12 +166,7 @@ def test_generated_plan_tunes_the_generated_kernel(small_square_csr, monkeypatch
         assert plan.kind == "generated"
         assert {kind for kind, _ in plan.tuning.trials} == {"generated"}
         assert sorted(set(calls)) == sorted(DEFAULT_BLOCK_CANDIDATES)
-        forced = fused.plan_kernel(
-            small_square_csr, "gcn", "optimized", autotune=True, autotune_dim=8
-        )
-        assert forced.tuning is not plan.tuning
-        assert {kind for kind, _ in forced.tuning.trials} == {"optimized"}
-        assert tuning_cache_info()["cached_results"] == 2
+        assert tuning_cache_info()["cached_results"] == 1
     finally:
         clear_tuning_cache()
 

@@ -22,7 +22,6 @@ def test_all_backends_listed():
         "auto",
         "jit",
         "generic",
-        "optimized",
         "generated",
     }
 
@@ -52,13 +51,20 @@ def test_unknown_backend_rejected(problem):
 
 
 def test_generated_backend_requires_templates(problem):
-    from repro.core import make_mlp_vop
+    """The generated backend needs a block form of every operator: an
+    expression or a ``batch_fn``.  The MLP has one, an operator with only
+    a per-edge callable does not."""
+    from repro.core import OpKind, Operator, make_mlp_vop
     from repro.graphs.features import xavier_init
 
     A, X, Y = problem
     mlp = make_mlp_vop(xavier_init(32, 16, seed=0))
+    Z = fusedmm(A, X, Y, pattern="gnn_mlp", vop=mlp, backend="generated")
+    ref = fusedmm(A, X, Y, pattern="gnn_mlp", vop=mlp, backend="generic")
+    assert np.allclose(Z, ref, atol=1e-5)
+    edge_only = Operator(name="EDGE_ONLY_VOP", kinds=(OpKind.VOP,), edge_fn=lambda x, y, a: x)
     with pytest.raises(BackendError):
-        fusedmm(A, X, Y, pattern="gnn_mlp", vop=mlp, backend="generated")
+        fusedmm(A, X, Y, pattern="gnn_mlp", vop=edge_only, backend="generated")
 
 
 def test_auto_falls_back_for_user_ops(problem):
@@ -69,6 +75,46 @@ def test_auto_falls_back_for_user_ops(problem):
     mlp = make_mlp_vop(xavier_init(32, 16, seed=0))
     Z = fusedmm(A, X, Y, pattern="gnn_mlp", vop=mlp, backend="auto")
     assert Z.shape == X.shape
+
+
+def test_auto_falls_back_to_generic_when_user_batch_fn_raises(problem):
+    """A generated kernel that calls a failing user ``batch_fn`` falls back
+    to the reference kernel under ``auto``; ``generated`` itself raises."""
+    from repro.core import OpKind, Operator
+
+    def broken(x, y, a=None, w=None):
+        raise RuntimeError("no batched form")
+
+    vop = Operator(
+        name="BROKEN_BATCH", kinds=(OpKind.VOP,), edge_fn=lambda x, y, a: x - y, batch_fn=broken
+    )
+    A, X, Y = problem
+    ref = fusedmm(A, X, Y, pattern="gnn_mlp", vop=vop, backend="generic")
+    Z = fusedmm(A, X, Y, pattern="gnn_mlp", vop=vop, backend="auto")
+    assert np.array_equal(Z, ref)
+    out = np.full_like(ref, np.nan)
+    fusedmm(A, X, Y, pattern="gnn_mlp", vop=vop, backend="auto", out=out)
+    assert np.array_equal(out, ref)
+    with pytest.raises(RuntimeError, match="no batched form"):
+        fusedmm(A, X, Y, pattern="gnn_mlp", vop=vop, backend="generated")
+
+
+def test_optimized_backend_is_gone(problem):
+    """``optimized`` is no backend: every entry point rejects it and names
+    the valid ones."""
+    from repro.runtime import RuntimeOptions
+
+    A, X, Y = problem
+    valid = str(BACKENDS)
+    with pytest.raises(BackendError, match="generated"):
+        fusedmm(A, X, Y, backend="optimized")
+    with KernelRuntime(num_threads=1) as rt:
+        with pytest.raises(BackendError) as err:
+            rt.run(A, X, Y, backend="optimized")
+        assert valid in str(err.value)
+    with pytest.raises(BackendError) as err:
+        RuntimeOptions(kernel_backend="optimized")
+    assert valid in str(err.value)
 
 
 def test_pattern_overrides_via_kwargs(problem):

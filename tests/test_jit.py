@@ -67,7 +67,7 @@ def test_user_operator_pattern_unsupported(problem):
         get_jit_kernel(resolved)
     with pytest.raises(BackendError):
         fusedmm(A, X, Y, pattern="gnn_mlp", vop=mlp, backend="jit")
-    # auto still resolves (falls through to optimized/generic)
+    # auto still resolves (a generated kernel calling the MLP)
     Z = fusedmm(A, X, Y, pattern="gnn_mlp", vop=mlp, backend="auto")
     assert Z.shape == X.shape
 
@@ -183,7 +183,7 @@ def test_float64_out_is_used_without_scratch(problem):
         X.astype(np.float64),
         Y.astype(np.float64),
         pattern="gcn",
-        backend="optimized",
+        backend="generated",
         out=out,
     )
     assert result is out
@@ -192,7 +192,7 @@ def test_float64_out_is_used_without_scratch(problem):
         X.astype(np.float64),
         Y.astype(np.float64),
         pattern="gcn",
-        backend="optimized",
+        backend="generated",
     )
     assert np.array_equal(out, ref)
 
@@ -215,7 +215,7 @@ def test_plan_kind_jit_and_spmm_without_x(problem):
 def test_plan_execute_out_matches(problem):
     A, X, Y = problem
     rt = KernelRuntime(num_threads=1)
-    for backend in ("jit", "optimized", "generated"):
+    for backend in ("jit", "generated"):
         plan = rt.plan(A, pattern="sigmoid_embedding", backend=backend)
         ref = plan.execute(A, X, Y)
         out = np.full_like(ref, np.nan)
@@ -223,7 +223,7 @@ def test_plan_execute_out_matches(problem):
         assert np.array_equal(out, ref), backend
 
 
-@pytest.mark.parametrize("backend", ["jit", "optimized", "generated"])
+@pytest.mark.parametrize("backend", ["jit", "generated"])
 def test_sharded_jit_bitwise_identical(backend):
     A = random_csr(300, 300, density=0.04, seed=9)
     X, _ = make_xy(A, 8, seed=3)

@@ -1,9 +1,9 @@
 """Cross-backend equivalence tests — the core correctness property.
 
 For every application pattern of Table III and a variety of graph shapes,
-all kernel backends (reference Algorithm 1, edge-blocked optimized,
-generated) and the unfused SDDMM→SpMM pipeline must produce
-the same output up to floating-point tolerance.
+all kernel backends (reference Algorithm 1, the generated kernels in
+their specialised and all-calls forms) and the unfused SDDMM→SpMM
+pipeline must produce the same output up to floating-point tolerance.
 """
 
 import numpy as np
@@ -14,11 +14,10 @@ from repro.core import (
     compile_kernel,
     fusedmm,
     fusedmm_generic,
-    fusedmm_optimized,
     generate_kernel_source,
     get_pattern,
-    supports_pattern,
 )
+from repro.experiments.ablations import all_calls_pattern
 from repro.sparse import random_bipartite, random_csr
 from _helpers import make_xy
 
@@ -44,16 +43,15 @@ def rect_problem():
 def test_edgeblocked_matches_generic(square_problem, pattern):
     A, X, Y = square_problem
     ref = fusedmm_generic(A, X, Y, pattern=pattern)
-    out = fusedmm_optimized(A, X, Y, pattern=pattern, block_size=64)
+    calls = all_calls_pattern(pattern)
+    out = fusedmm(A, X, Y, pattern=calls, backend="generated", block_size=64)
     assert np.allclose(out, ref, atol=ATOL)
 
 
 @pytest.mark.parametrize("pattern", PATTERNS)
 def test_generated_matches_generic(square_problem, pattern):
     A, X, Y = square_problem
-    resolved = get_pattern(pattern).resolved()
-    assert supports_pattern(resolved)
-    kernel = compile_kernel(resolved)
+    kernel = compile_kernel(get_pattern(pattern).resolved())
     ref = fusedmm_generic(A, X, Y, pattern=pattern)
     assert np.allclose(kernel(A, X, Y, block_size=128), ref, atol=ATOL)
 
@@ -80,7 +78,7 @@ def test_unfused_pipeline_matches_generic(square_problem, pattern):
 def test_rectangular_operands_all_backends(rect_problem, pattern):
     A, X, Y = rect_problem
     ref = fusedmm_generic(A, X, Y, pattern=pattern)
-    for backend in ["optimized", "auto", "generated"]:
+    for backend in ["auto", "generated"]:
         out = fusedmm(A, X, Y, pattern=pattern, backend=backend)
         assert np.allclose(out, ref, atol=ATOL), backend
     assert np.allclose(unfused_fusedmm(A, X, Y, pattern=pattern), ref, atol=ATOL)
@@ -94,7 +92,7 @@ def test_empty_rows_are_zero(pattern):
     X, Y = make_xy(A, 8, seed=0)
     empty_rows = A.row_degrees() == 0
     assert empty_rows.any(), "fixture should contain empty rows"
-    for backend in ["generic", "optimized", "auto", "generated"]:
+    for backend in ["generic", "auto", "generated"]:
         Z = fusedmm(A, X, Y, pattern=pattern, backend=backend)
         assert np.allclose(Z[empty_rows], 0.0), backend
 
@@ -108,8 +106,9 @@ def test_gnn_mlp_pattern_all_backends():
     mlp = make_mlp_vop(xavier_init(24, 12, seed=3))
     pattern = get_pattern("gnn_mlp", vop=mlp)
     ref = fusedmm_generic(A, X, Y, pattern=pattern)
-    assert np.allclose(fusedmm_optimized(A, X, Y, pattern=pattern), ref, atol=ATOL)
-    assert np.allclose(fusedmm(A, X, Y, pattern=pattern, backend="auto"), ref, atol=ATOL)
+    for backend in ["auto", "generated"]:
+        out = fusedmm(A, X, Y, pattern=pattern, backend=backend)
+        assert np.allclose(out, ref, atol=ATOL), backend
 
 
 def test_amax_aggregation_equivalence():
@@ -118,7 +117,7 @@ def test_amax_aggregation_equivalence():
     X, Y = make_xy(A, 10, seed=2)
     pattern = get_pattern(None, vop="MUL", rop="NOOP", sop="RELU", mop="NOOP", aop="AMAX")
     ref = fusedmm_generic(A, X, Y, pattern=pattern)
-    out = fusedmm_optimized(A, X, Y, pattern=pattern, block_size=32)
+    out = fusedmm(A, X, Y, pattern=pattern, backend="generated", block_size=32)
     assert np.allclose(out, ref, atol=ATOL)
     assert np.allclose(unfused_fusedmm(A, X, Y, pattern=pattern), ref, atol=ATOL)
 
@@ -153,7 +152,7 @@ def test_near_miss_patterns_match_generic(name, slot, op):
     ref = fusedmm_generic(A, X, Y, pattern=pattern)
     outs = {
         backend: fusedmm(A, X, Y, pattern=pattern, backend=backend)
-        for backend in ("auto", "generated", "optimized", "jit")
+        for backend in ("auto", "generated", "jit")
     }
     outs["unfused"] = unfused_fusedmm(A, X, Y, pattern=pattern)
     outs["dense"] = dense_fusedmm(A, X, Y, pattern=pattern)
@@ -168,15 +167,15 @@ def test_generated_spmm_never_gathers_source_rows():
 def test_thread_count_does_not_change_result(medium_graph_csr):
     A = medium_graph_csr
     X, Y = make_xy(A, 16, seed=7)
-    base = fusedmm(A, X, Y, pattern="sigmoid_embedding", backend="optimized", num_threads=1)
+    base = fusedmm(A, X, Y, pattern="sigmoid_embedding", backend="generated", num_threads=1)
     for threads in (2, 4):
-        out = fusedmm(A, X, Y, pattern="sigmoid_embedding", backend="optimized", num_threads=threads)
+        out = fusedmm(A, X, Y, pattern="sigmoid_embedding", backend="generated", num_threads=threads)
         assert np.allclose(out, base, atol=1e-5)
 
 
 def test_block_size_does_not_change_result(square_problem):
     A, X, Y = square_problem
-    ref = fusedmm_optimized(A, X, Y, pattern="sigmoid_embedding", block_size=7)
+    ref = fusedmm(A, X, Y, pattern="sigmoid_embedding", backend="generated", block_size=7)
     for block in (1, 16, 1024, 10**6):
-        out = fusedmm_optimized(A, X, Y, pattern="sigmoid_embedding", block_size=block)
+        out = fusedmm(A, X, Y, pattern="sigmoid_embedding", backend="generated", block_size=block)
         assert np.allclose(out, ref, atol=1e-5)

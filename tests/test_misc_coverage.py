@@ -11,7 +11,6 @@ from repro.core import (
     fusedmm,
     fusedmm_generic,
     get_pattern,
-    supports_pattern,
 )
 from repro.graphs import load_dataset, random_features, rmat
 from repro.perf import measure_peak_allocation
@@ -41,7 +40,6 @@ def test_load_dataset_seed_override_changes_graph():
 def test_codegen_edgescale_vop_pattern():
     pattern = get_pattern(None, vop="EDGESCALE", rop="RSUM", sop="TANH", mop="MUL", aop="ASUM")
     resolved = pattern.resolved()
-    assert supports_pattern(resolved)
     A = random_csr(40, 40, density=0.1, seed=3, value_range=(0.5, 1.5))
     X, Y = make_xy(A, 6, seed=0)
     kernel = compile_kernel(resolved)

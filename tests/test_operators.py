@@ -98,8 +98,11 @@ def test_edgescale_batch_scalar_message():
     y = np.ones((2, 3))
     a = np.array([10.0, 100.0])
     out = get_op("EDGESCALE").batch_fn(h, y, a)
-    # message h is "smaller-dim" so EDGESCALE scales y by a by convention
-    assert out.shape == (2, 3)
+    # EDGESCALE scales the message, a scalar here, lifted to a column that
+    # broadcasts over the features like the per-edge form's scalar.
+    assert out.shape == (2, 1)
+    assert np.allclose(out[:, 0], [10.0, 200.0])
+    assert np.allclose(get_op("EDGESCALE").edge_fn(2.0, y[0], 10.0), 20.0)
 
 
 def test_muldiff_uses_vop_output():
@@ -148,10 +151,11 @@ def test_accumulators_edge_and_batch():
     assert np.allclose(get_op("ASUM").edge_fn(z, w), w)
     assert np.allclose(get_op("AMAX").edge_fn(z, w), [1.0, 0.0, 3.0])
     assert np.allclose(get_op("AMIN").edge_fn(z, w), [0.0, -2.0, 0.0])
+    # A block aggregates through the accumulator's ufunc.
     block = np.array([[1.0, 5.0], [3.0, 2.0]])
-    assert np.allclose(get_op("ASUM").batch_fn(np.zeros(2), block), [4.0, 7.0])
-    assert np.allclose(get_op("AMAX").batch_fn(np.full(2, -np.inf), block), [3.0, 5.0])
-    assert np.allclose(get_op("AMIN").batch_fn(np.full(2, np.inf), block), [1.0, 2.0])
+    assert np.allclose(get_op("ASUM").accumulate_ufunc.reduce(block), [4.0, 7.0])
+    assert np.allclose(get_op("AMAX").accumulate_ufunc.reduce(block), [3.0, 5.0])
+    assert np.allclose(get_op("AMIN").accumulate_ufunc.reduce(block), [1.0, 2.0])
 
 
 def test_accumulator_metadata():

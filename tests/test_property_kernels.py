@@ -11,12 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines import unfused_fusedmm
 from repro.core import (
+    fusedmm,
     fusedmm_generic,
-    fusedmm_optimized,
     compile_kernel,
     get_pattern,
-    supports_pattern,
 )
+from repro.experiments.ablations import all_calls_pattern
 from repro.runtime import KernelRequest, KernelRuntime
 from repro.sparse import COOMatrix, CSRMatrix
 
@@ -51,9 +51,9 @@ PATTERN_NAMES = st.sampled_from(["sigmoid_embedding", "fr_layout", "gcn", "spmm"
 def test_blocked_kernels_match_reference(problem, pattern):
     A, X, Y = problem
     ref = fusedmm_generic(A, X, Y, pattern=pattern)
-    assert np.allclose(
-        fusedmm_optimized(A, X, Y, pattern=pattern, block_size=5), ref, atol=ATOL
-    )
+    for form in (pattern, all_calls_pattern(pattern)):
+        out = fusedmm(A, X, Y, pattern=form, backend="generated", block_size=5)
+        assert np.allclose(out, ref, atol=ATOL)
 
 
 @given(problems(), PATTERN_NAMES)
@@ -67,9 +67,7 @@ def test_fused_equals_unfused_pipeline(problem, pattern):
 @given(problems(), PATTERN_NAMES)
 def test_generated_kernel_matches_reference(problem, pattern):
     A, X, Y = problem
-    resolved = get_pattern(pattern).resolved()
-    assert supports_pattern(resolved)
-    kernel = compile_kernel(resolved)
+    kernel = compile_kernel(get_pattern(pattern).resolved())
     ref = fusedmm_generic(A, X, Y, pattern=pattern)
     assert np.allclose(kernel(A, X, Y, block_size=7), ref, atol=ATOL)
 
@@ -94,8 +92,9 @@ def test_output_rows_of_isolated_vertices_are_zero(problem):
 @given(problems(), st.integers(min_value=1, max_value=4))
 def test_thread_invariance(problem, threads):
     A, X, Y = problem
-    single = fusedmm_optimized(A, X, Y, pattern="sigmoid_embedding", num_threads=1)
-    multi = fusedmm_optimized(A, X, Y, pattern="sigmoid_embedding", num_threads=threads)
+    kernel = compile_kernel(get_pattern("sigmoid_embedding").resolved())
+    single = kernel(A, X, Y, num_threads=1)
+    multi = kernel(A, X, Y, num_threads=threads)
     assert np.allclose(single, multi, atol=1e-5)
 
 

@@ -37,7 +37,7 @@ from repro.sparse import (
     reorder_permutation,
 )
 
-from _helpers import make_xy
+from _helpers import kernel_rung, make_xy
 
 PATTERNS = ["sigmoid_embedding", "fr_layout", "gcn"]
 CONCRETE = [s for s in REORDER_STRATEGIES if s != "none"]
@@ -203,12 +203,13 @@ def test_reordered_run_allclose_across_patterns(graph, pattern, strategy):
     np.testing.assert_allclose(Z, ref, rtol=1e-4, atol=1e-5)
 
 
-@pytest.mark.parametrize("backend", ["optimized", "generated", "jit"])
-def test_reordered_run_allclose_across_backends(graph, backend):
+@pytest.mark.parametrize("rung", ["optimized", "generated", "jit"])
+def test_reordered_run_allclose_across_backends(graph, rung):
     A, X = graph
-    ref = fusedmm(A, X, X, pattern="sigmoid_embedding", backend=backend)
+    pattern, backend = kernel_rung("sigmoid_embedding", rung)
+    ref = fusedmm(A, X, X, pattern=pattern, backend=backend)
     rt = KernelRuntime(num_threads=1)
-    Z = rt.run(A, X, pattern="sigmoid_embedding", backend=backend, reorder="degree")
+    Z = rt.run(A, X, pattern=pattern, backend=backend, reorder="degree")
     np.testing.assert_allclose(Z, ref, rtol=1e-4, atol=1e-5)
 
 
@@ -285,12 +286,13 @@ def test_reordered_sharded_bitwise_across_shard_counts(graph):
 # ---------------------------------------------------------------------- #
 # reorder="none" keeps the bitwise guarantees
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", ["auto", "optimized", "generated", "jit"])
-def test_none_is_bitwise_identical_per_backend(graph, backend):
+@pytest.mark.parametrize("rung", ["auto", "optimized", "generated", "jit"])
+def test_none_is_bitwise_identical_per_backend(graph, rung):
     A, X = graph
-    ref = fusedmm(A, X, X, pattern="sigmoid_embedding", backend=backend)
+    pattern, backend = kernel_rung("sigmoid_embedding", rung)
+    ref = fusedmm(A, X, X, pattern=pattern, backend=backend)
     rt = KernelRuntime(num_threads=1)
-    Z = rt.run(A, X, pattern="sigmoid_embedding", backend=backend, reorder="none")
+    Z = rt.run(A, X, pattern=pattern, backend=backend, reorder="none")
     assert np.array_equal(Z, ref)
 
 

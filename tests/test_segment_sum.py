@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines import unfused_fusedmm
 from repro.core import fusedmm, get_op
 from repro.core.optimized import run_edge_blocks, segment_order, segment_sum
+from repro.experiments.ablations import all_calls_pattern
 from repro.sparse import CSRMatrix
 
 SETTINGS = settings(deadline=None, max_examples=40)
@@ -132,13 +133,16 @@ def spmm_problem():
 
 
 def _spmm_kernels(block_size):
-    """spmm on every edge-blocked backend (``vals[e] * Y[dst]`` messages
-    are exact to reproduce)."""
-    common = dict(pattern="spmm", block_size=block_size)
+    """spmm on every edge-blocked kernel (``vals[e] * Y[dst]`` messages
+    are exact to reproduce); ``optimized`` is the all-calls form."""
+    common = dict(backend="generated", block_size=block_size)
+    calls = all_calls_pattern("spmm")
     return {
-        "optimized": lambda A, X, Y: fusedmm(A, X, Y, backend="optimized", **common),
-        "generated": lambda A, X, Y: fusedmm(A, X, Y, backend="generated", **common),
-        "unfused": lambda A, X, Y: unfused_fusedmm(A, X, Y, **common),
+        "optimized": lambda A, X, Y: fusedmm(A, X, Y, pattern=calls, **common),
+        "generated": lambda A, X, Y: fusedmm(A, X, Y, pattern="spmm", **common),
+        "unfused": lambda A, X, Y: unfused_fusedmm(
+            A, X, Y, pattern="spmm", block_size=block_size
+        ),
     }
 
 

@@ -9,16 +9,15 @@ from repro.core import (
     compile_kernel,
     fusedmm,
     fusedmm_generic,
-    fusedmm_optimized,
     get_pattern,
 )
 from repro.core.patterns import OpPattern
 from repro.core.fused import resolve_backend
 from repro.core.jit import fusedmm_jit, jit_available
 from repro.sparse import CSRMatrix
-from _helpers import make_xy
+from _helpers import kernel_rung, make_xy
 
-BACKENDS = ["generic", "optimized", "generated", "jit", "auto"]
+BACKENDS = ["generic", "generated", "jit", "auto"]
 
 
 def _labelled(A: CSRMatrix, labels: np.ndarray) -> CSRMatrix:
@@ -69,10 +68,9 @@ def test_every_backend_is_allclose_to_generic(problem):
     np.add.at(dense, rows, residual[:, None] * Y[A.indices])
     assert np.allclose(ref, dense, atol=1e-5)
     resolved = get_pattern("sigmoid_residual").resolved()
+    calls, _ = kernel_rung("sigmoid_residual", "optimized")
     outs = {
-        "optimized": fusedmm_optimized(
-            A, X, Y, pattern="sigmoid_residual", block_size=64
-        ),
+        "optimized": compile_kernel(calls.resolved())(A, X, Y, block_size=64),
         "generated": compile_kernel(resolved)(A, X, Y, block_size=64),
         "jit": fusedmm_jit(A, X, Y, pattern="sigmoid_residual"),
         "unfused": unfused_fusedmm(A, X, Y, pattern="sigmoid_residual", block_size=64),
@@ -90,10 +88,12 @@ def test_zero_labels_are_bitwise_sigmoid_embedding(problem, block_size):
     A0 = _labelled(A, np.zeros(A.nnz, np.float32))
     emb = get_pattern("sigmoid_embedding").resolved()
     res = get_pattern("sigmoid_residual").resolved()
+    emb_calls, _ = kernel_rung(emb.name, "optimized")
+    res_calls, _ = kernel_rung(res.name, "optimized")
     pairs = {
         "optimized": (
-            fusedmm_optimized(A0, X, Y, pattern=emb.name, block_size=block_size),
-            fusedmm_optimized(A0, X, Y, pattern=res.name, block_size=block_size),
+            compile_kernel(emb_calls.resolved())(A0, X, Y, block_size=block_size),
+            compile_kernel(res_calls.resolved())(A0, X, Y, block_size=block_size),
         ),
         "generated": (
             compile_kernel(emb)(A0, X, Y, block_size=block_size),
@@ -108,12 +108,13 @@ def test_zero_labels_are_bitwise_sigmoid_embedding(problem, block_size):
         assert np.array_equal(got, expected), name
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS + ["optimized"])
 def test_windowed_output_matches_the_plain_call(problem, backend):
     A, X, Y = problem
-    full = fusedmm(A, X, Y, pattern="sigmoid_residual", backend=backend)
+    pattern, backend = kernel_rung("sigmoid_residual", backend)
+    full = fusedmm(A, X, Y, pattern=pattern, backend=backend)
     out = np.zeros((30, X.shape[1]), np.float32)
-    fusedmm(A, X, Y, pattern="sigmoid_residual", backend=backend, out=out, row_offset=40)
+    fusedmm(A, X, Y, pattern=pattern, backend=backend, out=out, row_offset=40)
     assert np.array_equal(out, full[40:70])
 
 
@@ -126,6 +127,7 @@ def test_vector_messages_subtract_the_label_from_every_element(problem):
     dense = np.zeros(X.shape)
     np.add.at(dense, rows, (1 / (1 + np.exp(-W)) - A.data[:, None]) * Y[A.indices])
     assert np.allclose(fusedmm_generic(A, X, Y, pattern=pattern), dense, atol=1e-5)
-    for backend in ["optimized", "generated", "jit"]:
-        out = fusedmm(A, X, Y, pattern=pattern, backend=backend)
-        assert np.allclose(out, dense, atol=1e-5), backend
+    for rung in ["optimized", "generated", "jit"]:
+        form, backend = kernel_rung(pattern, rung)
+        out = fusedmm(A, X, Y, pattern=form, backend=backend)
+        assert np.allclose(out, dense, atol=1e-5), rung

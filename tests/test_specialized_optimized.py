@@ -1,16 +1,14 @@
 """Unit tests for the pattern-specialized kernels (the code generator's,
-``backend="generated"``) and the optimized-kernel details (blocking
+``backend="generated"``) and the edge-block driver's details (blocking
 internals)."""
 
 import numpy as np
 import pytest
 
+from repro.core.codegen import compile_kernel
 from repro.core.fused import fusedmm
-from repro.core.optimized import (
-    DEFAULT_BLOCK_SIZE,
-    _edge_block_ranges,
-    fusedmm_optimized,
-)
+from repro.core.optimized import DEFAULT_BLOCK_SIZE, _edge_block_ranges
+from repro.core.patterns import get_pattern
 from repro.sparse import random_bipartite, random_csr
 from _helpers import make_xy
 
@@ -99,8 +97,9 @@ def test_edge_block_ranges_cover_exactly():
 
 def test_edgeblocked_rejects_bad_block_size(square):
     A, X, Y = square
+    kernel = compile_kernel(get_pattern("sigmoid_embedding").resolved())
     with pytest.raises(ValueError):
-        fusedmm_optimized(A, X, Y, block_size=0)
+        kernel(A, X, Y, block_size=0)
 
 
 def test_default_block_size_reasonable():
