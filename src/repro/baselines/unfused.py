@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.operators import Operator
 from ..core.patterns import OpPattern, ResolvedPattern, get_pattern
 from ..core.validation import validate_operands
 from .sddmm import SDDMMResult, sddmm
@@ -37,21 +38,36 @@ from .spmm import gspmm
 __all__ = ["UnfusedResult", "unfused_fusedmm", "unfused_memory_bytes", "needs_vector_messages"]
 
 
+def _reads_vop_output(mop: Operator) -> bool:
+    """Whether ``mop`` may read the VOP output ``W``.
+
+    An expression says so by naming ``W`` (unless ``W`` is its own input
+    variable, as for an operator declared ROP-first); a MOP given only as
+    callables is handed ``W`` and may read it.
+    """
+    if mop.is_noop:
+        return False
+    if mop.expr is None:
+        return True
+    names = compile(mop.expr, f"<operator {mop.name}>", "eval").co_names
+    return mop.input_name != "W" and "W" in names
+
+
 def needs_vector_messages(resolved: ResolvedPattern) -> bool:
     """True when the pattern's per-edge message must be materialised as a
     full d-dimensional vector by an unfused pipeline.
 
-    That happens when the MOP consumes the VOP output (e.g. ``MULDIFF`` in
-    the FR layout) — the aggregation kernel cannot rebuild it from the
-    scalar H — or, more generally, when the message entering aggregation is
-    not a scalar.  SpMM-like patterns (GCN row of Table III) are the
+    That happens when the MOP may read the VOP output ``W`` (``MULDIFF``
+    in the FR layout, or any user MOP that can) — the aggregation kernel
+    cannot rebuild it from the scalar H — or, more generally, when the
+    message entering aggregation is not a scalar.  SpMM-like patterns (GCN row of Table III) are the
     exception: DGL implements them as a single SpMM whose "messages" are
     just the scalar edge weights, so no d-dimensional intermediate is ever
     stored and the fair unfused baseline must not store one either.
     """
     if resolved.is_spmm_like:
         return False
-    return resolved.mop.name == "MULDIFF" or not resolved.message_is_scalar
+    return _reads_vop_output(resolved.mop) or not resolved.message_is_scalar
 
 
 @dataclass

@@ -227,9 +227,7 @@ def _distributed_leg(
     specs = plans + ["disconnect@1+"]
     logs = [os.path.join(log_dir, f"{name}.stderr") for name in names]
 
-    runtime = KernelRuntime(
-        num_threads=1, processes=0, remote_port=port, remote_hedge=True
-    )
+    runtime = KernelRuntime(num_threads=1, processes=0, remote_port=port)
     procs: List[subprocess.Popen] = []
     stats_total: Dict[str, int] = {}
     batches = 0
@@ -258,10 +256,7 @@ def _distributed_leg(
                 controller.close(notify=False)
                 runtime.close()
                 runtime = KernelRuntime(
-                    num_threads=1,
-                    processes=0,
-                    remote_port=port,
-                    remote_hedge=True,
+                    num_threads=1, processes=0, remote_port=port
                 )
                 controller = runtime.controller
                 restart_rejoined = controller.wait_for_hosts(
@@ -341,9 +336,7 @@ def _mutation_leg(
     names = [f"chaos-m{i}" for i in range(workers)]
     logs = [os.path.join(log_dir, f"{name}.stderr") for name in names]
 
-    runtime = KernelRuntime(
-        num_threads=1, processes=0, remote_port=port, remote_hedge=True
-    )
+    runtime = KernelRuntime(num_threads=1, processes=0, remote_port=port)
     procs: List[subprocess.Popen] = []
     stats_total: Dict[str, int] = {}
     batches = 0
@@ -377,10 +370,7 @@ def _mutation_leg(
                 controller.close(notify=False)
                 runtime.close()
                 runtime = KernelRuntime(
-                    num_threads=1,
-                    processes=0,
-                    remote_port=port,
-                    remote_hedge=True,
+                    num_threads=1, processes=0, remote_port=port
                 )
                 controller = runtime.controller
                 graph.runtime = runtime

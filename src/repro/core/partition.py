@@ -22,7 +22,18 @@ import numpy as np
 from ..errors import PartitionError
 from ..sparse import CSRMatrix
 
-__all__ = ["RowPartition", "part1d", "partition_balance"]
+__all__ = ["RowPartition", "part1d", "split_parts", "partition_balance"]
+
+#: Jobs above this nnz are split into multiple partition tasks.  One part
+#: is roughly two default edge blocks of work — big enough that pool
+#: dispatch overhead stays negligible, small enough that mid-sized graphs
+#: (tens of thousands of edges) still parallelise.  Below the threshold
+#: jobs run sequentially on purpose: for NumPy kernels that small, thread
+#: fan-out costs more than it saves.
+DEFAULT_SPLIT_NNZ = 16384
+#: Upper bound on split tasks per job (keeps partitioning deterministic
+#: and bounded regardless of pool width).
+MAX_SPLIT = 8
 
 
 @dataclass(frozen=True)
@@ -86,6 +97,10 @@ def part1d(A: CSRMatrix | np.ndarray, num_parts: int) -> List[RowPartition]:
         raise PartitionError(f"num_parts must be positive, got {num_parts}")
 
     m = indptr.shape[0] - 1
+    if num_parts == 1:
+        # The common sequential case (every small minibatch slice), without
+        # the searchsorted scan below.
+        return [RowPartition(start=0, stop=m, nnz=int(indptr[m] - indptr[0]))]
     total_nnz = int(indptr[-1])
 
     # Target cumulative nnz at each partition boundary.
@@ -105,6 +120,20 @@ def part1d(A: CSRMatrix | np.ndarray, num_parts: int) -> List[RowPartition]:
         nnz = int(indptr[stop] - indptr[start])
         parts.append(RowPartition(start=start, stop=stop, nnz=nnz))
     return parts
+
+
+def split_parts(
+    A: CSRMatrix, split_nnz: int = DEFAULT_SPLIT_NNZ
+) -> List[RowPartition]:
+    """The runtime's nnz-aware split of ``A``: ``ceil(nnz / split_nnz)``
+    :func:`part1d` partitions, at least one and at most :data:`MAX_SPLIT`.
+
+    The count depends on the matrix alone, never on how many threads or
+    processes execute the parts, so results are bitwise identical across
+    pool widths and shard counts.
+    """
+    nsplit = max(1, min(MAX_SPLIT, -(-A.nnz // max(split_nnz, 1))))
+    return part1d(A, nsplit)
 
 
 def partition_balance(parts: Sequence[RowPartition]) -> float:

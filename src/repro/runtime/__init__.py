@@ -14,10 +14,8 @@ This package is the serving/scheduling layer above :mod:`repro.core`:
 ``dynamic``      dynamic graphs: versioned delta overlays with incremental
                  plan/panel/shard invalidation
 ``options``      :class:`RuntimeOptions` — the shared kernel-knob dataclass
-``runtime``      :class:`KernelRuntime` — run / submit / run_batch / epochs
+``runtime``      :class:`KernelRuntime` — run / run_batch / epochs
                  / run_sharded / submit_sharded
-``aio``          asyncio bridge: await pool/worker futures and run_batch
-                 from coroutines (the serving subsystem's entry point)
 
 Typical usage::
 
@@ -31,7 +29,6 @@ Typical usage::
         H = stream.step(H)
 """
 
-from .aio import run_batch_async, submit_sharded_async, wrap_runtime_future
 from .batch import KernelRequest, PackedBatch, pack_requests
 from .cache import CacheStats, PlanCache
 from .dynamic import DynamicGraph, GraphVersion, MutationResult, refresh_plan
@@ -80,7 +77,4 @@ __all__ = [
     "fingerprint_covers",
     "fingerprint_memo_info",
     "clear_fingerprint_memo",
-    "wrap_runtime_future",
-    "run_batch_async",
-    "submit_sharded_async",
 ]

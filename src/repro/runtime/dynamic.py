@@ -38,14 +38,13 @@ execution stays allclose-equivalent, exactly as for static graphs.)
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.partition import RowPartition, part1d
+from ..core.partition import RowPartition, split_parts
 from ..sparse import CSRMatrix, as_csr
 from ..sparse.delta import CompactionPolicy, DeltaCSR, splice_rows
 from ..sparse.reorder import (
@@ -151,7 +150,6 @@ def refresh_plan(
     dirty_rows: Optional[np.ndarray],
     *,
     split_nnz: int,
-    max_split: int,
     autotune_dim: int = 128,
     carry_factor: float = DEFAULT_CARRY_FACTOR,
     carry_cache: Optional[Dict[str, Tuple[CSRMatrix, np.ndarray]]] = None,
@@ -175,15 +173,12 @@ def refresh_plan(
     ship key.
     """
     A_new = as_csr(A_new)
-    nsplit = max(1, min(max_split, math.ceil(A_new.nnz / max(split_nnz, 1))))
-    partitions = part1d(A_new, nsplit)
     new_plan = replace(
         plan,
         key=new_key,
         nnz=A_new.nnz,
         shape=A_new.shape,
-        partitions=partitions,
-        nsplit=nsplit,
+        partitions=split_parts(A_new, split_nnz),
         calls=0,
         _calls_lock=threading.Lock(),
     )
@@ -223,7 +218,7 @@ def refresh_plan(
         # Drifted past the carry bound (or dirty rows unknown): recompute
         # the permutation for the new version from scratch.
         _attach_reorder(
-            new_plan, A_new, plan.reorder, autotune_dim=autotune_dim, nsplit=nsplit
+            new_plan, A_new, plan.reorder, autotune_dim=autotune_dim
         )
         return new_plan, info
 
@@ -251,7 +246,6 @@ def refresh_plan(
     new_plan.reordered = Ap_new
     new_plan.panels = panels
     new_plan.partitions = parts
-    new_plan.nsplit = len(parts)
     # Keep the attach-time bandwidth as the carry reference so repeated
     # small batches cannot ratchet the bound upward.
     new_plan.reorder_bandwidth = plan.reorder_bandwidth

@@ -33,7 +33,6 @@ guarantee untouched.
 
 from __future__ import annotations
 
-import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -49,7 +48,7 @@ from ..core.autotune import (
 )
 from ..core.fused import plan_kernel, resolve_backend
 from ..core.optimized import DEFAULT_BLOCK_SIZE
-from ..core.partition import RowPartition, part1d
+from ..core.partition import RowPartition, split_parts
 from ..core.patterns import OpPattern, ResolvedPattern, pattern_key
 from ..sparse import CSRMatrix, as_csr
 from ..sparse.reorder import (
@@ -105,10 +104,9 @@ class KernelPlan:
     nnz: int
     shape: Tuple[int, int]
     #: nnz-balanced partitions used when the runtime splits this job
-    #: (cache-blocked panel boundaries when the plan is reordered)
+    #: (cache-blocked panel boundaries when the plan is reordered); the
+    #: runtime schedules one task per partition
     partitions: Sequence[RowPartition] = field(default_factory=list)
-    #: number of split tasks the runtime schedules for this job
-    nsplit: int = 1
     tuning: Optional[TuningResult] = None
     #: the resolved kernel (:func:`repro.core.fused.resolve_backend`)
     kernel: Optional[Callable] = None
@@ -354,7 +352,6 @@ class KernelPlan:
             "kind": self.kind,
             "block_size": self.block_size,
             "num_threads": self.num_threads,
-            "nsplit": self.nsplit,
             "partitions": len(self.partitions),
             "nnz": self.nnz,
             "shape": self.shape,
@@ -410,7 +407,6 @@ def make_config(
         nnz=0,
         shape=(0, 0),
         partitions=[],
-        nsplit=1,
         kernel=kernel,
     )
 
@@ -422,15 +418,14 @@ def build_plan(
     resolved: ResolvedPattern,
     *,
     split_nnz: int,
-    max_split: int,
     autotune_dim: int = 128,
 ) -> KernelPlan:
     """Construct (and, when requested, autotune) a plan for ``A``.
 
-    ``split_nnz``/``max_split`` define the runtime's nnz-aware split policy:
-    the number of partitions depends only on the matrix, never on how many
-    worker threads happen to be available, so results are bitwise identical
-    across thread counts.
+    ``split_nnz`` is the runtime's nnz-aware split threshold
+    (:func:`~repro.core.partition.split_parts`): the number of partitions
+    depends only on the matrix, never on how many worker threads happen to
+    be available, so results are bitwise identical across thread counts.
     """
     choice = plan_kernel(
         A,
@@ -441,8 +436,6 @@ def build_plan(
         autotune=key.autotune,
         autotune_dim=autotune_dim,
     )
-    nsplit = max(1, min(max_split, math.ceil(A.nnz / max(split_nnz, 1))))
-    partitions = part1d(A, nsplit)
 
     plan = KernelPlan(
         key=key,
@@ -454,12 +447,11 @@ def build_plan(
         num_threads=key.num_threads,
         nnz=A.nnz,
         shape=A.shape,
-        partitions=partitions,
-        nsplit=nsplit,
+        partitions=split_parts(A, split_nnz),
         tuning=choice.tuning,
         kernel=choice.kernel,
     )
-    _apply_reorder(plan, A, key, autotune_dim=autotune_dim, nsplit=nsplit)
+    _apply_reorder(plan, A, key, autotune_dim=autotune_dim)
     return plan
 
 
@@ -478,19 +470,19 @@ def _attach_reorder(
     strategy: str,
     *,
     autotune_dim: int,
-    nsplit: int,
     memoize: bool = True,
 ) -> None:
     """Bind the permuted matrix + compacted panels for ``strategy``.
 
-    ``memoize=False`` keeps throwaway sweep candidates out of the reorder
+    The plan's natural-order partitions set the least panel count, so a
+    reordered plan splits at least as finely.  ``memoize=False`` keeps throwaway sweep candidates out of the reorder
     memo — losing strategies' permuted matrices must not stay pinned in
     memory for the process lifetime.
     """
     memo_key = plan.key.fingerprint or None if memoize else None
     result = reorder_matrix(A, strategy, memo_key=memo_key)
     parts = cache_block_partitions(
-        result.matrix, dim=autotune_dim, min_parts=nsplit
+        result.matrix, dim=autotune_dim, min_parts=len(plan.partitions)
     )
     plan.reorder = strategy
     plan.perm = result.perm
@@ -498,14 +490,13 @@ def _attach_reorder(
     plan.reordered = result.matrix
     plan.reorder_bandwidth = average_bandwidth(result.matrix)
     plan.panels = build_panels(result.matrix, parts)
-    plan.partitions = parts
     # One schedulable task per panel: the runtime's split path fans the
     # panels out over the shared pool whenever there is more than one.
-    plan.nsplit = len(parts)
+    plan.partitions = parts
 
 
 def _apply_reorder(
-    plan: KernelPlan, A: CSRMatrix, key: PlanKey, *, autotune_dim: int, nsplit: int
+    plan: KernelPlan, A: CSRMatrix, key: PlanKey, *, autotune_dim: int
 ) -> None:
     """Resolve ``key.reorder`` on the freshly built plan.
 
@@ -531,7 +522,7 @@ def _apply_reorder(
     if not _reorder_eligible(plan, A):
         return
     if strategy != "auto":
-        _attach_reorder(plan, A, strategy, autotune_dim=autotune_dim, nsplit=nsplit)
+        _attach_reorder(plan, A, strategy, autotune_dim=autotune_dim)
         return
 
     # Measured selection.  The sweep result is cached per (fingerprint,
@@ -565,8 +556,7 @@ def _apply_reorder(
             # fields cannot be silently dropped from the trial config).
             trial = replace(plan)
             _attach_reorder(
-                trial, A, cand, autotune_dim=autotune_dim, nsplit=nsplit,
-                memoize=False,
+                trial, A, cand, autotune_dim=autotune_dim, memoize=False
             )
             trial_plans[cand] = trial
             candidates[cand] = (
@@ -587,7 +577,6 @@ def _apply_reorder(
         plan.reorder_bandwidth = winner.reorder_bandwidth
         plan.panels = winner.panels
         plan.partitions = winner.partitions
-        plan.nsplit = winner.nsplit
         if key.fingerprint:
             memoize_reorder(
                 key.fingerprint,
@@ -601,5 +590,5 @@ def _apply_reorder(
     else:
         # Cached sweep verdict, no trials built: one (memoised) rebuild.
         _attach_reorder(
-            plan, A, sweep.strategy, autotune_dim=autotune_dim, nsplit=nsplit
+            plan, A, sweep.strategy, autotune_dim=autotune_dim
         )

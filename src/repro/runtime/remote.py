@@ -122,6 +122,18 @@ REPRO_WORKER_FAULT_PLAN = "REPRO_WORKER_FAULT_PLAN"
 #: this window is slow or partitioned, not busy.  One missed ping is a
 #: *strike*, not an eviction — see ``heartbeat_strikes``.
 _PING_TIMEOUT = 5.0
+#: Straggler hedging: a dispatched chunk outstanding longer than
+#: ``_HEDGE_FACTOR`` × its nnz × the ``_HEDGE_QUANTILE`` of observed
+#: seconds-per-nnz (at least ``_HEDGE_MIN_S``) is re-executed in-parent,
+#: once ``_HEDGE_MIN_SAMPLES`` RUNs have been timed.
+_HEDGE_QUANTILE = 0.9
+_HEDGE_FACTOR = 4.0
+_HEDGE_MIN_S = 0.25
+_HEDGE_MIN_SAMPLES = 3
+#: nnz-scaled RUN reply window: ``_TIMEOUT_SLACK`` × the predicted time,
+#: at least ``_MIN_RUN_TIMEOUT_S`` and at most the ``timeout`` cap.
+_MIN_RUN_TIMEOUT_S = 5.0
+_TIMEOUT_SLACK = 8.0
 
 
 def _recv_reply(rfile, max_payload: int) -> Tuple[int, int, bytes]:
@@ -657,6 +669,29 @@ class RemoteController:
     * an agent-side kernel *exception* (as opposed to a death) is
       deterministic and propagates as :class:`~repro.errors.WorkerError`
       without retry, in both tiers.
+
+    A chunk that straggles past its throughput-derived deadline is
+    speculatively re-executed in-parent and the first completion wins —
+    bitwise-safe because both sides compute identical row ranges (counters
+    ``hedges``/``hedge_wins``).  A host lost repeatedly is held out by the
+    :class:`~repro.resilience.HealthTracker` circuit breaker (``health``).
+
+    Parameters
+    ----------
+    host, port:
+        Listening address for agent registrations (``port=0`` binds an
+        ephemeral port, readable as ``port``).
+    heartbeat_s, heartbeat_strikes:
+        Ping cadence for idle hosts and the consecutive missed pings after
+        which one is evicted.
+    timeout:
+        Worst-case reply ceiling of one exchange; RUN replies get a
+        shorter nnz-scaled window once throughput has been observed.
+    token:
+        Shared secret every REGISTER must carry (``None`` admits any
+        peer).
+    max_payload:
+        Largest frame payload accepted from an agent.
     """
 
     def __init__(
@@ -666,21 +701,9 @@ class RemoteController:
         port: int = 0,
         heartbeat_s: float = 2.0,
         heartbeat_strikes: int = 3,
-        ping_timeout_s: float = _PING_TIMEOUT,
         timeout: float = 60.0,
         token: Optional[str] = None,
         max_payload: int = WORKER_MAX_PAYLOAD,
-        failure_threshold: int = 3,
-        failure_window_s: float = 30.0,
-        quarantine_s: float = 5.0,
-        hedge: bool = True,
-        hedge_quantile: float = 0.9,
-        hedge_factor: float = 4.0,
-        hedge_min_s: float = 0.25,
-        hedge_min_samples: int = 3,
-        min_run_timeout_s: float = 5.0,
-        timeout_slack: float = 8.0,
-        fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         if heartbeat_strikes < 1:
             raise ValueError(
@@ -688,7 +711,6 @@ class RemoteController:
             )
         self.heartbeat_s = heartbeat_s
         self.heartbeat_strikes = int(heartbeat_strikes)
-        self.ping_timeout_s = float(ping_timeout_s)
         self.timeout = timeout
         #: Shared secret every REGISTER must carry (constant-time
         #: compared).  ``None`` admits any peer — acceptable on the
@@ -699,19 +721,7 @@ class RemoteController:
         #: Circuit breaker keyed by host *name*: a flapper re-registers
         #: under a fresh host_id but the same name, so the breaker still
         #: recognises it and holds it out after K losses in the window.
-        self.health = HealthTracker(
-            failure_threshold=failure_threshold,
-            failure_window_s=failure_window_s,
-            quarantine_s=quarantine_s,
-        )
-        self.hedge = bool(hedge)
-        self.hedge_quantile = float(hedge_quantile)
-        self.hedge_factor = float(hedge_factor)
-        self.hedge_min_s = float(hedge_min_s)
-        self.hedge_min_samples = int(hedge_min_samples)
-        self.min_run_timeout_s = float(min_run_timeout_s)
-        self.timeout_slack = float(timeout_slack)
-        self._injector = FaultInjector(fault_plan) if fault_plan else None
+        self.health = HealthTracker()
         #: Observed seconds-per-nnz of completed RUNs — feeds both the
         #: nnz-scaled per-RUN reply timeouts and the hedge deadlines.
         self._nnz_samples: "deque[float]" = deque(maxlen=128)
@@ -876,7 +886,7 @@ class RemoteController:
                         OP_PING,
                         {},
                         None,
-                        reply_timeout=self.ping_timeout_s,
+                        reply_timeout=_PING_TIMEOUT,
                     )
                 except socket.timeout:
                     # Slow, not provably gone (a GC pause, a CPU spike):
@@ -1079,7 +1089,7 @@ class RemoteController:
                     try:
                         self._request(
                             record, OP_DROP, {"key": key}, None,
-                            reply_timeout=self.ping_timeout_s,
+                            reply_timeout=_PING_TIMEOUT,
                         )
                     except (
                         WorkerError,
@@ -1097,7 +1107,7 @@ class RemoteController:
     def _sec_per_nnz(self, quantile: float) -> Optional[float]:
         """A quantile of the observed seconds-per-nnz throughput samples."""
         with self._samples_lock:
-            if len(self._nnz_samples) < self.hedge_min_samples:
+            if len(self._nnz_samples) < _HEDGE_MIN_SAMPLES:
                 return None
             samples = sorted(self._nnz_samples)
         return samples[min(len(samples) - 1, int(quantile * len(samples)))]
@@ -1109,19 +1119,17 @@ class RemoteController:
         rate = self._sec_per_nnz(0.9)
         if rate is None:
             return self.timeout
-        predicted = rate * max(nnz, 1) * self.timeout_slack
-        return min(self.timeout, max(self.min_run_timeout_s, predicted))
+        predicted = rate * max(nnz, 1) * _TIMEOUT_SLACK
+        return min(self.timeout, max(_MIN_RUN_TIMEOUT_S, predicted))
 
     def _hedge_deadline_s(self, nnz: int) -> Optional[float]:
         """How long a chunk may stay outstanding before it is hedged
-        (``None`` while disabled or the throughput history is cold)."""
-        if not self.hedge:
-            return None
-        rate = self._sec_per_nnz(self.hedge_quantile)
+        (``None`` while the throughput history is cold)."""
+        rate = self._sec_per_nnz(_HEDGE_QUANTILE)
         if rate is None:
             return None
-        predicted = rate * max(nnz, 1) * self.hedge_factor
-        return min(self.timeout, max(self.hedge_min_s, predicted))
+        predicted = rate * max(nnz, 1) * _HEDGE_FACTOR
+        return min(self.timeout, max(_HEDGE_MIN_S, predicted))
 
     def _run_group(
         self,
@@ -1135,18 +1143,6 @@ class RemoteController:
         Z: np.ndarray,
     ) -> None:
         """Execute one contiguous chunk on ``record``, writing into ``Z``."""
-        if self._injector is not None:
-            fault = self._injector.step()
-            if fault is not None:
-                if fault.kind == "delay":
-                    time.sleep(fault.arg)
-                else:
-                    # Simulate a partition from the controller's side of
-                    # the wire: the dispatch path marks the host lost and
-                    # the normal retry machinery takes over.
-                    raise ConnectionError(
-                        f"injected controller fault {fault.kind!r}"
-                    )
         parts = job.parts
         meta = {
             "key": key,
@@ -1334,13 +1330,10 @@ class RemoteController:
                         for record, jobs in host_jobs
                     }
                     while pending:
-                        done, pending = _futures_wait(
-                            pending,
-                            timeout=0.05 if self.hedge else None,
-                        )
+                        done, pending = _futures_wait(pending, timeout=0.05)
                         for fut in done:
                             fut.result()
-                        if pending and self.hedge:
+                        if pending:
                             self._maybe_hedge(
                                 all_jobs, A, spec_meta, X, Y, Z,
                                 hedge_futures,

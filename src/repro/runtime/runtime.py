@@ -53,7 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..core.parallel import available_threads
-from ..core.partition import RowPartition, part1d
+from ..core.partition import DEFAULT_SPLIT_NNZ, RowPartition, split_parts
 from ..core.patterns import OpPattern, get_pattern, pattern_key
 from ..sparse import as_csr, drop_reorder_memo, validate_reorder
 from .batch import KernelRequest, pack_group_key, pack_requests
@@ -75,17 +75,7 @@ DEFAULT_PACK_NNZ = 4096
 #: requests); beyond roughly this many feature elements per request the
 #: locality loss cancels the dispatch savings (measured empirically on the
 #: kernels in this repo), so bigger requests run as singles instead.
-DEFAULT_PACK_DENSE_ELEMS = 6144
-#: Jobs above this nnz are split into multiple partition tasks.  One part
-#: is roughly two default edge blocks of work — big enough that pool
-#: dispatch overhead stays negligible, small enough that mid-sized graphs
-#: (tens of thousands of edges) still parallelise.  Below the threshold
-#: jobs run sequentially on purpose: for NumPy kernels that small, thread
-#: fan-out costs more than it saves.
-DEFAULT_SPLIT_NNZ = 16384
-#: Upper bound on split tasks per job (keeps partitioning deterministic
-#: and bounded regardless of pool width).
-DEFAULT_MAX_SPLIT = 8
+PACK_DENSE_ELEMS = 6144
 #: Below this nnz the streaming paths (``epochs``/``run_on``) keep a job in
 #: process even when a worker pool exists: shipping the operands through
 #: shared memory costs more than the kernel itself for small matrices.
@@ -134,7 +124,8 @@ class EpochStream:
         matrix), each path deterministic in itself.
         """
         t0 = time.perf_counter()
-        Z = self._runtime._execute_plan_auto(self.plan, self.A, X, Y)
+        rt = self._runtime
+        Z = rt._execute(self.plan, self.A, X, Y, shard=self.A.nnz >= rt.shard_min_nnz)
         self.kernel_seconds += time.perf_counter() - t0
         self.epochs_run += 1
         return Z
@@ -148,7 +139,12 @@ class EpochStream:
         nnz-aware split policy (large slices fan out on the shared pool or
         the worker shards, small ones run sequentially)."""
         t0 = time.perf_counter()
-        Z = self._runtime._execute_plan_on(self.plan, as_csr(A_sub), X, Y)
+        rt = self._runtime
+        A_sub = as_csr(A_sub)
+        parts = split_parts(A_sub, rt.split_nnz)
+        # A one-part slice is not worth a ship to the workers.
+        shard = len(parts) > 1 and A_sub.nnz >= rt.shard_min_nnz
+        Z = rt._execute(self.plan, A_sub, X, Y, parts=parts, shard=shard, keep=False)
         self.kernel_seconds += time.perf_counter() - t0
         return Z
 
@@ -194,8 +190,11 @@ class KernelRuntime:
         :data:`repro.sparse.REORDER_STRATEGIES`, or ``"auto"`` (measured
         once per plan; picked only when faster).  See
         :mod:`repro.sparse.reorder`.
-    pack_nnz, split_nnz, max_split:
-        nnz-aware scheduling thresholds; see :mod:`repro.runtime.batch`.
+    pack_nnz, split_nnz:
+        nnz-aware scheduling thresholds: requests at or below ``pack_nnz``
+        are packed by :meth:`run_batch` (see :mod:`repro.runtime.batch`),
+        jobs above ``split_nnz`` are split into
+        :func:`~repro.core.partition.split_parts` partitions.
     processes:
         Worker *processes* of the sharded execution tier; 0 (default)
         disables it.  Shard workers run the kernels single-threaded over
@@ -225,13 +224,8 @@ class KernelRuntime:
     remote_heartbeat_strikes:
         Consecutive missed heartbeat pings before an idle host is
         evicted (default 3 — one GC pause is a strike, not a loss).
-    remote_hedge:
-        Straggler hedging: when a dispatched chunk exceeds a
-        quantile-based deadline (derived from observed per-nnz
-        throughput), it is speculatively re-executed in-parent and the
-        first completion wins — bitwise-safe because both sides compute
-        identical row ranges (counters ``hedges``/``hedge_wins`` in
-        ``stats()["remote"]``).
+        Straggling remote chunks are always hedged in-parent; see
+        :class:`~repro.runtime.remote.RemoteController`.
     remote_token:
         Shared secret ``repro worker`` hosts must present to register
         (constant-time compared).  ``None`` admits any peer — fine on
@@ -260,11 +254,8 @@ class KernelRuntime:
         autotune: bool = False,
         autotune_dim: int = 128,
         reorder: str = "none",
-        pack_small: bool = True,
         pack_nnz: int = DEFAULT_PACK_NNZ,
-        pack_dense_elems: int = DEFAULT_PACK_DENSE_ELEMS,
         split_nnz: int = DEFAULT_SPLIT_NNZ,
-        max_split: int = DEFAULT_MAX_SPLIT,
         processes: Optional[int] = None,
         shards: Optional[int] = None,
         shard_min_nnz: int = DEFAULT_SHARD_MIN_NNZ,
@@ -275,17 +266,13 @@ class KernelRuntime:
         remote_heartbeat_strikes: int = 3,
         remote_timeout: float = 60.0,
         remote_token: Optional[str] = None,
-        remote_hedge: bool = True,
     ) -> None:
         self.num_threads = num_threads or available_threads()
         self.autotune = autotune
         self.autotune_dim = autotune_dim
         self.reorder = validate_reorder(reorder)
-        self.pack_small = pack_small
         self.pack_nnz = pack_nnz
-        self.pack_dense_elems = pack_dense_elems
         self.split_nnz = split_nnz
-        self.max_split = max_split
         # ``shards=N`` without ``processes=`` implies an N-worker pool.
         self.processes = int(processes or 0)
         if self.processes == 0 and shards:
@@ -299,7 +286,6 @@ class KernelRuntime:
         self.remote_heartbeat_strikes = remote_heartbeat_strikes
         self.remote_timeout = remote_timeout
         self.remote_token = remote_token
-        self.remote_hedge = remote_hedge
         self._workers: Optional[WorkerPool] = None
         self._workers_lock = threading.Lock()
         self._controller: Optional[RemoteController] = None
@@ -326,7 +312,6 @@ class KernelRuntime:
             "packed_groups": 0,
             "split_jobs": 0,
             "single_jobs": 0,
-            "submitted": 0,
             "sharded_jobs": 0,
             "sharded_submitted": 0,
             "remote_jobs": 0,
@@ -383,7 +368,6 @@ class KernelRuntime:
                     heartbeat_strikes=self.remote_heartbeat_strikes,
                     timeout=self.remote_timeout,
                     token=self.remote_token,
-                    hedge=self.remote_hedge,
                 )
             return self._controller
 
@@ -476,7 +460,6 @@ class KernelRuntime:
             op_pattern,
             resolved,
             split_nnz=self.split_nnz,
-            max_split=self.max_split,
             autotune_dim=self.autotune_dim,
         )
         self._cache.put(key, plan)
@@ -489,46 +472,58 @@ class KernelRuntime:
         with self._stats_lock:
             self._counters[counter] += amount
 
-    def _execute_plan(self, plan: KernelPlan, A, X, Y) -> np.ndarray:
-        """Execute a plan with the runtime's split policy and shared pool.
+    def _execute(
+        self,
+        plan: KernelPlan,
+        A,
+        X,
+        Y,
+        *,
+        parts: Optional[Sequence[RowPartition]] = None,
+        shard: bool = False,
+        shards: Optional[int] = None,
+        keep: bool = True,
+    ) -> np.ndarray:
+        """The one route from every entry point to the kernel.
 
-        Split counts come from the plan (a function of nnz alone), so the
-        arithmetic is identical whether the parts run on the pool or
-        sequentially on this thread.
+        ``parts=None`` means ``A`` is the plan's bound matrix, so the
+        plan's own partitions (and, for a reordered plan, its locality
+        tier) run; a derived matrix — minibatch slice, sampled negatives —
+        brings its :func:`~repro.core.partition.split_parts` partitions.
+        ``shard=True`` lets the sharded tier (worker processes and remote
+        hosts, ``shards`` of them at most) take the call; without capacity
+        it runs in process.  ``keep=False`` tears the matrix's shared
+        segments down afterwards (one-shot matrices).
+
+        Either way the same partitions run with the same resolved kernel,
+        and the split count depends on the matrix alone, so ``reorder=
+        "none"`` results are bitwise identical across thread and shard
+        counts; reordered plans are allclose across the two paths (the
+        in-process path runs compacted panels, the sharded path
+        natural-order kernels on the permuted matrix).
         """
         A = as_csr(A)
-        if plan.nsplit > 1 and plan.supports_parts:
-            self._bump("split_jobs")
-            pool = self.pool
-            return plan.execute(
-                A, X, Y, parts=plan.partitions, pool=pool,
-                num_threads=plan.nsplit if pool is not None else 1,
-            )
-        return plan.execute(A, X, Y, num_threads=1)
-
-    def _execute_plan_on(self, plan: KernelPlan, A, X, Y) -> np.ndarray:
-        """Execute a plan on a matrix other than the one it was built for
-        (minibatch slices, sampled negatives) with the same nnz-aware split
-        policy — recomputing the partitioning, never the dispatch.
-
-        The split count is a function of the matrix alone, and partitions
-        run on the shared pool (no per-call executors), so determinism
-        across thread counts carries over to derived-matrix calls.
-        """
-        nsplit = max(1, min(self.max_split, -(-A.nnz // max(self.split_nnz, 1))))
-        if nsplit > 1 and plan.supports_parts:
-            parts = part1d(A, nsplit)
-            if self._sharding_eligible(plan, A):
-                Z = self._execute_plan_sharded(
-                    plan, A, X, Y, parts=parts, keep=False
-                )
-                if Z is not None:
-                    return Z
+        if shard:
+            prep = self._prepare_sharded(plan, A, shards=shards, parts=parts)
+            if prep is not None:
+                self._bump("sharded_jobs")
+                rplan = prep.rplan
+                if rplan is not None:
+                    X, Y = rplan.permute_operands(X, Y)
+                try:
+                    Z = self._dispatch(prep, X, Y)
+                finally:
+                    if not keep and prep.workers is not None:
+                        prep.workers.release_matrix(prep.key)
+                return Z if rplan is None else Z[rplan.inv_perm]
+        if parts is None:
+            parts = plan.partitions
+        if len(parts) > 1 and plan.supports_parts:
             self._bump("split_jobs")
             pool = self.pool
             return plan.execute(
                 A, X, Y, parts=parts, pool=pool,
-                num_threads=nsplit if pool is not None else 1,
+                num_threads=len(parts) if pool is not None else 1,
             )
         return plan.execute(A, X, Y, num_threads=1)
 
@@ -547,25 +542,6 @@ class KernelRuntime:
         and :meth:`submit_sharded` will fall back to in-process execution.
         Side-effect free: does not lazily spawn the worker pool."""
         return max(0, self.processes) + self._remote_capacity()
-
-    def _sharding_eligible(self, plan: KernelPlan, A) -> bool:
-        """Whether a *streaming* call may route through the sharded tier
-        (the local worker pool and/or registered remote hosts)."""
-        return (
-            (self.processes > 0 or self._remote_capacity() > 0)
-            and plan.supports_parts
-            and A.nnz >= self.shard_min_nnz
-        )
-
-    def _execute_plan_auto(self, plan: KernelPlan, A, X, Y) -> np.ndarray:
-        """Epoch-stream execution: sharded tier when enabled and worthwhile,
-        the in-process path otherwise — bitwise identical either way for
-        ``reorder="none"`` plans, allclose for reordered ones."""
-        if self._sharding_eligible(plan, A):
-            Z = self._execute_plan_sharded(plan, A, X, Y)
-            if Z is not None:
-                return Z
-        return self._execute_plan(plan, A, X, Y)
 
     def _tier_slots(self, spec: Dict[str, object]) -> Tuple[int, int, Optional[dict]]:
         """``(local, remote, remote spec meta)`` for a sharded call on ``spec``.
@@ -600,13 +576,12 @@ class KernelRuntime:
         parts=None,
     ) -> Optional["_ShardPrep"]:
         """Everything a sharded dispatch needs, or ``None`` when the tier
-        cannot take the job (no capacity, unpicklable pattern) and the
-        caller must fall back to the in-process path.
+        cannot take the job (no capacity, unpicklable pattern) and
+        :meth:`_execute` runs it in process.
 
-        Shared by the sync and async entry points so their scheduling can
-        never drift apart.  Operands are *not* copied here — the pool
-        detects ``Y is X`` aliasing on the original objects and copies
-        exactly once into shared memory.
+        Operands are *not* copied here — the pool detects ``Y is X``
+        aliasing on the original objects and copies exactly once into
+        shared memory.
 
         Capacity is the local worker-process count plus the slot count of
         live remote hosts (:meth:`_tier_slots`); the shard count comes from
@@ -618,7 +593,9 @@ class KernelRuntime:
         shard skew drops.  The operands are permuted and the gathered
         output mapped back via the returned plan handle.
         """
-        if not plan.supports_parts:
+        # Cheap capacity probe first: streaming calls come through here on
+        # every epoch, and the spec below pickles the pattern.
+        if not plan.supports_parts or self.sharded_capacity == 0:
             return None
         spec = plan_spec_from_plan(plan)
         if spec is None:
@@ -630,7 +607,6 @@ class KernelRuntime:
         capacity = local_slots + remote_slots
         if capacity == 0:
             return None
-        A = as_csr(A)
         reordered = (
             parts is None
             and plan.reorder != "none"
@@ -658,22 +634,6 @@ class KernelRuntime:
             local_slots=local_slots,
             remote_slots=remote_slots,
         )
-
-    def _execute_prepared(self, prep: "_ShardPrep", X, Y, *, keep: bool) -> np.ndarray:
-        """Run a prepared sharded call, with the reorder pre/post mapping.
-
-        ``keep=False`` tears the matrix's shared segments down afterwards
-        (one-shot matrices, e.g. sampled negatives).
-        """
-        rplan = prep.rplan
-        if rplan is not None:
-            X, Y = rplan.permute_operands(X, Y)
-        try:
-            Z = self._dispatch(prep, X, Y)
-        finally:
-            if not keep and prep.workers is not None:
-                prep.workers.release_matrix(prep.key)
-        return Z if rplan is None else Z[rplan.inv_perm]
 
     def _dispatch(self, prep: "_ShardPrep", X, Y) -> np.ndarray:
         """The one sharded dispatch, whichever tiers are live.
@@ -727,32 +687,6 @@ class KernelRuntime:
                 execute_parts(prep.spec, A, X, Y, a.parts, Z, configs=configs)
         return Z
 
-    def _execute_plan_sharded(
-        self,
-        plan: KernelPlan,
-        A,
-        X,
-        Y,
-        *,
-        shards: Optional[int] = None,
-        parts=None,
-        keep: bool = True,
-    ) -> Optional[np.ndarray]:
-        """Fan a plan's partitions out over worker processes and hosts.
-
-        Returns ``None`` when the sharded tier cannot take the job so
-        callers fall back to the in-process path.  The partitions — the
-        plan's own, or the ``parts`` computed for a derived matrix — are
-        grouped by :func:`assign_shards`; results are bitwise identical to
-        the in-process execution because both run the same partitions with
-        the same resolved kernel, wherever each shard lands.
-        """
-        prep = self._prepare_sharded(plan, A, shards=shards, parts=parts)
-        if prep is None:
-            return None
-        self._bump("sharded_jobs")
-        return self._execute_prepared(prep, X, Y, keep=keep)
-
     def shard_plan(self, A, *, shards: Optional[int] = None, **plan_opts) -> ShardPlan:
         """The shard assignment a sharded call on ``A`` would use."""
         plan = self.plan(A, **plan_opts)
@@ -769,17 +703,14 @@ class KernelRuntime:
         :func:`~repro.core.fused.fusedmm`) for ``reorder="none"`` plans;
         reordered plans are allclose to :meth:`run` — the workers execute
         natural-order kernels on the permuted matrix, deterministically
-        for any shard count.  Falls back to the in-process path when the
-        runtime has no sharded capacity or the pattern cannot cross a
-        process boundary.  A worker or host lost mid-call costs time, not
-        the call: its rows finish in-parent.
+        for any shard count.  Runs in process when the runtime has no
+        sharded capacity or the pattern cannot cross a process boundary.
+        A worker or host lost mid-call costs time, not the call: its rows
+        finish in-parent.
         """
         self._bump("requests")
         plan = self.plan(A, **plan_opts)
-        Z = self._execute_plan_sharded(plan, A, X, Y, shards=shards)
-        if Z is None:
-            return self._execute_plan(plan, A, X, Y)
-        return Z
+        return self._execute(plan, A, X, Y, shard=True, shards=shards)
 
     def submit_sharded(
         self, A, X=None, Y=None, *, shards: Optional[int] = None, **plan_opts
@@ -787,68 +718,41 @@ class KernelRuntime:
         """Asynchronous :meth:`run_sharded`; returns a future.
 
         Planning happens on the caller thread (cache accounting stays
-        ordered); the dispatch runs on the runtime's one dispatcher
-        thread.  Without sharded capacity the request executes
-        synchronously and a completed future is returned.
+        ordered); the execution runs on the runtime's one dispatcher
+        thread.  After :meth:`close` the request executes in process on
+        the caller thread and a completed future is returned.
         """
         self._bump("requests")
         self._bump("sharded_submitted")
         plan = self.plan(A, **plan_opts)
-        prep = self._prepare_sharded(plan, A, shards=shards)
         with self._pool_lock:
-            if prep is not None and self._dispatcher is None and not self._closed:
+            if self._dispatcher is None and not self._closed:
                 self._dispatcher = ThreadPoolExecutor(
                     max_workers=1, thread_name_prefix="repro-shard-dispatch"
                 )
-            dispatcher = self._dispatcher if prep is not None else None
-        if dispatcher is None:
-            fut: "Future[np.ndarray]" = Future()
-            try:
-                fut.set_result(self._execute_plan(plan, A, X, Y))
-            except BaseException as exc:  # pragma: no cover - propagated
-                fut.set_exception(exc)
-            return fut
-        self._bump("sharded_jobs")
-        return dispatcher.submit(self._execute_prepared, prep, X, Y, keep=True)
+            dispatcher = self._dispatcher
+        if dispatcher is not None:
+            return dispatcher.submit(
+                self._execute, plan, A, X, Y, shard=True, shards=shards
+            )
+        fut: "Future[np.ndarray]" = Future()
+        try:
+            fut.set_result(self._execute(plan, A, X, Y, shard=True, shards=shards))
+        except BaseException as exc:  # pragma: no cover - propagated
+            fut.set_exception(exc)
+        return fut
 
     def run(self, A, X=None, Y=None, **plan_opts) -> np.ndarray:
         """One-shot planned execution: ``Z = FusedMM(A, X, Y)``.
 
         Functionally equivalent to :func:`repro.core.fused.fusedmm` but
         amortised: the second call with the same adjacency and
-        configuration skips planning entirely.
+        configuration skips planning entirely.  Always in process; the
+        plan's partitions fan out over the shared thread pool.
         """
         self._bump("requests")
         plan = self.plan(A, **plan_opts)
-        return self._execute_plan(plan, A, X, Y)
-
-    def submit(self, A, X=None, Y=None, **plan_opts) -> "Future[np.ndarray]":
-        """Asynchronous :meth:`run`; returns a future.
-
-        Planning (cache lookup / plan build) happens on the caller thread
-        so cache accounting stays ordered; only kernel execution is
-        deferred.  Without a pool the request executes synchronously and a
-        completed future is returned.
-        """
-        self._bump("requests")
-        self._bump("submitted")
-        plan = self.plan(A, **plan_opts)
-        A = as_csr(A)
-        pool = self.pool
-        if pool is None:
-            fut: "Future[np.ndarray]" = Future()
-            try:
-                fut.set_result(plan.execute(A, X, Y, num_threads=1))
-            except BaseException as exc:  # pragma: no cover - propagated to caller
-                fut.set_exception(exc)
-            return fut
-        # Executed entirely inside one worker (no nested pool use): same
-        # partition list, sequential — bitwise identical to run().
-        if plan.nsplit > 1 and plan.supports_parts:
-            return pool.submit(
-                plan.execute, A, X, Y, parts=plan.partitions, num_threads=1
-            )
-        return pool.submit(plan.execute, A, X, Y, num_threads=1)
+        return self._execute(plan, A, X, Y)
 
     # ------------------------------------------------------------------ #
     def _config(self, req: KernelRequest) -> KernelPlan:
@@ -930,15 +834,14 @@ class KernelRuntime:
                 )
                 larges.append(i)
             elif (
-                self.pack_small
-                and cfg.supports_parts
+                cfg.supports_parts
                 # Packable requests must fit inside one edge block of a
                 # standalone call, so a packed multi-request block replays
                 # the exact same per-row arithmetic …
                 and req.A.nnz <= min(self.pack_nnz, cfg.block_size)
                 # … and must be small enough that the enlarged gather
                 # working set doesn't cancel the dispatch savings.
-                and (req.A.nrows + req.A.ncols) * _req_dim(req) <= self.pack_dense_elems
+                and (req.A.nrows + req.A.ncols) * _req_dim(req) <= PACK_DENSE_ELEMS
             ):
                 groups.setdefault(pack_group_key(cfg, req), []).append(i)
             else:
@@ -1007,7 +910,7 @@ class KernelRuntime:
             for i, Z in zip(members, run_packed(members)):
                 results[i] = Z
         for i in larges:
-            results[i] = self._execute_plan(plans[i], reqs[i].A, reqs[i].X, reqs[i].Y)
+            results[i] = self._execute(plans[i], reqs[i].A, reqs[i].X, reqs[i].Y)
         if pool is None:
             for i in singles:
                 results[i] = run_single(i)
@@ -1128,7 +1031,6 @@ class KernelRuntime:
                 new_key,
                 dirty,
                 split_nnz=self.split_nnz,
-                max_split=self.max_split,
                 autotune_dim=self.autotune_dim,
                 carry_factor=factor,
                 carry_cache=carry_cache,

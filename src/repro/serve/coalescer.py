@@ -47,7 +47,6 @@ import numpy as np
 
 from ..errors import DeadlineError, DrainingError, QueueFullError
 from ..runtime import KernelRequest
-from ..runtime.aio import wrap_runtime_future
 
 __all__ = ["Coalescer", "CoalescerStats"]
 
@@ -325,7 +324,7 @@ class Coalescer:
                 # Local worker processes and/or registered remote hosts:
                 # submit_sharded routes across whichever are live (and
                 # itself falls back in-process if capacity vanished).
-                result = await wrap_runtime_future(
+                result = await asyncio.wrap_future(
                     self.runtime.submit_sharded(request.A, request.X, request.Y, **opts)
                 )
             else:

@@ -16,7 +16,7 @@ from repro.baselines import (
     unfused_memory_bytes,
     vendor_spmm,
 )
-from repro.core import fusedmm, get_pattern
+from repro.core import OpKind, Operator, fusedmm, get_pattern
 from repro.errors import BackendError
 from repro.sparse import random_csr
 from _helpers import make_xy
@@ -121,6 +121,28 @@ def test_needs_vector_messages_classification():
     assert needs_vector_messages(get_pattern("fr_layout").resolved())
     assert not needs_vector_messages(get_pattern("sigmoid_embedding").resolved())
     assert not needs_vector_messages(get_pattern("gcn").resolved())
+
+
+@pytest.mark.parametrize("form", ["expr", "batch_fn"])
+def test_unfused_routes_a_mop_by_what_it_reads(problem, form):
+    """A user MOP that reads the VOP output ``W`` on a scalar-message
+    pattern takes the vector-message route, whatever its name."""
+    A, X, Y = problem
+    kwargs = (
+        {"expr": "H * W"}
+        if form == "expr"
+        else {"batch_fn": lambda h, y, a=None, w=None: h[:, None] * w}
+    )
+    mop = Operator(
+        name="HW_TEST",
+        kinds=(OpKind.MOP,),
+        edge_fn=lambda h, y, a=None, w=None: h * w,
+        **kwargs,
+    )
+    pattern = get_pattern("sigmoid_embedding", mop=mop)
+    assert needs_vector_messages(pattern.resolved())
+    ref = fusedmm(A, X, Y, pattern=pattern, backend="generic")
+    assert np.allclose(unfused_fusedmm(A, X, Y, pattern=pattern), ref, atol=1e-4)
 
 
 def test_unfused_memory_model_grows_with_d(problem):

@@ -258,7 +258,6 @@ def test_carry_bound_exceeded_recomputes_permutation(medium):
             new_key,
             np.array([0], dtype=np.int64),
             split_nnz=rt.split_nnz,
-            max_split=rt.max_split,
             carry_factor=0.0,
         )
         assert info["carried"] is False

@@ -331,9 +331,12 @@ def test_submit_returns_future_with_correct_result(small_problem):
     ref = fusedmm(A, X, Y, num_threads=1)
     for nt in (1, 2):
         rt = KernelRuntime(num_threads=nt)
-        fut = rt.submit(A, X, Y)
+        fut = rt.submit_sharded(A, X, Y)
         assert np.array_equal(fut.result(timeout=30), ref)
         rt.close()
+        # After close the call runs in process and the future is done.
+        fut = rt.submit_sharded(A, X, Y)
+        assert fut.done() and np.array_equal(fut.result(), ref)
 
 
 # ---------------------------------------------------------------------- #

@@ -22,7 +22,6 @@ from repro.core.fused import fusedmm
 from repro.errors import DeadlineError, DrainingError, QueueFullError, ShapeError
 from repro.graphs import random_features
 from repro.runtime import KernelRequest, KernelRuntime
-from repro.runtime.aio import run_batch_async, submit_sharded_async, wrap_runtime_future
 from repro.serve import (
     Coalescer,
     KernelServer,
@@ -527,7 +526,7 @@ class TestAdmissionControl:
 
 
 # ---------------------------------------------------------------------- #
-# The asyncio bridge in runtime/
+# Awaiting the runtime from a coroutine (the coalescer's two calls)
 # ---------------------------------------------------------------------- #
 class TestAioBridge:
     def test_run_batch_async_matches_sync(self):
@@ -535,7 +534,12 @@ class TestAioBridge:
         A, X, Y = _mk_problem(40, 4, 1)
         reqs = [KernelRequest(A=A, X=X, Y=Y) for _ in range(3)]
         expected = runtime.run_batch(reqs)
-        results = asyncio.run(run_batch_async(runtime, reqs))
+
+        async def _go():
+            loop = asyncio.get_running_loop()
+            return await loop.run_in_executor(None, runtime.run_batch, reqs)
+
+        results = asyncio.run(_go())
         for Z, E in zip(results, expected):
             np.testing.assert_array_equal(Z, E)
         runtime.close()
@@ -543,9 +547,11 @@ class TestAioBridge:
     def test_wrap_runtime_future_completed(self):
         runtime = KernelRuntime(num_threads=1)
         A, X, Y = _mk_problem(40, 4, 1)
+        done = runtime.submit_sharded(A, X, Y)
+        done.result(timeout=30)
 
         async def _go():
-            return await wrap_runtime_future(runtime.submit(A, X, Y))
+            return await asyncio.wrap_future(done)
 
         Z = asyncio.run(_go())
         np.testing.assert_array_equal(Z, runtime.run(A, X, Y))
@@ -554,8 +560,13 @@ class TestAioBridge:
     def test_submit_sharded_async_fallback_without_workers(self):
         runtime = KernelRuntime(num_threads=1, processes=0)
         A, X, Y = _mk_problem(40, 4, 1)
-        Z = asyncio.run(submit_sharded_async(runtime, A, X, Y))
+
+        async def _go():
+            return await asyncio.wrap_future(runtime.submit_sharded(A, X, Y))
+
+        Z = asyncio.run(_go())
         np.testing.assert_array_equal(Z, runtime.run(A, X, Y))
+        assert runtime.stats()["sharded_jobs"] == 0
         runtime.close()
 
 

@@ -25,7 +25,7 @@ from repro.core.fused import fusedmm
 from repro.core.partition import RowPartition, part1d
 from repro.errors import PartitionError, WorkerError
 from repro.graphs import random_features, rmat
-from repro.runtime import KernelRuntime, WorkerPool, assign_shards
+from repro.runtime import KernelRequest, KernelRuntime, WorkerPool, assign_shards
 from repro.sparse import random_csr
 
 from _helpers import make_xy
@@ -175,6 +175,41 @@ def test_run_sharded_without_processes_falls_back(medium_problem):
     assert rt.stats()["sharded_jobs"] == 0
     fut = rt.submit_sharded(A, X, pattern="sigmoid_embedding")
     assert np.array_equal(fut.result(timeout=30), ref)
+
+
+@pytest.mark.parametrize("processes", [0, 2])
+def test_every_entry_point_is_bitwise_sequential_fusedmm(processes, medium_problem):
+    """Every entry point reaches the kernel through one route: with or
+    without worker processes, each returns the bytes of a sequential
+    ``fusedmm`` call (``reorder="none"``), and each takes the tier its
+    rules say it takes."""
+    A, X = medium_problem
+    pattern = "sigmoid_embedding"
+    ref = fusedmm(A, X, X, pattern=pattern, num_threads=1)
+    sub = A.row_slice(0, 1200)
+    ref_sub = fusedmm(sub, X[:1200], X, pattern=pattern, num_threads=1)
+    with KernelRuntime(
+        num_threads=2, processes=processes, split_nnz=4000, shard_min_nnz=4000
+    ) as rt:
+        assert sub.nnz > rt.split_nnz
+        stream = rt.epochs(A, pattern=pattern, reorder="none")
+        outs = {
+            "run": rt.run(A, X, X, pattern=pattern),
+            "run_sharded": rt.run_sharded(A, X, X, pattern=pattern),
+            "submit_sharded": rt.submit_sharded(A, X, X, pattern=pattern).result(
+                timeout=60
+            ),
+            "step": stream.step(X, X),
+            "run_batch": rt.run_batch([KernelRequest(A=A, X=X, Y=X, pattern=pattern)])[0],
+        }
+        for name, Z in outs.items():
+            assert np.array_equal(Z, ref), name
+        assert np.array_equal(stream.run_on(sub, X[:1200], X), ref_sub)
+        stats = rt.stats()
+    # With workers, run_sharded, submit_sharded, step and run_on shard;
+    # run and the run_batch large lane always split in process.
+    assert stats["sharded_jobs"] == (4 if processes else 0)
+    assert stats["split_jobs"] == (2 if processes else 6)
 
 
 def test_shards_implies_processes():
