@@ -29,28 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.operators import Operator
+from ..core.codegen import mop_reads_vop_output
 from ..core.patterns import OpPattern, ResolvedPattern, get_pattern
 from ..core.validation import validate_operands
 from .sddmm import SDDMMResult, sddmm
 from .spmm import gspmm
 
 __all__ = ["UnfusedResult", "unfused_fusedmm", "unfused_memory_bytes", "needs_vector_messages"]
-
-
-def _reads_vop_output(mop: Operator) -> bool:
-    """Whether ``mop`` may read the VOP output ``W``.
-
-    An expression says so by naming ``W`` (unless ``W`` is its own input
-    variable, as for an operator declared ROP-first); a MOP given only as
-    callables is handed ``W`` and may read it.
-    """
-    if mop.is_noop:
-        return False
-    if mop.expr is None:
-        return True
-    names = compile(mop.expr, f"<operator {mop.name}>", "eval").co_names
-    return mop.input_name != "W" and "W" in names
 
 
 def needs_vector_messages(resolved: ResolvedPattern) -> bool:
@@ -67,7 +52,7 @@ def needs_vector_messages(resolved: ResolvedPattern) -> bool:
     """
     if resolved.is_spmm_like:
         return False
-    return _reads_vop_output(resolved.mop) or not resolved.message_is_scalar
+    return mop_reads_vop_output(resolved) or not resolved.message_is_scalar
 
 
 @dataclass

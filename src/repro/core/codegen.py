@@ -43,6 +43,7 @@ __all__ = [
     "compile_kernel",
     "clear_kernel_cache",
     "kernel_cache_info",
+    "mop_reads_vop_output",
 ]
 
 
@@ -114,6 +115,14 @@ def _uses(expr: str, name: str) -> int:
     return len(re.findall(rf"\b{name}\b", expr))
 
 
+def mop_reads_vop_output(pattern: ResolvedPattern) -> bool:
+    """Whether the pattern's MOP step reads the VOP output ``W``:
+    ``MULDIFF``, any expression naming ``W`` besides its input, and any
+    MOP given only as a callable, which is handed ``W``."""
+    mop_expr = _step_expr(pattern.mop, OpKind.MOP, pattern.message_is_scalar)
+    return _uses(mop_expr, "W") > 0
+
+
 def _inline(steps, name):
     """``steps`` without the assignment to ``name``, its value substituted
     into every read."""
@@ -139,7 +148,7 @@ def generate_kernel_source(pattern: ResolvedPattern) -> str:
         else None
     )
     steps = list(_GATHERS)
-    if fused is not None and "W" not in exprs[OpKind.MOP]:
+    if fused is not None and not mop_reads_vop_output(pattern):
         steps.append(("S", fused))
     else:
         steps += [("W", exprs[OpKind.VOP]), ("S", exprs[OpKind.ROP])]

@@ -125,7 +125,8 @@ class EpochStream:
         """
         t0 = time.perf_counter()
         rt = self._runtime
-        Z = rt._execute(self.plan, self.A, X, Y, shard=self.A.nnz >= rt.shard_min_nnz)
+        prep = rt._prepare_sharded(self.plan, self.A) if self.A.nnz >= rt.shard_min_nnz else None
+        Z = rt._execute(self.plan, self.A, X, Y, prep=prep)
         self.kernel_seconds += time.perf_counter() - t0
         self.epochs_run += 1
         return Z
@@ -143,8 +144,10 @@ class EpochStream:
         A_sub = as_csr(A_sub)
         parts = split_parts(A_sub, rt.split_nnz)
         # A one-part slice is not worth a ship to the workers.
-        shard = len(parts) > 1 and A_sub.nnz >= rt.shard_min_nnz
-        Z = rt._execute(self.plan, A_sub, X, Y, parts=parts, shard=shard, keep=False)
+        prep = None
+        if len(parts) > 1 and A_sub.nnz >= rt.shard_min_nnz:
+            prep = rt._prepare_sharded(self.plan, A_sub, parts=parts)
+        Z = rt._execute(self.plan, A_sub, X, Y, parts=parts, prep=prep, keep=False)
         self.kernel_seconds += time.perf_counter() - t0
         return Z
 
@@ -480,8 +483,7 @@ class KernelRuntime:
         Y,
         *,
         parts: Optional[Sequence[RowPartition]] = None,
-        shard: bool = False,
-        shards: Optional[int] = None,
+        prep: Optional["_ShardPrep"] = None,
         keep: bool = True,
     ) -> np.ndarray:
         """The one route from every entry point to the kernel.
@@ -490,10 +492,11 @@ class KernelRuntime:
         plan's own partitions (and, for a reordered plan, its locality
         tier) run; a derived matrix — minibatch slice, sampled negatives —
         brings its :func:`~repro.core.partition.split_parts` partitions.
-        ``shard=True`` lets the sharded tier (worker processes and remote
-        hosts, ``shards`` of them at most) take the call; without capacity
-        it runs in process.  ``keep=False`` tears the matrix's shared
-        segments down afterwards (one-shot matrices).
+        ``prep`` is the sharded dispatch an entry point that may shard got
+        from :meth:`_prepare_sharded` on its own thread; ``None`` (no
+        capacity, or not allowed to shard) runs the call in process.
+        ``keep=False`` tears the matrix's shared segments down afterwards
+        (one-shot matrices).
 
         Either way the same partitions run with the same resolved kernel,
         and the split count depends on the matrix alone, so ``reorder=
@@ -502,20 +505,18 @@ class KernelRuntime:
         in-process path runs compacted panels, the sharded path
         natural-order kernels on the permuted matrix).
         """
+        if prep is not None:
+            self._bump("sharded_jobs")
+            rplan = prep.rplan
+            if rplan is not None:
+                X, Y = rplan.permute_operands(X, Y)
+            try:
+                Z = self._dispatch(prep, X, Y)
+            finally:
+                if not keep and prep.workers is not None:
+                    prep.workers.release_matrix(prep.key)
+            return Z if rplan is None else Z[rplan.inv_perm]
         A = as_csr(A)
-        if shard:
-            prep = self._prepare_sharded(plan, A, shards=shards, parts=parts)
-            if prep is not None:
-                self._bump("sharded_jobs")
-                rplan = prep.rplan
-                if rplan is not None:
-                    X, Y = rplan.permute_operands(X, Y)
-                try:
-                    Z = self._dispatch(prep, X, Y)
-                finally:
-                    if not keep and prep.workers is not None:
-                        prep.workers.release_matrix(prep.key)
-                return Z if rplan is None else Z[rplan.inv_perm]
         if parts is None:
             parts = plan.partitions
         if len(parts) > 1 and plan.supports_parts:
@@ -709,35 +710,42 @@ class KernelRuntime:
         finish in-parent.
         """
         self._bump("requests")
+        A = as_csr(A)
         plan = self.plan(A, **plan_opts)
-        return self._execute(plan, A, X, Y, shard=True, shards=shards)
+        prep = self._prepare_sharded(plan, A, shards=shards)
+        return self._execute(plan, A, X, Y, prep=prep)
 
     def submit_sharded(
         self, A, X=None, Y=None, *, shards: Optional[int] = None, **plan_opts
     ) -> "Future[np.ndarray]":
         """Asynchronous :meth:`run_sharded`; returns a future.
 
-        Planning happens on the caller thread (cache accounting stays
-        ordered); the execution runs on the runtime's one dispatcher
-        thread.  After :meth:`close` the request executes in process on
-        the caller thread and a completed future is returned.
+        Planning and the sharding decision (capacity, shard count, the
+        workers that will run it) happen on the caller thread; the
+        dispatch runs on the runtime's one dispatcher thread, so a call
+        queued when :meth:`close` starts still runs on the workers it was
+        given.  Without sharded capacity (or after :meth:`close`) the
+        request executes in process on the caller thread and a completed
+        future is returned.
         """
         self._bump("requests")
         self._bump("sharded_submitted")
+        A = as_csr(A)
         plan = self.plan(A, **plan_opts)
-        with self._pool_lock:
-            if self._dispatcher is None and not self._closed:
-                self._dispatcher = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="repro-shard-dispatch"
-                )
-            dispatcher = self._dispatcher
+        prep = self._prepare_sharded(plan, A, shards=shards)
+        dispatcher = None
+        if prep is not None:
+            with self._pool_lock:
+                if self._dispatcher is None and not self._closed:
+                    self._dispatcher = ThreadPoolExecutor(
+                        max_workers=1, thread_name_prefix="repro-shard-dispatch"
+                    )
+                dispatcher = self._dispatcher
         if dispatcher is not None:
-            return dispatcher.submit(
-                self._execute, plan, A, X, Y, shard=True, shards=shards
-            )
+            return dispatcher.submit(self._execute, plan, A, X, Y, prep=prep)
         fut: "Future[np.ndarray]" = Future()
         try:
-            fut.set_result(self._execute(plan, A, X, Y, shard=True, shards=shards))
+            fut.set_result(self._execute(plan, A, X, Y))
         except BaseException as exc:  # pragma: no cover - propagated
             fut.set_exception(exc)
         return fut

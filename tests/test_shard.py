@@ -16,6 +16,8 @@ Covers the three contracts the tier advertises:
   or reorders a plan partition.
 """
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,6 +212,27 @@ def test_every_entry_point_is_bitwise_sequential_fusedmm(processes, medium_probl
     # run and the run_batch large lane always split in process.
     assert stats["sharded_jobs"] == (4 if processes else 0)
     assert stats["split_jobs"] == (2 if processes else 6)
+
+
+@pytest.mark.parametrize("processes", [0, 2])
+def test_close_drains_queued_submit_sharded(processes, medium_problem):
+    """close() with sharded calls still queued returns promptly, and every
+    queued call completes with the sequential ``fusedmm`` bytes on the
+    tier it was given at submit."""
+    A, X = medium_problem
+    ref = fusedmm(A, X, X, pattern="sigmoid_embedding", num_threads=1)
+    rt = KernelRuntime(num_threads=2, processes=processes, split_nnz=4000)
+    assert len(rt.plan(A, pattern="sigmoid_embedding").partitions) >= 2
+    futures = [
+        rt.submit_sharded(A, X, X, pattern="sigmoid_embedding") for _ in range(4)
+    ]
+    closer = threading.Thread(target=rt.close, daemon=True)
+    closer.start()
+    closer.join(timeout=60)
+    assert not closer.is_alive(), "close() deadlocked on queued sharded calls"
+    for fut in futures:
+        assert np.array_equal(fut.result(timeout=1), ref)
+    assert rt.stats()["sharded_jobs"] == (4 if processes else 0)
 
 
 def test_shards_implies_processes():
