@@ -25,7 +25,7 @@ from .force2vec import EMBEDDING_BACKENDS, EpochStats, Force2Vec, Force2VecConfi
 from .fr_layout import FRLayout, FRLayoutConfig
 from .gcn import GCN, GCN_BACKENDS, GCNConfig, normalize_adjacency
 from .gnn_mlp import MLPGNN, MLPGNNLayer
-from .sampling import NegativeSampler, minibatch_indices, with_negatives
+from .sampling import NegativeSampler, epoch_operands, minibatch_indices, with_negatives
 from .verse import Verse, VerseConfig
 
 __all__ = [
@@ -52,4 +52,5 @@ __all__ = [
     "NegativeSampler",
     "minibatch_indices",
     "with_negatives",
+    "epoch_operands",
 ]

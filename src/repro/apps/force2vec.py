@@ -20,15 +20,18 @@ over the edges, a plain SpMM over the same edges (the ``− 1`` part), and
 a σ-aggregate over the negatives.  The end-to-end comparison of Table VIII
 is therefore a kernel comparison plus this gradient fusion — the paper's
 25–45× speedups over DGL/PyTorch come from swapping the kernel — as long
-as the trainer's own glue stays small.  A traced ``perfbench`` run on the
-flickr twin (d=128, batch 256, one kernel thread, 2-vCPU x86 host) puts
-an epoch at ~190 ms in 79 kernel calls (down from ~345 ms in 237 calls
-before the fusion) and ~95 ms of glue: row slicing 14 ms, negative
-sampling 25 ms and the trainer's own array work ~55 ms.  The float32
-mirror kept by :meth:`Force2Vec.train_epoch`, the vectorised
-:meth:`~repro.sparse.CSRMatrix.select_rows` and the precomputed CDF of
-:class:`~repro.apps.sampling.NegativeSampler` keep that glue small with
-bitwise-identical results.
+as the trainer's own glue stays small.  None of the glue reads the
+embeddings, so :meth:`Force2Vec.train_epoch` builds every minibatch's
+operands once per epoch (:func:`~repro.apps.sampling.epoch_operands`: one
+row selection, one negative draw from a guide table, one labelling) and
+each step takes a row slice.  A traced ``perfbench`` epoch on the flickr
+twin (d=128, batch 256, one kernel thread, 2-vCPU x86 host) spends
+~140 ms in 79 kernel calls and ~43 ms in glue: 2.4 ms selecting rows,
+2 ms sampling and ~39 ms of the trainer's own array work (gradient
+clipping, the row updates, the float32 mirror and the epoch's labelling).
+Built per minibatch, the glue was ~70 ms (10 ms of row selection and
+21 ms of sampling).  The results are bitwise those of a per-minibatch
+build.
 
 The ``backend`` knob selects which kernel implementation performs the work:
 
@@ -55,11 +58,20 @@ from ..graphs.features import random_features
 from ..graphs.graph import Graph
 from ..runtime import KernelRuntime, RuntimeOptions
 from ..sparse import CSRMatrix
-from .sampling import NegativeSampler, minibatch_indices, with_negatives
+from .sampling import NegativeSampler, epoch_operands, minibatch_indices
 
 __all__ = ["Force2VecConfig", "EpochStats", "Force2Vec", "EMBEDDING_BACKENDS"]
 
 EMBEDDING_BACKENDS = ("fused", "fused_generic", "unfused", "dense")
+
+
+def update_rows(embeddings: np.ndarray, Y: np.ndarray, batch: np.ndarray, step: np.ndarray) -> None:
+    """``embeddings[batch] -= step`` and the float32 mirror ``Y`` refreshed
+    from the same gathered rows: one gather per updated row block."""
+    rows = embeddings[batch]
+    rows -= step
+    embeddings[batch] = rows
+    Y[batch] = rows
 
 
 @dataclass
@@ -204,19 +216,30 @@ class Force2Vec:
     # ------------------------------------------------------------------ #
     # Training
     # ------------------------------------------------------------------ #
-    def _batch_gradient(self, batch: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    def _epoch_operands(self, batches):
+        """``(batch, A_batch, negatives)`` per minibatch, built once for the
+        epoch (:func:`~repro.apps.sampling.epoch_operands`).  On the FusedMM
+        backends ``A_batch`` is the labelled matrix: label 1 on the real
+        edges, 0 on the negatives."""
+        fused = self.config.backend in ("fused", "fused_generic")
+        return epoch_operands(
+            self.adjacency, batches, self._sampler, self.config.negative_samples,
+            1.0, labelled=fused,
+        )
+
+    def _batch_gradient(
+        self, batch: np.ndarray, Y: np.ndarray, A_batch: CSRMatrix, negs: np.ndarray
+    ) -> np.ndarray:
         """Gradient of the Force2Vec objective for one vertex minibatch;
-        ``Y`` is the float32 mirror of :attr:`embeddings`."""
+        ``Y`` is the float32 mirror of :attr:`embeddings` and
+        ``A_batch``/``negs`` come from :meth:`_epoch_operands`."""
         cfg = self.config
-        n, k = batch.shape[0], cfg.negative_samples
+        n, k = negs.shape
         Xb = Y[batch]
-        A_batch = self.adjacency.select_rows(batch)
-        negs = self._sampler.sample((n, k)) if k > 0 else np.empty((n, 0), np.int64)
 
         if cfg.backend in ("fused", "fused_generic"):
-            # Label 1 on real edges, 0 on negatives: one kernel call.
-            grad = self._residual_aggregate(with_negatives(A_batch, negs, 1.0), Xb, Y)
-            grad = grad.astype(np.float64)
+            # ``A_batch`` is labelled: one kernel call.
+            grad = self._residual_aggregate(A_batch, Xb, Y).astype(np.float64)
         else:
             # The Table VIII baselines keep the three-term form:
             # Σ σ·y over the edges, minus Σ y over the same edges, plus
@@ -247,24 +270,22 @@ class Force2Vec:
         cfg = self.config
         t_epoch = time.perf_counter()
         k_epoch = self._kernel_seconds()
-        num_batches = 0
         # The kernels read float32 embeddings.  Convert the whole matrix
         # once per epoch (so ``load_state`` or a reassigned ``embeddings``
         # is picked up) and then refresh only the rows each step updates:
         # casting a row gives the same bits as casting the whole matrix.
         Y = self.embeddings.astype(np.float32)
-        for batch in minibatch_indices(
-            self.graph.num_vertices, cfg.batch_size, seed=cfg.seed + epoch
-        ):
-            grad = self._batch_gradient(batch, Y)
-            self.embeddings[batch] -= cfg.learning_rate * grad
-            Y[batch] = self.embeddings[batch]
-            num_batches += 1
+        batches = list(
+            minibatch_indices(self.graph.num_vertices, cfg.batch_size, seed=cfg.seed + epoch)
+        )
+        for batch, A_batch, negs in self._epoch_operands(batches):
+            grad = self._batch_gradient(batch, Y, A_batch, negs)
+            update_rows(self.embeddings, Y, batch, cfg.learning_rate * grad)
         stats = EpochStats(
             epoch=epoch,
             seconds=time.perf_counter() - t_epoch,
             kernel_seconds=self._kernel_seconds() - k_epoch,
-            num_batches=num_batches,
+            num_batches=len(batches),
         )
         self.history.append(stats)
         return stats

@@ -27,8 +27,8 @@ from ..graphs.features import random_features
 from ..graphs.graph import Graph
 from ..runtime import KernelRuntime, RuntimeOptions
 from ..sparse import CSRMatrix
-from .force2vec import EpochStats
-from .sampling import NegativeSampler, minibatch_indices, with_negatives
+from .force2vec import EpochStats, update_rows
+from .sampling import NegativeSampler, epoch_operands, minibatch_indices
 
 __all__ = ["VerseConfig", "Verse"]
 
@@ -95,42 +95,35 @@ class Verse:
         )
         self.history: List[EpochStats] = []
 
-    def _batch_gradient(self, batch: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """``Y`` is the float32 mirror of :attr:`embeddings`.
+    def train_epoch(self, epoch: int = 0) -> EpochStats:
+        """One pass over all vertices in shuffled minibatches.
 
         The positive part pulls each vertex towards its similarity-weighted
         neighbours and the noise part pushes it away from sampled noise
         vertices: ``Σ σ·y − Σ s_uv·y + Σ_noise σ·y``, which is one
-        ``sigmoid_residual`` call with label ``s_uv`` on the similarity
-        entries and 0 on the noise samples.
+        ``sigmoid_residual`` call per minibatch with label ``s_uv`` on the
+        similarity entries and 0 on the noise samples.
         """
-        n, k = batch.shape[0], self.config.noise_samples
-        S_batch = self.similarity.select_rows(batch)
-        negs = self._sampler.sample((n, k)) if k > 0 else np.empty((n, 0), np.int64)
-        A = with_negatives(S_batch, negs, S_batch.data)
-        return self._stream.run_on(A, Y[batch], Y).astype(np.float64)
-
-    def train_epoch(self, epoch: int = 0) -> EpochStats:
-        """One pass over all vertices in shuffled minibatches."""
         cfg = self.config
         t0 = time.perf_counter()
         k0 = self._stream.kernel_seconds
-        num_batches = 0
         # Float32 mirror of the embeddings, converted once per epoch and
         # refreshed row-wise after each step (see ``Force2Vec.train_epoch``).
         Y = self.embeddings.astype(np.float32)
-        for batch in minibatch_indices(
-            self.graph.num_vertices, cfg.batch_size, seed=cfg.seed + epoch
+        batches = list(
+            minibatch_indices(self.graph.num_vertices, cfg.batch_size, seed=cfg.seed + epoch)
+        )
+        # Labels ``None``: each similarity entry is labelled with its value.
+        for batch, A, _ in epoch_operands(
+            self.similarity, batches, self._sampler, cfg.noise_samples
         ):
-            grad = self._batch_gradient(batch, Y)
-            self.embeddings[batch] -= cfg.learning_rate * grad
-            Y[batch] = self.embeddings[batch]
-            num_batches += 1
+            grad = self._stream.run_on(A, Y[batch], Y).astype(np.float64)
+            update_rows(self.embeddings, Y, batch, cfg.learning_rate * grad)
         stats = EpochStats(
             epoch=epoch,
             seconds=time.perf_counter() - t0,
             kernel_seconds=self._stream.kernel_seconds - k0,
-            num_batches=num_batches,
+            num_batches=len(batches),
         )
         self.history.append(stats)
         return stats

@@ -17,7 +17,8 @@ pytest-benchmark targets.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+import time
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -108,6 +109,23 @@ def _scaled_generic_time(
     return timing.mean * scale
 
 
+def _interleaved_means(*fns: Callable[[], object], repeats: int) -> Tuple[float, ...]:
+    """Mean seconds per call of each of ``fns``: one warm-up call each, then
+    ``repeats`` rounds that call every function once.  Interleaving puts
+    every comparand under the same host and allocator state, so a drift
+    during the measurement moves all of them, not only the one timed
+    last."""
+    for fn in fns:
+        fn()
+    seconds = [[] for _ in fns]
+    for _ in range(max(1, repeats)):
+        for fn, acc in zip(fns, seconds):
+            t0 = time.perf_counter()
+            fn()
+            acc.append(time.perf_counter() - t0)
+    return tuple(float(np.mean(acc)) for acc in seconds)
+
+
 def compare_kernels(
     graph_name: str,
     A,
@@ -130,8 +148,9 @@ def compare_kernels(
     X, Y = make_operands(A, d, seed=seed)
     callables = kernel_callables(A, X, Y, pattern=pattern, num_threads=num_threads)
 
-    dgl_time = time_kernel(callables["dgl"], repeats=repeats).mean
-    opt_time = time_kernel(callables["fusedmmopt"], repeats=repeats).mean
+    dgl_time, opt_time = _interleaved_means(
+        callables["dgl"], callables["fusedmmopt"], repeats=repeats
+    )
     row: Dict[str, object] = {
         "graph": graph_name,
         "app": app_name or (pattern if isinstance(pattern, str) else pattern.name),

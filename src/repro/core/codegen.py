@@ -18,8 +18,12 @@ edge-block loop, the output window and the left-to-right segment sum come
 from :func:`~repro.core.optimized.run_edge_blocks`.  The body gathers only
 the feature rows its expressions read and frees each temporary after its
 last read, so it holds no more block arrays than one hand-written
-expression.  Generated kernels remove all per-step operator dispatch — the
-same benefit the paper gets from pattern-specialized C kernels.  The
+expression.  A message that scales a ``(k, d)`` buffer by the lifted
+per-edge scalar (``H[:, None] * Yd``) is written over that buffer when the
+product has the buffer's dtype, so a block allocates no message array
+(:func:`_message_in_place`).  Generated kernels remove all per-step
+operator dispatch — the same benefit the paper gets from
+pattern-specialized C kernels.  The
 generated source can be inspected (:func:`generate_kernel_source`, or
 ``.source`` on a compiled kernel) for debugging or curiosity, exactly like
 the generated ``.c`` files of the original library.
@@ -27,14 +31,15 @@ the generated ``.c`` files of the original library.
 
 from __future__ import annotations
 
+import ast
 import re
 import textwrap
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..errors import CodegenError
-from .operators import EXPR_NAMESPACE, STEP_INPUT, OpKind
+from .operators import EXPR_NAMESPACE, STEP_INPUT, OpKind, is_builtin
 from .optimized import run_edge_blocks
 from .patterns import ResolvedPattern, pattern_key
 
@@ -123,6 +128,34 @@ def mop_reads_vop_output(pattern: ResolvedPattern) -> bool:
     return _uses(mop_expr, "W") > 0
 
 
+def _message_in_place(pattern: ResolvedPattern, expr: str, named) -> Optional[Tuple[str, str]]:
+    """``(a, buf)`` when the message ``expr`` is the product ``a * buf`` of
+    the lifted per-edge scalar ``a`` (``H[:, None]``, possibly with
+    ``vals[:, None]``) and a ``(k, d)`` block buffer ``buf`` the body
+    assigned (a gather, or a built-in VOP's output ``W``); else ``None``.
+    The message is the body's last step, so nothing reads ``buf`` after
+    it, and ``np.multiply(a, buf, out=buf)`` runs the same ufunc loop on
+    the same operands as ``a * buf``: the same bits, one array fewer."""
+    if not pattern.message_is_scalar:
+        return None
+    node = ast.parse(expr, mode="eval").body
+    if not (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mult)
+        and isinstance(node.right, ast.Name)
+    ):
+        return None
+    buf = node.right.id
+    buffers = {"Xs", "Yd"} | ({"W"} if is_builtin(pattern.vop) else set())
+    a = ast.get_source_segment(expr, node.left)
+    if buf not in buffers or buf not in named or "H[:, None]" not in a:
+        return None
+    # Nothing but the lifted scalars and the expression namespace.
+    rest = a.replace("H[:, None]", "1").replace("vals[:, None]", "1")
+    names = {n.id for n in ast.walk(ast.parse(rest, mode="eval")) if isinstance(n, ast.Name)}
+    return (a, buf) if names <= set(EXPR_NAMESPACE) else None
+
+
 def _inline(steps, name):
     """``steps`` without the assignment to ``name``, its value substituted
     into every read."""
@@ -181,6 +214,15 @@ def generate_kernel_source(pattern: ResolvedPattern) -> str:
         ]
         if dead and i < len(live) - 1:
             lines.append(f"del {', '.join(dead)}")
+    in_place = _message_in_place(pattern, live[-1][1], dict(live[:-1]))
+    if in_place is not None:
+        # Written over the buffer only when the product has its dtype
+        # (float32 features with float64 edge values do not).
+        a, buf = in_place
+        lines[-1:] = [
+            f"M = {a}",
+            f"M = np.multiply(M, {buf}, out={buf} if np.result_type(M, {buf}) == {buf}.dtype else None)",
+        ]
     body = textwrap.indent("\n".join(lines), " " * 4)
 
     return _BODY_TEMPLATE.format(

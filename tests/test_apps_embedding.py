@@ -326,7 +326,8 @@ def test_fused_gradient_matches_the_three_term_gradient():
         model = Force2Vec(graph, cfg)
         batch = next(minibatch_indices(graph.num_vertices, cfg.batch_size, seed=2))
         Y = model.embeddings.astype(np.float32)
-        grads[backend] = model._batch_gradient(batch, Y)
+        ((_, A_batch, negs),) = model._epoch_operands([batch])
+        grads[backend] = model._batch_gradient(batch, Y, A_batch, negs)
         model._runtime.close()
     assert np.abs(grads["fused"]).max() > 0.1
     assert np.allclose(grads["fused"], grads["unfused"], rtol=1e-4, atol=1e-5)

@@ -1,5 +1,7 @@
 """Unit tests for the kernel code generator and the autotuner."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from repro.core.codegen import (
     kernel_cache_info,
 )
 from repro.core.fused import resolve_backend
-from repro.core.operators import OpKind, Operator
+from repro.core.operators import EXPR_NAMESPACE, OpKind, Operator
+from repro.core.optimized import run_edge_blocks
 from repro.core.patterns import get_pattern, list_patterns
 from repro.core.generic import fusedmm_generic
 from repro.errors import BackendError, CodegenError
@@ -49,7 +52,8 @@ def test_generated_source_mentions_ops():
     assert "sigmoid(" in source  # shared clipped sigmoid from core.mathops
     # The emitted source is the block body: the inlined SOP and MOP steps.
     assert "H = sigmoid(S)" in source
-    assert "M = H[:, None] * Yd" in source
+    # The message is written over the gathered neighbour rows.
+    assert "M = H[:, None]\n    M = np.multiply(M, Yd, out=Yd if" in source
     assert "def _generated_block_kernel" in source
 
 
@@ -57,7 +61,52 @@ def test_generated_source_fr_uses_difference():
     source = generate_kernel_source(get_pattern("fr_layout").resolved())
     # Each gather is read once, so it is inlined into the difference.
     assert "W = np.take(X, src, axis=0) - np.take(Y, dst, axis=0)" in source
-    assert "H[:, None] * W" in source  # MULDIFF consumes the VOP output
+    assert "M = np.multiply(M, W, out=W if" in source  # MULDIFF consumes the VOP output
+
+
+_IN_PLACE = re.compile(r"M = (.+)\n +M = np\.multiply\(M, (\w+), out=.+\)\n")
+
+
+def _without_in_place_message(source: str) -> str:
+    """``source`` with the in-place message back in its plain form,
+    ``M = (a) * buf``."""
+    return _IN_PLACE.sub(lambda m: f"M = ({m[1]}) * {m[2]}\n", source)
+
+
+def test_in_place_message_applies_to_the_scalar_message_products():
+    rewritten = {
+        name
+        for name in list_patterns()
+        if "out=" in generate_kernel_source(get_pattern(name).resolved())
+    }
+    assert rewritten == {"fr_layout", "sigmoid_embedding", "sigmoid_residual"}
+
+
+@pytest.mark.parametrize("d", [1, 16, 128])
+@pytest.mark.parametrize("name", list_patterns())
+def test_in_place_message_is_bitwise_the_plain_product(name, d):
+    """Every registered pattern's kernel against its source with the
+    in-place message undone, over float32/float64 features and edge
+    values, including the mixed dtypes where the product cannot be written
+    over its buffer."""
+    pattern = get_pattern(name).resolved()
+    namespace = dict(EXPR_NAMESPACE)
+    namespace.update((kind, op.batch_fn) for kind, op in pattern.ops().items())
+    source = _without_in_place_message(generate_kernel_source(pattern))
+    assert "out=" not in source
+    exec(source, namespace)
+    plain = namespace["_generated_block_kernel"]
+    kernel = compile_kernel(pattern)
+    X0, Y0 = make_xy(random_csr(90, 90, density=0.08, seed=d), d, seed=d)
+    for x_t in (np.float32, np.float64):
+        for y_t in (np.float32, np.float64):
+            for a_t in (np.float32, np.float64):
+                A = random_csr(90, 90, density=0.08, seed=d, dtype=a_t)
+                X, Y = X0.astype(x_t), (Y0 - 0.5).astype(y_t)
+                got = kernel(A, X, Y, block_size=64)
+                expected = run_edge_blocks(A, X, Y, plain, aop=pattern.aop, block_size=64)
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected), (x_t, y_t, a_t)
 
 
 def test_compile_kernel_caches():
