@@ -11,7 +11,12 @@
 * :mod:`~repro.apps.classify` — logistic-regression node-classification
   evaluation and F1 metrics (Section V.D accuracy check).
 * :mod:`~repro.apps.sampling` — minibatching and negative sampling.
+
+:data:`APPS` is the one table of the app kinds the model registry and the
+job supervisor build, and :func:`build_app` the one factory behind both.
 """
+
+from typing import Dict, NamedTuple, Tuple
 
 from .classify import (
     LogisticRegressionClassifier,
@@ -28,7 +33,53 @@ from .gnn_mlp import MLPGNN, MLPGNNLayer
 from .sampling import NegativeSampler, epoch_operands, minibatch_indices, with_negatives
 from .verse import Verse, VerseConfig
 
+
+class AppKind(NamedTuple):
+    """One buildable app: its class, its config class and the config
+    fields that a spec's dimension and epoch count set."""
+
+    cls: type
+    config: type
+    dim_field: str = "dim"
+    epochs_field: str = "epochs"
+
+
+APPS: Dict[str, AppKind] = {
+    "force2vec": AppKind(Force2Vec, Force2VecConfig),
+    "verse": AppKind(Verse, VerseConfig),
+    "gcn": AppKind(GCN, GCNConfig, dim_field="hidden_dim"),
+    "fr_layout": AppKind(FRLayout, FRLayoutConfig, epochs_field="iterations"),
+}
+
+#: The app kinds, one per application class.
+APP_KINDS: Tuple[str, ...] = tuple(APPS)
+
+
+def build_app(kind: str, dataset: str, *, scale: float, dim: int, epochs: int, **config):
+    """Load ``dataset`` at ``scale`` and build the untrained ``kind`` app.
+
+    ``dim`` and ``epochs`` set the config fields :data:`APPS` names for
+    ``kind``; ``config`` passes any other config field (seed, runtime
+    knobs, learning rate, ...).  A config field the app does not have is
+    a :class:`TypeError`.  Returns ``(graph, app)``.
+    """
+    from ..graphs.datasets import load_dataset
+
+    entry = APPS[kind]
+    load_kwargs = {"scale": scale}
+    if kind == "gcn":
+        # GCN needs node features; give the synthetic twin random ones.
+        load_kwargs["feature_dim"] = max(dim, 8)
+    graph = load_dataset(dataset, **load_kwargs)
+    app_config = entry.config(**{entry.dim_field: dim, entry.epochs_field: epochs}, **config)
+    return graph, entry.cls(graph, config=app_config)
+
+
 __all__ = [
+    "APPS",
+    "APP_KINDS",
+    "AppKind",
+    "build_app",
     "Force2Vec",
     "Force2VecConfig",
     "EpochStats",

@@ -45,8 +45,8 @@ The ``backend`` knob selects which kernel implementation performs the work:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from dataclasses import asdict, dataclass
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -63,15 +63,6 @@ from .sampling import NegativeSampler, epoch_operands, minibatch_indices
 __all__ = ["Force2VecConfig", "EpochStats", "Force2Vec", "EMBEDDING_BACKENDS"]
 
 EMBEDDING_BACKENDS = ("fused", "fused_generic", "unfused", "dense")
-
-
-def update_rows(embeddings: np.ndarray, Y: np.ndarray, batch: np.ndarray, step: np.ndarray) -> None:
-    """``embeddings[batch] -= step`` and the float32 mirror ``Y`` refreshed
-    from the same gathered rows: one gather per updated row block."""
-    rows = embeddings[batch]
-    rows -= step
-    embeddings[batch] = rows
-    Y[batch] = rows
 
 
 @dataclass
@@ -139,23 +130,24 @@ class Force2Vec:
     (2708, 32)
     """
 
+    #: The config class a bare ``Force2Vec(graph)`` trains with.
+    config_class = Force2VecConfig
+
     def __init__(self, graph: Graph, config: Force2VecConfig | None = None) -> None:
         self.graph = graph
-        self.config = config or Force2VecConfig()
+        self.config = config or self.config_class()
         self.adjacency: CSRMatrix = graph.adjacency
         if self.adjacency.nrows != self.adjacency.ncols:
-            raise ShapeError("Force2Vec expects a square (whole-graph) adjacency matrix")
+            raise ShapeError(
+                f"{type(self).__name__} expects a square (whole-graph) adjacency matrix"
+            )
         self.embeddings = random_features(
             graph.num_vertices, self.config.dim, seed=self.config.seed
         ).astype(np.float64)
-        self._sampler = NegativeSampler(
-            graph.num_vertices,
-            degrees=self.adjacency.row_degrees(),
-            seed=self.config.seed + 7,
-        )
-        # The adjacency is fixed across all epochs; bind the gradient
-        # pattern to a cached plan once and stream every minibatch through
-        # it.  With ``processes`` set, large minibatch kernels run on the
+        self._matrix, self._labels, self._sampler = self._objective()
+        # The matrix is fixed across all epochs; bind the gradient pattern
+        # to a cached plan once and stream every minibatch through it.
+        # With ``processes`` set, large minibatch kernels run on the
         # sharded multi-process tier (bitwise identical results).
         self._runtime = KernelRuntime(
             cache_size=4,
@@ -165,7 +157,7 @@ class Force2Vec:
             **self.config.runtime_kwargs(),
         )
         self._stream = self._runtime.epochs(
-            self.adjacency,
+            self._matrix,
             pattern="sigmoid_residual",
             backend=self.config.kernel_backend,
             reorder=self.config.reorder,
@@ -174,6 +166,19 @@ class Force2Vec:
         # backends); the stream keeps its own clock.
         self._direct_seconds = 0.0
         self.history: List[EpochStats] = []
+
+    def _objective(self) -> Tuple[CSRMatrix, Optional[float], NegativeSampler]:
+        """``(matrix, labels, sampler)``: the matrix whose rows the
+        minibatches select, the label of its real edges (``None`` labels
+        each edge with its stored value) and the noise sampler.  Force2Vec
+        trains on the adjacency with label 1 and degree-biased negatives;
+        :class:`~repro.apps.verse.Verse` overrides this."""
+        sampler = NegativeSampler(
+            self.graph.num_vertices,
+            degrees=self.adjacency.row_degrees(),
+            seed=self.config.seed + 7,
+        )
+        return self.adjacency, 1.0, sampler
 
     # ------------------------------------------------------------------ #
     # Kernel dispatch
@@ -219,12 +224,12 @@ class Force2Vec:
     def _epoch_operands(self, batches):
         """``(batch, A_batch, negatives)`` per minibatch, built once for the
         epoch (:func:`~repro.apps.sampling.epoch_operands`).  On the FusedMM
-        backends ``A_batch`` is the labelled matrix: label 1 on the real
-        edges, 0 on the negatives."""
+        backends ``A_batch`` is the labelled matrix: the
+        :meth:`_objective` label on the real edges, 0 on the negatives."""
         fused = self.config.backend in ("fused", "fused_generic")
         return epoch_operands(
-            self.adjacency, batches, self._sampler, self.config.negative_samples,
-            1.0, labelled=fused,
+            self._matrix, batches, self._sampler, self.config.negative_samples,
+            self._labels, labelled=fused,
         )
 
     def _batch_gradient(
@@ -280,7 +285,12 @@ class Force2Vec:
         )
         for batch, A_batch, negs in self._epoch_operands(batches):
             grad = self._batch_gradient(batch, Y, A_batch, negs)
-            update_rows(self.embeddings, Y, batch, cfg.learning_rate * grad)
+            # ``embeddings[batch] -= step`` and the mirror refreshed from
+            # the same gathered rows: one gather per updated row block.
+            rows = self.embeddings[batch]
+            rows -= cfg.learning_rate * grad
+            self.embeddings[batch] = rows
+            Y[batch] = rows
         stats = EpochStats(
             epoch=epoch,
             seconds=time.perf_counter() - t_epoch,
@@ -314,8 +324,6 @@ class Force2Vec:
         pure function of ``seed + epoch`` and needs no persisting) and the
         epoch history.  Arrays are returned as copies; the rest is
         JSON-able, so the dict drops straight into a checkpoint."""
-        from dataclasses import asdict
-
         return {
             "embeddings": self.embeddings.copy(),
             "epochs_completed": len(self.history),

@@ -109,12 +109,13 @@ def _scaled_generic_time(
     return timing.mean * scale
 
 
-def _interleaved_means(*fns: Callable[[], object], repeats: int) -> Tuple[float, ...]:
-    """Mean seconds per call of each of ``fns``: one warm-up call each, then
-    ``repeats`` rounds that call every function once.  Interleaving puts
-    every comparand under the same host and allocator state, so a drift
-    during the measurement moves all of them, not only the one timed
-    last."""
+def _interleaved_medians(*fns: Callable[[], object], repeats: int) -> Tuple[float, ...]:
+    """Median seconds per call of each of ``fns``: one warm-up call each,
+    then ``repeats`` rounds that call every function once.  Interleaving
+    puts every comparand under the same host and allocator state, so a
+    drift during the measurement moves all of them, not only the one timed
+    last; the median keeps a single 2-4x spike of one call from deciding
+    the comparison, as it would a mean of a few calls."""
     for fn in fns:
         fn()
     seconds = [[] for _ in fns]
@@ -123,7 +124,7 @@ def _interleaved_means(*fns: Callable[[], object], repeats: int) -> Tuple[float,
             t0 = time.perf_counter()
             fn()
             acc.append(time.perf_counter() - t0)
-    return tuple(float(np.mean(acc)) for acc in seconds)
+    return tuple(float(np.median(acc)) for acc in seconds)
 
 
 def compare_kernels(
@@ -140,15 +141,16 @@ def compare_kernels(
 ) -> Dict[str, object]:
     """Run the DGL / FusedMM / FusedMMopt comparison and return one row.
 
-    The row contains the three mean times (seconds), the two speedups the
+    The row contains the three times (seconds), the two speedups the
     paper reports (FusedMMopt over DGL, and FusedMMopt over the generic
-    FusedMM), and the problem parameters.
+    FusedMM), and the problem parameters.  The DGL and FusedMMopt times
+    are medians of interleaved calls (:func:`_interleaved_medians`).
     """
     A = as_csr(A)
     X, Y = make_operands(A, d, seed=seed)
     callables = kernel_callables(A, X, Y, pattern=pattern, num_threads=num_threads)
 
-    dgl_time, opt_time = _interleaved_means(
+    dgl_time, opt_time = _interleaved_medians(
         callables["dgl"], callables["fusedmmopt"], repeats=repeats
     )
     row: Dict[str, object] = {

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..apps import APP_KINDS
 from ..jobs import CheckpointStore, JobSpec, build_app, run_training
 
 __all__ = ["bench_checkpoint_overhead", "MAX_OVERHEAD"]
@@ -32,9 +33,6 @@ TITLE = "Checkpoint overhead (per-epoch durable saves vs none)"
 #: Acceptance gate: per-epoch checkpointing may cost at most this
 #: fraction of the bare epoch time.
 MAX_OVERHEAD = 0.10
-
-APPS = ("force2vec", "verse", "gcn", "fr_layout")
-
 
 #: Per-app workload dataset and its full-scale node count (``scale``
 #: maps the requested ``nodes`` onto it).  The embedding/layout apps get
@@ -69,7 +67,7 @@ def bench_checkpoint_overhead(
     dim: int = 32,
     epochs: int = 4,
     repeats: int = 3,
-    apps: Sequence[str] = APPS,
+    apps: Sequence[str] = APP_KINDS,
 ) -> List[Dict[str, object]]:
     """Per-app epoch-vs-save timings plus the bitwise-identity verdict.
 
@@ -141,7 +139,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dim", type=int, default=None)
     parser.add_argument("--epochs", type=int, default=None)
     parser.add_argument("--repeats", type=int, default=None)
-    parser.add_argument("--apps", nargs="+", default=list(APPS), choices=APPS)
+    parser.add_argument("--apps", nargs="+", default=list(APP_KINDS), choices=APP_KINDS)
 
 
 def run(args: argparse.Namespace) -> Tuple[List[Dict[str, object]], Optional[Dict]]:

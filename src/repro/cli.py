@@ -57,6 +57,7 @@ import os
 import sys
 from typing import List, Optional
 
+from .apps import APP_KINDS
 from .bench.record import record_benchmark
 from .bench.tables import format_table
 from .core.patterns import PATTERNS, get_pattern
@@ -756,7 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--app",
-        choices=["force2vec", "verse", "gcn", "fr_layout"],
+        choices=APP_KINDS,
         default="force2vec",
         help="application trained for --models entries",
     )
@@ -786,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_train.add_argument(
         "--app",
-        choices=["force2vec", "verse", "gcn", "fr_layout"],
+        choices=APP_KINDS,
         default="force2vec",
     )
     p_train.add_argument("--dataset", default="cora")
@@ -830,7 +831,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_jobs_submit.add_argument("--url", **_url_kwargs)
     p_jobs_submit.add_argument(
         "--app",
-        choices=["force2vec", "verse", "gcn", "fr_layout"],
+        choices=APP_KINDS,
         default="force2vec",
     )
     p_jobs_submit.add_argument("--dataset", default="cora")

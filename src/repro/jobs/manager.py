@@ -33,12 +33,13 @@ import threading
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .. import apps
 from ..errors import (
     CheckpointError,
     DrainingError,
@@ -61,10 +62,8 @@ __all__ = [
     "run_training",
 ]
 
-#: The app kinds a job can train — one per application class.  Defined
-#: here (not imported from :mod:`repro.serve`) so the dependency points
-#: serve → jobs, never back.
-JOB_APPS = ("force2vec", "verse", "gcn", "fr_layout")
+#: The app kinds a job can train (:data:`repro.apps.APP_KINDS`).
+JOB_APPS = apps.APP_KINDS
 
 JOB_STATES = ("pending", "running", "completed", "failed", "cancelled")
 TERMINAL_STATES = frozenset({"completed", "failed", "cancelled"})
@@ -114,18 +113,7 @@ class JobSpec:
             raise JobError(f"extra must be a dict, got {type(self.extra).__name__}")
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "app": self.app,
-            "dataset": self.dataset,
-            "scale": self.scale,
-            "dim": self.dim,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "checkpoint_every": self.checkpoint_every,
-            "kernel_backend": self.kernel_backend,
-            "num_threads": self.num_threads,
-            "extra": dict(self.extra),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: Dict[str, object]) -> "JobSpec":
@@ -144,54 +132,23 @@ class JobSpec:
 
 
 def build_app(spec: JobSpec):
-    """Instantiate the (untrained) application behind ``spec``.
-
-    Returns ``(graph, app)``; mirrors the construction in
-    :meth:`repro.serve.config.ModelSpec.build` but leaves training to the
-    job driver, which owns the epoch loop.
-    """
-    from ..graphs.datasets import load_dataset
-
-    load_kwargs: Dict[str, object] = {"scale": spec.scale}
-    if spec.app == "gcn":
-        # GCN needs node features; give the synthetic twin random ones.
-        load_kwargs["feature_dim"] = max(spec.dim, 8)
-    graph = load_dataset(spec.dataset, **load_kwargs)
-    common = dict(
-        dim=spec.dim,
-        seed=spec.seed,
-        num_threads=spec.num_threads,
-        kernel_backend=spec.kernel_backend,
-        **spec.extra,
-    )
+    """Instantiate the (untrained) application behind ``spec`` through
+    :func:`repro.apps.build_app`; training is left to the job driver,
+    which owns the epoch loop.  Returns ``(graph, app)``."""
     try:
-        if spec.app == "force2vec":
-            from ..apps import Force2Vec, Force2VecConfig
-
-            app = Force2Vec(graph, Force2VecConfig(epochs=spec.epochs, **common))
-        elif spec.app == "verse":
-            from ..apps import Verse, VerseConfig
-
-            app = Verse(graph, VerseConfig(epochs=spec.epochs, **common))
-        elif spec.app == "gcn":
-            from ..apps import GCN, GCNConfig
-
-            common.pop("dim")
-            app = GCN(
-                graph,
-                config=GCNConfig(
-                    hidden_dim=spec.dim, epochs=spec.epochs, **common
-                ),
-            )
-        else:  # fr_layout
-            from ..apps import FRLayout, FRLayoutConfig
-
-            app = FRLayout(
-                graph, FRLayoutConfig(iterations=spec.epochs, **common)
-            )
+        return apps.build_app(
+            spec.app,
+            spec.dataset,
+            scale=spec.scale,
+            dim=spec.dim,
+            epochs=spec.epochs,
+            seed=spec.seed,
+            num_threads=spec.num_threads,
+            kernel_backend=spec.kernel_backend,
+            **spec.extra,
+        )
     except TypeError as exc:
         raise JobError(f"invalid extra config for app {spec.app!r}: {exc}") from exc
-    return graph, app
 
 
 def _train_one(app, kind: str, epoch: int) -> Dict[str, object]:

@@ -8,17 +8,18 @@ client socket and a kernel invocation: the coalescer's window geometry
 (which named graphs and app models are pre-loaded and kept warm).
 
 The four applications consume the same config: :class:`ModelSpec.build`
-constructs a Force2Vec / VERSE / GCN / FR-layout instance whose app config
-inherits the serve-level runtime knobs, so one ``ServeConfig`` describes
-the whole deployment.
+builds a Force2Vec / VERSE / GCN / FR-layout instance through
+:func:`repro.apps.build_app` with the serve-level runtime knobs, so one
+``ServeConfig`` describes the whole deployment.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
+from ..apps import APP_KINDS, build_app
 from ..errors import BackendError, ShapeError
 from ..runtime import RuntimeOptions
 
@@ -49,9 +50,6 @@ def resolve_deadline_ms(
     if not math.isfinite(value) or value < 0:
         raise ValueError(f"deadline_ms must be finite and >= 0, got {raw!r}")
     return value if value > 0 else None
-
-#: The app kinds the registry can build (one per application class).
-APP_KINDS = ("force2vec", "verse", "gcn", "fr_layout")
 
 
 @dataclass(frozen=True)
@@ -90,54 +88,25 @@ class ModelSpec:
             )
 
     def build(self, config: "ServeConfig"):
-        """Instantiate the app behind this model with the serve-level
-        runtime knobs (threads, processes, kernel backend, reorder).
+        """Build the app behind this model through
+        :func:`repro.apps.build_app` with the serve-level runtime knobs and
+        train it for ``train_epochs`` epochs (GCN for at least one).
 
-        Returns ``(graph, app_instance)``; training happened, the app's
-        plans are warm, and its servable output matrix is available via
-        ``serve_output()``.
+        Returns ``(graph, app_instance)``; the app's plans are warm and its
+        servable output matrix is available via ``serve_output()``.
         """
-        from ..graphs.datasets import load_dataset
-
-        load_kwargs = {"scale": self.scale}
-        if self.app == "gcn":
-            # GCN needs node features; give the synthetic twin random ones.
-            load_kwargs["feature_dim"] = max(self.dim, 8)
-        graph = load_dataset(self.dataset, **load_kwargs)
-        common = dict(
+        graph, app = build_app(
+            self.app,
+            self.dataset,
+            scale=self.scale,
             dim=self.dim,
+            epochs=self.train_epochs,
             seed=self.seed,
-            num_threads=config.num_threads,
-            processes=config.processes,
-            shard_min_nnz=config.shard_min_nnz,
-            kernel_backend=config.kernel_backend,
-            reorder=config.reorder,
+            **{f.name: getattr(config, f.name) for f in fields(RuntimeOptions)},
         )
-        if self.app == "force2vec":
-            from ..apps import Force2Vec, Force2VecConfig
-
-            app = Force2Vec(
-                graph, Force2VecConfig(epochs=self.train_epochs, **common)
-            )
-            app.train()
-        elif self.app == "verse":
-            from ..apps import Verse, VerseConfig
-
-            app = Verse(graph, VerseConfig(epochs=self.train_epochs, **common))
-            app.train(self.train_epochs)
-        elif self.app == "gcn":
-            from ..apps import GCN, GCNConfig
-
-            common.pop("dim")
-            app = GCN(graph, config=GCNConfig(hidden_dim=self.dim, **common))
-            app.fit(epochs=max(self.train_epochs, 1))
-        else:  # fr_layout
-            from ..apps import FRLayout, FRLayoutConfig
-
-            app = FRLayout(
-                graph, FRLayoutConfig(iterations=self.train_epochs, **common)
-            )
-            app.run()
+        epochs = max(self.train_epochs, 1) if self.app == "gcn" else self.train_epochs
+        for epoch in range(epochs):
+            app.train_epoch(epoch)
         return graph, app
 
 
@@ -177,8 +146,6 @@ class ServeConfig(RuntimeOptions):
         Deadline applied to requests that don't carry their own
         (``0`` = none).  Requests whose deadline expires while queued are
         answered ``504`` without running the kernel.
-    ``drain_timeout_s``
-        Grace period for in-flight work on shutdown.
 
     Runtime
     -------
@@ -210,7 +177,6 @@ class ServeConfig(RuntimeOptions):
     idle_flush_ms: float = 0.25
     max_queue: int = 256
     default_deadline_ms: float = 0.0
-    drain_timeout_s: float = 10.0
     #: dispatcher threads executing flushed windows / large singles
     dispatch_workers: int = 2
     #: reject request bodies larger than this many bytes (413)
@@ -241,23 +207,7 @@ class ServeConfig(RuntimeOptions):
     #: admitted-but-not-running jobs; beyond ``max_jobs + max_job_queue``
     #: submissions are answered 429
     max_job_queue: int = 8
-    #: default checkpoint cadence (epochs) for jobs that don't set one
-    job_checkpoint_every: int = 1
-    #: requeue attempts for crashed/faulted jobs before ``failed``
-    job_retries: int = 3
-    plan_cache_size: int = 128
     models: Tuple[ModelSpec, ...] = field(default_factory=lambda: DEFAULT_MODELS)
-    #: patterns pre-planned against every registered graph at startup
-    warm_patterns: Tuple[str, ...] = ("sigmoid_embedding", "gcn", "spmm")
-    #: dynamic graphs: fold a graph's delta overlay into a fresh base CSR
-    #: once its override nonzeros exceed this fraction of the base nnz …
-    compact_delta_ratio: float = 0.25
-    #: … or once this many edge operations accumulated since the last fold
-    compact_max_log: int = 50_000
-    #: dynamic graphs: a reordered plan keeps its vertex permutation across
-    #: mutations while the permuted matrix's mean bandwidth stays within
-    #: this factor of the bandwidth measured at attach time
-    reorder_carry_factor: float = 4.0
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -277,8 +227,6 @@ class ServeConfig(RuntimeOptions):
             raise ShapeError(
                 f"dispatch_workers must be >= 1, got {self.dispatch_workers}"
             )
-        if self.drain_timeout_s < 0:
-            raise ShapeError("drain_timeout_s must be >= 0")
         if self.wire_credits < 1:
             raise ShapeError(
                 f"wire_credits must be >= 1, got {self.wire_credits}"
@@ -296,25 +244,9 @@ class ServeConfig(RuntimeOptions):
                 f"max_jobs must be >= 1 and max_job_queue >= 0, got "
                 f"{self.max_jobs}/{self.max_job_queue}"
             )
-        if self.job_checkpoint_every < 0 or self.job_retries < 0:
-            raise ShapeError(
-                "job_checkpoint_every and job_retries must be >= 0"
-            )
-        if self.compact_delta_ratio <= 0 or self.compact_max_log < 1:
-            raise ShapeError(
-                "compact_delta_ratio must be > 0 and compact_max_log >= 1"
-            )
-        if self.reorder_carry_factor < 1.0:
-            raise ShapeError(
-                f"reorder_carry_factor must be >= 1, got {self.reorder_carry_factor}"
-            )
         names = [m.name for m in self.models]
         if len(set(names)) != len(names):
             raise ShapeError(f"duplicate model names in ServeConfig: {names}")
-
-    def with_models(self, *specs: ModelSpec) -> "ServeConfig":
-        """A copy of this config serving exactly ``specs``."""
-        return replace(self, models=tuple(specs))
 
     def describe(self) -> Dict[str, object]:
         """JSON-able summary (the ``config`` block of ``/statz``)."""
@@ -336,10 +268,5 @@ class ServeConfig(RuntimeOptions):
             "job_dir": None if self.job_dir is None else str(self.job_dir),
             "max_jobs": self.max_jobs,
             "max_job_queue": self.max_job_queue,
-            "job_checkpoint_every": self.job_checkpoint_every,
-            "job_retries": self.job_retries,
-            "compact_delta_ratio": self.compact_delta_ratio,
-            "compact_max_log": self.compact_max_log,
-            "reorder_carry_factor": self.reorder_carry_factor,
             "models": [m.name for m in self.models],
         }

@@ -210,8 +210,7 @@ class OpTable:
         return self._server.jobs
 
     async def train(self, meta, arrays) -> Result:
-        doc = {"checkpoint_every": self._server.config.job_checkpoint_every, **meta}
-        job_id = self._jobs().submit(JobSpec.from_dict(doc))
+        job_id = self._jobs().submit(JobSpec.from_dict(meta))
         return 202, {"job_id": job_id, "state": "pending"}, {}
 
     async def jobs(self, meta, arrays) -> Result:

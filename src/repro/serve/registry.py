@@ -12,10 +12,10 @@ and (with ``processes``) worker spawn + shared-memory upload.  The
 * every model's adjacency is registered as a **named graph**, so
   ``/v1/kernel`` requests can say ``"model": "cora-f2v"`` instead of
   shipping CSR arrays in every call;
-* the serving runtime **pre-plans** each registered graph for the
-  configured warm patterns (``sigmoid_embedding``/``gcn``/``spmm`` by
-  default) — the plan cache, reorder memos and partitionings are
-  populated before the listener accepts its first connection;
+* the serving runtime **pre-plans** each registered graph for the warm
+  patterns (``sigmoid_embedding``/``gcn``/``spmm``) — the plan cache,
+  reorder memos and partitionings are populated before the listener
+  accepts its first connection;
 * with ``processes > 0`` the **worker pool is spawned** and each warm
   graph's CSR is pushed into shared memory up front, so the first sharded
   request pays no spawn or upload latency.
@@ -31,10 +31,14 @@ import numpy as np
 from ..errors import DatasetError
 from ..runtime import DynamicGraph, KernelRuntime, MutationResult
 from ..sparse import CSRMatrix
-from ..sparse.delta import CompactionPolicy
 from .config import ServeConfig
 
 __all__ = ["ModelRegistry", "RegisteredModel"]
+
+#: Plan-cache capacity of the serving runtime.
+PLAN_CACHE_SIZE = 128
+#: Patterns pre-planned against every registered graph at startup.
+WARM_PATTERNS = ("sigmoid_embedding", "gcn", "spmm")
 
 
 class RegisteredModel:
@@ -71,7 +75,7 @@ class ModelRegistry:
         self.config = config or ServeConfig()
         self.runtime = KernelRuntime(
             num_threads=self.config.num_threads,
-            cache_size=self.config.plan_cache_size,
+            cache_size=PLAN_CACHE_SIZE,
             processes=self.config.processes,
             shard_min_nnz=self.config.shard_min_nnz,
             remote_port=self.config.remote_port,
@@ -117,17 +121,9 @@ class ModelRegistry:
 
     def register_graph(self, name: str, A: CSRMatrix) -> None:
         """Register a named adjacency and pre-plan the warm patterns."""
-        self._graphs[name] = DynamicGraph(
-            A,
-            runtime=self.runtime,
-            policy=CompactionPolicy(
-                max_delta_ratio=self.config.compact_delta_ratio,
-                max_log=self.config.compact_max_log,
-            ),
-            carry_factor=self.config.reorder_carry_factor,
-        )
+        self._graphs[name] = DynamicGraph(A, runtime=self.runtime)
         A = self._graphs[name].matrix
-        for pattern in self.config.warm_patterns:
+        for pattern in WARM_PATTERNS:
             try:
                 self.runtime.plan(
                     A,

@@ -79,6 +79,11 @@ from .registry import ModelRegistry
 
 __all__ = ["KernelServer"]
 
+#: Grace period (seconds) for in-flight work on shutdown.
+DRAIN_TIMEOUT_S = 10.0
+#: Requeue attempts for crashed or faulted training jobs before ``failed``.
+JOB_RETRIES = 3
+
 _JSON = "application/json"
 _NPY = "application/x-npy"
 _CSR_FIELDS = (("indptr", np.int64), ("indices", np.int64), ("data", np.float32))
@@ -201,7 +206,7 @@ class KernelServer(Listener):
                     max_delay=1.0,
                     multiplier=2.0,
                     jitter=0.0,
-                    max_attempts=self.config.job_retries,
+                    max_attempts=JOB_RETRIES,
                     seed=0,
                 ),
             )
@@ -233,13 +238,13 @@ class KernelServer(Listener):
             # Drain with wire connections still open: frames pipelined
             # before the drain finish and flush normally, frames arriving
             # during it get 503 error frames instead of a dead socket.
-            await self.coalescer.drain(timeout=self.config.drain_timeout_s)
+            await self.coalescer.drain(timeout=DRAIN_TIMEOUT_S)
         if self.wire is not None:
             # Cutting wire read loops outright would drop request frames a
             # client pipelined that still sit unread on the socket, and every
             # received frame is answered (503 once draining): connections get
             # the drain grace to finish, then the rest is cut.
-            await self.wire.close_connections(timeout=self.config.drain_timeout_s)
+            await self.wire.close_connections(timeout=DRAIN_TIMEOUT_S)
             self.wire = None
         if self.coalescer is not None:
             self.coalescer.close()
