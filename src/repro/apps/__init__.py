@@ -16,22 +16,8 @@
 job supervisor build, and :func:`build_app` the one factory behind both.
 """
 
-from typing import Dict, NamedTuple, Tuple
-
-from .classify import (
-    LogisticRegressionClassifier,
-    accuracy,
-    evaluate_embeddings,
-    f1_macro,
-    f1_micro,
-    train_test_split_indices,
-)
-from .force2vec import EMBEDDING_BACKENDS, EpochStats, Force2Vec, Force2VecConfig
-from .fr_layout import FRLayout, FRLayoutConfig
-from .gcn import GCN, GCN_BACKENDS, GCNConfig, normalize_adjacency
-from .gnn_mlp import MLPGNN, MLPGNNLayer
-from .sampling import NegativeSampler, epoch_operands, minibatch_indices, with_negatives
-from .verse import Verse, VerseConfig
+import importlib
+from typing import NamedTuple, Tuple
 
 
 class AppKind(NamedTuple):
@@ -44,15 +30,68 @@ class AppKind(NamedTuple):
     epochs_field: str = "epochs"
 
 
-APPS: Dict[str, AppKind] = {
-    "force2vec": AppKind(Force2Vec, Force2VecConfig),
-    "verse": AppKind(Verse, VerseConfig),
-    "gcn": AppKind(GCN, GCNConfig, dim_field="hidden_dim"),
-    "fr_layout": AppKind(FRLayout, FRLayoutConfig, epochs_field="iterations"),
-}
+#: The app kinds, one per application class (the keys of :data:`APPS`).
+#: A literal, so reading the kind list imports no trainer.
+APP_KINDS: Tuple[str, ...] = ("force2vec", "verse", "gcn", "fr_layout")
 
-#: The app kinds, one per application class.
-APP_KINDS: Tuple[str, ...] = tuple(APPS)
+#: Submodule -> the public names it provides.  The trainers, the
+#: classifier and the baselines they pull in load on first access (module
+#: ``__getattr__``), so ``repro.serve``, ``repro.jobs`` and worker hosts
+#: import this package for :data:`APP_KINDS` and :func:`build_app` without
+#: paying for them.
+_EXPORTS = {
+    "classify": (
+        "LogisticRegressionClassifier",
+        "accuracy",
+        "evaluate_embeddings",
+        "f1_macro",
+        "f1_micro",
+        "train_test_split_indices",
+    ),
+    "force2vec": (
+        "EMBEDDING_BACKENDS",
+        "EpochStats",
+        "Force2Vec",
+        "Force2VecConfig",
+    ),
+    "fr_layout": ("FRLayout", "FRLayoutConfig"),
+    "gcn": ("GCN", "GCN_BACKENDS", "GCNConfig", "normalize_adjacency"),
+    "gnn_mlp": ("MLPGNN", "MLPGNNLayer"),
+    "sampling": (
+        "NegativeSampler",
+        "epoch_operands",
+        "minibatch_indices",
+        "with_negatives",
+    ),
+    "verse": ("Verse", "VerseConfig"),
+}
+_LAZY = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def _apps():
+    from .force2vec import Force2Vec, Force2VecConfig
+    from .fr_layout import FRLayout, FRLayoutConfig
+    from .gcn import GCN, GCNConfig
+    from .verse import Verse, VerseConfig
+
+    return {
+        "force2vec": AppKind(Force2Vec, Force2VecConfig),
+        "verse": AppKind(Verse, VerseConfig),
+        "gcn": AppKind(GCN, GCNConfig, dim_field="hidden_dim"),
+        "fr_layout": AppKind(FRLayout, FRLayoutConfig, epochs_field="iterations"),
+    }
+
+
+def __getattr__(name: str):
+    if name == "APPS":
+        value = _apps()
+    elif name in _LAZY:
+        module = importlib.import_module(f".{_LAZY[name]}", __name__)
+        value = getattr(module, name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 
 def build_app(kind: str, dataset: str, *, scale: float, dim: int, epochs: int, **config):
@@ -64,6 +103,7 @@ def build_app(kind: str, dataset: str, *, scale: float, dim: int, epochs: int, *
     a :class:`TypeError`.  Returns ``(graph, app)``.
     """
     from ..graphs.datasets import load_dataset
+    from . import APPS
 
     entry = APPS[kind]
     load_kwargs = {"scale": scale}

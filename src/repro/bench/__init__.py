@@ -1,47 +1,52 @@
 """Benchmark-harness utilities shared by the experiments and the
 pytest-benchmark targets."""
 
-from .harness import compare_kernels, kernel_callables, make_operands
-from .jit_bench import bench_jit_speedup
-from .record import bench_environment, load_benchmark, record_benchmark
-from .reorder_bench import bench_reorder_locality
-from .report import ExperimentReport, comparison_block, load_results, save_results
-from .runtime_bench import (
-    bench_batch_packing,
-    bench_plan_cache,
-    run_throughput_benchmark,
-)
-from .shard_bench import bench_shard_scaling
-from .sweep import DegreeSweepItem, degree_sweep_graphs, dimension_sweep
-from .tables import format_markdown_table, format_table, format_value
-from .trend import MetricDelta, TrendReport, compare_paths, compare_records
+import importlib
+
+#: Submodule -> the public names it provides, each imported on first
+#: access (module ``__getattr__``).  Importing one benchmark module
+#: (``repro.bench.record`` from the CLI, ``repro.bench.dynamic_bench``
+#: from a benchmark script) runs this package first, so nothing here may
+#: pull in the baselines, the serving stack, the remote tier or the
+#: training apps eagerly: the import graph costs resident memory in every
+#: CLI process (worker hosts included) and measurably perturbs the
+#: GC-sensitive sub-millisecond timing windows of the other benchmarks.
+_EXPORTS = {
+    "harness": ("compare_kernels", "kernel_callables", "make_operands"),
+    "jit_bench": ("bench_jit_speedup",),
+    "record": ("bench_environment", "load_benchmark", "record_benchmark"),
+    "reorder_bench": ("bench_reorder_locality",),
+    "report": (
+        "ExperimentReport",
+        "comparison_block",
+        "load_results",
+        "save_results",
+    ),
+    "runtime_bench": (
+        "bench_batch_packing",
+        "bench_plan_cache",
+        "run_throughput_benchmark",
+    ),
+    "shard_bench": ("bench_shard_scaling",),
+    "sweep": ("DegreeSweepItem", "degree_sweep_graphs", "dimension_sweep"),
+    "tables": ("format_markdown_table", "format_table", "format_value"),
+    "trend": ("MetricDelta", "TrendReport", "compare_paths", "compare_records"),
+    "serve_bench": ("bench_serve_throughput",),
+    "remote_bench": ("bench_remote_scaling",),
+    "dynamic_bench": ("bench_dynamic_updates",),
+    "jobs_bench": ("bench_checkpoint_overhead",),
+}
+_LAZY = {name: module for module, names in _EXPORTS.items() for name in names}
 
 
 def __getattr__(name: str):
-    # Lazy: the serving benchmark pulls in the whole repro.serve +
-    # asyncio/http stack, which the other benchmarks don't need — and
-    # whose import-graph size measurably perturbs their GC-sensitive
-    # sub-millisecond timing windows.
-    if name == "bench_serve_throughput":
-        from .serve_bench import bench_serve_throughput
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    value = getattr(module, name)
+    globals()[name] = value
+    return value
 
-        return bench_serve_throughput
-    # Lazy for the same reason: pulls in the remote/runtime stack.
-    if name == "bench_remote_scaling":
-        from .remote_bench import bench_remote_scaling
-
-        return bench_remote_scaling
-    # Lazy for the same reason: pulls in the remote/runtime stack.
-    if name == "bench_dynamic_updates":
-        from .dynamic_bench import bench_dynamic_updates
-
-        return bench_dynamic_updates
-    # Lazy: pulls in the jobs subsystem and all four training apps.
-    if name == "bench_checkpoint_overhead":
-        from .jobs_bench import bench_checkpoint_overhead
-
-        return bench_checkpoint_overhead
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "bench_environment",

@@ -32,7 +32,6 @@ from ..core.fused import fusedmm
 from ..graphs import rmat
 from ..graphs.features import random_features
 from ..runtime import KernelRuntime
-from ..runtime.remote import REPRO_WORKER_CRASH_AFTER
 
 __all__ = ["bench_remote_scaling", "spawn_worker"]
 
@@ -47,7 +46,6 @@ def spawn_worker(
     name: str,
     *,
     threads: int = 1,
-    crash_after: Optional[int] = None,
     fault_plan: Optional[str] = None,
     reconnect_delay: Optional[float] = None,
     once: bool = True,
@@ -55,10 +53,9 @@ def spawn_worker(
 ) -> subprocess.Popen:
     """Start one ``python -m repro worker`` subprocess against ``port``.
 
-    ``crash_after=N`` arms the legacy fault-injection hook (drop the
-    connection and exit instead of replying to the ``N``-th RUN);
-    ``fault_plan`` passes a full ``--fault-plan`` schedule
-    (:meth:`repro.resilience.FaultPlan.from_spec` grammar).  ``once``
+    ``fault_plan`` passes a ``--fault-plan`` schedule
+    (:meth:`repro.resilience.FaultPlan.from_spec` grammar; ``"crash@1+"``
+    drops the connection and exits instead of replying to the first RUN).  ``once``
     keeps the historical default — the worker exits when the controller
     disconnects; the chaos harness passes ``once=False`` so agents
     reconnect through their backoff loop, and captures ``stderr`` to
@@ -67,10 +64,6 @@ def spawn_worker(
     env = dict(os.environ)
     src_dir = str(Path(__file__).resolve().parents[2])
     env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-    if crash_after is not None:
-        env[REPRO_WORKER_CRASH_AFTER] = str(crash_after)
-    else:
-        env.pop(REPRO_WORKER_CRASH_AFTER, None)
     argv = [
         sys.executable,
         "-m",
@@ -194,7 +187,7 @@ def bench_remote_scaling(
             # shard group to the survivor and still return the exact bytes.
             procs = [
                 spawn_worker(controller.port, "survivor"),
-                spawn_worker(controller.port, "victim", crash_after=1),
+                spawn_worker(controller.port, "victim", fault_plan="crash@1+"),
             ]
             joined = controller.wait_for_hosts(2, timeout=_JOIN_TIMEOUT_S)
             if joined < 2:

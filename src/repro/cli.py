@@ -306,17 +306,12 @@ def _cmd_runtime_stats(args: argparse.Namespace) -> int:
 
 def _cmd_worker(args: argparse.Namespace) -> int:
     from .resilience import Fault, FaultPlan
-    from .runtime.remote import (
-        REPRO_WORKER_CRASH_AFTER,
-        REPRO_WORKER_FAULT_PLAN,
-        WorkerAgent,
-    )
+    from .runtime.remote import REPRO_WORKER_FAULT_PLAN, WorkerAgent
 
     # Fault-injection hooks for tests/CI: --fault-plan (or the env
     # equivalents) schedules crash/disconnect/delay/drop_frame faults
     # against RUN requests; fired faults are logged to stderr so a chaos
     # harness can assert coverage.
-    crash_after = os.environ.get(REPRO_WORKER_CRASH_AFTER)
     fault_spec = args.fault_plan or os.environ.get(REPRO_WORKER_FAULT_PLAN)
     fault_plan = FaultPlan.from_spec(fault_spec) if fault_spec else None
 
@@ -335,7 +330,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         threads=args.threads,
         matrix_cache=args.matrix_cache,
         token=args.token or os.environ.get("REPRO_WORKER_TOKEN") or None,
-        crash_after=int(crash_after) if crash_after else None,
         fault_plan=fault_plan,
         fault_log=_log_fault,
         exit_on_crash=True,

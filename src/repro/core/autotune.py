@@ -35,7 +35,6 @@ __all__ = [
     "ReorderTuning",
     "autotune",
     "autotune_reorder",
-    "cached_reorder_tuning",
     "clear_tuning_cache",
     "tuning_cache_info",
     "DEFAULT_BLOCK_CANDIDATES",
@@ -92,25 +91,16 @@ class ReorderTuning:
 
 
 _TUNING_CACHE: Dict[Tuple, TuningResult] = {}
-_REORDER_CACHE: Dict[Tuple, ReorderTuning] = {}
-#: Entries are a handful of floats, but keys are per matrix fingerprint —
-#: bound the count so a serving loop over endless distinct graphs cannot
-#: grow the verdict cache without limit.
-_REORDER_CACHE_CAPACITY = 256
 
 
 def clear_tuning_cache() -> None:
     """Drop all cached tuning results (mainly for tests)."""
     _TUNING_CACHE.clear()
-    _REORDER_CACHE.clear()
 
 
 def tuning_cache_info() -> Dict[str, int]:
     """Number of cached tuning results."""
-    return {
-        "cached_results": len(_TUNING_CACHE),
-        "cached_reorder_results": len(_REORDER_CACHE),
-    }
+    return {"cached_results": len(_TUNING_CACHE)}
 
 
 def _nnz_bucket(nnz: int) -> int:
@@ -214,29 +204,10 @@ def autotune(
     return result
 
 
-def _reorder_cache_key(memo_key: Tuple, candidates: Tuple[str, ...], repeats: int):
-    return (memo_key, tuple(sorted(candidates)), max(1, repeats))
-
-
-def cached_reorder_tuning(
-    memo_key: Tuple, candidates: Sequence[str], *, repeats: int = 1
-) -> Optional[ReorderTuning]:
-    """A previously measured sweep for this key, or ``None``.
-
-    Lets callers skip *constructing* the candidate runners entirely when
-    the sweep has already been measured — trial-plan construction
-    (permutation + panel compaction) is itself expensive, so probing the
-    cache must not require building what the cache makes unnecessary.
-    """
-    return _REORDER_CACHE.get(_reorder_cache_key(memo_key, tuple(candidates), repeats))
-
-
 def autotune_reorder(
     runners: Dict[str, Callable[[], object]],
     *,
     repeats: int = 1,
-    memo_key: Optional[Tuple] = None,
-    use_cache: bool = True,
 ) -> ReorderTuning:
     """Pick the fastest vertex-reordering strategy by measurement.
 
@@ -245,28 +216,24 @@ def autotune_reorder(
     — including the per-call operand permutation and the inverse mapping
     of the output — so the measured seconds are exactly what an epoch
     loop would pay.  The plan builder supplies the runners (it owns the
-    resolved kernel and the memoised permutations); this function owns
-    timing, selection and caching.
+    resolved kernel and the trial permutations); this function owns
+    timing and selection.
 
     Unlike the block sweep of :func:`autotune`, reorder decisions
     are *matrix-specific* — locality is a property of this graph's
-    structure — so the cache is keyed by the caller-supplied ``memo_key``
-    (typically fingerprint + kernel configuration), never by an nnz
-    bucket.
+    structure — so nothing is cached here: the verdict lives on the plan
+    that asked for it (:attr:`KernelPlan.reorder_tuning`), and the plan
+    cache keeps it exactly as long as the plan.
     """
     if not runners:
         raise ValueError("autotune_reorder needs at least one candidate runner")
-    if memo_key is not None:
-        key = _reorder_cache_key(memo_key, tuple(sorted(runners)), repeats)
-        if use_cache and key in _REORDER_CACHE:
-            return _REORDER_CACHE[key]
     trials: Dict[str, float] = {}
     for name, run in runners.items():
         # One untimed warm-up per candidate: the first call may pay
         # one-off costs the steady state never sees (numba compilation of
         # a shared kernel, lazy buffer setup) — without it the first
-        # candidate measured would absorb them and the cached verdict
-        # would be permanently biased against it.
+        # candidate measured would absorb them and the verdict would be
+        # biased against it for the plan's lifetime.
         run()
         best = float("inf")
         for _ in range(max(1, repeats)):
@@ -275,9 +242,4 @@ def autotune_reorder(
             best = min(best, time.perf_counter() - t0)
         trials[name] = best
     best_name, best_time = min(trials.items(), key=lambda kv: kv[1])
-    result = ReorderTuning(strategy=best_name, best_time=best_time, trials=trials)
-    if memo_key is not None and use_cache:
-        while len(_REORDER_CACHE) >= _REORDER_CACHE_CAPACITY:
-            _REORDER_CACHE.pop(next(iter(_REORDER_CACHE)))
-        _REORDER_CACHE[key] = result
-    return result
+    return ReorderTuning(strategy=best_name, best_time=best_time, trials=trials)

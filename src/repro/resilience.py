@@ -18,8 +18,7 @@ conventions with one audited subsystem:
   that re-registers under a fresh ``host_id`` is still recognised.
 * :class:`FaultPlan` / :class:`FaultInjector` — deterministic seeded
   fault-injection schedules (``crash`` / ``disconnect`` / ``delay`` /
-  ``drop_frame`` at step *k*), the generalisation of the lone
-  ``crash_after`` hook.  Plans round-trip through a compact string spec
+  ``drop_frame`` at step *k*).  Plans round-trip through a compact string spec
   (``"delay@2:0.5,crash@5+"``) so the same schedule travels through CLI
   flags, environment variables and the chaos harness unchanged.
 
@@ -370,8 +369,8 @@ class Fault:
 
     ``step`` is the 1-based ordinal of the guarded operation (RUN frames
     for a worker agent, requests for a server).  ``sticky`` faults fire
-    at ``step`` *and every step after it* — the semantics of the legacy
-    ``crash_after`` hook, where a crashed process stays crashed.
+    at ``step`` *and every step after it* — a crashed process stays
+    crashed.
     ``arg`` carries the kind's parameter (seconds for ``delay``).
     """
 
@@ -422,8 +421,9 @@ class FaultPlan:
     # -- constructors --------------------------------------------------- #
     @classmethod
     def crash_after(cls, n: int) -> "FaultPlan":
-        """The legacy hook: crash on the Nth guarded step and every one
-        after it (a dead process stays dead until something restarts it)."""
+        """Crash on the Nth guarded step and every one after it
+        (``crash@N+``: a dead process stays dead until something restarts
+        it)."""
         return cls([Fault("crash", int(n), sticky=True)])
 
     @classmethod

@@ -67,7 +67,7 @@ __all__ = [
 ]
 
 WORKER_MAGIC = b"RK"
-WORKER_VERSION = 1
+WORKER_VERSION = 2
 
 #: Default per-frame payload cap for the worker transport (both sides).
 #: Frames carry whole CSRs and operand blocks, so the bound is generous —
@@ -91,10 +91,10 @@ OP_RUN = 0x12
 OP_EXIT = 0x13
 #: controller → agent: cache meta["key"] by splicing dirty rows onto the
 #: already-loaded CSR under meta["base_key"] (dynamic-graph re-ship; the
-#: payload is proportional to the dirty rows, not the matrix).  Agents
-#: advertise support with ``"delta": 1`` in REGISTER; the controller
-#: falls back to a full OP_LOAD for agents that don't, or when the base
-#: was evicted (ERROR {missing_key: base_key}).
+#: payload is proportional to the dirty rows, not the matrix).  Every
+#: agent of :data:`WORKER_VERSION` 2 understands it; the controller falls
+#: back to a full OP_LOAD when the base was evicted (ERROR {missing_key:
+#: base_key}).
 OP_LOAD_DELTA = 0x14
 #: success reply (payload depends on the request opcode)
 OP_RESULT = 0x20

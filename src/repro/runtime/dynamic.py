@@ -47,15 +47,8 @@ import numpy as np
 from ..core.partition import RowPartition, split_parts
 from ..sparse import CSRMatrix, as_csr
 from ..sparse.delta import CompactionPolicy, DeltaCSR, splice_rows
-from ..sparse.reorder import (
-    ReorderResult,
-    average_bandwidth,
-    build_panels,
-    drop_reorder_memo,
-    memoize_reorder,
-    reorder_memo_bytes,
-)
-from .fingerprint import derived_fingerprint, matrix_fingerprint, pin_fingerprint
+from ..sparse.reorder import average_bandwidth, build_panels
+from .fingerprint import matrix_fingerprint, pin_fingerprint
 from .plan import KernelPlan, PlanKey, _attach_reorder
 
 __all__ = [
@@ -163,14 +156,17 @@ def refresh_plan(
     matrix (O(dirty nnz) splice) with only the dirty panels re-compacted.
 
     ``carry_cache`` (shared across the plans of one mutation batch) maps a
-    reorder strategy to its already-spliced permuted matrix, so several
-    plans on the same graph pay the splice once.
+    plan's ``reorder_tag`` to its already-spliced permuted matrix, so
+    several plans with the same permutation pay the splice once.
 
     Returns ``(new_plan, info)`` where ``info`` carries the per-plan
     invalidation accounting (``panels_rebuilt``/``panels_reused``,
-    ``carried``) and — for carried reorders — a ``derived`` entry the
-    caller uses to register a dirty-shard delta source for the permuted
-    ship key.
+    ``carried``) and — for carried reorders — a ``derived`` entry
+    (``key``/``base_key``: the new and old
+    :meth:`~repro.runtime.plan.KernelPlan.reordered_key`, ``matrix``,
+    ``perm_rows``) the caller uses to register a dirty-shard delta source
+    for the permuted ship key.  A carried plan keeps its ``reorder_tag``:
+    the permutation is the same.
     """
     A_new = as_csr(A_new)
     new_plan = replace(
@@ -197,7 +193,7 @@ def refresh_plan(
     Ap_new: Optional[CSRMatrix] = None
     pr: Optional[np.ndarray] = None
     if dirty_rows is not None:
-        cached = None if carry_cache is None else carry_cache.get(plan.reorder)
+        cached = None if carry_cache is None else carry_cache.get(plan.reorder_tag)
         if cached is not None:
             Ap_new, pr = cached
         else:
@@ -206,7 +202,7 @@ def refresh_plan(
             )
             Ap_new = splice_rows(plan.reordered, pr, counts, idx, dat)
             if carry_cache is not None:
-                carry_cache[plan.reorder] = (Ap_new, pr)
+                carry_cache[plan.reorder_tag] = (Ap_new, pr)
         reference = (
             plan.reorder_bandwidth
             if plan.reorder_bandwidth is not None
@@ -249,21 +245,12 @@ def refresh_plan(
     # Keep the attach-time bandwidth as the carry reference so repeated
     # small batches cannot ratchet the bound upward.
     new_plan.reorder_bandwidth = plan.reorder_bandwidth
-    if new_key.fingerprint:
-        memoize_reorder(
-            new_key.fingerprint,
-            ReorderResult(
-                strategy=plan.reorder,
-                matrix=Ap_new,
-                perm=plan.perm,
-                inv_perm=plan.inv_perm,
-            ),
-        )
     info["carried"] = True
     info["panels_rebuilt"] = rebuilt
     info["panels_reused"] = reused
     info["derived"] = {
-        "strategy": plan.reorder,
+        "key": new_plan.reordered_key(),
+        "base_key": plan.reordered_key(),
         "matrix": Ap_new,
         "perm_rows": pr,
     }
@@ -450,8 +437,6 @@ class DynamicGraph:
                 rt.release_matrix(cur.fingerprint, remote=False)
                 if self._prev_fp is not None:
                     rt.release_matrix(self._prev_fp)
-            else:
-                drop_reorder_memo(cur.fingerprint)
 
             self._prev_fp = cur.fingerprint
             self._current = GraphVersion(new_delta.version, fp, new_delta, new_A)
@@ -509,18 +494,9 @@ class DynamicGraph:
         controller.register_delta(new_fp, old_fp, rows, counts, idx, dat)
         sources += 1
         for d in info.get("derived") or []:
-            matrix, pr = d.get("matrix"), d.get("perm_rows")
-            if matrix is None or pr is None:
-                continue
-            tag = f"reorder={d['strategy']}"
-            rows, counts, idx, dat = rows_payload(matrix, pr)
+            rows, counts, idx, dat = rows_payload(d["matrix"], d["perm_rows"])
             controller.register_delta(
-                derived_fingerprint(new_fp, tag),
-                derived_fingerprint(old_fp, tag),
-                rows,
-                counts,
-                idx,
-                dat,
+                d["key"], d["base_key"], rows, counts, idx, dat
             )
             sources += 1
         return sources
@@ -533,7 +509,7 @@ class DynamicGraph:
         ``materialized_bytes`` is the current version's spliced CSR (zero
         right after compaction, when the base *is* the materialisation),
         ``plan_bytes`` what the attached runtime's plan cache retains for
-        this version, ``reorder_bytes`` the memoised permuted copies.
+        this version (permuted copies included — the plans own them).
         """
         with self._lock:
             cur = self._current
@@ -553,20 +529,17 @@ class DynamicGraph:
             ),
             "plans": 0,
             "plan_bytes": 0,
-            "reorder_bytes": 0,
         }
         rt = self.runtime
         if rt is not None:
             plan_mem = rt.plan_bytes(cur.fingerprint)
             out["plans"] = plan_mem["plans"]
             out["plan_bytes"] = plan_mem["plan_bytes"]
-        out["reorder_bytes"] = reorder_memo_bytes(cur.fingerprint)
         out["total_bytes"] = int(
             out["base_bytes"]
             + out["delta_bytes"]
             + out["materialized_bytes"]
             + out["plan_bytes"]
-            + out["reorder_bytes"]
         )
         return out
 
@@ -579,15 +552,14 @@ class DynamicGraph:
     # ------------------------------------------------------------------ #
     def close(self) -> Dict[str, int]:
         """Release this graph's entire cache footprint (every version and
-        derived key, across plan cache, reorder memo, worker shared
-        memory and remote hosts).  Idempotent."""
+        derived key, across plan cache, worker shared memory and remote
+        hosts).  Idempotent."""
         with self._lock:
             if self._closed:
                 return {}
             self._closed = True
             if self.runtime is not None:
                 return self.runtime.release_matrix(self.lineage)
-            drop_reorder_memo(self.lineage)
             return {}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

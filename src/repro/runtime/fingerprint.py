@@ -87,8 +87,8 @@ def pin_fingerprint(A, fingerprint: str) -> str:
     hash: the lineage is stable across compaction (same edge set, new
     representation) and cheap to derive (no O(nnz) hashing per mutation).
     Pinning seeds the per-instance memo, so every cache tier that calls
-    :func:`matrix_fingerprint` — plan cache, reorder memo, worker ship
-    keys, remote host LRUs — keys this instance on the versioned name.
+    :func:`matrix_fingerprint` — plan cache, worker ship keys, remote host
+    LRUs — keys this instance on the versioned name.
     The pin lives exactly as long as the instance (weakref-backed).
     """
     A = as_csr(A)
@@ -103,12 +103,17 @@ def pin_fingerprint(A, fingerprint: str) -> str:
 
 
 def derived_fingerprint(fingerprint: str, tag: str) -> str:
-    """Key for a matrix *derived deterministically* from a fingerprinted one.
+    """Key for a matrix derived from a fingerprinted one.
 
-    The locality tier ships the reordered adjacency to the shard workers
-    under ``derived_fingerprint(fp, "reorder=degree")`` and the like: the
-    permuted matrix is a pure function of (content, strategy), so deriving
-    the key is exact and avoids re-hashing O(nnz) bytes that the original
+    A derived key must name the derived *content*: two matrices under one
+    key are taken to be equal by every tier that ships or caches by key.
+    ``fingerprint`` covers the source content, so ``tag`` must carry
+    whatever else makes the derivation unique.  The locality tier ships a
+    permuted adjacency under ``reorder=<strategy>:<perm digest>``
+    (:meth:`~repro.runtime.plan.KernelPlan.reordered_key`) — a strategy
+    name alone is not enough, since a dynamic graph can carry an older
+    version's permutation into a version that a fresh plan would permute
+    differently.  Deriving avoids re-hashing O(nnz) bytes that the source
     fingerprint already covers.
     """
     return f"{fingerprint}|{tag}"

@@ -12,10 +12,11 @@ depend on the feature matrices:
 * the **locality tier** (``reorder=``): a vertex permutation of the bound
   adjacency (:mod:`repro.sparse.reorder`) plus pre-compacted cache-blocked
   row panels.  The permutation and the panels are computed once at plan
-  build (memoised next to the matrix fingerprint); every execution
-  permutes the operands, runs the panels against compact cache-resident
-  operand slices, and maps the output back to the original vertex order —
-  callers never see permuted data.
+  build and live on the plan (the plan cache is their only cache, and
+  :meth:`KernelPlan.reordered_key` names the permutation the sharded tier
+  ships); every execution permutes the operands, runs the panels against
+  compact cache-resident operand slices, and maps the output back to the
+  original vertex order — callers never see permuted data.
 
 Plans are built once per ``(matrix fingerprint, pattern, backend,
 num_threads, block_size, autotune, reorder)`` key and then
@@ -33,6 +34,7 @@ guarantee untouched.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -40,12 +42,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.autotune import (
-    ReorderTuning,
-    TuningResult,
-    autotune_reorder,
-    cached_reorder_tuning,
-)
+from ..core.autotune import ReorderTuning, TuningResult, autotune_reorder
 from ..core.fused import plan_kernel, resolve_backend
 from ..core.optimized import DEFAULT_BLOCK_SIZE
 from ..core.partition import RowPartition, split_parts
@@ -54,15 +51,13 @@ from ..sparse import CSRMatrix, as_csr
 from ..sparse.reorder import (
     REORDER_STRATEGIES,
     PanelBlock,
-    ReorderResult,
     average_bandwidth,
     build_panels,
     cache_block_partitions,
-    memoize_reorder,
     reorder_matrix,
     validate_reorder,
 )
-from .fingerprint import matrix_fingerprint
+from .fingerprint import derived_fingerprint, matrix_fingerprint
 
 __all__ = [
     "KernelPlan",
@@ -112,6 +107,11 @@ class KernelPlan:
     kernel: Optional[Callable] = None
     #: resolved locality strategy ("none" keeps the legacy bitwise path)
     reorder: str = "none"
+    #: ``reorder=<strategy>:<perm digest>`` — names the permutation that
+    #: built ``reordered``, so its ship key (:meth:`reordered_key`) tells
+    #: apart two permutations of one strategy (a carried one and a fresh
+    #: one on the same graph version)
+    reorder_tag: Optional[str] = None
     #: ``perm[new] = old`` / ``inv_perm[old] = new`` vertex permutation
     perm: Optional[np.ndarray] = field(default=None, repr=False)
     inv_perm: Optional[np.ndarray] = field(default=None, repr=False)
@@ -159,6 +159,11 @@ class KernelPlan:
                     + 8 * panel.cols.shape[0]
                 )
         return total
+
+    def reordered_key(self) -> str:
+        """Ship key of ``reordered``: the plan's fingerprint derived by
+        :attr:`reorder_tag`, so equal keys mean equal permuted content."""
+        return derived_fingerprint(self.key.fingerprint, self.reorder_tag)
 
     # ------------------------------------------------------------------ #
     def matches_bound(self, A) -> bool:
@@ -465,26 +470,20 @@ def _reorder_eligible(plan: KernelPlan, A: CSRMatrix) -> bool:
 
 
 def _attach_reorder(
-    plan: KernelPlan,
-    A: CSRMatrix,
-    strategy: str,
-    *,
-    autotune_dim: int,
-    memoize: bool = True,
+    plan: KernelPlan, A: CSRMatrix, strategy: str, *, autotune_dim: int
 ) -> None:
     """Bind the permuted matrix + compacted panels for ``strategy``.
 
     The plan's natural-order partitions set the least panel count, so a
-    reordered plan splits at least as finely.  ``memoize=False`` keeps throwaway sweep candidates out of the reorder
-    memo — losing strategies' permuted matrices must not stay pinned in
-    memory for the process lifetime.
+    reordered plan splits at least as finely.
     """
-    memo_key = plan.key.fingerprint or None if memoize else None
-    result = reorder_matrix(A, strategy, memo_key=memo_key)
+    result = reorder_matrix(A, strategy)
     parts = cache_block_partitions(
         result.matrix, dim=autotune_dim, min_parts=len(plan.partitions)
     )
+    digest = hashlib.blake2b(result.perm.tobytes(), digest_size=8).hexdigest()
     plan.reorder = strategy
+    plan.reorder_tag = f"reorder={strategy}:{digest}"
     plan.perm = result.perm
     plan.inv_perm = result.inv_perm
     plan.reordered = result.matrix
@@ -505,11 +504,11 @@ def _apply_reorder(
     * ``"auto"`` — a measured sweep: every candidate (including
       ``"none"``) runs one complete planned call — operand permutation,
       compacted panel execution, inverse mapping — on synthetic features
-      of the autotune dimension, and the fastest wins.  The sweep result
-      is cached per (fingerprint, kernel config) and probed before any
-      trial plan is constructed, so rebuilding the plan neither
-      re-measures nor re-permutes; only the winning strategy's
-      permutation enters the reorder memo — losers are garbage-collected.
+      of the autotune dimension, and the fastest wins.  The winning
+      trial's permutation and panels move into the plan (nothing is
+      recomputed); the verdict stays on the plan (``reorder_tuning``), so
+      a cached plan never re-measures and the losers are
+      garbage-collected.
 
     Ineligible matrices (rectangular, empty, or the generic reference
     backend) silently fall back to ``"none"`` — the knob is a performance
@@ -525,70 +524,37 @@ def _apply_reorder(
         _attach_reorder(plan, A, strategy, autotune_dim=autotune_dim)
         return
 
-    # Measured selection.  The sweep result is cached per (fingerprint,
-    # kernel config): probe that cache *before* constructing any trial
-    # plan, so a rebuilt plan (LRU eviction, second runtime) reuses the
-    # verdict without re-permuting or re-compacting the losing candidates.
-    memo_key = (
-        key.fingerprint,
-        key.pattern,
-        plan.kind,
-        plan.block_size,
-        autotune_dim,
-    )
-    sweep = cached_reorder_tuning(memo_key, REORDER_STRATEGIES)
+    # Measured selection.  Candidates share the synthetic operands; every
+    # runner performs the full per-epoch work of its strategy.  Trial
+    # construction happens here — outside the timed runners, so repeats=1
+    # timings measure execution only.
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((A.nrows, autotune_dim)).astype(np.float32)
+    candidates: Dict[str, Callable[[], object]] = {
+        "none": lambda: plan._kernel_call(A, X, X, num_threads=1)
+    }
     trial_plans: Dict[str, KernelPlan] = {}
-    if sweep is None:
-        # Candidates share the synthetic operands; every runner performs
-        # the full per-epoch work of its strategy.  Trial construction
-        # happens here — outside the timed runners, so repeats=1 timings
-        # measure execution only — and without memoisation, so losing
-        # strategies' permuted matrices are garbage-collected.
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal((A.nrows, autotune_dim)).astype(np.float32)
-        candidates: Dict[str, Callable[[], object]] = {
-            "none": lambda: plan._kernel_call(A, X, X, num_threads=1)
-        }
-        for cand in REORDER_STRATEGIES:
-            if cand == "none":
-                continue
-            # replace() copies every field (so future dispatch-relevant
-            # fields cannot be silently dropped from the trial config).
-            trial = replace(plan)
-            _attach_reorder(
-                trial, A, cand, autotune_dim=autotune_dim, memoize=False
-            )
-            trial_plans[cand] = trial
-            candidates[cand] = (
-                lambda t=trial: t._execute_reordered(X, X)
-            )
-        sweep = autotune_reorder(candidates, memo_key=memo_key)
+    for cand in REORDER_STRATEGIES:
+        if cand == "none":
+            continue
+        # replace() copies every field (so future dispatch-relevant
+        # fields cannot be silently dropped from the trial config).
+        trial = replace(plan)
+        _attach_reorder(trial, A, cand, autotune_dim=autotune_dim)
+        trial_plans[cand] = trial
+        candidates[cand] = lambda t=trial: t._execute_reordered(X, X)
+    sweep = autotune_reorder(candidates)
     plan.reorder_tuning = sweep
     if sweep.strategy == "none":
         return
-    winner = trial_plans.get(sweep.strategy)
-    if winner is not None:
-        # Transplant the just-measured trial instead of recomputing the
-        # permutation/panels, and memoise its reordering for future plans.
-        plan.reorder = winner.reorder
-        plan.perm = winner.perm
-        plan.inv_perm = winner.inv_perm
-        plan.reordered = winner.reordered
-        plan.reorder_bandwidth = winner.reorder_bandwidth
-        plan.panels = winner.panels
-        plan.partitions = winner.partitions
-        if key.fingerprint:
-            memoize_reorder(
-                key.fingerprint,
-                ReorderResult(
-                    strategy=winner.reorder,
-                    matrix=winner.reordered,
-                    perm=winner.perm,
-                    inv_perm=winner.inv_perm,
-                ),
-            )
-    else:
-        # Cached sweep verdict, no trials built: one (memoised) rebuild.
-        _attach_reorder(
-            plan, A, sweep.strategy, autotune_dim=autotune_dim
-        )
+    # Transplant the just-measured trial instead of recomputing the
+    # permutation and panels.
+    winner = trial_plans[sweep.strategy]
+    plan.reorder = winner.reorder
+    plan.reorder_tag = winner.reorder_tag
+    plan.perm = winner.perm
+    plan.inv_perm = winner.inv_perm
+    plan.reordered = winner.reordered
+    plan.reorder_bandwidth = winner.reorder_bandwidth
+    plan.panels = winner.panels
+    plan.partitions = winner.partitions

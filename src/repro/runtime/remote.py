@@ -101,15 +101,8 @@ from .shard import ShardAssignment, ShardPlan, route_shards
 __all__ = [
     "WorkerAgent",
     "RemoteController",
-    "REPRO_WORKER_CRASH_AFTER",
     "REPRO_WORKER_FAULT_PLAN",
 ]
-
-#: Environment variable read by ``repro worker``: crash (``os._exit``) on
-#: receiving the Nth RUN frame.  Fault-injection hook for tests and the CI
-#: distributed-smoke job — never set it in production.  Equivalent to a
-#: sticky ``crash@N+`` entry in :data:`REPRO_WORKER_FAULT_PLAN`.
-REPRO_WORKER_CRASH_AFTER = "REPRO_WORKER_CRASH_AFTER"
 
 #: Environment variable read by ``repro worker``: a
 #: :meth:`repro.resilience.FaultPlan.from_spec` schedule applied to RUN
@@ -176,15 +169,11 @@ class WorkerAgent:
         forged length field from a bad peer cannot drive an unbounded
         allocation.  Must be at least as large as the controller's —
         both sides default to :data:`~repro.runtime.codec.WORKER_MAX_PAYLOAD`.
-    crash_after:
-        Fault injection: after receiving this many RUN frames the agent
-        drops the connection without replying (and ``os._exit(1)``-s when
-        ``exit_on_crash`` — the ``repro worker`` behaviour, so the whole
-        host dies exactly as a kill would).  Sugar for
-        ``fault_plan=FaultPlan.crash_after(n)``.
     fault_plan:
-        Full :class:`~repro.resilience.FaultPlan` applied to RUN frames:
-        ``crash`` (drop without replying, stay down), ``disconnect``
+        :class:`~repro.resilience.FaultPlan` applied to RUN frames:
+        ``crash`` (drop without replying, stay down, and ``os._exit(1)``
+        when ``exit_on_crash`` — the ``repro worker`` behaviour, so the
+        whole host dies exactly as a kill would), ``disconnect``
         (sever, then reconnect through :meth:`run_forever` — a flapping
         host), ``delay`` (sleep ``arg`` seconds before executing — a
         straggler), ``drop_frame`` (send half of the RESULT frame, then
@@ -207,7 +196,6 @@ class WorkerAgent:
         connect_timeout: float = 10.0,
         token: Optional[str] = None,
         max_payload: int = WORKER_MAX_PAYLOAD,
-        crash_after: Optional[int] = None,
         exit_on_crash: bool = False,
         fault_plan: Optional[FaultPlan] = None,
         fault_log=None,
@@ -226,8 +214,6 @@ class WorkerAgent:
         self.max_payload = int(max_payload)
         self.last_error: Optional[str] = None
         self.exit_on_crash = exit_on_crash
-        if fault_plan is None and crash_after is not None:
-            fault_plan = FaultPlan.crash_after(crash_after)
         self.fault_plan = fault_plan
         self._injector = FaultInjector(fault_plan, log=fault_log)
         self.runs_executed = 0
@@ -291,11 +277,6 @@ class WorkerAgent:
                 "slots": self.slots,
                 "threads": self.threads,
                 "pid": os.getpid(),
-                # Capability flag: this agent understands OP_LOAD_DELTA
-                # (dirty-row re-ship).  Controllers never send it to
-                # agents that didn't advertise it, so old agents keep
-                # working through full OP_LOAD re-ships.
-                "delta": 1,
             }
             if self.token is not None:
                 register_meta["token"] = self.token
@@ -562,7 +543,6 @@ class _RemoteHost:
         sock,
         rfile,
         address,
-        supports_delta=False,
     ):
         self.host_id = host_id
         self.name = name
@@ -571,8 +551,6 @@ class _RemoteHost:
         self.sock = sock
         self.rfile = rfile
         self.address = address
-        #: whether the agent advertised OP_LOAD_DELTA support in REGISTER
-        self.supports_delta = bool(supports_delta)
         self.lock = threading.Lock()
         self.loaded: set = set()
         self.alive = True
@@ -853,7 +831,6 @@ class RemoteController:
                         sock=sock,
                         rfile=rfile,
                         address=address,
-                        supports_delta=bool(meta.get("delta")),
                     )
                     self._hosts[host_id] = record
                     self.hosts_admitted += 1
@@ -1009,14 +986,11 @@ class RemoteController:
     def _try_delta_ship(self, record: _RemoteHost, key: str) -> bool:
         """Ship ``key`` as a dirty-row delta when possible.
 
-        Requires a registered delta source for ``key``, an agent that
-        advertised the capability, and the base version still resident on
-        that agent.  Any miss — old agent, evicted base, agent-side
+        Requires a registered delta source for ``key`` and the base version
+        still resident on that agent.  Any miss — evicted base, agent-side
         error — returns ``False`` and the caller performs a full ship;
         a transport failure propagates like any other exchange.
         """
-        if not record.supports_delta:
-            return False
         with self._delta_lock:
             source = self._delta_sources.get(key)
         if source is None:
@@ -1049,9 +1023,9 @@ class RemoteController:
     ) -> None:
         """Record that ``key`` can be shipped as a splice over ``base_key``.
 
-        The next :meth:`_ensure_loaded` of ``key`` on a delta-capable host
-        that still holds ``base_key`` sends only the dirty rows (new
-        LOAD_DELTA opcode); everything else falls back to a full ship.
+        The next :meth:`_ensure_loaded` of ``key`` on a host that still
+        holds ``base_key`` sends only the dirty rows (the LOAD_DELTA
+        opcode); everything else falls back to a full ship.
         """
         meta, arrays = encode_csr_delta(base_key, rows, counts, indices, data)
         meta["key"] = str(key)

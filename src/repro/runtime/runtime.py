@@ -25,7 +25,7 @@ on.  It owns
   amortise NumPy's internal threading;
 * a **locality tier** (``reorder=``): plans can bind a vertex-reordered
   copy of the adjacency plus cache-blocked, column-compacted row panels
-  (:mod:`repro.sparse.reorder`), computed once per matrix fingerprint and
+  (:mod:`repro.sparse.reorder`), computed once per cached plan and
   replayed every epoch — outputs are transparently mapped back to the
   original vertex order.
 
@@ -55,11 +55,11 @@ import numpy as np
 from ..core.parallel import available_threads
 from ..core.partition import DEFAULT_SPLIT_NNZ, RowPartition, split_parts
 from ..core.patterns import OpPattern, get_pattern, pattern_key
-from ..sparse import as_csr, drop_reorder_memo, validate_reorder
+from ..sparse import as_csr, validate_reorder
 from .batch import KernelRequest, pack_group_key, pack_requests
 from .cache import CacheStats, PlanCache
 from .codec import execute_parts, output_dtype, plan_spec_from_plan, remote_spec_meta
-from .fingerprint import derived_fingerprint, matrix_fingerprint
+from .fingerprint import matrix_fingerprint
 from .plan import KernelPlan, PlanKey, build_plan, make_config
 from .remote import RemoteController
 from .shard import ShardPlan, assign_shards, route_shards
@@ -588,8 +588,9 @@ class KernelRuntime:
         live remote hosts (:meth:`_tier_slots`); the shard count comes from
         :meth:`_shard_count`, the same sizing :meth:`shard_plan` reports.
 
-        For a reordered plan the tier ships the *permuted* matrix (under a
-        strategy-derived key) and builds the shards from the permuted
+        For a reordered plan the tier ships the *permuted* matrix (under
+        :meth:`~repro.runtime.plan.KernelPlan.reordered_key`, which names
+        the permutation) and builds the shards from the permuted
         cache-panel partitions — reordered matrices nnz-balance better, so
         shard skew drops.  The operands are permuted and the gathered
         output mapped back via the returned plan handle.
@@ -618,7 +619,7 @@ class KernelRuntime:
             # Workers execute the permuted matrix with natural-order
             # kernels; the permuted panel boundaries are the shard units.
             A = plan.reordered
-            key = derived_fingerprint(plan.key.fingerprint, f"reorder={plan.reorder}")
+            key = plan.reordered_key()
         else:
             key = plan.key.fingerprint if parts is None else matrix_fingerprint(A)
         partitions = plan.partitions if parts is None else parts
@@ -950,12 +951,13 @@ class KernelRuntime:
     def release_matrix(self, fingerprint: str, *, remote: bool = True) -> Dict[str, int]:
         """Evict every cache entry derived from ``fingerprint``'s lineage.
 
-        Cascades through all four tiers that key on matrix fingerprints:
-        cached plans, the reorder memo, worker shared-memory segments and
-        remote host LRUs.  Derived keys (``<fp>|reorder=...``) and
-        versioned descendants (``<fp>@vN``) are covered too — this is the
-        one call sites use when a graph is dropped or superseded, so no
-        tier can leak entries for matrices nothing will ask for again.
+        Cascades through all three tiers that key on matrix fingerprints:
+        cached plans (and with them every reordered copy), worker
+        shared-memory segments and remote host LRUs.  Derived keys
+        (``<fp>|reorder=...``) and versioned descendants (``<fp>@vN``) are
+        covered too — this is the one call sites use when a graph is
+        dropped or superseded, so no tier can leak entries for matrices
+        nothing will ask for again.
         Returns per-tier eviction counts (for stats and tests).
 
         ``remote=False`` skips the remote tier: the dynamic-graph path
@@ -965,7 +967,6 @@ class KernelRuntime:
         fingerprint = str(fingerprint)
         evicted = {
             "plans": self._cache.evict_fingerprint(fingerprint),
-            "reorder": drop_reorder_memo(fingerprint),
             "worker_matrices": 0,
             "remote_matrices": 0,
         }
@@ -1028,7 +1029,7 @@ class KernelRuntime:
             "derived": [],
         }
         carry_cache: Dict[str, object] = {}
-        seen_strategies: set = set()
+        seen_keys: set = set()
         for key, plan in self._cache.entries_for(old_fingerprint):
             if key.fingerprint != old_fingerprint:
                 continue
@@ -1050,9 +1051,9 @@ class KernelRuntime:
             if pinfo["reorder"] != "none":
                 if pinfo["carried"]:
                     info["reorders_carried"] += 1
-                    derived = pinfo.get("derived")
-                    if derived is not None and derived["strategy"] not in seen_strategies:
-                        seen_strategies.add(derived["strategy"])
+                    derived = pinfo["derived"]
+                    if derived["key"] not in seen_keys:
+                        seen_keys.add(derived["key"])
                         info["derived"].append(derived)
                 else:
                     info["reorders_rebuilt"] += 1

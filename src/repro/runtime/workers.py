@@ -453,11 +453,6 @@ class WorkerPool:
                 self.release_matrix(key)
             return len(doomed)
 
-    def matrix_keys(self) -> Tuple[str, ...]:
-        """Snapshot of the registered shared-memory matrix keys."""
-        with self._lock:
-            return tuple(self._matrices.keys())
-
     @property
     def registered_matrices(self) -> int:
         """Number of matrices currently held in shared memory."""

@@ -13,8 +13,8 @@ and (with ``processes``) worker spawn + shared-memory upload.  The
   ``/v1/kernel`` requests can say ``"model": "cora-f2v"`` instead of
   shipping CSR arrays in every call;
 * the serving runtime **pre-plans** each registered graph for the warm
-  patterns (``sigmoid_embedding``/``gcn``/``spmm``) — the plan cache,
-  reorder memos and partitionings are populated before the listener
+  patterns (``sigmoid_embedding``/``gcn``/``spmm``) — the plan cache
+  and its partitionings are populated before the listener
   accepts its first connection;
 * with ``processes > 0`` the **worker pool is spawned** and each warm
   graph's CSR is pushed into shared memory up front, so the first sharded
@@ -138,7 +138,7 @@ class ModelRegistry:
 
     def drop_graph(self, name: str) -> Dict[str, int]:
         """Unregister a graph and evict its whole cache footprint (plans,
-        reorder memo, worker shared memory, remote host LRUs)."""
+        worker shared memory, remote host LRUs)."""
         graph = self.dynamic_graph(name)
         del self._graphs[name]
         return graph.close()

@@ -33,12 +33,8 @@ from .reorder import (
     average_bandwidth,
     build_panels,
     cache_block_partitions,
-    clear_reorder_memo,
-    drop_reorder_memo,
     permute_symmetric,
     reorder_matrix,
-    reorder_memo_bytes,
-    reorder_memo_info,
     reorder_permutation,
     validate_reorder,
 )
@@ -68,10 +64,6 @@ __all__ = [
     "reorder_permutation",
     "permute_symmetric",
     "reorder_matrix",
-    "reorder_memo_info",
-    "reorder_memo_bytes",
-    "clear_reorder_memo",
-    "drop_reorder_memo",
     "average_bandwidth",
     "cache_block_partitions",
 ]

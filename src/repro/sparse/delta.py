@@ -1,16 +1,16 @@
 """Delta-CSR overlay: mutable graphs over an immutable CSR base.
 
-Every cache tier of the runtime — plan cache, reorder memo, cache-blocked
-panels, worker shared memory, remote host LRUs — keys on an immutable
-matrix fingerprint.  :class:`DeltaCSR` is what makes *mutation* compatible
-with that design: an immutable base :class:`~repro.sparse.csr.CSRMatrix`
-plus a per-row override log.  Applying an edge batch produces a **new
-snapshot** (readers holding the old one are never torn), identified by a
-**versioned fingerprint** ``<lineage>@v<N>`` where ``lineage`` is the
-content hash of the original base and ``N`` increments once per applied
-batch.  Compaction folds the overrides into a fresh base; the edge set is
-unchanged, so the versioned fingerprint — and every cache entry keyed on
-it — survives.
+Every cache tier of the runtime — plan cache (with its reordered copies
+and cache-blocked panels), worker shared memory, remote host LRUs — keys
+on an immutable matrix fingerprint.  :class:`DeltaCSR` is what makes
+*mutation* compatible with that design: an immutable base
+:class:`~repro.sparse.csr.CSRMatrix` plus a per-row override log.
+Applying an edge batch produces a **new snapshot** (readers holding the
+old one are never torn), identified by a **versioned fingerprint**
+``<lineage>@v<N>`` where ``lineage`` is the content hash of the original
+base and ``N`` increments once per applied batch.  Compaction folds the
+overrides into a fresh base; the edge set is unchanged, so the versioned
+fingerprint — and every cache entry keyed on it — survives.
 
 Bitwise contract
 ----------------
@@ -362,26 +362,6 @@ class DeltaCSR:
             data[pos : pos + vals.shape[0]] = vals
             pos += cols.shape[0]
         return splice_rows(self.base, rows, counts, indices, data)
-
-    def delta_payload(
-        self,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(rows, counts, indices, data)`` describing this version as a
-        splice over :attr:`base` — the LOAD_DELTA wire payload."""
-        rows = self.dirty_rows()
-        counts = np.array(
-            [self._rows[int(r)][0].shape[0] for r in rows], dtype=np.int64
-        )
-        total = int(counts.sum())
-        indices = np.empty(total, dtype=np.int64)
-        data = np.empty(total, dtype=self.base.data.dtype)
-        pos = 0
-        for r in rows.tolist():
-            cols, vals = self._rows[r]
-            indices[pos : pos + cols.shape[0]] = cols
-            data[pos : pos + vals.shape[0]] = vals
-            pos += cols.shape[0]
-        return rows, counts, indices, data
 
     def should_compact(self) -> bool:
         """Whether the policy says this snapshot's log is due for folding."""

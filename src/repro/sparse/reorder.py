@@ -41,10 +41,9 @@ once and reused for every edge of the panel.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -60,10 +59,6 @@ __all__ = [
     "reorder_permutation",
     "permute_symmetric",
     "reorder_matrix",
-    "reorder_memo_info",
-    "reorder_memo_bytes",
-    "clear_reorder_memo",
-    "drop_reorder_memo",
     "average_bandwidth",
     "cache_block_partitions",
     "build_panels",
@@ -281,122 +276,19 @@ def permute_symmetric(A: CSRMatrix, perm: np.ndarray) -> CSRMatrix:
     return CSRMatrix(n, n, indptr, cols[order], vals[order], check=False)
 
 
-# ---------------------------------------------------------------------- #
-# Memoised entry point
-# ---------------------------------------------------------------------- #
-#: ``(memo_key, strategy) → ReorderResult`` — permutations are pure
-#: functions of matrix content, so callers key the memo by the matrix
-#: fingerprint and a rebuilt-but-identical adjacency reuses the ordering.
-#: Bounded twice: by entry count and by total bytes (each entry pins a
-#: full permuted CSR copy, so a count bound alone could retain gigabytes
-#: on paper-scale graphs).
-_MEMO: "OrderedDict[Tuple[str, str], ReorderResult]" = OrderedDict()
-_MEMO_LOCK = threading.Lock()
-_MEMO_CAPACITY = 32
-_MEMO_BYTE_BUDGET = 256 * 1024 * 1024
+def reorder_matrix(A: CSRMatrix, strategy: str) -> ReorderResult:
+    """The reordering of ``A`` under ``strategy``.
 
-
-def _result_bytes(result: ReorderResult) -> int:
-    """Approximate retained bytes of one memo entry."""
-    return result.matrix.memory_bytes() + 2 * 8 * result.perm.shape[0]
-
-
-def reorder_matrix(
-    A: CSRMatrix, strategy: str, *, memo_key: Optional[str] = None
-) -> ReorderResult:
-    """Compute (or fetch) the reordering of ``A`` under ``strategy``.
-
-    ``memo_key`` — typically the matrix fingerprint — memoises the result
-    (bounded LRU), so the one-time O(nnz) ordering cost is paid once per
-    (matrix content, strategy) no matter how many plans request it.
+    Not cached here: the plan that binds a reordering owns it, so the
+    plan cache is the one cache of a matrix's permuted copy.
     """
-    if memo_key is not None:
-        cache_key = (memo_key, strategy)
-        with _MEMO_LOCK:
-            hit = _MEMO.get(cache_key)
-            if hit is not None:
-                _MEMO.move_to_end(cache_key)
-                return hit
     perm = reorder_permutation(A, strategy)
     inv_perm = np.empty_like(perm)
     inv_perm[perm] = np.arange(perm.shape[0], dtype=np.int64)
     matrix = A if strategy == "none" else permute_symmetric(A, perm)
-    result = ReorderResult(
+    return ReorderResult(
         strategy=strategy, matrix=matrix, perm=perm, inv_perm=inv_perm
     )
-    if memo_key is not None:
-        memoize_reorder(memo_key, result)
-    return result
-
-
-def memoize_reorder(memo_key: str, result: ReorderResult) -> None:
-    """Insert an already-computed reordering into the memo.
-
-    Used by the plan builder's ``reorder="auto"`` sweep: trial candidates
-    are built unmemoised (losers must be garbage-collected), and the
-    winner — whose permutation and panels were just computed and measured
-    — is stored here instead of being recomputed through
-    :func:`reorder_matrix`.
-    """
-    if _result_bytes(result) > _MEMO_BYTE_BUDGET:
-        return
-    with _MEMO_LOCK:
-        _MEMO[(memo_key, result.strategy)] = result
-        while len(_MEMO) > _MEMO_CAPACITY or (
-            len(_MEMO) > 1
-            and sum(_result_bytes(r) for r in _MEMO.values()) > _MEMO_BYTE_BUDGET
-        ):
-            _MEMO.popitem(last=False)
-
-
-def reorder_memo_info() -> Dict[str, int]:
-    """Number of memoised reorderings (tests and diagnostics)."""
-    with _MEMO_LOCK:
-        return {"memoized": len(_MEMO), "capacity": _MEMO_CAPACITY}
-
-
-def clear_reorder_memo() -> None:
-    """Drop every memoised reordering (mainly for tests)."""
-    with _MEMO_LOCK:
-        _MEMO.clear()
-
-
-def _memo_key_covers(fingerprint: str, memo_key: str) -> bool:
-    """Whether ``memo_key`` belongs to ``fingerprint``'s lineage (the key
-    itself, derived ``<fp>|...`` keys, or versioned ``<fp>@vN`` keys)."""
-    return (
-        memo_key == fingerprint
-        or memo_key.startswith(fingerprint + "|")
-        or memo_key.startswith(fingerprint + "@")
-    )
-
-
-def drop_reorder_memo(fingerprint: str) -> int:
-    """Evict every memoised reordering of ``fingerprint``'s lineage.
-
-    Called when a graph is dropped or a version superseded, so permuted
-    copies of dead matrices stop pinning the memo's byte budget.  Returns
-    the number of entries removed.
-    """
-    if not fingerprint:
-        return 0
-    with _MEMO_LOCK:
-        doomed = [
-            key for key in _MEMO if _memo_key_covers(fingerprint, key[0])
-        ]
-        for key in doomed:
-            del _MEMO[key]
-        return len(doomed)
-
-
-def reorder_memo_bytes(fingerprint: Optional[str] = None) -> int:
-    """Retained bytes of the memo — all entries, or one lineage's."""
-    with _MEMO_LOCK:
-        return sum(
-            _result_bytes(result)
-            for key, result in _MEMO.items()
-            if fingerprint is None or _memo_key_covers(fingerprint, key[0])
-        )
 
 
 def average_bandwidth(A: CSRMatrix) -> float:

@@ -10,7 +10,11 @@ Force2Vec's trainer over its similarity matrix, grew no config field.
 from __future__ import annotations
 
 import dataclasses
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +91,31 @@ def test_factory_rejects_a_field_the_app_does_not_have():
 def test_one_kind_list():
     assert JOB_APPS is APP_KINDS and SERVE_APP_KINDS is APP_KINDS
     assert APP_KINDS == ("force2vec", "verse", "gcn", "fr_layout")
+    assert tuple(APPS) == APP_KINDS
+
+
+def test_serve_and_cli_imports_leave_the_trainers_out():
+    """The kind list and the factory import no trainer: serving, job and
+    worker-host processes load the apps (and the baselines they pull in)
+    only when they build one."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    probe = (
+        "import sys, repro.serve, repro.cli\n"
+        "heavy = ('repro.apps.force2vec', 'repro.baselines')\n"
+        "loaded = [m for m in heavy if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "import repro.apps\n"
+        "assert repro.apps.Force2Vec.__module__ == 'repro.apps.force2vec'\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("kind", ["node2vec", "Force2Vec", ""])

@@ -28,9 +28,9 @@ from repro.runtime import (
     matrix_fingerprint,
     refresh_plan,
 )
-from repro.sparse import CSRMatrix
+from repro.sparse import CSRMatrix, random_csr
 from repro.sparse.delta import CompactionPolicy, DeltaCSR, splice_rows
-from repro.sparse.reorder import permute_symmetric, reorder_memo_bytes
+from repro.sparse.reorder import permute_symmetric
 
 settings.register_profile("repro-dynamic", deadline=None, max_examples=40)
 settings.load_profile("repro-dynamic")
@@ -224,6 +224,9 @@ def test_dirty_panel_rebuild_reuses_clean_panels(medium):
         assert len(entries) == 1
         new_plan = entries[0][1]
         assert new_plan.key.fingerprint == g.fingerprint
+        # Same permutation, same tag: the ship key still names the perm.
+        assert new_plan.reorder_tag == plan.reorder_tag
+        assert new_plan.reordered_key() == f"{g.fingerprint}|{plan.reorder_tag}"
         ref_perm = permute_symmetric(_rebuild_from(g.matrix), new_plan.perm)
         _assert_bitwise(new_plan.reordered, ref_perm)
         # Execution through the refreshed plan still matches the kernel on
@@ -264,6 +267,10 @@ def test_carry_bound_exceeded_recomputes_permutation(medium):
         assert new_plan.reordered is not None
         ref_perm = permute_symmetric(A_new, new_plan.perm)
         _assert_bitwise(new_plan.reordered, ref_perm)
+        # A recomputed permutation gets its own tag whenever it differs.
+        assert (new_plan.reorder_tag == plan.reorder_tag) == np.array_equal(
+            new_plan.perm, plan.perm
+        )
 
 
 def test_natural_plan_refresh_keeps_bitwise_identity(medium):
@@ -294,14 +301,14 @@ def test_superseded_version_leaves_plan_cache_and_memo(medium):
         v0 = g.fingerprint
         rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
         rt.plan(g.matrix, pattern="gcn")
-        assert reorder_memo_bytes(v0) > 0
+        assert rt.plan_bytes(v0)["plan_bytes"] > 0  # the permuted copy
         g.apply_edges(insert=[(0, 7, 1.0), (7, 0, 1.0)])
-        # The old version's plans and memo entries are gone; the new
-        # version holds refreshed equivalents.
+        # The old version's plans — and the permuted copy they own — are
+        # gone; the new version holds refreshed equivalents.
         assert rt._cache.entries_for(v0) == ()
-        assert reorder_memo_bytes(v0) == 0
+        assert rt.plan_bytes(v0) == {"plans": 0, "plan_bytes": 0}
         assert len(rt._cache.entries_for(g.fingerprint)) == 2
-        assert reorder_memo_bytes(g.fingerprint) > 0
+        assert rt.plan_bytes(g.fingerprint)["plan_bytes"] > 0
 
 
 def test_close_releases_whole_lineage(medium):
@@ -314,7 +321,8 @@ def test_close_releases_whole_lineage(medium):
         released = g.close()
         assert released["plans"] >= 1
         assert rt._cache.entries_for(lineage) == ()
-        assert reorder_memo_bytes(lineage) == 0
+        assert rt.plan_bytes(lineage) == {"plans": 0, "plan_bytes": 0}
+        assert set(released) == {"plans", "worker_matrices", "remote_matrices"}
         assert g.close() == {}  # idempotent
 
 
@@ -339,28 +347,70 @@ def test_memory_accounting_tracks_every_tier(medium):
         for key in (
             "fingerprint", "version", "nnz", "base_bytes", "delta_bytes",
             "delta_rows", "delta_nnz", "log_ops", "compactions",
-            "materialized_bytes", "plans", "plan_bytes", "reorder_bytes",
-            "total_bytes",
+            "materialized_bytes", "plans", "plan_bytes", "total_bytes",
         ):
             assert key in mem, key
+        assert "reorder_bytes" not in mem  # the plans own the permuted copy
         assert mem["version"] == 1
         assert mem["base_bytes"] > 0
         assert mem["delta_bytes"] > 0 and mem["delta_rows"] == 2
         assert mem["materialized_bytes"] > 0  # spliced copy, not the base
         assert mem["plans"] == 1
-        assert mem["reorder_bytes"] > 0  # carried permuted copy
         assert mem["total_bytes"] == (
             mem["base_bytes"] + mem["delta_bytes"]
             + mem["materialized_bytes"] + mem["plan_bytes"]
-            + mem["reorder_bytes"]
         )
         stats = g.stats()
         assert stats["mutations"] == 1
         assert stats["edges_inserted"] + stats["edges_updated"] == 2
 
 
+def test_reordered_copy_is_counted_once(medium):
+    """The carried permuted CSR is retained by its plan alone, so it
+    enters ``total_bytes`` exactly once (through ``plan_bytes``)."""
+    A, _ = medium
+    with KernelRuntime(num_threads=1, split_nnz=4000, cache_size=16) as rt:
+        g = DynamicGraph(A, runtime=rt, policy=_NEVER)
+        rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
+        assert g.apply_edges(insert=[(0, 11, 1.0), (11, 0, 1.0)]).reorders_carried == 1
+        ((_, plan),) = rt._cache.entries_for(g.fingerprint)
+        mem = g.memory()
+        assert mem["plan_bytes"] == plan.retained_bytes()
+        assert plan.retained_bytes() >= plan.reordered.memory_bytes()
+        assert mem["total_bytes"] - plan.retained_bytes() == (
+            mem["base_bytes"] + mem["delta_bytes"] + mem["materialized_bytes"]
+        )
+
+
 # ---------------------------------------------------------------------- #
-# Remote tier: dirty-shard delta ship + old-agent fallback
+# Sharded reordered runs: the ship key names the permutation
+# ---------------------------------------------------------------------- #
+def test_carried_and_fresh_permutations_ship_under_distinct_keys():
+    """Regression: a carried ``rcm`` permutation and a fresh ``rcm``
+    permutation of the same version used to share the ship key
+    ``<fp>|reorder=rcm``, so a plan built after the carried one reached
+    the workers' copy of the *other* permuted matrix and returned wrong
+    rows.  Planning unrelated reordered matrices in between (which used to
+    push the carried copy out of a process-global memo) must not matter."""
+    A = rmat(3000, 36_000, seed=11)
+    X = random_features(A.nrows, 8, seed=5)
+    with KernelRuntime(num_threads=1, processes=2) as rt:
+        g = DynamicGraph(A, runtime=rt)
+        rt.run_sharded(g.matrix, X, pattern="sigmoid_embedding", reorder="rcm")
+        result = g.apply_edges(
+            insert=[(u, (u * 37 + 5) % A.nrows, 1.0) for u in range(0, 3000, 50)]
+        )
+        assert result.reorders_carried == 1
+        rt.run_sharded(g.matrix, X, pattern="sigmoid_embedding", reorder="rcm")
+        for seed in range(33):
+            rt.plan(random_csr(60, 60, seed=seed), reorder="degree")
+        Z = rt.run_sharded(g.matrix, X, pattern="gcn", reorder="rcm")
+        ref = fusedmm(g.matrix, X, X, pattern="gcn", num_threads=1)
+        np.testing.assert_allclose(Z, ref, rtol=1e-4, atol=1e-5)
+
+
+# ---------------------------------------------------------------------- #
+# Remote tier: dirty-shard delta ship + evicted-base fallback
 # ---------------------------------------------------------------------- #
 class _AgentThread:
     def __init__(self, port, **kwargs):
@@ -401,14 +451,17 @@ def test_remote_dirty_shard_ships_delta_then_falls_back(medium):
             pattern="sigmoid_embedding", num_threads=1,
         )
         assert np.array_equal(Z1, ref)
-        # An agent that never advertised the delta capability (an "old"
-        # agent) gets a plain full ship — same bytes, no delta traffic.
-        for record in controller.live_hosts():
-            record.supports_delta = False
+        # An agent that evicted the base version gets a plain full ship —
+        # same bytes, no delta traffic, one counted fallback.
+        base_fp = g.fingerprint
         g.apply_edges(insert=[(1, 4, 0.25), (4, 1, 0.25)])
+        for record in controller.live_hosts():
+            record.loaded.discard(base_fp)
         ships_before = controller.delta_ships
+        fallbacks_before = controller.delta_fallbacks
         Z2 = runtime.run_sharded(g.matrix, X, pattern="sigmoid_embedding")
         assert controller.delta_ships == ships_before
+        assert controller.delta_fallbacks == fallbacks_before + 1
         ref2 = fusedmm(
             _rebuild_from(g.matrix), X, X,
             pattern="sigmoid_embedding", num_threads=1,

@@ -38,6 +38,7 @@ from repro.errors import (
     ServeError,
 )
 from repro.graphs import random_features, rmat
+from repro.resilience import FaultPlan
 from repro.runtime import (
     KernelRuntime,
     RemoteController,
@@ -233,11 +234,15 @@ def test_remote_submit_sharded(problem):
 # ---------------------------------------------------------------------- #
 # Fault tolerance
 # ---------------------------------------------------------------------- #
+#: Agent kwargs: drop the connection instead of replying to the first RUN.
+_CRASH_ON_FIRST_RUN = {"fault_plan": FaultPlan.crash_after(1)}
+
+
 def test_kill_one_host_mid_batch_completes_on_survivor(problem):
     A, X = problem
     ref = fusedmm(A, X, X, pattern="sigmoid_embedding", num_threads=1)
     runtime, agents = _remote_runtime(
-        2, agent_kwargs=({}, {"crash_after": 1})
+        2, agent_kwargs=({}, _CRASH_ON_FIRST_RUN)
     )
     try:
         Z = runtime.run_sharded(A, X, pattern="sigmoid_embedding")
@@ -262,7 +267,7 @@ def test_two_nonadjacent_hosts_lost_mid_batch_no_corruption(problem):
     A, X = problem
     ref = fusedmm(A, X, X, pattern="sigmoid_embedding", num_threads=1)
     runtime, agents = _remote_runtime(
-        3, agent_kwargs=({"crash_after": 1}, {}, {"crash_after": 1})
+        3, agent_kwargs=(_CRASH_ON_FIRST_RUN, {}, _CRASH_ON_FIRST_RUN)
     )
     try:
         Z = runtime.run_sharded(A, X, pattern="sigmoid_embedding")
@@ -278,7 +283,7 @@ def test_all_hosts_dead_falls_back_to_parent(problem):
     A, X = problem
     ref = fusedmm(A, X, X, pattern="sigmoid_embedding", num_threads=1)
     runtime, agents = _remote_runtime(
-        2, agent_kwargs=({"crash_after": 1}, {"crash_after": 1})
+        2, agent_kwargs=(_CRASH_ON_FIRST_RUN, _CRASH_ON_FIRST_RUN)
     )
     try:
         Z = runtime.run_sharded(A, X, pattern="sigmoid_embedding")
@@ -423,7 +428,7 @@ def test_flapping_host_quarantined_then_probed(problem):
     by the controller within its failure threshold — while the steady
     host keeps every batch bitwise — and re-admitted only through a
     probe once the quarantine period elapses."""
-    from repro.resilience import FaultPlan, HealthTracker
+    from repro.resilience import HealthTracker
 
     A, X = problem
     ref = fusedmm(A, X, X, pattern="sigmoid_embedding", num_threads=1)
@@ -474,7 +479,6 @@ def test_hedge_rescues_straggler(problem):
     """A host stalling on a late RUN (after the controller has throughput
     samples) is hedged: the chunk is speculatively recomputed in-parent,
     the first completion wins, and the bytes never change."""
-    from repro.resilience import FaultPlan
 
     A, X = problem
     ref = fusedmm(A, X, X, pattern="sigmoid_embedding", num_threads=1)

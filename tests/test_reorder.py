@@ -13,8 +13,8 @@ The contracts under test:
   path — the locality tier must not perturb the repo's existing
   guarantees, in process or through 1/2/4 worker shards.
 * **Plan-cache integration** — the reorder strategy is part of the plan
-  key, permutations are memoised by fingerprint, and ``"auto"`` records a
-  measured sweep.
+  key, the plan owns its permutation (the plan cache is its only cache),
+  and ``"auto"`` records a measured sweep on the plan.
 """
 
 import numpy as np
@@ -30,10 +30,8 @@ from repro.sparse import (
     REORDER_STRATEGIES,
     build_panels,
     cache_block_partitions,
-    clear_reorder_memo,
     random_csr,
     reorder_matrix,
-    reorder_memo_info,
     reorder_permutation,
 )
 
@@ -96,19 +94,6 @@ def test_reorder_requires_square_matrix():
         reorder_permutation(B, "bogus")
     with pytest.raises(BackendError):
         reorder_permutation(B, "auto")
-
-
-def test_reorder_memo_is_keyed_by_fingerprint():
-    clear_reorder_memo()
-    A = random_csr(40, 40, density=0.2, seed=1)
-    r1 = reorder_matrix(A, "degree", memo_key="fp-1")
-    r2 = reorder_matrix(A, "degree", memo_key="fp-1")
-    assert r1 is r2
-    assert reorder_memo_info()["memoized"] == 1
-    r3 = reorder_matrix(A, "rcm", memo_key="fp-1")
-    assert r3 is not r1
-    clear_reorder_memo()
-    assert reorder_memo_info()["memoized"] == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -368,25 +353,28 @@ def test_auto_reorder_records_a_measured_sweep(graph):
 
 
 def test_auto_sweep_is_cached_and_losers_not_memoised(graph):
-    """Rebuilding an auto plan reuses the measured verdict without
-    re-sweeping, and only the winning strategy's permutation stays in the
-    reorder memo."""
+    """The measured verdict lives on the plan: a second ``plan()`` call in
+    the same runtime is a plan-cache hit (no re-sweep), and the plan holds
+    exactly the winner's permutation, named by its tag."""
     A, _ = graph
-    clear_reorder_memo()
-    rt1 = KernelRuntime(num_threads=1)
-    p1 = rt1.plan(A, pattern="fr_layout", reorder="auto")
-    memoized = reorder_memo_info()["memoized"]
-    assert memoized <= 1  # the winner at most; losers garbage-collected
-    if p1.reorder != "none":
-        # The winner's reordering was transplanted from its measured
-        # trial and memoised — not recomputed.
-        assert memoized == 1
-        hit = reorder_matrix(A, p1.reorder, memo_key=p1.key.fingerprint)
-        assert hit.matrix is p1.reordered
-    rt2 = KernelRuntime(num_threads=1)  # fresh runtime, fresh plan cache
-    p2 = rt2.plan(A, pattern="fr_layout", reorder="auto")
-    assert p2.reorder_tuning is p1.reorder_tuning  # cache hit, no re-sweep
-    assert p2.reorder == p1.reorder
+    rt = KernelRuntime(num_threads=1)
+    p1 = rt.plan(A, pattern="fr_layout", reorder="auto")
+    misses = rt.cache_stats().misses
+    p2 = rt.plan(A, pattern="fr_layout", reorder="auto")
+    assert p2 is p1
+    assert rt.cache_stats().misses == misses
+    assert p2.reorder_tuning is p1.reorder_tuning
+    assert p1.reorder == p1.reorder_tuning.strategy
+    if p1.reorder == "none":
+        assert p1.reordered is None and p1.reorder_tag is None
+    else:
+        # The winner's trial moved into the plan: its permutation is the
+        # strategy's, and the tag names exactly that permutation.
+        fresh = reorder_matrix(A, p1.reorder)
+        assert np.array_equal(p1.perm, fresh.perm)
+        assert p1.reorder_tag.startswith(f"reorder={p1.reorder}:")
+        pinned = rt.plan(A, pattern="fr_layout", reorder=p1.reorder)
+        assert pinned.reorder_tag == p1.reorder_tag
 
 
 def test_plan_cache_byte_budget_evicts_heavy_reordered_plans(graph):
