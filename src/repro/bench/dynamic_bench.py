@@ -6,12 +6,13 @@ freshly rebuilt from the same edge set):
 
 ``update_vs_rebuild``
     Applies small edge batches (≤ ``churn`` of nnz per round) to a
-    :class:`~repro.runtime.dynamic.DynamicGraph` with warm natural and
-    reordered plans, timing :meth:`apply_edges` — overlay splice,
-    in-place plan refresh, dirty-panel rebuild — against the naive
-    alternative: rebuild the CSR from the full edge set and replan both
-    plans on a cold runtime.  The headline gate is the speedup of the
-    incremental path (≥ ``MIN_SPEEDUP``).
+    :class:`~repro.runtime.dynamic.DynamicGraph` with a warm natural
+    plan, timing :meth:`apply_edges` — overlay splice and plan refresh —
+    against the naive alternative: rebuild the CSR from the full edge set
+    and replan on a cold runtime.  Both sides hold the natural plan only:
+    a reordered plan does not survive a write, so the incremental side
+    has nothing to refresh for it.  The headline gate is the speedup of
+    the incremental path (≥ ``MIN_SPEEDUP``).
 
 ``shard_identity``
     The mutated graph executed through :meth:`run_sharded` at several
@@ -70,8 +71,8 @@ def edge_batch(
 
     All ops are concentrated on ``n_hot`` random source vertices — the
     locality a real edge stream exhibits (a handful of vertices gain and
-    lose edges at a time) and the case the dirty-panel/dirty-shard
-    invalidation is built for.  Deletes are sampled from edges that
+    lose edges at a time) and the case the dirty-row delta ship is built
+    for.  Deletes are sampled from edges that
     actually exist in the hot rows (so the batch really shrinks rows);
     inserts go from hot rows to uniform random targets, occasionally
     upserting an existing edge — both paths the overlay must handle.
@@ -139,10 +140,8 @@ def bench_dynamic_updates(
     rebuild_s: List[float] = []
     try:
         g = DynamicGraph(base, runtime=rt)
-        # Warm plans for both the natural and the reordered execution
-        # path; the mutation loop refreshes these in place.
+        # A warm natural plan; the mutation loop refreshes it in place.
         rt.run(g.matrix, X, pattern=pattern)
-        rt.run(g.matrix, X, pattern=pattern, reorder="rcm")
         for _ in range(max(1, rounds)):
             insert, delete = edge_batch(rng, g.matrix, half, half)
 
@@ -151,14 +150,13 @@ def bench_dynamic_updates(
             update_s.append(time.perf_counter() - t0)
 
             # The naive alternative on a cold runtime: rebuild the CSR
-            # from the full edge set and replan both cached plans.
+            # from the full edge set and replan.
             A_cur = g.matrix
             cold = KernelRuntime(num_threads=1, cache_size=64)
             try:
                 t0 = time.perf_counter()
                 rebuilt = rebuild_csr(A_cur)
                 cold.plan(rebuilt, pattern=pattern)
-                cold.plan(rebuilt, pattern=pattern, reorder="rcm")
                 rebuild_s.append(time.perf_counter() - t0)
             finally:
                 cold.close()
@@ -186,9 +184,6 @@ def bench_dynamic_updates(
             "rebuild_seconds": rebuild_mean,
             "speedup_vs_rebuild": rebuild_mean / max(update_mean, 1e-12),
             "plans_refreshed": stats["plans_refreshed"],
-            "panels_reused": stats["panels_reused"],
-            "panels_rebuilt": stats["panels_rebuilt"],
-            "reorders_carried": stats["reorders_carried"],
             "identical": identical,
         }
     )

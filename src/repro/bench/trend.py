@@ -80,9 +80,6 @@ _IDENTITY_EXCLUDE = {
     "delta_ships",
     "delta_fallbacks",
     "plans_refreshed",
-    "panels_reused",
-    "panels_rebuilt",
-    "reorders_carried",
     "checkpoints_written",
 }
 

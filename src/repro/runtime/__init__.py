@@ -12,7 +12,7 @@ This package is the serving/scheduling layer above :mod:`repro.core`:
                  and the one shard executor every tier runs
 ``remote``       distributed tier: TCP worker hosts + in-runtime controller
 ``dynamic``      dynamic graphs: versioned delta overlays with incremental
-                 plan/panel/shard invalidation
+                 plan/shard invalidation
 ``options``      :class:`RuntimeOptions` — the shared kernel-knob dataclass
 ``runtime``      :class:`KernelRuntime` — run / run_batch / epochs
                  / run_sharded / submit_sharded
@@ -31,7 +31,7 @@ Typical usage::
 
 from .batch import KernelRequest, PackedBatch, pack_requests
 from .cache import CacheStats, PlanCache
-from .dynamic import DynamicGraph, GraphVersion, MutationResult, refresh_plan
+from .dynamic import DynamicGraph, GraphVersion, MutationResult
 from .fingerprint import (
     clear_fingerprint_memo,
     derived_fingerprint,
@@ -70,7 +70,6 @@ __all__ = [
     "DynamicGraph",
     "GraphVersion",
     "MutationResult",
-    "refresh_plan",
     "matrix_fingerprint",
     "derived_fingerprint",
     "pin_fingerprint",

@@ -9,20 +9,16 @@ cache tier keys on the version automatically).  Readers resolve one
 snapshot and keep it for the whole request: mutations swap the current
 pointer atomically and can never tear an in-flight computation.
 
-Mutations invalidate *incrementally* instead of flushing:
+A mutation refreshes what stays valid and drops the rest:
 
-* **plans** — every cached plan of the old version is refreshed in place
-  (:func:`refresh_plan`): backend resolution and the autotuned block size
-  carry over, only the nnz-balanced partitions are recomputed.
-* **reorder** — the vertex permutation is *carried* while the mutated
-  matrix's mean bandwidth stays within ``carry_factor`` × the bandwidth
-  measured when the permutation was attached; the permuted copy is then
-  patched by splicing just the dirty rows (columns mapped through the
-  existing ``inv_perm``) and only panels overlapping a dirty row are
-  re-compacted — clean :class:`~repro.sparse.reorder.PanelBlock` objects
-  are reused as-is.  Past the bound, the permutation is recomputed from
-  scratch (the graph has drifted from the layout the sweep measured).
-* **shards** — the remote tier gets a delta source per mutated ship key
+* **plans** — every cached natural-order plan of the old version is
+  rebound to the new one
+  (:meth:`~repro.runtime.runtime.KernelRuntime.update_matrix`): backend
+  resolution and the autotuned block size carry over, only the
+  nnz-balanced partitions are recomputed.  A reordered plan leaves with
+  the old version; the next ``plan(..., reorder=...)`` on the new version
+  computes its permutation fresh, exactly as for a static matrix.
+* **shards** — the remote tier gets a delta source for the new version
   (:meth:`~repro.runtime.remote.RemoteController.register_delta`), so
   the next sharded run re-ships only the dirty rows (``OP_LOAD_DELTA``)
   to agents that still hold the previous version; everything else falls
@@ -39,37 +35,25 @@ execution stays allclose-equivalent, exactly as for static graphs.)
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.partition import RowPartition, split_parts
 from ..sparse import CSRMatrix, as_csr
-from ..sparse.delta import CompactionPolicy, DeltaCSR, splice_rows
-from ..sparse.reorder import average_bandwidth, build_panels
+from ..sparse.delta import CompactionPolicy, DeltaCSR
 from .fingerprint import matrix_fingerprint, pin_fingerprint
-from .plan import KernelPlan, PlanKey, _attach_reorder
 
 __all__ = [
-    "DEFAULT_CARRY_FACTOR",
     "DynamicGraph",
     "GraphVersion",
     "MutationResult",
-    "permuted_rows_payload",
-    "refresh_plan",
     "rows_payload",
 ]
 
-#: A carried permutation is kept while the spliced permuted matrix's mean
-#: bandwidth stays within this factor of the bandwidth measured when the
-#: permutation was attached.  The reference never moves while carrying, so
-#: drift cannot compound batch over batch.
-DEFAULT_CARRY_FACTOR = 4.0
-
 
 # ---------------------------------------------------------------------- #
-# Row payloads (shared by the plan refresh and the delta-ship path)
+# Row payloads (the delta-ship path)
 # ---------------------------------------------------------------------- #
 def rows_payload(
     A: CSRMatrix, rows: np.ndarray
@@ -95,166 +79,6 @@ def rows_payload(
     )
     data = np.concatenate(chunks_d) if chunks_d else np.empty(0, dtype=A.data.dtype)
     return rows, counts, indices, data
-
-
-def permuted_rows_payload(
-    A_new: CSRMatrix,
-    dirty_rows: np.ndarray,
-    perm: np.ndarray,
-    inv_perm: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The dirty rows of ``A_new`` expressed in permuted coordinates.
-
-    Row ``r`` of the natural-order matrix lives at permuted row
-    ``inv_perm[r]``; its columns map through ``inv_perm`` and are re-sorted
-    to canonical CSR order under the new numbering — exactly what
-    :func:`~repro.sparse.reorder.permute_symmetric` would produce for those
-    rows, without touching the clean ones.
-    """
-    dirty = np.unique(np.asarray(dirty_rows, dtype=np.int64))
-    pr = np.sort(inv_perm[dirty])
-    src = perm[pr]
-    indptr = A_new.indptr
-    counts = (indptr[src + 1] - indptr[src]).astype(np.int64)
-    chunks_i: List[np.ndarray] = []
-    chunks_d: List[np.ndarray] = []
-    for s in src:
-        lo, hi = int(indptr[s]), int(indptr[s + 1])
-        cols = inv_perm[A_new.indices[lo:hi]]
-        order = np.argsort(cols, kind="stable")
-        chunks_i.append(cols[order])
-        chunks_d.append(A_new.data[lo:hi][order])
-    indices = (
-        np.concatenate(chunks_i) if chunks_i else np.empty(0, dtype=np.int64)
-    )
-    data = (
-        np.concatenate(chunks_d) if chunks_d else np.empty(0, dtype=A_new.data.dtype)
-    )
-    return pr, counts, indices, data
-
-
-# ---------------------------------------------------------------------- #
-# Plan refresh
-# ---------------------------------------------------------------------- #
-def refresh_plan(
-    plan: KernelPlan,
-    A_new: CSRMatrix,
-    new_key: PlanKey,
-    dirty_rows: Optional[np.ndarray],
-    *,
-    split_nnz: int,
-    autotune_dim: int = 128,
-    carry_factor: float = DEFAULT_CARRY_FACTOR,
-    carry_cache: Optional[Dict[str, Tuple[CSRMatrix, np.ndarray]]] = None,
-) -> Tuple[KernelPlan, Dict[str, object]]:
-    """Rebind a cached plan to the next version of its matrix.
-
-    Everything expensive that does not depend on the sparsity *values* is
-    reused verbatim: backend resolution, the concrete kernel, autotune
-    results, the block size.  Recomputed per call: the nnz-balanced
-    partitions (O(nrows)) and — for reordered plans — the carried permuted
-    matrix (O(dirty nnz) splice) with only the dirty panels re-compacted.
-
-    ``carry_cache`` (shared across the plans of one mutation batch) maps a
-    plan's ``reorder_tag`` to its already-spliced permuted matrix, so
-    several plans with the same permutation pay the splice once.
-
-    Returns ``(new_plan, info)`` where ``info`` carries the per-plan
-    invalidation accounting (``panels_rebuilt``/``panels_reused``,
-    ``carried``) and — for carried reorders — a ``derived`` entry
-    (``key``/``base_key``: the new and old
-    :meth:`~repro.runtime.plan.KernelPlan.reordered_key`, ``matrix``,
-    ``perm_rows``) the caller uses to register a dirty-shard delta source
-    for the permuted ship key.  A carried plan keeps its ``reorder_tag``:
-    the permutation is the same.
-    """
-    A_new = as_csr(A_new)
-    new_plan = replace(
-        plan,
-        key=new_key,
-        nnz=A_new.nnz,
-        shape=A_new.shape,
-        partitions=split_parts(A_new, split_nnz),
-        calls=0,
-        _calls_lock=threading.Lock(),
-    )
-    info: Dict[str, object] = {
-        "reorder": "none",
-        "carried": False,
-        "panels_rebuilt": 0,
-        "panels_reused": 0,
-        "derived": None,
-    }
-    if plan.reorder == "none" or plan.reordered is None or plan.perm is None:
-        return new_plan, info
-    info["reorder"] = plan.reorder
-
-    carried = False
-    Ap_new: Optional[CSRMatrix] = None
-    pr: Optional[np.ndarray] = None
-    if dirty_rows is not None:
-        cached = None if carry_cache is None else carry_cache.get(plan.reorder_tag)
-        if cached is not None:
-            Ap_new, pr = cached
-        else:
-            pr, counts, idx, dat = permuted_rows_payload(
-                A_new, dirty_rows, plan.perm, plan.inv_perm
-            )
-            Ap_new = splice_rows(plan.reordered, pr, counts, idx, dat)
-            if carry_cache is not None:
-                carry_cache[plan.reorder_tag] = (Ap_new, pr)
-        reference = (
-            plan.reorder_bandwidth
-            if plan.reorder_bandwidth is not None
-            else average_bandwidth(plan.reordered)
-        )
-        carried = average_bandwidth(Ap_new) <= carry_factor * (reference + 1.0)
-
-    if not carried:
-        # Drifted past the carry bound (or dirty rows unknown): recompute
-        # the permutation for the new version from scratch.
-        _attach_reorder(
-            new_plan, A_new, plan.reorder, autotune_dim=autotune_dim
-        )
-        return new_plan, info
-
-    # Carried: same permutation, spliced permuted matrix, dirty-panel
-    # rebuild.  Panel boundaries stay (they are row ranges, still a
-    # contiguous cover); per-panel nnz is refreshed from the new indptr.
-    indptr = Ap_new.indptr
-    parts = [
-        RowPartition(p.start, p.stop, int(indptr[p.stop] - indptr[p.start]))
-        for p in plan.partitions
-    ]
-    panels = []
-    rebuilt = reused = 0
-    for old_panel, part in zip(plan.panels, parts):
-        lo = int(np.searchsorted(pr, part.start))
-        hi = int(np.searchsorted(pr, part.stop))
-        if lo < hi:
-            panels.append(build_panels(Ap_new, [part])[0])
-            rebuilt += 1
-        else:
-            # No dirty row in [start, stop): the old panel's localised
-            # sub-CSR still holds exactly this row range's content.
-            panels.append(old_panel)
-            reused += 1
-    new_plan.reordered = Ap_new
-    new_plan.panels = panels
-    new_plan.partitions = parts
-    # Keep the attach-time bandwidth as the carry reference so repeated
-    # small batches cannot ratchet the bound upward.
-    new_plan.reorder_bandwidth = plan.reorder_bandwidth
-    info["carried"] = True
-    info["panels_rebuilt"] = rebuilt
-    info["panels_reused"] = reused
-    info["derived"] = {
-        "key": new_plan.reordered_key(),
-        "base_key": plan.reordered_key(),
-        "matrix": Ap_new,
-        "perm_rows": pr,
-    }
-    return new_plan, info
 
 
 # ---------------------------------------------------------------------- #
@@ -289,10 +113,6 @@ class MutationResult:
     compacted: bool
     nnz: int
     plans_refreshed: int = 0
-    panels_rebuilt: int = 0
-    panels_reused: int = 0
-    reorders_carried: int = 0
-    reorders_rebuilt: int = 0
     delta_sources: int = 0
 
     def as_dict(self) -> Dict[str, object]:
@@ -307,10 +127,6 @@ class MutationResult:
             "compacted": self.compacted,
             "nnz": self.nnz,
             "plans_refreshed": self.plans_refreshed,
-            "panels_rebuilt": self.panels_rebuilt,
-            "panels_reused": self.panels_reused,
-            "reorders_carried": self.reorders_carried,
-            "reorders_rebuilt": self.reorders_rebuilt,
             "delta_sources": self.delta_sources,
         }
 
@@ -321,8 +137,8 @@ class DynamicGraph:
     ``runtime=None`` gives a standalone overlay (versions, compaction,
     bitwise materialisation) with no cache plumbing — the sparse tier
     alone.  With a :class:`~repro.runtime.runtime.KernelRuntime` attached,
-    every mutation refreshes that runtime's cached plans for this graph,
-    registers dirty-shard delta sources on its remote controller and
+    every mutation refreshes that runtime's natural-order plans for this
+    graph, registers a dirty-row delta source on its remote controller and
     releases the superseded version from the local cache tiers.
     """
 
@@ -332,12 +148,10 @@ class DynamicGraph:
         *,
         runtime=None,
         policy: Optional[CompactionPolicy] = None,
-        carry_factor: float = DEFAULT_CARRY_FACTOR,
         lineage: Optional[str] = None,
     ) -> None:
         base = as_csr(base)
         self.runtime = runtime
-        self.carry_factor = float(carry_factor)
         # The lineage is the *content* hash of the original base — stable
         # across every subsequent version and compaction, so one release
         # call covers the graph's whole cache footprint.
@@ -354,10 +168,6 @@ class DynamicGraph:
             "edges_deleted": 0,
             "compactions": 0,
             "plans_refreshed": 0,
-            "panels_rebuilt": 0,
-            "panels_reused": 0,
-            "reorders_carried": 0,
-            "reorders_rebuilt": 0,
             "delta_sources": 0,
         }
         self._closed = False
@@ -416,20 +226,17 @@ class DynamicGraph:
             fp = new_delta.fingerprint
             pin_fingerprint(new_A, fp)
 
-            info: Dict[str, object] = {}
-            sources = 0
+            refreshed = sources = 0
             rt = self.runtime
             if rt is not None:
-                info = rt.update_matrix(
-                    cur.fingerprint,
-                    new_A,
-                    fp,
-                    batch.touched_rows,
-                    carry_factor=self.carry_factor,
-                )
-                sources = self._register_delta_sources(
-                    cur.fingerprint, fp, new_A, batch.touched_rows, info
-                )
+                refreshed = rt.update_matrix(cur.fingerprint, new_A, fp)
+                # The remote tier re-ships the new version as a dirty-row
+                # splice over the old one.
+                controller = rt.controller
+                if controller is not None and batch.touched_rows.size:
+                    payload = rows_payload(new_A, batch.touched_rows)
+                    controller.register_delta(fp, cur.fingerprint, *payload)
+                    sources = 1
                 # The superseded version leaves the *local* tiers now; its
                 # remote copies stay one more round — they are the base the
                 # delta source above splices onto.  The round after, the
@@ -451,11 +258,7 @@ class DynamicGraph:
                 touched_rows=int(batch.touched_rows.size),
                 compacted=compacted,
                 nnz=new_delta.nnz,
-                plans_refreshed=int(info.get("plans_refreshed", 0)),
-                panels_rebuilt=int(info.get("panels_rebuilt", 0)),
-                panels_reused=int(info.get("panels_reused", 0)),
-                reorders_carried=int(info.get("reorders_carried", 0)),
-                reorders_rebuilt=int(info.get("reorders_rebuilt", 0)),
+                plans_refreshed=refreshed,
                 delta_sources=sources,
             )
             c = self._counters
@@ -465,41 +268,9 @@ class DynamicGraph:
             c["edges_deleted"] += result.deleted
             if compacted:
                 c["compactions"] += 1
-            c["plans_refreshed"] += result.plans_refreshed
-            c["panels_rebuilt"] += result.panels_rebuilt
-            c["panels_reused"] += result.panels_reused
-            c["reorders_carried"] += result.reorders_carried
-            c["reorders_rebuilt"] += result.reorders_rebuilt
+            c["plans_refreshed"] += refreshed
             c["delta_sources"] += sources
             return result
-
-    def _register_delta_sources(
-        self,
-        old_fp: str,
-        new_fp: str,
-        new_A: CSRMatrix,
-        touched_rows: np.ndarray,
-        info: Dict[str, object],
-    ) -> int:
-        """Give the remote tier a dirty-row splice per mutated ship key."""
-        rt = self.runtime
-        controller = None if rt is None else rt.controller
-        if controller is None:
-            return 0
-        touched = np.asarray(touched_rows, dtype=np.int64)
-        if touched.size == 0:
-            return 0
-        sources = 0
-        rows, counts, idx, dat = rows_payload(new_A, touched)
-        controller.register_delta(new_fp, old_fp, rows, counts, idx, dat)
-        sources += 1
-        for d in info.get("derived") or []:
-            rows, counts, idx, dat = rows_payload(d["matrix"], d["perm_rows"])
-            controller.register_delta(
-                d["key"], d["base_key"], rows, counts, idx, dat
-            )
-            sources += 1
-        return sources
 
     # ------------------------------------------------------------------ #
     def memory(self) -> Dict[str, object]:

@@ -110,11 +110,10 @@ def derived_fingerprint(fingerprint: str, tag: str) -> str:
     ``fingerprint`` covers the source content, so ``tag`` must carry
     whatever else makes the derivation unique.  The locality tier ships a
     permuted adjacency under ``reorder=<strategy>:<perm digest>``
-    (:meth:`~repro.runtime.plan.KernelPlan.reordered_key`) — a strategy
-    name alone is not enough, since a dynamic graph can carry an older
-    version's permutation into a version that a fresh plan would permute
-    differently.  Deriving avoids re-hashing O(nnz) bytes that the source
-    fingerprint already covers.
+    (:meth:`~repro.runtime.plan.KernelPlan.reordered_key`), so the key
+    names the permutation itself, not only the strategy that produced it.
+    Deriving avoids re-hashing O(nnz) bytes that the source fingerprint
+    already covers.
     """
     return f"{fingerprint}|{tag}"
 

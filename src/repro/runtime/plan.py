@@ -51,7 +51,6 @@ from ..sparse import CSRMatrix, as_csr
 from ..sparse.reorder import (
     REORDER_STRATEGIES,
     PanelBlock,
-    average_bandwidth,
     build_panels,
     cache_block_partitions,
     reorder_matrix,
@@ -108,9 +107,8 @@ class KernelPlan:
     #: resolved locality strategy ("none" keeps the legacy bitwise path)
     reorder: str = "none"
     #: ``reorder=<strategy>:<perm digest>`` — names the permutation that
-    #: built ``reordered``, so its ship key (:meth:`reordered_key`) tells
-    #: apart two permutations of one strategy (a carried one and a fresh
-    #: one on the same graph version)
+    #: built ``reordered``, so its ship key (:meth:`reordered_key`) names
+    #: the permuted content, not only the strategy
     reorder_tag: Optional[str] = None
     #: ``perm[new] = old`` / ``inv_perm[old] = new`` vertex permutation
     perm: Optional[np.ndarray] = field(default=None, repr=False)
@@ -121,10 +119,6 @@ class KernelPlan:
     panels: Sequence[PanelBlock] = field(default_factory=list, repr=False)
     #: measured reorder sweep (when ``reorder="auto"`` was requested)
     reorder_tuning: Optional[ReorderTuning] = None
-    #: mean |row − col| of ``reordered`` when the permutation was attached —
-    #: the dynamic-graph tier carries the permutation across mutations only
-    #: while the mutated matrix stays within a factor of this bound
-    reorder_bandwidth: Optional[float] = None
     #: times this plan has been executed
     calls: int = 0
     _calls_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
@@ -487,7 +481,6 @@ def _attach_reorder(
     plan.perm = result.perm
     plan.inv_perm = result.inv_perm
     plan.reordered = result.matrix
-    plan.reorder_bandwidth = average_bandwidth(result.matrix)
     plan.panels = build_panels(result.matrix, parts)
     # One schedulable task per panel: the runtime's split path fans the
     # panels out over the shared pool whenever there is more than one.
@@ -555,6 +548,5 @@ def _apply_reorder(
     plan.perm = winner.perm
     plan.inv_perm = winner.inv_perm
     plan.reordered = winner.reordered
-    plan.reorder_bandwidth = winner.reorder_bandwidth
     plan.panels = winner.panels
     plan.partitions = winner.partitions

@@ -991,74 +991,45 @@ class KernelRuntime:
         old_fingerprint: str,
         A_new,
         new_fingerprint: Optional[str] = None,
-        dirty_rows=None,
-        *,
-        carry_factor: Optional[float] = None,
-    ) -> Dict[str, object]:
-        """Refresh every cached plan of a mutated matrix version in place.
+    ) -> int:
+        """Rebind the cached natural-order plans of a mutated matrix.
 
-        For each plan keyed on ``old_fingerprint`` a successor keyed on
-        the new fingerprint is built through
-        :func:`repro.runtime.dynamic.refresh_plan` — backend resolution
-        and autotune results carry over; partitions, and for
-        reordered plans the spliced permuted matrix plus the dirty panels,
-        are recomputed.  The old version's plans are evicted afterwards
-        (nothing will ask for them again).  Returns the invalidation
-        accounting, including ``derived`` entries for carried reorders so
-        the dynamic-graph tier can register permuted-space delta sources.
+        Each plan keyed on ``old_fingerprint`` that holds no permuted copy
+        gets a successor keyed on the new fingerprint: backend resolution,
+        the kernel and autotune results carry over, only the nnz-balanced
+        partitions are recomputed.  Reordered plans leave with the old
+        version; the next ``plan(..., reorder=...)`` on the new version
+        builds its permutation fresh, exactly as for a static matrix.  The
+        old version is evicted before the successors go in, so a full LRU
+        never pushes out another matrix's plan.  Returns the number of
+        plans refreshed.
         """
-        from .dynamic import DEFAULT_CARRY_FACTOR, refresh_plan
-
         A_new = as_csr(A_new)
         old_fingerprint = str(old_fingerprint)
         new_fp = (
             str(new_fingerprint) if new_fingerprint else matrix_fingerprint(A_new)
         )
-        factor = DEFAULT_CARRY_FACTOR if carry_factor is None else float(carry_factor)
-        dirty = (
-            None
-            if dirty_rows is None
-            else np.asarray(dirty_rows, dtype=np.int64)
-        )
-        info: Dict[str, object] = {
-            "plans_refreshed": 0,
-            "panels_rebuilt": 0,
-            "panels_reused": 0,
-            "reorders_carried": 0,
-            "reorders_rebuilt": 0,
-            "derived": [],
-        }
-        carry_cache: Dict[str, object] = {}
-        seen_keys: set = set()
-        for key, plan in self._cache.entries_for(old_fingerprint):
-            if key.fingerprint != old_fingerprint:
-                continue
-            new_key = replace(key, fingerprint=new_fp)
-            new_plan, pinfo = refresh_plan(
-                plan,
-                A_new,
-                new_key,
-                dirty,
-                split_nnz=self.split_nnz,
-                autotune_dim=self.autotune_dim,
-                carry_factor=factor,
-                carry_cache=carry_cache,
-            )
-            self._cache.put(new_key, new_plan)
-            info["plans_refreshed"] += 1
-            info["panels_rebuilt"] += pinfo["panels_rebuilt"]
-            info["panels_reused"] += pinfo["panels_reused"]
-            if pinfo["reorder"] != "none":
-                if pinfo["carried"]:
-                    info["reorders_carried"] += 1
-                    derived = pinfo["derived"]
-                    if derived["key"] not in seen_keys:
-                        seen_keys.add(derived["key"])
-                        info["derived"].append(derived)
-                else:
-                    info["reorders_rebuilt"] += 1
+        natural = [
+            (key, plan)
+            for key, plan in self._cache.entries_for(old_fingerprint)
+            if key.fingerprint == old_fingerprint and plan.reordered is None
+        ]
         self._cache.evict_fingerprint(old_fingerprint)
-        return info
+        for key, plan in natural:
+            new_key = replace(key, fingerprint=new_fp)
+            self._cache.put(
+                new_key,
+                replace(
+                    plan,
+                    key=new_key,
+                    nnz=A_new.nnz,
+                    shape=A_new.shape,
+                    partitions=split_parts(A_new, self.split_nnz),
+                    calls=0,
+                    _calls_lock=threading.Lock(),
+                ),
+            )
+        return len(natural)
 
     def attach_stats_section(self, name: str, provider) -> None:
         """Merge ``provider()`` into :meth:`stats` under ``name``.

@@ -30,7 +30,6 @@ from .reorder import (
     REORDER_STRATEGIES,
     PanelBlock,
     ReorderResult,
-    average_bandwidth,
     build_panels,
     cache_block_partitions,
     permute_symmetric,
@@ -64,6 +63,5 @@ __all__ = [
     "reorder_permutation",
     "permute_symmetric",
     "reorder_matrix",
-    "average_bandwidth",
     "cache_block_partitions",
 ]

@@ -59,7 +59,6 @@ __all__ = [
     "reorder_permutation",
     "permute_symmetric",
     "reorder_matrix",
-    "average_bandwidth",
     "cache_block_partitions",
     "build_panels",
     "DEFAULT_PANEL_BUDGET_BYTES",
@@ -289,21 +288,6 @@ def reorder_matrix(A: CSRMatrix, strategy: str) -> ReorderResult:
     return ReorderResult(
         strategy=strategy, matrix=matrix, perm=perm, inv_perm=inv_perm
     )
-
-
-def average_bandwidth(A: CSRMatrix) -> float:
-    """Mean ``|row - column|`` distance over the stored edges.
-
-    The locality metric the dynamic-graph tier watches: a permutation
-    computed for one version keeps paying off while the permuted matrix's
-    bandwidth stays near what it was when the permutation was tuned.
-    Deterministic (pure structure, no timing), so carry decisions cannot
-    flap between runs.
-    """
-    if A.nnz == 0:
-        return 0.0
-    rows = np.repeat(np.arange(A.nrows, dtype=np.int64), np.diff(A.indptr))
-    return float(np.abs(rows - A.indices).mean())
 
 
 # ---------------------------------------------------------------------- #

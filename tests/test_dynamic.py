@@ -1,17 +1,18 @@
 """Dynamic graphs: delta-CSR overlay, incremental invalidation, serving.
 
-The contract under test (ISSUE 10): kernel results computed on a
-base+delta overlay are **bitwise identical** to the same kernel on a CSR
-freshly rebuilt from the same edge set — at every version, at every
-compaction point, across local and remote execution.  Invalidation is
-incremental: cached plans are refreshed (not dropped), carried reorder
-permutations rebuild only dirty panels, and the remote tier re-ships only
-dirty shards.
+The contract under test: kernel results computed on a base+delta overlay
+are **bitwise identical** to the same kernel on a CSR freshly rebuilt
+from the same edge set — at every version, at every compaction point,
+across local and remote execution.  Invalidation is incremental: cached
+natural-order plans are refreshed (not dropped), reordered plans leave
+with their version and are rebuilt fresh on the next request, and the
+remote tier re-ships only dirty shards.
 """
 
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,11 +27,10 @@ from repro.runtime import (
     WorkerAgent,
     fingerprint_covers,
     matrix_fingerprint,
-    refresh_plan,
 )
 from repro.sparse import CSRMatrix, random_csr
 from repro.sparse.delta import CompactionPolicy, DeltaCSR, splice_rows
-from repro.sparse.reorder import permute_symmetric
+from repro.sparse.reorder import reorder_matrix
 
 settings.register_profile("repro-dynamic", deadline=None, max_examples=40)
 settings.load_profile("repro-dynamic")
@@ -193,84 +193,13 @@ def test_splice_rows_reproduces_full_rebuild():
 
 
 # ---------------------------------------------------------------------- #
-# Plan refresh: carried permutations and dirty-panel rebuilds
+# Plan refresh: natural plans are rebound, reordered plans rebuilt fresh
 # ---------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def medium():
     A = rmat(3000, 40_000, seed=11)
     X = random_features(A.nrows, 8, seed=5)
     return A, X
-
-
-def test_dirty_panel_rebuild_reuses_clean_panels(medium):
-    A, X = medium
-    with KernelRuntime(num_threads=1, split_nnz=4000, cache_size=16) as rt:
-        g = DynamicGraph(A, runtime=rt)
-        plan = rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
-        assert plan.reordered is not None and len(plan.panels) > 1
-        result = g.apply_edges(
-            insert=[(0, 5, 1.0), (5, 0, 1.0)], delete=[(int(A.indices[0]), 0)]
-        )
-        assert result.plans_refreshed == 1
-        assert result.reorders_carried == 1
-        assert result.reorders_rebuilt == 0
-        # Only panels overlapping a dirty permuted row were recompacted.
-        assert result.panels_rebuilt >= 1
-        assert result.panels_reused >= 1
-        assert result.panels_rebuilt + result.panels_reused == len(plan.panels)
-        # The spliced permuted matrix is exactly what permute_symmetric
-        # would produce on the freshly rebuilt CSR.
-        entries = rt._cache.entries_for(g.fingerprint)
-        assert len(entries) == 1
-        new_plan = entries[0][1]
-        assert new_plan.key.fingerprint == g.fingerprint
-        # Same permutation, same tag: the ship key still names the perm.
-        assert new_plan.reorder_tag == plan.reorder_tag
-        assert new_plan.reordered_key() == f"{g.fingerprint}|{plan.reorder_tag}"
-        ref_perm = permute_symmetric(_rebuild_from(g.matrix), new_plan.perm)
-        _assert_bitwise(new_plan.reordered, ref_perm)
-        # Execution through the refreshed plan still matches the kernel on
-        # the rebuilt matrix (reordered tier: allclose, as for statics).
-        Z = rt.run(g.matrix, X, pattern="sigmoid_embedding", reorder="rcm")
-        ref = fusedmm(
-            _rebuild_from(g.matrix), X, X,
-            pattern="sigmoid_embedding", num_threads=1,
-        )
-        np.testing.assert_allclose(Z, ref, rtol=1e-5, atol=1e-5)
-
-
-def test_carry_bound_exceeded_recomputes_permutation(medium):
-    A, _ = medium
-    with KernelRuntime(num_threads=1, split_nnz=4000, cache_size=16) as rt:
-        plan = rt.plan(A, pattern="sigmoid_embedding", reorder="rcm")
-        fp = matrix_fingerprint(A)
-        model = {}
-        rows = np.repeat(np.arange(A.nrows), np.diff(A.indptr))
-        for u, v, w in zip(rows.tolist(), A.indices.tolist(), A.data.tolist()):
-            model[(u, v)] = w
-        model[(0, A.nrows - 1)] = 1.0
-        A_new = _rebuild(model, A.nrows)
-        from repro.runtime.plan import PlanKey
-        from dataclasses import replace as dc_replace
-
-        new_key = dc_replace(plan.key, fingerprint=f"{fp}@v1")
-        # carry_factor=0 makes any drift exceed the bound: full recompute.
-        new_plan, info = refresh_plan(
-            plan,
-            A_new,
-            new_key,
-            np.array([0], dtype=np.int64),
-            split_nnz=rt.split_nnz,
-            carry_factor=0.0,
-        )
-        assert info["carried"] is False
-        assert new_plan.reordered is not None
-        ref_perm = permute_symmetric(A_new, new_plan.perm)
-        _assert_bitwise(new_plan.reordered, ref_perm)
-        # A recomputed permutation gets its own tag whenever it differs.
-        assert (new_plan.reorder_tag == plan.reorder_tag) == np.array_equal(
-            new_plan.perm, plan.perm
-        )
 
 
 def test_natural_plan_refresh_keeps_bitwise_identity(medium):
@@ -291,24 +220,72 @@ def test_natural_plan_refresh_keeps_bitwise_identity(medium):
         assert rt._cache.stats().hits == hits_before + 1  # refreshed plan hit
 
 
+def test_reordered_plan_is_rebuilt_fresh_after_a_write(medium):
+    """A write drops the old version's reordered plan; the next reordered
+    plan of the new version is the one a static matrix with the same
+    edges would get, whatever path the graph took to reach it."""
+    A, X = medium
+    with KernelRuntime(num_threads=1, split_nnz=4000, processes=2) as rt:
+        g = DynamicGraph(A, runtime=rt)
+        v0 = g.fingerprint
+        rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
+        result = g.apply_edges(
+            insert=[(u, (u * 37 + 5) % A.nrows, 1.0) for u in range(0, 3000, 50)]
+        )
+        assert result.plans_refreshed == 0
+        assert rt._cache.entries_for(v0) == ()
+        assert rt._cache.entries_for(g.fingerprint) == ()
+        plan = rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
+        assert np.array_equal(plan.perm, reorder_matrix(g.matrix, "rcm").perm)
+        rebuilt = _rebuild_from(g.matrix)
+        ref = fusedmm(rebuilt, X, X, pattern="sigmoid_embedding", num_threads=1)
+        Z = rt.run(g.matrix, X, pattern="sigmoid_embedding", reorder="rcm")
+        np.testing.assert_allclose(Z, ref, rtol=1e-5, atol=1e-5)
+        Zs = rt.run_sharded(
+            g.matrix, X, pattern="sigmoid_embedding", reorder="rcm", shards=2
+        )
+        np.testing.assert_allclose(Zs, ref, rtol=1e-5, atol=1e-5)
+
+
+def test_write_keeps_other_graphs_plans_in_a_full_cache(medium):
+    """The refreshed plans go in only after the old version is out, so a
+    write to one graph never pushes another graph's plan out of a full
+    LRU."""
+    A, _ = medium
+    B = rmat(500, 4000, seed=3)
+    with KernelRuntime(num_threads=1, cache_size=2) as rt:
+        rt.plan(B)
+        g = DynamicGraph(A, runtime=rt)
+        rt.plan(g.matrix)
+        assert len(rt._cache) == 2
+        assert g.apply_edges(insert=[(0, 7, 1.0)]).plans_refreshed == 1
+        assert len(rt._cache) == 2
+        assert rt.plan_bytes(matrix_fingerprint(B))["plans"] == 1
+        assert rt.plan_bytes(g.fingerprint)["plans"] == 1
+        assert rt._cache.stats().evictions == 1  # the superseded version
+
+
 # ---------------------------------------------------------------------- #
 # Eviction cascade: no derived-fingerprint leaks
 # ---------------------------------------------------------------------- #
-def test_superseded_version_leaves_plan_cache_and_memo(medium):
+def test_superseded_version_leaves_plan_cache_and_refreshes_natural_plan(medium):
     A, _ = medium
     with KernelRuntime(num_threads=1, split_nnz=4000, cache_size=16) as rt:
         g = DynamicGraph(A, runtime=rt)
         v0 = g.fingerprint
         rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
-        rt.plan(g.matrix, pattern="gcn")
+        natural = rt.plan(g.matrix, pattern="gcn")
         assert rt.plan_bytes(v0)["plan_bytes"] > 0  # the permuted copy
-        g.apply_edges(insert=[(0, 7, 1.0), (7, 0, 1.0)])
+        result = g.apply_edges(insert=[(0, 7, 1.0), (7, 0, 1.0)])
         # The old version's plans — and the permuted copy they own — are
-        # gone; the new version holds refreshed equivalents.
+        # gone; the new version holds exactly the refreshed natural plan.
+        assert result.plans_refreshed == 1
         assert rt._cache.entries_for(v0) == ()
         assert rt.plan_bytes(v0) == {"plans": 0, "plan_bytes": 0}
-        assert len(rt._cache.entries_for(g.fingerprint)) == 2
-        assert rt.plan_bytes(g.fingerprint)["plan_bytes"] > 0
+        ((key, plan),) = rt._cache.entries_for(g.fingerprint)
+        assert key == replace(natural.key, fingerprint=g.fingerprint)
+        assert plan.reordered is None and plan.nnz == g.nnz
+        assert rt.plan_bytes(g.fingerprint) == {"plans": 1, "plan_bytes": 0}
 
 
 def test_close_releases_whole_lineage(medium):
@@ -316,10 +293,13 @@ def test_close_releases_whole_lineage(medium):
     with KernelRuntime(num_threads=1, split_nnz=4000, cache_size=16) as rt:
         g = DynamicGraph(A, runtime=rt)
         lineage = g.lineage
+        rt.plan(g.matrix, pattern="sigmoid_embedding")
         rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
         g.apply_edges(insert=[(0, 9, 1.0), (9, 0, 1.0)])
+        rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
+        assert rt.plan_bytes(lineage)["plan_bytes"] > 0
         released = g.close()
-        assert released["plans"] >= 1
+        assert released["plans"] == 2  # the refreshed and the fresh plan
         assert rt._cache.entries_for(lineage) == ()
         assert rt.plan_bytes(lineage) == {"plans": 0, "plan_bytes": 0}
         assert set(released) == {"plans", "worker_matrices", "remote_matrices"}
@@ -341,8 +321,10 @@ def test_memory_accounting_tracks_every_tier(medium):
     A, _ = medium
     with KernelRuntime(num_threads=1, split_nnz=4000, cache_size=16) as rt:
         g = DynamicGraph(A, runtime=rt, policy=_NEVER)
+        rt.plan(g.matrix, pattern="sigmoid_embedding")
         rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
         g.apply_edges(insert=[(0, 11, 1.0), (11, 0, 1.0)])
+        rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
         mem = g.memory()
         for key in (
             "fingerprint", "version", "nnz", "base_bytes", "delta_bytes",
@@ -355,7 +337,8 @@ def test_memory_accounting_tracks_every_tier(medium):
         assert mem["base_bytes"] > 0
         assert mem["delta_bytes"] > 0 and mem["delta_rows"] == 2
         assert mem["materialized_bytes"] > 0  # spliced copy, not the base
-        assert mem["plans"] == 1
+        assert mem["plans"] == 2
+        assert mem["plan_bytes"] > 0  # the fresh plan's permuted copy
         assert mem["total_bytes"] == (
             mem["base_bytes"] + mem["delta_bytes"]
             + mem["materialized_bytes"] + mem["plan_bytes"]
@@ -366,13 +349,14 @@ def test_memory_accounting_tracks_every_tier(medium):
 
 
 def test_reordered_copy_is_counted_once(medium):
-    """The carried permuted CSR is retained by its plan alone, so it
-    enters ``total_bytes`` exactly once (through ``plan_bytes``)."""
+    """A mutated version's permuted CSR is retained by its plan alone, so
+    it enters ``total_bytes`` exactly once (through ``plan_bytes``)."""
     A, _ = medium
     with KernelRuntime(num_threads=1, split_nnz=4000, cache_size=16) as rt:
         g = DynamicGraph(A, runtime=rt, policy=_NEVER)
         rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
-        assert g.apply_edges(insert=[(0, 11, 1.0), (11, 0, 1.0)]).reorders_carried == 1
+        assert g.apply_edges(insert=[(0, 11, 1.0), (11, 0, 1.0)]).plans_refreshed == 0
+        rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
         ((_, plan),) = rt._cache.entries_for(g.fingerprint)
         mem = g.memory()
         assert mem["plan_bytes"] == plan.retained_bytes()
@@ -386,25 +370,34 @@ def test_reordered_copy_is_counted_once(medium):
 # Sharded reordered runs: the ship key names the permutation
 # ---------------------------------------------------------------------- #
 def test_carried_and_fresh_permutations_ship_under_distinct_keys():
-    """Regression: a carried ``rcm`` permutation and a fresh ``rcm``
-    permutation of the same version used to share the ship key
-    ``<fp>|reorder=rcm``, so a plan built after the carried one reached
-    the workers' copy of the *other* permuted matrix and returned wrong
-    rows.  Planning unrelated reordered matrices in between (which used to
-    push the carried copy out of a process-global memo) must not matter."""
+    """Regression: an older version's ``rcm`` permutation and a fresh
+    ``rcm`` permutation of the current version used to share the ship key
+    ``<fp>|reorder=rcm``, so a plan built after a write reached the
+    workers' copy of the *other* permuted matrix and returned wrong rows.
+    Every permuted copy now ships under a key that names its version and
+    its permutation.  Planning unrelated reordered matrices in between
+    (which used to push a permuted copy out of a process-global memo) must
+    not matter."""
     A = rmat(3000, 36_000, seed=11)
     X = random_features(A.nrows, 8, seed=5)
     with KernelRuntime(num_threads=1, processes=2) as rt:
         g = DynamicGraph(A, runtime=rt)
         rt.run_sharded(g.matrix, X, pattern="sigmoid_embedding", reorder="rcm")
+        old = rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
         result = g.apply_edges(
             insert=[(u, (u * 37 + 5) % A.nrows, 1.0) for u in range(0, 3000, 50)]
         )
-        assert result.reorders_carried == 1
-        rt.run_sharded(g.matrix, X, pattern="sigmoid_embedding", reorder="rcm")
+        assert result.plans_refreshed == 0  # the rcm plan left with v0
+        Z = rt.run_sharded(g.matrix, X, pattern="sigmoid_embedding", reorder="rcm")
+        ref = fusedmm(g.matrix, X, X, pattern="sigmoid_embedding", num_threads=1)
+        np.testing.assert_allclose(Z, ref, rtol=1e-4, atol=1e-5)
+        fresh = rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
+        assert fresh.reordered_key() != old.reordered_key()
         for seed in range(33):
             rt.plan(random_csr(60, 60, seed=seed), reorder="degree")
         Z = rt.run_sharded(g.matrix, X, pattern="gcn", reorder="rcm")
+        gcn = rt.plan(g.matrix, pattern="gcn", reorder="rcm")
+        assert gcn.reordered_key() == fresh.reordered_key()  # same content
         ref = fusedmm(g.matrix, X, X, pattern="gcn", num_threads=1)
         np.testing.assert_allclose(Z, ref, rtol=1e-4, atol=1e-5)
 
