@@ -1,6 +1,6 @@
 """Throughput benchmarks for the batched kernel runtime.
 
-Two measurements, run by ``repro bench runtime [--quick]``:
+Three measurements, run by ``repro bench runtime [--quick]``:
 
 * **plan-cache amortisation** — repeated calls on one fixed adjacency.
   The cold path re-plans on every call (pattern resolution, partitioning,
@@ -14,7 +14,14 @@ Two measurements, run by ``repro bench runtime [--quick]``:
   :meth:`~repro.runtime.KernelRuntime.run_batch`, which packs them into a
   block-diagonal super-problem (results stay bitwise identical).
 
-Both are wall-clock targets, so ``--no-check`` waives them.
+* **planned small requests** — :meth:`~repro.runtime.KernelRuntime.run_batch`
+  one request at a time on serve-sized graphs (256 vertices, d=16) whose
+  plans are cached, as a registered graph's warm plans are, versus an
+  unplanned copy of the same matrices: the planned request replays its
+  plan's kept edge-block schedule.
+
+All three speedups are wall-clock targets, so ``--no-check`` waives them;
+the planned results must equal the unplanned ones bitwise, always.
 """
 
 from __future__ import annotations
@@ -32,10 +39,12 @@ from ..graphs import rmat
 from ..graphs.features import random_features
 from ..runtime import KernelRequest, KernelRuntime
 from ..sparse import random_csr
+from .harness import _interleaved_medians
 
 __all__ = [
     "bench_plan_cache",
     "bench_batch_packing",
+    "bench_planned_small",
     "run_throughput_benchmark",
 ]
 
@@ -48,6 +57,8 @@ PLAN_CACHE_MIN_SPEEDUP = 2.0
 PLAN_CACHE_QUICK_MIN_SPEEDUP = 1.0
 #: One packed ``run_batch`` must beat the sequential ``fusedmm`` calls.
 BATCH_MIN_SPEEDUP = 1.0
+#: A planned small request must beat the same request on an unplanned copy.
+PLANNED_MIN_SPEEDUP = 1.0
 
 
 def _mean_seconds(fn, repeats: int) -> float:
@@ -164,6 +175,61 @@ def bench_batch_packing(
     }
 
 
+def bench_planned_small(
+    *,
+    graphs: int = 8,
+    nodes: int = 256,
+    avg_degree: int = 8,
+    dim: int = 16,
+    repeats: int = 30,
+    pattern: str = "sigmoid_embedding",
+    num_threads: int = 1,
+    seed: int = 11,
+) -> Dict[str, object]:
+    """``run_batch`` per request on planned graphs vs unplanned copies.
+
+    Each sweep submits one request per graph, one ``run_batch`` call each
+    (too large to pack: ``(2 × 256) × 16`` dense elements).  The two
+    sweeps are timed as medians of interleaved rounds.
+    """
+    mats = [
+        random_csr(nodes, nodes, density=avg_degree / nodes, seed=seed + i)
+        for i in range(graphs)
+    ]
+    feats = [random_features(nodes, dim, seed=seed + i) for i in range(graphs)]
+    runtime = KernelRuntime(num_threads=num_threads)
+    for A in mats:  # what registering a graph does
+        runtime.plan(A, pattern=pattern, reorder="none")
+    planned = [KernelRequest(A, X, pattern=pattern) for A, X in zip(mats, feats)]
+    unplanned = [
+        KernelRequest(A.copy(), X, pattern=pattern) for A, X in zip(mats, feats)
+    ]
+
+    def sweep(requests):
+        return lambda: [runtime.run_batch([r])[0] for r in requests]
+
+    planned_s, unplanned_s = _interleaved_medians(
+        sweep(planned), sweep(unplanned), repeats=repeats
+    )
+    bitwise = all(
+        np.array_equal(a, b) for a, b in zip(sweep(planned)(), sweep(unplanned)())
+    )
+    stats = runtime.stats()
+    runtime.close()
+    return {
+        "benchmark": "planned_small",
+        "graph": f"{graphs}×({nodes}², degree {avg_degree})",
+        "nnz": sum(A.nnz for A in mats),
+        "d": dim,
+        "pattern": pattern,
+        "planned_s": planned_s / graphs,
+        "unplanned_s": unplanned_s / graphs,
+        "speedup": unplanned_s / max(planned_s, 1e-12),
+        "bitwise": bitwise,
+        "cache_hit_rate": stats["plan_cache"]["hit_rate"],
+    }
+
+
 def run_throughput_benchmark(
     *,
     quick: bool = False,
@@ -191,6 +257,7 @@ def run_throughput_benchmark(
             num_threads=num_threads,
         )
     )
+    rows.append(bench_planned_small(repeats=10 * repeats, num_threads=num_threads))
     return rows
 
 
@@ -207,12 +274,22 @@ def run(args: argparse.Namespace) -> Tuple[List[Dict[str, object]], Dict]:
 def gate(
     rows: List[Dict[str, object]], *, quick: bool = False, no_check: bool = False
 ) -> List[str]:
-    """The failure messages of ``rows``; both targets are wall-clock."""
+    """The failure messages of ``rows``: the speedup targets are
+    wall-clock; planned results that differ from unplanned ones always
+    fail."""
+    failures = [
+        f"planned_small results differ from unplanned ones ({r['graph']})"
+        for r in rows
+        if r["benchmark"] == "planned_small" and not r["bitwise"]
+    ]
     if no_check:
-        return []
+        return failures
     plan_target = PLAN_CACHE_QUICK_MIN_SPEEDUP if quick else PLAN_CACHE_MIN_SPEEDUP
-    targets = {"plan_cache": plan_target, "batch_packing": BATCH_MIN_SPEEDUP}
-    failures = []
+    targets = {
+        "plan_cache": plan_target,
+        "batch_packing": BATCH_MIN_SPEEDUP,
+        "planned_small": PLANNED_MIN_SPEEDUP,
+    }
     for r in rows:
         target = targets[r["benchmark"]]
         if r["speedup"] < target:

@@ -24,8 +24,10 @@ Backends
                    runs user code and raises falls back to generic
 
 Every resolved kernel is called as ``kernel(A, X, Y, *, block_size,
-num_threads, parts, pool, out, row_offset)``; knobs a kind has
-no use for are ignored.  ``X=None`` is accepted for patterns whose VOP
+num_threads, parts, pool, out, row_offset, schedule)``; knobs a kind has
+no use for are ignored (``schedule``, a kept
+:func:`~repro.core.optimized.edge_schedule`, reaches only the
+``generated`` kind).  ``X=None`` is accepted for patterns whose VOP
 never reads it (``NOOP``/``SEL2ND``, e.g. gcn and spmm).
 ``out=``/``row_offset=`` is a preallocated slab: row ``u`` of the result
 lands in ``out[u - row_offset]`` (the shard workers write straight into
@@ -134,6 +136,7 @@ def resolve_backend(
         pool=None,
         out: Optional[np.ndarray] = None,
         row_offset: int = 0,
+        schedule=None,
     ) -> np.ndarray:
         # Checked here, ahead of every kind, so a bad size fails the same
         # way on all backends (None and 0 mean the default).
@@ -153,6 +156,8 @@ def resolve_backend(
             out=out,
             row_offset=row_offset,
         )
+        if schedule is not None and kind == "generated":
+            blocking["schedule"] = schedule
         try:
             return pattern_kernel(A, X, Y, **blocking)
         except Exception:

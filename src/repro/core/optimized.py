@@ -20,7 +20,12 @@ Every edge-blocked kernel (the generated kernels of
 :func:`~repro.baselines.spmm.gspmm`) runs through this one driver.  It
 owns validation, the output window, the absolute edge grid and the
 reduction; a kernel supplies only the block body, which maps a block's
-edges to their messages.
+edges to their messages.  What the driver derives from the matrix alone
+— per partition, each block's output rows, summation order and gathered
+edge arrays — is an :class:`EdgeSchedule` (:func:`edge_schedule`); a
+planned matrix keeps its schedule
+(:meth:`repro.runtime.plan.KernelPlan.bound_schedule`), so its later
+calls do only the per-edge arithmetic.
 
 **Summation order.**  Within each edge block, a row's partial sum
 accumulates left to right in CSR edge order, in the message dtype, and is
@@ -34,7 +39,16 @@ is exact in any order.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -42,11 +56,14 @@ from ..errors import ShapeError
 from ..sparse import as_csr
 from .operators import Operator
 from .parallel import ParallelConfig, run_partitioned
-from .partition import RowPartition
+from .partition import RowPartition, part1d
 from .validation import ensure_float_matrix, resolve_out_window, validate_operands
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
+    "EdgeBlock",
+    "EdgeSchedule",
+    "edge_schedule",
     "run_edge_blocks",
     "segment_order",
     "segment_sum",
@@ -57,20 +74,19 @@ __all__ = [
 # Shared ``out=``/``row_offset=`` plumbing
 # ---------------------------------------------------------------------- #
 def _window_parts(A, w0: int, w1: int, parts, num_parts: int = 1):
-    """The partition list for a windowed call: the caller's, or an
-    nnz-balanced split of exactly the window rows (``None`` keeps the
-    kernel's default full-matrix partitioning).
+    """The partition list for a call: the caller's, or an nnz-balanced
+    split of exactly the window rows into up to ``num_parts`` contiguous
+    pieces (:func:`~repro.core.partition.part1d` for the whole matrix).
 
-    The window is split into up to ``num_parts`` contiguous pieces so a
-    windowed ``out=`` call still fans out over the thread pool.  Any row
-    partitioning yields bitwise-identical results (edge blocks align to
-    the absolute edge grid), so the split count is free to follow the
-    thread count here.
+    A windowed ``out=`` call therefore still fans out over the thread
+    pool.  Any row partitioning yields bitwise-identical results (edge
+    blocks align to the absolute edge grid), so the split count is free
+    to follow the thread count here.
     """
     if parts is not None:
         return parts
     if w0 == 0 and w1 == A.nrows:
-        return None
+        return part1d(A, num_parts)
     indptr = A.indptr
     nnz_lo, nnz_hi = int(indptr[w0]), int(indptr[w1])
     total = nnz_hi - nnz_lo
@@ -158,7 +174,7 @@ def segment_order(seg_ptr: np.ndarray) -> Tuple[np.ndarray, Callable]:
     notes of ``np.sum``); the short ones together, one edge position at a
     time.
     """
-    lengths = np.diff(seg_ptr)
+    lengths = seg_ptr[1:] - seg_ptr[:-1]
     order = np.argsort(-lengths, kind="stable")  # longest first
     n_long = int(np.count_nonzero(lengths > _SHORT_SEGMENT))
     long, short = order[:n_long], order[n_long:]
@@ -190,6 +206,7 @@ def segment_order(seg_ptr: np.ndarray) -> Tuple[np.ndarray, Callable]:
         out[short] = acc
         return out
 
+    fold.nbytes = lengths.nbytes + order.nbytes + active.nbytes  # what it keeps
     return perm, fold
 
 
@@ -198,6 +215,125 @@ def segment_sum(seg_ptr: np.ndarray, M: np.ndarray) -> np.ndarray:
     order; see :func:`segment_order`)."""
     perm, fold = segment_order(seg_ptr)
     return fold(M[perm])
+
+
+class EdgeBlock(NamedTuple):
+    """One grid-aligned edge block of a row partition, ready for a body.
+
+    ``src``/``dst``/``vals`` are the block's row ids, column ids and values
+    and ``edges`` indexes the CSR edge arrays: in summation order for a sum
+    (an index array), in CSR order for max/min (a plain ``slice``, whose
+    ``src``/``dst``/``vals`` are views).  ``rows`` are the output rows of
+    the block's row segments, relative to the partition start.
+    ``reduce`` maps the block's messages to one value per segment: the
+    :func:`segment_order` fold for a sum, the segment starts of a
+    ``ufunc.reduceat`` otherwise.
+    """
+
+    rows: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    vals: np.ndarray
+    edges: Union[np.ndarray, slice]
+    reduce: Union[Callable, np.ndarray]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the block allocated (views of the matrix are not its own)."""
+        if isinstance(self.edges, slice):
+            return self.rows.nbytes + self.reduce.nbytes
+        own = (self.rows, self.src, self.dst, self.vals, self.edges)
+        return sum(a.nbytes for a in own) + self.reduce.nbytes
+
+
+class EdgeSchedule(NamedTuple):
+    """Everything about an edge-blocked call that depends on the matrix
+    alone (:func:`edge_schedule`): for each row partition, its grid-aligned
+    edge blocks.  Executing it (:func:`run_edge_blocks` with
+    ``schedule=``) leaves only the per-edge arithmetic to the call, as the
+    paper's kernels settle blocking once per matrix (Section IV.A–B).
+
+    A kept schedule holds each partition's blocks as a list and replays
+    them on every call; a one-call schedule builds each block as it runs,
+    so its footprint stays one block.
+    """
+
+    shape: Tuple[int, int]
+    nnz: int
+    #: ``[w0, w1)``: the output rows the schedule writes
+    window: Tuple[int, int]
+    #: summed (``True``) or max/min aggregation
+    use_sum: bool
+    parts: Sequence[RowPartition]
+    blocks: Sequence[Iterable[EdgeBlock]]
+    #: window rows without edges (max/min leave the identity there)
+    empty: Optional[np.ndarray]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes a kept schedule retains (the row ids a max/min block's
+        ``src`` views included)."""
+        total = sum(b.nbytes for blocks in self.blocks for b in blocks)
+        if not self.use_sum:
+            total += 8 * sum(p.nnz for p in self.parts) + self.empty.nbytes
+        return total
+
+
+def edge_schedule(
+    A,
+    parts: Sequence[RowPartition],
+    *,
+    block_size: int = DEFAULT_BLOCK_SIZE,
+    aop: Optional[Operator] = None,
+    window: Optional[Tuple[int, int]] = None,
+    keep: bool = True,
+) -> EdgeSchedule:
+    """The block schedule of ``A``'s rows ``window`` (default: all), split
+    into row partitions ``parts``, with ``block_size`` edges per block.
+
+    ``aop`` only decides between a sum (``None`` or an ``add``
+    accumulator) and max/min.  Blocks align to the absolute edge grid, so
+    any row partitioning chunks a row's edges identically.  ``keep=False``
+    makes a one-call schedule whose blocks are built as they run.
+    """
+    A = as_csr(A)
+    if block_size <= 0:
+        raise ValueError(f"block_size must be positive, got {block_size}")
+    w0, w1 = (0, A.nrows) if window is None else window
+    use_sum = aop is None or aop.accumulate_ufunc is np.add
+    indptr, indices, data = A.indptr, A.indices, A.data
+    # Row id of every edge of the window, computed once (CSR guarantees
+    # these are sorted): a windowed call pays for its own edges, not nnz.
+    base = int(indptr[w0])
+    degrees = indptr[w0 + 1 : w1 + 1] - indptr[w0:w1]
+    edge_rows = np.repeat(np.arange(w0, w1, dtype=np.int64), degrees)
+
+    def blocks_of(part: RowPartition) -> Iterator[EdgeBlock]:
+        lo, hi = int(indptr[part.start]), int(indptr[part.stop])
+        for e0, e1 in _edge_block_ranges(lo, hi, block_size):
+            src = edge_rows[e0 - base : e1 - base]
+            # Row segments of the block: a row's edges are contiguous.
+            starts = np.flatnonzero(src[1:] != src[:-1]) + 1
+            seg_ptr = np.concatenate(([0], starts, [e1 - e0]))
+            rows = src[seg_ptr[:-1]] - part.start
+            if use_sum:
+                perm, reduce = segment_order(seg_ptr)
+                edges = e0 + perm
+                src = src[perm]
+            else:  # max/min are exact in any order
+                edges, reduce = slice(e0, e1), seg_ptr[:-1]
+            yield EdgeBlock(rows, src, indices[edges], data[edges], edges, reduce)
+
+    work = [p for p in parts if p.num_rows > 0]
+    return EdgeSchedule(
+        A.shape,
+        A.nnz,
+        (w0, w1),
+        use_sum,
+        work,
+        [list(blocks_of(p)) if keep else blocks_of(p) for p in work],
+        None if use_sum else np.flatnonzero(degrees == 0),
+    )
 
 
 def run_edge_blocks(
@@ -214,17 +350,22 @@ def run_edge_blocks(
     pool: Optional[ThreadPoolExecutor] = None,
     out: Optional[np.ndarray] = None,
     row_offset: int = 0,
+    schedule: Optional[EdgeSchedule] = None,
 ) -> np.ndarray:
-    """The one edge-blocked FusedMM driver.
+    """The one edge-blocked FusedMM driver: execute ``A``'s block schedule.
 
     ``body(X, Y, src, dst, vals, edges)`` returns the messages of one block
-    of edges — ``(k, d)``, or ``(k,)`` scalars broadcast over the features:
-    ``edges`` indexes the CSR edge arrays, ``src``/``dst`` are the edges'
-    row and column ids and ``vals`` their values.  The edges come in
+    of edges — ``(k, d)``, or ``(k,)`` scalars broadcast over the features
+    (see :class:`EdgeBlock`).  The edges of a summed block come in
     summation order (:func:`segment_order`), not CSR order, so a body must
     compute each edge's message on its own.  ``aop`` is the aggregation
     operator (``None`` sums).  ``X=None`` is the SpMM form, ``Z = A · Y``,
     whose body never reads source features.
+
+    ``schedule`` is a kept :func:`edge_schedule` of ``A`` for this call's
+    output window and ``aop``; it fixes the partitions and the block size,
+    so ``parts``/``block_size`` are then ignored.  A call without one
+    builds a one-call schedule and executes it.
 
     Blocks align to the absolute edge grid, so any row partitioning chunks
     a row's edges identically and results are bitwise identical across
@@ -241,49 +382,48 @@ def run_edge_blocks(
             )
     else:
         A, X, Y = validate_operands(A, X, Y)
-    if block_size <= 0:
-        raise ValueError(f"block_size must be positive, got {block_size}")
     m, d = A.nrows, Y.shape[1]
     w0, w1 = resolve_out_window(out, row_offset, m, d)
     config = ParallelConfig(num_threads, parts_per_thread)
-    parts = _window_parts(A, w0, w1, parts, config.num_parts)
     ufunc = np.add if aop is None else aop.accumulate_ufunc
     use_sum = ufunc is np.add
+    if schedule is None:
+        schedule = edge_schedule(
+            A,
+            _window_parts(A, w0, w1, parts, config.num_parts),
+            block_size=block_size,
+            aop=aop,
+            window=(w0, w1),
+            keep=False,
+        )
+    elif (schedule.shape, schedule.nnz, schedule.window, schedule.use_sum) != (
+        A.shape, A.nnz, (w0, w1), use_sum
+    ):
+        raise ValueError(
+            "the edge schedule was built for another matrix, window or aggregation"
+        )
     Z = _alloc_accumulator(out, w0, w1, d, 0.0 if use_sum else aop.accumulator_identity)
-    indptr, indices, data = A.indptr, A.indices, A.data
-    # Row id of every edge of the window, computed once (CSR guarantees
-    # these are sorted): a windowed call pays for its own edges, not nnz.
-    base = int(indptr[w0])
-    degrees = np.diff(indptr[w0 : w1 + 1])
-    edge_rows = np.repeat(np.arange(w0, w1, dtype=np.int64), degrees)
+    blocks_of = {id(p): blocks for p, blocks in zip(schedule.parts, schedule.blocks)}
 
     def kernel(part: RowPartition, z_slice: np.ndarray) -> None:
-        lo, hi = int(indptr[part.start]), int(indptr[part.stop])
-        for e0, e1 in _edge_block_ranges(lo, hi, block_size):
-            src = edge_rows[e0 - base : e1 - base]
-            # Row segments of the block: a row's edges are contiguous.
-            seg_ptr = np.concatenate(([0], np.flatnonzero(np.diff(src)) + 1, [e1 - e0]))
-            rows = src[seg_ptr[:-1]] - part.start
-            if use_sum:
-                perm, fold = segment_order(seg_ptr)
-                edges, src = e0 + perm, src[perm]
-            else:
-                edges = slice(e0, e1)  # max/min are exact in any order
-            M = np.atleast_1d(body(X, Y, src, indices[edges], data[edges], edges))
+        for b in blocks_of[id(part)]:
+            M = np.atleast_1d(body(X, Y, b.src, b.dst, b.vals, b.edges))
             if M.ndim == 1:
                 M = M[:, None]
             if use_sum:
-                z_slice[rows] += fold(M)
+                z_slice[b.rows] += b.reduce(M)
             else:
-                seg = ufunc.reduceat(M, seg_ptr[:-1], axis=0)
-                z_slice[rows] = ufunc(z_slice[rows], seg)
+                seg = ufunc.reduceat(M, b.reduce, axis=0)
+                z_slice[b.rows] = ufunc(z_slice[b.rows], seg)
+            # Free this block's messages before the next block is built, so
+            # the footprint stays one block.
+            del b, M
 
-    run_partitioned(A, Z, kernel, config=config, parts=parts, pool=pool, row_offset=w0)
-    if not use_sum:
+    run_partitioned(
+        A, Z, kernel, config=config, parts=schedule.parts, pool=pool, row_offset=w0
+    )
+    if not use_sum and len(schedule.empty):
         # Rows that never received a message hold the accumulator identity
         # (±inf); normalise them to zero like every other backend.
-        empty = degrees == 0
-        if np.any(empty):
-            Z[empty] = 0.0
+        Z[schedule.empty] = 0.0
     return _finalize_output(Z, out, (Y if X is None else X).dtype)
-

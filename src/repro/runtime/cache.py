@@ -14,9 +14,12 @@ and evicts least-recently-used plans.  The byte bound exists for the
 locality tier: a reordered plan pins a permuted copy of its adjacency
 plus compacted panels (roughly 2× the matrix), so a count bound alone
 would let a serving loop over many large graphs grow without limit.
-Entries report their weight through an optional ``retained_bytes()``
-method; plans without one weigh zero.  Hit/miss/eviction counts are
-tracked so tests and dashboards can observe cache effectiveness.
+Entries report their weight through an optional ``retained()`` method
+(bytes by owner: plans of one matrix may share a permuted copy); plans
+without one weigh zero.  The budget charges every entry its full weight;
+the per-lineage report (:meth:`PlanCache.bytes_for`) counts a shared
+owner once.  Hit/miss/eviction counts are tracked so tests and
+dashboards can observe cache effectiveness.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Hashable, Tuple
+from typing import Dict, Hashable, Mapping, Tuple
 
 __all__ = ["CacheStats", "PlanCache"]
 
@@ -79,10 +82,10 @@ class PlanCache:
         self.capacity = capacity
         self.byte_budget = byte_budget
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
-        # Entry weights, computed once at insert (plans are immutable
-        # after build — weighing panel lists on every put/stats would be
+        # Entry weights by owner, computed at insert and on reweigh()
+        # (weighing panel lists on every put/stats would be
         # O(entries × panels)).
-        self._weights: Dict[Hashable, int] = {}
+        self._weights: Dict[Hashable, Mapping[int, int]] = {}
         self._retained = 0
         self._lock = threading.RLock()
         self._hits = 0
@@ -90,9 +93,9 @@ class PlanCache:
         self._evictions = 0
 
     @staticmethod
-    def _weight(plan) -> int:
-        weigh = getattr(plan, "retained_bytes", None)
-        return int(weigh()) if callable(weigh) else 0
+    def _weight(plan) -> Mapping[int, int]:
+        weigh = getattr(plan, "retained", None)
+        return dict(weigh()) if callable(weigh) else {}
 
     # ------------------------------------------------------------------ #
     def get(self, key: Hashable):
@@ -115,19 +118,35 @@ class PlanCache:
             if key in self._entries:
                 self._entries.move_to_end(key)
                 self._entries[key] = plan
-                self._retained += weight - self._weights[key]
-                self._weights[key] = weight
+                self._reweigh(key, weight)
                 return
             self._entries[key] = plan
             self._weights[key] = weight
-            self._retained += weight
-            while len(self._entries) > 1 and (
-                len(self._entries) > self.capacity
-                or self._retained > self.byte_budget
-            ):
-                evicted, _ = self._entries.popitem(last=False)
-                self._retained -= self._weights.pop(evicted)
-                self._evictions += 1
+            self._retained += sum(weight.values())
+            self._shrink()
+
+    def reweigh(self, key: Hashable, plan) -> None:
+        """Weigh ``key``'s entry again after ``plan`` grew (a block
+        schedule built on its first execution), evicting LRU entries if
+        that put the cache over budget; nothing when ``key`` no longer
+        maps to ``plan``."""
+        weight = self._weight(plan)
+        with self._lock:
+            if self._entries.get(key) is plan:
+                self._reweigh(key, weight)
+                self._shrink()
+
+    def _reweigh(self, key: Hashable, weight: Mapping[int, int]) -> None:
+        self._retained += sum(weight.values()) - sum(self._weights[key].values())
+        self._weights[key] = weight
+
+    def _shrink(self) -> None:
+        while len(self._entries) > 1 and (
+            len(self._entries) > self.capacity or self._retained > self.byte_budget
+        ):
+            evicted, _ = self._entries.popitem(last=False)
+            self._retained -= sum(self._weights.pop(evicted).values())
+            self._evictions += 1
 
     def clear(self) -> None:
         """Drop every cached plan (counters are kept)."""
@@ -171,7 +190,7 @@ class PlanCache:
             ]
             for key in doomed:
                 del self._entries[key]
-                self._retained -= self._weights.pop(key)
+                self._retained -= sum(self._weights.pop(key).values())
                 self._evictions += 1
             return len(doomed)
 
@@ -185,17 +204,18 @@ class PlanCache:
             )
 
     def bytes_for(self, fingerprint: str) -> Dict[str, int]:
-        """``{"plans": n, "plan_bytes": b}`` retained for one lineage."""
+        """``{"plans": n, "plan_bytes": b}`` retained for one lineage, a
+        shared owner counted once."""
         with self._lock:
+            owners: Dict[int, int] = {}
             keys = [
                 key
                 for key in self._entries
                 if self._covers(fingerprint, self._key_fingerprint(key))
             ]
-            return {
-                "plans": len(keys),
-                "plan_bytes": sum(self._weights[key] for key in keys),
-            }
+            for key in keys:
+                owners.update(self._weights[key])
+            return {"plans": len(keys), "plan_bytes": sum(owners.values())}
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:

@@ -22,12 +22,13 @@ from __future__ import annotations
 import hashlib
 import threading
 import weakref
-from typing import Dict
+from typing import Dict, Optional
 
 from ..sparse import CSRMatrix, as_csr
 
 __all__ = [
     "matrix_fingerprint",
+    "memoized_fingerprint",
     "derived_fingerprint",
     "pin_fingerprint",
     "fingerprint_covers",
@@ -77,6 +78,13 @@ def matrix_fingerprint(A, *, use_memo: bool = True) -> str:
     with _MEMO_LOCK:
         _MEMO[obj_id] = digest
     return digest
+
+
+def memoized_fingerprint(A) -> Optional[str]:
+    """The memoised fingerprint of this matrix *instance*, or ``None`` when
+    it was never fingerprinted (or pinned): a lookup, never a hash."""
+    with _MEMO_LOCK:
+        return _MEMO.get(id(A))
 
 
 def pin_fingerprint(A, fingerprint: str) -> str:

@@ -8,11 +8,15 @@ depend on the feature matrices:
   (:func:`repro.core.fused.plan_kernel`, the same call :func:`fusedmm`
   and :class:`FusedMM` make), together with its edge-block size
   (autotuned once when requested),
-* the nnz-balanced row partitioning of the bound adjacency,
+* the nnz-balanced row partitioning of the bound adjacency, and for a
+  natural-order ``generated`` plan the bound adjacency's edge-block
+  schedule (:func:`~repro.core.optimized.edge_schedule`), built on its
+  first execution (:meth:`KernelPlan.bound_schedule`),
 * the **locality tier** (``reorder=``): a vertex permutation of the bound
   adjacency (:mod:`repro.sparse.reorder`) plus pre-compacted cache-blocked
   row panels.  The permutation and the panels are computed once at plan
-  build and live on the plan (the plan cache is their only cache, and
+  build and live on the plan (the plan cache is their only cache: plans
+  of one matrix under one strategy share them, and
   :meth:`KernelPlan.reordered_key` names the permutation the sharded tier
   ships); every execution permutes the operands, runs the panels against
   compact cache-resident operand slices, and maps the output back to the
@@ -44,7 +48,7 @@ import numpy as np
 
 from ..core.autotune import ReorderTuning, TuningResult, autotune_reorder
 from ..core.fused import plan_kernel, resolve_backend
-from ..core.optimized import DEFAULT_BLOCK_SIZE
+from ..core.optimized import DEFAULT_BLOCK_SIZE, EdgeSchedule, edge_schedule
 from ..core.partition import RowPartition, split_parts
 from ..core.patterns import OpPattern, ResolvedPattern, pattern_key
 from ..sparse import CSRMatrix, as_csr
@@ -122,6 +126,13 @@ class KernelPlan:
     #: times this plan has been executed
     calls: int = 0
     _calls_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    #: the bound matrix's kept edge-block schedule, built on its first
+    #: execution (:meth:`bound_schedule`); ``init=False``, so
+    #: ``dataclasses.replace`` never carries it to another matrix
+    schedule: Optional[EdgeSchedule] = field(default=None, init=False, repr=False)
+    _schedule_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False
+    )
 
     # ------------------------------------------------------------------ #
     @property
@@ -130,29 +141,41 @@ class KernelPlan:
         (everything except the pure-Python reference backend does)."""
         return self.kind != "generic"
 
-    def retained_bytes(self) -> int:
-        """Bytes this plan pins beyond bookkeeping.
+    def retained(self) -> Dict[int, int]:
+        """Bytes this plan pins beyond bookkeeping, by owner (the ``id`` of
+        the permuted matrix, which reordered plans of one matrix and
+        strategy share, and of the block schedule).
 
-        Natural-order plans hold no matrix data (the caller owns the
-        adjacency), so they weigh nothing; reordered plans retain the
-        permuted CSR copy, the permutation arrays and the compacted panel
-        sub-CSRs.  The plan LRU uses this to bound its total footprint.
+        The caller owns the bound adjacency, so an unexecuted natural-order
+        plan weighs nothing.  A reordered plan retains the permuted CSR
+        copy, the permutation arrays and the compacted panel sub-CSRs; a
+        natural-order plan that has run on its bound matrix retains its
+        edge-block schedule.  The plan LRU uses this to bound its total
+        footprint.
         """
-        if self.reordered is None:
-            return 0
-        total = self.reordered.memory_bytes() + 2 * 8 * self.reordered.nrows
-        for panel in self.panels:
-            if panel.matrix is not None:
-                # Count only the panel's fresh allocations: its localised
-                # index and indptr arrays plus the distinct-column map.
-                # The value array is a view into ``reordered.data`` —
-                # already counted above.
-                total += (
-                    8 * panel.matrix.nnz
-                    + 8 * (panel.matrix.nrows + 1)
-                    + 8 * panel.cols.shape[0]
-                )
-        return total
+        owners: Dict[int, int] = {}
+        if self.reordered is not None:
+            total = self.reordered.memory_bytes() + 2 * 8 * self.reordered.nrows
+            for panel in self.panels:
+                if panel.matrix is not None:
+                    # Count only the panel's fresh allocations: its localised
+                    # index and indptr arrays plus the distinct-column map.
+                    # The value array is a view into ``reordered.data`` —
+                    # already counted above.
+                    total += (
+                        8 * panel.matrix.nnz
+                        + 8 * (panel.matrix.nrows + 1)
+                        + 8 * panel.cols.shape[0]
+                    )
+            owners[id(self.reordered)] = total
+        schedule = self.schedule
+        if schedule is not None:
+            owners[id(schedule)] = schedule.nbytes
+        return owners
+
+    def retained_bytes(self) -> int:
+        """Total of :meth:`retained`."""
+        return sum(self.retained().values())
 
     def reordered_key(self) -> str:
         """Ship key of ``reordered``: the plan's fingerprint derived by
@@ -187,6 +210,27 @@ class KernelPlan:
             Yp = np.ascontiguousarray(Y[perm])
         return Xp, Yp
 
+    def bound_schedule(self, A) -> Optional[EdgeSchedule]:
+        """The kept edge-block schedule of the bound matrix ``A`` over
+        :attr:`partitions`, built on the first call (``None`` for a plan
+        whose execution is not the natural-order edge-block driver).
+
+        ``A`` must hold the content this plan was built for; the runtime
+        asks only on a bound-matrix execution.  Concurrent first calls
+        build it once.
+        """
+        if self.kind != "generated" or self.reordered is not None:
+            return None
+        with self._schedule_lock:
+            if self.schedule is None:
+                self.schedule = edge_schedule(
+                    A,
+                    self.partitions,
+                    block_size=self.block_size,
+                    aop=self.resolved.aop,
+                )
+            return self.schedule
+
     def execute(
         self,
         A,
@@ -199,6 +243,7 @@ class KernelPlan:
         block_size: Optional[int] = None,
         out: Optional[np.ndarray] = None,
         row_offset: int = 0,
+        schedule: Optional[EdgeSchedule] = None,
     ) -> np.ndarray:
         """Run the planned kernel on (possibly new) operands.
 
@@ -221,7 +266,8 @@ class KernelPlan:
         plan's blocking *is* its pre-compacted panels, so the overrides
         are ignored when the bound matrix routes through the locality
         tier (execute on a ``reorder="none"`` plan to A/B blocking
-        parameters).
+        parameters).  ``schedule`` (:meth:`bound_schedule`) replaces them
+        on the natural-order path.
         """
         with self._calls_lock:
             self.calls += 1
@@ -248,6 +294,7 @@ class KernelPlan:
             block_size=block_size,
             out=out,
             row_offset=row_offset,
+            schedule=schedule,
         )
 
     # ------------------------------------------------------------------ #
@@ -322,6 +369,7 @@ class KernelPlan:
         block_size: Optional[int] = None,
         out: Optional[np.ndarray] = None,
         row_offset: int = 0,
+        schedule: Optional[EdgeSchedule] = None,
     ) -> np.ndarray:
         """The resolved kernel with the plan's blocking (no reorder handling).
 
@@ -339,6 +387,7 @@ class KernelPlan:
             pool=pool,
             out=out,
             row_offset=row_offset,
+            schedule=schedule,
         )
 
     # ------------------------------------------------------------------ #
@@ -418,6 +467,7 @@ def build_plan(
     *,
     split_nnz: int,
     autotune_dim: int = 128,
+    siblings: Sequence[KernelPlan] = (),
 ) -> KernelPlan:
     """Construct (and, when requested, autotune) a plan for ``A``.
 
@@ -425,6 +475,8 @@ def build_plan(
     (:func:`~repro.core.partition.split_parts`): the number of partitions
     depends only on the matrix, never on how many worker threads happen to
     be available, so results are bitwise identical across thread counts.
+    ``siblings`` are the cached plans of ``A``'s fingerprint, whose
+    reorderings a reordered plan shares (:func:`_attach_reorder`).
     """
     choice = plan_kernel(
         A,
@@ -450,7 +502,7 @@ def build_plan(
         tuning=choice.tuning,
         kernel=choice.kernel,
     )
-    _apply_reorder(plan, A, key, autotune_dim=autotune_dim)
+    _apply_reorder(plan, A, key, autotune_dim=autotune_dim, siblings=siblings)
     return plan
 
 
@@ -463,14 +515,40 @@ def _reorder_eligible(plan: KernelPlan, A: CSRMatrix) -> bool:
     return A.nrows == A.ncols and A.nnz > 0 and plan.kind != "generic"
 
 
+def _adopt_reordering(plan: KernelPlan, source: KernelPlan) -> None:
+    """Point ``plan`` at ``source``'s permutation, permuted matrix and
+    panels (shared, not copied)."""
+    plan.reorder = source.reorder
+    plan.reorder_tag = source.reorder_tag
+    plan.perm = source.perm
+    plan.inv_perm = source.inv_perm
+    plan.reordered = source.reordered
+    plan.panels = source.panels
+    plan.partitions = source.partitions
+
+
 def _attach_reorder(
-    plan: KernelPlan, A: CSRMatrix, strategy: str, *, autotune_dim: int
+    plan: KernelPlan,
+    A: CSRMatrix,
+    strategy: str,
+    *,
+    autotune_dim: int,
+    siblings: Sequence[KernelPlan] = (),
 ) -> None:
     """Bind the permuted matrix + compacted panels for ``strategy``.
 
-    The plan's natural-order partitions set the least panel count, so a
+    ``siblings`` are cached plans of the same fingerprint.  A strategy is
+    a deterministic function of the matrix, so a sibling reordered by the
+    same strategy holds exactly the permutation, tag and panels this would
+    compute (its panels were split under the same natural partitions), and
+    the plan shares them instead of computing a second copy.  Otherwise the
+    plan's natural-order partitions set the least panel count, so a
     reordered plan splits at least as finely.
     """
+    for sibling in siblings:
+        if sibling.reorder == strategy and sibling.reordered is not None:
+            _adopt_reordering(plan, sibling)
+            return
     result = reorder_matrix(A, strategy)
     parts = cache_block_partitions(
         result.matrix, dim=autotune_dim, min_parts=len(plan.partitions)
@@ -488,7 +566,12 @@ def _attach_reorder(
 
 
 def _apply_reorder(
-    plan: KernelPlan, A: CSRMatrix, key: PlanKey, *, autotune_dim: int
+    plan: KernelPlan,
+    A: CSRMatrix,
+    key: PlanKey,
+    *,
+    autotune_dim: int,
+    siblings: Sequence[KernelPlan] = (),
 ) -> None:
     """Resolve ``key.reorder`` on the freshly built plan.
 
@@ -514,7 +597,7 @@ def _apply_reorder(
     if not _reorder_eligible(plan, A):
         return
     if strategy != "auto":
-        _attach_reorder(plan, A, strategy, autotune_dim=autotune_dim)
+        _attach_reorder(plan, A, strategy, autotune_dim=autotune_dim, siblings=siblings)
         return
 
     # Measured selection.  Candidates share the synthetic operands; every
@@ -533,7 +616,7 @@ def _apply_reorder(
         # replace() copies every field (so future dispatch-relevant
         # fields cannot be silently dropped from the trial config).
         trial = replace(plan)
-        _attach_reorder(trial, A, cand, autotune_dim=autotune_dim)
+        _attach_reorder(trial, A, cand, autotune_dim=autotune_dim, siblings=siblings)
         trial_plans[cand] = trial
         candidates[cand] = lambda t=trial: t._execute_reordered(X, X)
     sweep = autotune_reorder(candidates)
@@ -542,11 +625,4 @@ def _apply_reorder(
         return
     # Transplant the just-measured trial instead of recomputing the
     # permutation and panels.
-    winner = trial_plans[sweep.strategy]
-    plan.reorder = winner.reorder
-    plan.reorder_tag = winner.reorder_tag
-    plan.perm = winner.perm
-    plan.inv_perm = winner.inv_perm
-    plan.reordered = winner.reordered
-    plan.panels = winner.panels
-    plan.partitions = winner.partitions
+    _adopt_reordering(plan, trial_plans[sweep.strategy])

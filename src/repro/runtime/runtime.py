@@ -6,7 +6,8 @@ on.  It owns
 * an LRU **plan cache** (:mod:`repro.runtime.cache`) keyed by matrix
   fingerprint + kernel configuration, so repeated calls on the same
   adjacency skip pattern resolution, backend dispatch, partitioning and
-  autotuning entirely;
+  autotuning entirely, and replay the edge-block schedule the plan kept
+  on its first call;
 * a shared **thread pool** reused across calls (the per-call executor of
   :func:`repro.core.parallel.run_partitioned` is bypassed);
 * an **nnz-aware scheduler** (:meth:`run_batch`): large jobs are split
@@ -59,7 +60,7 @@ from ..sparse import as_csr, validate_reorder
 from .batch import KernelRequest, pack_group_key, pack_requests
 from .cache import CacheStats, PlanCache
 from .codec import execute_parts, output_dtype, plan_spec_from_plan, remote_spec_meta
-from .fingerprint import matrix_fingerprint
+from .fingerprint import matrix_fingerprint, memoized_fingerprint
 from .plan import KernelPlan, PlanKey, build_plan, make_config
 from .remote import RemoteController
 from .shard import ShardPlan, assign_shards, route_shards
@@ -72,9 +73,12 @@ DEFAULT_PACK_NNZ = 4096
 #: Packing eligibility bound on the per-request dense operand footprint
 #: ``(nrows + ncols) * d``.  Packing amortises per-call dispatch overhead,
 #: but enlarges the gather working set (the packed X/Y concatenate all
-#: requests); beyond roughly this many feature elements per request the
-#: locality loss cancels the dispatch savings (measured empirically on the
-#: kernels in this repo), so bigger requests run as singles instead.
+#: requests), so bigger requests run as singles instead.  Measured on the
+#: ``generated`` kernel (2 vCPUs, 300 alternating pairs of ``run_batch``
+#: windows of inline 256-vertex, degree-8, d=16 requests, 8192 elements
+#: each): packing won 49, 132 and 154 of the pairs at windows of 2, 4 and
+#: 8 requests, medians 532/482/483 µs per request against 501/478/497 as
+#: singles; at 10240 elements it lost at windows of 4 and 8.
 PACK_DENSE_ELEMS = 6144
 #: Below this nnz the streaming paths (``epochs``/``run_on``) keep a job in
 #: process even when a worker pool exists: shipping the operands through
@@ -457,6 +461,10 @@ class KernelRuntime:
         plan = self._cache.get(key)
         if plan is not None:
             return plan
+        siblings = []  # a reordered plan shares a sibling's permuted copy
+        if key.reorder != "none":
+            entries = self._cache.entries_for(key.fingerprint)
+            siblings = [p for k, p in entries if k.fingerprint == key.fingerprint]
         plan = build_plan(
             A,
             key,
@@ -464,6 +472,7 @@ class KernelRuntime:
             resolved,
             split_nnz=self.split_nnz,
             autotune_dim=self.autotune_dim,
+            siblings=siblings,
         )
         self._cache.put(key, plan)
         return plan
@@ -490,13 +499,16 @@ class KernelRuntime:
 
         ``parts=None`` means ``A`` is the plan's bound matrix, so the
         plan's own partitions (and, for a reordered plan, its locality
-        tier) run; a derived matrix — minibatch slice, sampled negatives —
-        brings its :func:`~repro.core.partition.split_parts` partitions.
-        ``prep`` is the sharded dispatch an entry point that may shard got
-        from :meth:`_prepare_sharded` on its own thread; ``None`` (no
-        capacity, or not allowed to shard) runs the call in process.
-        ``keep=False`` tears the matrix's shared segments down afterwards
-        (one-shot matrices).
+        tier) run, in process through the plan's kept edge-block schedule
+        (:meth:`~repro.runtime.plan.KernelPlan.bound_schedule`, built on
+        the first such call); a derived matrix — minibatch slice, sampled
+        negatives — brings its :func:`~repro.core.partition.split_parts`
+        partitions and a one-call schedule.  ``prep`` is the sharded
+        dispatch an entry point that may shard got from
+        :meth:`_prepare_sharded` on its own thread; ``None`` (no capacity,
+        or not allowed to shard) runs the call in process.  ``keep=False``
+        marks a one-shot matrix: nothing derived from it is kept (its
+        shared segments are torn down afterwards, no schedule is built).
 
         Either way the same partitions run with the same resolved kernel,
         and the split count depends on the matrix alone, so ``reorder=
@@ -517,16 +529,23 @@ class KernelRuntime:
                     prep.workers.release_matrix(prep.key)
             return Z if rplan is None else Z[rplan.inv_perm]
         A = as_csr(A)
+        schedule = None
         if parts is None:
             parts = plan.partitions
+            if keep:
+                fresh = plan.schedule is None
+                schedule = plan.bound_schedule(A)
+                if fresh and schedule is not None:  # the plan grew
+                    self._cache.reweigh(plan.key, plan)
         if len(parts) > 1 and plan.supports_parts:
             self._bump("split_jobs")
             pool = self.pool
             return plan.execute(
                 A, X, Y, parts=parts, pool=pool,
                 num_threads=len(parts) if pool is not None else 1,
+                schedule=schedule,
             )
-        return plan.execute(A, X, Y, num_threads=1)
+        return plan.execute(A, X, Y, num_threads=1, schedule=schedule)
 
     # ------------------------------------------------------------------ #
     # Sharded (multi-process / multi-host) execution
@@ -794,6 +813,29 @@ class KernelRuntime:
             self._configs[key] = cfg
         return cfg
 
+    def _cached_plan(self, req: KernelRequest, cfg: KernelPlan) -> Optional[KernelPlan]:
+        """The cached plan of a fingerprinted matrix instance under the
+        request's own key, or ``None``.
+
+        The fingerprint comes from the per-instance memo (a registered
+        graph was fingerprinted when it was planned): nothing is hashed,
+        and nothing is built on a miss.
+        """
+        fingerprint = memoized_fingerprint(req.A)
+        if fingerprint is None:
+            return None
+        return self._cache.get(
+            PlanKey(
+                fingerprint=fingerprint,
+                pattern=cfg.key.pattern,
+                backend=req.backend,
+                num_threads=self.num_threads,
+                block_size=req.block_size or 0,
+                autotune=False,
+                reorder="none",
+            )
+        )
+
     def run_batch(
         self, requests: Sequence[Union[KernelRequest, dict]]
     ) -> List[np.ndarray]:
@@ -803,9 +845,12 @@ class KernelRuntime:
         issuing each request as a sequential single-threaded
         :func:`~repro.core.fused.fusedmm` call with the same parameters.
 
-        Small one-shot requests deliberately bypass the plan LRU (their
-        dispatch decisions come from a matrix-independent config cache), so
-        batch traffic never evicts the long-lived epoch plans.
+        A request on a matrix the plan cache already holds a plan for,
+        under the request's own key (:meth:`_cached_plan`: a registered
+        graph's warm plans), runs through that plan and its kept block
+        schedule.  Other small requests deliberately bypass the plan LRU
+        (their dispatch decisions come from a matrix-independent config
+        cache), so batch traffic never evicts the long-lived epoch plans.
         """
         reqs: List[KernelRequest] = [
             (r if isinstance(r, KernelRequest) else KernelRequest(**r)).normalized()
@@ -819,14 +864,21 @@ class KernelRuntime:
         results: List[Optional[np.ndarray]] = [None] * len(reqs)
         pool = self.pool
 
-        # Classify: packable smalls, splittable larges, everything else.
+        # Classify: planned, packable smalls, splittable larges, everything
+        # else.
         plans: List[KernelPlan] = []
+        planned: set = set()
         groups: Dict[tuple, List[int]] = {}
         larges: List[int] = []
         singles: List[int] = []
         for i, req in enumerate(reqs):
             cfg = self._config(req)
-            if req.A.nnz > self.split_nnz and cfg.supports_parts:
+            plan = self._cached_plan(req, cfg)
+            if plan is not None:
+                cfg = plan
+                planned.add(i)
+                (larges if len(plan.partitions) > 1 else singles).append(i)
+            elif req.A.nnz > self.split_nnz and cfg.supports_parts:
                 # Worth a full (fingerprinted, LRU-cached) plan: the split
                 # partitioning is reused on repeated submissions.  Batch
                 # requests are one-shot, so the locality tier has nothing
@@ -866,7 +918,10 @@ class KernelRuntime:
                 packed_groups.append(members)
 
         def run_single(i: int) -> np.ndarray:
-            return plans[i].execute(reqs[i].A, reqs[i].X, reqs[i].Y, num_threads=1)
+            req = reqs[i]
+            if i in planned:  # one partition: never waits on the pool
+                return self._execute(plans[i], req.A, req.X, req.Y)
+            return plans[i].execute(req.A, req.X, req.Y, num_threads=1)
 
         def run_packed(members: List[int]) -> List[np.ndarray]:
             packed = pack_requests([reqs[i] for i in members])
@@ -919,7 +974,8 @@ class KernelRuntime:
             for i, Z in zip(members, run_packed(members)):
                 results[i] = Z
         for i in larges:
-            results[i] = self._execute(plans[i], reqs[i].A, reqs[i].X, reqs[i].Y)
+            req = reqs[i]
+            results[i] = self._execute(plans[i], req.A, req.X, req.Y, keep=i in planned)
         if pool is None:
             for i in singles:
                 results[i] = run_single(i)

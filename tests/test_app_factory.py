@@ -97,7 +97,8 @@ def test_one_kind_list():
 def test_serve_and_cli_imports_leave_the_trainers_out():
     """The kind list and the factory import no trainer: serving, job and
     worker-host processes load the apps (and the baselines they pull in)
-    only when they build one."""
+    only when they build one.  Neither they nor a kernel call load
+    ``scipy.sparse`` (~22 MB of RSS on its own)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     probe = (
@@ -105,6 +106,12 @@ def test_serve_and_cli_imports_leave_the_trainers_out():
         "heavy = ('repro.apps.force2vec', 'repro.baselines')\n"
         "loaded = [m for m in heavy if m in sys.modules]\n"
         "assert not loaded, loaded\n"
+        "import numpy as np\n"
+        "from repro import fusedmm\n"
+        "from repro.sparse import random_csr\n"
+        "A = random_csr(64, 64, density=0.1, seed=0)\n"
+        "fusedmm(A, np.ones((64, 8), np.float32))\n"
+        "assert 'scipy.sparse' not in sys.modules\n"
         "import repro.apps\n"
         "assert repro.apps.Force2Vec.__module__ == 'repro.apps.force2vec'\n"
     )

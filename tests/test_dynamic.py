@@ -220,6 +220,32 @@ def test_natural_plan_refresh_keeps_bitwise_identity(medium):
         assert rt._cache.stats().hits == hits_before + 1  # refreshed plan hit
 
 
+def test_refreshed_plan_builds_a_fresh_schedule_after_a_write(medium):
+    """A write that keeps nnz but shifts the edge grid (one edge out of a
+    late row, one into an early row): the refreshed plan must not carry
+    the old version's block schedule, and its next execution equals
+    ``fusedmm`` on the rebuilt matrix, bit for bit."""
+    A, X = medium
+    opts = dict(pattern="sigmoid_embedding", backend="generated", block_size=256)
+    with KernelRuntime(num_threads=1, split_nnz=4000, cache_size=16) as rt:
+        g = DynamicGraph(A, runtime=rt, policy=_NEVER)
+        old = rt.plan(g.matrix, **opts)
+        rt.run(g.matrix, X, **opts)
+        assert old.schedule is not None
+        u = int(np.flatnonzero(np.diff(A.indptr))[-1])  # the last row with edges
+        v = int(A.indices[A.indptr[u]])
+        row0 = set(A.indices[A.indptr[0] : A.indptr[1]].tolist())
+        w = next(c for c in range(A.ncols) if c not in row0)
+        result = g.apply_edges(insert=[(0, w, 2.0)], delete=[(u, v)])
+        assert result.plans_refreshed == 1 and g.nnz == A.nnz
+        plan = rt.plan(g.matrix, **opts)
+        assert plan is not old and plan.schedule is None
+        ref = fusedmm(_rebuild_from(g.matrix), X, X, num_threads=1, **opts)
+        assert np.array_equal(rt.run(g.matrix, X, **opts), ref)
+        assert plan.schedule is not None and plan.schedule is not old.schedule
+        assert g.memory()["plan_bytes"] == plan.schedule.nbytes
+
+
 def test_reordered_plan_is_rebuilt_fresh_after_a_write(medium):
     """A write drops the old version's reordered plan; the next reordered
     plan of the new version is the one a static matrix with the same
@@ -364,6 +390,27 @@ def test_reordered_copy_is_counted_once(medium):
         assert mem["total_bytes"] - plan.retained_bytes() == (
             mem["base_bytes"] + mem["delta_bytes"] + mem["materialized_bytes"]
         )
+
+
+def test_reordered_plans_of_one_matrix_share_one_permuted_copy(medium):
+    """Two patterns reordered by one strategy share the permutation, the
+    permuted CSR and its panels, and every byte report counts them once."""
+    A, X = medium
+    with KernelRuntime(num_threads=1, split_nnz=4000, cache_size=16) as rt:
+        g = DynamicGraph(A, runtime=rt, policy=_NEVER)
+        p1 = rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
+        p2 = rt.plan(g.matrix, pattern="gcn", reorder="rcm")
+        assert p1.reordered is p2.reordered and p1.panels is p2.panels
+        assert p1.reorder_tag == p2.reorder_tag
+        assert np.array_equal(p1.perm, reorder_matrix(g.matrix, "rcm").perm)
+        mem = g.memory()
+        assert mem["plans"] == 2
+        assert mem["plan_bytes"] == p1.retained_bytes() == p2.retained_bytes()
+        assert rt.plan_bytes(g.fingerprint)["plan_bytes"] == p1.retained_bytes()
+        for pattern in ("sigmoid_embedding", "gcn"):
+            ref = fusedmm(A, X, X, pattern=pattern, num_threads=1)
+            Z = rt.run(g.matrix, X, pattern=pattern, reorder="rcm")
+            np.testing.assert_allclose(Z, ref, rtol=1e-5, atol=1e-5)
 
 
 # ---------------------------------------------------------------------- #

@@ -18,7 +18,7 @@ from repro.core import (
 )
 from repro.experiments.ablations import all_calls_pattern
 from repro.runtime import KernelRequest, KernelRuntime
-from repro.sparse import COOMatrix, CSRMatrix
+from repro.sparse import COOMatrix, CSRMatrix, random_csr
 
 settings.register_profile("repro-kernels", deadline=None, max_examples=25)
 settings.load_profile("repro-kernels")
@@ -122,6 +122,39 @@ def test_runtime_batch_matches_generic(problem, pattern):
     outs = rt.run_batch([KernelRequest(A, X, Y, pattern=pattern)] * 3)
     for Z in outs:
         assert np.allclose(Z, ref, atol=ATOL)
+
+
+@settings(max_examples=20)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    pattern=st.sampled_from(["sigmoid_embedding", "gcn", "gnn_mlp"]),
+    block_size=st.sampled_from([64, 8192]),
+    threads=st.sampled_from([1, 2]),
+    registered=st.lists(st.booleans(), min_size=2, max_size=6),
+)
+def test_run_batch_mixes_planned_and_inline_requests(
+    seed, pattern, block_size, threads, registered
+):
+    """One window mixes requests on registered (planned) matrices with
+    inline ones — packed, single and split alike; every result equals a
+    sequential single-threaded ``fusedmm`` call, bit for bit, and so does
+    the next window, which replays the kept schedules."""
+    rng = np.random.default_rng(seed)
+    opts = dict(pattern=pattern, backend="generated", block_size=block_size)
+    reqs, refs = [], []
+    with KernelRuntime(num_threads=threads, split_nnz=500) as rt:
+        for planned in registered:
+            n = int(rng.integers(8, 120))
+            density = float(rng.uniform(0.02, 0.15))
+            A = random_csr(n, n, density=density, seed=int(rng.integers(2**31)))
+            X = rng.standard_normal((n, 4)).astype(np.float32)
+            if planned:  # what registering a graph does
+                rt.plan(A, reorder="none", **opts)
+            reqs.append(KernelRequest(A, X, **opts))
+            refs.append(fusedmm(A, X, X, num_threads=1, **opts))
+        for _ in range(2):
+            for out, ref in zip(rt.run_batch(reqs), refs):
+                assert np.array_equal(out, ref)
 
 
 @given(problems(), PATTERN_NAMES, st.integers(min_value=1, max_value=4))

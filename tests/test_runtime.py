@@ -394,6 +394,141 @@ def test_run_on_non_spmm_requires_x(small_problem):
 
 
 # ---------------------------------------------------------------------- #
+# Kept edge-block schedules
+# ---------------------------------------------------------------------- #
+# ``backend="generated"`` throughout: only the edge-block driver keeps a
+# schedule, and ``auto`` may resolve to the jit tier.
+SCHEDULE_PATTERNS = ["sigmoid_embedding", "gcn", "fr_layout", "gnn_mlp"]
+
+
+@pytest.mark.parametrize("pattern", SCHEDULE_PATTERNS)
+@pytest.mark.parametrize("threads", [1, 2])
+def test_kept_schedule_replays_bitwise(pattern, threads):
+    """A plan's kept schedule gives the bits of a one-call schedule, on
+    its first execution and on every replay, over several partitions."""
+    A = random_csr(700, 700, density=0.05, seed=4)  # ~24k nnz: 3 partitions
+    X = random_features(700, 6, seed=4)
+    opts = dict(pattern=pattern, backend="generated", block_size=512)
+    ref = fusedmm(A, X, X, num_threads=1, **opts)
+    with KernelRuntime(num_threads=threads, split_nnz=9000) as rt:
+        plan = rt.plan(A, **opts)
+        assert plan.schedule is None  # planning builds no schedule
+        Z1 = rt.run(A, X, **opts)
+        schedule = plan.schedule
+        assert schedule is not None
+        assert list(schedule.parts) == list(plan.partitions)
+        assert len(schedule.parts) == 3
+        Z2 = rt.run(A, X, **opts)
+        assert plan.schedule is schedule
+    assert np.array_equal(Z1, ref) and np.array_equal(Z2, ref)
+
+
+def test_schedule_bytes_are_plan_bytes():
+    A = random_csr(300, 300, density=0.03, seed=2)
+    X = random_features(300, 8, seed=2)
+    opts = dict(pattern="sigmoid_embedding", backend="generated")
+    with KernelRuntime(num_threads=1) as rt:
+        plan = rt.plan(A, **opts)
+        fp = plan.key.fingerprint
+        assert rt.plan_bytes(fp) == {"plans": 1, "plan_bytes": 0}
+        rt.run(A, X, **opts)
+        nbytes = plan.schedule.nbytes
+        assert nbytes >= 28 * A.nnz  # src, dst, edges (int64) and vals (float32)
+        assert rt.plan_bytes(fp) == {"plans": 1, "plan_bytes": nbytes}
+        assert rt.cache_stats().retained_bytes == nbytes
+        assert rt.release_matrix(fp)["plans"] == 1
+        assert rt.plan_bytes(fp) == {"plans": 0, "plan_bytes": 0}
+        assert rt.cache_stats().retained_bytes == 0
+
+
+def test_concurrent_first_execution_builds_one_schedule(monkeypatch):
+    import threading
+    import time
+
+    import repro.runtime.plan as plan_module
+
+    builds = []
+    build = plan_module.edge_schedule
+
+    def slow_build(*args, **kwargs):
+        builds.append(threading.current_thread().name)
+        time.sleep(0.05)  # the other thread arrives while this one builds
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(plan_module, "edge_schedule", slow_build)
+    A = random_csr(400, 400, density=0.03, seed=6)
+    X = random_features(400, 8, seed=6)
+    opts = dict(pattern="sigmoid_embedding", backend="generated")
+    ref = fusedmm(A, X, X, num_threads=1, **opts)
+    results = [None, None]
+    with KernelRuntime(num_threads=1) as rt:
+        plan = rt.plan(A, **opts)
+        barrier = threading.Barrier(2)
+
+        def first_use(i):
+            barrier.wait(timeout=10)
+            results[i] = rt.run(A, X, **opts)
+
+        threads = [threading.Thread(target=first_use, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        assert len(builds) == 1 and plan.schedule is not None
+        fingerprint = plan.key.fingerprint
+        assert rt.plan_bytes(fingerprint)["plan_bytes"] == plan.schedule.nbytes
+    for Z in results:
+        assert np.array_equal(Z, ref)
+
+
+def test_run_on_never_reads_the_bound_schedule(monkeypatch):
+    """A derived matrix — even a row slice with the bound matrix's shape
+    and nnz — runs a one-call schedule of its own."""
+    A = random_csr(400, 400, density=0.03, seed=8)
+    X = random_features(400, 8, seed=8)
+    opts = dict(pattern="sigmoid_embedding", backend="generated")
+    with KernelRuntime(num_threads=1, split_nnz=1000) as rt:
+        stream = rt.epochs(A, **opts)
+        stream.step(X)
+        assert stream.plan.schedule is not None
+
+        def refuse(_A):
+            raise AssertionError("a derived matrix read the bound schedule")
+
+        monkeypatch.setattr(stream.plan, "bound_schedule", refuse)
+        for start, stop in [(0, 150), (150, 400), (0, 400)]:
+            A_sub = A.row_slice(start, stop)
+            Z = stream.run_on(A_sub, X[start:stop], X)
+            ref = fusedmm(A_sub, X[start:stop], X, num_threads=1, **opts)
+            assert np.array_equal(Z, ref)
+
+
+def test_run_batch_runs_registered_graphs_through_their_warm_plans():
+    """A request on a planned matrix instance hits its plan (read from the
+    fingerprint memo) and keeps a schedule; an inline copy of the same
+    content is neither hashed nor looked up."""
+    from repro.runtime.fingerprint import memoized_fingerprint
+
+    graphs = [random_csr(256, 256, density=8 / 256, seed=s) for s in range(3)]
+    feats = [random_features(256, 16, seed=s) for s in range(3)]
+    opts = dict(pattern="sigmoid_embedding", backend="generated")
+    with KernelRuntime(num_threads=1) as rt:
+        plans = [rt.plan(A, reorder="none", **opts) for A in graphs]
+        inline = graphs[0].copy()
+        reqs = [KernelRequest(A, X, **opts) for A, X in zip(graphs, feats)]
+        reqs.append(KernelRequest(inline, feats[0], **opts))
+        for _ in range(2):
+            outs = rt.run_batch(reqs)
+            for out, A, X in zip(outs, graphs + [inline], feats + [feats[0]]):
+                assert np.array_equal(out, fusedmm(A, X, X, num_threads=1, **opts))
+        stats = rt.cache_stats()
+        assert (stats.hits, stats.misses) == (2 * len(graphs), len(graphs))
+        assert all(p.schedule is not None for p in plans)
+        assert memoized_fingerprint(inline) is None
+
+
+# ---------------------------------------------------------------------- #
 # Runtime lifecycle / misc
 # ---------------------------------------------------------------------- #
 def test_context_manager_closes_pool(small_problem):

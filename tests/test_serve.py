@@ -623,6 +623,29 @@ class TestConfigAndRegistry:
         finally:
             registry.close()
 
+    def test_registered_graph_requests_run_through_warm_plans(self):
+        """Registering a graph plans the warm patterns but builds no block
+        schedule; a request on it hits its warm plan, which keeps one."""
+        registry = ModelRegistry(ServeConfig(port=0, models=()))
+        try:
+            A = random_csr(256, 256, density=8 / 256, seed=1)
+            registry.register_graph("g", A)
+            rt = registry.runtime
+            fingerprint = registry.dynamic_graph("g").fingerprint
+            plans = [plan for _, plan in rt._cache.entries_for(fingerprint)]
+            assert plans and all(plan.schedule is None for plan in plans)
+            X = random_features(256, 16, seed=1)
+            backend = registry.config.kernel_backend
+            hits = rt.cache_stats().hits
+            request = KernelRequest(registry.graph("g"), X, backend=backend)
+            (Z,) = rt.run_batch([request])
+            assert np.array_equal(Z, fusedmm(A, X, X, backend=backend, num_threads=1))
+            assert rt.cache_stats().hits == hits + 1
+            (plan,) = [p for p in plans if p.resolved.name == "sigmoid_embedding"]
+            assert (plan.schedule is not None) == (plan.kind == "generated")
+        finally:
+            registry.close()
+
     def test_apps_expose_serve_output(self):
         # The uniform lookup surface the registry reads; shapes per app.
         config = ServeConfig(
