@@ -1,13 +1,13 @@
 """Dynamic-graph benchmark: incremental invalidation vs full rebuild.
 
-Three legs, all anchored on the delta-CSR identity contract (a kernel on
-the mutated overlay is bitwise identical to the same kernel on a CSR
+Three legs, all anchored on the dynamic-graph identity contract (a kernel
+on a mutated version is bitwise identical to the same kernel on a CSR
 freshly rebuilt from the same edge set):
 
 ``update_vs_rebuild``
     Applies small edge batches (≤ ``churn`` of nnz per round) to a
     :class:`~repro.runtime.dynamic.DynamicGraph` with a warm natural
-    plan, timing :meth:`apply_edges` — overlay splice and plan refresh —
+    plan, timing :meth:`apply_edges` — row splice and plan refresh —
     against the naive alternative: rebuild the CSR from the full edge set
     and replan on a cold runtime.  Both sides hold the natural plan only:
     a reordered plan does not survive a write, so the incremental side
@@ -22,9 +22,9 @@ freshly rebuilt from the same edge set):
 ``remote_delta``
     The mutated graph executed on real ``python -m repro worker`` host
     processes.  The first sharded run ships full shards; the mutation
-    registers dirty-row delta sources, so the next run must re-ship only
-    the dirty rows (``delta_ships >= 1``) — and still match the rebuilt
-    reference bitwise.
+    registers the batch's rows as a delta source, so the next run must
+    re-ship only those rows (``delta_ships >= 1``) — and still match the
+    rebuilt reference bitwise.
 
 Run by ``repro bench dynamic [--quick]``.  Identity and delta-ship always
 gate.  The speedup is wall-clock and only meaningful at full size, so
@@ -75,7 +75,7 @@ def edge_batch(
     for.  Deletes are sampled from edges that
     actually exist in the hot rows (so the batch really shrinks rows);
     inserts go from hot rows to uniform random targets, occasionally
-    upserting an existing edge — both paths the overlay must handle.
+    upserting an existing edge — both paths a write must handle.
     """
     hot = np.sort(rng.choice(A.nrows, size=min(int(n_hot), A.nrows), replace=False))
     starts, stops = A.indptr[hot], A.indptr[hot + 1]

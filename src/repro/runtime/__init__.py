@@ -11,8 +11,8 @@ This package is the serving/scheduling layer above :mod:`repro.core`:
 ``codec``        transport-neutral worker protocol (specs, CSR payloads)
                  and the one shard executor every tier runs
 ``remote``       distributed tier: TCP worker hosts + in-runtime controller
-``dynamic``      dynamic graphs: versioned delta overlays with incremental
-                 plan/shard invalidation
+``dynamic``      dynamic graphs: one spliced CSR per version with
+                 incremental plan/shard invalidation
 ``options``      :class:`RuntimeOptions` — the shared kernel-knob dataclass
 ``runtime``      :class:`KernelRuntime` — run / run_batch / epochs
                  / run_sharded / submit_sharded

@@ -1,13 +1,16 @@
 """Dynamic graphs: live edge mutation over the runtime's cache stack.
 
 :class:`DynamicGraph` is the mutable handle the serving layer holds per
-registered graph.  Internally every state is an immutable pair — a
-:class:`~repro.sparse.delta.DeltaCSR` snapshot plus its materialised
-canonical CSR — named by a **versioned fingerprint** ``<lineage>@v<N>``
-(pinned via :func:`~repro.runtime.fingerprint.pin_fingerprint`, so every
-cache tier keys on the version automatically).  Readers resolve one
-snapshot and keep it for the whole request: mutations swap the current
-pointer atomically and can never tear an in-flight computation.
+registered graph.  Every state is an immutable :class:`GraphVersion`
+holding exactly one canonical CSR, named by a **versioned fingerprint**
+``<lineage>@v<N>`` (pinned via
+:func:`~repro.runtime.fingerprint.pin_fingerprint`, so every cache tier
+keys on the version automatically).  A write splices the batch's rows
+onto the current version's CSR (:class:`~repro.sparse.delta.DeltaCSR`)
+and swaps the current pointer atomically: readers resolve one version
+and keep it for the whole request, so a write can never tear an
+in-flight computation, and a superseded CSR is freed once its last
+reader lets go.
 
 A mutation refreshes what stays valid and drops the rest:
 
@@ -18,75 +21,43 @@ A mutation refreshes what stays valid and drops the rest:
   nnz-balanced partitions are recomputed.  A reordered plan leaves with
   the old version; the next ``plan(..., reorder=...)`` on the new version
   computes its permutation fresh, exactly as for a static matrix.
-* **shards** — the remote tier gets a delta source for the new version
+* **shards** — the remote tier gets the batch's rows as a delta source
+  for the new version
   (:meth:`~repro.runtime.remote.RemoteController.register_delta`), so
-  the next sharded run re-ships only the dirty rows (``OP_LOAD_DELTA``)
-  to agents that still hold the previous version; everything else falls
+  the next sharded run re-ships only those rows (``OP_LOAD_DELTA``) to
+  agents that still hold the previous version; everything else falls
   back to a full ship.
 
 Correctness contract (tested property-style in ``tests/test_dynamic.py``
-and end-to-end by the mutation smoke): a kernel executed against the
-overlay is **bitwise identical** to the same kernel on a CSR freshly
-rebuilt from the same edge set — at every version, at every compaction
-point, across backends and shard counts, local or remote.  (Reordered
-execution stays allclose-equivalent, exactly as for static graphs.)
+and end-to-end by the mutation smoke): a kernel executed against a
+version is **bitwise identical** to the same kernel on a CSR freshly
+rebuilt from the same edge set — at every version, across backends and
+shard counts, local or remote.  (Reordered execution stays
+allclose-equivalent, exactly as for static graphs.)
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..sparse import CSRMatrix, as_csr
-from ..sparse.delta import CompactionPolicy, DeltaCSR
+from ..sparse.delta import DeltaCSR
 from .fingerprint import matrix_fingerprint, pin_fingerprint
 
 __all__ = [
     "DynamicGraph",
     "GraphVersion",
     "MutationResult",
-    "rows_payload",
 ]
 
 
-# ---------------------------------------------------------------------- #
-# Row payloads (the delta-ship path)
-# ---------------------------------------------------------------------- #
-def rows_payload(
-    A: CSRMatrix, rows: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(rows, counts, indices, data)`` of ``rows`` as found in ``A``.
-
-    The splice arguments :func:`~repro.sparse.delta.splice_rows` (and the
-    ``OP_LOAD_DELTA`` wire payload) expect: applying this payload to any
-    matrix that agrees with ``A`` on every *other* row reproduces ``A``
-    bitwise.
-    """
-    rows = np.unique(np.asarray(rows, dtype=np.int64))
-    indptr = A.indptr
-    counts = (indptr[rows + 1] - indptr[rows]).astype(np.int64)
-    chunks_i: List[np.ndarray] = []
-    chunks_d: List[np.ndarray] = []
-    for r in rows:
-        lo, hi = int(indptr[r]), int(indptr[r + 1])
-        chunks_i.append(A.indices[lo:hi])
-        chunks_d.append(A.data[lo:hi])
-    indices = (
-        np.concatenate(chunks_i) if chunks_i else np.empty(0, dtype=np.int64)
-    )
-    data = np.concatenate(chunks_d) if chunks_d else np.empty(0, dtype=A.data.dtype)
-    return rows, counts, indices, data
-
-
-# ---------------------------------------------------------------------- #
-# The per-graph handle
-# ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class GraphVersion:
-    """One immutable graph state: overlay + materialised canonical CSR.
+    """One immutable graph state: its canonical CSR.
 
     Readers resolve a version once (request admission, epoch start) and
     use it unlocked for the whole computation — the mutation path only
@@ -95,8 +66,9 @@ class GraphVersion:
 
     version: int
     fingerprint: str
-    delta: DeltaCSR
     matrix: CSRMatrix
+    #: bytes of the rows the batch that made this version rewrote
+    delta_bytes: int = 0
 
 
 @dataclass(frozen=True)
@@ -110,7 +82,6 @@ class MutationResult:
     deleted: int
     ignored_deletes: int
     touched_rows: int
-    compacted: bool
     nnz: int
     plans_refreshed: int = 0
     delta_sources: int = 0
@@ -124,7 +95,6 @@ class MutationResult:
             "deleted": self.deleted,
             "ignored_deletes": self.ignored_deletes,
             "touched_rows": self.touched_rows,
-            "compacted": self.compacted,
             "nnz": self.nnz,
             "plans_refreshed": self.plans_refreshed,
             "delta_sources": self.delta_sources,
@@ -134,38 +104,32 @@ class MutationResult:
 class DynamicGraph:
     """A mutable graph whose versions flow through the runtime's caches.
 
-    ``runtime=None`` gives a standalone overlay (versions, compaction,
-    bitwise materialisation) with no cache plumbing — the sparse tier
-    alone.  With a :class:`~repro.runtime.runtime.KernelRuntime` attached,
-    every mutation refreshes that runtime's natural-order plans for this
-    graph, registers a dirty-row delta source on its remote controller and
+    ``runtime=None`` gives a standalone graph (versions and bitwise
+    splices) with no cache plumbing — the sparse tier alone.  With a
+    :class:`~repro.runtime.runtime.KernelRuntime` attached, every mutation
+    refreshes that runtime's natural-order plans for this graph, registers
+    the batch's rows as a delta source on its remote controller and
     releases the superseded version from the local cache tiers.
     """
 
-    def __init__(
-        self,
-        base,
-        *,
-        runtime=None,
-        policy: Optional[CompactionPolicy] = None,
-        lineage: Optional[str] = None,
-    ) -> None:
+    def __init__(self, base, *, runtime=None, lineage: Optional[str] = None) -> None:
         base = as_csr(base)
         self.runtime = runtime
-        # The lineage is the *content* hash of the original base — stable
-        # across every subsequent version and compaction, so one release
-        # call covers the graph's whole cache footprint.
+        # The lineage is the *content* hash of the original matrix — stable
+        # across every subsequent version, so one release call covers the
+        # graph's whole cache footprint.
         self.lineage = str(lineage) if lineage else matrix_fingerprint(base)
-        delta = DeltaCSR(base, self.lineage, policy=policy)
-        pin_fingerprint(base, delta.fingerprint)
+        fp = DeltaCSR(base, self.lineage).fingerprint
+        pin_fingerprint(base, fp)
         self._lock = threading.Lock()
-        self._current = GraphVersion(delta.version, delta.fingerprint, delta, base)
+        self._current = GraphVersion(0, fp, base)
         self._prev_fp: Optional[str] = None
         self._counters: Dict[str, int] = {
             "mutations": 0,
             "edges_inserted": 0,
             "edges_updated": 0,
             "edges_deleted": 0,
+            # Always 0 (nothing compacts); perfbench's serve-mutate reads it.
             "compactions": 0,
             "plans_refreshed": 0,
             "delta_sources": 0,
@@ -183,16 +147,16 @@ class DynamicGraph:
 
     @property
     def matrix(self) -> CSRMatrix:
-        """The current version's materialised canonical CSR."""
+        """The current version's canonical CSR."""
         return self._current.matrix
 
     @property
     def nnz(self) -> int:
-        return self._current.delta.nnz
+        return self._current.matrix.nnz
 
     @property
     def shape(self) -> Tuple[int, int]:
-        return self._current.delta.shape
+        return self._current.matrix.shape
 
     def snapshot(self) -> GraphVersion:
         """The current immutable version (safe to use unlocked)."""
@@ -201,41 +165,37 @@ class DynamicGraph:
 
     def row(self, u: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(cols, vals)`` of row ``u`` at the current version."""
-        return self._current.delta.row(u)
+        return self._current.matrix.row(u)
 
     # ------------------------------------------------------------------ #
     def apply_edges(self, insert=None, delete=None) -> MutationResult:
         """Apply one edge batch and swap in the next version.
 
         Deletes apply first, then inserts **upsert** (an existing edge's
-        weight is replaced).  The new version is fully built — overlay,
-        materialised CSR, refreshed plans, delta sources — before the
-        current pointer moves, so concurrent readers only ever see
-        complete versions.
+        weight is replaced).  The new version is fully built — spliced
+        CSR, refreshed plans, delta source — before the current pointer
+        moves, so concurrent readers only ever see complete versions.
         """
         with self._lock:
             if self._closed:
                 raise RuntimeError("DynamicGraph is closed")
             cur = self._current
-            new_delta, batch = cur.delta.apply(insert=insert, delete=delete)
-            compacted = False
-            if new_delta.should_compact():
-                new_delta = new_delta.compacted()
-                compacted = True
-            new_A = new_delta.materialize()
-            fp = new_delta.fingerprint
+            delta, batch = DeltaCSR(
+                cur.matrix, self.lineage, version=cur.version
+            ).apply(insert=insert, delete=delete)
+            new_A = delta.materialize()
+            fp = delta.fingerprint
             pin_fingerprint(new_A, fp)
 
             refreshed = sources = 0
             rt = self.runtime
             if rt is not None:
                 refreshed = rt.update_matrix(cur.fingerprint, new_A, fp)
-                # The remote tier re-ships the new version as a dirty-row
-                # splice over the old one.
+                # The remote tier re-ships the new version as the batch's
+                # rows spliced over the old one.
                 controller = rt.controller
                 if controller is not None and batch.touched_rows.size:
-                    payload = rows_payload(new_A, batch.touched_rows)
-                    controller.register_delta(fp, cur.fingerprint, *payload)
+                    controller.register_delta(fp, cur.fingerprint, *delta.splice)
                     sources = 1
                 # The superseded version leaves the *local* tiers now; its
                 # remote copies stay one more round — they are the base the
@@ -246,18 +206,17 @@ class DynamicGraph:
                     rt.release_matrix(self._prev_fp)
 
             self._prev_fp = cur.fingerprint
-            self._current = GraphVersion(new_delta.version, fp, new_delta, new_A)
+            self._current = GraphVersion(delta.version, fp, new_A, delta.delta_bytes)
 
             result = MutationResult(
-                version=new_delta.version,
+                version=delta.version,
                 fingerprint=fp,
                 inserted=batch.inserted,
                 updated=batch.updated,
                 deleted=batch.deleted,
                 ignored_deletes=batch.ignored_deletes,
                 touched_rows=int(batch.touched_rows.size),
-                compacted=compacted,
-                nnz=new_delta.nnz,
+                nnz=new_A.nnz,
                 plans_refreshed=refreshed,
                 delta_sources=sources,
             )
@@ -266,8 +225,6 @@ class DynamicGraph:
             c["edges_inserted"] += result.inserted
             c["edges_updated"] += result.updated
             c["edges_deleted"] += result.deleted
-            if compacted:
-                c["compactions"] += 1
             c["plans_refreshed"] += refreshed
             c["delta_sources"] += sources
             return result
@@ -276,28 +233,22 @@ class DynamicGraph:
     def memory(self) -> Dict[str, object]:
         """Byte accounting for this graph across every tier it occupies.
 
-        ``base_bytes``/``delta_bytes`` come from the overlay,
-        ``materialized_bytes`` is the current version's spliced CSR (zero
-        right after compaction, when the base *is* the materialisation),
-        ``plan_bytes`` what the attached runtime's plan cache retains for
-        this version (permuted copies included — the plans own them).
+        ``base_bytes`` is the current version's CSR, ``delta_bytes`` the
+        rows the latest batch spliced into it (already inside
+        ``base_bytes``), ``plan_bytes`` what the attached runtime's plan
+        cache retains for this version (permuted copies included — the
+        plans own them).
         """
         with self._lock:
             cur = self._current
-        mem = cur.delta.memory()
         out: Dict[str, object] = {
             "fingerprint": cur.fingerprint,
             "version": cur.version,
-            "nnz": cur.delta.nnz,
-            "base_bytes": mem["base_bytes"],
-            "delta_bytes": mem["delta_bytes"],
-            "delta_rows": mem["delta_rows"],
-            "delta_nnz": mem["delta_nnz"],
-            "log_ops": mem["log_ops"],
-            "compactions": mem["compactions"],
-            "materialized_bytes": (
-                0 if cur.matrix is cur.delta.base else cur.matrix.memory_bytes()
+            "nnz": cur.matrix.nnz,
+            "base_bytes": cur.matrix.memory_bytes(
+                value_bytes=int(cur.matrix.data.dtype.itemsize)
             ),
+            "delta_bytes": cur.delta_bytes,
             "plans": 0,
             "plan_bytes": 0,
         }
@@ -306,12 +257,7 @@ class DynamicGraph:
             plan_mem = rt.plan_bytes(cur.fingerprint)
             out["plans"] = plan_mem["plans"]
             out["plan_bytes"] = plan_mem["plan_bytes"]
-        out["total_bytes"] = int(
-            out["base_bytes"]
-            + out["delta_bytes"]
-            + out["materialized_bytes"]
-            + out["plan_bytes"]
-        )
+        out["total_bytes"] = int(out["base_bytes"] + out["plan_bytes"])
         return out
 
     def stats(self) -> Dict[str, object]:

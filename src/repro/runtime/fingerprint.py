@@ -90,10 +90,9 @@ def memoized_fingerprint(A) -> Optional[str]:
 def pin_fingerprint(A, fingerprint: str) -> str:
     """Pin an explicit fingerprint for a matrix *instance*.
 
-    The dynamic-graph tier names each materialised version with a
-    **versioned** fingerprint (``<lineage>@v<N>``) instead of a content
-    hash: the lineage is stable across compaction (same edge set, new
-    representation) and cheap to derive (no O(nnz) hashing per mutation).
+    The dynamic-graph tier names each version's CSR with a **versioned**
+    fingerprint (``<lineage>@v<N>``) instead of a content hash: it is
+    cheap to derive (no O(nnz) hashing per mutation).
     Pinning seeds the per-instance memo, so every cache tier that calls
     :func:`matrix_fingerprint` — plan cache, worker ship keys, remote host
     LRUs — keys this instance on the versioned name.

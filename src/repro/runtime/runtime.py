@@ -53,6 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..core.operators import is_builtin
 from ..core.parallel import available_threads
 from ..core.partition import DEFAULT_SPLIT_NNZ, RowPartition, split_parts
 from ..core.patterns import OpPattern, get_pattern, pattern_key
@@ -787,19 +788,23 @@ class KernelRuntime:
         """Cached matrix-independent dispatch config for a request.
 
         Requests with string patterns and no overrides (the overwhelmingly
-        common case) share one cached config per pattern identity
-        (:func:`~repro.core.patterns.pattern_key`), backend and block size;
-        anything else is resolved inline.
+        common case) share one cached config per registered pattern object,
+        backend and block size, looked up before anything is resolved.  A
+        re-registered name is a new object, so it misses; the config holds
+        its pattern, so an ``id`` is never reused while it is a key.  Only
+        patterns of built-in operators are cached: a slot naming a user
+        operator follows that operator's re-registration, so such a
+        pattern, like any other request, is resolved inline.
         """
         op_pattern = get_pattern(req.pattern, **dict(req.overrides))
-        resolved = op_pattern.resolved()
         cacheable = isinstance(req.pattern, str) and not req.overrides
-        key = (pattern_key(resolved), req.backend, req.block_size or 0)
+        key = (id(op_pattern), req.backend, req.block_size or 0)
         if cacheable:
             with self._configs_lock:
                 cfg = self._configs.get(key)
             if cfg is not None:
                 return cfg
+        resolved = op_pattern.resolved()
         cfg = make_config(
             op_pattern,
             resolved,
@@ -807,10 +812,9 @@ class KernelRuntime:
             block_size=req.block_size,
             num_threads=self.num_threads,
         )
-        if not cacheable:
-            return cfg
-        with self._configs_lock:
-            self._configs[key] = cfg
+        if cacheable and all(is_builtin(op) for op in resolved.ops().values()):
+            with self._configs_lock:
+                self._configs[key] = cfg
         return cfg
 
     def _cached_plan(self, req: KernelRequest, cfg: KernelPlan) -> Optional[KernelPlan]:

@@ -13,9 +13,9 @@ and (with ``processes``) worker spawn + shared-memory upload.  The
   ``/v1/kernel`` requests can say ``"model": "cora-f2v"`` instead of
   shipping CSR arrays in every call;
 * the serving runtime **pre-plans** each registered graph for the warm
-  patterns (``sigmoid_embedding``/``gcn``/``spmm``) — the plan cache
-  and its partitionings are populated before the listener
-  accepts its first connection;
+  patterns (``sigmoid_embedding`` and ``gcn``, whose plan ``spmm``
+  shares) — the plan cache and its partitionings are populated before
+  the listener accepts its first connection;
 * with ``processes > 0`` the **worker pool is spawned** and each warm
   graph's CSR is pushed into shared memory up front, so the first sharded
   request pays no spawn or upload latency.
@@ -37,8 +37,10 @@ __all__ = ["ModelRegistry", "RegisteredModel"]
 
 #: Plan-cache capacity of the serving runtime.
 PLAN_CACHE_SIZE = 128
-#: Patterns pre-planned against every registered graph at startup.
-WARM_PATTERNS = ("sigmoid_embedding", "gcn", "spmm")
+#: Patterns pre-planned against every registered graph at startup, one
+#: per plan key: ``spmm`` shares ``gcn``'s key, so its requests run
+#: through the warm ``gcn`` plan.
+WARM_PATTERNS = ("sigmoid_embedding", "gcn")
 
 
 class RegisteredModel:

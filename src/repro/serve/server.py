@@ -42,7 +42,7 @@ Endpoints
          "delete": [[u, v], ...]}           # applied before inserts
 
     Returns the new version + fingerprint and per-batch counters.  The
-    delta-CSR overlay advances atomically: requests admitted before the
+    graph's version advances atomically: requests admitted before the
     swap keep computing on the version they resolved.
 
 Status mapping (:func:`~repro.serve.ops.error_result`): admission queue

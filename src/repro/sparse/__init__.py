@@ -22,7 +22,7 @@ Public names
 from .coo import COOMatrix
 from .csr import CSRMatrix
 from .convert import as_coo, as_csr, from_networkx
-from .delta import CompactionPolicy, DeltaCSR, EdgeBatchResult, splice_rows
+from .delta import DeltaCSR, EdgeBatchResult, splice_rows
 from .io import read_matrix_market, write_matrix_market
 from .random import banded_csr, block_diagonal_csr, random_bipartite, random_csr
 from .reorder import (
@@ -41,7 +41,6 @@ from .reorder import (
 __all__ = [
     "COOMatrix",
     "CSRMatrix",
-    "CompactionPolicy",
     "DeltaCSR",
     "EdgeBatchResult",
     "splice_rows",

@@ -1,28 +1,30 @@
-"""Delta-CSR overlay: mutable graphs over an immutable CSR base.
+"""One edge batch spliced onto one canonical CSR.
 
-Every cache tier of the runtime — plan cache (with its reordered copies
-and cache-blocked panels), worker shared memory, remote host LRUs — keys
-on an immutable matrix fingerprint.  :class:`DeltaCSR` is what makes
-*mutation* compatible with that design: an immutable base
-:class:`~repro.sparse.csr.CSRMatrix` plus a per-row override log.
-Applying an edge batch produces a **new snapshot** (readers holding the
-old one are never torn), identified by a **versioned fingerprint**
-``<lineage>@v<N>`` where ``lineage`` is the content hash of the original
-base and ``N`` increments once per applied batch.  Compaction folds the
-overrides into a fresh base; the edge set is unchanged, so the versioned
-fingerprint — and every cache entry keyed on it — survives.
+Every cache tier of the runtime — plan cache, worker shared memory,
+remote host LRUs — keys on an immutable matrix fingerprint, so a mutable
+graph is a sequence of immutable versions.  Each version is exactly one
+canonical :class:`~repro.sparse.csr.CSRMatrix`, named by a **versioned
+fingerprint** ``<lineage>@v<N>`` where ``lineage`` is the content hash of
+the original matrix and ``N`` increments once per applied batch.
+
+A write is a :class:`DeltaCSR`: the current version's CSR plus the rows
+one edge batch rewrites.  :meth:`DeltaCSR.apply` computes those rows
+against the CSR; :meth:`DeltaCSR.materialize` splices them onto it and
+returns the next version's CSR.  Nothing carries over between batches:
+the next write starts from the new CSR, and the old one lives only as
+long as a reader holds it.
 
 Bitwise contract
 ----------------
 The canonical CSR form (columns sorted within rows, one entry per
-``(u, v)`` pair) is *unique* for a given edge set.  Overrides are kept in
-exactly that form, so :meth:`DeltaCSR.materialize` — which splices the
-override rows into the base arrays — produces byte-for-byte the same
-``indptr``/``indices``/``data`` as :meth:`CSRMatrix.from_coo` on the full
-edge list.  Kernels therefore cannot distinguish an overlay snapshot from
-a freshly rebuilt matrix: the existing bitwise-determinism contract
-(thread counts, shard counts, local vs remote) extends to dynamic graphs
-for free, and the tests assert it at every compaction point.
+``(u, v)`` pair) is *unique* for a given edge set.  The rewritten rows
+are built in exactly that form and every other row is copied verbatim,
+so each version is byte-for-byte the same ``indptr``/``indices``/``data``
+as :meth:`CSRMatrix.from_coo` on its full edge list.  Kernels therefore
+cannot distinguish a mutated version from a freshly rebuilt matrix: the
+existing bitwise-determinism contract (thread counts, shard counts,
+local vs remote) extends to dynamic graphs for free, and the tests
+assert it at every version.
 
 Edge-batch semantics
 --------------------
@@ -36,14 +38,14 @@ is a no-op (counted, not an error).
 
 :func:`splice_rows` is the shared low-level primitive: the remote worker
 agent uses the same function to reconstruct a new matrix version from a
-``LOAD_DELTA`` frame (base key + dirty rows), so controller and agent can
-never disagree on the spliced bytes.
+``LOAD_DELTA`` frame (base key + the batch's rows), so controller and
+agent can never disagree on the spliced bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,7 +53,6 @@ from ..errors import ShapeError
 from .csr import CSRMatrix
 
 __all__ = [
-    "CompactionPolicy",
     "DeltaCSR",
     "EdgeBatchResult",
     "splice_rows",
@@ -59,7 +60,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------- #
-# Splice: the one primitive both the overlay and the remote agent use
+# Splice: the one primitive both a write and the remote agent use
 # ---------------------------------------------------------------------- #
 def splice_rows(
     base: CSRMatrix,
@@ -115,35 +116,9 @@ def splice_rows(
     return CSRMatrix(base.nrows, base.ncols, indptr, out_indices, out_data, check=False)
 
 
-# ---------------------------------------------------------------------- #
-# Compaction policy
-# ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class CompactionPolicy:
-    """When an overlay folds its override log into a fresh base.
-
-    ``max_delta_ratio``
-        Compact once the overridden rows hold more than this fraction of
-        the base's nonzeros (overlay bookkeeping stops being "small").
-    ``max_log``
-        Compact after this many applied edge operations regardless of the
-        nnz ratio (bounds per-row merge work for hot rows).
-    """
-
-    max_delta_ratio: float = 0.25
-    max_log: int = 50_000
-
-    def __post_init__(self) -> None:
-        if self.max_delta_ratio <= 0 or self.max_log < 1:
-            raise ShapeError(
-                "max_delta_ratio must be > 0 and max_log >= 1, got "
-                f"{self.max_delta_ratio}/{self.max_log}"
-            )
-
-
 @dataclass(frozen=True)
 class EdgeBatchResult:
-    """What one applied batch did (returned next to the new snapshot)."""
+    """What one applied batch did (returned next to the new version)."""
 
     inserted: int  # edges created
     updated: int  # existing edges whose weight was replaced
@@ -152,29 +127,24 @@ class EdgeBatchResult:
     touched_rows: np.ndarray  # sorted unique row ids the batch modified
 
 
+#: The ``splice_rows`` arguments of one batch: ``(rows, counts, indices, data)``.
+Splice = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
 # ---------------------------------------------------------------------- #
-# The overlay
+# One write
 # ---------------------------------------------------------------------- #
 class DeltaCSR:
-    """One immutable snapshot of a mutable graph.
+    """One graph version as a base CSR plus the rows one batch rewrote.
 
-    Holds the base CSR, a ``{row: (cols, vals)}`` override map (each
-    override already in canonical sorted-column form) and the version
-    lineage.  :meth:`apply` returns a *new* snapshot sharing the base and
-    all untouched overrides — the receiver of an old snapshot keeps a
-    consistent view forever.
+    ``DeltaCSR(A, lineage, version=N)`` is version ``N`` whose CSR is
+    ``A``.  :meth:`apply` returns version ``N + 1``: this version's CSR as
+    the base and the batch's rewritten rows as :attr:`splice`, the exact
+    arguments of :func:`splice_rows` (and of the ``LOAD_DELTA`` payload).
+    :meth:`materialize` splices them in.
     """
 
-    __slots__ = (
-        "base",
-        "lineage",
-        "version",
-        "policy",
-        "compactions",
-        "log_ops",
-        "_rows",
-        "_nnz",
-    )
+    __slots__ = ("base", "lineage", "version", "splice")
 
     def __init__(
         self,
@@ -182,236 +152,89 @@ class DeltaCSR:
         lineage: str,
         *,
         version: int = 0,
-        policy: Optional[CompactionPolicy] = None,
-        _rows: Optional[Dict[int, Tuple[np.ndarray, np.ndarray]]] = None,
-        _log_ops: int = 0,
-        _compactions: int = 0,
+        splice: Optional[Splice] = None,
     ) -> None:
         self.base = base
         self.lineage = str(lineage)
         self.version = int(version)
-        self.policy = policy or CompactionPolicy()
-        self._rows = dict(_rows) if _rows else {}
-        self.log_ops = int(_log_ops)
-        self.compactions = int(_compactions)
-        delta = 0
-        for r, (cols, _vals) in self._rows.items():
-            delta += cols.shape[0] - (int(base.indptr[r + 1]) - int(base.indptr[r]))
-        self._nnz = base.nnz + delta
-
-    # ------------------------------------------------------------------ #
-    # Shape / identity
-    # ------------------------------------------------------------------ #
-    @property
-    def nrows(self) -> int:
-        return self.base.nrows
-
-    @property
-    def ncols(self) -> int:
-        return self.base.ncols
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return self.base.shape
-
-    @property
-    def nnz(self) -> int:
-        return self._nnz
+        self.splice = splice
 
     @property
     def fingerprint(self) -> str:
         """The versioned fingerprint ``<lineage>@v<N>`` every cache tier
-        keys on.  Compaction keeps it (the edge set is unchanged)."""
+        keys on."""
         return f"{self.lineage}@v{self.version}"
 
     @property
-    def delta_rows(self) -> int:
-        """Number of rows currently overridden."""
-        return len(self._rows)
+    def delta_bytes(self) -> int:
+        """Bytes of the rewritten rows (paper Section IV.C convention:
+        8-byte indices, value bytes from the dtype); 0 with no batch."""
+        if self.splice is None:
+            return 0
+        _, _, indices, data = self.splice
+        return 8 * int(indices.size) + int(data.nbytes)
 
-    @property
-    def delta_nnz(self) -> int:
-        """Nonzeros held by override rows (the overlay's working set)."""
-        return sum(cols.shape[0] for cols, _ in self._rows.values())
-
-    def dirty_rows(self) -> np.ndarray:
-        """Sorted row ids that differ from the base (may be empty)."""
-        return np.array(sorted(self._rows), dtype=np.int64)
-
-    # ------------------------------------------------------------------ #
-    # Row queries (no materialisation)
-    # ------------------------------------------------------------------ #
-    def row(self, u: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(cols, vals)`` of row ``u`` at this version."""
-        if not 0 <= u < self.nrows:
-            raise IndexError(f"row index {u} out of range for {self.nrows} rows")
-        entry = self._rows.get(int(u))
-        if entry is not None:
-            return entry
-        return self.base.row(u)
-
-    # ------------------------------------------------------------------ #
-    # Mutation
-    # ------------------------------------------------------------------ #
     def apply(
         self,
         insert: Optional[Iterable[Sequence[float]]] = None,
         delete: Optional[Iterable[Sequence[int]]] = None,
     ) -> Tuple["DeltaCSR", EdgeBatchResult]:
-        """Apply one edge batch; returns ``(new snapshot, batch result)``.
+        """Apply one edge batch; returns ``(next version, batch result)``.
 
-        Deletes first, then upsert inserts (see module docstring).  The
-        new snapshot's version is ``self.version + 1``; ``self`` is left
-        untouched.
+        Deletes first, then upsert inserts (see module docstring).  Only
+        the touched rows are read, all at once: each edge is keyed by
+        ``(index of its row among the touched rows) * ncols + column``,
+        so sorted keys are the rewritten rows in canonical order.
         """
-        ins = _as_edge_array(insert, with_weight=True, dtype=self.base.data.dtype)
+        base = self.materialize()
+        ins = _as_edge_array(insert, with_weight=True, dtype=base.data.dtype)
         dels = _as_edge_array(delete, with_weight=False)
-        _check_bounds(ins, dels, self.nrows, self.ncols)
+        _check_bounds(ins, dels, base.nrows, base.ncols)
 
         touched = np.unique(np.concatenate([ins[0], dels[0]]))
-        rows = dict(self._rows)
-        inserted = updated = deleted = ignored = 0
-        # Group both op streams by row once (stable, so within-row insert
-        # order — and therefore last-wins — survives), then slice each
-        # row's segment out by binary search.  Keeps the per-row work
-        # proportional to that row's ops instead of the whole batch.
-        d_order = np.argsort(dels[0], kind="stable")
-        d_rows, d_cols = dels[0][d_order], dels[1][d_order]
-        i_order = np.argsort(ins[0], kind="stable")
-        i_rows, i_cols, i_vals = ins[0][i_order], ins[1][i_order], ins[2][i_order]
-        d_lo = np.searchsorted(d_rows, touched, side="left")
-        d_hi = np.searchsorted(d_rows, touched, side="right")
-        i_lo = np.searchsorted(i_rows, touched, side="left")
-        i_hi = np.searchsorted(i_rows, touched, side="right")
-        for k, r in enumerate(touched.tolist()):
-            entry = rows.get(r)
-            if entry is None:
-                entry = self.base.row(r)
-            cols, vals = entry
-            del_cols = d_cols[d_lo[k] : d_hi[k]]
-            ins_cols = i_cols[i_lo[k] : i_hi[k]]
-            ins_vals = i_vals[i_lo[k] : i_hi[k]]
-            if ins_cols.size:
-                # Last occurrence wins within the batch: reverse, keep the
-                # first of each column, restore ascending order.
-                rev_cols = ins_cols[::-1]
-                rev_vals = ins_vals[::-1]
-                _, first = np.unique(rev_cols, return_index=True)
-                ins_cols = rev_cols[first]
-                ins_vals = rev_vals[first]
-            hit_del = np.isin(del_cols, cols)
-            deleted_now = int(np.unique(del_cols[hit_del]).size)
-            ignored += int(np.unique(del_cols).size) - deleted_now
-            deleted += deleted_now
-            keep = ~np.isin(cols, del_cols)
-            kept_cols = cols[keep]
-            kept_vals = vals[keep]
-            if ins_cols.size:
-                exists = np.isin(ins_cols, kept_cols)
-                updated += int(np.count_nonzero(exists))
-                inserted += int(ins_cols.size - np.count_nonzero(exists))
-                survive = ~np.isin(kept_cols, ins_cols)
-                merged_cols = np.concatenate([kept_cols[survive], ins_cols])
-                merged_vals = np.concatenate(
-                    [kept_vals[survive], ins_vals.astype(kept_vals.dtype, copy=False)]
-                )
-                order = np.argsort(merged_cols, kind="stable")
-                new_cols = np.ascontiguousarray(merged_cols[order])
-                new_vals = np.ascontiguousarray(merged_vals[order])
-            else:
-                new_cols = np.ascontiguousarray(kept_cols)
-                new_vals = np.ascontiguousarray(kept_vals)
-            rows[r] = (new_cols, new_vals)
+        old = base.select_rows(touched)
+        ncols = np.int64(base.ncols)
+        old_keys = np.repeat(np.arange(touched.size), np.diff(old.indptr)) * ncols
+        old_keys += old.indices
+        del_keys = np.unique(np.searchsorted(touched, dels[0]) * ncols + dels[1])
+        hit = np.isin(del_keys, old_keys)
+        keep = ~np.isin(old_keys, del_keys)
+        kept_keys, kept_vals = old_keys[keep], old.data[keep]
+        # Last occurrence wins within the batch: the first of each key in
+        # the reversed batch.
+        rev_keys = (np.searchsorted(touched, ins[0]) * ncols + ins[1])[::-1]
+        ins_keys, first = np.unique(rev_keys, return_index=True)
+        ins_vals = ins[2][::-1][first]
+        exists = np.isin(ins_keys, kept_keys)
+        survive = ~np.isin(kept_keys, ins_keys)
+        keys = np.concatenate([kept_keys[survive], ins_keys])
+        vals = np.concatenate([kept_vals[survive], ins_vals])
+        order = np.argsort(keys)  # keys are unique
+        keys, vals = keys[order], vals[order]
+        counts = np.bincount(keys // ncols, minlength=touched.size).astype(np.int64)
+
         result = EdgeBatchResult(
-            inserted=inserted,
-            updated=updated,
-            deleted=deleted,
-            ignored_deletes=ignored,
+            inserted=int(ins_keys.size - np.count_nonzero(exists)),
+            updated=int(np.count_nonzero(exists)),
+            deleted=int(np.count_nonzero(hit)),
+            ignored_deletes=int(hit.size - np.count_nonzero(hit)),
             touched_rows=touched,
         )
-        snapshot = DeltaCSR(
-            self.base,
-            self.lineage,
-            version=self.version + 1,
-            policy=self.policy,
-            _rows=rows,
-            _log_ops=self.log_ops + int(ins[0].size + dels[0].size),
-            _compactions=self.compactions,
-        )
-        return snapshot, result
+        splice = (touched, counts, keys % ncols, vals)
+        return DeltaCSR(base, self.lineage, version=self.version + 1, splice=splice), result
 
-    # ------------------------------------------------------------------ #
-    # Materialisation and compaction
-    # ------------------------------------------------------------------ #
     def materialize(self) -> CSRMatrix:
-        """This version as a fresh canonical CSR (bitwise identical to a
-        full :meth:`CSRMatrix.from_coo` rebuild of the same edge set)."""
-        if not self._rows:
+        """This version's canonical CSR (bitwise identical to a full
+        :meth:`CSRMatrix.from_coo` rebuild of the same edge set).  A
+        version built by :meth:`apply` gets a fresh matrix, even for an
+        empty batch, so two versions never share one instance."""
+        if self.splice is None:
             return self.base
-        rows = self.dirty_rows()
-        counts = np.array(
-            [self._rows[int(r)][0].shape[0] for r in rows], dtype=np.int64
-        )
-        total = int(counts.sum())
-        indices = np.empty(total, dtype=np.int64)
-        data = np.empty(total, dtype=self.base.data.dtype)
-        pos = 0
-        for r in rows.tolist():
-            cols, vals = self._rows[r]
-            indices[pos : pos + cols.shape[0]] = cols
-            data[pos : pos + vals.shape[0]] = vals
-            pos += cols.shape[0]
-        return splice_rows(self.base, rows, counts, indices, data)
-
-    def should_compact(self) -> bool:
-        """Whether the policy says this snapshot's log is due for folding."""
-        if self.log_ops >= self.policy.max_log:
-            return True
-        base_nnz = max(self.base.nnz, 1)
-        return self.delta_nnz / base_nnz > self.policy.max_delta_ratio
-
-    def compacted(self) -> "DeltaCSR":
-        """Fold the overrides into a fresh base.
-
-        The edge set — and therefore the versioned fingerprint — is
-        unchanged: caches keyed on :attr:`fingerprint` stay valid across
-        the representation change.
-        """
-        return DeltaCSR(
-            self.materialize(),
-            self.lineage,
-            version=self.version,
-            policy=self.policy,
-            _rows=None,
-            _log_ops=0,
-            _compactions=self.compactions + 1,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Accounting
-    # ------------------------------------------------------------------ #
-    def memory(self) -> Dict[str, int]:
-        """Byte accounting for ``/statz`` (paper Section IV.C convention:
-        8-byte indices, value bytes from the dtype)."""
-        value_bytes = int(self.base.data.dtype.itemsize)
-        delta_bytes = sum(
-            8 * cols.shape[0] + value_bytes * vals.shape[0]
-            for cols, vals in self._rows.values()
-        )
-        return {
-            "base_bytes": self.base.memory_bytes(value_bytes=value_bytes),
-            "delta_bytes": delta_bytes,
-            "delta_rows": len(self._rows),
-            "delta_nnz": self.delta_nnz,
-            "log_ops": self.log_ops,
-            "compactions": self.compactions,
-        }
+        return splice_rows(self.base, *self.splice)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"DeltaCSR({self.fingerprint}, shape={self.shape}, nnz={self.nnz}, "
-            f"dirty_rows={self.delta_rows})"
-        )
+        rows = 0 if self.splice is None else self.splice[0].size
+        return f"DeltaCSR({self.fingerprint}, shape={self.base.shape}, rows={rows})"
 
 
 # ---------------------------------------------------------------------- #

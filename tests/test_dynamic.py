@@ -1,17 +1,20 @@
-"""Dynamic graphs: delta-CSR overlay, incremental invalidation, serving.
+"""Dynamic graphs: one spliced CSR per version, incremental invalidation,
+serving.
 
-The contract under test: kernel results computed on a base+delta overlay
-are **bitwise identical** to the same kernel on a CSR freshly rebuilt
-from the same edge set — at every version, at every compaction point,
-across local and remote execution.  Invalidation is incremental: cached
-natural-order plans are refreshed (not dropped), reordered plans leave
-with their version and are rebuilt fresh on the next request, and the
-remote tier re-ships only dirty shards.
+The contract under test: every version's CSR, spliced from its
+predecessor's rows, is **bitwise identical** to a CSR freshly rebuilt
+from the same edge set, and so is every kernel result on it — at every
+version, across local and remote execution.  Invalidation is
+incremental: cached natural-order plans are refreshed (not dropped),
+reordered plans leave with their version and are rebuilt fresh on the
+next request, and the remote tier re-ships only the batch's rows.
 """
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +32,8 @@ from repro.runtime import (
     matrix_fingerprint,
 )
 from repro.sparse import CSRMatrix, random_csr
-from repro.sparse.delta import CompactionPolicy, DeltaCSR, splice_rows
+from repro.runtime.codec import splice_csr_delta
+from repro.sparse.delta import DeltaCSR, splice_rows
 from repro.sparse.reorder import reorder_matrix
 
 settings.register_profile("repro-dynamic", deadline=None, max_examples=40)
@@ -42,7 +46,8 @@ pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 # Helpers
 # ---------------------------------------------------------------------- #
 def _rebuild(model: dict, n: int) -> CSRMatrix:
-    """A fresh canonical CSR from a ``{(u, v): w}`` edge dict."""
+    """A fresh canonical CSR from a ``{(u, v): w}`` edge dict (through
+    :meth:`CSRMatrix.from_coo`)."""
     edges = sorted(model)
     values = [float(model[e]) for e in edges]
     return CSRMatrix.from_edges(edges, n, n, values)
@@ -71,12 +76,9 @@ def _apply_ref(model: dict, inserts, deletes) -> None:
         model[(u, v)] = np.float32(w)
 
 
-_NEVER = CompactionPolicy(max_delta_ratio=1e9, max_log=10**9)
-
-
 # ---------------------------------------------------------------------- #
-# Property: any interleaving of inserts / deletes / compactions keeps the
-# overlay bitwise equal to a full rebuild of the same edge set.
+# Property: every version of any interleaving of inserts / deletes is
+# bitwise equal to a full rebuild of the same edge set.
 # ---------------------------------------------------------------------- #
 @st.composite
 def _mutation_script(draw):
@@ -92,7 +94,6 @@ def _mutation_script(draw):
             st.tuples(
                 st.lists(st.tuples(vertex, vertex, weight), max_size=6),
                 st.lists(edge, max_size=6),
-                st.booleans(),
             ),
             min_size=1,
             max_size=8,
@@ -103,30 +104,27 @@ def _mutation_script(draw):
 
 @given(_mutation_script())
 def test_overlay_bitwise_equals_rebuild_any_interleaving(script):
+    """Each version is one CSR spliced from its predecessor (a fresh
+    instance, even for an empty batch) and equals ``from_coo`` of its
+    edge set byte for byte."""
     n, base_edges, batches = script
     model = dict(base_edges)
-    delta = DeltaCSR(_rebuild(model, n), "lin", policy=_NEVER)
-    for version, (inserts, deletes, compact) in enumerate(batches, start=1):
-        delta, _ = delta.apply(insert=inserts or None, delete=deletes or None)
+    g = DynamicGraph(_rebuild(model, n), lineage="lin")
+    for version, (inserts, deletes) in enumerate(batches, start=1):
+        prev = g.matrix
+        g.apply_edges(insert=inserts or None, delete=deletes or None)
         _apply_ref(model, inserts, deletes)
-        if compact:
-            delta = delta.compacted()
-        assert delta.version == version
-        assert delta.fingerprint == f"lin@v{version}"
+        assert g.version == version
+        assert g.fingerprint == f"lin@v{version}"
+        assert g.matrix is not prev
         ref = _rebuild(model, n)
-        _assert_bitwise(delta.materialize(), ref)
-        assert delta.nnz == ref.nnz
-        # Row queries answer from the overlay, without materialisation.
-        for u in range(n):
-            cols, vals = delta.row(u)
-            ref_cols, ref_vals = ref.row(u)
-            assert np.array_equal(cols, ref_cols)
-            assert np.array_equal(vals, ref_vals)
+        _assert_bitwise(g.matrix, ref)
+        assert g.nnz == ref.nnz
 
 
 def test_overlay_upsert_and_ignored_delete_semantics():
     base = _rebuild({(0, 1): 1.0, (1, 0): 1.0}, 4)
-    delta = DeltaCSR(base, "lin", policy=_NEVER)
+    delta = DeltaCSR(base, "lin")
     # Upsert an existing edge, insert a new one, delete a missing one.
     delta, batch = delta.apply(
         insert=[(0, 1, 5.0), (2, 3, 2.0)], delete=[(3, 3)]
@@ -135,35 +133,47 @@ def test_overlay_upsert_and_ignored_delete_semantics():
     assert batch.updated == 1
     assert batch.deleted == 0
     assert batch.ignored_deletes == 1
-    cols, vals = delta.row(0)
+    assert batch.touched_rows.tolist() == [0, 2, 3]
+    cols, vals = delta.materialize().row(0)
     assert cols.tolist() == [1] and vals.tolist() == [5.0]
     # Duplicate inserts within one batch: last occurrence wins.
     delta, _ = delta.apply(insert=[(0, 2, 1.0), (0, 2, 9.0)])
-    cols, vals = delta.row(0)
+    cols, vals = delta.materialize().row(0)
     assert vals[cols.tolist().index(2)] == np.float32(9.0)
 
 
 def test_overlay_rejects_out_of_range_edges():
-    delta = DeltaCSR(_rebuild({(0, 1): 1.0}, 3), "lin", policy=_NEVER)
+    delta = DeltaCSR(_rebuild({(0, 1): 1.0}, 3), "lin")
     with pytest.raises(ShapeError):
         delta.apply(insert=[(0, 3, 1.0)])
     with pytest.raises(ShapeError):
         delta.apply(delete=[(-1, 0)])
 
 
-def test_compaction_policy_triggers_and_keeps_fingerprint():
-    base = _rebuild({(i, (i + 1) % 6): 1.0 for i in range(6)}, 6)
-    delta = DeltaCSR(
-        base, "lin", policy=CompactionPolicy(max_delta_ratio=1e9, max_log=3)
-    )
-    delta, _ = delta.apply(insert=[(0, 2, 1.0), (0, 3, 1.0), (0, 4, 1.0)])
-    assert delta.should_compact()
-    fp = delta.fingerprint
-    folded = delta.compacted()
-    assert folded.fingerprint == fp  # same edge set, same cache identity
-    assert folded.delta_rows == 0 and folded.log_ops == 0
-    assert folded.compactions == delta.compactions + 1
-    _assert_bitwise(folded.materialize(), delta.materialize())
+@pytest.mark.parametrize("with_runtime", [False, True])
+def test_a_version_does_not_keep_its_predecessor_alive(with_runtime):
+    """A version holds its own CSR only: once no reader pins the previous
+    version's matrix, nothing else does either (refreshed plans included)."""
+    rt = KernelRuntime(num_threads=1, cache_size=16) if with_runtime else None
+    try:
+        g = DynamicGraph(rmat(400, 3000, seed=23), runtime=rt)
+        if rt is not None:
+            rt.run(g.matrix, random_features(400, 4, seed=2))  # a warm plan
+        first = weakref.ref(g.matrix)
+        g.apply_edges(insert=[(0, 2, 1.0), (2, 0, 1.0)])
+        gc.collect()
+        assert first() is None
+        held = g.snapshot()  # a reader pins version 1 ...
+        second = weakref.ref(held.matrix)
+        g.apply_edges(delete=[(0, 2)])
+        gc.collect()
+        assert second() is held.matrix
+        del held  # ... and lets go
+        gc.collect()
+        assert second() is None
+    finally:
+        if rt is not None:
+            rt.close()
 
 
 def test_splice_rows_reproduces_full_rebuild():
@@ -228,7 +238,7 @@ def test_refreshed_plan_builds_a_fresh_schedule_after_a_write(medium):
     A, X = medium
     opts = dict(pattern="sigmoid_embedding", backend="generated", block_size=256)
     with KernelRuntime(num_threads=1, split_nnz=4000, cache_size=16) as rt:
-        g = DynamicGraph(A, runtime=rt, policy=_NEVER)
+        g = DynamicGraph(A, runtime=rt)
         old = rt.plan(g.matrix, **opts)
         rt.run(g.matrix, X, **opts)
         assert old.schedule is not None
@@ -346,7 +356,7 @@ def test_fingerprint_covers_versions_and_derivations():
 def test_memory_accounting_tracks_every_tier(medium):
     A, _ = medium
     with KernelRuntime(num_threads=1, split_nnz=4000, cache_size=16) as rt:
-        g = DynamicGraph(A, runtime=rt, policy=_NEVER)
+        g = DynamicGraph(A, runtime=rt)
         rt.plan(g.matrix, pattern="sigmoid_embedding")
         rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
         g.apply_edges(insert=[(0, 11, 1.0), (11, 0, 1.0)])
@@ -354,21 +364,18 @@ def test_memory_accounting_tracks_every_tier(medium):
         mem = g.memory()
         for key in (
             "fingerprint", "version", "nnz", "base_bytes", "delta_bytes",
-            "delta_rows", "delta_nnz", "log_ops", "compactions",
-            "materialized_bytes", "plans", "plan_bytes", "total_bytes",
+            "plans", "plan_bytes", "total_bytes",
         ):
             assert key in mem, key
         assert "reorder_bytes" not in mem  # the plans own the permuted copy
         assert mem["version"] == 1
-        assert mem["base_bytes"] > 0
-        assert mem["delta_bytes"] > 0 and mem["delta_rows"] == 2
-        assert mem["materialized_bytes"] > 0  # spliced copy, not the base
+        assert mem["base_bytes"] == g.matrix.memory_bytes()
+        # The two rewritten rows, 8-byte indices and float32 values.
+        spliced = int(np.diff(g.matrix.indptr)[[0, 11]].sum())
+        assert mem["delta_bytes"] == 12 * spliced
         assert mem["plans"] == 2
         assert mem["plan_bytes"] > 0  # the fresh plan's permuted copy
-        assert mem["total_bytes"] == (
-            mem["base_bytes"] + mem["delta_bytes"]
-            + mem["materialized_bytes"] + mem["plan_bytes"]
-        )
+        assert mem["total_bytes"] == mem["base_bytes"] + mem["plan_bytes"]
         stats = g.stats()
         assert stats["mutations"] == 1
         assert stats["edges_inserted"] + stats["edges_updated"] == 2
@@ -379,7 +386,7 @@ def test_reordered_copy_is_counted_once(medium):
     it enters ``total_bytes`` exactly once (through ``plan_bytes``)."""
     A, _ = medium
     with KernelRuntime(num_threads=1, split_nnz=4000, cache_size=16) as rt:
-        g = DynamicGraph(A, runtime=rt, policy=_NEVER)
+        g = DynamicGraph(A, runtime=rt)
         rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
         assert g.apply_edges(insert=[(0, 11, 1.0), (11, 0, 1.0)]).plans_refreshed == 0
         rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
@@ -387,9 +394,7 @@ def test_reordered_copy_is_counted_once(medium):
         mem = g.memory()
         assert mem["plan_bytes"] == plan.retained_bytes()
         assert plan.retained_bytes() >= plan.reordered.memory_bytes()
-        assert mem["total_bytes"] - plan.retained_bytes() == (
-            mem["base_bytes"] + mem["delta_bytes"] + mem["materialized_bytes"]
-        )
+        assert mem["total_bytes"] - plan.retained_bytes() == mem["base_bytes"]
 
 
 def test_reordered_plans_of_one_matrix_share_one_permuted_copy(medium):
@@ -397,7 +402,7 @@ def test_reordered_plans_of_one_matrix_share_one_permuted_copy(medium):
     permuted CSR and its panels, and every byte report counts them once."""
     A, X = medium
     with KernelRuntime(num_threads=1, split_nnz=4000, cache_size=16) as rt:
-        g = DynamicGraph(A, runtime=rt, policy=_NEVER)
+        g = DynamicGraph(A, runtime=rt)
         p1 = rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
         p2 = rt.plan(g.matrix, pattern="gcn", reorder="rcm")
         assert p1.reordered is p2.reordered and p1.panels is p2.panels
@@ -465,6 +470,30 @@ class _AgentThread:
     def stop(self):
         self.agent.stop()
         self.thread.join(timeout=10)
+
+
+def test_registered_delta_splices_onto_previous_version(medium):
+    """The delta source a write registers is the batch's rows, and the
+    agent-side splice of it onto version N-1 is version N, byte for
+    byte."""
+    A, _ = medium
+    runtime = KernelRuntime(num_threads=1, processes=0, remote_port=0)
+    try:
+        g = DynamicGraph(A, runtime=runtime)
+        for step in range(3):
+            prev = g.snapshot()
+            u = 100 * step
+            v = int(prev.matrix.indices[prev.matrix.indptr[u]])
+            result = g.apply_edges(
+                insert=[(u, 7, 2.0), (u + 1, 9, 0.5)], delete=[(u, v)]
+            )
+            assert result.delta_sources == 1
+            base_key, meta, arrays = runtime.controller._delta_sources[g.fingerprint]
+            assert base_key == meta["base_key"] == prev.fingerprint
+            assert arrays["rows"].tolist() == [u, u + 1]
+            _assert_bitwise(splice_csr_delta(prev.matrix, arrays), g.matrix)
+    finally:
+        runtime.close()
 
 
 def test_remote_dirty_shard_ships_delta_then_falls_back(medium):

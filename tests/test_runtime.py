@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.fused import FusedMM, fusedmm
-from repro.core.patterns import list_patterns
+from repro.core.patterns import get_pattern, list_patterns, register_pattern
 from repro.errors import BackendError, ShapeError
 from repro.graphs import random_features
 from repro.runtime import (
@@ -526,6 +526,22 @@ def test_run_batch_runs_registered_graphs_through_their_warm_plans():
         assert (stats.hits, stats.misses) == (2 * len(graphs), len(graphs))
         assert all(p.schedule is not None for p in plans)
         assert memoized_fingerprint(inline) is None
+
+
+def test_run_batch_follows_a_re_registered_pattern_name():
+    """The config cache keys on the registered pattern object, so a name
+    registered again with ``overwrite=True`` runs its new pattern."""
+    A = random_csr(256, 256, density=8 / 256, seed=4)
+    X = random_features(256, 16, seed=4)
+    name = "rebind_test_pattern"
+    with KernelRuntime(num_threads=1) as rt:
+        outs = []
+        for base in ("sigmoid_embedding", "gcn", "sigmoid_embedding"):
+            register_pattern(get_pattern(base).with_ops(name=name), overwrite=True)
+            (Z,) = rt.run_batch([KernelRequest(A, X, pattern=name)])
+            assert np.array_equal(Z, fusedmm(A, X, X, pattern=base, num_threads=1))
+            outs.append(Z)
+        assert not np.array_equal(outs[0], outs[1])
 
 
 # ---------------------------------------------------------------------- #

@@ -646,6 +646,31 @@ class TestConfigAndRegistry:
         finally:
             registry.close()
 
+    def test_warm_patterns_plan_each_plan_key_once(self):
+        """``spmm`` shares ``gcn``'s plan key: registering a graph records
+        no plan-cache hit, and an ``spmm`` request runs through the warm
+        ``gcn`` plan."""
+        registry = ModelRegistry(ServeConfig(port=0, models=()))
+        try:
+            A = random_csr(256, 256, density=8 / 256, seed=2)
+            registry.register_graph("g", A)
+            rt = registry.runtime
+            assert rt.cache_stats().hits == 0
+            fingerprint = registry.dynamic_graph("g").fingerprint
+            entries = rt._cache.entries_for(fingerprint)
+            assert len(entries) == 2
+            X = random_features(256, 16, seed=2)
+            backend = registry.config.kernel_backend
+            request = KernelRequest(registry.graph("g"), X, pattern="spmm", backend=backend)
+            (Z,) = rt.run_batch([request])
+            ref = fusedmm(A, X, X, pattern="spmm", backend=backend, num_threads=1)
+            assert np.array_equal(Z, ref)
+            stats = rt.cache_stats()
+            assert (stats.hits, stats.misses) == (1, 2)
+            assert rt._cache.entries_for(fingerprint) == entries
+        finally:
+            registry.close()
+
     def test_apps_expose_serve_output(self):
         # The uniform lookup surface the registry reads; shapes per app.
         config = ServeConfig(
