@@ -11,13 +11,16 @@ The messages are *read back* from H — this second pass over an
 ``O(d · nnz)`` array is the memory-traffic cost the fused kernel removes.
 The aggregation itself is the fused kernels' edge-block driver and segment
 sum (:func:`~repro.core.optimized.run_edge_blocks`), so a fused/unfused
-comparison measures fusion, not two different summation routines.
+comparison measures fusion, not two different summation routines.  As
+in the fused kernels, that loop scales a neighbour row by its scalar
+message (``MUL``, DGL's ``u_mul_e``) as it sums.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..core.operators import is_builtin
 from ..core.optimized import run_edge_blocks
 from ..core.patterns import OpPattern, ResolvedPattern, get_pattern
 from .sddmm import SDDMMResult
@@ -51,9 +54,13 @@ def gspmm(
     resolved: ResolvedPattern = get_pattern(pattern, **pattern_overrides).resolved()
     mop = resolved.mop
     messages = H.messages
+    summed = resolved.aop.accumulate_ufunc is np.add
+    u_mul_e = summed and is_builtin(mop) and mop.name == "MUL" and messages.ndim == 1
 
     def body(X, Y, src, dst, vals, edges):
         Hb = messages[edges]
+        if u_mul_e:
+            return Hb, Y, dst
         return Hb if mop.is_noop else mop.batch_fn(Hb, np.take(Y, dst, axis=0), vals, None)
 
     return run_edge_blocks(H.A, None, Y, body, aop=resolved.aop, block_size=block_size)

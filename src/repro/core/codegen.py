@@ -18,12 +18,13 @@ edge-block loop, the output window and the left-to-right segment sum come
 from :func:`~repro.core.optimized.run_edge_blocks`.  The body gathers only
 the feature rows its expressions read and frees each temporary after its
 last read, so it holds no more block arrays than one hand-written
-expression.  A message that scales a ``(k, d)`` buffer by the lifted
-per-edge scalar (``H[:, None] * Yd``) is written over that buffer when the
-product has the buffer's dtype, so a block allocates no message array
-(:func:`_message_in_place`).  Generated kernels remove all per-step
-operator dispatch — the same benefit the paper gets from
-pattern-specialized C kernels.  The
+expression.  A message that scales a ``(k, d)`` buffer by a lifted
+per-edge scalar (``H[:, None] * Yd``, ``vals[:, None] * Yd``) is not
+formed (:func:`_scaled_message`): a summed body returns the scale and the
+buffer, and the driver's compiled sum applies the scale as it adds, so
+spmm's body gathers no rows at all; a max/min body writes the product over
+its buffer.  Generated kernels remove all per-step operator dispatch — the
+same benefit the paper gets from pattern-specialized C kernels.  The
 generated source can be inspected (:func:`generate_kernel_source`, or
 ``.source`` on a compiled kernel) for debugging or curiosity, exactly like
 the generated ``.c`` files of the original library.
@@ -108,12 +109,13 @@ def _generated_block_kernel(X, Y, src, dst, vals, edges):
       VOP = {vop}, ROP = {rop}, SOP = {sop}, MOP = {mop}, AOP = {aop}
     """
 {body}
-    return M
 '''
 
 # Row gathers use np.take: for narrow rows it is several times faster than
-# fancy indexing, with the same result.
-_GATHERS = [("Xs", "np.take(X, src, axis=0)"), ("Yd", "np.take(Y, dst, axis=0)")]
+# fancy indexing, with the same result.  Keyed by the gather, each value is
+# its array and index: the ``buf, cols`` of a scaled message.
+_GATHER_ARGS = {f"np.take({args}, axis=0)": args for args in ("X, src", "Y, dst")}
+_GATHERS = list(zip(("Xs", "Yd"), _GATHER_ARGS))
 
 
 def _uses(expr: str, name: str) -> int:
@@ -128,27 +130,24 @@ def mop_reads_vop_output(pattern: ResolvedPattern) -> bool:
     return _uses(mop_expr, "W") > 0
 
 
-def _message_in_place(pattern: ResolvedPattern, expr: str, named) -> Optional[Tuple[str, str]]:
+def _scaled_message(pattern: ResolvedPattern, expr: str, named) -> Optional[Tuple[str, str]]:
     """``(a, buf)`` when the message ``expr`` is the product ``a * buf`` of
-    the lifted per-edge scalar ``a`` (``H[:, None]``, possibly with
-    ``vals[:, None]``) and a ``(k, d)`` block buffer ``buf`` the body
-    assigned (a gather, or a built-in VOP's output ``W``); else ``None``.
-    The message is the body's last step, so nothing reads ``buf`` after
-    it, and ``np.multiply(a, buf, out=buf)`` runs the same ufunc loop on
-    the same operands as ``a * buf``: the same bits, one array fewer."""
-    if not pattern.message_is_scalar:
-        return None
+    a lifted per-edge scalar ``a`` (``H[:, None]`` and/or
+    ``vals[:, None]``) and a ``(k, d)`` block buffer ``buf``: a gather, or
+    a built-in VOP's output ``W`` the body assigned; else ``None``.
+
+    A sum returns ``a`` and ``buf`` (a gather as its array and index,
+    :data:`_GATHER_ARGS`) for the driver to scale as it sums.  A max/min
+    body writes the product over a named ``buf``: the message is the last
+    step, so nothing reads ``buf`` after it, and
+    ``np.multiply(a, buf, out=buf)`` runs the same ufunc loop on the same
+    operands as ``a * buf``, the same bits with one array fewer."""
     node = ast.parse(expr, mode="eval").body
-    if not (
-        isinstance(node, ast.BinOp)
-        and isinstance(node.op, ast.Mult)
-        and isinstance(node.right, ast.Name)
-    ):
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
         return None
-    buf = node.right.id
+    a, buf = (ast.get_source_segment(expr, n) for n in (node.left, node.right))
     buffers = {"Xs", "Yd"} | ({"W"} if is_builtin(pattern.vop) else set())
-    a = ast.get_source_segment(expr, node.left)
-    if buf not in buffers or buf not in named or "H[:, None]" not in a:
+    if not (buf in buffers & set(named) or buf in _GATHER_ARGS) or "[:, None]" not in a:
         return None
     # Nothing but the lifted scalars and the expression namespace.
     rest = a.replace("H[:, None]", "1").replace("vals[:, None]", "1")
@@ -214,15 +213,18 @@ def generate_kernel_source(pattern: ResolvedPattern) -> str:
         ]
         if dead and i < len(live) - 1:
             lines.append(f"del {', '.join(dead)}")
-    in_place = _message_in_place(pattern, live[-1][1], dict(live[:-1]))
-    if in_place is not None:
+    a, buf = _scaled_message(pattern, live[-1][1], dict(live[:-1])) or (None, None)
+    if buf is not None and pattern.aop.accumulate_ufunc is np.add:
+        lines[-1] = f"return {a}, {_GATHER_ARGS.get(buf, buf)}"
+    elif pattern.message_is_scalar and buf in dict(live):  # a buffer, not a gather
         # Written over the buffer only when the product has its dtype
         # (float32 features with float64 edge values do not).
-        a, buf = in_place
         lines[-1:] = [
             f"M = {a}",
             f"M = np.multiply(M, {buf}, out={buf} if np.result_type(M, {buf}) == {buf}.dtype else None)",
         ]
+    if not lines[-1].startswith("return"):
+        lines.append("return M")
     body = textwrap.indent("\n".join(lines), " " * 4)
 
     return _BODY_TEMPLATE.format(

@@ -84,16 +84,15 @@ def edge_softmax(A, scores: np.ndarray) -> np.ndarray:
         raise ShapeError(f"scores must have shape ({A.nnz},), got {scores.shape}")
     if A.nnz == 0:
         return scores.astype(np.float32)
-    indptr = A.indptr
     degrees = A.row_degrees()
     # Row-wise numerically-stable softmax over the CSR segments: the edges
     # of one row are contiguous, so the non-empty rows' starts delimit the
     # segments of the per-row max and (left-to-right) sum.
-    starts = indptr[:-1][degrees > 0]
-    seg_id = np.cumsum(np.isin(np.arange(A.nnz), starts)) - 1
+    starts = A.indptr[:-1][degrees > 0]
+    seg_id = np.repeat(np.arange(len(starts)), degrees[degrees > 0])
     row_max = np.maximum.reduceat(scores, starts)
     exp = np.exp(scores - row_max[seg_id])
-    row_sum = segment_sum(np.append(starts, A.nnz), exp[:, None])[:, 0]
+    row_sum = segment_sum(np.append(starts, A.nnz), exp)[:, 0]
     out = exp / row_sum[seg_id]
     return out.astype(np.float32)
 

@@ -21,34 +21,31 @@ Every edge-blocked kernel (the generated kernels of
 owns validation, the output window, the absolute edge grid and the
 reduction; a kernel supplies only the block body, which maps a block's
 edges to their messages.  What the driver derives from the matrix alone
-— per partition, each block's output rows, summation order and gathered
-edge arrays — is an :class:`EdgeSchedule` (:func:`edge_schedule`); a
-planned matrix keeps its schedule
+— per partition, each block's edge range, output rows and row segments —
+is an :class:`EdgeSchedule` (:func:`edge_schedule`); a planned matrix
+keeps its schedule
 (:meth:`repro.runtime.plan.KernelPlan.bound_schedule`), so its later
 calls do only the per-edge arithmetic.
 
 **Summation order.**  Within each edge block, a row's partial sum
 accumulates left to right in CSR edge order, in the message dtype, and is
-then added into the float64 ``Z`` (:func:`segment_order`,
-:func:`segment_sum`).  The driver hands the body a block's edges already
-in the order the sum reads them, so the messages are never gathered a
-second time.  ``max``/``min`` aggregations use ``ufunc.reduceat``, which
-is exact in any order.
+then added into the float64 ``Z``.  One call of SciPy's compiled CSR
+SpMM loop (``csr_matvecs``, loaded without importing ``scipy.sparse``)
+sums a whole block, its row segments as the CSR rows
+(:func:`segment_sum`).  A body whose messages are a per-edge scalar times
+a feature buffer returns the two, and that call applies the scale as it
+sums, as the paper's kernel scales ``y_v`` in registers (Fig. 5).
+``max``/``min`` aggregations use ``ufunc.reduceat``, which is exact in
+any order.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import (
-    Callable,
-    Iterable,
-    Iterator,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,7 +62,6 @@ __all__ = [
     "EdgeSchedule",
     "edge_schedule",
     "run_edge_blocks",
-    "segment_order",
     "segment_sum",
 ]
 
@@ -156,94 +152,89 @@ def _edge_block_ranges(lo: int, hi: int, block_size: int):
         start = stop
 
 
-#: Segments up to this long are summed together, one edge position at a
-#: time; each longer one is summed by one NumPy reduction.
-_SHORT_SEGMENT = 32
+def _load_sparsetools():
+    """SciPy's compiled sparse routines, ``scipy.sparse._sparsetools``,
+    loaded from their extension file: importing ``scipy.sparse`` would add
+    about 20 MB of RSS to every process.  Falls back to that import when
+    the file is not where SciPy's package keeps it."""
+    spec = importlib.util.find_spec("scipy")
+    name = "scipy.sparse._sparsetools"
+    for location in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(location, "sparse", "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+                loader.exec_module(module)
+                return module
+    from scipy.sparse import _sparsetools
+
+    return _sparsetools
 
 
-def segment_order(seg_ptr: np.ndarray) -> Tuple[np.ndarray, Callable]:
-    """Plan the left-to-right sums of one edge block's row segments.
+#: ``csr_matvecs(n_row, n_col, n_vecs, Ap, Aj, Ax, Xx, Yx)``: ``Y += A · X``
+#: for a CSR ``A`` and row-major ``X``/``Y``, the loop behind
+#: ``scipy.sparse``'s CSR × dense product.  Row ``i`` of ``Y`` adds
+#: ``Ax[jj] * X[Aj[jj]]`` for ``jj`` from ``Ap[i]`` to ``Ap[i+1]``, left to
+#: right, in the dtype of ``Ax``/``X``/``Y``.
+_csr_matvecs = _load_sparsetools().csr_matvecs
 
-    Segment ``i`` covers the block's edges ``[seg_ptr[i], seg_ptr[i+1])``.
-    Returns ``(perm, fold)``: ``perm`` lists the block's edges in the order
-    ``fold`` reads them, and ``fold(M)`` maps those edges' messages (the
-    rows of ``M``, in ``perm`` order) to one sum per segment.  Each sum adds
-    its segment's messages left to right in edge order, in the message
-    dtype: a long segment in one reduction along the slow axis of its
-    ``(edges, d)`` messages, which NumPy adds element by element (the
-    notes of ``np.sum``); the short ones together, one edge position at a
-    time.
+
+def segment_sum(seg_ptr: np.ndarray, M: np.ndarray, coef=None, cols=None) -> np.ndarray:
+    """Left-to-right sums of the row segments of the messages
+    ``coef[e] * M[cols[e]]``, one row of the result per segment.
+
+    Segment ``i`` covers the messages ``[seg_ptr[i], seg_ptr[i+1])``;
+    ``coef`` defaults to ones and ``cols`` to ``0, 1, …``, so
+    ``segment_sum(seg_ptr, M)`` sums the rows of ``M``.  ``M`` is ``(n, d)``,
+    or ``(n,)`` for one value per message.  Each sum starts from zero and
+    adds its messages in order, every product and sum in the dtype
+    ``np.result_type(coef, M)`` (float16 widened to float32): one call of
+    SciPy's ``csr_matvecs`` with ``seg_ptr`` as the row pointer.
     """
-    lengths = seg_ptr[1:] - seg_ptr[:-1]
-    order = np.argsort(-lengths, kind="stable")  # longest first
-    n_long = int(np.count_nonzero(lengths > _SHORT_SEGMENT))
-    long, short = order[:n_long], order[n_long:]
-    # Short segments in position-major order: position 0 of every one, then
-    # position 1 of those still running (a prefix, longest first), ...
-    pos = np.arange(lengths[short[0]] if len(short) else 0)[:, None]
-    running = pos < lengths[short]
-    active = np.count_nonzero(running, axis=1)
-    perm = (seg_ptr[short] + pos)[running]
-    if n_long:  # long segments go first, whole and in edge order
-        long_lengths = lengths[long]
-        offsets = np.repeat(seg_ptr[long] - (np.cumsum(long_lengths) - long_lengths), long_lengths)
-        perm = np.concatenate((np.arange(len(offsets)) + offsets, perm))
-
-    def fold(M: np.ndarray) -> np.ndarray:
-        M = np.ascontiguousarray(M)  # so a segment's slow axis is its edges
-        d = M.shape[1]
-        out = np.empty((len(lengths), d), M.dtype)
-        lo = 0
-        for s in long:
-            seg = M[lo:lo + lengths[s]]
-            lo += lengths[s]
-            # A single column is the fast axis, which np.sum sums pairwise.
-            out[s] = np.add.reduce(seg, axis=0) if d > 1 else np.add.accumulate(seg)[-1]
-        acc = np.zeros((len(short), d), M.dtype)
-        for n in active:
-            acc[:n] += M[lo:lo + n]
-            lo += n
-        out[short] = acc
-        return out
-
-    fold.nbytes = lengths.nbytes + order.nbytes + active.nbytes  # what it keeps
-    return perm, fold
-
-
-def segment_sum(seg_ptr: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Left-to-right sums of the row segments of ``M`` (edges in block
-    order; see :func:`segment_order`)."""
-    perm, fold = segment_order(seg_ptr)
-    return fold(M[perm])
+    k = int(seg_ptr[-1])
+    M = np.atleast_1d(M)
+    T = M.dtype if coef is None else np.result_type(coef, M)
+    if T == np.float16:  # csr_matvecs has no half-precision loop
+        T = np.dtype(np.float32)
+    if cols is not None and M.dtype != T:  # cast the rows read, not all of M
+        M, cols = np.take(M, cols, axis=0), None
+    if cols is None:
+        cols, in_range = np.arange(k), k <= len(M)
+    else:
+        cols = np.asarray(cols)
+        in_range = len(cols) == k and (k == 0 or 0 <= cols.min() <= cols.max() < len(M))
+    M = (M[:, None] if M.ndim == 1 else M).astype(T, copy=False)
+    # csr_matvecs checks no bounds: each segment and row it reads must exist.
+    if not in_range or M.ndim != 2 or seg_ptr[0] < 0 or np.any(np.diff(seg_ptr) < 0):
+        raise ShapeError(f"segment_sum: segments or rows out of range for messages {M.shape}")
+    coef = np.ones(k, T) if coef is None else np.asarray(coef, T).reshape(k)
+    out = np.zeros((len(seg_ptr) - 1, M.shape[1]), T)
+    _csr_matvecs(len(out), len(M), M.shape[1], seg_ptr, cols, coef, M, out)
+    return out
 
 
 class EdgeBlock(NamedTuple):
     """One grid-aligned edge block of a row partition, ready for a body.
 
-    ``src``/``dst``/``vals`` are the block's row ids, column ids and values
-    and ``edges`` indexes the CSR edge arrays: in summation order for a sum
-    (an index array), in CSR order for max/min (a plain ``slice``, whose
-    ``src``/``dst``/``vals`` are views).  ``rows`` are the output rows of
-    the block's row segments, relative to the partition start.
-    ``reduce`` maps the block's messages to one value per segment: the
-    :func:`segment_order` fold for a sum, the segment starts of a
-    ``ufunc.reduceat`` otherwise.
+    ``edges`` is the block's slice of the CSR edge arrays, and
+    ``src``/``dst``/``vals`` are views of its row ids, column ids and
+    values, in CSR order.  Segment ``i`` of the block covers its edges
+    ``[seg_ptr[i], seg_ptr[i+1])``, all in output row ``rows[i]``
+    (relative to the partition start).
     """
 
     rows: np.ndarray
     src: np.ndarray
     dst: np.ndarray
     vals: np.ndarray
-    edges: Union[np.ndarray, slice]
-    reduce: Union[Callable, np.ndarray]
+    edges: slice
+    seg_ptr: np.ndarray
 
     @property
     def nbytes(self) -> int:
-        """Bytes the block allocated (views of the matrix are not its own)."""
-        if isinstance(self.edges, slice):
-            return self.rows.nbytes + self.reduce.nbytes
-        own = (self.rows, self.src, self.dst, self.vals, self.edges)
-        return sum(a.nbytes for a in own) + self.reduce.nbytes
+        """Bytes the block allocated (its edge arrays are views)."""
+        return self.rows.nbytes + self.seg_ptr.nbytes
 
 
 class EdgeSchedule(NamedTuple):
@@ -271,12 +262,11 @@ class EdgeSchedule(NamedTuple):
 
     @property
     def nbytes(self) -> int:
-        """Bytes a kept schedule retains (the row ids a max/min block's
-        ``src`` views included)."""
+        """Bytes a kept schedule retains (the row ids its blocks' ``src``
+        views share included)."""
         total = sum(b.nbytes for blocks in self.blocks for b in blocks)
-        if not self.use_sum:
-            total += 8 * sum(p.nnz for p in self.parts) + self.empty.nbytes
-        return total
+        total += 8 * sum(p.nnz for p in self.parts)
+        return total + (0 if self.empty is None else self.empty.nbytes)
 
 
 def edge_schedule(
@@ -316,13 +306,8 @@ def edge_schedule(
             starts = np.flatnonzero(src[1:] != src[:-1]) + 1
             seg_ptr = np.concatenate(([0], starts, [e1 - e0]))
             rows = src[seg_ptr[:-1]] - part.start
-            if use_sum:
-                perm, reduce = segment_order(seg_ptr)
-                edges = e0 + perm
-                src = src[perm]
-            else:  # max/min are exact in any order
-                edges, reduce = slice(e0, e1), seg_ptr[:-1]
-            yield EdgeBlock(rows, src, indices[edges], data[edges], edges, reduce)
+            edges = slice(e0, e1)
+            yield EdgeBlock(rows, src, indices[edges], data[edges], edges, seg_ptr)
 
     work = [p for p in parts if p.num_rows > 0]
     return EdgeSchedule(
@@ -355,11 +340,13 @@ def run_edge_blocks(
     """The one edge-blocked FusedMM driver: execute ``A``'s block schedule.
 
     ``body(X, Y, src, dst, vals, edges)`` returns the messages of one block
-    of edges — ``(k, d)``, or ``(k,)`` scalars broadcast over the features
-    (see :class:`EdgeBlock`).  The edges of a summed block come in
-    summation order (:func:`segment_order`), not CSR order, so a body must
-    compute each edge's message on its own.  ``aop`` is the aggregation
-    operator (``None`` sums).  ``X=None`` is the SpMM form, ``Z = A · Y``,
+    of edges, in CSR order (see :class:`EdgeBlock`): ``(k, d)``, or
+    ``(k,)`` scalars broadcast over the features.  ``aop`` is the
+    aggregation operator (``None`` sums).  A summed body may instead
+    return ``(coef, buf)`` for the messages ``coef[:, None] * buf``, or
+    ``(coef, buf, cols)`` for ``coef[:, None] * buf[cols]``; the sum then
+    applies the per-edge scale as it adds (:func:`segment_sum`), and no
+    message array is formed.  ``X=None`` is the SpMM form, ``Z = A · Y``,
     whose body never reads source features.
 
     ``schedule`` is a kept :func:`edge_schedule` of ``A`` for this call's
@@ -407,13 +394,13 @@ def run_edge_blocks(
 
     def kernel(part: RowPartition, z_slice: np.ndarray) -> None:
         for b in blocks_of[id(part)]:
-            M = np.atleast_1d(body(X, Y, b.src, b.dst, b.vals, b.edges))
-            if M.ndim == 1:
-                M = M[:, None]
+            M = body(X, Y, b.src, b.dst, b.vals, b.edges)
             if use_sum:
-                z_slice[b.rows] += b.reduce(M)
+                coef, M, *cols = M if isinstance(M, tuple) else (None, M)
+                z_slice[b.rows] += segment_sum(b.seg_ptr, M, coef, *cols)
             else:
-                seg = ufunc.reduceat(M, b.reduce, axis=0)
+                M = np.atleast_1d(M)
+                seg = ufunc.reduceat(M.reshape(len(M), -1), b.seg_ptr[:-1], axis=0)
                 z_slice[b.rows] = ufunc(z_slice[b.rows], seg)
             # Free this block's messages before the next block is built, so
             # the footprint stays one block.

@@ -52,8 +52,9 @@ def test_generated_source_mentions_ops():
     assert "sigmoid(" in source  # shared clipped sigmoid from core.mathops
     # The emitted source is the block body: the inlined SOP and MOP steps.
     assert "H = sigmoid(S)" in source
-    # The message is written over the gathered neighbour rows.
-    assert "M = H[:, None]\n    M = np.multiply(M, Yd, out=Yd if" in source
+    # The body returns the scale and the gathered neighbour rows; the
+    # driver's sum applies the one to the other.
+    assert "return H[:, None], Yd\n" in source
     assert "def _generated_block_kernel" in source
 
 
@@ -61,32 +62,48 @@ def test_generated_source_fr_uses_difference():
     source = generate_kernel_source(get_pattern("fr_layout").resolved())
     # Each gather is read once, so it is inlined into the difference.
     assert "W = np.take(X, src, axis=0) - np.take(Y, dst, axis=0)" in source
-    assert "M = np.multiply(M, W, out=W if" in source  # MULDIFF consumes the VOP output
+    assert "return H[:, None], W\n" in source  # MULDIFF scales the VOP output
 
 
 _IN_PLACE = re.compile(r"M = (.+)\n +M = np\.multiply\(M, (\w+), out=.+\)\n")
+_SCALED = re.compile(r"return (.+?), (\w+)(?:, (\w+))?\n")
 
 
 def _without_in_place_message(source: str) -> str:
-    """``source`` with the in-place message back in its plain form,
-    ``M = (a) * buf``."""
-    return _IN_PLACE.sub(lambda m: f"M = ({m[1]}) * {m[2]}\n", source)
+    """``source`` with the in-place or scaled message back in its plain
+    form, ``(a) * buf``."""
+    source = _IN_PLACE.sub(lambda m: f"M = ({m[1]}) * {m[2]}\n", source)
+    return _SCALED.sub(
+        lambda m: f"return ({m[1]}) * "
+        + (m[2] if m[3] is None else f"np.take({m[2]}, {m[3]}, axis=0)")
+        + "\n",
+        source,
+    )
 
 
 def test_in_place_message_applies_to_the_scalar_message_products():
-    rewritten = {
-        name
+    sources = {
+        name: generate_kernel_source(get_pattern(name).resolved())
         for name in list_patterns()
-        if "out=" in generate_kernel_source(get_pattern(name).resolved())
     }
-    assert rewritten == {"fr_layout", "sigmoid_embedding", "sigmoid_residual"}
+    scaled = {name for name, source in sources.items() if _SCALED.search(source)}
+    assert scaled == {
+        "fr_layout", "gcn", "sigmoid_embedding", "sigmoid_residual", "spmm"
+    }
+    # spmm/gcn hand the driver Y itself and the block's column indices.
+    assert "return vals[:, None], Y, dst\n" in sources["spmm"]
+    # No sum writes in place; a max/min pattern writes its scalar-message
+    # product over its buffer.
+    assert not any("out=" in source for source in sources.values())
+    amax = get_pattern("sigmoid_embedding", aop="AMAX").resolved()
+    assert "M = np.multiply(M, Yd, out=Yd if" in generate_kernel_source(amax)
 
 
 @pytest.mark.parametrize("d", [1, 16, 128])
 @pytest.mark.parametrize("name", list_patterns())
 def test_in_place_message_is_bitwise_the_plain_product(name, d):
     """Every registered pattern's kernel against its source with the
-    in-place message undone, over float32/float64 features and edge
+    in-place or scaled message undone (the driver sums plain messages), over float32/float64 features and edge
     values, including the mixed dtypes where the product cannot be written
     over its buffer."""
     pattern = get_pattern(name).resolved()

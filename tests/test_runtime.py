@@ -433,7 +433,15 @@ def test_schedule_bytes_are_plan_bytes():
         assert rt.plan_bytes(fp) == {"plans": 1, "plan_bytes": 0}
         rt.run(A, X, **opts)
         nbytes = plan.schedule.nbytes
-        assert nbytes >= 28 * A.nnz  # src, dst, edges (int64) and vals (float32)
+        # A summed schedule keeps no per-edge copy: its blocks read the
+        # matrix's edge arrays in place, beside one row id per edge and,
+        # per block, the rows and bounds of its row segments.
+        blocks = [b for part in plan.schedule.blocks for b in part]
+        assert all(
+            np.shares_memory(b.dst, A.indices) and np.shares_memory(b.vals, A.data)
+            for b in blocks
+        )
+        assert 8 * A.nnz < nbytes <= 8 * A.nnz + 16 * A.nrows + 24 * len(blocks)
         assert rt.plan_bytes(fp) == {"plans": 1, "plan_bytes": nbytes}
         assert rt.cache_stats().retained_bytes == nbytes
         assert rt.release_matrix(fp)["plans"] == 1
