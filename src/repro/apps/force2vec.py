@@ -151,7 +151,7 @@ class Force2Vec:
         # sharded multi-process tier (bitwise identical results).
         self._runtime = KernelRuntime(
             cache_size=4,
-            # Panel geometry / reorder sweeps size against the real
+            # Block autotuning / reorder sweeps size against the real
             # embedding dimension, not the 128 default.
             autotune_dim=self.config.dim,
             **self.config.runtime_kwargs(),

@@ -87,7 +87,7 @@ class FRLayout:
         # matrices reuse the same plan via ``run_on``.
         self._runtime = KernelRuntime(
             cache_size=4,
-            # Panel geometry / reorder sweeps size against the layout
+            # Block autotuning / reorder sweeps size against the layout
             # dimension (typically 2), not the 128 default.
             autotune_dim=self.config.dim,
             **self.config.runtime_kwargs(),

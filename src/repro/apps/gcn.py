@@ -118,7 +118,7 @@ class GCN:
         self._runtime = KernelRuntime(
             cache_size=4,
             # Two of the three aggregations per epoch run at hidden_dim,
-            # so panel geometry / reorder sweeps size against it.
+            # so block autotuning / reorder sweeps size against it.
             autotune_dim=cfg.hidden_dim,
             **cfg.runtime_kwargs(),
         )

@@ -14,8 +14,7 @@ Sub-commands
                   targets).  Suites: ``runtime`` (plan cache + batch
                   packing), ``shard`` (multi-process shard scaling),
                   ``jit`` (JIT backend vs the NumPy backends),
-                  ``reorder`` (vertex reordering + cache blocking),
-                  ``cache_block`` (vectorized vs loop panel boundaries),
+                  ``reorder`` (vertex reordering vs natural order),
                   ``serve`` (micro-batching vs serial dispatch), ``wire``
                   (binary wire protocol vs HTTP), ``remote`` (TCP worker
                   hosts, failover and hedging legs), ``dynamic``
@@ -147,7 +146,6 @@ _BENCH_SUITES = (
     "shard",
     "jit",
     "reorder",
-    "cache_block",
     "serve",
     "wire",
     "remote",

@@ -6,14 +6,15 @@ under which a plan's resolution, partitioning, tuning and locality
 (vertex-reordering) decisions are valid.  Repeated calls on the same
 adjacency (the every-epoch training-loop case) hit the cache and skip
 straight to kernel execution; asking for a different ``reorder=`` strategy
-is a different plan, so bitwise-exact (``"none"``) and reordered plans
+is a different plan, so natural-order (``"none"``) and reordered plans
 coexist without invalidating each other.
 
 The cache is bounded twice — by entry count and by *retained bytes* —
-and evicts least-recently-used plans.  The byte bound exists for the
-locality tier: a reordered plan pins a permuted copy of its adjacency
-plus compacted panels (roughly 2× the matrix), so a count bound alone
-would let a serving loop over many large graphs grow without limit.
+and evicts least-recently-used plans.  The byte bound exists because
+plans hold memory: a reordered plan pins a permuted copy of its
+adjacency, and a plan that has run keeps its edge-block schedule, so a
+count bound alone would let a serving loop over many large graphs grow
+without limit.
 Entries report their weight through an optional ``retained()`` method
 (bytes by owner: plans of one matrix may share a permuted copy); plans
 without one weigh zero.  The budget charges every entry its full weight;
@@ -63,9 +64,9 @@ class CacheStats:
 
 
 #: Default ceiling on the bytes cached plans may retain (permuted
-#: matrices + panels of the locality tier).  The most-recent entry is
-#: always kept even when it alone exceeds the budget — a cache that
-#: refused the plan just built would defeat its purpose.
+#: matrices of the locality tier, kept edge-block schedules).  The
+#: most-recent entry is always kept even when it alone exceeds the budget
+#: — a cache that refused the plan just built would defeat its purpose.
 DEFAULT_BYTE_BUDGET = 2 * 1024 * 1024 * 1024
 
 
@@ -82,9 +83,8 @@ class PlanCache:
         self.capacity = capacity
         self.byte_budget = byte_budget
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
-        # Entry weights by owner, computed at insert and on reweigh()
-        # (weighing panel lists on every put/stats would be
-        # O(entries × panels)).
+        # Entry weights by owner, computed at insert and on reweigh(), so
+        # put/stats never weigh every entry again.
         self._weights: Dict[Hashable, Mapping[int, int]] = {}
         self._retained = 0
         self._lock = threading.RLock()

@@ -8,19 +8,19 @@ depend on the feature matrices:
   (:func:`repro.core.fused.plan_kernel`, the same call :func:`fusedmm`
   and :class:`FusedMM` make), together with its edge-block size
   (autotuned once when requested),
-* the nnz-balanced row partitioning of the bound adjacency, and for a
-  natural-order ``generated`` plan the bound adjacency's edge-block
-  schedule (:func:`~repro.core.optimized.edge_schedule`), built on its
-  first execution (:meth:`KernelPlan.bound_schedule`),
+* the nnz-balanced row partitioning of the matrix it executes, and for a
+  ``generated`` plan that matrix's edge-block schedule
+  (:func:`~repro.core.optimized.edge_schedule`), built on its first
+  execution (:meth:`KernelPlan.bound_schedule`),
 * the **locality tier** (``reorder=``): a vertex permutation of the bound
-  adjacency (:mod:`repro.sparse.reorder`) plus pre-compacted cache-blocked
-  row panels.  The permutation and the panels are computed once at plan
-  build and live on the plan (the plan cache is their only cache: plans
-  of one matrix under one strategy share them, and
-  :meth:`KernelPlan.reordered_key` names the permutation the sharded tier
-  ships); every execution permutes the operands, runs the panels against
-  compact cache-resident operand slices, and maps the output back to the
-  original vertex order — callers never see permuted data.
+  adjacency (:mod:`repro.sparse.reorder`) and the permuted matrix.  Both
+  are computed once at plan build and live on the plan (the plan cache is
+  their only cache: plans of one matrix under one strategy share them,
+  and :meth:`KernelPlan.reordered_key` names the permutation the sharded
+  tier ships); every execution permutes the operands, runs the permuted
+  matrix through the same edge-block driver, partitions and kept schedule
+  as a natural-order plan, and maps the output back to the original
+  vertex order — callers never see permuted data.
 
 Plans are built once per ``(matrix fingerprint, pattern, backend,
 num_threads, block_size, autotune, reorder)`` key and then
@@ -32,8 +32,9 @@ scheduling.
 Reordered execution re-associates each row's neighbour accumulation (the
 columns are re-sorted under the new numbering), so its results are
 *allclose*-equivalent to the natural ordering rather than bitwise
-identical; ``reorder="none"`` (the default) leaves every existing bitwise
-guarantee untouched.
+identical.  Within one strategy they are bitwise identical across thread
+counts, shard counts and the in-process/sharded split: every path runs
+the same partitions of the same permuted matrix.
 """
 
 from __future__ import annotations
@@ -52,14 +53,7 @@ from ..core.optimized import DEFAULT_BLOCK_SIZE, EdgeSchedule, edge_schedule
 from ..core.partition import RowPartition, split_parts
 from ..core.patterns import OpPattern, ResolvedPattern, pattern_key
 from ..sparse import CSRMatrix, as_csr
-from ..sparse.reorder import (
-    REORDER_STRATEGIES,
-    PanelBlock,
-    build_panels,
-    cache_block_partitions,
-    reorder_matrix,
-    validate_reorder,
-)
+from ..sparse.reorder import REORDER_STRATEGIES, reorder_matrix, validate_reorder
 from .fingerprint import derived_fingerprint, matrix_fingerprint
 
 __all__ = [
@@ -81,8 +75,7 @@ class PlanKey:
     num_threads: int
     block_size: int  # 0 = backend default / autotuned
     autotune: bool
-    #: vertex-reordering strategy of the locality tier ("none" = natural
-    #: order, bitwise-exact legacy path)
+    #: vertex-reordering strategy of the locality tier ("none" = natural order)
     reorder: str = "none"
 
 
@@ -101,14 +94,14 @@ class KernelPlan:
     num_threads: int
     nnz: int
     shape: Tuple[int, int]
-    #: nnz-balanced partitions used when the runtime splits this job
-    #: (cache-blocked panel boundaries when the plan is reordered); the
-    #: runtime schedules one task per partition
+    #: nnz-balanced partitions used when the runtime splits this job (of
+    #: ``reordered`` when the plan is reordered); the runtime schedules one
+    #: task per partition
     partitions: Sequence[RowPartition] = field(default_factory=list)
     tuning: Optional[TuningResult] = None
     #: the resolved kernel (:func:`repro.core.fused.resolve_backend`)
     kernel: Optional[Callable] = None
-    #: resolved locality strategy ("none" keeps the legacy bitwise path)
+    #: resolved locality strategy ("none" = natural order)
     reorder: str = "none"
     #: ``reorder=<strategy>:<perm digest>`` — names the permutation that
     #: built ``reordered``, so its ship key (:meth:`reordered_key`) names
@@ -119,15 +112,14 @@ class KernelPlan:
     inv_perm: Optional[np.ndarray] = field(default=None, repr=False)
     #: the symmetrically permuted adjacency the reordered path executes
     reordered: Optional[CSRMatrix] = field(default=None, repr=False)
-    #: pre-compacted cache-blocked panels of ``reordered``
-    panels: Sequence[PanelBlock] = field(default_factory=list, repr=False)
     #: measured reorder sweep (when ``reorder="auto"`` was requested)
     reorder_tuning: Optional[ReorderTuning] = None
     #: times this plan has been executed
     calls: int = 0
     _calls_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    #: the bound matrix's kept edge-block schedule, built on its first
-    #: execution (:meth:`bound_schedule`); ``init=False``, so
+    #: the kept edge-block schedule of the executed matrix (``reordered``
+    #: or the bound one), built on the first execution of the bound
+    #: matrix (:meth:`bound_schedule`); ``init=False``, so
     #: ``dataclasses.replace`` never carries it to another matrix
     schedule: Optional[EdgeSchedule] = field(default=None, init=False, repr=False)
     _schedule_lock: threading.Lock = field(
@@ -148,26 +140,14 @@ class KernelPlan:
 
         The caller owns the bound adjacency, so an unexecuted natural-order
         plan weighs nothing.  A reordered plan retains the permuted CSR
-        copy, the permutation arrays and the compacted panel sub-CSRs; a
-        natural-order plan that has run on its bound matrix retains its
-        edge-block schedule.  The plan LRU uses this to bound its total
-        footprint.
+        copy and the permutation arrays; a plan that has run on its bound
+        matrix retains its edge-block schedule.  The plan LRU uses this to
+        bound its total footprint.
         """
         owners: Dict[int, int] = {}
-        if self.reordered is not None:
-            total = self.reordered.memory_bytes() + 2 * 8 * self.reordered.nrows
-            for panel in self.panels:
-                if panel.matrix is not None:
-                    # Count only the panel's fresh allocations: its localised
-                    # index and indptr arrays plus the distinct-column map.
-                    # The value array is a view into ``reordered.data`` —
-                    # already counted above.
-                    total += (
-                        8 * panel.matrix.nnz
-                        + 8 * (panel.matrix.nrows + 1)
-                        + 8 * panel.cols.shape[0]
-                    )
-            owners[id(self.reordered)] = total
+        Ap = self.reordered
+        if Ap is not None:
+            owners[id(Ap)] = Ap.memory_bytes() + 2 * 8 * Ap.nrows
         schedule = self.schedule
         if schedule is not None:
             owners[id(schedule)] = schedule.nbytes
@@ -211,20 +191,22 @@ class KernelPlan:
         return Xp, Yp
 
     def bound_schedule(self, A) -> Optional[EdgeSchedule]:
-        """The kept edge-block schedule of the bound matrix ``A`` over
-        :attr:`partitions`, built on the first call (``None`` for a plan
-        whose execution is not the natural-order edge-block driver).
+        """The kept edge-block schedule over :attr:`partitions` of the
+        matrix a bound-matrix execution runs — ``reordered`` for a
+        reordered plan, else the bound matrix ``A`` — built on the first
+        call (``None`` for a plan whose execution is not the edge-block
+        driver).
 
         ``A`` must hold the content this plan was built for; the runtime
         asks only on a bound-matrix execution.  Concurrent first calls
         build it once.
         """
-        if self.kind != "generated" or self.reordered is not None:
+        if self.kind != "generated":
             return None
         with self._schedule_lock:
             if self.schedule is None:
                 self.schedule = edge_schedule(
-                    A,
+                    A if self.reordered is None else self.reordered,
                     self.partitions,
                     block_size=self.block_size,
                     aop=self.resolved.aop,
@@ -252,22 +234,20 @@ class KernelPlan:
         negative matrices may also be passed — the resolution and dispatch
         decisions still apply, only the partitioning is recomputed by the
         kernel when ``parts`` is not given.  Reordered plans detect the
-        bound matrix by fingerprint and route it through the locality
-        tier; derived matrices always run on the direct (natural-order)
-        path.
+        bound matrix by fingerprint and execute ``reordered`` instead, over
+        :attr:`partitions` unless ``parts`` names row ranges of it:
+        operands are permuted on the way in and the result is mapped back
+        to original vertex order.  Derived matrices always run on the
+        direct (natural-order) path.
 
         ``out=``/``row_offset=`` pass straight through to the kernels'
         shared output surface: shard workers hand in a view of their row
         range of the shared output segment, so no worker ever allocates a
         full ``(nrows, d)`` result.  On the reordered path the permuted
-        result is scattered back into the requested window, so callers see
+        result is gathered back into the requested window, so callers see
         original vertex order either way.  ``parts``/``block_size``
-        overrides only apply to the direct path: a reordered
-        plan's blocking *is* its pre-compacted panels, so the overrides
-        are ignored when the bound matrix routes through the locality
-        tier (execute on a ``reorder="none"`` plan to A/B blocking
-        parameters).  ``schedule`` (:meth:`bound_schedule`) replaces them
-        on the natural-order path.
+        override the plan's blocking on either path; ``schedule``
+        (:meth:`bound_schedule`) replaces them.
         """
         with self._calls_lock:
             self.calls += 1
@@ -276,14 +256,21 @@ class KernelPlan:
             and self.reordered is not None
             and self.matches_bound(A)
         ):
-            return self._execute_reordered(
-                X,
-                Y,
+            Xp, Yp = self.permute_operands(X, Y)
+            Zp = self._kernel_call(
+                self.reordered,
+                Xp,
+                Yp,
+                parts=self.partitions if parts is None else parts,
                 pool=pool,
                 num_threads=num_threads,
-                out=out,
-                row_offset=row_offset,
+                block_size=block_size,
+                schedule=schedule,
             )
+            if out is None:
+                return Zp[self.inv_perm]
+            out[...] = Zp[self.inv_perm[row_offset : row_offset + out.shape[0]]]
+            return out
         return self._kernel_call(
             A,
             X,
@@ -296,65 +283,6 @@ class KernelPlan:
             row_offset=row_offset,
             schedule=schedule,
         )
-
-    # ------------------------------------------------------------------ #
-    def _execute_reordered(
-        self,
-        X,
-        Y,
-        *,
-        pool: Optional[ThreadPoolExecutor] = None,
-        num_threads: Optional[int] = None,
-        out: Optional[np.ndarray] = None,
-        row_offset: int = 0,
-    ) -> np.ndarray:
-        """The locality tier: permute operands once, run the pre-compacted
-        cache-blocked panels, map the output back to original order.
-
-        Each panel call gathers its distinct destination rows into a
-        compact buffer sized for the panel budget, so the per-edge gathers
-        hit cache instead of walking the full dense operand.  Panels write
-        disjoint row ranges of the permuted output, so they fan out over
-        the shared pool exactly like natural-order partitions.
-        """
-        Ap = self.reordered
-        Xp, Yp = self.permute_operands(X, Y)
-        ref = Xp if Xp is not None else Yp
-        Zp = np.empty((Ap.nrows, ref.shape[1]), dtype=ref.dtype)
-
-        def run_panel(panel: PanelBlock) -> None:
-            zw = Zp[panel.start : panel.stop]
-            if panel.matrix is None:
-                # Compaction skipped (panel touches ~every column): run a
-                # windowed call on the full permuted matrix instead.
-                self._kernel_call(
-                    Ap,
-                    Xp,
-                    Yp,
-                    num_threads=1,
-                    out=zw,
-                    row_offset=panel.start,
-                )
-                return
-            Xs = None if Xp is None else Xp[panel.start : panel.stop]
-            Ys = (Yp if Yp is not None else Xp)[panel.cols]
-            self._kernel_call(
-                panel.matrix, Xs, Ys, num_threads=1, out=zw, row_offset=0
-            )
-
-        nt = self.num_threads if num_threads is None else num_threads
-        if pool is not None and nt > 1 and len(self.panels) > 1:
-            futures = [pool.submit(run_panel, p) for p in self.panels]
-            for fut in futures:
-                fut.result()
-        else:
-            for panel in self.panels:
-                run_panel(panel)
-
-        if out is None:
-            return Zp[self.inv_perm]
-        out[...] = Zp[self.inv_perm[row_offset : row_offset + out.shape[0]]]
-        return out
 
     # ------------------------------------------------------------------ #
     def _kernel_call(
@@ -374,8 +302,8 @@ class KernelPlan:
         """The resolved kernel with the plan's blocking (no reorder handling).
 
         Does not touch the ``calls`` counter — :meth:`execute` counts one
-        per planned execution, while this method also runs once per panel
-        on the reordered path and for build-time sweep trials.
+        per planned execution, while this method also runs the build-time
+        sweep's natural-order trial.
         """
         return self.kernel(
             A,
@@ -407,11 +335,6 @@ class KernelPlan:
             "fingerprint": self.key.fingerprint,
             "reorder": self.reorder,
         }
-        if self.reorder != "none":
-            info["panels"] = len(self.panels)
-            info["compacted_panels"] = sum(
-                1 for p in self.panels if p.matrix is not None
-            )
         if self.reorder_tuning is not None:
             info["reorder_tuning"] = self.reorder_tuning.as_dict()
         if self.tuning is not None:
@@ -502,7 +425,14 @@ def build_plan(
         tuning=choice.tuning,
         kernel=choice.kernel,
     )
-    _apply_reorder(plan, A, key, autotune_dim=autotune_dim, siblings=siblings)
+    _apply_reorder(
+        plan,
+        A,
+        key,
+        split_nnz=split_nnz,
+        autotune_dim=autotune_dim,
+        siblings=siblings,
+    )
     return plan
 
 
@@ -516,14 +446,13 @@ def _reorder_eligible(plan: KernelPlan, A: CSRMatrix) -> bool:
 
 
 def _adopt_reordering(plan: KernelPlan, source: KernelPlan) -> None:
-    """Point ``plan`` at ``source``'s permutation, permuted matrix and
-    panels (shared, not copied)."""
+    """Point ``plan`` at ``source``'s permutation and permuted matrix
+    (shared, not copied) and its partitions of that matrix."""
     plan.reorder = source.reorder
     plan.reorder_tag = source.reorder_tag
     plan.perm = source.perm
     plan.inv_perm = source.inv_perm
     plan.reordered = source.reordered
-    plan.panels = source.panels
     plan.partitions = source.partitions
 
 
@@ -532,37 +461,30 @@ def _attach_reorder(
     A: CSRMatrix,
     strategy: str,
     *,
-    autotune_dim: int,
+    split_nnz: int,
     siblings: Sequence[KernelPlan] = (),
 ) -> None:
-    """Bind the permuted matrix + compacted panels for ``strategy``.
+    """Bind the permuted matrix for ``strategy`` and split it like any
+    other bound matrix (:func:`~repro.core.partition.split_parts`).
 
-    ``siblings`` are cached plans of the same fingerprint.  A strategy is
-    a deterministic function of the matrix, so a sibling reordered by the
-    same strategy holds exactly the permutation, tag and panels this would
-    compute (its panels were split under the same natural partitions), and
-    the plan shares them instead of computing a second copy.  Otherwise the
-    plan's natural-order partitions set the least panel count, so a
-    reordered plan splits at least as finely.
+    ``siblings`` are cached plans of the same fingerprint in the same
+    runtime.  A strategy is a deterministic function of the matrix, so a
+    sibling reordered by the same strategy holds exactly the permutation,
+    tag and partitions this would compute, and the plan shares them
+    instead of computing a second copy.
     """
     for sibling in siblings:
         if sibling.reorder == strategy and sibling.reordered is not None:
             _adopt_reordering(plan, sibling)
             return
     result = reorder_matrix(A, strategy)
-    parts = cache_block_partitions(
-        result.matrix, dim=autotune_dim, min_parts=len(plan.partitions)
-    )
     digest = hashlib.blake2b(result.perm.tobytes(), digest_size=8).hexdigest()
     plan.reorder = strategy
     plan.reorder_tag = f"reorder={strategy}:{digest}"
     plan.perm = result.perm
     plan.inv_perm = result.inv_perm
     plan.reordered = result.matrix
-    plan.panels = build_panels(result.matrix, parts)
-    # One schedulable task per panel: the runtime's split path fans the
-    # panels out over the shared pool whenever there is more than one.
-    plan.partitions = parts
+    plan.partitions = split_parts(result.matrix, split_nnz)
 
 
 def _apply_reorder(
@@ -570,18 +492,19 @@ def _apply_reorder(
     A: CSRMatrix,
     key: PlanKey,
     *,
+    split_nnz: int,
     autotune_dim: int,
     siblings: Sequence[KernelPlan] = (),
 ) -> None:
     """Resolve ``key.reorder`` on the freshly built plan.
 
-    * ``"none"`` — nothing to do (the bitwise-exact legacy path).
+    * ``"none"`` — nothing to do (the natural order).
     * explicit strategy — always applied (when the matrix is eligible).
     * ``"auto"`` — a measured sweep: every candidate (including
       ``"none"``) runs one complete planned call — operand permutation,
-      compacted panel execution, inverse mapping — on synthetic features
-      of the autotune dimension, and the fastest wins.  The winning
-      trial's permutation and panels move into the plan (nothing is
+      the edge-block driver on the permuted matrix, inverse mapping — on
+      synthetic features of the autotune dimension, and the fastest wins.
+      The winning trial's permutation moves into the plan (nothing is
       recomputed); the verdict stays on the plan (``reorder_tuning``), so
       a cached plan never re-measures and the losers are
       garbage-collected.
@@ -597,7 +520,7 @@ def _apply_reorder(
     if not _reorder_eligible(plan, A):
         return
     if strategy != "auto":
-        _attach_reorder(plan, A, strategy, autotune_dim=autotune_dim, siblings=siblings)
+        _attach_reorder(plan, A, strategy, split_nnz=split_nnz, siblings=siblings)
         return
 
     # Measured selection.  Candidates share the synthetic operands; every
@@ -616,13 +539,13 @@ def _apply_reorder(
         # replace() copies every field (so future dispatch-relevant
         # fields cannot be silently dropped from the trial config).
         trial = replace(plan)
-        _attach_reorder(trial, A, cand, autotune_dim=autotune_dim, siblings=siblings)
+        _attach_reorder(trial, A, cand, split_nnz=split_nnz, siblings=siblings)
         trial_plans[cand] = trial
-        candidates[cand] = lambda t=trial: t._execute_reordered(X, X)
+        candidates[cand] = lambda t=trial: t.execute(A, X, X, num_threads=1)
     sweep = autotune_reorder(candidates)
     plan.reorder_tuning = sweep
     if sweep.strategy == "none":
         return
     # Transplant the just-measured trial instead of recomputing the
-    # permutation and panels.
+    # permutation.
     _adopt_reordering(plan, trial_plans[sweep.strategy])

@@ -25,10 +25,9 @@ on.  It owns
   shared memory — the escape hatch from the GIL for kernels too small to
   amortise NumPy's internal threading;
 * a **locality tier** (``reorder=``): plans can bind a vertex-reordered
-  copy of the adjacency plus cache-blocked, column-compacted row panels
-  (:mod:`repro.sparse.reorder`), computed once per cached plan and
-  replayed every epoch — outputs are transparently mapped back to the
-  original vertex order.
+  copy of the adjacency (:mod:`repro.sparse.reorder`), computed once per
+  cached plan and run every epoch like a natural-order matrix — outputs
+  are transparently mapped back to the original vertex order.
 
 Determinism
 -----------
@@ -37,10 +36,11 @@ assignment) depend only on the requests themselves — never on how many
 worker threads or processes the runtime happens to own — so results are
 bitwise identical across thread *and* shard counts, extending the
 invariant documented in :mod:`repro.core.parallel`.  The locality tier
-(``reorder=`` other than ``"none"``) deliberately trades the *bitwise*
-part for throughput: reordered results are allclose-equivalent (exact at
-float64 up to reassociation) and remain deterministic for a fixed
-strategy and execution path.
+(``reorder=`` other than ``"none"``) keeps that invariant for a fixed
+strategy — every path runs the same partitions of the same permuted
+matrix — but re-associates each row's sum, so reordered results are
+allclose-equivalent to the natural order (exact at float64 up to
+reassociation), not bitwise equal to it.
 """
 
 from __future__ import annotations
@@ -122,11 +122,9 @@ class EpochStream:
 
         When the runtime owns a worker pool (``processes=``) and the bound
         adjacency is large enough, the call runs through the sharded
-        multi-process tier — bitwise identically to the in-process path
-        for ``reorder="none"`` plans.  Reordered plans are allclose
-        across the two paths (the in-process path executes compacted
-        panels, the sharded path natural-order kernels on the permuted
-        matrix), each path deterministic in itself.
+        multi-process tier — bitwise identically to the in-process path,
+        reordered plans included (both paths run the plan's partitions of
+        its permuted matrix).
         """
         t0 = time.perf_counter()
         rt = self._runtime
@@ -194,7 +192,7 @@ class KernelRuntime:
         Default autotuning policy for new plans (overridable per call).
     reorder:
         Default locality strategy for new plans (overridable per call):
-        ``"none"`` (default, bitwise-exact), an explicit strategy from
+        ``"none"`` (default, the natural order), an explicit strategy from
         :data:`repro.sparse.REORDER_STRATEGIES`, or ``"auto"`` (measured
         once per plan; picked only when faster).  See
         :mod:`repro.sparse.reorder`.
@@ -443,7 +441,7 @@ class KernelRuntime:
         """Fetch (or build and cache) the execution plan for ``A``.
 
         ``reorder`` selects the locality tier for this plan (default: the
-        runtime's ``reorder`` setting); the permutation, panels and any
+        runtime's ``reorder`` setting); the permutation and any
         measured sweep happen once here and are replayed by every
         execution of the cached plan.
         """
@@ -511,12 +509,11 @@ class KernelRuntime:
         marks a one-shot matrix: nothing derived from it is kept (its
         shared segments are torn down afterwards, no schedule is built).
 
-        Either way the same partitions run with the same resolved kernel,
-        and the split count depends on the matrix alone, so ``reorder=
-        "none"`` results are bitwise identical across thread and shard
-        counts; reordered plans are allclose across the two paths (the
-        in-process path runs compacted panels, the sharded path
-        natural-order kernels on the permuted matrix).
+        Either way the same partitions run with the same resolved kernel
+        on the same matrix (a reordered plan's permuted one), and the
+        split count depends on the matrix alone, so results are bitwise
+        identical across thread and shard counts and across the two
+        paths.
         """
         if prep is not None:
             self._bump("sharded_jobs")
@@ -610,10 +607,10 @@ class KernelRuntime:
 
         For a reordered plan the tier ships the *permuted* matrix (under
         :meth:`~repro.runtime.plan.KernelPlan.reordered_key`, which names
-        the permutation) and builds the shards from the permuted
-        cache-panel partitions — reordered matrices nnz-balance better, so
-        shard skew drops.  The operands are permuted and the gathered
-        output mapped back via the returned plan handle.
+        the permutation) and builds the shards from the plan's partitions
+        of that matrix, the ones the in-process path runs.  The operands
+        are permuted and the gathered output mapped back via the returned
+        plan handle.
         """
         # Cheap capacity probe first: streaming calls come through here on
         # every epoch, and the spec below pickles the pattern.
@@ -636,8 +633,8 @@ class KernelRuntime:
             and plan.matches_bound(A)
         )
         if reordered:
-            # Workers execute the permuted matrix with natural-order
-            # kernels; the permuted panel boundaries are the shard units.
+            # Workers execute the permuted matrix over the plan's
+            # partitions of it, exactly as the in-process path does.
             A = plan.reordered
             key = plan.reordered_key()
         else:
@@ -721,11 +718,10 @@ class KernelRuntime:
     ) -> np.ndarray:
         """One-shot planned execution through the multi-process tier.
 
-        Bitwise identical to :meth:`run` (and to sequential
-        :func:`~repro.core.fused.fusedmm`) for ``reorder="none"`` plans;
-        reordered plans are allclose to :meth:`run` — the workers execute
-        natural-order kernels on the permuted matrix, deterministically
-        for any shard count.  Runs in process when the runtime has no
+        Bitwise identical to :meth:`run` for every plan, and to sequential
+        :func:`~repro.core.fused.fusedmm` for ``reorder="none"`` plans; a
+        reordered plan's workers run its permuted matrix, so its result is
+        allclose to natural order.  Runs in process when the runtime has no
         sharded capacity or the pattern cannot cross a process boundary.
         A worker or host lost mid-call costs time, not the call: its rows
         finish in-parent.

@@ -7,12 +7,10 @@ of thread scheduling.  A :class:`ShardPlan` groups those partitions into
 ``num_shards`` contiguous, nnz-balanced shards; each shard is executed by
 one worker process of :class:`repro.runtime.workers.WorkerPool`.
 
-Reordered plans (the ``reorder=`` locality tier) hand in the cache-panel
-partitions of the *permuted* matrix: hub-heavy rows are spread by the
-renumbering, so the panel nnz distribution is flatter and the resulting
-shard skew (:meth:`ShardPlan.balance`) drops relative to the natural
-ordering — the workers then execute the permuted matrix and the parent
-maps the gathered output back to original vertex order.
+Reordered plans (the ``reorder=`` locality tier) hand in their partitions
+of the *permuted* matrix, the same ones the in-process path runs; the
+workers execute the permuted matrix and the parent maps the gathered
+output back to original vertex order.
 
 Determinism
 -----------

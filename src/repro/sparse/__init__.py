@@ -14,9 +14,9 @@ Public names
     Self-contained Matrix Market coordinate I/O.
 ``random_csr`` & friends
     Controlled random sparsity patterns for tests and benchmarks.
-``reorder_matrix`` / ``cache_block_partitions``
+``reorder_matrix``
     The locality tier: vertex reordering (RCM, degree sort, hub
-    clustering) and LLC-sized CSR row panels.
+    clustering) as a symmetric permutation.
 """
 
 from .coo import COOMatrix
@@ -28,10 +28,7 @@ from .random import banded_csr, block_diagonal_csr, random_bipartite, random_csr
 from .reorder import (
     REORDER_CHOICES,
     REORDER_STRATEGIES,
-    PanelBlock,
     ReorderResult,
-    build_panels,
-    cache_block_partitions,
     permute_symmetric,
     reorder_matrix,
     reorder_permutation,
@@ -56,11 +53,8 @@ __all__ = [
     "REORDER_CHOICES",
     "REORDER_STRATEGIES",
     "ReorderResult",
-    "PanelBlock",
-    "build_panels",
     "validate_reorder",
     "reorder_permutation",
     "permute_symmetric",
     "reorder_matrix",
-    "cache_block_partitions",
 ]

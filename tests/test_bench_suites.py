@@ -108,27 +108,6 @@ _CASES = {
         False,
         False,
     ),
-    "cache_block not identical": (
-        "cache_block",
-        [{"ordering": "hub", "nodes": 200_000, "speedup": 2.0, "identical": False}],
-        True,
-        True,
-        True,
-    ),
-    "cache_block slow": (
-        "cache_block",
-        [{"ordering": "hub", "nodes": 200_000, "speedup": 1.1, "identical": True}],
-        False,
-        True,
-        False,
-    ),
-    "cache_block quick waiver": (
-        "cache_block",
-        [{"ordering": "hub", "nodes": 200_000, "speedup": 1.1, "identical": True}],
-        True,
-        False,
-        False,
-    ),
     "serve not identical": (
         "serve",
         _pair(_SERVE, mode="coalesced", bitwise_identical=False, speedup_vs_serial=2.0),

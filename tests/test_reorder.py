@@ -1,4 +1,4 @@
-"""Tests for the locality tier: vertex reordering + cache-blocked execution.
+"""Tests for the locality tier: vertex reordering.
 
 The contracts under test:
 
@@ -9,6 +9,10 @@ The contracts under test:
   direct execution across patterns × backends × shard counts; exact at
   float64 up to reassociation (tight tolerance), loose float32 tolerance
   otherwise.
+* **One permuted matrix on every path** — a reordered result is bitwise
+  identical across thread counts, shard counts and the in-process/sharded
+  split, because every path runs the plan's partitions of its permuted
+  matrix through the one edge-block driver and its kept schedule.
 * **``reorder="none"`` stays bitwise identical** to the natural-order
   path — the locality tier must not perturb the repo's existing
   guarantees, in process or through 1/2/4 worker shards.
@@ -19,17 +23,16 @@ The contracts under test:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.fused import fusedmm
 from repro.errors import BackendError, ShapeError
 from repro.graphs import random_features, rmat
 from repro.runtime import KernelRuntime
+from repro.runtime import plan as plan_module
 from repro.sparse import (
     REORDER_STRATEGIES,
-    build_panels,
-    cache_block_partitions,
     random_csr,
     reorder_matrix,
     reorder_permutation,
@@ -43,7 +46,7 @@ CONCRETE = [s for s in REORDER_STRATEGIES if s != "none"]
 
 @pytest.fixture(scope="module")
 def graph():
-    """A power-law graph big enough for multiple panels and plan splits."""
+    """A power-law graph big enough for plan splits."""
     A = rmat(1500, 24_000, seed=11)
     X = random_features(A.nrows, 12, seed=3)
     return A, X
@@ -94,84 +97,6 @@ def test_reorder_requires_square_matrix():
         reorder_permutation(B, "bogus")
     with pytest.raises(BackendError):
         reorder_permutation(B, "auto")
-
-
-# ---------------------------------------------------------------------- #
-# Cache-blocked panels
-# ---------------------------------------------------------------------- #
-def test_cache_block_partitions_cover_all_rows(graph):
-    A, _ = graph
-    parts = cache_block_partitions(A, dim=32, budget_bytes=1 << 16)
-    assert parts[0].start == 0 and parts[-1].stop == A.nrows
-    for a, b in zip(parts, parts[1:]):
-        assert a.stop == b.start
-    assert sum(p.nnz for p in parts) == A.nnz
-    assert len(parts) > 1  # the tiny budget must actually tile
-
-
-def test_cache_block_partitions_respect_bounds(graph):
-    A, _ = graph
-    few = cache_block_partitions(A, dim=32, budget_bytes=1 << 16, max_parts=4)
-    assert len(few) <= 4
-    many = cache_block_partitions(A, dim=32, budget_bytes=1 << 30, min_parts=6)
-    assert len(many) >= 6
-    assert sum(p.nnz for p in many) == A.nnz
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    n=st.integers(min_value=0, max_value=300),
-    density=st.floats(min_value=0.0, max_value=0.3),
-    seed=st.integers(min_value=0, max_value=10_000),
-    dim=st.sampled_from([4, 32, 128]),
-    budget=st.sampled_from([1 << 10, 1 << 14, 1 << 20]),
-)
-def test_cache_block_vectorized_matches_loop(n, density, seed, dim, budget):
-    """The chunk-vectorized panel path is boundary-for-boundary identical
-    to the Python row loop (also asserted at scale by
-    ``repro bench cache_block``)."""
-    A = random_csr(n, n, density=density, seed=seed)
-    loop = cache_block_partitions(
-        A, dim=dim, budget_bytes=budget, impl="loop"
-    )
-    vec = cache_block_partitions(
-        A, dim=dim, budget_bytes=budget, impl="vectorized"
-    )
-    assert loop == vec
-    auto = cache_block_partitions(A, dim=dim, budget_bytes=budget)
-    assert auto == loop
-
-
-def test_cache_block_vectorized_matches_loop_on_reordered(graph):
-    A, _ = graph
-    for strategy in CONCRETE:
-        Ap = reorder_matrix(A, strategy).matrix
-        assert cache_block_partitions(
-            Ap, dim=64, budget_bytes=1 << 15, impl="loop"
-        ) == cache_block_partitions(
-            Ap, dim=64, budget_bytes=1 << 15, impl="vectorized"
-        )
-
-
-def test_cache_block_rejects_unknown_impl(graph):
-    A, _ = graph
-    with pytest.raises(ValueError):
-        cache_block_partitions(A, impl="numba")
-
-
-def test_build_panels_localises_columns(graph):
-    A, _ = graph
-    parts = cache_block_partitions(A, dim=32, budget_bytes=1 << 16)
-    panels = build_panels(A, parts)
-    assert len(panels) == len(parts)
-    for panel in panels:
-        if panel.matrix is None:
-            continue
-        # Local indices reference exactly the panel's distinct columns.
-        assert panel.matrix.ncols == panel.cols.shape[0]
-        restored = panel.cols[panel.matrix.indices]
-        lo, hi = int(A.indptr[panel.start]), int(A.indptr[panel.stop])
-        assert np.array_equal(restored, A.indices[lo:hi])
 
 
 # ---------------------------------------------------------------------- #
@@ -229,7 +154,7 @@ def test_reordered_thread_count_invariant(graph):
     try:
         Z1 = rt1.run(A, X, pattern="sigmoid_embedding", reorder="rcm")
         Z4 = rt4.run(A, X, pattern="sigmoid_embedding", reorder="rcm")
-        # Panels are fixed at plan build, so the fan-out width cannot
+        # Partitions are fixed at plan build, so the fan-out width cannot
         # change the arithmetic: bitwise equal across thread counts.
         assert np.array_equal(Z1, Z4)
     finally:
@@ -266,6 +191,112 @@ def test_reordered_sharded_bitwise_across_shard_counts(graph):
             rt.close()
     assert np.array_equal(results[0], results[1])
     assert np.array_equal(results[0], results[2])
+
+
+# ---------------------------------------------------------------------- #
+# One permuted matrix, every path
+# ---------------------------------------------------------------------- #
+#: Small enough that the hypothesis graphs split into several partitions,
+#: so thread and shard counts actually change who runs which rows.
+PATH_SPLIT_NNZ = 64
+
+
+@pytest.fixture(scope="module")
+def path_runtimes():
+    """In-process runtimes on 1/2/4 threads and sharded ones on 1/2/4
+    worker processes, all with one split threshold (partitions are part
+    of the plan, so they must agree for results to)."""
+    threaded = {
+        t: KernelRuntime(num_threads=t, split_nnz=PATH_SPLIT_NNZ) for t in (1, 2, 4)
+    }
+    sharded = {
+        s: KernelRuntime(num_threads=1, processes=s, split_nnz=PATH_SPLIT_NNZ)
+        for s in (1, 2, 4)
+    }
+    try:
+        yield threaded, sharded
+    finally:
+        for rt in (*threaded.values(), *sharded.values()):
+            rt.close()
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n=st.integers(min_value=8, max_value=120),
+    density=st.floats(min_value=0.05, max_value=0.4),
+    seed=st.integers(min_value=0, max_value=1_000),
+    strategy=st.sampled_from(CONCRETE),
+    pattern=st.sampled_from(PATTERNS),
+)
+def test_property_reordered_bitwise_across_threads_shards_and_paths(
+    path_runtimes, n, density, seed, strategy, pattern
+):
+    """``run`` on 1/2/4 threads, ``run_sharded`` and ``submit_sharded`` on
+    1/2/4 shards give one result, byte for byte, at block sizes that cut
+    rows (64) or not (8192), on the generated kernel and on its all-calls
+    form (the ``optimized`` rung, whose operators do not pickle, so its
+    sharded calls run in process).  The jit rung is left out (interpreted
+    without numba); the generic backend never reorders."""
+    A = random_csr(n, n, density=density, seed=seed)
+    assume(A.nnz > 0)
+    X, Y = make_xy(A, 8, seed=seed)
+    threaded, sharded = path_runtimes
+    for rung in ("optimized", "generated"):
+        pat, backend = kernel_rung(pattern, rung)
+        for block_size in (64, 8192):
+            opts = dict(
+                pattern=pat, backend=backend, block_size=block_size, reorder=strategy
+            )
+            assert threaded[1].plan(A, **opts).reorder == strategy
+            ref = threaded[1].run(A, X, Y, **opts)
+            for rt in threaded.values():
+                assert np.array_equal(rt.run(A, X, Y, **opts), ref)
+            for rt in sharded.values():
+                assert np.array_equal(rt.run_sharded(A, X, Y, **opts), ref)
+                fut = rt.submit_sharded(A, X, Y, **opts)
+                assert np.array_equal(fut.result(), ref)
+            natural = fusedmm(A, X, Y, pattern=pat, backend=backend, num_threads=1)
+            np.testing.assert_allclose(ref, natural, rtol=1e-4, atol=1e-5)
+    assert all(rt.stats()["sharded_jobs"] > 0 for rt in sharded.values())
+
+
+def test_reordered_plan_keeps_one_schedule_of_the_permuted_matrix(graph, monkeypatch):
+    """The first bound-matrix run builds the reordered plan's edge-block
+    schedule over ``plan.reordered`` and its partitions; later runs replay
+    it, and its bytes count in ``retained()``, the cache weight and
+    ``plan_bytes``."""
+    A, X = graph
+    built = []
+    edge_schedule = plan_module.edge_schedule
+
+    def counting_schedule(M, parts, **kw):
+        built.append((M, parts))
+        return edge_schedule(M, parts, **kw)
+
+    monkeypatch.setattr(plan_module, "edge_schedule", counting_schedule)
+    opts = dict(pattern="sigmoid_embedding", backend="generated", reorder="rcm")
+    with KernelRuntime(num_threads=2, split_nnz=4000) as rt:
+        plan = rt.plan(A, **opts)
+        assert len(plan.partitions) > 1 and plan.schedule is None
+        before = plan.retained()
+        Z = rt.run(A, X, **opts)
+        for _ in range(2):
+            assert np.array_equal(rt.run(A, X, **opts), Z)
+        assert len(built) == 1
+        M, parts = built[0]
+        assert M is plan.reordered and parts is plan.partitions
+        schedule = plan.schedule
+        assert schedule is not None
+        assert (schedule.shape, schedule.nnz) == (M.shape, M.nnz)
+        assert all(
+            np.shares_memory(b.dst, M.indices)
+            for blocks in schedule.blocks
+            for b in blocks
+        )
+        assert plan.retained() == {**before, id(schedule): schedule.nbytes}
+        assert rt.cache_stats().retained_bytes == plan.retained_bytes()
+        lineage = rt.plan_bytes(plan.key.fingerprint)
+        assert lineage["plan_bytes"] == plan.retained_bytes()
 
 
 # ---------------------------------------------------------------------- #
@@ -315,7 +346,8 @@ def test_reorder_is_a_plan_cache_dimension(graph):
     assert rt.plan(A, pattern="sigmoid_embedding", reorder="degree") is p_deg
     info = p_deg.describe()
     assert info["reorder"] == "degree"
-    assert info["panels"] == len(p_deg.partitions) > 0
+    assert info["partitions"] == len(p_deg.partitions) > 0
+    assert "panels" not in info
 
 
 def test_runtime_default_reorder_applies_to_plans(graph):
@@ -386,7 +418,7 @@ def test_plan_cache_byte_budget_evicts_heavy_reordered_plans(graph):
     rt = KernelRuntime(num_threads=1)
     plan = rt.plan(A, pattern="sigmoid_embedding", reorder="degree")
     weight = plan.retained_bytes()
-    assert weight > A.memory_bytes()  # permuted copy + panels
+    assert weight > A.memory_bytes()  # permuted copy + permutation
     assert rt.plan(A, pattern="sigmoid_embedding").retained_bytes() == 0
 
     cache = PlanCache(capacity=8, byte_budget=weight + 1)
