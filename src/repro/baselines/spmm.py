@@ -11,9 +11,10 @@ The messages are *read back* from H — this second pass over an
 ``O(d · nnz)`` array is the memory-traffic cost the fused kernel removes.
 The aggregation itself is the fused kernels' edge-block driver and segment
 sum (:func:`~repro.core.optimized.run_edge_blocks`), so a fused/unfused
-comparison measures fusion, not two different summation routines.  As
-in the fused kernels, that loop scales a neighbour row by its scalar
-message (``MUL``, DGL's ``u_mul_e``) as it sums.
+comparison measures fusion, not two different summation routines.  A
+neighbour row scaled by its scalar message (``MUL``, DGL's ``u_mul_e``)
+is the product ``H · Y`` of the messages as a CSR matrix, which the
+driver sums one row partition at a time, as it runs the fused ``gcn``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from ..core.operators import is_builtin
 from ..core.optimized import run_edge_blocks
 from ..core.patterns import OpPattern, ResolvedPattern, get_pattern
+from ..sparse import CSRMatrix
 from .sddmm import SDDMMResult
 
 __all__ = ["gspmm"]
@@ -57,10 +59,13 @@ def gspmm(
     summed = resolved.aop.accumulate_ufunc is np.add
     u_mul_e = summed and is_builtin(mop) and mop.name == "MUL" and messages.ndim == 1
 
+    if u_mul_e:
+        A = H.A
+        product = CSRMatrix(A.nrows, A.ncols, A.indptr, A.indices, messages, check=False)
+        return run_edge_blocks(product, None, Y, None)
+
     def body(X, Y, src, dst, vals, edges):
         Hb = messages[edges]
-        if u_mul_e:
-            return Hb, Y, dst
         return Hb if mop.is_noop else mop.batch_fn(Hb, np.take(Y, dst, axis=0), vals, None)
 
     return run_edge_blocks(H.A, None, Y, body, aop=resolved.aop, block_size=block_size)

@@ -142,6 +142,7 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
 #: owns: its arguments and ``--quick`` sizes (``add_arguments``), its rows
 #: and record ``config`` (``run``), its table ``TITLE`` and its ``gate``.
 _BENCH_SUITES = (
+    "backends",
     "runtime",
     "shard",
     "jit",

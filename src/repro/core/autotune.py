@@ -13,6 +13,11 @@ sample of) the actual operands and returns the fastest.  Results are
 cached per ``(pattern, d, nnz-bucket, jit candidate)`` so repeated
 calls (e.g. every training epoch) pay the tuning cost once — the same
 usage model as ATLAS-style install-time tuning, scaled down to call-time.
+
+The block choice touches no bitwise contract: the edge-block driver sums
+each row left to right in the message dtype across block boundaries
+(:mod:`repro.core.optimized`), so every candidate gives the same bits,
+and the sweep trades speed and footprint only.
 """
 
 from __future__ import annotations

@@ -23,8 +23,11 @@ per-edge scalar (``H[:, None] * Yd``, ``vals[:, None] * Yd``) is not
 formed (:func:`_scaled_message`): a summed body returns the scale and the
 buffer, and the driver's compiled sum applies the scale as it adds, so
 spmm's body gathers no rows at all; a max/min body writes the product over
-its buffer.  Generated kernels remove all per-step operator dispatch — the
-same benefit the paper gets from pattern-specialized C kernels.  The
+its buffer.  An SpMM-shaped pattern (``gcn``, ``spmm``) runs as the
+driver's product ``Z = A · Y``, one sum per row partition with no edge
+blocks; its source is still emitted for inspection.  Generated kernels
+remove all per-step operator dispatch — the same benefit the paper gets
+from pattern-specialized C kernels.  The
 generated source can be inspected (:func:`generate_kernel_source`, or
 ``.source`` on a compiled kernel) for debugging or curiosity, exactly like
 the generated ``.c`` files of the original library.
@@ -260,8 +263,11 @@ def compile_kernel(pattern: ResolvedPattern) -> Callable:
     Returns ``kernel(A, X, Y, **blocking) -> Z``: the generated block body
     run by :func:`~repro.core.optimized.run_edge_blocks`, whose keywords
     (``block_size``, ``num_threads``, ``parts``, ``out``, …) it takes.
-    The cache entry holds ``pattern``, which keeps its key's operators
-    alive.
+    An SpMM-shaped pattern's kernel runs the driver's product
+    ``Z = A · Y`` instead (``body=None``, no blocks); its body is still
+    generated and compiled, so ``.source`` shows what the product
+    computes, but it does not run.  The cache entry holds ``pattern``,
+    which keeps its key's operators alive.
     """
     key = pattern_key(pattern)
     if key in _KERNEL_CACHE:
@@ -275,7 +281,9 @@ def compile_kernel(pattern: ResolvedPattern) -> Callable:
         exec(code, namespace)  # noqa: S102 - deliberate, this is the code generator
     except SyntaxError as exc:
         raise CodegenError(f"generated source failed to compile: {exc}\n{source}") from exc
-    body = namespace["_generated_block_kernel"]
+    # An SpMM-shaped pattern's body only hands the edge values and Y's rows
+    # to the sum: the driver runs that product without blocks.
+    body = None if pattern.is_spmm_like else namespace["_generated_block_kernel"]
 
     def generated_fusedmm(A, X, Y=None, **blocking) -> np.ndarray:
         return run_edge_blocks(A, X, Y, body, aop=pattern.aop, **blocking)

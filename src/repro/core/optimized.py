@@ -27,16 +27,21 @@ keeps its schedule
 (:meth:`repro.runtime.plan.KernelPlan.bound_schedule`), so its later
 calls do only the per-edge arithmetic.
 
-**Summation order.**  Within each edge block, a row's partial sum
-accumulates left to right in CSR edge order, in the message dtype, and is
-then added into the float64 ``Z``.  One call of SciPy's compiled CSR
-SpMM loop (``csr_matvecs``, loaded without importing ``scipy.sparse``)
-sums a whole block, its row segments as the CSR rows
-(:func:`segment_sum`).  A body whose messages are a per-edge scalar times
-a feature buffer returns the two, and that call applies the scale as it
-sums, as the paper's kernel scales ``y_v`` in registers (Fig. 5).
-``max``/``min`` aggregations use ``ufunc.reduceat``, which is exact in
-any order.
+**Summation order.**  Each row's sum starts from zero and adds the row's
+messages left to right in CSR edge order, in the message dtype, straight
+into the output: one accumulator per row partition, which is the
+output's own window when the dtypes match (one cast from a scratch
+buffer otherwise).  A summed block continues its rows' sums in place with
+one call of SciPy's compiled CSR SpMM loop (``csr_matvecs``, loaded
+without importing ``scipy.sparse``), so a row cut by a block boundary
+goes on where the previous block stopped, and a row's bits depend on
+neither the block size nor the partitioning.  A body whose messages are
+a per-edge scalar times a feature buffer returns the two, and that call
+applies the scale as it sums, as the paper's kernel scales ``y_v`` in
+registers and keeps ``z_u`` in registers of the data type (Fig. 5).  A
+product ``Z = A · Y`` (``body=None``) has no per-edge work, so it is one
+such call per row partition, with no blocks.  ``max``/``min``
+aggregations use ``ufunc.reduceat``, which is exact in any order.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ import importlib.machinery
 import importlib.util
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -75,9 +80,9 @@ def _window_parts(A, w0: int, w1: int, parts, num_parts: int = 1):
     pieces (:func:`~repro.core.partition.part1d` for the whole matrix).
 
     A windowed ``out=`` call therefore still fans out over the thread
-    pool.  Any row partitioning yields bitwise-identical results (edge
-    blocks align to the absolute edge grid), so the split count is free
-    to follow the thread count here.
+    pool.  Any row partitioning yields bitwise-identical results (each
+    row is summed whole, and edge blocks align to the absolute edge
+    grid), so the split count is free to follow the thread count here.
     """
     if parts is not None:
         return parts
@@ -100,32 +105,6 @@ def _window_parts(A, w0: int, w1: int, parts, num_parts: int = 1):
     ]
 
 
-def _alloc_accumulator(out, w0: int, w1: int, d: int, identity: float) -> np.ndarray:
-    """The float64 accumulation buffer for the window ``[w0, w1)``.
-
-    When ``out`` itself is a contiguous float64 array it is used directly
-    (zero extra allocation); otherwise a window-sized scratch is created —
-    never a full ``(nrows, d)`` matrix.  Accumulating in float64 and
-    casting once at the end is what keeps ``out=`` results bitwise equal
-    to the plain path.
-    """
-    if out is not None and out.dtype == np.float64 and out.flags["C_CONTIGUOUS"]:
-        out[...] = identity
-        return out
-    if identity == 0.0:
-        return np.zeros((w1 - w0, d), dtype=np.float64)
-    return np.full((w1 - w0, d), identity, dtype=np.float64)
-
-
-def _finalize_output(Z: np.ndarray, out, result_dtype) -> np.ndarray:
-    """Cast the float64 accumulator into ``out`` (or a fresh result)."""
-    if out is None:
-        return Z.astype(result_dtype)
-    if Z is not out:
-        out[...] = Z
-    return out
-
-
 #: Default number of edges per block for the edge-blocked kernel.  Chosen so
 #: a block of d=128 single-precision messages (~4 MB) fits in the last-level
 #: cache of the machines in Table IV; the autotuner refines it per problem.
@@ -140,10 +119,11 @@ def _edge_block_ranges(lo: int, hi: int, block_size: int):
 
     Block boundaries are aligned to the *absolute* edge grid (multiples of
     ``block_size``), not to ``lo``: a row's edges are therefore chunked
-    identically no matter which partition it lands in, which is what makes
-    the partition-parallel results bitwise identical across thread counts
-    (the invariant promised in :mod:`repro.core.parallel`).  For ``lo == 0``
-    this is the plain fixed-size chunking.
+    identically no matter which partition it lands in, so a body whose
+    messages depend on the block's shape (a user operator calling a BLAS
+    product, say) still gives bitwise-identical results across thread
+    counts (the invariant promised in :mod:`repro.core.parallel`).  For
+    ``lo == 0`` this is the plain fixed-size chunking.
     """
     start = lo
     while start < hi:
@@ -180,6 +160,46 @@ def _load_sparsetools():
 _csr_matvecs = _load_sparsetools().csr_matvecs
 
 
+def _message_dtype(coef, M) -> np.dtype:
+    """The dtype the messages ``coef * M`` are summed in:
+    ``np.result_type(coef, M)``, float16 widened to float32."""
+    T = np.asarray(M).dtype if coef is None else np.result_type(coef, M)
+    # csr_matvecs has no half-precision loop
+    return np.dtype(np.float32) if T == np.float16 else T
+
+
+def _sum_into(acc: np.ndarray, seg_ptr: np.ndarray, M, coef=None, cols=None) -> None:
+    """Add the row segments of the messages ``coef[e] * M[cols[e]]`` into
+    the rows of ``acc``, left to right, in ``acc``'s dtype: segment ``i``
+    (messages ``[seg_ptr[i], seg_ptr[i+1])``) continues the sum in
+    ``acc[i]``.  One call of SciPy's ``csr_matvecs`` with ``seg_ptr`` as
+    the row pointer; ``acc`` must be C-contiguous, as wide as the
+    messages.  See :func:`segment_sum` for ``coef``/``cols``."""
+    T = acc.dtype
+    k = int(seg_ptr[-1])
+    M = np.atleast_1d(M)
+    if cols is not None and M.dtype != T:  # cast the rows read, not all of M
+        M, cols = np.take(M, cols, axis=0), None
+    if cols is None:
+        cols, in_range = np.arange(k), k <= len(M)
+    else:
+        cols = np.asarray(cols)
+        in_range = len(cols) == k and (k == 0 or 0 <= cols.min() <= cols.max() < len(M))
+    M = (M[:, None] if M.ndim == 1 else M).astype(T, copy=False)
+    # csr_matvecs checks no bounds: each segment and row it reads, and each
+    # row it writes, must exist.
+    if (
+        not in_range
+        or M.ndim != 2
+        or acc.shape != (len(seg_ptr) - 1, M.shape[1])
+        or seg_ptr[0] < 0
+        or np.any(np.diff(seg_ptr) < 0)
+    ):
+        raise ShapeError(f"segment_sum: segments or rows out of range for messages {M.shape}")
+    coef = np.ones(k, T) if coef is None else np.asarray(coef, T).reshape(k)
+    _csr_matvecs(len(acc), len(M), M.shape[1], seg_ptr, cols, coef, M, acc)
+
+
 def segment_sum(seg_ptr: np.ndarray, M: np.ndarray, coef=None, cols=None) -> np.ndarray:
     """Left-to-right sums of the row segments of the messages
     ``coef[e] * M[cols[e]]``, one row of the result per segment.
@@ -192,25 +212,10 @@ def segment_sum(seg_ptr: np.ndarray, M: np.ndarray, coef=None, cols=None) -> np.
     ``np.result_type(coef, M)`` (float16 widened to float32): one call of
     SciPy's ``csr_matvecs`` with ``seg_ptr`` as the row pointer.
     """
-    k = int(seg_ptr[-1])
     M = np.atleast_1d(M)
-    T = M.dtype if coef is None else np.result_type(coef, M)
-    if T == np.float16:  # csr_matvecs has no half-precision loop
-        T = np.dtype(np.float32)
-    if cols is not None and M.dtype != T:  # cast the rows read, not all of M
-        M, cols = np.take(M, cols, axis=0), None
-    if cols is None:
-        cols, in_range = np.arange(k), k <= len(M)
-    else:
-        cols = np.asarray(cols)
-        in_range = len(cols) == k and (k == 0 or 0 <= cols.min() <= cols.max() < len(M))
-    M = (M[:, None] if M.ndim == 1 else M).astype(T, copy=False)
-    # csr_matvecs checks no bounds: each segment and row it reads must exist.
-    if not in_range or M.ndim != 2 or seg_ptr[0] < 0 or np.any(np.diff(seg_ptr) < 0):
-        raise ShapeError(f"segment_sum: segments or rows out of range for messages {M.shape}")
-    coef = np.ones(k, T) if coef is None else np.asarray(coef, T).reshape(k)
-    out = np.zeros((len(seg_ptr) - 1, M.shape[1]), T)
-    _csr_matvecs(len(out), len(M), M.shape[1], seg_ptr, cols, coef, M, out)
+    width = 1 if M.ndim == 1 else M.shape[-1]
+    out = np.zeros((len(seg_ptr) - 1, width), _message_dtype(coef, M))
+    _sum_into(out, seg_ptr, M, coef, cols)
     return out
 
 
@@ -221,10 +226,12 @@ class EdgeBlock(NamedTuple):
     ``src``/``dst``/``vals`` are views of its row ids, column ids and
     values, in CSR order.  Segment ``i`` of the block covers its edges
     ``[seg_ptr[i], seg_ptr[i+1])``, all in output row ``rows[i]``
-    (relative to the partition start).
+    (relative to the partition start).  A summed block's ``rows`` is the
+    slice of rows its edges span, rows without edges among them as empty
+    segments; a max/min block's lists the rows it has edges in.
     """
 
-    rows: np.ndarray
+    rows: Union[slice, np.ndarray]
     src: np.ndarray
     dst: np.ndarray
     vals: np.ndarray
@@ -234,7 +241,8 @@ class EdgeBlock(NamedTuple):
     @property
     def nbytes(self) -> int:
         """Bytes the block allocated (its edge arrays are views)."""
-        return self.rows.nbytes + self.seg_ptr.nbytes
+        rows = self.rows.nbytes if isinstance(self.rows, np.ndarray) else 0
+        return rows + self.seg_ptr.nbytes
 
 
 class EdgeSchedule(NamedTuple):
@@ -302,10 +310,16 @@ def edge_schedule(
         lo, hi = int(indptr[part.start]), int(indptr[part.stop])
         for e0, e1 in _edge_block_ranges(lo, hi, block_size):
             src = edge_rows[e0 - base : e1 - base]
-            # Row segments of the block: a row's edges are contiguous.
-            starts = np.flatnonzero(src[1:] != src[:-1]) + 1
-            seg_ptr = np.concatenate(([0], starts, [e1 - e0]))
-            rows = src[seg_ptr[:-1]] - part.start
+            if use_sum:
+                # The rows the block spans, each row's edges clipped to it.
+                r0, r1 = int(src[0]), int(src[-1]) + 1
+                seg_ptr = np.clip(indptr[r0 : r1 + 1], e0, e1) - e0
+                rows = slice(r0 - part.start, r1 - part.start)
+            else:
+                # Row segments of the block: a row's edges are contiguous.
+                starts = np.flatnonzero(src[1:] != src[:-1]) + 1
+                seg_ptr = np.concatenate(([0], starts, [e1 - e0]))
+                rows = src[seg_ptr[:-1]] - part.start
             edges = slice(e0, e1)
             yield EdgeBlock(rows, src, indices[edges], data[edges], edges, seg_ptr)
 
@@ -321,11 +335,30 @@ def edge_schedule(
     )
 
 
+def _accumulator(z_slice: np.ndarray, dtype, width: int, identity: float) -> np.ndarray:
+    """A partition's accumulator, ``width`` columns of ``dtype`` per row
+    of its output slice ``z_slice``, holding the aggregation identity: the
+    slice itself when it has that dtype and width and is C-contiguous
+    (already zero, set to the identity otherwise), else a scratch buffer
+    the partition casts into ``z_slice`` once at its end."""
+    if z_slice.dtype == dtype and z_slice.shape[1] == width and z_slice.flags["C_CONTIGUOUS"]:
+        if identity != 0.0:
+            z_slice[...] = identity
+        return z_slice
+    return np.full((len(z_slice), width), identity, dtype)
+
+
+def _product_messages(X, Y, src, dst, vals, edges):
+    """The block body of ``Z = A · Y``: each edge's value times its row of
+    ``Y``, scaled as the sum reads it."""
+    return vals, Y, dst
+
+
 def run_edge_blocks(
     A,
     X,
     Y,
-    body: Callable,
+    body: Optional[Callable],
     *,
     aop: Optional[Operator] = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
@@ -346,19 +379,23 @@ def run_edge_blocks(
     return ``(coef, buf)`` for the messages ``coef[:, None] * buf``, or
     ``(coef, buf, cols)`` for ``coef[:, None] * buf[cols]``; the sum then
     applies the per-edge scale as it adds (:func:`segment_sum`), and no
-    message array is formed.  ``X=None`` is the SpMM form, ``Z = A · Y``,
-    whose body never reads source features.
+    message array is formed.  ``X=None`` is the SpMM form, whose body
+    never reads source features.  ``body=None`` is the product
+    ``Z = A · Y`` itself (the messages ``vals[e] * Y[dst[e]]``, summed):
+    one sum per row partition over ``A``'s own edge arrays, so it has no
+    blocks, and ``block_size``/``schedule`` do not apply.
 
     ``schedule`` is a kept :func:`edge_schedule` of ``A`` for this call's
     output window and ``aop``; it fixes the partitions and the block size,
     so ``parts``/``block_size`` are then ignored.  A call without one
     builds a one-call schedule and executes it.
 
-    Blocks align to the absolute edge grid, so any row partitioning chunks
-    a row's edges identically and results are bitwise identical across
-    thread counts.  The intermediates never exceed a few ``block_size × d``
-    arrays, so the footprint stays flat in nnz — the fused-kernel property
-    the paper exploits (Section II).
+    Each row is aggregated left to right in the message dtype, in one
+    accumulator per partition (the module's summation order), so results
+    are bitwise identical across block sizes, thread counts and row
+    partitionings.  The intermediates never exceed a few
+    ``block_size × d`` arrays, so the footprint stays flat in nnz — the
+    fused-kernel property the paper exploits (Section II).
     """
     if X is None:
         A, Y = as_csr(A), ensure_float_matrix(Y, "Y")
@@ -374,7 +411,32 @@ def run_edge_blocks(
     config = ParallelConfig(num_threads, parts_per_thread)
     ufunc = np.add if aop is None else aop.accumulate_ufunc
     use_sum = ufunc is np.add
-    if schedule is None:
+    identity = 0.0 if use_sum else aop.accumulator_identity
+    # Zero: rows outside every partition, and the partitions that sum
+    # straight into their output slice, start there.
+    if out is None:
+        Z = np.zeros((w1 - w0, d), (Y if X is None else X).dtype)
+    else:
+        Z = out
+        Z[...] = 0.0
+
+    if body is None:
+        if not use_sum:
+            raise ValueError("body=None is the summed product A · Y; it takes no max/min")
+        # No per-edge work: each row partition is one block over A's edges.
+        Y = Y.astype(_message_dtype(A.data, Y), copy=False)
+        body = _product_messages
+        indptr = A.indptr
+        work = list(_window_parts(A, w0, w1, parts, config.num_parts))
+
+        def whole(p: RowPartition) -> EdgeBlock:
+            e = slice(int(indptr[p.start]), int(indptr[p.stop]))
+            seg_ptr = indptr[p.start : p.stop + 1] - e.start
+            return EdgeBlock(slice(0, p.num_rows), None, A.indices[e], A.data[e], e, seg_ptr)
+
+        blocks = [[whole(p)] for p in work]
+        schedule = EdgeSchedule(A.shape, A.nnz, (w0, w1), True, work, blocks, None)
+    elif schedule is None:
         schedule = edge_schedule(
             A,
             _window_parts(A, w0, w1, parts, config.num_parts),
@@ -389,22 +451,30 @@ def run_edge_blocks(
         raise ValueError(
             "the edge schedule was built for another matrix, window or aggregation"
         )
-    Z = _alloc_accumulator(out, w0, w1, d, 0.0 if use_sum else aop.accumulator_identity)
     blocks_of = {id(p): blocks for p, blocks in zip(schedule.parts, schedule.blocks)}
 
     def kernel(part: RowPartition, z_slice: np.ndarray) -> None:
+        acc = None  # made from the first block's messages: their dtype and width
         for b in blocks_of[id(part)]:
             M = body(X, Y, b.src, b.dst, b.vals, b.edges)
             if use_sum:
                 coef, M, *cols = M if isinstance(M, tuple) else (None, M)
-                z_slice[b.rows] += segment_sum(b.seg_ptr, M, coef, *cols)
+                if acc is None:
+                    width = 1 if np.ndim(M) == 1 else M.shape[1]
+                    acc = _accumulator(z_slice, _message_dtype(coef, M), width, 0.0)
+                _sum_into(acc[b.rows], b.seg_ptr, M, coef, *cols)
             else:
                 M = np.atleast_1d(M)
-                seg = ufunc.reduceat(M.reshape(len(M), -1), b.seg_ptr[:-1], axis=0)
-                z_slice[b.rows] = ufunc(z_slice[b.rows], seg)
+                M = M.reshape(len(M), -1)
+                if acc is None:
+                    acc = _accumulator(z_slice, M.dtype, M.shape[1], identity)
+                seg = ufunc.reduceat(M, b.seg_ptr[:-1], axis=0)
+                acc[b.rows] = ufunc(acc[b.rows], seg)
             # Free this block's messages before the next block is built, so
             # the footprint stays one block.
             del b, M
+        if acc is not None and acc is not z_slice:
+            z_slice[...] = acc
 
     run_partitioned(
         A, Z, kernel, config=config, parts=schedule.parts, pool=pool, row_offset=w0
@@ -413,4 +483,4 @@ def run_edge_blocks(
         # Rows that never received a message hold the accumulator identity
         # (±inf); normalise them to zero like every other backend.
         Z[schedule.empty] = 0.0
-    return _finalize_output(Z, out, (Y if X is None else X).dtype)
+    return Z

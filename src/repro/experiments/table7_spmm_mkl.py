@@ -8,12 +8,12 @@ a dedicated vendor SpMM on the one pattern where a vendor kernel exists.
 
 MKL is unavailable offline; the vendor stand-in is SciPy's compiled CSR
 SpMM (see :mod:`repro.baselines.mkl_like`).  The generated spmm kernel
-sums each edge block with the same compiled loop (``csr_matvecs``), so
-this comparison measures the edge blocking and per-block call overhead
-around one shared loop, not a fused kernel against a slower vendor one.
-The claim under test is that the blocked SpMM stays within a small
-constant factor of the whole-matrix call rather than orders of magnitude
-away (as the naive per-row Python reference would be).
+runs the same compiled loop (``csr_matvecs``) once per row partition, so
+this comparison measures the partitioning and call overhead around one
+shared loop, not a fused kernel against a slower vendor one.  The claim
+under test is that the fused SpMM stays within a small constant factor
+of the whole-matrix call rather than orders of magnitude away (as the
+naive per-row Python reference would be).
 """
 
 from __future__ import annotations

@@ -32,8 +32,9 @@ Correctness contract (tested property-style in ``tests/test_dynamic.py``
 and end-to-end by the mutation smoke): a kernel executed against a
 version is **bitwise identical** to the same kernel on a CSR freshly
 rebuilt from the same edge set — at every version, across backends and
-shard counts, local or remote.  (Reordered execution stays
-allclose-equivalent, exactly as for static graphs.)
+shard counts, local or remote.  (Reordered execution relates to natural
+order exactly as for static graphs: bitwise on ``generated``, allclose
+on other kinds.)
 """
 
 from __future__ import annotations

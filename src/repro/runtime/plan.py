@@ -9,7 +9,8 @@ depend on the feature matrices:
   and :class:`FusedMM` make), together with its edge-block size
   (autotuned once when requested),
 * the nnz-balanced row partitioning of the matrix it executes, and for a
-  ``generated`` plan that matrix's edge-block schedule
+  ``generated`` plan (unless its pattern is SpMM-shaped, which runs
+  without blocks) that matrix's edge-block schedule
   (:func:`~repro.core.optimized.edge_schedule`), built on its first
   execution (:meth:`KernelPlan.bound_schedule`),
 * the **locality tier** (``reorder=``): a vertex permutation of the bound
@@ -29,12 +30,12 @@ batch — via :meth:`KernelPlan.execute`, which accepts an explicit
 partition list and a shared thread pool so the runtime controls
 scheduling.
 
-Reordered execution re-associates each row's neighbour accumulation (the
-columns are re-sorted under the new numbering), so its results are
-*allclose*-equivalent to the natural ordering rather than bitwise
-identical.  Within one strategy they are bitwise identical across thread
-counts, shard counts and the in-process/sharded split: every path runs
-the same partitions of the same permuted matrix.
+Reordered execution is bitwise identical across thread counts, shard
+counts and the in-process/sharded split: every path runs the same
+partitions of the same permuted matrix.  On the ``generated`` edge-block
+driver it is also bitwise identical to the natural ordering of that
+kind (a permuted row keeps its source edge order, and the driver's row
+sum does not depend on where the row sits); other kinds are allclose.
 """
 
 from __future__ import annotations
@@ -195,13 +196,14 @@ class KernelPlan:
         matrix a bound-matrix execution runs — ``reordered`` for a
         reordered plan, else the bound matrix ``A`` — built on the first
         call (``None`` for a plan whose execution is not the edge-block
-        driver).
+        driver, or whose pattern is SpMM-shaped and so runs without
+        blocks).
 
         ``A`` must hold the content this plan was built for; the runtime
         asks only on a bound-matrix execution.  Concurrent first calls
         build it once.
         """
-        if self.kind != "generated":
+        if self.kind != "generated" or self.resolved.is_spmm_like:
             return None
         with self._schedule_lock:
             if self.schedule is None:

@@ -36,11 +36,13 @@ assignment) depend only on the requests themselves — never on how many
 worker threads or processes the runtime happens to own — so results are
 bitwise identical across thread *and* shard counts, extending the
 invariant documented in :mod:`repro.core.parallel`.  The locality tier
-(``reorder=`` other than ``"none"``) keeps that invariant for a fixed
-strategy — every path runs the same partitions of the same permuted
-matrix — but re-associates each row's sum, so reordered results are
-allclose-equivalent to the natural order (exact at float64 up to
-reassociation), not bitwise equal to it.
+(``reorder=`` other than ``"none"``) keeps that invariant — every path
+runs the same partitions of the same permuted matrix.  On the
+``generated`` edge-block driver a reordered result is also bitwise equal
+to the natural order of that kind (each permuted row keeps its source
+edge order, and the driver's row sum does not depend on where the row
+sits); for other kinds it is allclose.  With ``backend="auto"`` a
+reordered and a natural plan may resolve to different kinds.
 """
 
 from __future__ import annotations
@@ -322,6 +324,9 @@ class KernelRuntime:
             "sharded_submitted": 0,
             "remote_jobs": 0,
             "parent_fallbacks": 0,
+            # sharded-tier calls run in process because the pattern does
+            # not pickle (user operators built from lambdas)
+            "unpicklable_fallbacks": 0,
         }
         self._closed = False
 
@@ -618,6 +623,7 @@ class KernelRuntime:
             return None
         spec = plan_spec_from_plan(plan)
         if spec is None:
+            self._bump("unpicklable_fallbacks")
             return None
         local_slots, remote_slots, spec_meta = self._tier_slots(spec)
         workers = self.workers if local_slots else None
@@ -719,10 +725,12 @@ class KernelRuntime:
         """One-shot planned execution through the multi-process tier.
 
         Bitwise identical to :meth:`run` for every plan, and to sequential
-        :func:`~repro.core.fused.fusedmm` for ``reorder="none"`` plans; a
-        reordered plan's workers run its permuted matrix, so its result is
-        allclose to natural order.  Runs in process when the runtime has no
-        sharded capacity or the pattern cannot cross a process boundary.
+        :func:`~repro.core.fused.fusedmm` for ``reorder="none"`` plans and
+        reordered ``generated`` plans (whose workers run the permuted
+        matrix, its rows in their source edge order); a reordered plan of
+        another kind is allclose to it.  Runs in process when the
+        runtime has no sharded capacity or the pattern cannot cross a
+        process boundary (counted as ``stats()["unpicklable_fallbacks"]``).
         A worker or host lost mid-call costs time, not the call: its rows
         finish in-parent.
         """

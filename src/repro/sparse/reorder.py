@@ -27,10 +27,10 @@ permute ``X``/``Y`` once per call and map the permuted output back with
 
 A reordering is a permutation only: the plan that binds one runs the
 permuted matrix through the same edge-block driver as a natural-order
-plan.  It changes the order in which a row's neighbours are accumulated
-(columns are re-sorted under the new numbering), so results are
-*allclose*-equivalent to the natural ordering — exactly equal at float64
-up to reassociation — rather than bitwise identical.  The ``"none"``
+plan.  Each permuted row keeps its source row's edge order, and that
+driver sums a row left to right whatever its position, so a reordered
+``generated`` result is bitwise identical to the natural ordering
+(other kinds are allclose to it).  The ``"none"``
 strategy keeps the original matrix untouched.
 """
 
@@ -88,8 +88,8 @@ class ReorderResult:
         The strategy that produced the permutation.
     matrix:
         The symmetrically permuted matrix ``A_p`` with
-        ``A_p[i, j] = A[perm[i], perm[j]]`` (canonical CSR: columns sorted
-        within each row under the new numbering).
+        ``A_p[i, j] = A[perm[i], perm[j]]``; row ``i`` keeps the edge
+        order of row ``perm[i]`` of the original.
     perm:
         ``perm[new] = old`` — row ``new`` of ``matrix`` is row
         ``perm[new]`` of the original.  Permute operands with
@@ -221,8 +221,12 @@ def reorder_permutation(A: CSRMatrix, strategy: str) -> np.ndarray:
 def permute_symmetric(A: CSRMatrix, perm: np.ndarray) -> CSRMatrix:
     """Apply ``perm`` to rows *and* columns: ``A_p[i, j] = A[perm[i], perm[j]]``.
 
-    O(nnz log d_max): one vectorized edge gather plus a per-row column
-    re-sort to restore canonical CSR under the new numbering.
+    O(nnz): one vectorized edge gather (:meth:`CSRMatrix.select_rows`) and
+    the column renaming.  Row ``i`` of the result keeps the edge order of
+    row ``perm[i]`` of ``A``, so its columns are not re-sorted: a kernel
+    then reads the same messages in the same order as on ``A``, which is
+    what makes a reordered ``generated`` result bitwise equal to natural
+    order.
     """
     perm = np.asarray(perm, dtype=np.int64)
     n = A.nrows
@@ -240,22 +244,8 @@ def permute_symmetric(A: CSRMatrix, perm: np.ndarray) -> CSRMatrix:
         raise ShapeError("perm must be a permutation of range(nrows)")
     inv_perm = np.empty(n, dtype=np.int64)
     inv_perm[perm] = np.arange(n, dtype=np.int64)
-
-    degrees = A.row_degrees()
-    new_degrees = degrees[perm]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(new_degrees, out=indptr[1:])
-    nnz = int(indptr[-1])
-    # Edge gather: position k of the new layout reads old edge
-    # old_start(row) + (k - new_start(row)).
-    within = np.arange(nnz, dtype=np.int64) - np.repeat(indptr[:-1], new_degrees)
-    src = np.repeat(A.indptr[perm], new_degrees) + within
-    cols = inv_perm[A.indices[src]]
-    vals = A.data[src]
-    # Restore sorted columns within each row (rows are already grouped).
-    rows = np.repeat(np.arange(n, dtype=np.int64), new_degrees)
-    order = np.lexsort((cols, rows))
-    return CSRMatrix(n, n, indptr, cols[order], vals[order], check=False)
+    rows = A.select_rows(perm)
+    return CSRMatrix(n, n, rows.indptr, inv_perm[rows.indices], rows.data, check=False)
 
 
 def reorder_matrix(A: CSRMatrix, strategy: str) -> ReorderResult:

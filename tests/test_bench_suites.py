@@ -28,9 +28,25 @@ _REORDER = {
 _SERVE = {"mode": "serial", "clients": 8, "bitwise_identical": True}
 _WIRE = {"payload": "tiny", "transport": "http", "bitwise_identical": True}
 _JIT = {"backend": "jit", "pattern": "sigmoid_embedding", "max_abs_err": 0.0}
+_BACKENDS = {"pattern": "gcn", "d": 16, "block_bitwise": True, "block_drift": 0.0, "max_abs_err": 0.0}
 
 # (suite, rows, quick, fails without --no-check, fails with --no-check)
 _CASES = {
+    "backends identical": ("backends", [_BACKENDS], False, False, False),
+    "backends block drift": (
+        "backends",
+        [{**_BACKENDS, "block_bitwise": False, "block_drift": 1e-7}],
+        True,
+        True,
+        True,
+    ),
+    "backends drifted from generic": (
+        "backends",
+        [{**_BACKENDS, "max_abs_err": 0.01}],
+        True,
+        True,
+        True,
+    ),
     "runtime slow plan cache": (
         "runtime",
         [{"benchmark": "plan_cache", "graph": "g", "speedup": 1.5}],

@@ -7,6 +7,7 @@ SDDMM→SpMM pipeline.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines import unfused_fusedmm
@@ -185,3 +186,52 @@ def test_fr_antisymmetry_on_symmetric_graphs(problem):
     ones.data = np.ones_like(ones.data)
     Z = fusedmm_generic(ones, X, X, pattern="fr_layout")
     assert np.allclose(Z.sum(axis=0), 0.0, atol=1e-2)
+
+
+@pytest.fixture(scope="module")
+def split_runtimes():
+    """Runtimes on 1/2/4 threads and on 1/2/4 worker processes, all with
+    one small split threshold, so a graph runs as several partitions."""
+    threaded = [KernelRuntime(num_threads=t, split_nnz=64) for t in (1, 2, 4)]
+    sharded = [KernelRuntime(num_threads=1, processes=s, split_nnz=64) for s in (1, 2, 4)]
+    try:
+        yield threaded, sharded
+    finally:
+        for rt in threaded + sharded:
+            rt.close()
+
+
+@settings(max_examples=10)
+@given(
+    n=st.integers(min_value=2, max_value=160),
+    density=st.floats(min_value=0.02, max_value=0.6),
+    d=st.sampled_from([1, 3, 16]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    pattern=st.sampled_from(["sigmoid_embedding", "fr_layout", "gcn", "sddmm_dot"]),
+)
+def test_row_sums_ignore_block_size_threads_and_shards(
+    split_runtimes, n, density, d, seed, pattern
+):
+    """Each row is summed left to right in the message dtype, whatever
+    cuts it: ``generated`` results are bitwise equal across block sizes
+    37/64/8192 (rows of up to ~100 edges are cut by the first two), 1/2/4
+    threads and 1/2/4 shards, the unfused pipeline's across block sizes,
+    and both are allclose to ``generic``."""
+    A = random_csr(n, n, density=density, seed=seed % 10_000)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d)).astype(np.float32)
+    threaded, sharded = split_runtimes
+    generic = fusedmm_generic(A, X, X, pattern=pattern)
+    ref = fusedmm(A, X, X, pattern=pattern, backend="generated", block_size=37)
+    np.testing.assert_allclose(ref, generic, rtol=1e-4, atol=ATOL)
+    unfused = unfused_fusedmm(A, X, X, pattern=pattern, block_size=37)
+    np.testing.assert_allclose(unfused, generic, rtol=1e-4, atol=ATOL)
+    for block_size in (37, 64, 8192):
+        opts = dict(pattern=pattern, backend="generated", block_size=block_size)
+        assert np.array_equal(fusedmm(A, X, X, **opts), ref)
+        for rt in threaded:
+            assert np.array_equal(rt.run(A, X, X, **opts), ref)
+        for rt in sharded:
+            assert np.array_equal(rt.run_sharded(A, X, X, **opts), ref)
+        again = unfused_fusedmm(A, X, X, pattern=pattern, block_size=block_size)
+        assert np.array_equal(again, unfused)

@@ -4,11 +4,12 @@ The contracts under test:
 
 * **True permutations** — every strategy returns a bijection on the
   vertices (hypothesis property test over random graphs), and the
-  permuted matrix is exactly ``A[perm][:, perm]`` in canonical CSR form.
-* **Allclose equivalence** — permute → execute → inverse-permute matches
-  direct execution across patterns × backends × shard counts; exact at
-  float64 up to reassociation (tight tolerance), loose float32 tolerance
-  otherwise.
+  permuted matrix is exactly ``A[perm][:, perm]``, each row in its source
+  row's edge order.
+* **Equivalence** — permute → execute → inverse-permute matches direct
+  execution across patterns × backends × shard counts; on the edge-block
+  driver it is bitwise natural order, since a permuted row sums the same
+  messages in the same order.
 * **One permuted matrix on every path** — a reordered result is bitwise
   identical across thread counts, shard counts and the in-process/sharded
   split, because every path runs the plan's partitions of its permuted
@@ -82,7 +83,12 @@ def test_permuted_matrix_is_symmetric_permutation(graph, strategy):
         dense_p[np.ix_(rows, rows)],
         dense[np.ix_(result.perm[rows], result.perm[rows])],
     )
-    assert result.matrix.has_sorted_indices()
+    # Each permuted row keeps its source row's edge order (columns renamed,
+    # not re-sorted).
+    source = A.select_rows(result.perm)
+    assert np.array_equal(result.matrix.indptr, source.indptr)
+    assert np.array_equal(result.perm[result.matrix.indices], source.indices)
+    assert np.array_equal(result.matrix.data, source.data)
     assert result.matrix.nnz == A.nnz
 
 
@@ -235,8 +241,9 @@ def test_property_reordered_bitwise_across_threads_shards_and_paths(
     1/2/4 shards give one result, byte for byte, at block sizes that cut
     rows (64) or not (8192), on the generated kernel and on its all-calls
     form (the ``optimized`` rung, whose operators do not pickle, so its
-    sharded calls run in process).  The jit rung is left out (interpreted
-    without numba); the generic backend never reorders."""
+    sharded calls run in process); that result is natural order's, byte
+    for byte.  The jit rung is left out (interpreted without numba); the
+    generic backend never reorders."""
     A = random_csr(n, n, density=density, seed=seed)
     assume(A.nnz > 0)
     X, Y = make_xy(A, 8, seed=seed)
@@ -256,8 +263,27 @@ def test_property_reordered_bitwise_across_threads_shards_and_paths(
                 fut = rt.submit_sharded(A, X, Y, **opts)
                 assert np.array_equal(fut.result(), ref)
             natural = fusedmm(A, X, Y, pattern=pat, backend=backend, num_threads=1)
-            np.testing.assert_allclose(ref, natural, rtol=1e-4, atol=1e-5)
+            assert np.array_equal(ref, natural)
     assert all(rt.stats()["sharded_jobs"] > 0 for rt in sharded.values())
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("block_size", [64, 8192])
+@pytest.mark.parametrize("strategy", CONCRETE)
+def test_reordered_generated_is_natural_order_bit_for_bit(strategy, block_size, threads):
+    """On a power-law graph with hub rows far longer than a block, each
+    strategy's reordered ``generated`` result equals natural order byte
+    for byte: a permuted row keeps its source edge order, and the driver
+    sums a row the same way wherever it sits."""
+    A = rmat(3000, 40_000, seed=5)
+    X = random_features(A.nrows, 16, seed=5)
+    opts = dict(backend="generated", block_size=block_size)
+    with KernelRuntime(num_threads=threads, split_nnz=8000) as rt:
+        for pattern in PATTERNS:
+            natural = fusedmm(A, X, X, pattern=pattern, num_threads=1, **opts)
+            Z = rt.run(A, X, pattern=pattern, reorder=strategy, **opts)
+            assert rt.plan(A, pattern=pattern, reorder=strategy, **opts).reorder == strategy
+            assert np.array_equal(Z, natural)
 
 
 def test_reordered_plan_keeps_one_schedule_of_the_permuted_matrix(graph, monkeypatch):

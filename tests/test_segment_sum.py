@@ -1,9 +1,9 @@
 """The edge-block driver's summation order, checked bitwise.
 
-Within each edge block, a row's partial sum accumulates left to right in
-CSR edge order, in the message dtype, and is then added into the float64
-``Z``.  The references below are that sentence written as plain Python
-loops; every comparison is ``np.array_equal``.  The sums run in SciPy's
+Each row's sum starts from zero and adds the row's messages left to right
+in CSR edge order, in the message dtype, across block boundaries: no
+block size enters.  The references below are that sentence written as
+plain Python loops; every comparison is ``np.array_equal``.  The sums run in SciPy's
 compiled ``csr_matvecs`` loop, which the driver loads without importing
 ``scipy.sparse``.
 """
@@ -98,26 +98,21 @@ def _random_csr(rng, nrows, ncols, max_degree, dtype):
     return CSRMatrix(nrows, ncols, indptr, indices, data, check=False)
 
 
-def _driver_reference(A, messages, block_size, aop, d):
-    """The driver's contract as loops over the absolute edge grid."""
-    Z = np.zeros((A.nrows, d), np.float64)
-    if aop != "ASUM":
-        ufunc = {"AMAX": np.maximum, "AMIN": np.minimum}[aop]
-        Z[:] = -np.inf if aop == "AMAX" else np.inf
+def _driver_reference(A, messages, aop, d):
+    """The driver's contract as plain loops: each row's messages, left to
+    right in CSR edge order, in the message dtype; no block size enters."""
+    Z = np.zeros((A.nrows, d), messages.dtype)
     for u in range(A.nrows):
         lo, hi = int(A.indptr[u]), int(A.indptr[u + 1])
-        e = lo
-        while e < hi:
-            stop = min((e // block_size + 1) * block_size, hi)
-            block = [messages[i] for i in range(e, stop)]
-            if aop == "ASUM":
-                Z[u] += _left_to_right(block, messages.dtype, d)
-            else:
-                for m in block:
-                    Z[u] = ufunc(Z[u], m)
-            e = stop
-        if hi == lo:
-            Z[u] = 0.0
+        row = [messages[i] for i in range(lo, hi)]
+        if aop == "ASUM":
+            Z[u] = _left_to_right(row, messages.dtype, d)
+        elif row:
+            ufunc = {"AMAX": np.maximum, "AMIN": np.minimum}[aop]
+            acc = row[0]
+            for m in row[1:]:
+                acc = ufunc(acc, m)
+            Z[u] = acc
     return Z
 
 
@@ -157,9 +152,9 @@ def test_driver_sums_each_block_left_to_right(
         A, X, Y, body, aop=None if aop == "ASUM" else get_op(aop),
         block_size=block_size, num_threads=num_threads,
     )
-    ref = _driver_reference(A, messages, block_size, aop, d)
+    ref = _driver_reference(A, messages, aop, d)
     assert Z.dtype == dtype
-    assert np.array_equal(Z, ref.astype(dtype))
+    assert np.array_equal(Z, ref)
 
 
 @pytest.fixture(scope="module")
@@ -192,9 +187,9 @@ def _spmm_kernels(block_size):
 def test_spmm_kernels_sum_left_to_right(spmm_problem, kernel, block_size):
     A, X, Y = spmm_problem
     messages = A.data[:, None] * Y[A.indices]
-    ref = _driver_reference(A, messages, block_size, "ASUM", Y.shape[1])
+    ref = _driver_reference(A, messages, "ASUM", Y.shape[1])
     Z = _spmm_kernels(block_size)[kernel](A, X, Y)
-    assert np.array_equal(Z, ref.astype(np.float32))
+    assert np.array_equal(Z, ref)
 
 
 def _zipf_csr(rng, nrows, ncols, dtype):
@@ -230,8 +225,8 @@ def test_driver_sums_long_rows_left_to_right(form, d, block_size, num_threads):
         return (coef, Y[dst]) if form == "scaled" else (coef, Y, dst)
 
     Z = run_edge_blocks(A, X, Y, body, block_size=block_size, num_threads=num_threads)
-    ref = _driver_reference(A, messages, block_size, "ASUM", d)
-    assert np.array_equal(Z, ref.astype(np.float32))
+    ref = _driver_reference(A, messages, "ASUM", d)
+    assert np.array_equal(Z, ref)
 
 
 @pytest.mark.parametrize(

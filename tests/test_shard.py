@@ -425,6 +425,29 @@ def test_unpicklable_pattern_falls_back_in_process(medium_problem):
         Z = rt.run_sharded(A, X, pattern="sigmoid_embedding", sop=sop)
         assert np.array_equal(Z, ref)
         assert rt.stats()["sharded_jobs"] == 0
+        assert rt.stats()["unpicklable_fallbacks"] == 1
+
+
+def test_unpicklable_ablation_pattern_is_counted_as_in_process(medium_problem):
+    """The ablations' all-calls pattern copies operators whose callables
+    are lambdas: both sharded entry points run it in process, and
+    ``stats()`` counts each such call, beside the picklable call that did
+    shard."""
+    from repro.experiments.ablations import all_calls_pattern
+
+    A, X = medium_problem
+    calls = all_calls_pattern("sigmoid_embedding")
+    opts = dict(backend="generated")
+    ref = fusedmm(A, X, X, pattern=calls, num_threads=1, **opts)
+    with KernelRuntime(num_threads=1, processes=2) as rt:
+        Z = rt.run_sharded(A, X, pattern="sigmoid_embedding", **opts)
+        assert np.array_equal(Z, fusedmm(A, X, X, num_threads=1, **opts))
+        assert np.array_equal(rt.run_sharded(A, X, pattern=calls, **opts), ref)
+        fut = rt.submit_sharded(A, X, pattern=calls, **opts)
+        assert np.array_equal(fut.result(timeout=60), ref)
+        stats = rt.stats()
+        assert stats["sharded_jobs"] == 1
+        assert stats["unpicklable_fallbacks"] == 2
 
 
 def test_part1d_parts_survive_shard_roundtrip(medium_problem):
