@@ -73,14 +73,10 @@ class Force2VecConfig(RuntimeOptions):
     ``batch_size=256``; the learning rate and negative-sample count follow
     the Force2Vec reference implementation.
 
-    The kernel-execution knobs (``kernel_backend``, ``reorder``,
-    ``num_threads``, ``processes``, ``shard_min_nnz``) are inherited from
+    The kernel-execution knobs (``kernel_backend``, ``num_threads``,
+    ``processes``, ``shard_min_nnz``) are inherited from
     :class:`~repro.runtime.RuntimeOptions` — one definition shared with
-    every other app config and with ``ServeConfig``.  Note: Force2Vec
-    trains through minibatch row slices and sampled negatives
-    (``run_on``), which always execute in natural order — the ``reorder``
-    tier only accelerates full-adjacency ``step`` calls, so non-"none"
-    values mostly add plan-build cost here.
+    every other app config and with ``ServeConfig``.
     """
 
     dim: int = 128
@@ -151,8 +147,8 @@ class Force2Vec:
         # sharded multi-process tier (bitwise identical results).
         self._runtime = KernelRuntime(
             cache_size=4,
-            # Block autotuning / reorder sweeps size against the real
-            # embedding dimension, not the 128 default.
+            # Block autotuning sizes against the real embedding
+            # dimension, not the 128 default.
             autotune_dim=self.config.dim,
             **self.config.runtime_kwargs(),
         )
@@ -160,7 +156,6 @@ class Force2Vec:
             self._matrix,
             pattern="sigmoid_residual",
             backend=self.config.kernel_backend,
-            reorder=self.config.reorder,
         )
         # Seconds in kernel calls made outside the stream (the baseline
         # backends); the stream keeps its own clock.

@@ -87,8 +87,8 @@ class FRLayout:
         # matrices reuse the same plan via ``run_on``.
         self._runtime = KernelRuntime(
             cache_size=4,
-            # Block autotuning / reorder sweeps size against the layout
-            # dimension (typically 2), not the 128 default.
+            # Block autotuning sizes against the layout dimension
+            # (typically 2), not the 128 default.
             autotune_dim=self.config.dim,
             **self.config.runtime_kwargs(),
         )
@@ -96,7 +96,6 @@ class FRLayout:
             self.adjacency,
             pattern="fr_layout",
             backend=self.config.kernel_backend,
-            reorder=self.config.reorder,
         )
         self.iteration_seconds: List[float] = []
         #: Current cooling temperature.  Persistent state, not recomputed:

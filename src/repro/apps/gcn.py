@@ -60,7 +60,7 @@ def normalize_adjacency(A: CSRMatrix, *, add_self_loops: bool = True) -> CSRMatr
 class GCNConfig(RuntimeOptions):
     """GCN architecture + training hyper-parameters.
 
-    Kernel-execution knobs (``kernel_backend``, ``reorder``, ``num_threads``,
+    Kernel-execution knobs (``kernel_backend``, ``num_threads``,
     ``processes``, ``shard_min_nnz``) are inherited from
     :class:`~repro.runtime.RuntimeOptions`.
     """
@@ -118,7 +118,7 @@ class GCN:
         self._runtime = KernelRuntime(
             cache_size=4,
             # Two of the three aggregations per epoch run at hidden_dim,
-            # so block autotuning / reorder sweeps size against it.
+            # so block autotuning sizes against it.
             autotune_dim=cfg.hidden_dim,
             **cfg.runtime_kwargs(),
         )
@@ -126,7 +126,6 @@ class GCN:
             self.A_hat,
             pattern="gcn",
             backend=cfg.kernel_backend,
-            reorder=cfg.reorder,
         )
         self.history: List[Dict[str, float]] = []
 

@@ -40,8 +40,7 @@ class VerseConfig(RuntimeOptions):
     """Hyper-parameters of VERSE training (adjacency-similarity variant).
 
     The kernel-execution knobs are inherited from
-    :class:`~repro.runtime.RuntimeOptions`, with the caveat on ``reorder``
-    that :class:`~repro.apps.force2vec.Force2VecConfig` states.
+    :class:`~repro.runtime.RuntimeOptions`.
     """
 
     dim: int = 128

@@ -15,7 +15,6 @@ _EXPORTS = {
     "harness": ("compare_kernels", "kernel_callables", "make_operands"),
     "jit_bench": ("bench_jit_speedup",),
     "record": ("bench_environment", "load_benchmark", "record_benchmark"),
-    "reorder_bench": ("bench_reorder_locality",),
     "report": (
         "ExperimentReport",
         "comparison_block",
@@ -56,7 +55,6 @@ __all__ = [
     "bench_remote_scaling",
     "bench_dynamic_updates",
     "bench_jit_speedup",
-    "bench_reorder_locality",
     "bench_serve_throughput",
     "bench_checkpoint_overhead",
     "compare_paths",

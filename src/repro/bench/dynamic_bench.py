@@ -6,12 +6,10 @@ freshly rebuilt from the same edge set):
 
 ``update_vs_rebuild``
     Applies small edge batches (≤ ``churn`` of nnz per round) to a
-    :class:`~repro.runtime.dynamic.DynamicGraph` with a warm natural
-    plan, timing :meth:`apply_edges` — row splice and plan refresh —
-    against the naive alternative: rebuild the CSR from the full edge set
-    and replan on a cold runtime.  Both sides hold the natural plan only:
-    a reordered plan does not survive a write, so the incremental side
-    has nothing to refresh for it.  The headline gate is the speedup of
+    :class:`~repro.runtime.dynamic.DynamicGraph` with a warm plan,
+    timing :meth:`apply_edges` — row splice and plan refresh — against
+    the naive alternative: rebuild the CSR from the full edge set and
+    replan on a cold runtime.  The headline gate is the speedup of
     the incremental path (≥ ``MIN_SPEEDUP``).
 
 ``shard_identity``
@@ -140,7 +138,7 @@ def bench_dynamic_updates(
     rebuild_s: List[float] = []
     try:
         g = DynamicGraph(base, runtime=rt)
-        # A warm natural plan; the mutation loop refreshes it in place.
+        # A warm plan; the mutation loop refreshes it in place.
         rt.run(g.matrix, X, pattern=pattern)
         for _ in range(max(1, rounds)):
             insert, delete = edge_batch(rng, g.matrix, half, half)

@@ -199,7 +199,7 @@ def bench_planned_small(
     feats = [random_features(nodes, dim, seed=seed + i) for i in range(graphs)]
     runtime = KernelRuntime(num_threads=num_threads)
     for A in mats:  # what registering a graph does
-        runtime.plan(A, pattern=pattern, reorder="none")
+        runtime.plan(A, pattern=pattern)
     planned = [KernelRequest(A, X, pattern=pattern) for A, X in zip(mats, feats)]
     unplanned = [
         KernelRequest(A.copy(), X, pattern=pattern) for A, X in zip(mats, feats)

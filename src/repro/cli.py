@@ -14,7 +14,6 @@ Sub-commands
                   targets).  Suites: ``runtime`` (plan cache + batch
                   packing), ``shard`` (multi-process shard scaling),
                   ``jit`` (JIT backend vs the NumPy backends),
-                  ``reorder`` (vertex reordering vs natural order),
                   ``serve`` (micro-batching vs serial dispatch), ``wire``
                   (binary wire protocol vs HTTP), ``remote`` (TCP worker
                   hosts, failover and hedging legs), ``dynamic``
@@ -146,7 +145,6 @@ _BENCH_SUITES = (
     "runtime",
     "shard",
     "jit",
-    "reorder",
     "serve",
     "wire",
     "remote",
@@ -248,7 +246,6 @@ def _cmd_runtime_stats(args: argparse.Namespace) -> int:
     runtime = KernelRuntime(
         num_threads=args.threads,
         processes=args.processes,
-        reorder=args.reorder,
         autotune_dim=args.dim,
     )
     try:
@@ -399,9 +396,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     """Local durable training: one job, checkpointed, auto-resuming.
 
     With ``--checkpoint-dir``, a killed run restarted with the same
-    command resumes from its newest durable checkpoint and (under
-    ``reorder="none"``) finishes bitwise identical to an uninterrupted
-    run — the chaos harness's training leg drives exactly this loop.
+    command resumes from its newest durable checkpoint and finishes
+    bitwise identical to an uninterrupted run — the chaos harness's
+    training leg drives exactly this loop.
     """
     import numpy as np
 
@@ -651,8 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench_cmp.add_argument("--no-fail", action="store_true")
     p_bench_cmp.set_defaults(func=_cmd_bench_compare)
 
-    from .sparse import REORDER_CHOICES
-
     p_runtime = sub.add_parser("runtime", help="runtime observability")
     runtime_sub = p_runtime.add_subparsers(dest="runtime_command", required=True)
     p_rt_stats = runtime_sub.add_parser(
@@ -665,9 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rt_stats.add_argument("--pattern", default="sigmoid_embedding")
     p_rt_stats.add_argument("--threads", type=int, default=1)
     p_rt_stats.add_argument("--processes", type=int, default=0)
-    p_rt_stats.add_argument(
-        "--reorder", choices=list(REORDER_CHOICES), default="none"
-    )
     p_rt_stats.add_argument(
         "--serve",
         action="store_true",

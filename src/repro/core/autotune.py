@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,9 +37,7 @@ from .validation import validate_operands
 
 __all__ = [
     "TuningResult",
-    "ReorderTuning",
     "autotune",
-    "autotune_reorder",
     "clear_tuning_cache",
     "tuning_cache_info",
     "DEFAULT_BLOCK_CANDIDATES",
@@ -70,28 +68,6 @@ class TuningResult:
             "block_size": self.block_size,
             "best_time": self.best_time,
             "num_trials": len(self.trials),
-        }
-
-
-@dataclass(frozen=True)
-class ReorderTuning:
-    """Outcome of one measured reorder-strategy sweep.
-
-    Produced by :func:`autotune_reorder`; ``trials`` maps every candidate
-    strategy (including ``"none"``) to its measured per-call seconds, so
-    plan descriptions can show *why* a strategy was (not) picked.
-    """
-
-    strategy: str
-    best_time: float
-    trials: Dict[str, float] = field(default_factory=dict)
-
-    def as_dict(self) -> Dict[str, object]:
-        """Plain-dict view for reports."""
-        return {
-            "reorder": self.strategy,
-            "best_time": self.best_time,
-            "trials": {k: round(v, 6) for k, v in self.trials.items()},
         }
 
 
@@ -207,44 +183,3 @@ def autotune(
     if use_cache:
         _TUNING_CACHE[key] = result
     return result
-
-
-def autotune_reorder(
-    runners: Dict[str, Callable[[], object]],
-    *,
-    repeats: int = 1,
-) -> ReorderTuning:
-    """Pick the fastest vertex-reordering strategy by measurement.
-
-    ``runners`` maps each candidate strategy name to a zero-argument
-    callable that performs one *complete* planned call under that strategy
-    — including the per-call operand permutation and the inverse mapping
-    of the output — so the measured seconds are exactly what an epoch
-    loop would pay.  The plan builder supplies the runners (it owns the
-    resolved kernel and the trial permutations); this function owns
-    timing and selection.
-
-    Unlike the block sweep of :func:`autotune`, reorder decisions
-    are *matrix-specific* — locality is a property of this graph's
-    structure — so nothing is cached here: the verdict lives on the plan
-    that asked for it (:attr:`KernelPlan.reorder_tuning`), and the plan
-    cache keeps it exactly as long as the plan.
-    """
-    if not runners:
-        raise ValueError("autotune_reorder needs at least one candidate runner")
-    trials: Dict[str, float] = {}
-    for name, run in runners.items():
-        # One untimed warm-up per candidate: the first call may pay
-        # one-off costs the steady state never sees (numba compilation of
-        # a shared kernel, lazy buffer setup) — without it the first
-        # candidate measured would absorb them and the verdict would be
-        # biased against it for the plan's lifetime.
-        run()
-        best = float("inf")
-        for _ in range(max(1, repeats)):
-            t0 = time.perf_counter()
-            run()
-            best = min(best, time.perf_counter() - t0)
-        trials[name] = best
-    best_name, best_time = min(trials.items(), key=lambda kv: kv[1])
-    return ReorderTuning(strategy=best_name, best_time=best_time, trials=trials)

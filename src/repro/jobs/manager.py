@@ -15,11 +15,11 @@ Three layers, smallest first:
   drain that checkpoints in-flight jobs, and :meth:`JobManager.recover`
   which requeues unfinished jobs found on disk after a restart.
 
-The determinism contract: with ``reorder="none"`` a run resumed from any
-checkpoint finishes bitwise identical to the uninterrupted seeded run —
-minibatch order is a pure function of ``seed + epoch`` and each app's
-stateful randomness (negative/noise samplers, the FR cooling
-temperature) is part of its exported state.
+The determinism contract: a run resumed from any checkpoint finishes
+bitwise identical to the uninterrupted seeded run — minibatch order is a
+pure function of ``seed + epoch`` and each app's stateful randomness
+(negative/noise samplers, the FR cooling temperature) is part of its
+exported state.
 """
 
 from __future__ import annotations

@@ -34,7 +34,6 @@ from .cache import CacheStats, PlanCache
 from .dynamic import DynamicGraph, GraphVersion, MutationResult
 from .fingerprint import (
     clear_fingerprint_memo,
-    derived_fingerprint,
     fingerprint_covers,
     fingerprint_memo_info,
     matrix_fingerprint,
@@ -71,7 +70,6 @@ __all__ = [
     "GraphVersion",
     "MutationResult",
     "matrix_fingerprint",
-    "derived_fingerprint",
     "pin_fingerprint",
     "fingerprint_covers",
     "fingerprint_memo_info",

@@ -1,26 +1,19 @@
 """LRU cache of FusedMM execution plans.
 
 One entry per ``(matrix fingerprint, pattern, backend, num_threads,
-block_size, autotune, reorder)`` combination — the full key
-under which a plan's resolution, partitioning, tuning and locality
-(vertex-reordering) decisions are valid.  Repeated calls on the same
-adjacency (the every-epoch training-loop case) hit the cache and skip
-straight to kernel execution; asking for a different ``reorder=`` strategy
-is a different plan, so natural-order (``"none"``) and reordered plans
-coexist without invalidating each other.
+block_size, autotune)`` combination — the full key under which a plan's
+resolution, partitioning and tuning decisions are valid.  Repeated calls
+on the same adjacency (the every-epoch training-loop case) hit the cache
+and skip straight to kernel execution.
 
 The cache is bounded twice — by entry count and by *retained bytes* —
 and evicts least-recently-used plans.  The byte bound exists because
-plans hold memory: a reordered plan pins a permuted copy of its
-adjacency, and a plan that has run keeps its edge-block schedule, so a
-count bound alone would let a serving loop over many large graphs grow
-without limit.
-Entries report their weight through an optional ``retained()`` method
-(bytes by owner: plans of one matrix may share a permuted copy); plans
-without one weigh zero.  The budget charges every entry its full weight;
-the per-lineage report (:meth:`PlanCache.bytes_for`) counts a shared
-owner once.  Hit/miss/eviction counts are tracked so tests and
-dashboards can observe cache effectiveness.
+plans hold memory: a plan that has run keeps its edge-block schedule, so
+a count bound alone would let a serving loop over many large graphs grow
+without limit.  Entries report their weight through an optional
+``retained_bytes()`` method; plans without one weigh zero.  Hit/miss/
+eviction counts are tracked so tests and dashboards can observe cache
+effectiveness.
 """
 
 from __future__ import annotations
@@ -28,7 +21,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Hashable, Mapping, Tuple
+from typing import Dict, Hashable, Tuple
+
+from .fingerprint import fingerprint_covers
 
 __all__ = ["CacheStats", "PlanCache"]
 
@@ -63,10 +58,10 @@ class CacheStats:
         }
 
 
-#: Default ceiling on the bytes cached plans may retain (permuted
-#: matrices of the locality tier, kept edge-block schedules).  The
-#: most-recent entry is always kept even when it alone exceeds the budget
-#: — a cache that refused the plan just built would defeat its purpose.
+#: Default ceiling on the bytes cached plans may retain (their kept
+#: edge-block schedules).  The most-recent entry is always kept even when
+#: it alone exceeds the budget — a cache that refused the plan just built
+#: would defeat its purpose.
 DEFAULT_BYTE_BUDGET = 2 * 1024 * 1024 * 1024
 
 
@@ -83,9 +78,9 @@ class PlanCache:
         self.capacity = capacity
         self.byte_budget = byte_budget
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
-        # Entry weights by owner, computed at insert and on reweigh(), so
-        # put/stats never weigh every entry again.
-        self._weights: Dict[Hashable, Mapping[int, int]] = {}
+        # Entry weights, computed at insert and on reweigh(), so put/stats
+        # never weigh every entry again.
+        self._weights: Dict[Hashable, int] = {}
         self._retained = 0
         self._lock = threading.RLock()
         self._hits = 0
@@ -93,9 +88,9 @@ class PlanCache:
         self._evictions = 0
 
     @staticmethod
-    def _weight(plan) -> Mapping[int, int]:
-        weigh = getattr(plan, "retained", None)
-        return dict(weigh()) if callable(weigh) else {}
+    def _weight(plan) -> int:
+        weigh = getattr(plan, "retained_bytes", None)
+        return int(weigh()) if callable(weigh) else 0
 
     # ------------------------------------------------------------------ #
     def get(self, key: Hashable):
@@ -122,7 +117,7 @@ class PlanCache:
                 return
             self._entries[key] = plan
             self._weights[key] = weight
-            self._retained += sum(weight.values())
+            self._retained += weight
             self._shrink()
 
     def reweigh(self, key: Hashable, plan) -> None:
@@ -136,8 +131,8 @@ class PlanCache:
                 self._reweigh(key, weight)
                 self._shrink()
 
-    def _reweigh(self, key: Hashable, weight: Mapping[int, int]) -> None:
-        self._retained += sum(weight.values()) - sum(self._weights[key].values())
+    def _reweigh(self, key: Hashable, weight: int) -> None:
+        self._retained += weight - self._weights[key]
         self._weights[key] = weight
 
     def _shrink(self) -> None:
@@ -145,7 +140,7 @@ class PlanCache:
             len(self._entries) > self.capacity or self._retained > self.byte_budget
         ):
             evicted, _ = self._entries.popitem(last=False)
-            self._retained -= sum(self._weights.pop(evicted).values())
+            self._retained -= self._weights.pop(evicted)
             self._evictions += 1
 
     def clear(self) -> None:
@@ -162,35 +157,19 @@ class PlanCache:
     def _key_fingerprint(key: Hashable) -> str:
         return str(getattr(key, "fingerprint", "") or "")
 
-    @staticmethod
-    def _covers(fingerprint: str, key_fp: str) -> bool:
-        """Whether ``key_fp`` belongs to ``fingerprint``'s lineage.
-
-        Matches the fingerprint itself, its derived keys
-        (``<fp>|reorder=...``) and — when given a bare lineage hash — its
-        versioned descendants (``<fp>@vN`` and their derived keys), so one
-        call can retire a whole graph or exactly one superseded version.
-        """
-        if not key_fp or not fingerprint:
-            return False
-        return (
-            key_fp == fingerprint
-            or key_fp.startswith(fingerprint + "|")
-            or key_fp.startswith(fingerprint + "@")
-        )
-
     def evict_fingerprint(self, fingerprint: str) -> int:
-        """Drop every plan keyed on ``fingerprint`` (or a key derived from
-        it); returns the number of entries removed."""
+        """Drop every plan in ``fingerprint``'s lineage
+        (:func:`~repro.runtime.fingerprint.fingerprint_covers`); returns the
+        number of entries removed."""
         with self._lock:
             doomed = [
                 key
                 for key in self._entries
-                if self._covers(fingerprint, self._key_fingerprint(key))
+                if fingerprint_covers(fingerprint, self._key_fingerprint(key))
             ]
             for key in doomed:
                 del self._entries[key]
-                self._retained -= sum(self._weights.pop(key).values())
+                self._retained -= self._weights.pop(key)
                 self._evictions += 1
             return len(doomed)
 
@@ -200,22 +179,18 @@ class PlanCache:
             return tuple(
                 (key, plan)
                 for key, plan in self._entries.items()
-                if self._covers(fingerprint, self._key_fingerprint(key))
+                if fingerprint_covers(fingerprint, self._key_fingerprint(key))
             )
 
     def bytes_for(self, fingerprint: str) -> Dict[str, int]:
-        """``{"plans": n, "plan_bytes": b}`` retained for one lineage, a
-        shared owner counted once."""
+        """``{"plans": n, "plan_bytes": b}`` retained for one lineage."""
         with self._lock:
-            owners: Dict[int, int] = {}
-            keys = [
-                key
-                for key in self._entries
-                if self._covers(fingerprint, self._key_fingerprint(key))
+            weights = [
+                weight
+                for key, weight in self._weights.items()
+                if fingerprint_covers(fingerprint, self._key_fingerprint(key))
             ]
-            for key in keys:
-                owners.update(self._weights[key])
-            return {"plans": len(keys), "plan_bytes": sum(owners.values())}
+            return {"plans": len(weights), "plan_bytes": sum(weights)}
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:

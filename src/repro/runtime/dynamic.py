@@ -14,13 +14,10 @@ reader lets go.
 
 A mutation refreshes what stays valid and drops the rest:
 
-* **plans** — every cached natural-order plan of the old version is
-  rebound to the new one
-  (:meth:`~repro.runtime.runtime.KernelRuntime.update_matrix`): backend
-  resolution and the autotuned block size carry over, only the
-  nnz-balanced partitions are recomputed.  A reordered plan leaves with
-  the old version; the next ``plan(..., reorder=...)`` on the new version
-  computes its permutation fresh, exactly as for a static matrix.
+* **plans** — every cached plan of the old version is rebound to the new
+  one (:meth:`~repro.runtime.runtime.KernelRuntime.update_matrix`):
+  backend resolution and the autotuned block size carry over, only the
+  nnz-balanced partitions are recomputed.
 * **shards** — the remote tier gets the batch's rows as a delta source
   for the new version
   (:meth:`~repro.runtime.remote.RemoteController.register_delta`), so
@@ -32,9 +29,7 @@ Correctness contract (tested property-style in ``tests/test_dynamic.py``
 and end-to-end by the mutation smoke): a kernel executed against a
 version is **bitwise identical** to the same kernel on a CSR freshly
 rebuilt from the same edge set — at every version, across backends and
-shard counts, local or remote.  (Reordered execution relates to natural
-order exactly as for static graphs: bitwise on ``generated``, allclose
-on other kinds.)
+shard counts, local or remote.
 """
 
 from __future__ import annotations
@@ -108,7 +103,7 @@ class DynamicGraph:
     ``runtime=None`` gives a standalone graph (versions and bitwise
     splices) with no cache plumbing — the sparse tier alone.  With a
     :class:`~repro.runtime.runtime.KernelRuntime` attached, every mutation
-    refreshes that runtime's natural-order plans for this graph, registers
+    refreshes that runtime's cached plans for this graph, registers
     the batch's rows as a delta source on its remote controller and
     releases the superseded version from the local cache tiers.
     """
@@ -237,8 +232,7 @@ class DynamicGraph:
         ``base_bytes`` is the current version's CSR, ``delta_bytes`` the
         rows the latest batch spliced into it (already inside
         ``base_bytes``), ``plan_bytes`` what the attached runtime's plan
-        cache retains for this version (permuted copies included — the
-        plans own them).
+        cache retains for this version (the plans' kept block schedules).
         """
         with self._lock:
             cur = self._current

@@ -29,7 +29,6 @@ from ..sparse import CSRMatrix, as_csr
 __all__ = [
     "matrix_fingerprint",
     "memoized_fingerprint",
-    "derived_fingerprint",
     "pin_fingerprint",
     "fingerprint_covers",
     "fingerprint_memo_info",
@@ -109,38 +108,19 @@ def pin_fingerprint(A, fingerprint: str) -> str:
     return fingerprint
 
 
-def derived_fingerprint(fingerprint: str, tag: str) -> str:
-    """Key for a matrix derived from a fingerprinted one.
-
-    A derived key must name the derived *content*: two matrices under one
-    key are taken to be equal by every tier that ships or caches by key.
-    ``fingerprint`` covers the source content, so ``tag`` must carry
-    whatever else makes the derivation unique.  The locality tier ships a
-    permuted adjacency under ``reorder=<strategy>:<perm digest>``
-    (:meth:`~repro.runtime.plan.KernelPlan.reordered_key`), so the key
-    names the permutation itself, not only the strategy that produced it.
-    Deriving avoids re-hashing O(nnz) bytes that the source fingerprint
-    already covers.
-    """
-    return f"{fingerprint}|{tag}"
-
-
 def fingerprint_covers(fingerprint: str, key: str) -> bool:
     """Whether cache/ship key ``key`` belongs to ``fingerprint``'s lineage.
 
-    True for the fingerprint itself, keys derived from it
-    (``<fp>|reorder=...``) and versioned descendants (``<fp>@vN`` plus
-    *their* derived keys).  Every tier that unships by fingerprint — plan
-    cache, worker shared memory, remote host LRUs — uses this one
-    predicate so the notion of "belongs to that graph" cannot drift.
+    True for the fingerprint itself and, given a bare lineage hash, its
+    versioned descendants (``<fp>@vN``), so one call can retire a whole
+    graph or exactly one superseded version.  Every tier that unships by
+    fingerprint — plan cache, worker shared memory, remote host LRUs —
+    uses this one predicate so the notion of "belongs to that graph"
+    cannot drift.
     """
     if not fingerprint or not key:
         return False
-    return (
-        key == fingerprint
-        or key.startswith(fingerprint + "|")
-        or key.startswith(fingerprint + "@")
-    )
+    return key == fingerprint or key.startswith(fingerprint + "@")
 
 
 def fingerprint_memo_info() -> Dict[str, int]:

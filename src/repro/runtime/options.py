@@ -1,8 +1,8 @@
 """The shared kernel-execution knobs every app config carries.
 
 Force2Vec, VERSE, GCN and the FR layout engine (and the serving layer's
-``ServeConfig``) all expose the same five kernel knobs — backend, locality
-tier, thread count, worker-process count, sharding threshold.  They used
+``ServeConfig``) all expose the same four kernel knobs — backend, thread
+count, worker-process count, sharding threshold.  They used
 to duplicate the fields *and* their validation in every config dataclass;
 :class:`RuntimeOptions` is the single definition they now inherit, so the
 knobs, their defaults and their error messages cannot drift between apps.
@@ -26,7 +26,6 @@ from typing import Dict
 
 from ..core.fused import BACKENDS as KERNEL_BACKENDS
 from ..errors import BackendError
-from ..sparse import validate_reorder
 
 __all__ = ["RuntimeOptions"]
 
@@ -44,10 +43,6 @@ class RuntimeOptions:
     kernel_backend:
         Kernel backend of the fused calls (:data:`repro.core.BACKENDS`);
         ``"auto"`` prefers the Numba jit tier when importable.
-    reorder:
-        Locality tier of the cached plans
-        (:data:`repro.sparse.REORDER_CHOICES`); ``"none"`` keeps
-        bitwise-exact execution.
     num_threads:
         Worker threads of the runtime's shared pool (1 = sequential).
     processes:
@@ -59,7 +54,6 @@ class RuntimeOptions:
     """
 
     kernel_backend: str = "auto"
-    reorder: str = "none"
     num_threads: int = 1
     processes: int = 0
     shard_min_nnz: int = _DEFAULT_SHARD_MIN_NNZ
@@ -70,12 +64,11 @@ class RuntimeOptions:
                 f"unknown kernel backend {self.kernel_backend!r}; "
                 f"expected one of {KERNEL_BACKENDS}"
             )
-        validate_reorder(self.reorder)
 
     def runtime_kwargs(self) -> Dict[str, object]:
         """The :class:`~repro.runtime.KernelRuntime` keywords these knobs
-        map onto (``kernel_backend``/``reorder`` are per-plan arguments,
-        not runtime construction arguments, so they are not included)."""
+        map onto (``kernel_backend`` is a per-plan argument, not a runtime
+        construction argument, so it is not included)."""
         return {
             "num_threads": self.num_threads,
             "processes": self.processes,

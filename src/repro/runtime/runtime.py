@@ -23,11 +23,7 @@ on.  It owns
   (:mod:`repro.runtime.shard`) and executed by a persistent pool of worker
   processes (:mod:`repro.runtime.workers`) that hold the CSR matrix in
   shared memory — the escape hatch from the GIL for kernels too small to
-  amortise NumPy's internal threading;
-* a **locality tier** (``reorder=``): plans can bind a vertex-reordered
-  copy of the adjacency (:mod:`repro.sparse.reorder`), computed once per
-  cached plan and run every epoch like a natural-order matrix — outputs
-  are transparently mapped back to the original vertex order.
+  amortise NumPy's internal threading.
 
 Determinism
 -----------
@@ -35,14 +31,7 @@ Scheduling decisions (split counts, partition boundaries, packing, shard
 assignment) depend only on the requests themselves — never on how many
 worker threads or processes the runtime happens to own — so results are
 bitwise identical across thread *and* shard counts, extending the
-invariant documented in :mod:`repro.core.parallel`.  The locality tier
-(``reorder=`` other than ``"none"``) keeps that invariant — every path
-runs the same partitions of the same permuted matrix.  On the
-``generated`` edge-block driver a reordered result is also bitwise equal
-to the natural order of that kind (each permuted row keeps its source
-edge order, and the driver's row sum does not depend on where the row
-sits); for other kinds it is allclose.  With ``backend="auto"`` a
-reordered and a natural plan may resolve to different kinds.
+invariant documented in :mod:`repro.core.parallel`.
 """
 
 from __future__ import annotations
@@ -59,7 +48,7 @@ from ..core.operators import is_builtin
 from ..core.parallel import available_threads
 from ..core.partition import DEFAULT_SPLIT_NNZ, RowPartition, split_parts
 from ..core.patterns import OpPattern, get_pattern, pattern_key
-from ..sparse import as_csr, validate_reorder
+from ..sparse import as_csr
 from .batch import KernelRequest, pack_group_key, pack_requests
 from .cache import CacheStats, PlanCache
 from .codec import execute_parts, output_dtype, plan_spec_from_plan, remote_spec_meta
@@ -124,9 +113,8 @@ class EpochStream:
 
         When the runtime owns a worker pool (``processes=``) and the bound
         adjacency is large enough, the call runs through the sharded
-        multi-process tier — bitwise identically to the in-process path,
-        reordered plans included (both paths run the plan's partitions of
-        its permuted matrix).
+        multi-process tier — bitwise identically to the in-process path
+        (both run the plan's partitions of the bound matrix).
         """
         t0 = time.perf_counter()
         rt = self._runtime
@@ -175,7 +163,6 @@ class _ShardPrep:
     spec: Dict[str, object]
     spec_meta: Optional[dict]
     shard_plan: ShardPlan
-    rplan: Optional[KernelPlan]
     local_slots: int
     remote_slots: int
 
@@ -192,12 +179,6 @@ class KernelRuntime:
         Capacity of the plan LRU.
     autotune:
         Default autotuning policy for new plans (overridable per call).
-    reorder:
-        Default locality strategy for new plans (overridable per call):
-        ``"none"`` (default, the natural order), an explicit strategy from
-        :data:`repro.sparse.REORDER_STRATEGIES`, or ``"auto"`` (measured
-        once per plan; picked only when faster).  See
-        :mod:`repro.sparse.reorder`.
     pack_nnz, split_nnz:
         nnz-aware scheduling thresholds: requests at or below ``pack_nnz``
         are packed by :meth:`run_batch` (see :mod:`repro.runtime.batch`),
@@ -261,7 +242,6 @@ class KernelRuntime:
         cache_size: int = 64,
         autotune: bool = False,
         autotune_dim: int = 128,
-        reorder: str = "none",
         pack_nnz: int = DEFAULT_PACK_NNZ,
         split_nnz: int = DEFAULT_SPLIT_NNZ,
         processes: Optional[int] = None,
@@ -278,7 +258,6 @@ class KernelRuntime:
         self.num_threads = num_threads or available_threads()
         self.autotune = autotune
         self.autotune_dim = autotune_dim
-        self.reorder = validate_reorder(reorder)
         self.pack_nnz = pack_nnz
         self.split_nnz = split_nnz
         # ``shards=N`` without ``processes=`` implies an N-worker pool.
@@ -440,16 +419,9 @@ class KernelRuntime:
         backend: str = "auto",
         block_size: Optional[int] = None,
         autotune: Optional[bool] = None,
-        reorder: Optional[str] = None,
         **pattern_overrides,
     ) -> KernelPlan:
-        """Fetch (or build and cache) the execution plan for ``A``.
-
-        ``reorder`` selects the locality tier for this plan (default: the
-        runtime's ``reorder`` setting); the permutation and any
-        measured sweep happen once here and are replayed by every
-        execution of the cached plan.
-        """
+        """Fetch (or build and cache) the execution plan for ``A``."""
         A = as_csr(A)
         op_pattern = get_pattern(pattern, **pattern_overrides)
         resolved = op_pattern.resolved()
@@ -460,15 +432,10 @@ class KernelRuntime:
             num_threads=self.num_threads,
             block_size=block_size or 0,
             autotune=self.autotune if autotune is None else bool(autotune),
-            reorder=self.reorder if reorder is None else reorder,
         )
         plan = self._cache.get(key)
         if plan is not None:
             return plan
-        siblings = []  # a reordered plan shares a sibling's permuted copy
-        if key.reorder != "none":
-            entries = self._cache.entries_for(key.fingerprint)
-            siblings = [p for k, p in entries if k.fingerprint == key.fingerprint]
         plan = build_plan(
             A,
             key,
@@ -476,7 +443,6 @@ class KernelRuntime:
             resolved,
             split_nnz=self.split_nnz,
             autotune_dim=self.autotune_dim,
-            siblings=siblings,
         )
         self._cache.put(key, plan)
         return plan
@@ -502,10 +468,9 @@ class KernelRuntime:
         """The one route from every entry point to the kernel.
 
         ``parts=None`` means ``A`` is the plan's bound matrix, so the
-        plan's own partitions (and, for a reordered plan, its locality
-        tier) run, in process through the plan's kept edge-block schedule
-        (:meth:`~repro.runtime.plan.KernelPlan.bound_schedule`, built on
-        the first such call); a derived matrix — minibatch slice, sampled
+        plan's own partitions run, in process through the plan's kept
+        edge-block schedule (:meth:`~repro.runtime.plan.KernelPlan.bound_schedule`,
+        built on the first such call); a derived matrix — minibatch slice, sampled
         negatives — brings its :func:`~repro.core.partition.split_parts`
         partitions and a one-call schedule.  ``prep`` is the sharded
         dispatch an entry point that may shard got from
@@ -515,22 +480,17 @@ class KernelRuntime:
         shared segments are torn down afterwards, no schedule is built).
 
         Either way the same partitions run with the same resolved kernel
-        on the same matrix (a reordered plan's permuted one), and the
-        split count depends on the matrix alone, so results are bitwise
-        identical across thread and shard counts and across the two
-        paths.
+        on the same matrix, and the split count depends on the matrix
+        alone, so results are bitwise identical across thread and shard
+        counts and across the two paths.
         """
         if prep is not None:
             self._bump("sharded_jobs")
-            rplan = prep.rplan
-            if rplan is not None:
-                X, Y = rplan.permute_operands(X, Y)
             try:
-                Z = self._dispatch(prep, X, Y)
+                return self._dispatch(prep, X, Y)
             finally:
                 if not keep and prep.workers is not None:
                     prep.workers.release_matrix(prep.key)
-            return Z if rplan is None else Z[rplan.inv_perm]
         A = as_csr(A)
         schedule = None
         if parts is None:
@@ -609,13 +569,6 @@ class KernelRuntime:
         Capacity is the local worker-process count plus the slot count of
         live remote hosts (:meth:`_tier_slots`); the shard count comes from
         :meth:`_shard_count`, the same sizing :meth:`shard_plan` reports.
-
-        For a reordered plan the tier ships the *permuted* matrix (under
-        :meth:`~repro.runtime.plan.KernelPlan.reordered_key`, which names
-        the permutation) and builds the shards from the plan's partitions
-        of that matrix, the ones the in-process path runs.  The operands
-        are permuted and the gathered output mapped back via the returned
-        plan handle.
         """
         # Cheap capacity probe first: streaming calls come through here on
         # every epoch, and the spec below pickles the pattern.
@@ -632,19 +585,7 @@ class KernelRuntime:
         capacity = local_slots + remote_slots
         if capacity == 0:
             return None
-        reordered = (
-            parts is None
-            and plan.reorder != "none"
-            and plan.reordered is not None
-            and plan.matches_bound(A)
-        )
-        if reordered:
-            # Workers execute the permuted matrix over the plan's
-            # partitions of it, exactly as the in-process path does.
-            A = plan.reordered
-            key = plan.reordered_key()
-        else:
-            key = plan.key.fingerprint if parts is None else matrix_fingerprint(A)
+        key = plan.key.fingerprint if parts is None else matrix_fingerprint(A)
         partitions = plan.partitions if parts is None else parts
         shard_plan = assign_shards(partitions, self._shard_count(shards, capacity))
         return _ShardPrep(
@@ -655,7 +596,6 @@ class KernelRuntime:
             spec=spec,
             spec_meta=spec_meta,
             shard_plan=shard_plan,
-            rplan=plan if reordered else None,
             local_slots=local_slots,
             remote_slots=remote_slots,
         )
@@ -724,11 +664,8 @@ class KernelRuntime:
     ) -> np.ndarray:
         """One-shot planned execution through the multi-process tier.
 
-        Bitwise identical to :meth:`run` for every plan, and to sequential
-        :func:`~repro.core.fused.fusedmm` for ``reorder="none"`` plans and
-        reordered ``generated`` plans (whose workers run the permuted
-        matrix, its rows in their source edge order); a reordered plan of
-        another kind is allclose to it.  Runs in process when the
+        Bitwise identical to :meth:`run` and to sequential
+        :func:`~repro.core.fused.fusedmm`.  Runs in process when the
         runtime has no sharded capacity or the pattern cannot cross a
         process boundary (counted as ``stats()["unpicklable_fallbacks"]``).
         A worker or host lost mid-call costs time, not the call: its rows
@@ -840,7 +777,6 @@ class KernelRuntime:
                 num_threads=self.num_threads,
                 block_size=req.block_size or 0,
                 autotune=False,
-                reorder="none",
             )
         )
 
@@ -888,17 +824,12 @@ class KernelRuntime:
                 (larges if len(plan.partitions) > 1 else singles).append(i)
             elif req.A.nnz > self.split_nnz and cfg.supports_parts:
                 # Worth a full (fingerprinted, LRU-cached) plan: the split
-                # partitioning is reused on repeated submissions.  Batch
-                # requests are one-shot, so the locality tier has nothing
-                # to amortise against — reorder is pinned to "none", which
-                # also keeps run_batch's bitwise-identity promise intact
-                # under a runtime-wide reorder default.
+                # partitioning is reused on repeated submissions.
                 cfg = self.plan(
                     req.A,
                     pattern=req.pattern,
                     backend=req.backend,
                     block_size=req.block_size,
-                    reorder="none",
                     **dict(req.overrides),
                 )
                 larges.append(i)
@@ -1016,12 +947,10 @@ class KernelRuntime:
         """Evict every cache entry derived from ``fingerprint``'s lineage.
 
         Cascades through all three tiers that key on matrix fingerprints:
-        cached plans (and with them every reordered copy), worker
-        shared-memory segments and remote host LRUs.  Derived keys
-        (``<fp>|reorder=...``) and versioned descendants (``<fp>@vN``) are
-        covered too — this is the one call sites use when a graph is
-        dropped or superseded, so no tier can leak entries for matrices
-        nothing will ask for again.
+        cached plans, worker shared-memory segments and remote host LRUs.
+        Versioned descendants (``<fp>@vN``) are covered too — this is the
+        one call sites use when a graph is dropped or superseded, so no
+        tier can leak entries for matrices nothing will ask for again.
         Returns per-tier eviction counts (for stats and tests).
 
         ``remote=False`` skips the remote tier: the dynamic-graph path
@@ -1056,30 +985,28 @@ class KernelRuntime:
         A_new,
         new_fingerprint: Optional[str] = None,
     ) -> int:
-        """Rebind the cached natural-order plans of a mutated matrix.
+        """Rebind the cached plans of a mutated matrix.
 
-        Each plan keyed on ``old_fingerprint`` that holds no permuted copy
-        gets a successor keyed on the new fingerprint: backend resolution,
-        the kernel and autotune results carry over, only the nnz-balanced
-        partitions are recomputed.  Reordered plans leave with the old
-        version; the next ``plan(..., reorder=...)`` on the new version
-        builds its permutation fresh, exactly as for a static matrix.  The
-        old version is evicted before the successors go in, so a full LRU
-        never pushes out another matrix's plan.  Returns the number of
-        plans refreshed.
+        Each plan keyed on ``old_fingerprint`` gets a successor keyed on
+        the new fingerprint: backend resolution, the kernel and autotune
+        results carry over, only the nnz-balanced partitions are
+        recomputed (and the block schedule is rebuilt on the successor's
+        first call).  The old version is evicted before the successors go
+        in, so a full LRU never pushes out another matrix's plan.  Returns
+        the number of plans refreshed.
         """
         A_new = as_csr(A_new)
         old_fingerprint = str(old_fingerprint)
         new_fp = (
             str(new_fingerprint) if new_fingerprint else matrix_fingerprint(A_new)
         )
-        natural = [
+        plans = [
             (key, plan)
             for key, plan in self._cache.entries_for(old_fingerprint)
-            if key.fingerprint == old_fingerprint and plan.reordered is None
+            if key.fingerprint == old_fingerprint
         ]
         self._cache.evict_fingerprint(old_fingerprint)
-        for key, plan in natural:
+        for key, plan in plans:
             new_key = replace(key, fingerprint=new_fp)
             self._cache.put(
                 new_key,
@@ -1093,7 +1020,7 @@ class KernelRuntime:
                     _calls_lock=threading.Lock(),
                 ),
             )
-        return len(natural)
+        return len(plans)
 
     def attach_stats_section(self, name: str, provider) -> None:
         """Merge ``provider()`` into :meth:`stats` under ``name``.
@@ -1126,7 +1053,6 @@ class KernelRuntime:
             "pool_active": self._pool is not None,
             "processes": self.processes,
             "shards": self.shards,
-            "reorder": self.reorder,
             "workers": None if workers is None else workers.stats(),
             "remote": None if controller is None else controller.stats(),
             **counters,

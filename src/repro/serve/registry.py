@@ -83,9 +83,6 @@ class ModelRegistry:
             remote_port=self.config.remote_port,
             remote_token=self.config.remote_token,
             remote_heartbeat_strikes=self.config.heartbeat_strikes,
-            # Request plans stay bitwise-exact; the reorder knob only
-            # reaches model *training* via ModelSpec.build.
-            reorder="none",
         )
         self._models: Dict[str, RegisteredModel] = {}
         # Every named graph is a DynamicGraph handle: static workloads see
@@ -131,7 +128,6 @@ class ModelRegistry:
                     A,
                     pattern=pattern,
                     backend=self.config.kernel_backend,
-                    reorder="none",
                 )
             except Exception:
                 # A pattern incompatible with this graph shape is a

@@ -14,9 +14,6 @@ Public names
     Self-contained Matrix Market coordinate I/O.
 ``random_csr`` & friends
     Controlled random sparsity patterns for tests and benchmarks.
-``reorder_matrix``
-    The locality tier: vertex reordering (RCM, degree sort, hub
-    clustering) as a symmetric permutation.
 """
 
 from .coo import COOMatrix
@@ -25,15 +22,6 @@ from .convert import as_coo, as_csr, from_networkx
 from .delta import DeltaCSR, EdgeBatchResult, splice_rows
 from .io import read_matrix_market, write_matrix_market
 from .random import banded_csr, block_diagonal_csr, random_bipartite, random_csr
-from .reorder import (
-    REORDER_CHOICES,
-    REORDER_STRATEGIES,
-    ReorderResult,
-    permute_symmetric,
-    reorder_matrix,
-    reorder_permutation,
-    validate_reorder,
-)
 
 __all__ = [
     "COOMatrix",
@@ -50,11 +38,4 @@ __all__ = [
     "random_bipartite",
     "banded_csr",
     "block_diagonal_csr",
-    "REORDER_CHOICES",
-    "REORDER_STRATEGIES",
-    "ReorderResult",
-    "validate_reorder",
-    "reorder_permutation",
-    "permute_symmetric",
-    "reorder_matrix",
 ]

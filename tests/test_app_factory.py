@@ -52,7 +52,7 @@ def test_model_spec_build_is_the_factory_plus_its_epochs(kind, train_epochs):
     runtime = dict(
         seed=2, num_threads=config.num_threads, processes=config.processes,
         shard_min_nnz=config.shard_min_nnz,
-        kernel_backend=config.kernel_backend, reorder=config.reorder,
+        kernel_backend=config.kernel_backend,
     )
     sizes = dict(scale=0.05, dim=8, epochs=train_epochs)
     _, stepped = build_app(kind, "cora", **sizes, **runtime)
@@ -137,7 +137,7 @@ def test_specs_reject_an_unknown_kind_against_the_same_list(kind):
 def test_verse_config_fields_are_unchanged():
     names = [f.name for f in dataclasses.fields(VerseConfig)]
     assert names == [
-        "kernel_backend", "reorder", "num_threads", "processes", "shard_min_nnz",
+        "kernel_backend", "num_threads", "processes", "shard_min_nnz",
         "dim", "batch_size", "epochs", "learning_rate", "noise_samples", "seed",
     ]
     cfg = VerseConfig(64, noise_samples=4)

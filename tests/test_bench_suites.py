@@ -18,13 +18,6 @@ def _pair(base, **row):
 
 
 _SHARD = {"shards": 1, "identical": True, "speedup_vs_1shard": 1.0}
-_REORDER = {
-    "requested": "none",
-    "max_abs_err": 0.0,
-    "speedup_vs_none": 1.0,
-    "nnz": 600_000,
-    "pattern": "sigmoid_embedding",
-}
 _SERVE = {"mode": "serial", "clients": 8, "bitwise_identical": True}
 _WIRE = {"payload": "tiny", "transport": "http", "bitwise_identical": True}
 _JIT = {"backend": "jit", "pattern": "sigmoid_embedding", "max_abs_err": 0.0}
@@ -94,34 +87,6 @@ _CASES = {
         [{**_JIT, "speedup_vs_optimized": 2.0}],
         True,
         True,
-        False,
-    ),
-    "reorder drifted": (
-        "reorder",
-        _pair(_REORDER, requested="hub", max_abs_err=0.01, speedup_vs_none=2.0),
-        True,
-        True,
-        True,
-    ),
-    "reorder slow": (
-        "reorder",
-        _pair(_REORDER, requested="hub", speedup_vs_none=1.1),
-        False,
-        True,
-        False,
-    ),
-    "reorder quick waiver": (
-        "reorder",
-        _pair(_REORDER, requested="hub", speedup_vs_none=1.1),
-        True,
-        False,
-        False,
-    ),
-    "reorder small graph waiver": (
-        "reorder",
-        [{**_REORDER, "nnz": 1_000}, {**_REORDER, "nnz": 1_000, "requested": "hub"}],
-        False,
-        False,
         False,
     ),
     "serve not identical": (

@@ -74,31 +74,6 @@ def test_cli_runtime_stats(capsys):
     assert "split_jobs" in out
 
 
-def test_cli_bench_reorder(tmp_path, capsys):
-    json_path = tmp_path / "BENCH_reorder.json"
-    assert main(
-        [
-            "bench",
-            "reorder",
-            "--nodes",
-            "600",
-            "--dim",
-            "8",
-            "--repeats",
-            "1",
-            "--strategies",
-            "none",
-            "degree",
-            "--json",
-            str(json_path),
-        ]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "Locality tier" in out
-    assert "speedup_vs_none" in out
-    assert json_path.exists()
-
-
 def test_cli_report_quick(tmp_path, capsys):
     output = tmp_path / "report.md"
     assert main(["report", "--output", str(output), "--quick", "--scale", "0.1"]) == 0

@@ -5,9 +5,8 @@ The contract under test: every version's CSR, spliced from its
 predecessor's rows, is **bitwise identical** to a CSR freshly rebuilt
 from the same edge set, and so is every kernel result on it — at every
 version, across local and remote execution.  Invalidation is
-incremental: cached natural-order plans are refreshed (not dropped),
-reordered plans leave with their version and are rebuilt fresh on the
-next request, and the remote tier re-ships only the batch's rows.
+incremental: cached plans are refreshed (not dropped), and the remote
+tier re-ships only the batch's rows.
 """
 
 from __future__ import annotations
@@ -31,10 +30,9 @@ from repro.runtime import (
     fingerprint_covers,
     matrix_fingerprint,
 )
-from repro.sparse import CSRMatrix, random_csr
+from repro.sparse import CSRMatrix
 from repro.runtime.codec import splice_csr_delta
 from repro.sparse.delta import DeltaCSR, splice_rows
-from repro.sparse.reorder import reorder_matrix
 
 settings.register_profile("repro-dynamic", deadline=None, max_examples=40)
 settings.load_profile("repro-dynamic")
@@ -203,7 +201,7 @@ def test_splice_rows_reproduces_full_rebuild():
 
 
 # ---------------------------------------------------------------------- #
-# Plan refresh: natural plans are rebound, reordered plans rebuilt fresh
+# Plan refresh: cached plans are rebound to the new version
 # ---------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def medium():
@@ -256,33 +254,6 @@ def test_refreshed_plan_builds_a_fresh_schedule_after_a_write(medium):
         assert g.memory()["plan_bytes"] == plan.schedule.nbytes
 
 
-def test_reordered_plan_is_rebuilt_fresh_after_a_write(medium):
-    """A write drops the old version's reordered plan; the next reordered
-    plan of the new version is the one a static matrix with the same
-    edges would get, whatever path the graph took to reach it."""
-    A, X = medium
-    with KernelRuntime(num_threads=1, split_nnz=4000, processes=2) as rt:
-        g = DynamicGraph(A, runtime=rt)
-        v0 = g.fingerprint
-        rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
-        result = g.apply_edges(
-            insert=[(u, (u * 37 + 5) % A.nrows, 1.0) for u in range(0, 3000, 50)]
-        )
-        assert result.plans_refreshed == 0
-        assert rt._cache.entries_for(v0) == ()
-        assert rt._cache.entries_for(g.fingerprint) == ()
-        plan = rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
-        assert np.array_equal(plan.perm, reorder_matrix(g.matrix, "rcm").perm)
-        rebuilt = _rebuild_from(g.matrix)
-        ref = fusedmm(rebuilt, X, X, pattern="sigmoid_embedding", num_threads=1)
-        Z = rt.run(g.matrix, X, pattern="sigmoid_embedding", reorder="rcm")
-        np.testing.assert_allclose(Z, ref, rtol=1e-5, atol=1e-5)
-        Zs = rt.run_sharded(
-            g.matrix, X, pattern="sigmoid_embedding", reorder="rcm", shards=2
-        )
-        np.testing.assert_allclose(Zs, ref, rtol=1e-5, atol=1e-5)
-
-
 def test_write_keeps_other_graphs_plans_in_a_full_cache(medium):
     """The refreshed plans go in only after the old version is out, so a
     write to one graph never pushes another graph's plan out of a full
@@ -302,37 +273,37 @@ def test_write_keeps_other_graphs_plans_in_a_full_cache(medium):
 
 
 # ---------------------------------------------------------------------- #
-# Eviction cascade: no derived-fingerprint leaks
+# Eviction cascade: no superseded-version leaks
 # ---------------------------------------------------------------------- #
 def test_superseded_version_leaves_plan_cache_and_refreshes_natural_plan(medium):
-    A, _ = medium
+    A, X = medium
+    opts = dict(pattern="sigmoid_embedding", backend="generated")
     with KernelRuntime(num_threads=1, split_nnz=4000, cache_size=16) as rt:
         g = DynamicGraph(A, runtime=rt)
         v0 = g.fingerprint
-        rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
-        natural = rt.plan(g.matrix, pattern="gcn")
-        assert rt.plan_bytes(v0)["plan_bytes"] > 0  # the permuted copy
+        natural = rt.plan(g.matrix, **opts)
+        rt.run(g.matrix, X, **opts)
+        assert rt.plan_bytes(v0)["plan_bytes"] > 0  # the kept schedule
         result = g.apply_edges(insert=[(0, 7, 1.0), (7, 0, 1.0)])
-        # The old version's plans — and the permuted copy they own — are
-        # gone; the new version holds exactly the refreshed natural plan.
+        # The old version's plan — and the schedule it owns — is gone;
+        # the new version holds exactly the refreshed plan, unexecuted.
         assert result.plans_refreshed == 1
         assert rt._cache.entries_for(v0) == ()
         assert rt.plan_bytes(v0) == {"plans": 0, "plan_bytes": 0}
         ((key, plan),) = rt._cache.entries_for(g.fingerprint)
         assert key == replace(natural.key, fingerprint=g.fingerprint)
-        assert plan.reordered is None and plan.nnz == g.nnz
+        assert plan.schedule is None and plan.nnz == g.nnz
         assert rt.plan_bytes(g.fingerprint) == {"plans": 1, "plan_bytes": 0}
 
 
 def test_close_releases_whole_lineage(medium):
-    A, _ = medium
+    A, X = medium
     with KernelRuntime(num_threads=1, split_nnz=4000, cache_size=16) as rt:
         g = DynamicGraph(A, runtime=rt)
         lineage = g.lineage
-        rt.plan(g.matrix, pattern="sigmoid_embedding")
-        rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
+        rt.plan(g.matrix, pattern="sigmoid_embedding", backend="generated")
         g.apply_edges(insert=[(0, 9, 1.0), (9, 0, 1.0)])
-        rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
+        rt.run(g.matrix, X, pattern="fr_layout", backend="generated")
         assert rt.plan_bytes(lineage)["plan_bytes"] > 0
         released = g.close()
         assert released["plans"] == 2  # the refreshed and the fresh plan
@@ -342,10 +313,9 @@ def test_close_releases_whole_lineage(medium):
         assert g.close() == {}  # idempotent
 
 
-def test_fingerprint_covers_versions_and_derivations():
+def test_fingerprint_covers_versions():
+    assert fingerprint_covers("abc", "abc")
     assert fingerprint_covers("abc", "abc@v3")
-    assert fingerprint_covers("abc", "abc|reorder=rcm")
-    assert fingerprint_covers("abc@v3", "abc@v3|reorder=rcm")
     assert not fingerprint_covers("abc@v1", "abc@v10")
     assert not fingerprint_covers("abc", "abcdef")
 
@@ -354,104 +324,29 @@ def test_fingerprint_covers_versions_and_derivations():
 # Memory accounting
 # ---------------------------------------------------------------------- #
 def test_memory_accounting_tracks_every_tier(medium):
-    A, _ = medium
+    A, X = medium
     with KernelRuntime(num_threads=1, split_nnz=4000, cache_size=16) as rt:
         g = DynamicGraph(A, runtime=rt)
-        rt.plan(g.matrix, pattern="sigmoid_embedding")
-        rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
+        rt.plan(g.matrix, pattern="sigmoid_embedding", backend="generated")
         g.apply_edges(insert=[(0, 11, 1.0), (11, 0, 1.0)])
-        rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
+        rt.run(g.matrix, X, pattern="fr_layout", backend="generated")
         mem = g.memory()
         for key in (
             "fingerprint", "version", "nnz", "base_bytes", "delta_bytes",
             "plans", "plan_bytes", "total_bytes",
         ):
             assert key in mem, key
-        assert "reorder_bytes" not in mem  # the plans own the permuted copy
         assert mem["version"] == 1
         assert mem["base_bytes"] == g.matrix.memory_bytes()
         # The two rewritten rows, 8-byte indices and float32 values.
         spliced = int(np.diff(g.matrix.indptr)[[0, 11]].sum())
         assert mem["delta_bytes"] == 12 * spliced
         assert mem["plans"] == 2
-        assert mem["plan_bytes"] > 0  # the fresh plan's permuted copy
+        assert mem["plan_bytes"] > 0  # the fresh plan's kept schedule
         assert mem["total_bytes"] == mem["base_bytes"] + mem["plan_bytes"]
         stats = g.stats()
         assert stats["mutations"] == 1
         assert stats["edges_inserted"] + stats["edges_updated"] == 2
-
-
-def test_reordered_copy_is_counted_once(medium):
-    """A mutated version's permuted CSR is retained by its plan alone, so
-    it enters ``total_bytes`` exactly once (through ``plan_bytes``)."""
-    A, _ = medium
-    with KernelRuntime(num_threads=1, split_nnz=4000, cache_size=16) as rt:
-        g = DynamicGraph(A, runtime=rt)
-        rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
-        assert g.apply_edges(insert=[(0, 11, 1.0), (11, 0, 1.0)]).plans_refreshed == 0
-        rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
-        ((_, plan),) = rt._cache.entries_for(g.fingerprint)
-        mem = g.memory()
-        assert mem["plan_bytes"] == plan.retained_bytes()
-        assert plan.retained_bytes() >= plan.reordered.memory_bytes()
-        assert mem["total_bytes"] - plan.retained_bytes() == mem["base_bytes"]
-
-
-def test_reordered_plans_of_one_matrix_share_one_permuted_copy(medium):
-    """Two patterns reordered by one strategy share the permutation, the
-    permuted CSR, and every byte report counts them once."""
-    A, X = medium
-    with KernelRuntime(num_threads=1, split_nnz=4000, cache_size=16) as rt:
-        g = DynamicGraph(A, runtime=rt)
-        p1 = rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
-        p2 = rt.plan(g.matrix, pattern="gcn", reorder="rcm")
-        assert p1.reordered is p2.reordered
-        assert p1.reorder_tag == p2.reorder_tag
-        assert np.array_equal(p1.perm, reorder_matrix(g.matrix, "rcm").perm)
-        mem = g.memory()
-        assert mem["plans"] == 2
-        assert mem["plan_bytes"] == p1.retained_bytes() == p2.retained_bytes()
-        assert rt.plan_bytes(g.fingerprint)["plan_bytes"] == p1.retained_bytes()
-        for pattern in ("sigmoid_embedding", "gcn"):
-            ref = fusedmm(A, X, X, pattern=pattern, num_threads=1)
-            Z = rt.run(g.matrix, X, pattern=pattern, reorder="rcm")
-            np.testing.assert_allclose(Z, ref, rtol=1e-5, atol=1e-5)
-
-
-# ---------------------------------------------------------------------- #
-# Sharded reordered runs: the ship key names the permutation
-# ---------------------------------------------------------------------- #
-def test_carried_and_fresh_permutations_ship_under_distinct_keys():
-    """Regression: an older version's ``rcm`` permutation and a fresh
-    ``rcm`` permutation of the current version used to share the ship key
-    ``<fp>|reorder=rcm``, so a plan built after a write reached the
-    workers' copy of the *other* permuted matrix and returned wrong rows.
-    Every permuted copy now ships under a key that names its version and
-    its permutation.  Planning unrelated reordered matrices in between
-    (which used to push a permuted copy out of a process-global memo) must
-    not matter."""
-    A = rmat(3000, 36_000, seed=11)
-    X = random_features(A.nrows, 8, seed=5)
-    with KernelRuntime(num_threads=1, processes=2) as rt:
-        g = DynamicGraph(A, runtime=rt)
-        rt.run_sharded(g.matrix, X, pattern="sigmoid_embedding", reorder="rcm")
-        old = rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
-        result = g.apply_edges(
-            insert=[(u, (u * 37 + 5) % A.nrows, 1.0) for u in range(0, 3000, 50)]
-        )
-        assert result.plans_refreshed == 0  # the rcm plan left with v0
-        Z = rt.run_sharded(g.matrix, X, pattern="sigmoid_embedding", reorder="rcm")
-        ref = fusedmm(g.matrix, X, X, pattern="sigmoid_embedding", num_threads=1)
-        np.testing.assert_allclose(Z, ref, rtol=1e-4, atol=1e-5)
-        fresh = rt.plan(g.matrix, pattern="sigmoid_embedding", reorder="rcm")
-        assert fresh.reordered_key() != old.reordered_key()
-        for seed in range(33):
-            rt.plan(random_csr(60, 60, seed=seed), reorder="degree")
-        Z = rt.run_sharded(g.matrix, X, pattern="gcn", reorder="rcm")
-        gcn = rt.plan(g.matrix, pattern="gcn", reorder="rcm")
-        assert gcn.reordered_key() == fresh.reordered_key()  # same content
-        ref = fusedmm(g.matrix, X, X, pattern="gcn", num_threads=1)
-        np.testing.assert_allclose(Z, ref, rtol=1e-4, atol=1e-5)
 
 
 # ---------------------------------------------------------------------- #

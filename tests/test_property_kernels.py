@@ -150,7 +150,7 @@ def test_run_batch_mixes_planned_and_inline_requests(
             A = random_csr(n, n, density=density, seed=int(rng.integers(2**31)))
             X = rng.standard_normal((n, 4)).astype(np.float32)
             if planned:  # what registering a graph does
-                rt.plan(A, reorder="none", **opts)
+                rt.plan(A, **opts)
             reqs.append(KernelRequest(A, X, **opts))
             refs.append(fusedmm(A, X, X, num_threads=1, **opts))
         for _ in range(2):

@@ -779,8 +779,6 @@ def test_route_shards_requires_positive_weight(problem):
 def test_runtime_options_validation():
     with pytest.raises(BackendError):
         RuntimeOptions(kernel_backend="nope")
-    with pytest.raises(Exception):
-        RuntimeOptions(reorder="nope")
     opts = RuntimeOptions(num_threads=2, processes=3, shard_min_nnz=7)
     assert opts.runtime_kwargs() == {
         "num_threads": 2,

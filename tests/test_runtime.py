@@ -453,6 +453,31 @@ def test_schedule_bytes_are_plan_bytes():
         assert rt.cache_stats().retained_bytes == 0
 
 
+def test_plan_cache_byte_budget_evicts_plans_with_kept_schedules():
+    """The plan LRU bounds the bytes its plans retain, not just the entry
+    count: an executed plan weighs its kept schedule, an unexecuted one
+    nothing."""
+    from repro.runtime import PlanCache
+
+    A = random_csr(300, 300, density=0.03, seed=2)
+    X = random_features(300, 8, seed=2)
+    opts = dict(pattern="sigmoid_embedding", backend="generated")
+    with KernelRuntime(num_threads=1) as rt:
+        plan = rt.plan(A, **opts)
+        assert plan.retained_bytes() == 0
+        rt.run(A, X, **opts)
+    weight = plan.retained_bytes()
+    assert weight == plan.schedule.nbytes > 0
+
+    cache = PlanCache(capacity=8, byte_budget=weight + 1)
+    cache.put("a", plan)
+    cache.put("b", plan)  # two executed plans exceed the budget
+    stats = cache.stats()
+    assert stats.size == 1 and stats.evictions == 1
+    assert stats.retained_bytes == weight
+    assert "b" in cache and "a" not in cache
+
+
 def test_concurrent_first_execution_builds_one_schedule(monkeypatch):
     import threading
     import time
@@ -526,7 +551,7 @@ def test_run_batch_runs_registered_graphs_through_their_warm_plans():
     feats = [random_features(256, 16, seed=s) for s in range(3)]
     opts = dict(pattern="sigmoid_embedding", backend="generated")
     with KernelRuntime(num_threads=1) as rt:
-        plans = [rt.plan(A, reorder="none", **opts) for A in graphs]
+        plans = [rt.plan(A, **opts) for A in graphs]
         inline = graphs[0].copy()
         reqs = [KernelRequest(A, X, **opts) for A, X in zip(graphs, feats)]
         reqs.append(KernelRequest(inline, feats[0], **opts))

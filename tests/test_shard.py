@@ -183,8 +183,7 @@ def test_run_sharded_without_processes_falls_back(medium_problem):
 def test_every_entry_point_is_bitwise_sequential_fusedmm(processes, medium_problem):
     """Every entry point reaches the kernel through one route: with or
     without worker processes, each returns the bytes of a sequential
-    ``fusedmm`` call (``reorder="none"``), and each takes the tier its
-    rules say it takes."""
+    ``fusedmm`` call, and each takes the tier its rules say it takes."""
     A, X = medium_problem
     pattern = "sigmoid_embedding"
     ref = fusedmm(A, X, X, pattern=pattern, num_threads=1)
@@ -194,7 +193,7 @@ def test_every_entry_point_is_bitwise_sequential_fusedmm(processes, medium_probl
         num_threads=2, processes=processes, split_nnz=4000, shard_min_nnz=4000
     ) as rt:
         assert sub.nnz > rt.split_nnz
-        stream = rt.epochs(A, pattern=pattern, reorder="none")
+        stream = rt.epochs(A, pattern=pattern)
         outs = {
             "run": rt.run(A, X, X, pattern=pattern),
             "run_sharded": rt.run_sharded(A, X, X, pattern=pattern),
