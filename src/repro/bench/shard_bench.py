@@ -45,7 +45,7 @@ def bench_shard_scaling(
 ) -> List[Dict[str, object]]:
     """Throughput of sharded execution at each shard count.
 
-    The 1-shard row also runs through the worker pool (one worker doing all
+    The 1-shard row also runs through a worker agent (one agent doing all
     partitions), so reported speedups isolate parallelism from IPC overhead
     rather than flattering the multi-shard rows.  Every row records whether
     the sharded result was bitwise identical to sequential ``fusedmm``.

@@ -30,8 +30,8 @@ no use for are ignored (``schedule``, a kept
 ``generated`` kind).  ``X=None`` is accepted for patterns whose VOP
 never reads it (``NOOP``/``SEL2ND``, e.g. gcn and spmm).
 ``out=``/``row_offset=`` is a preallocated slab: row ``u`` of the result
-lands in ``out[u - row_offset]`` (the shard workers write straight into
-shared memory this way).
+lands in ``out[u - row_offset]`` (a shard's rows write straight into
+their window of the output this way).
 """
 
 from __future__ import annotations
@@ -68,15 +68,19 @@ BACKENDS = ("auto", "jit", "generic", "generated")
 # ---------------------------------------------------------------------- #
 # The resolver
 # ---------------------------------------------------------------------- #
-def _zero_sources(A, Y, resolved: ResolvedPattern) -> np.ndarray:
-    """Source features for a call made without ``X``.
-
-    Only the VOP reads ``X``; a ``NOOP`` or ``SEL2ND`` VOP ignores it, so
-    zeros of ``Y``'s dtype give bitwise the result of passing any ``X`` of
-    that dtype.  Every other pattern needs real source features.
-    """
+def _check_sourceless(resolved: ResolvedPattern) -> None:
+    """Only the VOP reads ``X``: a call without it is valid exactly when
+    the VOP is ``NOOP`` or ``SEL2ND``, which ignore it."""
     if not (is_builtin(resolved.vop) and resolved.vop.name in ("NOOP", "SEL2ND")):
         raise BackendError(f"pattern {resolved.name!r} needs source features X")
+
+
+def _zero_sources(A, Y, resolved: ResolvedPattern) -> np.ndarray:
+    """Source features for a call made without ``X``, for the kinds whose
+    kernels take an ``X``: zeros of ``Y``'s dtype give bitwise the result
+    of passing any ``X`` of that dtype.  The ``generated`` kind takes
+    ``X=None`` itself and is never handed these."""
+    _check_sourceless(resolved)
     Y = ensure_float_matrix(Y, "Y")
     return np.zeros((as_csr(A).nrows, Y.shape[1]), dtype=Y.dtype)
 
@@ -143,7 +147,10 @@ def resolve_backend(
         if block_size is not None and block_size < 0:
             raise ValueError(f"block_size must be positive, got {block_size}")
         if X is None:
-            X = _zero_sources(A, Y, resolved)
+            if kind == "generated":
+                _check_sourceless(resolved)
+            else:
+                X = _zero_sources(A, Y, resolved)
         if pattern_kernel is None:
             return fusedmm_generic(
                 A, X, Y, pattern=op_pattern, out=out, row_offset=row_offset
@@ -165,6 +172,8 @@ def resolve_backend(
                 raise
             # Last resort for exotic user operators whose batched form
             # misbehaves: the reference kernel always works.
+            if X is None:
+                X = _zero_sources(A, Y, resolved)
             return fusedmm_generic(
                 A, X, Y, pattern=op_pattern, out=out, row_offset=row_offset
             )

@@ -59,15 +59,10 @@ class ConvergenceError(ReproError, RuntimeError):
 
 
 class WorkerError(ReproError, RuntimeError):
-    """Raised when a sharded-execution worker process reports a failure
-    (the worker stays alive and the pool remains usable)."""
-
-
-class WorkerCrashError(WorkerError):
-    """Raised inside the worker pool when a worker process dies
-    unexpectedly (killed, segfault, OOM).  The pool respawns the worker
-    and hands its in-flight assignments back, so a sharded call finishes
-    them in-parent instead of failing."""
+    """Raised when a sharded-execution worker agent reports a failure
+    (the agent stays registered and keeps serving).  A *lost* agent is
+    not an error: its rows are retried on the survivors, then finish
+    in-parent."""
 
 
 class CheckpointError(ReproError, RuntimeError):
@@ -78,8 +73,9 @@ class CheckpointError(ReproError, RuntimeError):
 
 
 class JobError(ReproError, RuntimeError):
-    """Raised for training-job failures (:mod:`repro.jobs`): an epoch that
-    raised, an injected fault, a job submitted with an invalid spec."""
+    """Raised for training-job failures (:mod:`repro.jobs`) that no retry
+    can fix: a job submitted with an invalid spec, or an app config the
+    spec's ``extra`` fields do not fit."""
 
 
 class JobNotFoundError(JobError, KeyError):

@@ -35,7 +35,7 @@ import asyncio
 import io
 import json
 import struct
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,6 +49,7 @@ __all__ = [
     "npy_bytes",
     "array_from_npy",
     "encode_payload",
+    "payload_parts",
     "decode_payload",
     "error_payload",
     "error_from_meta",
@@ -87,6 +88,25 @@ def npy_bytes(array: np.ndarray) -> bytes:
     return buf.getvalue()
 
 
+def _npy_parts(array: np.ndarray, start: int) -> Tuple[bytes, np.ndarray]:
+    """``array`` in ``.npy`` format 1.0 as ``(header, data)``, the data a
+    byte view of the array (no copy).
+
+    The header is padded so the data begins on a 64-byte boundary of the
+    payload when the blob begins at payload offset ``start``: a reader
+    that views the data in place gets an aligned array.
+    """
+    array = np.ascontiguousarray(array)
+    if array.dtype.hasobject:
+        raise ValueError("object arrays cannot be framed")
+    d = np.lib.format.header_data_from_array_1_0(array)
+    text = "{" + "".join(f"'{k}': {d[k]!r}, " for k in sorted(d)) + "}"
+    # magic (6) + version (2) + header length (2) + text + padding + "\n"
+    text += " " * (-(start + 10 + len(text) + 1) % 64) + "\n"
+    head = np.lib.format.magic(1, 0) + struct.pack("<H", len(text))
+    return head + text.encode("latin1"), array.reshape(-1).view(np.uint8)
+
+
 def array_from_npy(blob: bytes) -> np.ndarray:
     """Parse a ``.npy`` blob (no pickles accepted)."""
     try:
@@ -95,45 +115,79 @@ def array_from_npy(blob: bytes) -> np.ndarray:
         raise ProtocolError(f"invalid npy payload: {exc}") from exc
 
 
+def _npy_view(blob: memoryview) -> np.ndarray:
+    """A read-only array over a version 1.0 ``.npy`` blob's own memory
+    (a copy when the data is not aligned for its dtype)."""
+    head = io.BytesIO(blob[: min(len(blob), 10 + 0xFFFF)].tobytes())
+    try:
+        if np.lib.format.read_magic(head) != (1, 0):
+            raise ValueError("only npy format 1.0 is framed without a copy")
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(head)
+    except Exception as exc:
+        raise ProtocolError(f"invalid npy payload: {exc}") from exc
+    count = int(np.prod(shape, dtype=np.int64))
+    offset = head.tell()
+    if dtype.hasobject or len(blob) - offset != count * dtype.itemsize:
+        raise ProtocolError("invalid npy payload: data does not match its header")
+    flat = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
+    if not flat.flags.aligned:
+        flat = flat.copy()
+    return flat.reshape(shape, order="F" if fortran_order else "C")
+
+
 # ---------------------------------------------------------------------- #
 # Payload container (magic-independent)
 # ---------------------------------------------------------------------- #
-def encode_payload(
+def payload_parts(
     meta: dict, arrays: Optional[Dict[str, np.ndarray]] = None
-) -> bytes:
-    """Serialise one payload container (meta JSON + named npy blobs)."""
+) -> List[object]:
+    """One payload container as a list of buffers whose concatenation is
+    :func:`encode_payload`'s bytes; array data stays in the arrays (a
+    scatter-gather send ships it without a copy)."""
     arrays = arrays or {}
     meta = dict(meta)
     meta["arrays"] = list(arrays)
     meta_blob = json.dumps(meta).encode("utf-8")
-    parts = [_U32.pack(len(meta_blob)), meta_blob]
+    parts: List[object] = [_U32.pack(len(meta_blob)), meta_blob]
+    size = 4 + len(meta_blob)
     for name in arrays:
-        blob = npy_bytes(arrays[name])
-        parts.append(_U32.pack(len(blob)))
-        parts.append(blob)
-    return b"".join(parts)
+        head, data = _npy_parts(arrays[name], size + 4)
+        parts += [_U32.pack(len(head) + data.nbytes), head, data]
+        size += 4 + len(head) + data.nbytes
+    return parts
 
 
-def decode_payload(blob: bytes) -> Tuple[dict, Dict[str, np.ndarray]]:
+def encode_payload(
+    meta: dict, arrays: Optional[Dict[str, np.ndarray]] = None
+) -> bytes:
+    """Serialise one payload container (meta JSON + named npy blobs)."""
+    return b"".join(payload_parts(meta, arrays))
+
+
+def decode_payload(
+    blob: bytes, *, copy: bool = True
+) -> Tuple[dict, Dict[str, np.ndarray]]:
     """Parse one payload container → ``(meta, {name: array})``.
 
     Strict: truncated length prefixes, blobs running past the payload or
     trailing garbage are all :class:`ProtocolError` — a framing bug must
-    not silently decode to a partial request.
+    not silently decode to a partial request.  ``copy=False`` returns
+    read-only arrays over ``blob``'s own memory instead of copies.
     """
+    view = memoryview(blob)
 
-    def take(n: int, what: str) -> bytes:
+    def take(n: int, what: str) -> memoryview:
         nonlocal offset
-        if offset + n > len(blob):
+        if offset + n > len(view):
             raise ProtocolError(f"truncated payload while reading {what}")
-        piece = blob[offset : offset + n]
+        piece = view[offset : offset + n]
         offset += n
         return piece
 
     offset = 0
     (meta_len,) = _U32.unpack(take(4, "meta length"))
     try:
-        meta = json.loads(take(meta_len, "meta JSON").decode("utf-8"))
+        meta = json.loads(take(meta_len, "meta JSON").tobytes().decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"invalid payload meta: {exc}") from exc
     if not isinstance(meta, dict):
@@ -144,10 +198,11 @@ def decode_payload(blob: bytes) -> Tuple[dict, Dict[str, np.ndarray]]:
     arrays: Dict[str, np.ndarray] = {}
     for name in names:
         (blob_len,) = _U32.unpack(take(4, f"length of array {name!r}"))
-        arrays[str(name)] = array_from_npy(take(blob_len, f"array {name!r}"))
-    if offset != len(blob):
+        piece = take(blob_len, f"array {name!r}")
+        arrays[str(name)] = array_from_npy(piece) if copy else _npy_view(piece)
+    if offset != len(view):
         raise ProtocolError(
-            f"{len(blob) - offset} trailing bytes after payload arrays"
+            f"{len(view) - offset} trailing bytes after payload arrays"
         )
     return meta, arrays
 
@@ -185,14 +240,13 @@ class FrameCodec:
         self.version = version
 
     # ------------------------------------------------------------------ #
+    def pack_header(self, opcode: int, request_id: int, length: int) -> bytes:
+        """The fixed header of a frame carrying ``length`` payload bytes."""
+        return self.header.pack(self.magic, self.version, opcode, request_id, length)
+
     def pack_frame(self, opcode: int, request_id: int, payload: bytes) -> bytes:
         """One serialised frame: fixed header + payload."""
-        return (
-            self.header.pack(
-                self.magic, self.version, opcode, request_id, len(payload)
-            )
-            + payload
-        )
+        return self.pack_header(opcode, request_id, len(payload)) + payload
 
     def unpack_header(self, blob: bytes) -> Tuple[int, int, int]:
         """Parse a header → ``(opcode, request_id, payload_length)``.

@@ -231,9 +231,10 @@ def run_training(
     and writes one every ``spec.checkpoint_every`` epochs plus a final
     one.  ``should_stop`` is polled at every epoch boundary; a stop
     checkpoints and returns ``stopped=True`` with the partial state.
-    ``fault`` (when set) is stepped once per epoch — ``crash`` raises
-    :class:`~repro.errors.JobError`, ``delay`` sleeps briefly, the
-    transport-only kinds just count as fired.
+    ``fault`` (when set) is stepped once per epoch — ``crash`` raises a
+    :class:`RuntimeError` (a transient failure the job retries),
+    ``delay`` sleeps briefly, the transport-only kinds just count as
+    fired.
     """
     graph, app = (app_factory or build_app)(spec)
     meta: Optional[Dict[str, object]] = None
@@ -274,7 +275,7 @@ def run_training(
             fired = fault.step()
             if fired is not None:
                 if fired.kind == "crash":
-                    raise JobError(f"injected fault: {fired.to_spec()}")
+                    raise RuntimeError(f"injected fault: {fired.to_spec()}")
                 if fired.kind == "delay":
                     time.sleep(min(float(fired.arg or 0.01), 0.25))
         entry = _train_one(app, spec.app, epoch)
@@ -567,7 +568,10 @@ class JobManager:
                 job.error = f"{type(exc).__name__}: {exc}"
                 if _should_stop():
                     break  # don't burn the retry budget on a stop request
-                delay = retry.next_delay()
+                # A spec the app refuses or a checkpoint that belongs to
+                # another job fails the same way on every attempt.
+                fatal = isinstance(exc, (JobError, CheckpointError))
+                delay = None if fatal else retry.next_delay()
                 if delay is None:
                     with self._lock:
                         job.state = "failed"

@@ -7,10 +7,10 @@ This package is the serving/scheduling layer above :mod:`repro.core`:
 ``plan``         matrix-bound execution plans (resolution + tuning + parts)
 ``batch``        request packing (block-diagonal) and scheduling metadata
 ``shard``        nnz-balanced assignment of plan partitions to worker shards
-``workers``      persistent multiprocessing pool with shared-memory CSR
-``codec``        transport-neutral worker protocol (specs, CSR payloads)
-                 and the one shard executor every tier runs
-``remote``       distributed tier: TCP worker hosts + in-runtime controller
+``codec``        the worker protocol (frames, specs, CSR payloads) and the
+                 one shard executor every agent runs
+``remote``       sharded tier: worker agents (local child processes and
+                 dial-in TCP hosts) + the in-runtime controller
 ``dynamic``      dynamic graphs: one spliced CSR per version with
                  incremental plan/shard invalidation
 ``options``      :class:`RuntimeOptions` — the shared kernel-knob dataclass
@@ -44,7 +44,6 @@ from .plan import KernelPlan, PlanKey, build_plan
 from .remote import RemoteController, WorkerAgent
 from .runtime import EpochStream, KernelRuntime
 from .shard import ShardAssignment, ShardPlan, assign_shards, route_shards
-from .workers import WorkerPool, default_start_method
 
 __all__ = [
     "KernelRuntime",
@@ -54,10 +53,8 @@ __all__ = [
     "ShardAssignment",
     "assign_shards",
     "route_shards",
-    "WorkerPool",
     "WorkerAgent",
     "RemoteController",
-    "default_start_method",
     "KernelRequest",
     "KernelPlan",
     "PlanKey",

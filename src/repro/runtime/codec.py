@@ -1,21 +1,20 @@
-"""Transport-neutral codec for the worker execution protocol.
+"""The worker execution protocol: frames, payloads and the shard executor.
 
-The sharded execution tier speaks one logical protocol over two
-transports: duplex pipes to local :class:`~repro.runtime.workers.WorkerPool`
-processes (operands ride in shared memory) and framed TCP to remote
-:mod:`~repro.runtime.remote` worker hosts (operands ride as npy blobs on
-:mod:`repro.framing` frames).  This module holds everything both sides
-must agree on so the transports can never drift:
+Every shard of the sharded tier runs on a :mod:`~repro.runtime.remote`
+worker agent — a local slot over a :func:`socket.socketpair` or a host
+dialled in over TCP — and both speak this one protocol: framed messages
+whose operands ride as npy blobs on :mod:`repro.framing` frames.  This
+module holds everything the controller and the agents must agree on:
 
-* the TCP opcodes and the ``b"RK"`` :class:`~repro.framing.FrameCodec`;
+* the opcodes and the ``b"RK"`` :class:`~repro.framing.FrameCodec`;
 * CSR and run-spec serialisation (JSON meta + named arrays — no pickles
-  cross the network);
+  cross a process boundary);
 * the one shard executor, :func:`execute_parts`: it rebuilds the dispatch
   config from a run spec (:func:`build_worker_config`) and runs a shard's
-  row ranges into an ``out=`` window.  The shm worker loop, the remote
-  agent, the controller's straggler hedge and the runtime's in-parent
-  fallback all call it, so a row executes through the *same* config and
-  call shape wherever it lands;
+  row ranges into an ``out=`` window.  The agent, the controller's
+  straggler hedge and the runtime's in-parent fallback all call it, so a
+  row executes through the *same* config and call shape wherever it
+  lands;
 * the one output-dtype rule (:func:`output_dtype`) and the one
   covered-rows write-back (:func:`scatter_rows`).
 
@@ -27,7 +26,6 @@ bitwise-identity contract across shard counts extends across hosts.
 
 from __future__ import annotations
 
-import pickle
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,8 +54,7 @@ __all__ = [
     "decode_csr",
     "encode_csr_delta",
     "splice_csr_delta",
-    "plan_spec_from_plan",
-    "remote_spec_meta",
+    "run_spec_meta",
     "spec_from_meta",
     "build_worker_config",
     "config_cache_key",
@@ -123,8 +120,8 @@ def encode_csr(A: CSRMatrix) -> Tuple[dict, Dict[str, np.ndarray]]:
 def decode_csr(meta: dict, arrays: Dict[str, np.ndarray]) -> CSRMatrix:
     """Rebuild the CSR a LOAD payload carries (validated on arrival).
 
-    ``check=False`` mirrors the shm worker: the parent validated this
-    matrix when it was constructed and the npy codec is bitwise-faithful.
+    ``check=False``: the parent validated this matrix when it was
+    constructed and the npy codec is bitwise-faithful.
     """
     return CSRMatrix(
         int(meta["nrows"]),
@@ -176,52 +173,32 @@ def splice_csr_delta(base: CSRMatrix, arrays: Dict[str, np.ndarray]) -> CSRMatri
 # ---------------------------------------------------------------------- #
 # Run specs
 # ---------------------------------------------------------------------- #
-def plan_spec_from_plan(plan) -> Optional[Dict[str, object]]:
-    """The picklable execution spec of a :class:`~repro.runtime.plan.KernelPlan`.
-
-    Workers rebuild the dispatch config from this spec; the parent resolves
-    everything data-dependent (the kernel kind and autotuned block size)
-    *before* shipping, so every worker executes exactly the kernel a
-    single-process call would.  The spec carries the
-    resolved ``plan.kind``, not the requested backend: every kind is a
-    :data:`~repro.core.fused.BACKENDS` entry that resolves to itself, so a
-    worker never re-runs ``auto``'s ladder on different local facts.
-    Returns ``None`` when the pattern cannot be pickled (user-supplied
-    lambda operators) — callers fall back to in-process execution.
-    """
-    spec = {
-        "op_pattern": plan.op_pattern,
-        "backend": plan.kind,
-        "block_size": plan.block_size,
-    }
-    try:
-        pickle.dumps(spec["op_pattern"])
-    except Exception:
-        return None
-    return spec
-
-
 _PATTERN_SLOTS = ("vop", "rop", "sop", "mop", "aop")
 
 
-def remote_spec_meta(spec: Optional[Dict[str, object]]) -> Optional[dict]:
-    """A run spec as JSON-able RUN meta, or ``None`` if not remotable.
+def run_spec_meta(plan) -> Optional[dict]:
+    """The JSON RUN meta of a :class:`~repro.runtime.plan.KernelPlan`, or
+    ``None`` when the plan cannot leave the process.
 
-    The network transport is stricter than the pipe transport: patterns
-    cross as their five operator *names*, so a pattern is remotable only
-    when every slot is a registered-operator name (every built-in pattern
-    is).  Callable operators — even picklable ones — stay host-local.
+    Agents rebuild the dispatch config from this spec; the parent resolves
+    everything data-dependent (the kernel kind and autotuned block size)
+    *before* shipping, so every agent executes exactly the kernel a
+    single-process call would.  The spec carries the resolved
+    ``plan.kind``, not the requested backend: every kind is a
+    :data:`~repro.core.fused.BACKENDS` entry that resolves to itself, so an
+    agent never re-runs ``auto``'s ladder on different local facts.
+    Patterns cross as their five operator *names*, so a plan ships only
+    when every slot names a registered operator (every built-in pattern
+    does); a callable operator slot keeps the call in process.
     """
-    if spec is None:
-        return None
-    pattern: OpPattern = spec["op_pattern"]
+    pattern: OpPattern = plan.op_pattern
     slots = {slot: getattr(pattern, slot) for slot in _PATTERN_SLOTS}
     if not all(isinstance(value, str) for value in slots.values()):
         return None
     return {
         "pattern": {"name": pattern.name, **slots},
-        "backend": spec["backend"],
-        "block_size": spec["block_size"],
+        "backend": plan.kind,
+        "block_size": plan.block_size,
     }
 
 
@@ -241,7 +218,7 @@ def spec_from_meta(meta: dict) -> Dict[str, object]:
 
 
 # ---------------------------------------------------------------------- #
-# Shard execution (shm workers, remote agents, hedges, in-parent fallback)
+# Shard execution (agents, hedges, in-parent fallback)
 # ---------------------------------------------------------------------- #
 def build_worker_config(spec: Dict[str, object], *, num_threads: int = 1):
     """Rebuild the dispatch config a run spec describes (worker side)."""

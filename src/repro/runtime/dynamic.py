@@ -18,18 +18,18 @@ A mutation refreshes what stays valid and drops the rest:
   one (:meth:`~repro.runtime.runtime.KernelRuntime.update_matrix`):
   backend resolution and the autotuned block size carry over, only the
   nnz-balanced partitions are recomputed.
-* **shards** — the remote tier gets the batch's rows as a delta source
+* **shards** — the controller gets the batch's rows as a delta source
   for the new version
   (:meth:`~repro.runtime.remote.RemoteController.register_delta`), so
   the next sharded run re-ships only those rows (``OP_LOAD_DELTA``) to
-  agents that still hold the previous version; everything else falls
-  back to a full ship.
+  every worker agent, local or dial-in, that still holds the previous
+  version; everything else falls back to a full ship.
 
 Correctness contract (tested property-style in ``tests/test_dynamic.py``
 and end-to-end by the mutation smoke): a kernel executed against a
 version is **bitwise identical** to the same kernel on a CSR freshly
 rebuilt from the same edge set — at every version, across backends and
-shard counts, local or remote.
+shard counts and agents.
 """
 
 from __future__ import annotations
@@ -104,8 +104,9 @@ class DynamicGraph:
     splices) with no cache plumbing — the sparse tier alone.  With a
     :class:`~repro.runtime.runtime.KernelRuntime` attached, every mutation
     refreshes that runtime's cached plans for this graph, registers
-    the batch's rows as a delta source on its remote controller and
-    releases the superseded version from the local cache tiers.
+    the batch's rows as a delta source on its controller and releases
+    the superseded version's plans (its copies on the agents one write
+    later).
     """
 
     def __init__(self, base, *, runtime=None, lineage: Optional[str] = None) -> None:
@@ -187,15 +188,15 @@ class DynamicGraph:
             rt = self.runtime
             if rt is not None:
                 refreshed = rt.update_matrix(cur.fingerprint, new_A, fp)
-                # The remote tier re-ships the new version as the batch's
-                # rows spliced over the old one.
+                # The agents get the new version as the batch's rows
+                # spliced over the old one.
                 controller = rt.controller
                 if controller is not None and batch.touched_rows.size:
                     controller.register_delta(fp, cur.fingerprint, *delta.splice)
                     sources = 1
-                # The superseded version leaves the *local* tiers now; its
-                # remote copies stay one more round — they are the base the
-                # delta source above splices onto.  The round after, the
+                # The superseded version's plans go now; its copies on the
+                # agents stay one more round — they are the base the delta
+                # source above splices onto.  The round after, the
                 # grandparent version is released everywhere.
                 rt.release_matrix(cur.fingerprint, remote=False)
                 if self._prev_fp is not None:
@@ -264,8 +265,8 @@ class DynamicGraph:
     # ------------------------------------------------------------------ #
     def close(self) -> Dict[str, int]:
         """Release this graph's entire cache footprint (every version and
-        derived key, across plan cache, worker shared memory and remote
-        hosts).  Idempotent."""
+        derived key, across the plan cache and every worker agent).
+        Idempotent."""
         with self._lock:
             if self._closed:
                 return {}

@@ -114,7 +114,7 @@ def fingerprint_covers(fingerprint: str, key: str) -> bool:
     True for the fingerprint itself and, given a bare lineage hash, its
     versioned descendants (``<fp>@vN``), so one call can retire a whole
     graph or exactly one superseded version.  Every tier that unships by
-    fingerprint — plan cache, worker shared memory, remote host LRUs —
+    fingerprint — plan cache, worker agents' matrix LRUs —
     uses this one predicate so the notion of "belongs to that graph"
     cannot drift.
     """

@@ -46,8 +46,8 @@ class RuntimeOptions:
     num_threads:
         Worker threads of the runtime's shared pool (1 = sequential).
     processes:
-        Worker processes of the sharded execution tier (0 = in-process);
-        see :mod:`repro.runtime.workers`.
+        Local worker agents of the sharded execution tier, one child
+        process each (0 = in-process); see :mod:`repro.runtime.remote`.
     shard_min_nnz:
         Streaming calls only use the sharded tier for matrices at or
         above this nnz.

@@ -1,28 +1,34 @@
-"""Distributed kernel execution: TCP worker hosts + the in-runtime controller.
+"""Sharded kernel execution: worker agents + the in-runtime controller.
 
-This is the network sibling of the shared-memory worker pool: shards of a
-planned kernel call span *machines* instead of processes.  Three pieces:
+Shards of a planned kernel call run on worker agents, each its own
+process; an agent is either a local slot the runtime started or a host
+that dialled in over TCP.  Three pieces:
 
-* :class:`WorkerAgent` — the host process started by ``repro worker``.  It
-  dials the controller, registers its capacity, then serves a tiny
-  command protocol over one framed TCP connection (the ``b"RK"`` codec of
-  :mod:`repro.runtime.codec`): cache a CSR once per ``(host, fingerprint)``,
-  execute row-ranges against it, answer heartbeats.
+* :class:`WorkerAgent` — the agent loop.  A local slot runs it in a
+  child process of the runtime, over one end of a
+  :func:`socket.socketpair`; ``repro worker`` runs it on any machine,
+  dialling the controller over TCP.  Either way it registers its
+  capacity, then serves a tiny command protocol over one framed
+  connection (the ``b"RK"`` codec of :mod:`repro.runtime.codec`): cache a
+  CSR once per ``(agent, fingerprint)``, execute row-ranges against it,
+  answer heartbeats.
 * :class:`RemoteController` — lives inside
-  :class:`~repro.runtime.runtime.KernelRuntime`.  It accepts agent
-  registrations, routes contiguous shard groups to hosts by nnz/slot
-  balance (:func:`~repro.runtime.shard.route_shards`), ships matrices
-  lazily and re-ships them after reconnects, and detects lost hosts
-  (heartbeat/timeout, EOF, mid-frame cuts).  Lost groups are retried on
-  surviving hosts; when none survive they are returned to the runtime,
-  which finishes them in-parent — the same rule the shm pool follows for
-  a crashed worker, so a dropped worker never hangs or corrupts a batch.
+  :class:`~repro.runtime.runtime.KernelRuntime`.  It starts the local
+  slots, admits dial-in registrations (only when a port is configured),
+  routes contiguous shard groups to agents by nnz/slot balance
+  (:func:`~repro.runtime.shard.route_shards`), ships matrices lazily (a
+  new graph version as its changed rows) and detects lost agents
+  (heartbeat/timeout, EOF, mid-frame cuts).  **One failure rule:** a lost
+  agent's groups are retried on the surviving agents; when none survive
+  they are returned to the runtime, which finishes them in-parent, so a
+  dropped agent never hangs or corrupts a batch.  A lost local slot is
+  restarted under the same name.
 * The determinism contract: agents execute through the same
-  :func:`~repro.runtime.codec.execute_parts` call the shm workers make —
-  the plan's own partitions against the full CSR with
-  ``out=``/``row_offset=`` — so remote results are **bitwise identical** to
-  local sharded and to sequential in-process execution for any shard
-  count and any host layout (asserted at 1/2/4 shards in the tests and
+  :func:`~repro.runtime.codec.execute_parts` call the parent's fallback
+  and hedges make — the plan's own partitions against the full CSR with
+  ``out=``/``row_offset=`` — so sharded results are **bitwise identical**
+  to sequential in-process execution for any shard count and any mix of
+  local and dial-in agents (asserted at 1/2/4 shards in the tests and
   the CI distributed-smoke job).
 
 Wire conversation (one frame per line; all frames carry a request id the
@@ -30,25 +36,29 @@ reply echoes)::
 
     agent → controller   REGISTER {name, slots, threads, pid[, token]}
     controller → agent   WELCOME  {host_id} | ERROR {status: 403, ...}
-    controller → agent   PING | LOAD {key} (+csr blobs) | DROP {key}
+    controller → agent   PING | LOAD {key, drop} (+csr blobs) | DROP {key}
+                         | LOAD_DELTA {key, base_key, drop} (+row blobs)
                          | RUN {key, spec, parts, y_same_as_x} (+x/+y)
                          | EXIT
     agent → controller   RESULT {...} (+z block for RUN) | ERROR {status,
                          error[, missing_key]}
 
-Every exchange is strictly request/reply under a per-host lock, so one
-slow host never desynchronises another host's framing.
+Every exchange is strictly request/reply under a per-agent lock, so one
+slow agent never desynchronises another agent's framing.
 
 Security model: both sides enforce a per-frame payload cap (a forged
 length field can never drive an unbounded allocation), and the controller
 can require a shared-secret ``token`` in REGISTER — set it whenever the
-listener binds anything beyond the loopback default.
+listener binds anything beyond the loopback default.  A runtime without a
+``remote_port`` opens no listening socket at all.
 """
 
 from __future__ import annotations
 
 import hmac
+import multiprocessing
 import os
+import signal
 import socket
 import threading
 import time
@@ -58,12 +68,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import WorkerCrashError, WorkerError
+from ..errors import WorkerError
 from ..framing import (
     ProtocolError,
     decode_payload,
     encode_payload,
     error_payload,
+    payload_parts,
 )
 from ..resilience import (
     Fault,
@@ -137,28 +148,47 @@ def _recv_reply(rfile, max_payload: int) -> Tuple[int, int, bytes]:
     return frame
 
 
+def _send_frame(
+    sock: socket.socket, opcode: int, request_id: int, meta: dict, arrays=None
+) -> None:
+    """Send one frame as a scatter-gather write: operand and output arrays
+    go from their own memory to the socket, never copied into a frame."""
+    parts = [memoryview(p).cast("B") for p in payload_parts(meta, arrays)]
+    header = WORKER_CODEC.pack_header(opcode, request_id, sum(map(len, parts)))
+    parts.insert(0, memoryview(header))
+    while parts:
+        sent = sock.sendmsg(parts)
+        while parts and sent >= len(parts[0]):
+            sent -= len(parts.pop(0))
+        if sent:
+            parts[0] = parts[0][sent:]
+
+
 # ---------------------------------------------------------------------- #
 # Worker host process
 # ---------------------------------------------------------------------- #
 class WorkerAgent:
-    """One worker host: registers with a controller and executes row-ranges.
+    """One worker agent: registers with a controller and executes row-ranges.
 
     Parameters
     ----------
     host, port:
-        The controller's listening address.
+        The controller's listening address (unused when :meth:`serve` is
+        handed a connected socket, as a local slot is).
     name:
         Advertised host name (defaults to ``hostname:pid``).
     threads:
         Kernel threads per RUN on this host.  Results stay bitwise
         identical for any value — the runtime's determinism contract
         covers thread counts — so agents on big machines run ``threads >
-        1`` while the shm pool stays single-threaded per process.
+        1`` while the runtime's local slots run single-threaded.
     slots:
         Routing weight the controller balances nnz against (defaults to
         ``threads``).
     matrix_cache:
-        LRU bound on CSRs kept resident (mirrors the shm pool's bound).
+        LRU bound on CSRs kept resident.  Every LOAD reply names the keys
+        it evicted, so the controller's view of what an agent holds stays
+        exact.
     token:
         Shared secret presented in REGISTER.  Must match the
         controller's token when the controller requires one; without a
@@ -240,8 +270,9 @@ class WorkerAgent:
             except OSError:
                 pass
 
-    def serve(self) -> str:
-        """Dial the controller and serve until EXIT or disconnect.
+    def serve(self, sock: Optional[socket.socket] = None) -> str:
+        """Dial the controller (or take the connected ``sock``) and serve
+        until EXIT or disconnect.
 
         Returns the reason the loop ended: ``"exit"`` (controller said
         so), ``"disconnected"`` (controller went away or desynchronised
@@ -253,17 +284,19 @@ class WorkerAgent:
         fired).
         """
         self._registered = False
-        # Warm the JIT kernel cache before taking traffic, exactly as the
-        # shm workers do at spawn.
+        # Warm the JIT kernel cache before taking traffic (a no-op without
+        # numba), so the first RUN never pays compilation latency.
         try:
             from ..core.jit import warmup
 
             warmup()
         except Exception:
             pass
-        sock = socket.create_connection(
-            self.controller_address, timeout=self.connect_timeout
-        )
+        if sock is None:
+            sock = socket.create_connection(
+                self.controller_address, timeout=self.connect_timeout
+            )
+        sock.settimeout(self.connect_timeout)
         # Keep the timeout armed through the registration handshake: a
         # connection that completed in a dying listener's accept backlog
         # never gets a WELCOME, and an unbounded wait would wedge the
@@ -366,11 +399,7 @@ class WorkerAgent:
     # ------------------------------------------------------------------ #
     def _serve_loop(self, sock: socket.socket, rfile) -> str:
         def reply(opcode, request_id, meta, arrays=None):
-            sock.sendall(
-                WORKER_CODEC.pack_frame(
-                    opcode, request_id, encode_payload(meta, arrays)
-                )
-            )
+            _send_frame(sock, opcode, request_id, meta, arrays)
 
         while not self._stop.is_set():
             frame = WORKER_CODEC.read_frame(rfile, max_payload=self.max_payload)
@@ -378,7 +407,7 @@ class WorkerAgent:
                 return "disconnected"
             opcode, request_id, payload = frame
             try:
-                meta, arrays = decode_payload(payload)
+                meta, arrays = decode_payload(payload, copy=False)
                 if opcode == OP_EXIT:
                     reply(OP_RESULT, request_id, {})
                     return "exit"
@@ -388,10 +417,7 @@ class WorkerAgent:
                     key = str(meta["key"])
                     if key not in self._matrices:
                         self._matrices[key] = decode_csr(meta, arrays)
-                    self._matrices.move_to_end(key)
-                    while len(self._matrices) > self.matrix_cache:
-                        self._matrices.popitem(last=False)
-                    reply(OP_RESULT, request_id, {})
+                    reply(OP_RESULT, request_id, {"evicted": self._keep(key, meta)})
                 elif opcode == OP_LOAD_DELTA:
                     key = str(meta["key"])
                     base_key = str(meta["base_key"])
@@ -415,10 +441,7 @@ class WorkerAgent:
                             continue
                         self._matrices[key] = splice_csr_delta(base, arrays)
                         self.delta_loads += 1
-                    self._matrices.move_to_end(key)
-                    while len(self._matrices) > self.matrix_cache:
-                        self._matrices.popitem(last=False)
-                    reply(OP_RESULT, request_id, {})
+                    reply(OP_RESULT, request_id, {"evicted": self._keep(key, meta)})
                 elif opcode == OP_DROP:
                     self._matrices.pop(str(meta["key"]), None)
                     reply(OP_RESULT, request_id, {})
@@ -481,6 +504,20 @@ class WorkerAgent:
                     return "disconnected"
         return "stopped"
 
+    def _keep(self, key: str, meta: dict) -> List[str]:
+        """Mark the just-loaded ``key`` most recently used and drop the
+        keys ``meta["drop"]`` names; returns every key dropped, those and
+        the ones the LRU bound evicted."""
+        evicted = [
+            k
+            for k in meta.get("drop", ())
+            if k != key and self._matrices.pop(k, None) is not None
+        ]
+        self._matrices.move_to_end(key)
+        while len(self._matrices) > self.matrix_cache:
+            evicted.append(self._matrices.popitem(last=False)[0])
+        return evicted
+
     def _inject_fault(
         self, fault: Fault, sock: socket.socket
     ) -> Optional[str]:
@@ -528,11 +565,25 @@ class WorkerAgent:
         return block, w0, w0 + block.shape[0]
 
 
+def _local_agent_main(sock: socket.socket, name: str) -> None:  # pragma: no cover
+    """A local shard slot: one single-threaded agent on a socketpair end.
+
+    Ctrl-C belongs to the parent, which dismisses its agents with EXIT;
+    when the parent is gone the socket reads EOF and the agent returns.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    WorkerAgent(name=name).serve(sock)
+
+
 # ---------------------------------------------------------------------- #
 # Controller (runtime side)
 # ---------------------------------------------------------------------- #
 class _RemoteHost:
-    """Controller-side record of one registered worker host."""
+    """Controller-side record of one registered agent.
+
+    ``process`` is the child process of a local slot, ``None`` for a
+    host that dialled in.
+    """
 
     def __init__(
         self,
@@ -543,6 +594,7 @@ class _RemoteHost:
         sock,
         rfile,
         address,
+        process=None,
     ):
         self.host_id = host_id
         self.name = name
@@ -551,6 +603,7 @@ class _RemoteHost:
         self.sock = sock
         self.rfile = rfile
         self.address = address
+        self.process = process
         self.lock = threading.Lock()
         self.loaded: set = set()
         self.alive = True
@@ -630,44 +683,52 @@ class _ChunkJob:
 
 
 class RemoteController:
-    """Admits remote worker hosts and routes shard groups across them.
+    """Runs the local shard slots, admits dial-in hosts and routes shard
+    groups across every live agent.
 
     Owned by :class:`~repro.runtime.runtime.KernelRuntime` (created when
-    ``remote_port=`` is set).  :meth:`run_assignments` has the contract of
-    :meth:`~repro.runtime.workers.WorkerPool.run_assignments`, so one
-    dispatch and one failure rule cover both tiers:
+    ``processes=`` or ``remote_port=`` is set).  One failure rule covers
+    every agent, local or dial-in:
 
-    * a host that drops mid-exchange (EOF, reset, mid-frame cut) or times
-      out is declared **lost** — its shard group is re-routed across the
-      surviving hosts and the matrix is re-shipped where needed;
-    * when no hosts survive, the unfinished assignments are *returned* to
-      the caller, which executes them in-parent (as it does a crashed
-      local worker's) — the batch completes either way, it never hangs
-      and never returns a partial ``Z``;
+    * an agent that drops mid-exchange (EOF, reset, mid-frame cut) or
+      times out is declared **lost** — its shard group is re-routed
+      across the surviving agents and the matrix is re-shipped where
+      needed;
+    * when no agent survives, the unfinished assignments are *returned*
+      to the caller, which executes them in-parent — the batch completes
+      either way, it never hangs and never returns a partial ``Z``;
     * an agent-side kernel *exception* (as opposed to a death) is
       deterministic and propagates as :class:`~repro.errors.WorkerError`
-      without retry, in both tiers.
+      without retry.
 
-    A chunk that straggles past its throughput-derived deadline is
+    A lost local slot is restarted under its name once the call that lost
+    it returns (or at the next heartbeat), counted in ``restarts``.  A
+    chunk that straggles past its throughput-derived deadline is
     speculatively re-executed in-parent and the first completion wins —
     bitwise-safe because both sides compute identical row ranges (counters
-    ``hedges``/``hedge_wins``).  A host lost repeatedly is held out by the
-    :class:`~repro.resilience.HealthTracker` circuit breaker (``health``).
+    ``hedges``/``hedge_wins``).  A dial-in host lost repeatedly is held
+    out by the :class:`~repro.resilience.HealthTracker` circuit breaker
+    (``health``).
 
     Parameters
     ----------
     host, port:
-        Listening address for agent registrations (``port=0`` binds an
-        ephemeral port, readable as ``port``).
+        Listening address for dial-in registrations (``port=0`` binds an
+        ephemeral port, readable as ``port``; ``port=None`` opens no
+        listener).
+    processes:
+        Local shard slots: child processes running a single-threaded
+        :class:`WorkerAgent` over a :func:`socket.socketpair`, started
+        and registered before the constructor returns.
     heartbeat_s, heartbeat_strikes:
-        Ping cadence for idle hosts and the consecutive missed pings after
-        which one is evicted.
+        Ping cadence for idle agents and the consecutive missed pings
+        after which one is evicted.
     timeout:
         Worst-case reply ceiling of one exchange; RUN replies get a
         shorter nnz-scaled window once throughput has been observed.
     token:
-        Shared secret every REGISTER must carry (``None`` admits any
-        peer).
+        Shared secret every dial-in REGISTER must carry (``None`` admits
+        any peer).
     max_payload:
         Largest frame payload accepted from an agent.
     """
@@ -676,7 +737,8 @@ class RemoteController:
         self,
         *,
         host: str = "127.0.0.1",
-        port: int = 0,
+        port: Optional[int] = 0,
+        processes: int = 0,
         heartbeat_s: float = 2.0,
         heartbeat_strikes: int = 3,
         timeout: float = 60.0,
@@ -687,10 +749,12 @@ class RemoteController:
             raise ValueError(
                 f"heartbeat_strikes must be >= 1, got {heartbeat_strikes}"
             )
+        if processes < 0:
+            raise ValueError(f"processes must be >= 0, got {processes}")
         self.heartbeat_s = heartbeat_s
         self.heartbeat_strikes = int(heartbeat_strikes)
         self.timeout = timeout
-        #: Shared secret every REGISTER must carry (constant-time
+        #: Shared secret every dial-in REGISTER must carry (constant-time
         #: compared).  ``None`` admits any peer — acceptable on the
         #: loopback default bind, mandatory to set when binding a
         #: cross-machine interface.
@@ -708,14 +772,10 @@ class RemoteController:
         self._hedge_exec = ThreadPoolExecutor(
             max_workers=2, thread_name_prefix="repro-remote-hedge"
         )
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, int(port)))
-        self._listener.listen(16)
         self.host = host
-        self.port = self._listener.getsockname()[1]
         self._hosts: "OrderedDict[int, _RemoteHost]" = OrderedDict()
         self._hosts_lock = threading.Lock()
+        self._hosts_changed = threading.Condition(self._hosts_lock)
         self._next_host_id = 1
         self._closed = threading.Event()
         self.hosts_admitted = 0
@@ -736,50 +796,58 @@ class RemoteController:
             OrderedDict()
         )
         self._delta_lock = threading.Lock()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-remote-accept", daemon=True
-        )
-        self._accept_thread.start()
+        self.processes = int(processes)
+        self.restarts = 0
+        self._procs: List[Optional[multiprocessing.process.BaseProcess]] = [
+            None
+        ] * self.processes
+        self._spawn_lock = threading.Lock()
+        # Local slots first: a child forked before the listener exists
+        # does not inherit its descriptor.
+        with self._spawn_lock:
+            self._start_local(range(self.processes))
+        self._listener: Optional[socket.socket] = None
+        self.port: Optional[int] = None
+        self._accept_thread: Optional[threading.Thread] = None
+        if port is not None:
+            self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._listener.bind((host, int(port)))
+            self._listener.listen(16)
+            self.port = self._listener.getsockname()[1]
+            self._accept_thread = threading.Thread(
+                target=self._accept_loop, name="repro-remote-accept", daemon=True
+            )
+            self._accept_thread.start()
         self._heartbeat_thread = threading.Thread(
             target=self._heartbeat_loop, name="repro-remote-heartbeat", daemon=True
         )
         self._heartbeat_thread.start()
 
     # ------------------------------------------------------------------ #
-    # Host admission + liveness
+    # Agent admission + liveness
     # ------------------------------------------------------------------ #
-    def _accept_loop(self) -> None:
-        while not self._closed.is_set():
-            try:
-                sock, address = self._listener.accept()
-            except OSError:
-                return
-            if self._closed.is_set():
-                # Accepted while shutting down (including the wake-up
-                # connection ``close()`` makes).  Never admit: a WELCOME
-                # from a dying controller would wedge the agent in a
-                # serve loop nobody drives.  Sever so it retries and
-                # lands on the replacement controller instead.
-                try:
-                    sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                sock.close()
-                return
-            try:
-                sock.settimeout(self.timeout)
-                rfile = sock.makefile("rb")
-                frame = WORKER_CODEC.read_frame(
-                    rfile, max_payload=self.max_payload
+    def _admit(self, sock: socket.socket, address, *, process=None) -> bool:
+        """The one registration handshake: read REGISTER, answer WELCOME.
+
+        A dial-in host (``process=None``) must also pass the token and
+        quarantine checks; a local slot has no peer to check.  Any
+        failure severs ``sock`` and returns ``False``.
+        """
+        try:
+            sock.settimeout(self.timeout)
+            rfile = sock.makefile("rb")
+            frame = WORKER_CODEC.read_frame(rfile, max_payload=self.max_payload)
+            if frame is None:
+                raise ConnectionError("agent hung up before registering")
+            opcode, _, payload = frame
+            if opcode != OP_REGISTER:
+                raise ProtocolError(
+                    f"expected REGISTER, got opcode 0x{opcode:02x}"
                 )
-                if frame is None:
-                    raise ConnectionError("agent hung up before registering")
-                opcode, _, payload = frame
-                if opcode != OP_REGISTER:
-                    raise ProtocolError(
-                        f"expected REGISTER, got opcode 0x{opcode:02x}"
-                    )
-                meta, _ = decode_payload(payload)
+            meta, _ = decode_payload(payload)
+            peer_name = str(meta.get("name", ""))
+            if process is None:
                 if self.token is not None and not hmac.compare_digest(
                     str(meta.get("token") or ""), self.token
                 ):
@@ -795,7 +863,6 @@ class RemoteController:
                         )
                     )
                     raise ConnectionError("agent rejected: bad token")
-                peer_name = str(meta.get("name", ""))
                 if peer_name and not self.health.allow(peer_name):
                     # Circuit open: a flapping host does not get back in
                     # just by reconnecting.  503 tells the agent this is
@@ -814,43 +881,139 @@ class RemoteController:
                         )
                     )
                     raise ConnectionError("agent rejected: quarantined")
-                with self._hosts_lock:
-                    if self._closed.is_set():
-                        # close() ran while this handshake was in
-                        # flight; its record sweep is done, so admitting
-                        # now would welcome the agent into a dead
-                        # controller.  Sever instead (the except arm).
-                        raise ConnectionError("controller shutting down")
-                    host_id = self._next_host_id
-                    self._next_host_id += 1
-                    record = _RemoteHost(
-                        host_id=host_id,
-                        name=str(meta.get("name", f"host-{host_id}")),
-                        slots=int(meta.get("slots", 1)),
-                        threads=int(meta.get("threads", 1)),
-                        sock=sock,
-                        rfile=rfile,
-                        address=address,
-                    )
-                    self._hosts[host_id] = record
-                    self.hosts_admitted += 1
-                sock.sendall(
-                    WORKER_CODEC.pack_frame(
-                        OP_WELCOME, 0, encode_payload({"host_id": host_id})
-                    )
+            with self._hosts_lock:
+                if self._closed.is_set():
+                    # close() ran while this handshake was in flight; its
+                    # record sweep is done, so admitting now would
+                    # welcome the agent into a dead controller.  Sever
+                    # instead (the except arm).
+                    raise ConnectionError("controller shutting down")
+                host_id = self._next_host_id
+                self._next_host_id += 1
+                record = _RemoteHost(
+                    host_id=host_id,
+                    name=peer_name or f"host-{host_id}",
+                    slots=int(meta.get("slots", 1)),
+                    threads=int(meta.get("threads", 1)),
+                    sock=sock,
+                    rfile=rfile,
+                    address=address,
+                    process=process,
                 )
-            except (ProtocolError, ConnectionError, OSError, socket.timeout):
-                # The makefile() reader may still hold an io-ref on the
-                # socket, so close() alone would leave the fd (and the
-                # peer's connection) open; shutdown() severs it for real.
+                # Held until WELCOME is out, so no exchange can reach the
+                # agent before it.
+                record.lock.acquire()
+                self._hosts[host_id] = record
+                self.hosts_admitted += 1
+                self._hosts_changed.notify_all()
+        except (ProtocolError, ConnectionError, OSError, socket.timeout):
+            # The makefile() reader may still hold an io-ref on the
+            # socket, so close() alone would leave the fd (and the peer's
+            # connection) open; shutdown() severs it for real.
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            try:
+                sock.close()
+            except OSError:
+                pass
+            return False
+        try:
+            sock.sendall(
+                WORKER_CODEC.pack_frame(
+                    OP_WELCOME, 0, encode_payload({"host_id": host_id})
+                )
+            )
+        except OSError:
+            self._mark_lost(record, "WELCOME not delivered")
+            return False
+        finally:
+            record.lock.release()
+        return True
+
+    def _accept_loop(self) -> None:
+        while not self._closed.is_set():
+            try:
+                sock, address = self._listener.accept()
+            except OSError:
+                return
+            if self._closed.is_set():
+                # Accepted while shutting down (including the wake-up
+                # connection ``close()`` makes).  Never admit: a WELCOME
+                # from a dying controller would wedge the agent in a
+                # serve loop nobody drives.  Sever so it retries and
+                # lands on the replacement controller instead.
                 try:
                     sock.shutdown(socket.SHUT_RDWR)
                 except OSError:
                     pass
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+                sock.close()
+                return
+            self._admit(sock, address)
+
+    @staticmethod
+    def _local_name(slot: int) -> str:
+        return f"local-{slot}"
+
+    def _start_local(self, slots) -> None:
+        """Start and admit the local agents of ``slots`` (caller holds
+        ``_spawn_lock``).
+
+        Every child is started before the first handshake is read, so
+        they boot concurrently; admission then blocks on each REGISTER
+        frame in turn — no polling.
+        """
+        ctx = multiprocessing.get_context()
+        started = []
+        for slot in slots:
+            parent_end, child_end = socket.socketpair()
+            # Room for a whole operand or output block: a send completes
+            # without waiting for the peer to be scheduled and drain it
+            # (the kernel caps the request at its wmem_max).
+            for end in (parent_end, child_end):
+                end.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4 << 20)
+            proc = ctx.Process(
+                target=_local_agent_main,
+                args=(child_end, self._local_name(slot)),
+                name=f"repro-shard-{slot}",
+                daemon=True,
+            )
+            proc.start()
+            child_end.close()
+            self._procs[slot] = proc
+            started.append((slot, parent_end, proc))
+        for slot, parent_end, proc in started:
+            if not self._admit(parent_end, self._local_name(slot), process=proc):
+                proc.kill()
+                proc.join(timeout=5.0)
+
+    def _respawn_local(self) -> None:
+        """Restart every local slot whose agent was lost, under its name.
+
+        A loss may be a hung agent, not a dead one, so the old process is
+        killed before its replacement starts.
+        """
+        if not self.processes:
+            return
+        with self._spawn_lock:
+            if self._closed.is_set():
+                return
+            live = {h.name for h in self.live_hosts() if h.process is not None}
+            lost = [
+                slot
+                for slot in range(self.processes)
+                if self._local_name(slot) not in live
+            ]
+            if not lost:
+                return
+            for slot in lost:
+                proc = self._procs[slot]
+                if proc is not None:
+                    proc.kill()
+                    proc.join(timeout=5.0)
+            self.restarts += len(lost)
+            self._start_local(lost)
 
     def _heartbeat_loop(self) -> None:
         while not self._closed.wait(self.heartbeat_s):
@@ -876,12 +1039,7 @@ class RemoteController:
                             record,
                             f"missed {record.strikes} heartbeats",
                         )
-                except (
-                    WorkerCrashError,
-                    ProtocolError,
-                    ConnectionError,
-                    OSError,
-                ):
+                except (ProtocolError, ConnectionError, OSError):
                     # EOF/reset/desync: the connection is gone for real —
                     # no strike count rescues a dead socket.
                     self._mark_lost(record, "heartbeat connection failure")
@@ -889,6 +1047,7 @@ class RemoteController:
                     record.strikes = 0
                 finally:
                     record.lock.release()
+            self._respawn_local()
 
     def _mark_lost(self, record: _RemoteHost, why: str) -> None:
         with self._hosts_lock:
@@ -897,25 +1056,33 @@ class RemoteController:
             record.alive = False
             self._hosts.pop(record.host_id, None)
             self.hosts_lost += 1
+            self._hosts_changed.notify_all()
         record.close()
-        self.health.record_failure(record.name)
+        if record.process is None:
+            self.health.record_failure(record.name)
 
     def live_hosts(self) -> List[_RemoteHost]:
+        """Every live agent, local slots and dial-in hosts alike."""
         with self._hosts_lock:
             return [h for h in self._hosts.values() if h.alive]
 
-    def total_slots(self) -> int:
-        return sum(h.slots for h in self.live_hosts())
+    def dialin_slots(self) -> int:
+        """Slot count of the live hosts that dialled in."""
+        return sum(h.slots for h in self.live_hosts() if h.process is None)
 
     def wait_for_hosts(self, count: int, timeout: float = 30.0) -> int:
-        """Block until ``count`` hosts registered (or the timeout hits)."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            live = len(self.live_hosts())
-            if live >= count:
-                return live
-            time.sleep(0.02)
-        return len(self.live_hosts())
+        """Block until ``count`` dial-in hosts registered (or the timeout
+        hits); returns how many are live.  Local slots are registered
+        before the constructor returns and are not counted."""
+
+        def dialled() -> int:
+            return sum(
+                1 for h in self._hosts.values() if h.alive and h.process is None
+            )
+
+        with self._hosts_changed:
+            self._hosts_changed.wait_for(lambda: dialled() >= count, timeout)
+            return dialled()
 
     # ------------------------------------------------------------------ #
     # Per-host request/reply
@@ -939,9 +1106,7 @@ class RemoteController:
         record.sock.settimeout(
             self.timeout if reply_timeout is None else reply_timeout
         )
-        record.sock.sendall(
-            WORKER_CODEC.pack_frame(opcode, rid, encode_payload(meta, arrays))
-        )
+        _send_frame(record.sock, opcode, rid, meta, arrays)
         while True:
             reply_op, reply_id, payload = _recv_reply(
                 record.rfile, self.max_payload
@@ -958,7 +1123,7 @@ class RemoteController:
                 raise ConnectionError(
                     f"out-of-order reply {reply_id} (expected {rid})"
                 )
-            reply_meta, reply_arrays = decode_payload(payload)
+            reply_meta, reply_arrays = decode_payload(payload, copy=False)
             if reply_op == OP_RESULT:
                 return reply_meta, reply_arrays
             if reply_op == OP_ERROR:
@@ -973,17 +1138,28 @@ class RemoteController:
             )
 
     def _ensure_loaded(self, record: _RemoteHost, key: str, A: CSRMatrix) -> None:
+        """Make ``key`` (the matrix ``A``) resident on ``record``.
+
+        An agent keeps one version of a graph: the ship of a new version
+        (its changed rows or a full LOAD) also drops the agent's other
+        versions of that lineage, once the new one is in place.
+        """
         if key in record.loaded:
             return
-        if self._try_delta_ship(record, key):
-            record.loaded.add(key)
-            return
-        meta, arrays = encode_csr(A)
-        meta["key"] = key
-        self._request(record, OP_LOAD, meta, arrays)
+        lineage = key.partition("@")[0]
+        drop = [
+            k for k in record.loaded if k != key and fingerprint_covers(lineage, k)
+        ]
+        if not self._try_delta_ship(record, key, drop):
+            meta, arrays = encode_csr(A)
+            meta.update(key=key, drop=drop)
+            reply_meta, _ = self._request(record, OP_LOAD, meta, arrays)
+            record.loaded.difference_update(reply_meta.get("evicted", ()))
         record.loaded.add(key)
 
-    def _try_delta_ship(self, record: _RemoteHost, key: str) -> bool:
+    def _try_delta_ship(
+        self, record: _RemoteHost, key: str, drop: List[str]
+    ) -> bool:
         """Ship ``key`` as a dirty-row delta when possible.
 
         Requires a registered delta source for ``key`` and the base version
@@ -999,6 +1175,7 @@ class RemoteController:
         if base_key not in record.loaded:
             self.delta_fallbacks += 1
             return False
+        meta = {**meta, "drop": drop}
         reply_meta, _ = self._request(record, OP_LOAD_DELTA, meta, arrays)
         if reply_meta.get("missing_key"):
             # The agent evicted the base after our bookkeeping said it
@@ -1006,6 +1183,7 @@ class RemoteController:
             record.loaded.discard(base_key)
             self.delta_fallbacks += 1
             return False
+        record.loaded.difference_update(reply_meta.get("evicted", ()))
         self.delta_ships += 1
         return True
 
@@ -1023,7 +1201,7 @@ class RemoteController:
     ) -> None:
         """Record that ``key`` can be shipped as a splice over ``base_key``.
 
-        The next :meth:`_ensure_loaded` of ``key`` on a host that still
+        The next :meth:`_ensure_loaded` of ``key`` on an agent that still
         holds ``base_key`` sends only the dirty rows (the LOAD_DELTA
         opcode); everything else falls back to a full ship.
         """
@@ -1226,111 +1404,115 @@ class RemoteController:
         Y: Optional[np.ndarray],
         Z: np.ndarray,
     ) -> List[ShardAssignment]:
-        """Execute ``assignments`` across live hosts, writing into ``Z``.
+        """Execute ``assignments`` across live agents, writing into ``Z``.
 
         Groups are routed by slot weight, dispatched concurrently (one
-        thread per host), and re-routed across survivors when a host is
-        lost mid-batch.  Returns the assignments that could **not** be
-        completed because no live host remained — the caller executes
-        those in-parent, so the batch always completes.
+        thread per agent), and re-routed across survivors when an agent
+        is lost mid-batch.  Returns the assignments that could **not** be
+        completed because no live agent remained — the caller executes
+        those in-parent, so the batch always completes.  Local slots lost
+        on the way are restarted before this returns.
         """
         remaining = [a for a in assignments if a.parts]
         if not remaining:
             return []
         self.batches += 1
-        first_round = True
-        while remaining:
-            hosts = self.live_hosts()
-            if not hosts:
-                self.parent_fallbacks += 1
-                return remaining
-            if not first_round:
-                self.retries += 1
-            first_round = False
-            # Retry rounds rebuild ``remaining`` from thread-completion
-            # order; re-sort by row start so the routed groups stay
-            # row-ordered and route_shards' contiguity reasoning holds.
-            remaining.sort(key=lambda a: a.parts[0].start)
-            plan = ShardPlan(
-                num_shards=len(remaining),
-                assignments=tuple(remaining),
-                total_nnz=sum(a.nnz for a in remaining),
-            )
-            groups = route_shards(plan, [h.slots for h in hosts])
-            busy = [
-                (record, group)
-                for record, group in zip(hosts, groups)
-                if group
-            ]
-            # One RUN per contiguous chunk: a merged retry group may
-            # span row gaps that other hosts' finished work fills.  Each
-            # chunk is a _ChunkJob — the unit the hedger can steal.
-            host_jobs = [
-                (record, [_ChunkJob(c) for c in _contiguous_chunks(group)])
-                for record, group in busy
-            ]
-            all_jobs = [job for _, jobs in host_jobs for job in jobs]
-            failed_jobs: List[_ChunkJob] = []
-            failed_lock = threading.Lock()
+        try:
+            first_round = True
+            while remaining:
+                hosts = self.live_hosts()
+                if not hosts:
+                    self.parent_fallbacks += 1
+                    return remaining
+                if not first_round:
+                    self.retries += 1
+                first_round = False
+                # Retry rounds rebuild ``remaining`` from thread-completion
+                # order; re-sort by row start so the routed groups stay
+                # row-ordered and route_shards' contiguity reasoning holds.
+                remaining.sort(key=lambda a: a.parts[0].start)
+                plan = ShardPlan(
+                    num_shards=len(remaining),
+                    assignments=tuple(remaining),
+                    total_nnz=sum(a.nnz for a in remaining),
+                )
+                groups = route_shards(plan, [h.slots for h in hosts])
+                busy = [
+                    (record, group)
+                    for record, group in zip(hosts, groups)
+                    if group
+                ]
+                # One RUN per contiguous chunk: a merged retry group may
+                # span row gaps that other hosts' finished work fills.  Each
+                # chunk is a _ChunkJob — the unit the hedger can steal.
+                host_jobs = [
+                    (record, [_ChunkJob(c) for c in _contiguous_chunks(group)])
+                    for record, group in busy
+                ]
+                all_jobs = [job for _, jobs in host_jobs for job in jobs]
+                failed_jobs: List[_ChunkJob] = []
+                failed_lock = threading.Lock()
 
-            def dispatch(record: _RemoteHost, jobs: List[_ChunkJob]):
-                for index, job in enumerate(jobs):
-                    if job.done:
-                        continue  # a hedge already completed this chunk
-                    job.started_at = time.monotonic()
-                    try:
-                        self._run_group(
-                            record, key, A, spec_meta, job, X, Y, Z
-                        )
-                    except (
-                        ProtocolError,
-                        ConnectionError,
-                        OSError,
-                        socket.timeout,
-                    ) as exc:
-                        self._mark_lost(record, str(exc))
-                        with failed_lock:
-                            failed_jobs.extend(jobs[index:])
-                        return
-
-            hedge_futures: List = []
-            try:
-                with ThreadPoolExecutor(
-                    max_workers=len(host_jobs),
-                    thread_name_prefix="repro-remote-dispatch",
-                ) as pool:
-                    pending = {
-                        pool.submit(dispatch, record, jobs)
-                        for record, jobs in host_jobs
-                    }
-                    while pending:
-                        done, pending = _futures_wait(pending, timeout=0.05)
-                        for fut in done:
-                            fut.result()
-                        if pending:
-                            self._maybe_hedge(
-                                all_jobs, A, spec_meta, X, Y, Z,
-                                hedge_futures,
+                def dispatch(record: _RemoteHost, jobs: List[_ChunkJob]):
+                    for index, job in enumerate(jobs):
+                        if job.done:
+                            continue  # a hedge already completed this chunk
+                        job.started_at = time.monotonic()
+                        try:
+                            self._run_group(
+                                record, key, A, spec_meta, job, X, Y, Z
                             )
-            finally:
-                # Never leave a hedge thread writing into Z after this
-                # call returns (or raises): the caller may reuse the
-                # buffer.  Hedges are short local computes.
-                for fut in hedge_futures:
-                    try:
-                        fut.result()
-                    except Exception:  # pragma: no cover - defensive
-                        pass
-            # A chunk whose host died may still have been rescued by a
-            # hedge; only genuinely incomplete chunks go to the retry
-            # round.
-            remaining = [
-                a
-                for job in failed_jobs
-                if not job.done
-                for a in job.assignments
-            ]
-        return []
+                        except (
+                            ProtocolError,
+                            ConnectionError,
+                            OSError,
+                            socket.timeout,
+                        ) as exc:
+                            self._mark_lost(record, str(exc))
+                            with failed_lock:
+                                failed_jobs.extend(jobs[index:])
+                            return
+
+                hedge_futures: List = []
+                try:
+                    with ThreadPoolExecutor(
+                        max_workers=len(host_jobs),
+                        thread_name_prefix="repro-remote-dispatch",
+                    ) as pool:
+                        pending = {
+                            pool.submit(dispatch, record, jobs)
+                            for record, jobs in host_jobs
+                        }
+                        while pending:
+                            done, pending = _futures_wait(pending, timeout=0.05)
+                            for fut in done:
+                                fut.result()
+                            if pending:
+                                self._maybe_hedge(
+                                    all_jobs, A, spec_meta, X, Y, Z,
+                                    hedge_futures,
+                                )
+                finally:
+                    # Never leave a hedge thread writing into Z after this
+                    # call returns (or raises): the caller may reuse the
+                    # buffer.  Hedges are short local computes.
+                    for fut in hedge_futures:
+                        try:
+                            fut.result()
+                        except Exception:  # pragma: no cover - defensive
+                            pass
+                # A chunk whose host died may still have been rescued by a
+                # hedge; only genuinely incomplete chunks go to the retry
+                # round.
+                remaining = [
+                    a
+                    for job in failed_jobs
+                    if not job.done
+                    for a in job.assignments
+                ]
+            return []
+        finally:
+            self._respawn_local()
 
     def _maybe_hedge(
         self,
@@ -1371,6 +1553,7 @@ class RemoteController:
                     "threads": h.threads,
                     "runs": h.runs,
                     "loaded_matrices": len(h.loaded),
+                    "local": h.process is not None,
                 }
                 for h in hosts
             ],
@@ -1389,8 +1572,20 @@ class RemoteController:
             **self.health.stats(),
         }
 
+    def local_stats(self) -> Dict[str, object]:
+        """The local slots: configured, alive, restarted, and the distinct
+        matrices they hold."""
+        local = [h for h in self.live_hosts() if h.process is not None]
+        return {
+            "processes": self.processes,
+            "alive": sum(1 for h in local if h.process.is_alive()),
+            "restarts": self.restarts,
+            "registered_matrices": len(set().union(*(h.loaded for h in local))),
+        }
+
     def close(self, *, notify: bool = True) -> None:
-        """Stop accepting, dismiss agents, close every connection.
+        """Stop accepting, dismiss agents, close every connection and
+        join the local slots' processes.
 
         ``notify=False`` skips the EXIT frames — the connections are just
         severed, so agents observe a *disconnect* and keep retrying with
@@ -1401,23 +1596,27 @@ class RemoteController:
         if self._closed.is_set():
             return
         self._closed.set()
-        # Closing the listener does NOT wake a thread blocked in
-        # accept() on Linux — the in-flight syscall keeps the listening
-        # socket alive, so the port would keep completing handshakes and
-        # a reconnecting agent could be admitted by this half-dead
-        # controller (and then hang in a serve loop nobody drives).  A
-        # throwaway self-connection forces accept() to return; the loop
-        # re-checks ``_closed`` and exits without admitting anyone.
-        try:
-            wake_host = self.host if self.host not in ("", "0.0.0.0") else "127.0.0.1"
-            wake = socket.create_connection((wake_host, self.port), timeout=0.5)
-            wake.close()
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        if self._listener is not None:
+            # Closing the listener does NOT wake a thread blocked in
+            # accept() on Linux — the in-flight syscall keeps the
+            # listening socket alive, so the port would keep completing
+            # handshakes and a reconnecting agent could be admitted by
+            # this half-dead controller (and then hang in a serve loop
+            # nobody drives).  A throwaway self-connection forces
+            # accept() to return; the loop re-checks ``_closed`` and
+            # exits without admitting anyone.
+            try:
+                wake_host = (
+                    self.host if self.host not in ("", "0.0.0.0") else "127.0.0.1"
+                )
+                wake = socket.create_connection((wake_host, self.port), timeout=0.5)
+                wake.close()
+            except OSError:
+                pass
+            try:
+                self._listener.close()
+            except OSError:
+                pass
         for record in self.live_hosts():
             with record.lock:
                 if notify:
@@ -1436,8 +1635,20 @@ class RemoteController:
                 record.close()
         with self._hosts_lock:
             self._hosts.clear()
+            self._hosts_changed.notify_all()
+        # An agent dismissed with EXIT (or severed) leaves its loop and
+        # its process ends; one that does not is killed.
+        with self._spawn_lock:
+            for proc in self._procs:
+                if proc is None:
+                    continue
+                proc.join(timeout=1.0)
+                if proc.is_alive():  # pragma: no cover - stuck agent
+                    proc.kill()
+                    proc.join(timeout=1.0)
         self._hedge_exec.shutdown(wait=True)
-        self._accept_thread.join(timeout=1.0)
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=1.0)
         self._heartbeat_thread.join(timeout=self.heartbeat_s + 1.0)
 
     def __enter__(self) -> "RemoteController":

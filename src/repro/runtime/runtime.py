@@ -17,13 +17,13 @@ on.  It owns
 * a **streaming epoch API** (:meth:`epochs`) that training loops bind once
   per adjacency and then drive with new feature matrices every epoch or
   minibatch;
-* a **sharded multi-process tier** (:meth:`run_sharded` /
-  :meth:`submit_sharded`, enabled with ``processes=``): the plan's 1-D
+* a **sharded tier** (:meth:`run_sharded` / :meth:`submit_sharded`,
+  enabled with ``processes=`` and/or ``remote_port=``): the plan's 1-D
   partitions are grouped into nnz-balanced shards
-  (:mod:`repro.runtime.shard`) and executed by a persistent pool of worker
-  processes (:mod:`repro.runtime.workers`) that hold the CSR matrix in
-  shared memory — the escape hatch from the GIL for kernels too small to
-  amortise NumPy's internal threading.
+  (:mod:`repro.runtime.shard`) and executed by worker agents
+  (:mod:`repro.runtime.remote`) — local child processes and dial-in hosts
+  alike — that each cache the CSR matrix; the escape hatch from the GIL
+  for kernels too small to amortise NumPy's internal threading.
 
 Determinism
 -----------
@@ -40,7 +40,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -51,12 +51,11 @@ from ..core.patterns import OpPattern, get_pattern, pattern_key
 from ..sparse import as_csr
 from .batch import KernelRequest, pack_group_key, pack_requests
 from .cache import CacheStats, PlanCache
-from .codec import execute_parts, output_dtype, plan_spec_from_plan, remote_spec_meta
+from .codec import execute_parts, output_dtype, run_spec_meta, spec_from_meta
 from .fingerprint import matrix_fingerprint, memoized_fingerprint
 from .plan import KernelPlan, PlanKey, build_plan, make_config
 from .remote import RemoteController
-from .shard import ShardPlan, assign_shards, route_shards
-from .workers import WorkerPool
+from .shard import ShardPlan, assign_shards
 
 __all__ = ["KernelRuntime", "EpochStream"]
 
@@ -73,8 +72,8 @@ DEFAULT_PACK_NNZ = 4096
 #: singles; at 10240 elements it lost at windows of 4 and 8.
 PACK_DENSE_ELEMS = 6144
 #: Below this nnz the streaming paths (``epochs``/``run_on``) keep a job in
-#: process even when a worker pool exists: shipping the operands through
-#: shared memory costs more than the kernel itself for small matrices.
+#: process even when worker agents exist: shipping the operands to them
+#: costs more than the kernel itself for small matrices.
 #: Explicit ``run_sharded``/``submit_sharded`` calls ignore the threshold.
 DEFAULT_SHARD_MIN_NNZ = 16384
 
@@ -111,10 +110,10 @@ class EpochStream:
     def step(self, X=None, Y=None) -> np.ndarray:
         """Execute one full-adjacency epoch call with the cached plan.
 
-        When the runtime owns a worker pool (``processes=``) and the bound
-        adjacency is large enough, the call runs through the sharded
-        multi-process tier — bitwise identically to the in-process path
-        (both run the plan's partitions of the bound matrix).
+        When the runtime has sharded capacity (``processes=`` or dial-in
+        hosts) and the bound adjacency is large enough, the call runs
+        through the sharded tier — bitwise identically to the in-process
+        path (both run the plan's partitions of the bound matrix).
         """
         t0 = time.perf_counter()
         rt = self._runtime
@@ -131,12 +130,12 @@ class EpochStream:
         sampled negatives, …) — resolution and dispatch are reused, the
         partitioning is recomputed for the new matrix with the runtime's
         nnz-aware split policy (large slices fan out on the shared pool or
-        the worker shards, small ones run sequentially)."""
+        the worker agents, small ones run sequentially)."""
         t0 = time.perf_counter()
         rt = self._runtime
         A_sub = as_csr(A_sub)
         parts = split_parts(A_sub, rt.split_nnz)
-        # A one-part slice is not worth a ship to the workers.
+        # A one-part slice is not worth a ship to the agents.
         prep = None
         if len(parts) > 1 and A_sub.nnz >= rt.shard_min_nnz:
             prep = rt._prepare_sharded(self.plan, A_sub, parts=parts)
@@ -156,15 +155,11 @@ class EpochStream:
 class _ShardPrep:
     """One prepared sharded dispatch (see ``KernelRuntime._prepare_sharded``)."""
 
-    workers: Optional[WorkerPool]
-    controller: Optional[RemoteController]
+    controller: RemoteController
     key: str
     A: object
-    spec: Dict[str, object]
-    spec_meta: Optional[dict]
+    spec_meta: dict
     shard_plan: ShardPlan
-    local_slots: int
-    remote_slots: int
 
 
 class KernelRuntime:
@@ -185,35 +180,33 @@ class KernelRuntime:
         jobs above ``split_nnz`` are split into
         :func:`~repro.core.partition.split_parts` partitions.
     processes:
-        Worker *processes* of the sharded execution tier; 0 (default)
-        disables it.  Shard workers run the kernels single-threaded over
-        shared-memory CSR shards; see :mod:`repro.runtime.workers`.
+        Local worker agents of the sharded tier; 0 (default) starts none.
+        Each is a child process running a single-threaded
+        :class:`~repro.runtime.remote.WorkerAgent` over a socketpair to
+        the runtime's controller — the same protocol, routing and
+        failure rule as a dial-in host; see :mod:`repro.runtime.remote`.
     shards:
         Default shard count for sharded calls (defaults to ``processes``;
         ``0`` means the whole sharded capacity; clamped to it per call).
     shard_min_nnz:
         Streaming calls (``epochs().step``/``run_on``) only use the worker
-        pool for matrices at or above this nnz; explicit sharded calls
+        agents for matrices at or above this nnz; explicit sharded calls
         ignore it.
-    worker_matrix_cache:
-        Bound on matrices the :class:`~repro.runtime.workers.WorkerPool`
-        keeps registered in shared memory.
     remote_port, remote_host:
-        Enable the distributed tier: listen on this address for
-        ``repro worker`` host registrations (``remote_port=0`` binds an
-        ephemeral port, readable as ``runtime.controller.port``).
-        Admitted hosts add shard capacity next to the local processes;
-        see :mod:`repro.runtime.remote`.
+        Listen on this address for ``repro worker`` host registrations
+        (``remote_port=0`` binds an ephemeral port, readable as
+        ``runtime.controller.port``; ``None`` opens no socket).  Admitted
+        hosts add shard capacity next to the local agents.
     remote_heartbeat_s, remote_timeout:
-        Liveness cadence for idle hosts and the per-exchange reply
-        ceiling after which a host is declared lost and its shards are
+        Liveness cadence for idle agents and the per-exchange reply
+        ceiling after which an agent is declared lost and its shards are
         retried on the survivors.  RUN replies additionally get an
         nnz-scaled window derived from observed throughput, so small
         jobs detect stragglers long before this worst-case cap.
     remote_heartbeat_strikes:
-        Consecutive missed heartbeat pings before an idle host is
+        Consecutive missed heartbeat pings before an idle agent is
         evicted (default 3 — one GC pause is a strike, not a loss).
-        Straggling remote chunks are always hedged in-parent; see
+        Straggling chunks are always hedged in-parent; see
         :class:`~repro.runtime.remote.RemoteController`.
     remote_token:
         Shared secret ``repro worker`` hosts must present to register
@@ -247,7 +240,6 @@ class KernelRuntime:
         processes: Optional[int] = None,
         shards: Optional[int] = None,
         shard_min_nnz: int = DEFAULT_SHARD_MIN_NNZ,
-        worker_matrix_cache: int = 16,
         remote_port: Optional[int] = None,
         remote_host: str = "127.0.0.1",
         remote_heartbeat_s: float = 2.0,
@@ -260,21 +252,18 @@ class KernelRuntime:
         self.autotune_dim = autotune_dim
         self.pack_nnz = pack_nnz
         self.split_nnz = split_nnz
-        # ``shards=N`` without ``processes=`` implies an N-worker pool.
+        # ``shards=N`` without ``processes=`` implies N local agents.
         self.processes = int(processes or 0)
         if self.processes == 0 and shards:
             self.processes = int(shards)
         self.shards = int(shards or self.processes)
         self.shard_min_nnz = shard_min_nnz
-        self.worker_matrix_cache = worker_matrix_cache
         self.remote_port = remote_port
         self.remote_host = remote_host
         self.remote_heartbeat_s = remote_heartbeat_s
         self.remote_heartbeat_strikes = remote_heartbeat_strikes
         self.remote_timeout = remote_timeout
         self.remote_token = remote_token
-        self._workers: Optional[WorkerPool] = None
-        self._workers_lock = threading.Lock()
         self._controller: Optional[RemoteController] = None
         self._controller_lock = threading.Lock()
         # The one dispatcher thread behind submit_sharded.
@@ -301,10 +290,9 @@ class KernelRuntime:
             "single_jobs": 0,
             "sharded_jobs": 0,
             "sharded_submitted": 0,
-            "remote_jobs": 0,
             "parent_fallbacks": 0,
-            # sharded-tier calls run in process because the pattern does
-            # not pickle (user operators built from lambdas)
+            # sharded-tier calls run in process because an operator slot
+            # of the pattern is a callable, not a registered name
             "unpicklable_fallbacks": 0,
         }
         self._closed = False
@@ -326,34 +314,24 @@ class KernelRuntime:
             return self._pool
 
     @property
-    def workers(self) -> Optional[WorkerPool]:
-        """The sharded-tier worker pool (created lazily; ``None`` when
-        ``processes=0`` or after :meth:`close`)."""
-        if self.processes <= 0:
-            return None
-        with self._workers_lock:
-            if self._workers is None and not self._closed:
-                self._workers = WorkerPool(
-                    self.processes, matrix_cache=self.worker_matrix_cache
-                )
-            return self._workers
-
-    @property
     def controller(self) -> Optional[RemoteController]:
-        """The distributed-tier controller (created lazily when
-        ``remote_port=`` is configured; ``None`` otherwise).
+        """The sharded tier's controller (created lazily when
+        ``processes=`` or ``remote_port=`` is configured; ``None``
+        otherwise and after :meth:`close`).
 
-        Creation opens the listening socket, so worker hosts started with
-        ``repro worker`` can register from then on; admitted hosts join
-        the local processes as shard-execution capacity.
+        Creation starts the local agents and returns once they have
+        registered; with ``remote_port=`` it also opens the listening
+        socket, so hosts started with ``repro worker`` can register from
+        then on.
         """
-        if self.remote_port is None:
+        if self.processes <= 0 and self.remote_port is None:
             return None
         with self._controller_lock:
             if self._controller is None and not self._closed:
                 self._controller = RemoteController(
                     host=self.remote_host,
                     port=self.remote_port,
+                    processes=max(0, self.processes),
                     heartbeat_s=self.remote_heartbeat_s,
                     heartbeat_strikes=self.remote_heartbeat_strikes,
                     timeout=self.remote_timeout,
@@ -362,21 +340,17 @@ class KernelRuntime:
             return self._controller
 
     def close(self) -> None:
-        """Shut down the shared pool, the worker processes and the remote
-        controller; the runtime stays usable sequentially (in-process)."""
+        """Shut down the shared pool and the controller with its worker
+        agents; the runtime stays usable sequentially (in-process)."""
         with self._pool_lock:
             self._closed = True
-            # Drain queued sharded calls while their workers still exist.
+            # Drain queued sharded calls while their agents still exist.
             if self._dispatcher is not None:
                 self._dispatcher.shutdown(wait=True)
                 self._dispatcher = None
             if self._pool is not None:
                 self._pool.shutdown(wait=True)
                 self._pool = None
-        with self._workers_lock:
-            if self._workers is not None:
-                self._workers.close()
-                self._workers = None
         with self._controller_lock:
             if self._controller is not None:
                 self._controller.close()
@@ -389,18 +363,12 @@ class KernelRuntime:
         self.close()
 
     def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        # Reclaim pool threads and worker processes when a runtime owner
+        # Reclaim pool threads and worker agents when a runtime owner
         # (e.g. an app instance) is garbage collected without close().
         for name in ("_dispatcher", "_pool"):
             executor = getattr(self, name, None)
             if executor is not None:
                 executor.shutdown(wait=False)
-        workers = getattr(self, "_workers", None)
-        if workers is not None:
-            try:
-                workers.close()
-            except Exception:
-                pass
         controller = getattr(self, "_controller", None)
         if controller is not None:
             try:
@@ -476,8 +444,8 @@ class KernelRuntime:
         dispatch an entry point that may shard got from
         :meth:`_prepare_sharded` on its own thread; ``None`` (no capacity,
         or not allowed to shard) runs the call in process.  ``keep=False``
-        marks a one-shot matrix: nothing derived from it is kept (its
-        shared segments are torn down afterwards, no schedule is built).
+        marks a one-shot matrix: nothing derived from it is kept (the
+        agents drop it afterwards, no schedule is built).
 
         Either way the same partitions run with the same resolved kernel
         on the same matrix, and the split count depends on the matrix
@@ -489,8 +457,8 @@ class KernelRuntime:
             try:
                 return self._dispatch(prep, X, Y)
             finally:
-                if not keep and prep.workers is not None:
-                    prep.workers.release_matrix(prep.key)
+                if not keep:
+                    prep.controller.drop_matrix(prep.key)
         A = as_csr(A)
         schedule = None
         if parts is None:
@@ -511,34 +479,20 @@ class KernelRuntime:
         return plan.execute(A, X, Y, num_threads=1, schedule=schedule)
 
     # ------------------------------------------------------------------ #
-    # Sharded (multi-process / multi-host) execution
+    # Sharded execution (worker agents, local and dial-in)
     # ------------------------------------------------------------------ #
-    def _remote_capacity(self) -> int:
-        """Live remote slot count (0 without a controller or hosts)."""
-        controller = self.controller
-        return 0 if controller is None else controller.total_slots()
-
     @property
     def sharded_capacity(self) -> int:
-        """Total sharded-tier slots: local worker processes plus the slots
-        of currently registered remote hosts.  Zero means :meth:`run_sharded`
+        """Total sharded-tier slots: the local agents plus the slots of
+        currently registered dial-in hosts.  Zero means :meth:`run_sharded`
         and :meth:`submit_sharded` will fall back to in-process execution.
-        Side-effect free: does not lazily spawn the worker pool."""
-        return max(0, self.processes) + self._remote_capacity()
-
-    def _tier_slots(self, spec: Dict[str, object]) -> Tuple[int, int, Optional[dict]]:
-        """``(local, remote, remote spec meta)`` for a sharded call on ``spec``.
-
-        Local slots are the worker processes (none once closed).  Remote
-        slots count only when the pattern can cross the network
-        (non-string operator slots stay host-local).  Side-effect free:
-        does not lazily spawn the worker pool.
-        """
-        local = 0 if self._closed else self.processes
-        controller = self.controller
-        spec_meta = None if controller is None else remote_spec_meta(spec)
-        remote = 0 if spec_meta is None else controller.total_slots()
-        return local, remote, spec_meta
+        Side-effect free: does not lazily start the local agents."""
+        if self._closed:
+            return 0
+        with self._controller_lock:
+            controller = self._controller
+        remote = 0 if controller is None else controller.dialin_slots()
+        return max(0, self.processes) + remote
 
     def _shard_count(self, shards: Optional[int], capacity: int) -> int:
         """The shard count of a sharded call: ``shards`` (default: the
@@ -559,117 +513,79 @@ class KernelRuntime:
         parts=None,
     ) -> Optional["_ShardPrep"]:
         """Everything a sharded dispatch needs, or ``None`` when the tier
-        cannot take the job (no capacity, unpicklable pattern) and
+        cannot take the job (no capacity, a callable operator slot) and
         :meth:`_execute` runs it in process.
 
-        Operands are *not* copied here — the pool detects ``Y is X``
-        aliasing on the original objects and copies exactly once into
-        shared memory.
-
-        Capacity is the local worker-process count plus the slot count of
-        live remote hosts (:meth:`_tier_slots`); the shard count comes from
-        :meth:`_shard_count`, the same sizing :meth:`shard_plan` reports.
+        Operands are *not* copied here — the controller detects ``Y is X``
+        aliasing on the original objects and ships ``X`` once.  The shard
+        count comes from :meth:`_shard_count` over
+        :attr:`sharded_capacity`, the same sizing :meth:`shard_plan`
+        reports.
         """
         # Cheap capacity probe first: streaming calls come through here on
-        # every epoch, and the spec below pickles the pattern.
-        if not plan.supports_parts or self.sharded_capacity == 0:
+        # every epoch.
+        capacity = self.sharded_capacity
+        if not plan.supports_parts or capacity == 0:
             return None
-        spec = plan_spec_from_plan(plan)
-        if spec is None:
+        spec_meta = run_spec_meta(plan)
+        if spec_meta is None:
             self._bump("unpicklable_fallbacks")
             return None
-        local_slots, remote_slots, spec_meta = self._tier_slots(spec)
-        workers = self.workers if local_slots else None
-        if workers is None:
-            local_slots = 0
-        capacity = local_slots + remote_slots
-        if capacity == 0:
+        controller = self.controller
+        if controller is None:  # closed meanwhile
             return None
         key = plan.key.fingerprint if parts is None else matrix_fingerprint(A)
         partitions = plan.partitions if parts is None else parts
-        shard_plan = assign_shards(partitions, self._shard_count(shards, capacity))
         return _ShardPrep(
-            workers=workers,
-            controller=self.controller if remote_slots > 0 else None,
+            controller=controller,
             key=key,
             A=A,
-            spec=spec,
             spec_meta=spec_meta,
-            shard_plan=shard_plan,
-            local_slots=local_slots,
-            remote_slots=remote_slots,
+            shard_plan=assign_shards(partitions, self._shard_count(shards, capacity)),
         )
 
     def _dispatch(self, prep: "_ShardPrep", X, Y) -> np.ndarray:
-        """The one sharded dispatch, whichever tiers are live.
+        """The one sharded dispatch.
 
-        Shard groups are routed by slot weight over ``[local, remote]``
-        (a zero-slot tier gets nothing).  Both tiers share one contract:
-        ``run_assignments`` writes the rows it completed into ``Z`` and
-        returns the assignments it lost — a crashed local worker's, or the
-        groups no surviving remote host could take.  The two legs run
-        concurrently; a single leg runs on the calling thread.  Whatever
-        comes back unfinished runs in-parent through the same
-        :func:`~repro.runtime.codec.execute_parts` call the workers make,
+        The controller routes the shard groups over its live agents by
+        slot weight, writes the rows they complete into ``Z`` and returns
+        the assignments no surviving agent could take.  Those run
+        in-parent through the same
+        :func:`~repro.runtime.codec.execute_parts` call the agents make,
         so the call always completes with the same bytes.
         """
         A = prep.A
         d = (X if X is not None else Y).shape[1]
         Z = np.zeros((A.nrows, d), dtype=output_dtype(X, Y))
-        local, remote = route_shards(
-            prep.shard_plan, [prep.local_slots, prep.remote_slots]
+        leftovers = prep.controller.run_assignments(
+            prep.key, A, prep.spec_meta, prep.shard_plan.assignments, X, Y, Z
         )
-        if len(local) > prep.local_slots:
-            # One assignment per worker; regrouping keeps every partition.
-            local_parts = [p for a in local for p in a.parts]
-            local = list(assign_shards(local_parts, prep.local_slots).assignments)
-
-        def run_local():
-            return prep.workers.run_assignments(prep.key, A, prep.spec, local, X, Y, Z)
-
-        def run_remote():
-            self._bump("remote_jobs")
-            return prep.controller.run_assignments(
-                prep.key, A, prep.spec_meta, remote, X, Y, Z
-            )
-
-        if local and remote:
-            # Leaving the block joins the remote leg, so no thread writes
-            # into Z after this call returns or raises.
-            with ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-remote-leg"
-            ) as leg:
-                remote_leg = leg.submit(run_remote)
-                leftovers = run_local() + remote_leg.result()
-        elif local:
-            leftovers = run_local()
-        else:
-            leftovers = run_remote() if remote else []
         if leftovers:
             self._bump("parent_fallbacks")
+            spec = spec_from_meta(prep.spec_meta)
             configs: dict = {}
             for a in leftovers:
-                execute_parts(prep.spec, A, X, Y, a.parts, Z, configs=configs)
+                execute_parts(spec, A, X, Y, a.parts, Z, configs=configs)
         return Z
 
     def shard_plan(self, A, *, shards: Optional[int] = None, **plan_opts) -> ShardPlan:
         """The shard assignment a sharded call on ``A`` would use."""
         plan = self.plan(A, **plan_opts)
-        spec = plan_spec_from_plan(plan) if plan.supports_parts else None
-        capacity = 0 if spec is None else sum(self._tier_slots(spec)[:2])
+        shippable = plan.supports_parts and run_spec_meta(plan) is not None
+        capacity = self.sharded_capacity if shippable else 0
         return assign_shards(plan.partitions, self._shard_count(shards, capacity))
 
     def run_sharded(
         self, A, X=None, Y=None, *, shards: Optional[int] = None, **plan_opts
     ) -> np.ndarray:
-        """One-shot planned execution through the multi-process tier.
+        """One-shot planned execution through the sharded tier.
 
         Bitwise identical to :meth:`run` and to sequential
         :func:`~repro.core.fused.fusedmm`.  Runs in process when the
-        runtime has no sharded capacity or the pattern cannot cross a
-        process boundary (counted as ``stats()["unpicklable_fallbacks"]``).
-        A worker or host lost mid-call costs time, not the call: its rows
-        finish in-parent.
+        runtime has no sharded capacity or an operator slot of the pattern
+        is a callable (counted as ``stats()["unpicklable_fallbacks"]``).
+        An agent lost mid-call costs time, not the call: its rows are
+        retried on the surviving agents, then finish in-parent.
         """
         self._bump("requests")
         A = as_csr(A)
@@ -683,9 +599,9 @@ class KernelRuntime:
         """Asynchronous :meth:`run_sharded`; returns a future.
 
         Planning and the sharding decision (capacity, shard count, the
-        workers that will run it) happen on the caller thread; the
+        controller that will run it) happen on the caller thread; the
         dispatch runs on the runtime's one dispatcher thread, so a call
-        queued when :meth:`close` starts still runs on the workers it was
+        queued when :meth:`close` starts still runs on the agents it was
         given.  Without sharded capacity (or after :meth:`close`) the
         request executes in process on the caller thread and a completed
         future is returned.
@@ -946,27 +862,23 @@ class KernelRuntime:
     def release_matrix(self, fingerprint: str, *, remote: bool = True) -> Dict[str, int]:
         """Evict every cache entry derived from ``fingerprint``'s lineage.
 
-        Cascades through all three tiers that key on matrix fingerprints:
-        cached plans, worker shared-memory segments and remote host LRUs.
-        Versioned descendants (``<fp>@vN``) are covered too — this is the
-        one call sites use when a graph is dropped or superseded, so no
-        tier can leak entries for matrices nothing will ask for again.
-        Returns per-tier eviction counts (for stats and tests).
+        Cascades through both tiers that key on matrix fingerprints:
+        cached plans and the worker agents' matrix LRUs (local and
+        dial-in alike).  Versioned descendants (``<fp>@vN``) are covered
+        too — this is the one call sites use when a graph is dropped or
+        superseded, so no tier can leak entries for matrices nothing will
+        ask for again.  Returns per-tier eviction counts (for stats and
+        tests).
 
-        ``remote=False`` skips the remote tier: the dynamic-graph path
-        keeps the superseded version on agents for one more round because
-        it is the splice base of the next dirty-shard delta ship.
+        ``remote=False`` skips the agents: the dynamic-graph path keeps
+        the superseded version on them for one more round because it is
+        the splice base of the next dirty-shard delta ship.
         """
         fingerprint = str(fingerprint)
         evicted = {
             "plans": self._cache.evict_fingerprint(fingerprint),
-            "worker_matrices": 0,
             "remote_matrices": 0,
         }
-        with self._workers_lock:
-            workers = self._workers
-        if workers is not None:
-            evicted["worker_matrices"] = workers.release_fingerprint(fingerprint)
         if remote:
             with self._controller_lock:
                 controller = self._controller
@@ -1042,8 +954,6 @@ class KernelRuntime:
         with self._stats_lock:
             counters = dict(self._counters)
             sections = dict(self._stats_sections)
-        with self._workers_lock:
-            workers = self._workers
         with self._controller_lock:
             controller = self._controller
         extra = {name: provider() for name, provider in sections.items()}
@@ -1053,7 +963,11 @@ class KernelRuntime:
             "pool_active": self._pool is not None,
             "processes": self.processes,
             "shards": self.shards,
-            "workers": None if workers is None else workers.stats(),
+            "workers": (
+                None
+                if controller is None or not controller.processes
+                else controller.local_stats()
+            ),
             "remote": None if controller is None else controller.stats(),
             **counters,
             **extra,

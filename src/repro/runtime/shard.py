@@ -5,7 +5,8 @@ nnz-balanced 1-D row partitions every plan already carries — as its unit of
 distribution, exactly as the single-process runtime reuses them as its unit
 of thread scheduling.  A :class:`ShardPlan` groups those partitions into
 ``num_shards`` contiguous, nnz-balanced shards; each shard is executed by
-one worker process of :class:`repro.runtime.workers.WorkerPool`.
+one worker agent of :class:`repro.runtime.remote.RemoteController` (a
+local child process or a dial-in host).
 
 Determinism
 -----------
@@ -67,7 +68,7 @@ class ShardPlan:
 
     Built by :func:`assign_shards`; consumed by
     :meth:`KernelRuntime.run_sharded`, which routes its assignments to the
-    worker pool and remote hosts.  The assignment is a *partition* of
+    worker agents.  The assignment is a *partition* of
     the input list: every input :class:`RowPartition` appears in exactly one
     shard, in its original order (asserted by a hypothesis property test).
     """

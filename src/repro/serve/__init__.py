@@ -11,7 +11,7 @@ service (the ROADMAP's "async serving beyond futures" tier):
                singles routed through ``submit_sharded``, bounded-queue
                admission, deadlines, graceful drain
 ``registry``   :class:`ModelRegistry` — named graphs + trained app models
-               with plans/worker pools warm before the first
+               with plans/worker agents warm before the first
                request
 ``server``     :class:`KernelServer` — handcrafted asyncio HTTP/1.1
                front-end, a route codec onto the op table

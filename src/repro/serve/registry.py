@@ -2,7 +2,7 @@
 
 Cold serving is slow serving: the first request against a new adjacency
 pays pattern resolution, backend dispatch, partitioning, fingerprinting
-and (with ``processes``) worker spawn + shared-memory upload.  The
+and (with ``processes``) worker-agent start-up + the CSR upload.  The
 :class:`ModelRegistry` front-loads all of it at startup:
 
 * every :class:`~repro.serve.config.ModelSpec` is **built** — its dataset
@@ -16,9 +16,9 @@ and (with ``processes``) worker spawn + shared-memory upload.  The
   patterns (``sigmoid_embedding`` and ``gcn``, whose plan ``spmm``
   shares) — the plan cache and its partitionings are populated before
   the listener accepts its first connection;
-* with ``processes > 0`` the **worker pool is spawned** and each warm
-  graph's CSR is pushed into shared memory up front, so the first sharded
-  request pays no spawn or upload latency.
+* with ``processes > 0`` the **local worker agents are started** (and
+  registered) and each warm graph's CSR is shipped to them up front, so
+  the first sharded request pays no start-up or upload latency.
 """
 
 from __future__ import annotations
@@ -102,10 +102,10 @@ class ModelRegistry:
             self._models[spec.name] = model
             self.register_graph(spec.name, graph.adjacency)
         if self.config.processes > 0:
-            # Spawn the worker pool and ship every warm CSR into shared
-            # memory before the first request needs it.
-            workers = self.runtime.workers
-            if workers is not None:
+            # Start the local agents (the controller returns once they
+            # have registered) and ship every warm CSR to them before the
+            # first request needs it.
+            if self.runtime.controller is not None:
                 for g in self._graphs.values():
                     A = g.matrix
                     if A.nnz >= self.config.shard_min_nnz:
@@ -136,7 +136,7 @@ class ModelRegistry:
 
     def drop_graph(self, name: str) -> Dict[str, int]:
         """Unregister a graph and evict its whole cache footprint (plans,
-        worker shared memory, remote host LRUs)."""
+        worker agents' matrix LRUs)."""
         graph = self.dynamic_graph(name)
         del self._graphs[name]
         return graph.close()
@@ -199,5 +199,5 @@ class ModelRegistry:
         return [self._models[name].describe() for name in self.model_names()]
 
     def close(self) -> None:
-        """Shut the serving runtime (and its worker pool) down."""
+        """Shut the serving runtime (and its worker agents) down."""
         self.runtime.close()

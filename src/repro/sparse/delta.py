@@ -1,7 +1,7 @@
 """One edge batch spliced onto one canonical CSR.
 
-Every cache tier of the runtime — plan cache, worker shared memory,
-remote host LRUs — keys on an immutable matrix fingerprint, so a mutable
+Every cache tier of the runtime — plan cache, worker agents' matrix
+LRUs — keys on an immutable matrix fingerprint, so a mutable
 graph is a sequence of immutable versions.  Each version is exactly one
 canonical :class:`~repro.sparse.csr.CSRMatrix`, named by a **versioned
 fingerprint** ``<lineage>@v<N>`` where ``lineage`` is the content hash of

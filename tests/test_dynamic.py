@@ -309,7 +309,7 @@ def test_close_releases_whole_lineage(medium):
         assert released["plans"] == 2  # the refreshed and the fresh plan
         assert rt._cache.entries_for(lineage) == ()
         assert rt.plan_bytes(lineage) == {"plans": 0, "plan_bytes": 0}
-        assert set(released) == {"plans", "worker_matrices", "remote_matrices"}
+        assert set(released) == {"plans", "remote_matrices"}
         assert g.close() == {}  # idempotent
 
 

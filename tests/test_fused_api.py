@@ -199,6 +199,31 @@ def test_missing_x_on_every_backend(problem, backend):
                 rt.run(A, None, Y, pattern=pattern, backend=backend)
 
 
+def test_generated_products_allocate_no_zero_sources(problem, monkeypatch):
+    """An X-less gcn/spmm call of the generated kind hands ``X=None`` to
+    the product, which never reads it: no zero ``X`` is built, and the
+    bits are those of the call with an explicit ``X``."""
+    import repro.core.fused as fused
+
+    A, X, Y = problem
+    refs = {
+        p: fusedmm(A, X, Y, pattern=p, backend="generated") for p in ("gcn", "spmm")
+    }
+
+    def no_zero_sources(*args, **kwargs):
+        raise AssertionError("the generated kind takes X=None itself")
+
+    monkeypatch.setattr(fused, "_zero_sources", no_zero_sources)
+    with KernelRuntime(num_threads=1) as rt:
+        for pattern, ref in refs.items():
+            Z = fusedmm(A, None, Y, pattern=pattern, backend="generated")
+            assert np.array_equal(Z, ref)
+            Z = rt.run(A, None, Y, pattern=pattern, backend="generated")
+            assert np.array_equal(Z, ref)
+    with pytest.raises(BackendError):
+        fusedmm(A, None, Y, pattern="sigmoid_embedding", backend="generated")
+
+
 def test_autotune_demotes_jit_like_the_runtime(problem, monkeypatch):
     """With numba reported importable, a sweep that measures a NumPy
     block size fastest demotes auto's jit preference for FusedMM exactly as

@@ -578,7 +578,8 @@ def test_http_train_rejects_bad_specs_and_unknown_ids(jobs_server):
 def test_http_train_with_an_unknown_app_knob_fails_cleanly(jobs_server):
     """A knob the app config does not have (here the deleted ``reorder``)
     fails the job with the ``invalid extra config`` JobError when the job
-    builds its app; nothing trains, and the server keeps answering."""
+    builds its app, on the first attempt (no retry can fix a spec);
+    nothing trains, and the server keeps answering."""
     from repro.serve import ServeClient
 
     doc = _tiny_train_doc(extra={"reorder": "rcm"})
@@ -586,6 +587,7 @@ def test_http_train_with_an_unknown_app_knob_fails_cleanly(jobs_server):
         job_id = client.train(**doc)["job_id"]
         final = _poll_done(client, job_id)
         assert final["state"] == "failed"
+        assert final["attempts"] == 1
         assert final["epochs_done"] == 0
         assert final["error"].startswith("JobError: invalid extra config")
         assert "reorder" in final["error"]

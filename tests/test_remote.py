@@ -4,12 +4,13 @@ Covers the contracts the tier advertises:
 
 * **Bitwise identity** — remote execution through 1, 2 and 4 worker
   hosts produces results bitwise identical to sequential single-process
-  ``fusedmm``; shard *placement* (local process, remote host, parent
+  ``fusedmm``; shard *placement* (local agent, dial-in host, parent
   fallback) never changes the bytes of ``Z``.
-* **Fault tolerance** — a host that dies mid-batch (crash injection) has
-  its shard group re-routed to a survivor; a socket severed mid-frame is
-  detected promptly (never a hang); when every host dies the batch
-  completes in-parent.  All recovery paths return the exact bytes.
+* **Fault tolerance** — an agent that dies mid-batch (crash injection),
+  local or dial-in, has its shard group re-routed to a survivor; a
+  socket severed mid-frame is detected promptly (never a hang); when
+  every agent dies the batch completes in-parent.  All recovery paths
+  return the exact bytes.
 * **Transport codec** — CSR and run-spec payloads round-trip through the
   worker protocol; non-JSON-able specs (callable operators) stay
   host-local.
@@ -54,8 +55,7 @@ from repro.runtime.codec import (
     WORKER_CODEC,
     decode_csr,
     encode_csr,
-    plan_spec_from_plan,
-    remote_spec_meta,
+    run_spec_meta,
     spec_from_meta,
 )
 from repro.framing import FRAME_HEADER, decode_payload, encode_payload
@@ -164,30 +164,43 @@ def test_hybrid_local_plus_remote_identity(problem):
         _teardown(runtime, agents)
 
 
-def test_hybrid_local_worker_crash_finishes_in_parent(problem):
-    """A killed local worker in a hybrid runtime finishes in-parent, the
-    same rule as a lost remote host: bitwise result, respawned worker."""
+def test_mixed_local_and_dialin_loss_retries_on_the_other(problem):
+    """One local agent and one dial-in agent split a batch bitwise, and
+    one failure rule covers both: a lost local agent's rows run on the
+    dial-in agent, a lost dial-in agent's rows on the (restarted) local
+    one — retried, never sent to the parent."""
     A, X = problem
     ref = fusedmm(A, X, X, pattern="sigmoid_embedding", num_threads=1)
-    runtime = KernelRuntime(num_threads=1, processes=2, remote_port=0)
+    # No heartbeat between a loss and the next call: the call finds it.
+    runtime = KernelRuntime(
+        num_threads=1, processes=1, remote_port=0, remote_heartbeat_s=3600
+    )
     agents = []
     try:
         agents.append(_AgentThread(runtime.controller.port, name="a0"))
         assert runtime.controller.wait_for_hosts(1, timeout=15.0) == 1
-        assert np.array_equal(
-            runtime.run_sharded(A, X, pattern="sigmoid_embedding"), ref
-        )
-        runtime.workers.kill_worker(0)
-        assert np.array_equal(
-            runtime.run_sharded(A, X, pattern="sigmoid_embedding"), ref
-        )
-        runtime.workers.kill_worker(0)
-        future = runtime.submit_sharded(A, X, pattern="sigmoid_embedding")
-        assert np.array_equal(future.result(timeout=60), ref)
+
+        def run():
+            return runtime.run_sharded(A, X, pattern="sigmoid_embedding", shards=0)
+
+        assert np.array_equal(run(), ref)
+        hosts = runtime.stats()["remote"]["hosts"]
+        assert sorted(h["local"] for h in hosts) == [False, True]
+        assert all(h["runs"] >= 1 for h in hosts)
+        (local,) = [h for h in runtime.controller.live_hosts() if h.process]
+        local.process.kill()
+        local.process.join(timeout=5)
+        assert np.array_equal(run(), ref)
         stats = runtime.stats()
-        assert stats["workers"]["restarts"] >= 1
-        assert stats["parent_fallbacks"] >= 1
-        assert stats["remote"]["hosts_lost"] == 0
+        assert stats["remote"]["retries"] == 1
+        assert stats["workers"]["restarts"] == 1
+        assert stats["workers"]["alive"] == 1
+        agents[0].stop()
+        assert np.array_equal(run(), ref)
+        stats = runtime.stats()
+        assert stats["remote"]["retries"] == 2
+        assert stats["remote"]["hosts_lost"] == 2
+        assert stats["parent_fallbacks"] == 0
     finally:
         _teardown(runtime, agents)
 
@@ -679,26 +692,27 @@ def test_spec_meta_roundtrip(problem):
     runtime = KernelRuntime(num_threads=1)
     try:
         plan = runtime.plan(A, pattern="sigmoid_embedding")
-        spec = plan_spec_from_plan(plan)
-        meta = remote_spec_meta(spec)
+        meta = run_spec_meta(plan)
         assert meta is not None
         rebuilt = spec_from_meta(meta)
-        assert rebuilt["backend"] == spec["backend"]
-        assert rebuilt["block_size"] == spec["block_size"]
-        assert rebuilt["op_pattern"].resolved().op_names() == spec[
-            "op_pattern"
-        ].resolved().op_names()
+        assert rebuilt["backend"] == plan.kind
+        assert rebuilt["block_size"] == plan.block_size
+        assert rebuilt["op_pattern"].resolved().op_names() == (
+            plan.op_pattern.resolved().op_names()
+        )
     finally:
         runtime.close()
 
 
 def test_spec_meta_rejects_callable_ops():
-    """Specs with callable operators are not wire-shippable: they stay
-    host-local (remote_spec_meta -> None) rather than being pickled."""
+    """Plans with callable operators are not wire-shippable: they stay
+    in process (run_spec_meta -> None) rather than being pickled."""
+    from types import SimpleNamespace
+
     from repro.core.patterns import OpPattern
 
-    spec = {
-        "op_pattern": OpPattern(
+    plan = SimpleNamespace(
+        op_pattern=OpPattern(
             name="custom",
             vop="sub",
             rop=lambda a: a,
@@ -706,10 +720,10 @@ def test_spec_meta_rejects_callable_ops():
             mop="mul",
             aop="add",
         ),
-        "backend": "numpy",
-        "block_size": 0,
-    }
-    assert remote_spec_meta(spec) is None
+        kind="generic",
+        block_size=0,
+    )
+    assert run_spec_meta(plan) is None
 
 
 def test_frame_rejects_bad_magic():
@@ -881,7 +895,7 @@ def test_serve_routes_large_singles_to_remote_hosts(problem):
 
 def test_sharded_capacity_counts_local_and_remote(problem):
     """sharded_capacity reflects processes + live host slots without
-    spawning the worker pool as a side effect."""
+    starting the local agents as a side effect."""
     runtime, agents = _remote_runtime(1)
     try:
         assert runtime.sharded_capacity == 1
@@ -891,7 +905,7 @@ def test_sharded_capacity_counts_local_and_remote(problem):
     try:
         assert runtime.sharded_capacity == 0  # hosts gone after close
         assert local.sharded_capacity == 2
-        assert local._workers is None  # no lazy pool spawn from the property
+        assert local._controller is None  # no lazy agent start from the property
     finally:
         local.close()
 

@@ -6,16 +6,18 @@ Covers the three contracts the tier advertises:
   streams produce results bitwise identical to sequential single-process
   ``fusedmm`` for 1, 2 and 4 shards, across patterns and the X-less SpMM
   path.
-* **Crash safety** — a hard-killed worker never fails the call (or
-  hangs it): its assignment finishes in-parent bitwise, the pool respawns
-  the worker, and subsequent calls run on it; in-worker exceptions
-  surface as :class:`~repro.errors.WorkerError` with the worker still
-  alive.
+* **Crash safety** — a hard-killed local agent never fails the call (or
+  hangs it): its assignment is retried on the surviving agent, or
+  finishes in-parent when none survives, bitwise either way; the slot is
+  restarted and subsequent calls run on it; in-agent exceptions surface
+  as :class:`~repro.errors.WorkerError` with the agent still alive.
 * **Shard assignment is a partition** — a hypothesis property test checks
   that :func:`~repro.runtime.shard.assign_shards` never loses, duplicates
   or reorders a plan partition.
 """
 
+import os
+import socket
 import threading
 
 import numpy as np
@@ -27,7 +29,7 @@ from repro.core.fused import fusedmm
 from repro.core.partition import RowPartition, part1d
 from repro.errors import PartitionError, WorkerError
 from repro.graphs import random_features, rmat
-from repro.runtime import KernelRequest, KernelRuntime, WorkerPool, assign_shards
+from repro.runtime import KernelRequest, KernelRuntime, assign_shards
 from repro.sparse import random_csr
 
 from _helpers import make_xy
@@ -127,7 +129,7 @@ def test_run_sharded_bitwise_equals_fusedmm(shards, medium_problem):
     with KernelRuntime(num_threads=1, processes=shards) as rt:
         Z = rt.run_sharded(A, X, pattern="sigmoid_embedding")
         assert np.array_equal(Z, ref)
-        # Repeated call: matrix already in shared memory, plans cached.
+        # Repeated call: matrix already on the agents, plans cached.
         assert np.array_equal(rt.run_sharded(A, X, pattern="sigmoid_embedding"), ref)
         stats = rt.stats()
         assert stats["sharded_jobs"] == 2
@@ -248,7 +250,7 @@ def test_epoch_stream_routes_through_shards(medium_problem):
         assert np.array_equal(stream.step(X), ref)
         assert rt.stats()["sharded_jobs"] == 1
         # Derived matrices (run_on) go through the one-shot sharded path
-        # and their shared segments are torn down afterwards.
+        # and the agents drop them afterwards.
         sub = A.row_slice(0, 1200)
         ref_sub = fusedmm(sub, X[:1200], X, pattern="sigmoid_embedding", num_threads=1)
         assert np.array_equal(stream.run_on(sub, X[:1200], X), ref_sub)
@@ -262,33 +264,51 @@ def test_small_matrices_stay_in_process():
         stream = rt.epochs(A, pattern="sigmoid_embedding")
         ref = fusedmm(A, X, X, pattern="sigmoid_embedding", num_threads=1)
         assert np.array_equal(stream.step(X), ref)
-        # Below shard_min_nnz nothing was dispatched to workers …
+        # Below shard_min_nnz nothing was dispatched to agents …
         assert rt.stats()["sharded_jobs"] == 0
-        # … and the pool was never even spawned (lazy creation).
+        # … and they were never even started (lazy creation).
         assert rt.stats()["workers"] is None
 
 
 # ---------------------------------------------------------------------- #
-# Worker pool lifecycle and failure handling
+# Local agent lifecycle and failure handling
 # ---------------------------------------------------------------------- #
+def _local_agents(rt):
+    return [h for h in rt.controller.live_hosts() if h.process is not None]
+
+
+def _kill(record):
+    """Hard-kill one local agent behind the controller's back."""
+    record.process.kill()
+    record.process.join(timeout=5)
+
+
 def test_worker_crash_finishes_in_parent_and_pool_recovers(medium_problem):
-    """A lost local worker costs time, not the call: its assignment
-    finishes in-parent bitwise, as a lost remote host's does."""
+    """One failure rule: a killed local agent's rows are retried on the
+    survivor and its slot is restarted; only when no agent survives do
+    the rows finish in-parent.  Every call returns the exact bytes."""
     A, X = medium_problem
     ref = fusedmm(A, X, X, pattern="sigmoid_embedding", num_threads=1)
-    with KernelRuntime(num_threads=1, processes=2) as rt:
+    # No heartbeat between the kill and the call: the call finds the loss.
+    with KernelRuntime(num_threads=1, processes=2, remote_heartbeat_s=3600) as rt:
         assert np.array_equal(rt.run_sharded(A, X, pattern="sigmoid_embedding"), ref)
-        rt.workers.kill_worker(0)
+        _kill(_local_agents(rt)[0])
         assert np.array_equal(rt.run_sharded(A, X, pattern="sigmoid_embedding"), ref)
-        rt.workers.kill_worker(0)
+        stats = rt.stats()
+        assert stats["remote"]["retries"] >= 1
+        assert stats["parent_fallbacks"] == 0
+        assert stats["workers"]["restarts"] >= 1
+        assert stats["workers"]["alive"] == 2
+        # Both agents lost: nothing survives to retry on.
+        for record in _local_agents(rt):
+            _kill(record)
         fut = rt.submit_sharded(A, X, pattern="sigmoid_embedding")
         assert np.array_equal(fut.result(timeout=60), ref)
         stats = rt.stats()
-        assert stats["workers"]["restarts"] >= 1
-        assert stats["workers"]["alive"] == 2
         assert stats["parent_fallbacks"] >= 1
-        # The respawned worker reloads the shared matrix and serves again:
-        # no assignment falls back to the parent this time.
+        assert stats["workers"]["alive"] == 2
+        # The restarted agents reload the matrix and serve again: no
+        # assignment falls back to the parent this time.
         assert np.array_equal(rt.run_sharded(A, X, pattern="sigmoid_embedding"), ref)
         assert rt.stats()["parent_fallbacks"] == stats["parent_fallbacks"]
 
@@ -307,38 +327,21 @@ def test_worker_exception_propagates_without_crash(medium_problem):
         assert np.array_equal(rt.run_sharded(A, X, pattern="sigmoid_embedding"), ref)
 
 
-def test_worker_pool_release_matrix(medium_problem):
-    A, X = medium_problem
-    with KernelRuntime(num_threads=1, processes=2) as rt:
-        rt.run_sharded(A, X, pattern="sigmoid_embedding")
-        pool = rt.workers
-        assert pool.registered_matrices == 1
-        key = rt.plan(A).key.fingerprint
-        pool.release_matrix(key)
-        assert pool.registered_matrices == 0
-        # Releasing twice is a no-op; the matrix reloads on demand.
-        pool.release_matrix(key)
-        ref = fusedmm(A, X, X, pattern="sigmoid_embedding", num_threads=1)
-        assert np.array_equal(rt.run_sharded(A, X, pattern="sigmoid_embedding"), ref)
-
-
-def test_worker_pool_matrix_lru_bounds_shared_memory():
-    """The matrix registry is a bounded LRU: registering beyond
-    ``matrix_cache`` evicts the least-recently-used matrix, and evicted
-    matrices transparently reload on their next use."""
-    mats = [random_csr(120, 120, density=0.08, seed=s) for s in range(3)]
+def test_agent_matrix_lru_bounds_resident_matrices():
+    """An agent keeps at most 16 matrices (LRU) and reports what it
+    evicts, so the controller's view stays exact: an evicted matrix is
+    re-shipped on its next use, with results still bitwise identical."""
+    mats = [random_csr(120, 120, density=0.08, seed=s) for s in range(17)]
     X = random_features(120, 6, seed=0)
     refs = [fusedmm(A, X, X, num_threads=1) for A in mats]
-    with KernelRuntime(
-        num_threads=1, processes=2, worker_matrix_cache=2
-    ) as rt:
+    with KernelRuntime(num_threads=1, processes=2) as rt:
         for A in mats:
             rt.run_sharded(A, X)
-        assert rt.workers.registered_matrices == 2
-        # mats[0] was evicted; running it again re-registers (and evicts
+        assert rt.stats()["workers"]["registered_matrices"] == 16
+        # mats[0] was evicted; running it again re-ships it (and evicts
         # the new LRU) with results still bitwise identical.
         assert np.array_equal(rt.run_sharded(mats[0], X), refs[0])
-        assert rt.workers.registered_matrices == 2
+        assert rt.stats()["workers"]["registered_matrices"] == 16
         for A, ref in zip(mats, refs):
             assert np.array_equal(rt.run_sharded(A, X), ref)
 
@@ -355,43 +358,83 @@ def test_bench_shard_speedup_baseline_is_one_shard_row():
     assert by_shards[1]["speedup_vs_1shard"] == 1.0
 
 
-def test_worker_pool_ping_and_close():
-    pool = WorkerPool(2)
-    assert pool.ping() == 2
-    assert pool.stats()["alive"] == 2
-    pool.close()
-    pool.close()  # idempotent
-    with pytest.raises(WorkerError):
-        pool.ping()
+def _listening_inodes():
+    """Socket inodes of this process that listen on TCP (Linux)."""
+    mine = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue
+        if target.startswith("socket:["):
+            mine.add(target[len("socket:[") : -1])
+    listening = set()
+    for table in ("/proc/net/tcp", "/proc/net/tcp6"):
+        try:
+            lines = open(table).read().splitlines()[1:]
+        except OSError:
+            continue
+        for line in lines:
+            fields = line.split()
+            if fields[3] == "0A":  # TCP_LISTEN
+                listening.add(fields[9])
+    return mine & listening
 
 
-def test_worker_pool_rejects_oversized_shard_plan(medium_problem):
+@pytest.mark.skipif(not os.path.exists("/proc/net/tcp"), reason="needs Linux /proc")
+def test_local_agents_open_no_port_and_the_listener_still_checks_tokens(
+    medium_problem,
+):
+    """Local agents register over socketpairs: a ``processes=2`` runtime
+    without ``remote_port`` listens on nothing.  A ``remote_port``
+    runtime admits its local agents without a token but still refuses a
+    dial-in REGISTER with a bad token (403)."""
+    from repro.framing import decode_payload, encode_payload
+    from repro.runtime.codec import OP_ERROR, OP_REGISTER, WORKER_CODEC
+
     A, X = medium_problem
+    ref = fusedmm(A, X, X, pattern="sigmoid_embedding", num_threads=1)
+    before = _listening_inodes()
     with KernelRuntime(num_threads=1, processes=2) as rt:
-        plan = rt.plan(A)
-        oversized = assign_shards(plan.partitions, 5).assignments
-        from repro.runtime.workers import plan_spec_from_plan
-
-        spec = plan_spec_from_plan(plan)
-        Z = np.zeros((A.nrows, X.shape[1]), dtype=X.dtype)
-        with pytest.raises(WorkerError):
-            rt.workers.run_assignments(
-                plan.key.fingerprint, A, spec, oversized, X, X, Z
+        assert np.array_equal(rt.run_sharded(A, X, pattern="sigmoid_embedding"), ref)
+        assert rt.controller.port is None
+        assert rt.stats()["workers"]["alive"] == 2
+        assert _listening_inodes() <= before
+    with KernelRuntime(
+        num_threads=1, processes=2, remote_port=0, remote_token="s3cret"
+    ) as rt:
+        assert np.array_equal(rt.run_sharded(A, X, pattern="sigmoid_embedding"), ref)
+        assert rt.stats()["workers"]["alive"] == 2
+        sock = socket.create_connection(("127.0.0.1", rt.controller.port), timeout=10)
+        try:
+            rfile = sock.makefile("rb")
+            sock.sendall(
+                WORKER_CODEC.pack_frame(
+                    OP_REGISTER, 0, encode_payload({"name": "intruder", "slots": 1})
+                )
             )
+            opcode, _, payload = WORKER_CODEC.read_frame(rfile)
+            assert opcode == OP_ERROR
+            assert decode_payload(payload)[0]["status"] == 403
+            rfile.close()
+        finally:
+            sock.close()
+        assert len(rt.controller.live_hosts()) == 2
 
 
 def test_worker_spec_ships_the_resolved_kind(monkeypatch):
     """Workers rebuild the kernel the parent resolved, not the requested
     backend: ``auto`` must not re-resolve on different local facts."""
     import repro.core.jit as jit
-    from repro.runtime.codec import build_worker_config, plan_spec_from_plan
+    from repro.runtime.codec import build_worker_config, run_spec_meta, spec_from_meta
 
     A = random_csr(80, 80, density=0.05, seed=1)
     monkeypatch.setattr(jit, "jit_available", lambda: False)
     plan = KernelRuntime(num_threads=1).plan(A, backend="auto")
     assert plan.kind != "jit"
     monkeypatch.setattr(jit, "jit_available", lambda: True)
-    assert build_worker_config(plan_spec_from_plan(plan)).kind == plan.kind
+    spec = spec_from_meta(run_spec_meta(plan))
+    assert build_worker_config(spec).kind == plan.kind
 
 
 def test_runtime_close_shuts_workers_down(medium_problem):
